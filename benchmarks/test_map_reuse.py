@@ -51,16 +51,16 @@ def _mode_census(report):
 
 def test_map_reuse_throughput(benchmark, serving_settings, tmp_path):
     store = MapStore(tmp_path / "maps", max_bytes=-1, max_age_s=-1)
-    engine = ServingEngine(store=None, max_workers=1, map_store=store,
+    engine = ServingEngine(store=None, map_store=store,
                            min_map_quality=MAP_GATE)
 
     cold_fleet = _wave("cold", 0, serving_settings)
-    cold = engine.serve(cold_fleet, parallel=False, ingestion="streaming")
+    cold = engine.serve(cold_fleet)
     assert cold.maps_published > 0, "the cold wave published no maps"
 
     warm_fleet = _wave("warm", 9000, serving_settings)
     warm = benchmark.pedantic(
-        lambda: engine.serve(warm_fleet, parallel=False, ingestion="streaming"),
+        lambda: engine.serve(warm_fleet),
         rounds=1, iterations=1,
     )
 
@@ -151,14 +151,12 @@ def test_drifting_world_updates(benchmark, serving_settings, tmp_path):
     """
     def arm(label, map_updates):
         store = MapStore(tmp_path / label, max_bytes=-1, max_age_s=-1)
-        engine = ServingEngine(store=None, max_workers=1, map_store=store,
+        engine = ServingEngine(store=None, map_store=store,
                                min_map_quality=MAP_GATE, map_updates=map_updates)
-        cold = engine.serve(_drift_wave("cold", 0, serving_settings),
-                            parallel=False, ingestion="streaming")
+        cold = engine.serve(_drift_wave("cold", 0, serving_settings))
         assert cold.maps_published > 0
         stale = engine.serve(_drift_wave("stale", 20000, serving_settings,
-                                         drift=True),
-                             parallel=False, ingestion="streaming")
+                                         drift=True))
         return engine, stale
 
     updates_engine, updates_stale = arm("updates", map_updates=True)
@@ -173,22 +171,18 @@ def test_drifting_world_updates(benchmark, serving_settings, tmp_path):
 
     recovery_fleet = _drift_wave("recov", 30000, serving_settings, drift=True)
     recovered = benchmark.pedantic(
-        lambda: updates_engine.serve(recovery_fleet, parallel=False,
-                                     ingestion="streaming"),
+        lambda: updates_engine.serve(recovery_fleet),
         rounds=1, iterations=1)
-    control = control_engine.serve(recovery_fleet, parallel=False,
-                                   ingestion="streaming")
+    control = control_engine.serve(recovery_fleet)
     # Wall-noise hardening: per arm, take the faster of two attempts — the
     # mode mix (the thing being measured) is deterministic, so a one-off
     # scheduler stall in either arm must not flip the throughput verdict.
     recovered_rate = max(
         recovered.sessions_per_second,
-        updates_engine.serve(recovery_fleet, parallel=False,
-                             ingestion="streaming").sessions_per_second)
+        updates_engine.serve(recovery_fleet).sessions_per_second)
     control_rate = max(
         control.sessions_per_second,
-        control_engine.serve(recovery_fleet, parallel=False,
-                             ingestion="streaming").sessions_per_second)
+        control_engine.serve(recovery_fleet).sessions_per_second)
 
     recovered_modes = _mode_census(recovered)
     control_modes = _mode_census(control)
@@ -233,13 +227,12 @@ def test_map_aware_autoscaler_sizing(benchmark, serving_settings, tmp_path):
         autoscaler = LatencyAutoscaler(min_workers=1, max_workers=8, window=48,
                                        grow_patience=2, shrink_patience=4,
                                        cooldown=2)
-        engine = ServingEngine(store=None, max_workers=1, map_store=store,
+        engine = ServingEngine(store=None, map_store=store,
                                min_map_quality=MAP_GATE, autoscaler=autoscaler,
                                frames_per_worker_tick=2)
         return engine.serve(
             _drift_wave(prefix, base_seed, serving_settings,
-                        fleet_size=FLEET_SIZE, deadline_ms=DEADLINE_MS),
-            parallel=False, ingestion="streaming")
+                        fleet_size=FLEET_SIZE, deadline_ms=DEADLINE_MS))
 
     cold = serve("cold", 0)
     warm = benchmark.pedantic(lambda: serve("warm", 9000), rounds=1, iterations=1)

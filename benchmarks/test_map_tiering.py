@@ -39,9 +39,9 @@ def _warm_root(root, duration) -> None:
     cold = drifting_environment_fleet(
         2, environment=ENVIRONMENT, prefix="cold",
         segment_duration=duration, camera_rate_hz=RATE)
-    ServingEngine(store=None, max_workers=1, map_store=_store(root),
+    ServingEngine(store=None, map_store=_store(root),
                   min_map_quality=GATE).serve(
-        cold, parallel=False, ingestion="streaming")
+        cold)
 
 
 def _fleet(duration, base_seed, prefix, **drift):
@@ -61,10 +61,10 @@ def test_map_tiering(benchmark, tmp_path, shard_settings, serving_settings):
     # frozen so the canonical cannot move between the arms' waves.
     plain_root = tmp_path / "maps-plain"
     _warm_root(plain_root, duration)
-    plain = ServingEngine(store=None, max_workers=1,
+    plain = ServingEngine(store=None,
                           map_store=_store(plain_root),
                           min_map_quality=GATE, map_updates=False).serve(
-        warm_wave, parallel=False, ingestion="streaming")
+        warm_wave)
 
     rows = []
     for shards in shard_counts:

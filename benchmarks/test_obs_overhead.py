@@ -51,18 +51,18 @@ def test_obs_overhead(benchmark, serving_settings, tmp_path):
     )
 
     def serve_disabled():
-        return ServingEngine(store=None, max_workers=1).serve(
-            fleet, parallel=False, ingestion="streaming")
+        return ServingEngine(store=None).serve(
+            fleet)
 
     def serve_instrumented():
         tracer = Tracer()
         enable_kernel_tracing(tracer)
         try:
-            engine = ServingEngine(store=None, max_workers=1, tracer=tracer,
+            engine = ServingEngine(store=None, tracer=tracer,
                                    metrics=MetricsRegistry(),
                                    slo=SLOTracker(domain="virtual"),
                                    recorder=FlightRecorder(root=tmp_path))
-            report = engine.serve(fleet, parallel=False, ingestion="streaming")
+            report = engine.serve(fleet)
         finally:
             disable_kernel_tracing()
         return report, tracer

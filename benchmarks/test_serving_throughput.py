@@ -2,30 +2,30 @@
 
 The serving engine multiplexes concurrent localization sessions — each a
 time-varying deployment with indoor/outdoor transitions, GPS dropouts and
-map entry/exit — over the shared worker pool.  This benchmark serves the
-fleet twice, once through the serial multiplexing event loop and once
-sharded across worker processes, verifies the two are bit-identical
-(deterministic per-session seeds, the same guarantee the experiment runner
-makes for cells), and reports the headline serving metrics: sessions/sec,
-frames/sec, and p50/p95 per-frame latency.
+map entry/exit — on one virtual clock.  This benchmark serves the fleet
+twice, once through the plain engine's streaming event loop and once
+through a 2-shard cluster whose shards run in worker processes, verifies
+the two are bit-identical (deterministic per-session seeds, the same
+guarantee the experiment runner makes for cells), and reports the headline
+serving metrics: sessions/sec, frames/sec, and p50/p95 per-frame latency.
 
 The streaming case serves the same fleet through the arrival-time
 ingestion event loop under a latency-aware autoscaler: frames are admitted
 as they arrive on the virtual clock, an under-provisioned pool builds a
 backlog whose serving latency breaches the per-session deadline, the
 autoscaler grows the pool until the fleet keeps up, and shrinks it again
-once the backlog drains — while the served results stay bit-identical to
-the materialized path.
+once the backlog drains — while every served session stays bit-identical
+to the same spec run straight through (``run_session``).
 """
 
 import numpy as np
 from conftest import append_bench_row, print_banner
 
 from repro.characterization.report import format_table
+from repro.cluster import ShardedServingEngine
 from repro.experiments.common import accelerator_for
-from repro.experiments.runner import resolve_max_workers
 from repro.scheduler import LatencyAutoscaler
-from repro.serving import ServingEngine, mixed_fleet
+from repro.serving import ServingEngine, mixed_fleet, run_session
 
 FLEET_SIZE = 16
 # Streaming-case QoS: two frame intervals at 5 Hz between a frame's arrival
@@ -40,10 +40,10 @@ def test_serving_throughput(benchmark, serving_settings):
         camera_rate_hz=5.0,
     )
 
-    serial = ServingEngine(store=None, max_workers=1).serve(fleet, parallel=False)
-    parallel_engine = ServingEngine(store=None, max_workers=max(2, resolve_max_workers()))
+    serial = ServingEngine(store=None).serve(fleet)
+    cluster = ShardedServingEngine(2, shard_parallel=True)
     report = benchmark.pedantic(
-        lambda: parallel_engine.serve(fleet, parallel=True), rounds=1, iterations=1
+        lambda: cluster.serve(fleet), rounds=1, iterations=1
     )
 
     identical = all(
@@ -78,7 +78,7 @@ def test_serving_throughput(benchmark, serving_settings):
     )
 
     assert report.session_count >= 16
-    assert report.parallel, "no process pool spawned — the comparison would be vacuous"
+    assert report.parallel, "no shard process spawned — the comparison would be vacuous"
     assert identical, "parallel serving diverged from serial"
     assert report.mode_switch_count > 0
     assert report.latency_percentile(95.0) > 0.0
@@ -94,8 +94,7 @@ def test_serving_streaming_autoscale(benchmark, serving_settings):
         deadline_ms=DEADLINE_MS,
     )
 
-    materialized = ServingEngine(store=None, max_workers=1).serve(
-        fleet, parallel=False, ingestion="materialized")
+    isolated = {spec.stream_id: run_session(spec) for spec in fleet}
 
     accelerator = accelerator_for("drone")
 
@@ -105,15 +104,15 @@ def test_serving_streaming_autoscale(benchmark, serving_settings):
         autoscaler = LatencyAutoscaler(min_workers=1, max_workers=8, window=48,
                                        grow_patience=2, shrink_patience=4,
                                        cooldown=2)
-        engine = ServingEngine(store=None, max_workers=1, autoscaler=autoscaler,
+        engine = ServingEngine(store=None, autoscaler=autoscaler,
                                accelerator=accelerator)
-        return engine.serve(fleet, parallel=False, ingestion="streaming")
+        return engine.serve(fleet)
 
     report = benchmark.pedantic(serve_streaming, rounds=1, iterations=1)
 
     identical = all(
         report.results[stream_id].signature() == result.signature()
-        for stream_id, result in materialized.results.items()
+        for stream_id, result in isolated.items()
     )
     grows = [d for d in report.scale_decisions if d.action == "grow"]
     shrinks = [d for d in report.scale_decisions if d.action == "shrink"]
@@ -135,7 +134,7 @@ def test_serving_streaming_autoscale(benchmark, serving_settings):
     print(f"pool: {report.scale_decisions[0].workers_before if report.scale_decisions else 1} "
           f"-> {report.final_workers} workers "
           f"({len(grows)} grow / {len(shrinks)} shrink decisions)")
-    print(f"streaming bit-identical to materialized: {identical}")
+    print(f"streaming bit-identical to run_session: {identical}")
     trained = {m: accelerator.scheduler.observation_count(m)
                for m in ("vio", "slam", "registration")}
     print(f"online offload-scheduler observations: {trained}")
@@ -149,7 +148,7 @@ def test_serving_streaming_autoscale(benchmark, serving_settings):
         final_workers=report.final_workers,
     )
 
-    assert identical, "streaming ingestion diverged from the materialized path"
+    assert identical, "streaming ingestion diverged from run_session"
     assert grows, "an under-provisioned pool must grow under backlog pressure"
     assert shrinks, "the pool must shrink once the backlog drains"
     assert steady_p95 < DEADLINE_MS, (

@@ -4,8 +4,9 @@
 Eight clients connect, each following its own time-varying deployment (the
 paper's 50/25/25 indoor/outdoor mix with GPS dropouts, map entry/exit and
 IMU degradation).  The serving engine resolves every session through the
-persistent run store, shards cold sessions across worker processes, and
-switches each client's backend mode online as its environment changes.
+persistent run store, multiplexes the cold ones on its streaming event
+loop, and switches each client's backend mode online as its environment
+changes.
 Afterwards, the served telemetry trains the runtime offload scheduler.
 
 The second half is the streaming/deadline variant: the same fleet arrives
@@ -13,7 +14,7 @@ frame by frame on a virtual clock with a 400 ms per-session serving
 deadline.  A deliberately under-provisioned pool falls behind, the
 latency-aware autoscaler grows it until the fleet keeps up and shrinks it
 again once the backlog drains — and the served trajectories stay
-bit-identical to the materialized pass above.
+bit-identical to each session run on its own.
 
 The finale is the fleet map service: a cold-start fleet explores a shared,
 unmapped environment with SLAM and publishes map snapshots at every
@@ -89,8 +90,8 @@ def main() -> None:
     print(f"Fleet: {len(fleet)} sessions, "
           f"{sum(spec.frame_count for spec in fleet)} frames total")
 
-    # 2. Serve it.  Cold sessions fan out over the process pool; a rerun of
-    #    this demo loads everything from the persistent run store instead.
+    # 2. Serve it.  Cold sessions run through the streaming event loop; a
+    #    rerun of this demo loads everything from the persistent run store.
     engine = ServingEngine(store=RunStore())
     report = engine.serve(fleet)
 
@@ -130,11 +131,10 @@ def main() -> None:
     accelerator = accelerator_for("drone")
     autoscaler = LatencyAutoscaler(min_workers=1, max_workers=8, window=48,
                                    grow_patience=2, shrink_patience=4, cooldown=2)
-    streaming_engine = ServingEngine(store=None, max_workers=1,
+    streaming_engine = ServingEngine(store=None,
                                      autoscaler=autoscaler,
                                      accelerator=accelerator)
-    streaming = streaming_engine.serve(streaming_fleet, parallel=False,
-                                       ingestion="streaming")
+    streaming = streaming_engine.serve(streaming_fleet)
 
     print(f"Served {streaming.frame_count} frames over {streaming.ticks} "
           f"virtual ticks (deadline {DEADLINE_MS:.0f} ms/frame)")
@@ -161,13 +161,13 @@ def main() -> None:
     print("\n--- fleet map service: cold-start fleet, then map reuse ---")
     with tempfile.TemporaryDirectory() as map_root:
         map_store = MapStore(map_root, max_bytes=-1, max_age_s=-1)
-        map_engine = ServingEngine(store=None, max_workers=1,
+        map_engine = ServingEngine(store=None,
                                    map_store=map_store, min_map_quality=MAP_GATE)
 
         cold_fleet = cold_start_fleet(6, environment=MAP_ENVIRONMENT,
                                       base_seed=0, segment_duration=2.0,
                                       camera_rate_hz=5.0, prefix="cold")
-        cold = map_engine.serve(cold_fleet, parallel=False, ingestion="streaming")
+        cold = map_engine.serve(cold_fleet)
         print(f"Cold wave: {cold.session_count} sessions explored "
               f"'{MAP_ENVIRONMENT}' with SLAM and published "
               f"{cold.maps_published} map snapshots "
@@ -176,7 +176,7 @@ def main() -> None:
         warm_fleet = cold_start_fleet(6, environment=MAP_ENVIRONMENT,
                                       base_seed=9000, segment_duration=2.0,
                                       camera_rate_hz=5.0, prefix="warm")
-        warm = map_engine.serve(warm_fleet, parallel=False, ingestion="streaming")
+        warm = map_engine.serve(warm_fleet)
         print(f"Warm wave: {warm.map_acquisition_count} map acquisitions "
               f"(canonical versions: {sorted(set(warm.fleet_maps.values()))})")
         for stream_id in sorted(warm.results):
@@ -204,14 +204,13 @@ def main() -> None:
     print("\n--- drifting world: staleness -> update -> recovery ---")
     with tempfile.TemporaryDirectory() as map_root:
         map_store = MapStore(map_root, max_bytes=-1, max_age_s=-1)
-        drift_engine = ServingEngine(store=None, max_workers=1,
+        drift_engine = ServingEngine(store=None,
                                      map_store=map_store,
                                      min_map_quality=MAP_GATE)
         pre_drift = drifting_environment_fleet(
             4, environment="shifting-yard", base_seed=0,
             segment_duration=2.0, camera_rate_hz=5.0, prefix="map")
-        mapped = drift_engine.serve(pre_drift, parallel=False,
-                                    ingestion="streaming")
+        mapped = drift_engine.serve(pre_drift)
         print(f"Pre-drift wave published {mapped.maps_published} snapshots")
 
         drift_kwargs = dict(environment="shifting-yard", segment_duration=2.0,
@@ -219,8 +218,7 @@ def main() -> None:
                             drift_fraction=0.4, drift_seed=7)
         stale_wave = drifting_environment_fleet(4, base_seed=20000,
                                                 prefix="stale", **drift_kwargs)
-        stale = drift_engine.serve(stale_wave, parallel=False,
-                                   ingestion="streaming")
+        stale = drift_engine.serve(stale_wave)
         demotions = sum(1 for result in stale.results.values()
                         for switch in result.mode_switches
                         if switch.reason == "map_stale")
@@ -231,8 +229,7 @@ def main() -> None:
 
         recovery_wave = drifting_environment_fleet(4, base_seed=30000,
                                                    prefix="recov", **drift_kwargs)
-        recovered = drift_engine.serve(recovery_wave, parallel=False,
-                                       ingestion="streaming")
+        recovered = drift_engine.serve(recovery_wave)
         recovered_modes = recovered.mode_census()
         print(f"Recovery wave on the drifted world: "
               f"{recovered.map_acquisition_count} acquisitions, mode census "
@@ -250,12 +247,11 @@ def main() -> None:
     print("\n--- tiered map distribution: snapshot cache + delta sync ---")
     with tempfile.TemporaryDirectory() as map_root:
         seed_store = MapStore(map_root, max_bytes=-1, max_age_s=-1)
-        ServingEngine(store=None, max_workers=1, map_store=seed_store,
+        ServingEngine(store=None, map_store=seed_store,
                       min_map_quality=MAP_GATE).serve(
             drifting_environment_fleet(
                 2, environment="tiered-yard", segment_duration=2.0,
-                camera_rate_hz=5.0, prefix="seed"),
-            parallel=False, ingestion="streaming")
+                camera_rate_hz=5.0, prefix="seed"))
         cluster = ShardedServingEngine(
             2, map_store=MapStore(map_root, max_bytes=-1, max_age_s=-1),
             min_map_quality=MAP_GATE, map_updates=False, shard_parallel=True)
@@ -263,7 +259,7 @@ def main() -> None:
             cluster.serve(drifting_environment_fleet(
                 4, environment="tiered-yard", base_seed=40000 + 1000 * wave_index,
                 prefix=f"wave{wave_index}", segment_duration=2.0,
-                camera_rate_hz=5.0), parallel=True)
+                camera_rate_hz=5.0))
         cache = cluster.map_cache.as_dict()
         sync = cluster.sync_accounting
         print("Tier-1 snapshot cache (coordinator), after 3 warm waves:")
@@ -288,7 +284,7 @@ def main() -> None:
 
         def autoscaled_serve(prefix, base_seed):
             engine = ServingEngine(
-                store=None, max_workers=1, map_store=map_store,
+                store=None, map_store=map_store,
                 min_map_quality=MAP_GATE, frames_per_worker_tick=2,
                 autoscaler=LatencyAutoscaler(min_workers=1, max_workers=8,
                                              window=48, grow_patience=2,
@@ -297,7 +293,7 @@ def main() -> None:
                 6, environment="sized-depot", base_seed=base_seed,
                 segment_duration=2.0, camera_rate_hz=5.0, prefix=prefix,
                 deadline_ms=DEADLINE_MS)
-            return engine.serve(wave, parallel=False, ingestion="streaming")
+            return engine.serve(wave)
 
         sized_cold = autoscaled_serve("cold", 0)
         sized_warm = autoscaled_serve("warm", 9000)

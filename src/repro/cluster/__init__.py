@@ -2,13 +2,13 @@
 
 The cluster layer scales the single-box serving stack sideways without a
 control plane: a :class:`HashRing` partitions the fleet by ``stream_id``,
-a :class:`ShardedServingEngine` runs one full serving engine per shard
-(each with its own autoscaler and store handles), and a
+a :class:`ShardedServingEngine` runs one serving engine per shard (each
+with its own autoscaler and run-store handle), and a
 :class:`ShardRebalancer` shifts hash slots between waves using the
-deadline pressure the shard autoscalers already measure.  All cross-shard
-coordination goes through the shared content-addressed ``RunStore`` /
-``MapStore`` roots — the same wave-to-wave coordination contract the
-single engine already obeys.
+deadline pressure the shard autoscalers already measure.  Shards share
+the content-addressed ``RunStore`` root; the coordinator alone runs the
+wave's map lifecycle against the ``MapStore`` — the same lifecycle the
+single engine runs.
 """
 
 from repro.cluster.engine import (

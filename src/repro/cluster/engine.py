@@ -1,36 +1,32 @@
 """Horizontally sharded serving: N engines, one map store, zero RPC.
 
 :class:`ShardedServingEngine` scales :class:`~repro.serving.ServingEngine`
-past one process-pool on one box.  A fleet is consistent-hashed on
+past one process on one box.  A fleet is consistent-hashed on
 ``stream_id`` across N shards (:class:`~repro.cluster.ring.HashRing` —
-fixed hash slots, rebalanced by slot reassignment), each shard a full
-``ServingEngine`` with its own run-store handle, map-store handle, and
-:class:`~repro.scheduler.LatencyAutoscaler`.  The shards coordinate
-**only** through the shared content-addressed stores — the same
-coordination plane the single-box engine already uses across waves:
+fixed hash slots, rebalanced by slot reassignment), each shard a
+``ServingEngine`` with its own run-store handle and
+:class:`~repro.scheduler.LatencyAutoscaler`.  The coordinator runs the same
+:class:`~repro.serving.wave.WaveLifecycle` as the plain engine; only its
+dispatch step differs (partition, fan out, merge):
 
-* one shard's published :class:`~repro.maps.MapSnapshot`\\ s become part of
-  the canonical merge every shard resolves next wave (publishes are
-  content-addressed and idempotent, so concurrent shard writers are safe
-  by construction);
-* ``MapUpdate`` deltas are applied **centrally by the coordinator** in one
-  fold after all shards finish.  Unlike publishes, update application
-  produces a new canonical version from an order-sensitive accumulation —
-  one fold through one store handle (with the deltas sorted inside
-  :meth:`~repro.maps.MapStore.apply_updates`) is what keeps the resulting
-  version independent of shard count and shard completion order;
+* the coordinator resolves the wave's canonical map assignment once,
+  pre-dispatch, and pins every shard to it
+  (``ServingEngine.serve(..., fleet_maps=...)``).  Shards have no map
+  store, so they never resolve, publish or apply;
+* after the shards finish, the coordinator publishes the whole wave's
+  snapshots and folds its ``MapUpdate`` deltas through one store handle —
+  computed snapshots before any replayed re-seed, deltas sorted inside
+  :meth:`~repro.maps.MapStore.apply_updates` — so the store state is
+  independent of shard count and shard completion order;
 * a session computed by any shard lands in the shared run store under the
   same ``serving_key``, so a stream rebalanced to another shard replays
   from cache instead of recomputing.
 
 **Determinism contract.**  Sessions are pure functions of
-``(spec, resolved maps)``.  The coordinator resolves the wave's canonical
-assignment once, pre-dispatch, and pins every shard to it
-(``ServingEngine.serve(..., fleet_maps=...)``) — so shard count, slot
-assignment, and in-process vs process-parallel shard execution cannot
-change a single served pose.  The single-shard report signature is pinned
-bit-identical to the plain engine's (tests/test_cluster.py), and N-shard
-session signatures equal the plain engine's session by session.
+``(spec, resolved maps)``, so shard count, slot assignment, and in-process
+vs process-parallel shard execution cannot change a single served pose.
+The merged report's signature is pinned bit-identical to the plain
+engine's (tests/test_cluster.py).
 
 **Rebalancing.**  After each wave the coordinator feeds the per-shard
 deadline pressure (from the autoscalers' decision logs) and the expected
@@ -44,7 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-import time
+import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -56,7 +52,6 @@ from repro.maps import (
     MapStore,
     SnapshotCache,
     SyncAccounting,
-    resolve_staleness_bound,
 )
 from repro.maps.tier import payload_bytes
 from repro.obs.metrics import MetricsRegistry
@@ -65,13 +60,9 @@ from repro.obs.slo import SLOTracker
 from repro.obs.trace import Tracer, tracer_from_env
 from repro.scheduler.autoscaler import LatencyAutoscaler
 from repro.sensors.dataset import segment_frame_count
-from repro.serving.engine import (
-    ServingEngine,
-    ServingReport,
-    capture_report_forensics,
-    collect_map_drift_evidence,
-)
+from repro.serving.engine import ServingEngine, ServingReport
 from repro.serving.streams import StreamSpec
+from repro.serving.wave import WaveLifecycle
 from repro.cluster.rebalance import RebalanceDecision, ShardRebalancer
 from repro.cluster.ring import HashRing
 
@@ -130,48 +121,38 @@ def _autoscaler_config(scaler: Optional[LatencyAutoscaler]) -> Optional[Dict]:
 def _serve_shard_payload(payload: Dict) -> ServingReport:
     """Process-pool entry point: rebuild one shard's engine and serve.
 
-    Each shard subprocess constructs its own store handles on the shared
-    roots (the content-addressed layout makes concurrent handles safe) and
+    Each shard subprocess constructs its own run-store handle on the shared
+    root (the content-addressed layout makes concurrent handles safe) and
     its own autoscaler from the shipped config; the coordinator folds the
     returned report's final width back into the resident scaler
-    (:meth:`LatencyAutoscaler.sync`).  ``map_updates`` is always off here —
-    update application is the coordinator's single post-wave fold.
+    (:meth:`LatencyAutoscaler.sync`).
 
     The wave's map assignment arrives as Tier-2 ``{version, inputs}``
-    references (``fleet_map_sync``), not pickled snapshots: the shard
-    rebuilds each canonical from the shared store through its engine's
+    references (``fleet_map_sync``), not pickled snapshots: the worker
+    rebuilds each canonical from the shared map store through its own
     :class:`~repro.maps.SnapshotCache` (content addressing makes the
     rebuild provably bit-identical — the version must match).  A reference
     that cannot be materialized falls back to the store's own canonical
     merge; a version mismatch there is a determinism violation and raises
-    rather than serving a map the coordinator never resolved.
+    rather than serving a map the coordinator never resolved.  The shard
+    engine itself gets no map store: it serves the pinned maps and leaves
+    publishing and updates to the coordinator.
     """
     specs = [StreamSpec.from_payload(raw) for raw in payload["specs"]]
     run_store = (RunStore(payload["run_root"], *payload["run_bounds"])
                  if payload["run_root"] else None)
     map_store = (MapStore(payload["map_root"], *payload["map_bounds"])
                  if payload["map_root"] else None)
-    config = payload["autoscaler"]
-    engine = ServingEngine(
-        store=run_store,
-        max_workers=payload["max_workers"],
-        autoscaler=LatencyAutoscaler(**config) if config else None,
-        frames_per_worker_tick=payload["frames_per_worker_tick"],
-        map_store=map_store,
-        map_merger=payload["merger"],
-        min_map_quality=payload["min_map_quality"],
-        map_updates=False,
-        map_staleness_bound=0,
-    )
+    map_cache = SnapshotCache(map_store) if map_store is not None else None
+    merger = payload["merger"]
     fleet_maps: Dict[str, MapSnapshot] = {}
     for environment_id, ref in payload["fleet_map_sync"].items():
         snapshot = ref["snapshot"]
-        if snapshot is None and engine.map_cache is not None:
-            snapshot = engine.map_cache.materialize(
-                environment_id, ref["version"], ref["inputs"],
-                merger=engine.map_merger)
+        if snapshot is None and map_cache is not None:
+            snapshot = map_cache.materialize(
+                environment_id, ref["version"], ref["inputs"], merger=merger)
         if snapshot is None and map_store is not None:
-            candidate = map_store.canonical(environment_id, engine.map_merger)
+            candidate = map_store.canonical(environment_id, merger)
             if candidate is not None and candidate.version == ref["version"]:
                 snapshot = candidate
         if snapshot is None:
@@ -179,8 +160,14 @@ def _serve_shard_payload(payload: Dict) -> ServingReport:
                 f"shard {payload['shard']} could not materialize canonical "
                 f"map {ref['version'][:12]} for {environment_id}")
         fleet_maps[environment_id] = snapshot
-    return engine.serve(specs, parallel=False, ingestion=payload["ingestion"],
-                        fleet_maps=fleet_maps)
+    config = payload["autoscaler"]
+    engine = ServingEngine(
+        store=run_store,
+        autoscaler=LatencyAutoscaler(**config) if config else None,
+        frames_per_worker_tick=payload["frames_per_worker_tick"],
+        map_aware_sizing=payload["map_aware_sizing"],
+    )
+    return engine.serve(specs, fleet_maps=fleet_maps)
 
 
 @dataclass
@@ -256,15 +243,19 @@ class ShardedServingReport(ServingReport):
         return payload
 
 
-class ShardedServingEngine:
+class ShardedServingEngine(WaveLifecycle):
     """N ``ServingEngine`` shards behind one serve() call.
 
     Construction mirrors the plain engine where the concepts coincide; the
     per-shard pieces take factories.  ``run_store`` / ``map_store`` are the
-    *coordinator's* handles — every shard gets its own handle onto the same
-    roots (constructed here for in-process shards, in the subprocess for
-    process-parallel waves), which is both the scale-out story and the
-    cross-instance coordination the store machinery is tested for.
+    *coordinator's* handles.  Every shard gets its own run-store handle
+    onto the same root (constructed here for in-process shards, in the
+    subprocess for process-parallel waves), which is both the scale-out
+    story and the cross-instance coordination the store machinery is
+    tested for; the map store is touched by the coordinator alone.
+    ``max_workers_per_shard`` sized a per-shard process pool that no longer
+    exists: it is accepted only so existing callers keep working, has no
+    effect, and warns.
     """
 
     def __init__(self, shards: Optional[int] = None, *,
@@ -276,7 +267,7 @@ class ShardedServingEngine:
                  map_staleness_bound: Optional[int] = None,
                  autoscaler_factory: Optional[
                      Callable[[int], Optional[LatencyAutoscaler]]] = None,
-                 max_workers_per_shard: int = 1,
+                 max_workers_per_shard: Optional[int] = None,
                  frames_per_worker_tick: Optional[int] = None,
                  slot_count: Optional[int] = None,
                  rebalancer: Optional[ShardRebalancer] = None,
@@ -288,27 +279,16 @@ class ShardedServingEngine:
         self.shard_count = resolve_shard_count(shards)
         if self.shard_count < 1:
             raise ValueError("shards must be >= 1")
+        super().__init__(map_store, map_merger, min_map_quality, map_updates,
+                         map_staleness_bound)
         self.ring = HashRing(self.shard_count, slot_count)
         self.rebalancer = rebalancer if rebalancer is not None else ShardRebalancer()
         self.run_store = run_store
-        self.map_store = map_store
-        self.map_merger = map_merger or MapMerger()
-        self.min_map_quality = float(min_map_quality)
-        self.map_updates = bool(map_updates)
-        # Tier plane: the coordinator owns the wave's resolve, so IT holds
-        # the Tier-1 cache and the staleness knob; shards receive Tier-2
-        # references and never resolve.  Reusing a plain ServingEngine for
-        # the resolve machinery would drag a process pool along — the
-        # coordinator keeps just the cache + drift-evidence pieces.
-        self.map_staleness_bound = resolve_staleness_bound(map_staleness_bound)
-        self.map_cache = (SnapshotCache(self.map_store)
-                          if self.map_store is not None else None)
         self.sync_accounting = SyncAccounting()
-        # environment -> condemned canonical version (see the plain
-        # engine's update-aware drift gate — same semantics, coordinator
-        # scope).  Only meaningful with map_updates enabled.
-        self._map_drift_evidence: Dict[str, str] = {}
-        self.max_workers_per_shard = max(1, int(max_workers_per_shard))
+        if max_workers_per_shard is not None:
+            warnings.warn("ShardedServingEngine(max_workers_per_shard=) has no "
+                          "effect; each shard's autoscaler sizes its loop",
+                          DeprecationWarning, stacklevel=2)
         # None = decide per wave: processes when the host has cores to use.
         self.shard_parallel = shard_parallel
         self.autoscalers: List[Optional[LatencyAutoscaler]] = [
@@ -317,22 +297,18 @@ class ShardedServingEngine:
         ]
         # Resident in-process shard engines: used directly on sequential
         # waves, and as the configuration source for subprocess payloads on
-        # parallel waves.  map_updates is off — the coordinator applies the
-        # wave's deltas in one fold (see the module docstring); shard
-        # engines still publish their own snapshots (content-addressed,
-        # order-independent).  Each gets its own store handles on the
-        # shared roots, never the coordinator's.
+        # parallel waves.  They are pure executors with no map store — the
+        # coordinator resolves, publishes and applies for the whole wave —
+        # so map-aware sizing is set to what a map-backed engine would
+        # choose, and their autoscalers prime on the pinned maps.  Each gets
+        # its own run-store handle on the shared root, never the
+        # coordinator's.
         self.engines: List[ServingEngine] = [
             ServingEngine(
                 store=self._shard_run_store(),
-                max_workers=self.max_workers_per_shard,
                 autoscaler=self.autoscalers[shard],
                 frames_per_worker_tick=frames_per_worker_tick,
-                map_store=self._shard_map_store(),
-                map_merger=self.map_merger,
-                min_map_quality=self.min_map_quality,
-                map_updates=False,
-                map_staleness_bound=0,
+                map_aware_sizing=self.map_store is not None,
             )
             for shard in range(self.shard_count)
         ]
@@ -354,51 +330,29 @@ class ShardedServingEngine:
         if metrics is not None:
             self.bind_metrics(metrics)
 
-    # ------------------------------------------------------------- stores
-
     def _shard_run_store(self) -> Optional[RunStore]:
         if self.run_store is None:
             return None
         return RunStore(self.run_store.root, *_store_bounds(self.run_store))
 
-    def _shard_map_store(self) -> Optional[MapStore]:
-        if self.map_store is None:
-            return None
-        return MapStore(self.map_store.base_root,
-                        *_store_bounds(self.map_store))
-
     # ------------------------------------------------------------ serving
 
     def serve(self, specs: Sequence[StreamSpec],
-              parallel: Optional[bool] = None,
-              ingestion: Optional[str] = None) -> ShardedServingReport:
+              parallel: Optional[bool] = None) -> ShardedServingReport:
         """Partition the fleet by the ring, serve every shard, merge.
 
-        ``parallel`` here selects *shard-level* process fan-out (``None`` =
+        ``parallel`` selects *shard-level* process fan-out (``None`` =
         processes whenever the host has more than one core and more than
-        one shard is loaded; within a shard the deterministic serial
-        streaming loop always runs).  ``ingestion`` is passed through to
-        every shard.  Results are bit-identical across all of it — see the
+        one shard is loaded; within a shard the deterministic streaming
+        loop always runs).  Results are bit-identical either way — see the
         module docstring for why.
         """
-        if ingestion not in (None, "streaming", "materialized"):
-            raise ValueError(f"unknown ingestion mode: {ingestion!r}")
-        started = time.perf_counter()
-        specs = list(specs)
-        # Cross-shard duplicate rejection happens HERE, before any shard
-        # dispatch: per-shard checks would only catch duplicates that hash
-        # to the same shard, and even those only after sibling shards had
-        # served — a duplicate must fail the wave at the door, atomically.
-        seen = set()
-        for spec in specs:
-            if spec.stream_id in seen:
-                raise ValueError(f"duplicate stream_id in fleet: {spec.stream_id}")
-            seen.add(spec.stream_id)
-        map_counters = self._map_counters()
-        # One pre-wave canonical resolve through the coordinator's handle,
-        # pinned for every shard: mid-wave publishes by one shard must not
-        # give later shards a different assignment than earlier ones.
-        fleet_maps = self._resolve_fleet_maps(specs)
+        return self._serve_wave(specs, parallel=parallel)
+
+    def _dispatch(self, specs: List[StreamSpec],
+                  fleet_maps: Dict[str, MapSnapshot],
+                  maps_by_stream: Dict[str, Dict[str, MapSnapshot]],
+                  parallel: Optional[bool] = None) -> ShardedServingReport:
         shard_specs: List[List[StreamSpec]] = [[] for _ in range(self.shard_count)]
         shard_of: Dict[str, int] = {}
         for spec in specs:
@@ -406,13 +360,11 @@ class ShardedServingEngine:
             shard_of[spec.stream_id] = shard
             shard_specs[shard].append(spec)
         loaded = [shard for shard in range(self.shard_count) if shard_specs[shard]]
-        shard_ingestion = ingestion or "streaming"
         shard_reports: List[Optional[ServingReport]] = [None] * self.shard_count
         spawned = [False]
         if self._use_processes(parallel) and len(loaded) > 1:
             sync_plan, sync_fallbacks = self._build_sync_plan(fleet_maps)
-            payloads = [self._shard_payload(shard, shard_specs[shard],
-                                            sync_plan, shard_ingestion)
+            payloads = [self._shard_payload(shard, shard_specs[shard], sync_plan)
                         for shard in loaded]
             if fleet_maps:
                 # Every payload ships the same plan; the counterfactual is
@@ -438,23 +390,12 @@ class ShardedServingEngine:
                     with self._maybe_wall_span("shard.serve", shard=shard,
                                                sessions=len(shard_specs[shard])):
                         shard_reports[shard] = self.engines[shard].serve(
-                            shard_specs[shard], parallel=False,
-                            ingestion=shard_ingestion, fleet_maps=fleet_maps)
-        report = self._merge(shard_reports, shard_of, fleet_maps,
-                             shard_ingestion if loaded else "",
-                             parallel=spawned[0])
-        self._apply_map_updates(report, shard_reports)
-        self._record_map_drift_evidence(report)
-        self._finish_map_telemetry(report, map_counters, shard_reports)
+                            shard_specs[shard], fleet_maps=fleet_maps)
+        report = self._merge(shard_reports, shard_of, parallel=spawned[0])
         self._record_slo(report)
         report.rebalances = self._rebalance(specs, shard_reports, fleet_maps)
         report.slot_assignment = self.ring.assignment()
         self._emit_trace(report)
-        self._record_serve_metrics(report)
-        report.wall_s = time.perf_counter() - started
-        # Forensics last, outside the timed window (same rule as the plain
-        # engine): bundle I/O must not pollute the wave's telemetry.
-        self._record_forensics(report, specs, fleet_maps)
         return report
 
     def _use_processes(self, parallel: Optional[bool]) -> bool:
@@ -496,8 +437,7 @@ class ShardedServingEngine:
         return plan, fallbacks
 
     def _shard_payload(self, shard: int, specs: List[StreamSpec],
-                       sync_plan: Dict[str, Dict],
-                       ingestion: str) -> Dict:
+                       sync_plan: Dict[str, Dict]) -> Dict:
         return {
             "shard": shard,
             "specs": [spec.payload() for spec in specs],
@@ -510,11 +450,9 @@ class ShardedServingEngine:
             "map_bounds": (_store_bounds(self.map_store)
                            if self.map_store is not None else None),
             "merger": self.map_merger,
-            "min_map_quality": self.min_map_quality,
-            "max_workers": self.max_workers_per_shard,
+            "map_aware_sizing": self.engines[shard].map_aware_sizing,
             "frames_per_worker_tick": self.frames_per_worker_tick,
             "autoscaler": _autoscaler_config(self.autoscalers[shard]),
-            "ingestion": ingestion,
             "fleet_map_sync": sync_plan,
         }
 
@@ -534,15 +472,12 @@ class ShardedServingEngine:
     # ------------------------------------------------------------ merging
 
     def _merge(self, shard_reports: List[Optional[ServingReport]],
-               shard_of: Dict[str, int],
-               fleet_maps: Dict[str, MapSnapshot],
-               ingestion: str, parallel: bool) -> ShardedServingReport:
+               shard_of: Dict[str, int], parallel: bool) -> ShardedServingReport:
         report = ShardedServingReport(shard_count=self.shard_count)
         report.shard_of = shard_of
         report.shard_reports = shard_reports
-        report.ingestion = ingestion
-        report.fleet_maps = {environment_id: snapshot.version
-                             for environment_id, snapshot in fleet_maps.items()}
+        report.ingestion = "streaming" if shard_of else ""
+        report.parallel = parallel
         workers = 0
         for shard_report in shard_reports:
             if shard_report is None:
@@ -562,145 +497,12 @@ class ShardedServingEngine:
             report.failure_signatures.update(shard_report.failure_signatures)
             report.ticks += shard_report.ticks
             report.scale_decisions.extend(shard_report.scale_decisions)
-            report.maps_published += shard_report.maps_published
-            report.parallel = report.parallel or shard_report.parallel
             workers += shard_report.workers
         report.replayed_streams.sort()
         report.workers = workers if workers else self.shard_count
-        report.parallel = report.parallel or parallel
         return report
 
-    def _apply_map_updates(self, report: ShardedServingReport,
-                           shard_reports: List[Optional[ServingReport]]) -> None:
-        """The coordinator's single post-wave fold of the fleet's deltas.
-
-        Shard order is fixed (ring index) and :meth:`MapStore.apply_updates`
-        sorts deltas internally, so the produced canonical versions are
-        independent of which shard finished first — and identical to what
-        the plain engine produces for the same fleet.  Replayed sessions'
-        deltas were applied when first computed; re-applying them would
-        double-count their observations (same rule as the plain engine).
-        """
-        if self.map_store is None or not self.map_updates:
-            return
-        updates = []
-        for shard_report in shard_reports:
-            if shard_report is None:
-                continue
-            replayed = set(shard_report.replayed_streams)
-            for stream_id, result in shard_report.results.items():
-                if stream_id not in replayed:
-                    updates.extend(result.map_updates)
-        if not updates:
-            return
-        applied = self.map_store.apply_updates(updates, merger=self.map_merger)
-        report.maps_updated = {environment_id: snapshot.version
-                               for environment_id, snapshot in applied.items()}
-
-    def _record_map_drift_evidence(self, report: ShardedServingReport) -> None:
-        """The coordinator's update-aware drift gate — same semantics as
-        the plain engine's: condemned versions observed in this wave's
-        computed sessions close next wave's resolve until the canonical
-        moves.  Only the coordinator records (shards run with
-        ``map_updates`` off and never resolve)."""
-        if self.map_store is None or not self.map_updates:
-            return
-        self._map_drift_evidence.update(collect_map_drift_evidence(
-            report, set(report.replayed_streams)))
-
-    def _map_counters(self) -> Optional[Dict[str, object]]:
-        if self.map_store is None:
-            return None
-        counters = {"hits": self.map_store.resolve_hits,
-                    "misses": self.map_store.resolve_misses,
-                    "merges": len(self.map_store.merge_ms),
-                    "churn": dict(self.map_store.version_churn)}
-        if self.map_cache is not None:
-            counters["cache_hits"] = self.map_cache.hits
-            counters["cache_misses"] = self.map_cache.misses
-            counters["cache_stale"] = self.map_cache.stale_serves
-        return counters
-
-    def _finish_map_telemetry(self, report: ShardedServingReport,
-                              before: Optional[Dict[str, object]],
-                              shard_reports: List[Optional[ServingReport]]) -> None:
-        """Merged map telemetry: coordinator deltas + per-shard traffic.
-
-        Resolve hits/misses and merge latencies are real work wherever they
-        happened, so the coordinator's deltas and every shard's are summed.
-        Version *churn* is different: a canonical version change is one
-        global event that every store handle would also observe as its own
-        recompute — only the coordinator's view is counted, or N shards
-        would multiply each change by the shard count.
-        """
-        if before is None or self.map_store is None:
-            return
-        store = self.map_store
-        report.map_resolve_hits = store.resolve_hits - before["hits"]
-        report.map_resolve_misses = store.resolve_misses - before["misses"]
-        report.map_merge_ms = list(store.merge_ms)[before["merges"]:]
-        if self.map_cache is not None and "cache_hits" in before:
-            report.map_cache_hits = self.map_cache.hits - before["cache_hits"]
-            report.map_cache_misses = (
-                self.map_cache.misses - before["cache_misses"])
-            report.map_staleness_served = (
-                self.map_cache.stale_serves - before["cache_stale"])
-        for shard_report in shard_reports:
-            if shard_report is None:
-                continue
-            report.map_resolve_hits += shard_report.map_resolve_hits
-            report.map_resolve_misses += shard_report.map_resolve_misses
-            report.map_merge_ms.extend(shard_report.map_merge_ms)
-            report.map_cache_hits += shard_report.map_cache_hits
-            report.map_cache_misses += shard_report.map_cache_misses
-            report.map_staleness_served += shard_report.map_staleness_served
-        churn: Dict[str, int] = {}
-        for environment_id, count in store.version_churn.items():
-            delta = count - before["churn"].get(environment_id, 0)
-            if delta:
-                churn[environment_id] = delta
-        report.map_version_churn = churn
-
-    def _resolve_fleet_maps(self, specs: Sequence[StreamSpec]
-                            ) -> Dict[str, MapSnapshot]:
-        """Pre-wave canonical resolve through the coordinator's Tier-1
-        cache (same quality gate, staleness bound, and update-aware drift
-        gate as the plain engine's pre-dispatch resolve)."""
-        if self.map_store is None:
-            return {}
-        resolved: Dict[str, MapSnapshot] = {}
-        for spec in specs:
-            for environment_id in spec.environment_ids.values():
-                if environment_id in resolved:
-                    continue
-                if self.map_cache is not None:
-                    snapshot = self.map_cache.resolve(
-                        environment_id, merger=self.map_merger,
-                        min_quality=self.min_map_quality,
-                        staleness_bound=self.map_staleness_bound)
-                else:
-                    snapshot = self.map_store.resolve(
-                        environment_id, merger=self.map_merger,
-                        min_quality=self.min_map_quality)
-                if snapshot is None:
-                    continue
-                flagged = self._map_drift_evidence.get(environment_id)
-                if flagged is not None:
-                    if flagged == snapshot.version:
-                        # Still the condemned canonical: withhold until a
-                        # repair moves the version (see the plain engine).
-                        if self.tracer is not None:
-                            self.tracer.instant(
-                                "map.drift_gate", "maps",
-                                self.tracer.wall_now(), clock="wall",
-                                track="maps", environment=environment_id,
-                                version=snapshot.version[:12])
-                        continue
-                    del self._map_drift_evidence[environment_id]
-                resolved[environment_id] = snapshot
-        return resolved
-
-    # ------------------------------------------------------ SLO + forensics
+    # ---------------------------------------------------------------- SLO
 
     def _record_slo(self, report: ShardedServingReport) -> None:
         """Fold the wave's per-session deadline outcomes into the tracker.
@@ -722,18 +524,6 @@ class ShardedServingEngine:
             ok = report.deadline_misses_by_stream.get(stream_id, 0) == 0
             self.slo.record(tenant, clock, ok,
                             shard=str(report.shard_of.get(stream_id, "")))
-
-    def _record_forensics(self, report: ShardedServingReport,
-                          specs: Sequence[StreamSpec],
-                          fleet_maps: Dict[str, MapSnapshot]) -> None:
-        if self.recorder is None:
-            return
-        maps_by_stream = {
-            spec.stream_id: ServingEngine._maps_for(spec, fleet_maps)
-            for spec in specs
-        }
-        capture_report_forensics(self.recorder, report, maps_by_stream,
-                                 slo=self.slo, tracer=self.tracer)
 
     # --------------------------------------------------------- rebalancing
 
@@ -825,8 +615,7 @@ class ShardedServingEngine:
             rows.append({
                 "shard": shard,
                 "slots": len(self.ring.slots_of(shard)),
-                "workers": scaler.workers if scaler is not None
-                else self.max_workers_per_shard,
+                "workers": scaler.workers if scaler is not None else 1,
                 "saturated": bool(scaler.saturated) if scaler is not None else False,
             })
         return rows
@@ -894,15 +683,7 @@ class ShardedServingEngine:
         self._m_moved_slots = registry.counter(
             "eudoxus_cluster_rebalanced_slots_total",
             "Hash slots moved between shards by the rebalancer.")
-        if self.tracer is not None:
-            self.tracer.bind_metrics(registry)
-        if self.slo is not None:
-            self.slo.bind_metrics(registry)
-        if self.map_store is not None:
-            self.map_store.bind_metrics(registry)
-            self.map_merger.bind_metrics(registry)
-        if self.map_cache is not None:
-            self.map_cache.bind_metrics(registry)
+        self._bind_map_plane_metrics(registry)
         self.sync_accounting.bind_metrics(registry)
         if self.run_store is not None:
             self.run_store.bind_metrics(registry)
@@ -924,16 +705,6 @@ class ShardedServingEngine:
                 "cluster.rebalance", "cluster", wall, clock="wall",
                 track="cluster", source=decision.source, target=decision.target,
                 slots=len(decision.slots), reason=decision.reason)
-        for environment_id, version in sorted(report.maps_updated.items()):
-            self.tracer.instant("map.apply_updates", "maps", wall, clock="wall",
-                                track="maps", environment=environment_id,
-                                version=version[:12])
-        if (report.map_cache_hits or report.map_cache_misses
-                or report.map_staleness_served):
-            self.tracer.instant(
-                "map.tier_cache", "maps", wall, clock="wall", track="maps",
-                hits=report.map_cache_hits, misses=report.map_cache_misses,
-                stale=report.map_staleness_served)
 
     def _record_serve_metrics(self, report: ShardedServingReport) -> None:
         if self.metrics is None:

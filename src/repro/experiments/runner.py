@@ -75,71 +75,7 @@ def resolve_max_workers(max_workers: Optional[int] = None) -> int:
     return max(1, int(max_workers))
 
 
-class WorkerPool:
-    """A shared, resizable process pool.
-
-    ``ProcessPoolExecutor`` cannot change width in place, so :meth:`resize`
-    retires the current executor (waiting for in-flight work) and lazily
-    spawns a replacement at the new width on next use.  This is the pool the
-    serving layer's latency-aware autoscaler grows and shrinks between
-    dispatch waves; the executor itself is reused across :func:`fan_out`
-    calls, which also amortizes worker start-up over many small batches.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self._width = resolve_max_workers(max_workers)
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self.resizes = 0
-
-    @property
-    def width(self) -> int:
-        return self._width
-
-    def resize(self, width: int) -> bool:
-        """Change the pool width; returns True when the width changed."""
-        width = max(1, int(width))
-        if width == self._width:
-            return False
-        self._width = width
-        self.discard()
-        self.resizes += 1
-        return True
-
-    def executor(self) -> ProcessPoolExecutor:
-        """The live executor, spawned on first use after init/resize/discard."""
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self._width)
-        return self._executor
-
-    def discard(self) -> None:
-        """Retire the current executor (a broken pool respawns on next use).
-
-        Queued-but-unstarted futures are cancelled: a caller discards the
-        pool precisely when it intends to redo the outstanding work
-        elsewhere, so letting the old pool finish it first would compute
-        every result twice.
-        """
-        if self._executor is not None:
-            executor, self._executor = self._executor, None
-            try:
-                executor.shutdown(wait=True, cancel_futures=True)
-            except Exception:
-                # A broken pool may refuse a clean shutdown; it is being
-                # discarded either way.
-                pass
-
-    def shutdown(self) -> None:
-        self.discard()
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-
-def fan_out(fn, payloads: Sequence[Dict], max_workers: int, on_pool=None,
-            pool: Optional[WorkerPool] = None):
+def fan_out(fn, payloads: Sequence[Dict], max_workers: int, on_pool=None):
     """Yield ``(index, result)`` for each payload as it completes.
 
     ``fn`` must be a module-level function of one picklable payload so it can
@@ -148,26 +84,15 @@ def fan_out(fn, payloads: Sequence[Dict], max_workers: int, on_pool=None,
     available (restricted sandbox, missing semaphores, OOM-killed worker...)
     the unfinished payloads are computed in-process instead.  ``on_pool`` is
     called once when a pool actually spawned, so callers can keep honest
-    parallelism statistics.  Both the experiment runner and the serving
-    engine shard their cold work through this single helper.
-
-    With a :class:`WorkerPool` the batch runs on that shared executor at the
-    pool's current width (``max_workers`` is ignored) and the executor stays
-    alive for the next batch; without one, a private executor is spawned and
-    torn down around the batch.
+    parallelism statistics.  Both the experiment runner and the sharded
+    serving coordinator fan their work out through this single helper.
     """
     indices = list(range(len(payloads)))
-    width = pool.width if pool is not None else max_workers
-    if width > 1 and len(payloads) > 1:
+    if max_workers > 1 and len(payloads) > 1:
         remaining = list(indices)
         try:
-            if pool is not None:
-                executor = pool.executor()
-                owns_executor = False
-            else:
-                executor = ProcessPoolExecutor(max_workers=min(width, len(payloads)))
-                owns_executor = True
-            try:
+            with ProcessPoolExecutor(
+                    max_workers=min(max_workers, len(payloads))) as executor:
                 index_of = {executor.submit(fn, payloads[i]): i for i in indices}
                 for future in as_completed(index_of):
                     index = index_of[future]
@@ -182,14 +107,9 @@ def fan_out(fn, payloads: Sequence[Dict], max_workers: int, on_pool=None,
                         on_pool = None
                     remaining.remove(index)
                     yield index, result
-            finally:
-                if owns_executor:
-                    executor.shutdown(wait=True)
             return
         except (OSError, RuntimeError):
             indices = remaining
-            if pool is not None:
-                pool.discard()
     for index in indices:
         yield index, fn(payloads[index])
 

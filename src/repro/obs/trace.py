@@ -12,9 +12,9 @@ Two clock domains coexist in one trace:
   clock (seconds since the fleet's first arrival, plus the engine's
   cross-call continuity offset).  Events in this domain are a pure function
   of the fleet: the same specs produce the identical event sequence on
-  every run and — for the session-scoped categories — across the
-  materialized, streaming and pool ingestion paths.  This is the domain the
-  determinism suite pins.
+  every run and — for the session-scoped categories — however a session
+  was served (straight through, in the streaming loop, in a shard).  This
+  is the domain the determinism suite pins.
 * ``"wall"`` — real elapsed seconds since the tracer was created (map
   resolution, wave dispatch, the service front door, kernel profiling).
   Telemetry only; never compared across runs.

@@ -24,8 +24,7 @@ can aggregate, dedupe and alert on:
 Classification is a pure function of data the serve call already
 produced (the :class:`~repro.serving.session.SessionResult`, the
 per-stream deadline-miss count, the resolved fleet-map assignment), so
-it runs post-serve on every ingestion path, costs nothing on the hot
-path, and is deterministic: the same fleet yields the same signatures on
+it runs post-serve on every wave, costs nothing on the hot path, and is deterministic: the same fleet yields the same signatures on
 every run.  Precedence is severity order — a diverged session that also
 missed deadlines is ``divergence``; the misses are a symptom.
 """
@@ -95,8 +94,8 @@ def classify_session(result, deadline_misses: int = 0,
     assignment (the environment ids the engine handed it maps for) — the
     ground truth for which segments were *expected* to serve
     registration.  ``deadline_misses`` is the stream's virtual-schedule
-    miss count; materialized/pool ingestion has no virtual schedule and
-    passes 0, so the result-derived signatures still agree across paths.
+    miss count; a session run straight through has no virtual schedule
+    and passes 0.
     """
     # Local import: obs must stay importable without the serving layer
     # (and serving.engine imports this module at startup).

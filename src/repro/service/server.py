@@ -27,8 +27,8 @@ only the scientific toolchain) exposing the session lifecycle:
   instead of JSON.
 
 Serving runs in **waves**: a background dispatcher collects every sealed
-session, hands the batch to ``engine.serve(..., parallel=False,
-ingestion="streaming")`` on a worker thread (the engine is synchronous and
+session, hands the batch to ``engine.serve(specs)`` on a worker thread
+(the engine is synchronous and
 CPU-bound; ``asyncio.to_thread`` keeps the event loop responsive), and
 fans results back out.  The virtual-clock loop stays the deterministic
 oracle — a session served through the front door yields the byte-identical
@@ -366,18 +366,14 @@ class LocalizationService:
                 if self.tracer is not None else contextlib.nullcontext())
             try:
                 # The engine is synchronous and CPU-bound; a worker thread
-                # keeps admission and health endpoints live mid-wave.
-                # parallel=False pins the plain engine to the deterministic
-                # serial loop; a sharded engine gets parallel=None instead —
-                # its shard fan-out is across processes (each shard still
-                # runs the serial loop internally), so letting it spread
-                # over the host's cores is the whole point of sharding and
-                # cannot perturb results.
+                # keeps admission and health endpoints live mid-wave.  The
+                # plain engine runs its deterministic streaming loop; a
+                # sharded engine fans its shards out over the host's cores
+                # (each shard still runs the same loop), which cannot
+                # perturb results.
                 with wave_span:
                     report: ServingReport = await asyncio.to_thread(
-                        self.engine.serve, specs,
-                        parallel=None if self._sharded else False,
-                        ingestion="streaming")
+                        self.engine.serve, specs)
             except Exception as exc:  # engine bug or bad fleet: fail the wave
                 for session in wave:
                     session.state = "failed"

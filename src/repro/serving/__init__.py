@@ -16,10 +16,13 @@ per client device — over a shared pool of backend workers:
 * :mod:`repro.serving.engine` dispatches fleets (:class:`ServingEngine`):
   an arrival-time event loop on a virtual clock that serves whatever is
   ready now across sessions (capacity sized by the latency-aware
-  :class:`~repro.scheduler.LatencyAutoscaler` when one is attached), shards
-  cold sessions over the shared process pool with deterministic per-session
-  seeds (serial == streaming == parallel), persists results in the run
-  store, and reports throughput/latency/autoscaling telemetry.
+  :class:`~repro.scheduler.LatencyAutoscaler` when one is attached), with
+  deterministic per-session seeds (every session bit-identical to
+  :func:`run_session`), persists results in the run store, and reports
+  throughput/latency/autoscaling telemetry.
+* :mod:`repro.serving.wave` is the wave lifecycle that engine and the
+  sharded coordinator (:mod:`repro.cluster`) share: resolve fleet maps,
+  dispatch, publish, apply updates, record telemetry and forensics.
 
 With a :class:`~repro.maps.MapStore` attached, the engine also runs the
 fleet map service lifecycle: segments naming a shared environment

@@ -1,7 +1,7 @@
-"""The serving engine: arrival-time fleet dispatch over a shared worker pool.
+"""The serving engine: arrival-time fleet dispatch on a virtual clock.
 
 :class:`ServingEngine` resolves a fleet of :class:`~repro.serving.streams.StreamSpec`
-sessions through the same three layers as the experiment runner:
+sessions through two layers:
 
 1. the persistent :class:`~repro.experiments.runner.RunStore` (session
    results are content-addressed by spec + code + config fingerprints, so a
@@ -11,33 +11,33 @@ sessions through the same three layers as the experiment runner:
    (:meth:`~repro.serving.streams.ScenarioStream.frames`), frames are
    admitted into bounded per-session ingress queues as they *arrive* on the
    clock, and each tick serves whatever is ready now — across sessions, in
-   deterministic ``(arrival, stream_id)`` order, up to the pool's service
+   deterministic ``(arrival, stream_id)`` order, up to the service
    capacity.  Segments are built lazily; the stream is never materialized.
    A frame served later than it arrived has *serving latency* (virtual
-   clock delta), the signal the autoscaler regulates;
-3. a process-pool fan-out (:func:`repro.experiments.runner.fan_out`) that
-   shards whole cold sessions across workers.  Every session is a pure
-   function of its spec with deterministic per-session seeds, so serial,
-   streaming and parallel execution produce bit-identical trajectories and
-   mode switches — verified by comparing
-   :meth:`~repro.serving.session.SessionResult.signature`.
+   clock delta), the signal the autoscaler regulates.
+
+Every session is a pure function of its spec with deterministic
+per-session seeds, so the loop's interleaving never changes a result: each
+session's :meth:`~repro.serving.session.SessionResult.signature` equals
+that of :func:`run_session` on the same spec.  Process parallelism lives
+one level up: :class:`repro.cluster.ShardedServingEngine` fans shards of a
+fleet out to worker processes, each running this loop.
 
 **Autoscaling.**  With a :class:`~repro.scheduler.LatencyAutoscaler`
 attached, the engine closes the resource loop of the deployment story:
-served frame latencies (virtual in the streaming loop, wall in the pool
-path) are folded into the scaler's rolling window against each session's
-``deadline_ms``, and its grow/shrink decisions resize the service capacity
-— the virtual worker count in the streaming loop, and a live, resizable
-:class:`~repro.experiments.runner.WorkerPool` between dispatch waves in the
-parallel path.  The decision log lands in the report.
+served virtual latencies are folded into the scaler's rolling window
+against each session's ``deadline_ms``, and its grow/shrink decisions
+resize the loop's virtual worker count.  The decision log lands in the
+report.
 
 **Fleet maps.**  With a :class:`~repro.maps.MapStore` attached, the engine
-runs the cross-session map lifecycle: before dispatch it resolves the
+runs the cross-session map lifecycle of
+:class:`~repro.serving.wave.WaveLifecycle`: before dispatch it resolves the
 canonical, quality-gated map of every shared environment the fleet visits
-(once per call, so every execution path sees the same assignment and the
-resolved versions can be folded into the serving cache keys), sessions
-acquire those maps mid-stream (unlocking registration where they would have
-run SLAM), and after serving it publishes every snapshot the fleet's SLAM
+(once per call, so every session sees the same assignment and the resolved
+versions can be folded into the serving cache keys), sessions acquire
+those maps mid-stream (unlocking registration where they would have run
+SLAM), and after serving it publishes every snapshot the fleet's SLAM
 segments produced — the maps the *next* wave will register against.
 
 The engine also closes the loop to the runtime offload scheduler
@@ -51,47 +51,31 @@ pass.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import heapq
 import json
-import time
+import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.runner import (
-    CACHE_SCHEMA_VERSION,
-    RunStore,
-    WorkerPool,
-    code_fingerprint,
-    config_fingerprint,
-    fan_out,
-    resolve_max_workers,
-)
+from repro.experiments.runner import RunStore
 from repro.maps import (
     DEFAULT_MIN_MAP_QUALITY,
     MapMerger,
     MapSnapshot,
     MapStore,
     SnapshotCache,
-    resolve_staleness_bound,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import (
-    DECISION_TAIL,
-    TRACE_TAIL,
-    FlightRecorder,
-    recorder_from_env,
-)
+from repro.obs.recorder import FlightRecorder, recorder_from_env
 from repro.obs.slo import SLOTracker
 from repro.obs.trace import Tracer, tracer_from_env
 from repro.obs.triage import SIG_OK, classify_session, signature_census
 from repro.scheduler.autoscaler import LatencyAutoscaler, ScaleDecision
 from repro.serving.session import (
     DEFAULT_INGRESS_CAPACITY,
-    MAP_STALE_RESIDUAL_M,
     Session,
     SessionResult,
 )
@@ -100,6 +84,7 @@ from repro.serving.streams import (
     expected_gps_denied_mode,
     expected_segment_mode,
 )
+from repro.serving.wave import WaveLifecycle, serving_key
 from repro.sensors.dataset import segment_frame_count
 
 # Expected per-frame service cost by backend mode, relative to SLAM — the
@@ -116,35 +101,6 @@ MODE_FRAME_COST = {
 }
 
 
-def serving_key(spec: StreamSpec, maps: Optional[Dict[str, str]] = None) -> str:
-    """Content-hash key of one session: spec + code + config fingerprints.
-
-    ``deadline_ms`` is excluded: it is a QoS contract that never enters the
-    localization math (results are bit-identical with or without it), so a
-    deadline change must keep the cache warm rather than recompute the
-    whole fleet.
-
-    ``maps`` is the session's resolved fleet-map assignment (environment id
-    -> canonical map version).  The acquired map changes the served poses
-    and modes, so the versions are part of the key: the same spec served
-    before and after the fleet map matured resolves to different entries,
-    and a cached cold result can never masquerade as a warm one.  An empty
-    assignment hashes identically to the pre-map-service key shape.
-    """
-    spec_payload = spec.payload()
-    spec_payload.pop("deadline_ms", None)
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "kind": "serving-session",
-        "code": code_fingerprint(),
-        "config": config_fingerprint(spec.platform_kind, spec.camera_rate_hz, spec.seed),
-        "spec": spec_payload,
-    }
-    if maps:
-        payload["maps"] = dict(sorted(maps.items()))
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
 def run_session(spec: StreamSpec,
                 maps: Optional[Dict[str, MapSnapshot]] = None) -> SessionResult:
     """Serve one whole session from scratch.
@@ -153,12 +109,6 @@ def run_session(spec: StreamSpec,
     the two inputs the serving cache key covers.
     """
     return Session(spec, maps=maps).run()
-
-
-def _run_session_payload(payload: Dict) -> SessionResult:
-    """Process-pool entry point (payload dicts pickle smaller than specs)."""
-    return run_session(StreamSpec.from_payload(payload["spec"]),
-                       maps=payload.get("maps") or None)
 
 
 @dataclass
@@ -170,11 +120,8 @@ class ServingReport:
     them, so they are excluded from latency aggregates but counted as
     sessions).  ``virtual_latency_ms`` is the streaming loop's
     arrival-to-service delay on the virtual clock — the deadline the
-    autoscaler protects; it is empty on the materialized and pool paths.
-    ``deadline_misses`` likewise counts virtual-schedule violations only
-    (see ``ServingEngine._account_service_latency``), so it is identical
-    across ingestion paths for fleets the streaming loop serves on time
-    and zero by construction on the materialized and pool paths.
+    autoscaler protects — and ``deadline_misses`` counts its samples past
+    their session's deadline (see ``ServingEngine._account_service_latency``).
     """
 
     results: Dict[str, SessionResult] = field(default_factory=dict)
@@ -182,10 +129,9 @@ class ServingReport:
     computed_sessions: int = 0
     store_hits: int = 0
     # The store-hit sessions by stream id (sorted): which results were
-    # replayed from the run store rather than computed this call.  Consumers
-    # that must not double-apply side effects — the sharded coordinator's
-    # central MapUpdate application — key off this instead of re-deriving
-    # replay status from counters.
+    # replayed from the run store rather than computed this call.  The wave
+    # lifecycle keys off this so replayed sessions never re-apply their map
+    # side effects.
     replayed_streams: List[str] = field(default_factory=list)
     parallel: bool = False
     workers: int = 1
@@ -201,7 +147,7 @@ class ServingReport:
     deadline_misses_by_stream: Dict[str, int] = field(default_factory=dict)
     # Triage: every finished session's failure signature (see
     # repro.obs.triage) — a pure post-serve derivation from result data,
-    # so it exists on every ingestion path and never enters signature().
+    # so it is identical for replayed sessions and never enters signature().
     failure_signatures: Dict[str, str] = field(default_factory=dict)
     ticks: int = 0
     scale_decisions: List[ScaleDecision] = field(default_factory=list)
@@ -449,14 +395,15 @@ class ServingReport:
         }
 
 
-class ServingEngine:
-    """Multiplexes many localization sessions over shared workers."""
+class ServingEngine(WaveLifecycle):
+    """Multiplexes many localization sessions on one virtual clock.
 
-    # A frame is "ready" within this fraction of a frame interval of the
-    # earliest pending frame; such frames form one dispatch batch
-    # (materialized event loop only — the streaming loop admits frames by
-    # arrival time instead).
-    BATCH_WINDOW_FRACTION = 0.5
+    The loop's width is the ``autoscaler``'s; without one, every ready
+    frame is served on arrival.  ``max_workers`` sized a process pool the
+    engine no longer has: it is accepted only so existing callers keep
+    working, has no effect, and warns.
+    """
+
     # Service capacity of one worker in the streaming loop: frames served
     # per frame interval.  The virtual analogue of a worker's real
     # throughput; with a fleet wider than workers x this, frames queue and
@@ -480,50 +427,26 @@ class ServingEngine:
                  metrics: Optional[MetricsRegistry] = None,
                  slo: Optional[SLOTracker] = None,
                  recorder: Optional[FlightRecorder] = None) -> None:
+        super().__init__(map_store, map_merger, min_map_quality, map_updates,
+                         map_staleness_bound, map_cache)
+        if max_workers is not None:
+            warnings.warn("ServingEngine(max_workers=) has no effect; the "
+                          "autoscaler sizes the streaming loop",
+                          DeprecationWarning, stacklevel=2)
         self.store = store
-        self.max_workers = resolve_max_workers(max_workers)
         self.autoscaler = autoscaler
         self.accelerator = accelerator
         self.ingress_capacity = max(1, int(ingress_capacity))
         self.frames_per_worker_tick = max(
             1, int(frames_per_worker_tick if frames_per_worker_tick is not None
                    else self.FRAMES_PER_WORKER_TICK))
-        self.map_store = map_store
-        self.map_merger = map_merger or MapMerger()
-        self.min_map_quality = float(min_map_quality)
-        # Tier 1: the per-engine read-through snapshot cache in front of the
-        # store, and the bounded-staleness budget its lookups may spend
-        # (explicit argument over EUDOXUS_MAP_STALENESS; 0 = strict, which
-        # is bit-identical to resolving through the store directly).
-        self.map_staleness_bound = resolve_staleness_bound(map_staleness_bound)
-        if map_cache is not None:
-            self.map_cache: Optional[SnapshotCache] = map_cache
-        else:
-            self.map_cache = SnapshotCache(map_store) if map_store is not None else None
-        # Update-aware quality gating: environments whose *observed*
-        # registration residuals flagged the served canonical as stale
-        # (high-residual MapUpdate evidence or a map_stale demotion), keyed
-        # on the exact canonical version observed.  While the canonical has
-        # not moved past that version, the resolve gate withholds the map —
-        # the next wave runs SLAM from segment entry (and republishes)
-        # instead of acquiring a known-bad map and demoting mid-segment.
-        # Maintained only when map updates are enabled: it is the update
-        # plane's knowledge, and the publish-only control arm must keep its
-        # PR-4 behavior.
-        self._map_drift_evidence: Dict[str, str] = {}
-        # Closed map lifecycle: apply the fleet's MapUpdate deltas to the
-        # store post-serve (False keeps the PR-4 publish-only behavior — the
-        # control arm of the drifting-world benchmark).
-        self.map_updates = bool(map_updates)
         # Map-aware sizing: feed the expected per-frame cost of each
         # session's mode mix (known pre-dispatch once fleet maps resolve)
         # into the autoscaler as a sizing prior, and account streaming
         # capacity in cost units instead of raw frames.  Defaults to "on
         # exactly when a map store is attached": the mode-mix expectation is
-        # the map service's knowledge.  A *streaming-loop* feature: the
-        # pool path's capacity unit is whole sessions sized from observed
-        # wall latency, which the per-frame cost model does not map onto,
-        # so pool serving keeps its PR-3 wave sizing regardless.
+        # the map service's knowledge.  A shard, which serves maps pinned by
+        # its coordinator without a store of its own, is told explicitly.
         self.map_aware_sizing = (map_store is not None if map_aware_sizing is None
                                  else bool(map_aware_sizing))
         self._kernel_of: Dict[str, str] = {}
@@ -555,71 +478,35 @@ class ServingEngine:
         if metrics is not None:
             self.bind_metrics(metrics)
 
-    def serve(self, specs: Sequence[StreamSpec], parallel: Optional[bool] = None,
-              ingestion: Optional[str] = None,
+    def serve(self, specs: Sequence[StreamSpec],
               fleet_maps: Optional[Dict[str, MapSnapshot]] = None) -> ServingReport:
-        """Resolve every session: store -> event loop / process pool.
+        """Serve a fleet: replay run-store hits, stream the rest.
 
-        ``parallel`` of ``None`` shards across the process pool whenever
-        more than one cold session and more than one worker are available;
-        ``False`` forces the in-process event loop.  ``ingestion`` selects
-        that loop's flavor: ``"streaming"`` is the arrival-time event loop
-        with bounded ingress queues and autoscaled capacity (the default
-        when the serial loop runs); ``"materialized"`` is the legacy
-        ready-batch multiplexer that pulls frames straight from the segment
-        builders.  Naming an ingestion explicitly *requests the serial
-        loop*: it overrides the automatic pool choice (so the telemetry the
-        caller asked to measure does not depend on the host's core count)
-        and is rejected alongside ``parallel=True``.  All paths produce
-        bit-identical :meth:`SessionResult.signature` values.
+        Whatever the loop's interleaving or capacity, every session's
+        :meth:`SessionResult.signature` equals that of :func:`run_session`
+        on its spec and map assignment.
 
         ``fleet_maps`` pins a pre-resolved canonical map assignment instead
         of resolving one here.  A sharded coordinator
         (:class:`repro.cluster.ShardedServingEngine`) resolves the wave
-        once and hands every shard the same view — without the pin, a
-        sibling shard's publishes landing on the shared store mid-wave
-        could give later shards a different assignment than earlier ones.
+        once and hands every shard the same view; its shards have no map
+        store, so they serve the pinned maps and leave publishing and
+        updates to the coordinator.
 
-        The engine's ``autoscaler`` and ``accelerator`` hooks are features
-        of the *streaming* loop (and, for the autoscaler, the pool path):
-        the materialized reference loop has no arrival clock to scale
-        against and no per-frame hook, so it reports no scale decisions and
-        feeds no online observations.
+        The engine's ``autoscaler`` sizes the loop's virtual capacity, and
+        its ``accelerator``'s offload scheduler observes every served frame.
         """
-        if ingestion not in (None, "streaming", "materialized"):
-            raise ValueError(f"unknown ingestion mode: {ingestion!r}")
-        if ingestion is not None and parallel is True:
-            raise ValueError("ingestion selects the serial event loop; "
-                             "it cannot be combined with parallel=True")
-        # Duplicate stream ids make the fleet invalid as a whole, so the
-        # check runs before any store lookup, map resolution, or session
-        # construction — nothing may start serving a fleet that will fail.
-        seen = set()
-        for spec in specs:
-            if spec.stream_id in seen:
-                raise ValueError(f"duplicate stream_id in fleet: {spec.stream_id}")
-            seen.add(spec.stream_id)
-        started = time.perf_counter()
-        report = ServingReport(workers=self.max_workers)
+        return self._serve_wave(specs, fleet_maps)
+
+    def _dispatch(self, specs: List[StreamSpec],
+                  fleet_maps: Dict[str, MapSnapshot],
+                  maps_by_stream: Dict[str, Dict[str, MapSnapshot]]) -> ServingReport:
+        """Replay run-store hits, serve the rest through the streaming loop."""
+        report = ServingReport(ingestion="streaming")
         # The virtual-clock offset this call's deterministic spans are
-        # shifted by — captured before any path can advance it.
+        # shifted by — captured before the loop advances it.
         trace_offset = self._decision_clock
-        map_counters = self._map_counters()
-        # Fleet-map resolution happens once, before any path dispatch: every
-        # execution path (store hit, streaming, materialized, pool) of this
-        # call sees the same canonical map per environment, which is what
-        # keeps serial/streaming/pool bit-identical with acquisition enabled.
-        if fleet_maps is None:
-            fleet_maps = self._resolve_fleet_maps(specs)
-        else:
-            fleet_maps = dict(fleet_maps)
-        report.fleet_maps = {environment_id: snapshot.version
-                             for environment_id, snapshot in fleet_maps.items()}
-        maps_by_stream: Dict[str, Dict[str, MapSnapshot]] = {
-            spec.stream_id: self._maps_for(spec, fleet_maps) for spec in specs
-        }
         cold: List[StreamSpec] = []
-        replayed: set = set()
         for spec in specs:
             if self.store is not None:
                 key = serving_key(spec, self._map_versions(maps_by_stream[spec.stream_id]))
@@ -631,7 +518,7 @@ class ServingEngine:
                         track="store", stream=spec.stream_id)
                 if stored is not None:
                     report.store_hits += 1
-                    replayed.add(spec.stream_id)
+                    report.replayed_streams.append(spec.stream_id)
                     # The key ignores deadline_ms, so the hit may have been
                     # computed under a different QoS contract; refresh the
                     # provenance payload to the spec actually requested
@@ -640,37 +527,12 @@ class ServingEngine:
                     report.results[spec.stream_id] = stored
                     continue
             cold.append(spec)
-        report.replayed_streams = sorted(replayed)
-
-        if parallel is None:
-            use_pool = (ingestion is None and self.max_workers > 1 and len(cold) > 1)
-        else:
-            use_pool = bool(parallel)
-        # Recorded even for a fully store-warm serve, so callers can always
-        # see which path their request resolved to.
-        report.ingestion = "pool" if use_pool else (ingestion or "streaming")
-        if cold:
-            if use_pool:
-                self._serve_pool(cold, report, maps_by_stream)
-            elif report.ingestion == "streaming":
-                for spec, result in self._serve_streaming(cold, report, maps_by_stream,
-                                                          fleet_maps):
-                    self._absorb(report, spec, result, maps_by_stream)
-            else:
-                for spec, result in self._serve_materialized(cold, report.batch_sizes,
-                                                            maps_by_stream):
-                    self._absorb(report, spec, result, maps_by_stream)
-        self._publish_fleet_maps(report, replayed)
-        self._apply_map_updates(report, replayed)
-        self._record_map_drift_evidence(report, replayed)
-        self._finish_map_telemetry(report, map_counters)
+        report.replayed_streams.sort()
+        for spec, result in self._serve_streaming(cold, report, maps_by_stream,
+                                                  fleet_maps):
+            self._absorb(report, spec, result, maps_by_stream)
         self._triage_sessions(report, maps_by_stream)
         self._emit_trace(report, trace_offset)
-        self._record_serve_metrics(report)
-        report.wall_s = time.perf_counter() - started
-        # Forensics last, outside the timed window: bundle capture is disk
-        # I/O that must not pollute the throughput telemetry it snapshots.
-        self._record_forensics(report, maps_by_stream)
         return report
 
     # ------------------------------------------------- streaming event loop
@@ -707,7 +569,7 @@ class ServingEngine:
         active: List[Session] = []
         for session in sessions:
             # A stream with no segments is complete on arrival; yield its
-            # (empty) result so the streaming path matches the pool path.
+            # (empty) result so every spec still gets one.
             if session.done:
                 yield session.spec, session.result()
             else:
@@ -741,7 +603,7 @@ class ServingEngine:
             report.scale_decisions.append(self._prime_autoscaler(
                 [session.spec for session in active], segment_costs,
                 clock=clock_base + clock))
-        workers = self.autoscaler.workers if self.autoscaler is not None else self.max_workers
+        workers = self.autoscaler.workers if self.autoscaler is not None else 1
         # The width serving actually starts at, so final_workers stays
         # truthful even when no scale decision is ever logged.
         report.workers = workers
@@ -834,14 +696,10 @@ class ServingEngine:
                                  stream_id: Optional[str] = None) -> None:
         """The single accounting point for serving latency vs QoS deadline.
 
-        ``deadline_misses`` counts *virtual-schedule* violations only: the
-        streaming loop is the one path that can delay a frame past its
-        arrival, so it is the one path that can miss.  The materialized and
-        pool paths serve every frame on arrival by construction and
-        contribute zero — asserted cross-path by tests/test_serving.py so
-        the count can never silently diverge between ingestion modes again.
-        The per-stream breakout (triage and SLO evidence) is kept in the
-        same place so the total and the breakdown cannot drift apart.
+        ``deadline_misses`` counts *virtual-schedule* violations: frames the
+        streaming loop served more than their session's deadline after they
+        arrived.  The per-stream breakout (triage and SLO evidence) is kept
+        in the same place so the total and the breakdown cannot drift apart.
         """
         report.virtual_latency_ms.append(latency_ms)
         if deadline_ms is not None and latency_ms > deadline_ms:
@@ -860,95 +718,6 @@ class ServingEngine:
                                               self._kernel_of)
         self.accelerator.scheduler.observe(
             backend_result.mode, backend_result.workload, latency)
-
-    # ------------------------------------------------------------ pool path
-
-    def _serve_pool(self, cold: List[StreamSpec], report: ServingReport,
-                    maps_by_stream: Dict[str, Dict[str, MapSnapshot]]) -> None:
-        """Shard whole cold sessions across worker processes.
-
-        Without an autoscaler this is one fan-out over the fleet.  With one,
-        sessions are dispatched in waves sized by the current pool width
-        through a shared resizable :class:`WorkerPool`.  The latency signal
-        has two components: per-frame compute wall time (served sessions)
-        and — the congestion term that makes *growing* reachable — the
-        accumulated wall time every still-queued session has spent waiting
-        behind the current width, observed once per session per wave.  The
-        autoscaler's worker bounds are narrowed to the engine's
-        ``max_workers`` up front, so its decision log never reports a width
-        the pool could not actually have.
-        """
-        def _mark_parallel() -> None:
-            # Only set once a pool actually spawned — fan_out may fall back
-            # to in-process execution.
-            report.parallel = True
-
-        def _pool_payload(spec: StreamSpec) -> Dict:
-            return {"spec": spec.payload(),
-                    "maps": maps_by_stream.get(spec.stream_id) or {}}
-
-        if self.autoscaler is None:
-            with self._maybe_wall_span("wave.dispatch", "engine", track="pool",
-                                       sessions=len(cold),
-                                       width=self.max_workers):
-                for index, result in fan_out(_run_session_payload,
-                                             [_pool_payload(spec) for spec in cold],
-                                             self.max_workers, on_pool=_mark_parallel):
-                    self._absorb(report, cold[index], result, maps_by_stream)
-            return
-
-        autoscaler = self.autoscaler
-        # Clamp the scaler's sizing state to the real pool cap for the
-        # duration of this call only — the decision log must never report a
-        # width the pool could not have, but a later *streaming* serve's
-        # virtual capacity is host-independent and must not inherit this
-        # host's core count (bounds AND workers are restored; pool sizing
-        # is per-call).
-        saved_bounds = (autoscaler.min_workers, autoscaler.max_workers,
-                        autoscaler.workers)
-        autoscaler.max_workers = min(autoscaler.max_workers, self.max_workers)
-        autoscaler.min_workers = min(autoscaler.min_workers, autoscaler.max_workers)
-        autoscaler.workers = max(autoscaler.min_workers,
-                                 min(autoscaler.workers, autoscaler.max_workers))
-        dispatch_started = time.perf_counter()
-        try:
-            with WorkerPool(autoscaler.workers) as pool:
-                # As in the streaming loop: report the width the pool
-                # actually opened at, not the engine's cap.
-                report.workers = pool.width
-                queue = list(cold)
-                while queue:
-                    wave = queue[:max(1, pool.width)]
-                    del queue[:len(wave)]
-                    with self._maybe_wall_span("wave.dispatch", "engine",
-                                               track="pool", sessions=len(wave),
-                                               width=pool.width):
-                        for index, result in fan_out(_run_session_payload,
-                                                     [_pool_payload(spec) for spec in wave],
-                                                     pool.width, on_pool=_mark_parallel,
-                                                     pool=pool):
-                            spec = wave[index]
-                            self._absorb(report, spec, result, maps_by_stream)
-                            for wall_ms in result.frame_wall_ms:
-                                autoscaler.observe(wall_ms, spec.deadline_ms)
-                    if queue:
-                        # Only decide while there is still work to size for:
-                        # a decision after the last wave would mutate the
-                        # scaler and the log without ever being applied.
-                        waited_s = time.perf_counter() - dispatch_started
-                        for spec in queue:
-                            autoscaler.observe(1000.0 * waited_s, spec.deadline_ms)
-                        # Pool decisions happen on wall time; stamping them
-                        # with the continuity-offset elapsed seconds keeps
-                        # the shared decision log clock-ordered across
-                        # pool and streaming serve calls alike.
-                        decision = autoscaler.decide(self._decision_clock + waited_s)
-                        report.scale_decisions.append(decision)
-                        pool.resize(decision.workers_after)
-        finally:
-            (autoscaler.min_workers, autoscaler.max_workers,
-             autoscaler.workers) = saved_bounds
-            self._decision_clock += time.perf_counter() - dispatch_started
 
     # ------------------------------------------------------- map-aware sizing
 
@@ -1019,12 +788,11 @@ class ServingEngine:
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
         """Register the engine's metric families and cascade to the attached
-        autoscaler, run store and map store.  Idempotent — family creation
-        returns the existing family on re-registration."""
+        hooks, autoscaler, run store and map plane.  Idempotent — family
+        creation returns the existing family on re-registration."""
         self.metrics = registry
         self._m_serves = registry.counter(
-            "eudoxus_engine_serve_calls_total",
-            "Serve calls by resolved ingestion path.", ("ingestion",))
+            "eudoxus_engine_serve_calls_total", "Serve calls.")
         self._m_sessions = registry.counter(
             "eudoxus_engine_sessions_total",
             "Sessions resolved, by outcome (computed vs run-store hit).",
@@ -1050,73 +818,22 @@ class ServingEngine:
         self._m_signatures = registry.counter(
             "eudoxus_engine_failure_signatures_total",
             "Finished sessions per triage failure signature.", ("signature",))
-        if self.tracer is not None:
-            self.tracer.bind_metrics(registry)
-        if self.slo is not None:
-            self.slo.bind_metrics(registry)
+        self._bind_map_plane_metrics(registry)
         if self.autoscaler is not None:
             self.autoscaler.bind_metrics(registry)
         if self.store is not None:
             self.store.bind_metrics(registry)
-        if self.map_store is not None:
-            self.map_store.bind_metrics(registry)
-            self.map_merger.bind_metrics(registry)
-        if self.map_cache is not None:
-            self.map_cache.bind_metrics(registry)
-
-    def _maybe_wall_span(self, name: str, category: str, *, track: str,
-                         **args: object):
-        if self.tracer is None:
-            return contextlib.nullcontext()
-        return self.tracer.wall_span(name, category, track=track, **args)
-
-    def _map_counters(self) -> Optional[Dict[str, object]]:
-        """Snapshot of the map store's telemetry counters (None storeless)."""
-        if self.map_store is None:
-            return None
-        counters = {"hits": self.map_store.resolve_hits,
-                    "misses": self.map_store.resolve_misses,
-                    "merges": len(self.map_store.merge_ms),
-                    "churn": dict(self.map_store.version_churn)}
-        if self.map_cache is not None:
-            counters["cache_hits"] = self.map_cache.hits
-            counters["cache_misses"] = self.map_cache.misses
-            counters["cache_stale"] = self.map_cache.stale_serves
-        return counters
-
-    def _finish_map_telemetry(self, report: ServingReport,
-                              before: Optional[Dict[str, object]]) -> None:
-        """Fold this call's map-store counter deltas into the report."""
-        if before is None or self.map_store is None:
-            return
-        store = self.map_store
-        report.map_resolve_hits = store.resolve_hits - before["hits"]
-        report.map_resolve_misses = store.resolve_misses - before["misses"]
-        report.map_merge_ms = list(store.merge_ms)[before["merges"]:]
-        churn: Dict[str, int] = {}
-        for environment_id, count in store.version_churn.items():
-            delta = count - before["churn"].get(environment_id, 0)
-            if delta:
-                churn[environment_id] = delta
-        report.map_version_churn = churn
-        if self.map_cache is not None and "cache_hits" in before:
-            report.map_cache_hits = self.map_cache.hits - before["cache_hits"]
-            report.map_cache_misses = (
-                self.map_cache.misses - before["cache_misses"])
-            report.map_staleness_served = (
-                self.map_cache.stale_serves - before["cache_stale"])
 
     def _emit_trace(self, report: ServingReport, clock_offset: float) -> None:
         """Fold this call's deterministic span set into the tracer.
 
         Session-category spans are *derived from result data* post-serve
         (:meth:`SessionResult.trace_spans`), never recorded on the hot path
-        — so by the bit-identity contract they are identical across the
-        materialized, streaming and pool ingestion paths and on warm store
-        hits.  Scheduler instants come from the report's decision log
-        (already on the continuity-offset virtual clock); map-lifecycle
-        events are wall-domain telemetry.  Emission order is deterministic:
-        sorted stream ids, then decisions in log order.
+        — so by the bit-identity contract they are identical whether a
+        session was served here, in a shard, or replayed from the store.
+        Scheduler instants come from the report's decision log (already on
+        the continuity-offset virtual clock).  Emission order is
+        deterministic: sorted stream ids, then decisions in log order.
         """
         if self.tracer is None:
             return
@@ -1127,29 +844,11 @@ class ServingEngine:
                 f"autoscaler.{decision.action}", "scheduler", decision.clock,
                 track="autoscaler", workers_before=decision.workers_before,
                 workers_after=decision.workers_after, reason=decision.reason)
-        wall = self.tracer.wall_now()
-        if report.map_cache_hits or report.map_cache_misses \
-                or report.map_staleness_served:
-            self.tracer.instant(
-                "map.tier_cache", "maps", wall, clock="wall", track="maps",
-                hits=report.map_cache_hits, misses=report.map_cache_misses,
-                stale_serves=report.map_staleness_served)
-        for environment_id, version in sorted(report.fleet_maps.items()):
-            self.tracer.instant("map.resolve", "maps", wall, clock="wall",
-                                track="maps", environment=environment_id,
-                                version=version[:12])
-        if report.maps_published:
-            self.tracer.instant("map.publish_wave", "maps", wall, clock="wall",
-                                track="maps", published=report.maps_published)
-        for environment_id, version in sorted(report.maps_updated.items()):
-            self.tracer.instant("map.apply_updates", "maps", wall, clock="wall",
-                                track="maps", environment=environment_id,
-                                version=version[:12])
 
     def _record_serve_metrics(self, report: ServingReport) -> None:
         if self.metrics is None:
             return
-        self._m_serves.inc(ingestion=report.ingestion or "none")
+        self._m_serves.inc()
         self._m_sessions.inc(report.computed_sessions, outcome="computed")
         self._m_sessions.inc(report.store_hits, outcome="store_hit")
         self._m_frames.inc(report.frame_count)
@@ -1170,9 +869,9 @@ class ServingEngine:
         """Stamp every finished session's failure signature into the report.
 
         A pure post-serve derivation from result data plus the per-stream
-        miss counts and the resolved fleet-map assignment — deterministic,
-        identical across ingestion paths for on-time fleets, and always on
-        (the signature vocabulary is how the recorder decides to trigger).
+        miss counts and the resolved fleet-map assignment — deterministic
+        and always on (the signature vocabulary is how the recorder decides
+        to trigger).
         """
         for stream_id in sorted(report.results):
             report.failure_signatures[stream_id] = classify_session(
@@ -1180,154 +879,7 @@ class ServingEngine:
                 deadline_misses=report.deadline_misses_by_stream.get(stream_id, 0),
                 mapped_environments=maps_by_stream.get(stream_id) or ())
 
-    def _record_forensics(self, report: ServingReport,
-                          maps_by_stream: Dict[str, Dict[str, MapSnapshot]]) -> None:
-        if self.recorder is None:
-            return
-        capture_report_forensics(self.recorder, report, maps_by_stream,
-                                 slo=self.slo, tracer=self.tracer)
-
     # ------------------------------------------------------------ internals
-
-    def _resolve_fleet_maps(self, specs: Sequence[StreamSpec]) -> Dict[str, MapSnapshot]:
-        """Canonical, quality-gated map per shared environment the fleet visits.
-
-        Resolution goes through the Tier-1 :class:`SnapshotCache`: a lookup
-        whose version stamp matches the store head costs one directory scan
-        (no unpickling, no merge), and with a positive
-        ``map_staleness_bound`` an entry up to that many canonical versions
-        behind head is served without revalidation.  On top of the quality
-        gate sits the update-aware drift gate: an environment whose served
-        canonical drew high-residual evidence last wave is withheld until
-        its canonical version moves.
-        """
-        if self.map_store is None:
-            return {}
-        resolved: Dict[str, MapSnapshot] = {}
-        for spec in specs:
-            for environment_id in spec.environment_ids.values():
-                if environment_id in resolved:
-                    continue
-                if self.map_cache is not None:
-                    snapshot = self.map_cache.resolve(
-                        environment_id, merger=self.map_merger,
-                        min_quality=self.min_map_quality,
-                        staleness_bound=self.map_staleness_bound)
-                else:
-                    snapshot = self.map_store.resolve(
-                        environment_id, merger=self.map_merger,
-                        min_quality=self.min_map_quality)
-                if snapshot is None:
-                    continue
-                flagged = self._map_drift_evidence.get(environment_id)
-                if flagged is not None:
-                    if flagged == snapshot.version:
-                        # Observed residuals condemned exactly this version:
-                        # serving it again would only replay the mid-segment
-                        # demotion.  Keep the gate closed until the
-                        # canonical moves.
-                        if self.tracer is not None:
-                            self.tracer.instant(
-                                "map.drift_gate", "maps",
-                                self.tracer.wall_now(), clock="wall",
-                                track="maps", environment=environment_id,
-                                version=snapshot.version[:12])
-                        continue
-                    # The canonical moved past the condemned version — the
-                    # repair (update application or republish) lifts the gate.
-                    del self._map_drift_evidence[environment_id]
-                resolved[environment_id] = snapshot
-        return resolved
-
-    def _record_map_drift_evidence(self, report: ServingReport,
-                                   replayed: Optional[set] = None) -> None:
-        """Remember which served canonical versions read as stale.
-
-        Evidence is only collected on engines that can *act* on it
-        (``map_updates`` enabled): a publish-only engine withholding maps
-        would silently change the control arms of the update experiments.
-        """
-        if self.map_store is None or not self.map_updates:
-            return
-        self._map_drift_evidence.update(
-            collect_map_drift_evidence(report, replayed or set()))
-
-    @staticmethod
-    def _maps_for(spec: StreamSpec,
-                  fleet_maps: Dict[str, MapSnapshot]) -> Dict[str, MapSnapshot]:
-        """The subset of resolved maps this session's stream can acquire."""
-        wanted = set(spec.environment_ids.values())
-        return {environment_id: snapshot
-                for environment_id, snapshot in fleet_maps.items()
-                if environment_id in wanted}
-
-    @staticmethod
-    def _map_versions(maps: Dict[str, MapSnapshot]) -> Dict[str, str]:
-        return {environment_id: snapshot.version
-                for environment_id, snapshot in maps.items()}
-
-    def _publish_fleet_maps(self, report: ServingReport,
-                            replayed: Optional[set] = None) -> None:
-        """Write the fleet's session-published snapshots to the map store.
-
-        Computed sessions always publish.  Store-hit (replayed) sessions
-        published when their result was first computed, so re-writing their
-        snapshots into an environment with *live* history could resurrect
-        content :meth:`MapStore.apply_updates` deliberately compacted away
-        — a cached pre-drift wave must never bring pruned landmarks back.
-        A replayed session therefore only *re-seeds* an environment whose
-        history is empty (the map store was evicted or wiped while the run
-        store stayed warm — without the re-seed, those maps would be lost
-        for as long as the cached results keep hitting).
-        ``maps_published`` reports snapshots the store had not seen before.
-        """
-        if self.map_store is None:
-            return
-        replayed = replayed or set()
-        newly_published = self.map_store.published
-        reseed_allowed: Dict[str, bool] = {}
-        # Computed sessions first: their fresh snapshots are live history
-        # that replayed re-seeds must not override.
-        for stream_id, result in report.results.items():
-            if stream_id in replayed:
-                continue
-            for snapshot in result.published_maps:
-                self.map_store.publish(snapshot)
-        for stream_id in replayed:
-            for snapshot in report.results[stream_id].published_maps:
-                environment_id = snapshot.environment_id
-                if environment_id not in reseed_allowed:
-                    reseed_allowed[environment_id] = (
-                        not self.map_store.has_history(environment_id))
-                if reseed_allowed[environment_id]:
-                    self.map_store.publish(snapshot)
-        report.maps_published += self.map_store.published - newly_published
-
-    def _apply_map_updates(self, report: ServingReport,
-                           replayed: Optional[set] = None) -> None:
-        """Fold the fleet's registration deltas back into the map store.
-
-        Runs after :meth:`_publish_fleet_maps` so a wave's fresh SLAM
-        snapshots participate in the canonical merge the updates are
-        applied to.  Same visibility rule as publishes: the refreshed
-        canonical versions are resolved by the *next* serve call, never
-        mid-call (this call's assignment was fixed before dispatch).
-        Store-hit sessions' deltas were applied when first computed, so
-        replaying them would double-count their observations — skipped,
-        like their publishes.  Disabled with ``map_updates=False`` (the
-        publish-only control).
-        """
-        if self.map_store is None or not self.map_updates:
-            return
-        replayed = replayed or set()
-        updates = [update for stream_id, result in report.results.items()
-                   if stream_id not in replayed
-                   for update in result.map_updates]
-        if not updates:
-            return
-        applied = self.map_store.apply_updates(updates, merger=self.map_merger)
-        report.maps_updated = {environment_id: snapshot.version
-                               for environment_id, snapshot in applied.items()}
 
     def _absorb(self, report: ServingReport, spec: StreamSpec,
                 result: SessionResult,
@@ -1339,164 +891,6 @@ class ServingEngine:
             key = serving_key(spec, self._map_versions(
                 maps_by_stream.get(spec.stream_id) or {}))
             self.store.save_key(key, result)
-
-    def _serve_materialized(self, specs: Sequence[StreamSpec], batch_sizes: List[int],
-                            maps_by_stream: Dict[str, Dict[str, MapSnapshot]]):
-        """The legacy ready-batch multiplexer (kept as the reference path).
-
-        Sessions are stepped in deterministic ``(timestamp, stream_id)``
-        order, so the loop's output is independent of dict/set iteration
-        details; because sessions share no state, it is also bit-identical
-        to running each session straight through in a worker.
-        """
-        sessions = [Session(spec, maps=maps_by_stream.get(spec.stream_id))
-                    for spec in specs]
-        active = []
-        for session in sessions:
-            if session.done:
-                yield session.spec, session.result()
-            else:
-                active.append(session)
-        window = self.BATCH_WINDOW_FRACTION / max(
-            (spec.camera_rate_hz for spec in specs), default=1.0
-        )
-        while active:
-            horizon = min(session.next_timestamp() for session in active) + window
-            batch = [session for session in active if session.next_timestamp() <= horizon]
-            batch.sort(key=lambda session: (session.next_timestamp(), session.spec.stream_id))
-            batch_sizes.append(len(batch))
-            for session in batch:
-                session.step()
-            finished = [session for session in active if session.done]
-            for session in finished:
-                yield session.spec, session.result()
-            active = [session for session in active if not session.done]
-
-
-# -------------------------------------------------------- flight recording
-
-
-def collect_map_drift_evidence(report: ServingReport,
-                               replayed: set) -> Dict[str, str]:
-    """Map versions this wave's computed sessions condemned as stale.
-
-    Two evidence sources: a :class:`MapUpdate` whose weighted mean residual
-    exceeds the ``map_stale`` demotion threshold, and a ``map_stale`` mode
-    switch (matched to the acquisition of the same segment — the update
-    gates may have kept such a session from producing a delta at all).
-    Environments this wave's update application already refreshed are
-    skipped: their canonical moved, the gate has nothing to hold.  Shared
-    by the plain engine and the cluster coordinator so both close the same
-    quality gate from the same observations.
-    """
-    evidence: Dict[str, str] = {}
-    for stream_id, result in report.results.items():
-        if stream_id in replayed:
-            continue
-        for update in result.map_updates:
-            if (update.environment_id not in report.maps_updated
-                    and update.mean_residual_m > MAP_STALE_RESIDUAL_M):
-                evidence[update.environment_id] = update.base_version
-        stale_segments = {switch.segment_index
-                          for switch in result.mode_switches
-                          if switch.reason == "map_stale"}
-        if not stale_segments:
-            continue
-        for acquisition in result.map_acquisitions:
-            if (acquisition.segment_index in stale_segments
-                    and acquisition.environment_id not in report.maps_updated):
-                evidence[acquisition.environment_id] = acquisition.version
-    return evidence
-
-
-def capture_report_forensics(recorder: FlightRecorder, report: ServingReport,
-                             maps_by_stream: Dict[str, Dict[str, MapSnapshot]],
-                             slo: Optional[SLOTracker] = None,
-                             tracer: Optional[Tracer] = None):
-    """Capture one forensic bundle for a finished serve call, if warranted.
-
-    Shared by :class:`ServingEngine` and the sharded coordinator (the
-    recorder module cannot import the serving layer, so the evidence
-    assembly lives here).  Returns the bundle path, or None when no
-    deterministic trigger fired.
-
-    The ``payload`` section — what the bundle hash covers — holds only
-    virtual-domain evidence: trigger kinds, the failure census, the
-    offending sessions' identities (spec fingerprint + ``serving_key``,
-    replayable against the run store), map lifecycle state, SLO burn
-    rates, and (streaming only — pool decisions are wall-stamped) the
-    autoscaler decision tail.  Wall-clock extras land in ``telemetry``,
-    outside the hash, so two runs of the identical fleet produce
-    bit-identical bundle hashes.
-    """
-    triggers = recorder.triggers_for(report, slo=slo)
-    if not triggers:
-        return None
-    offending = sorted(stream_id for stream_id, signature
-                       in report.failure_signatures.items()
-                       if signature != SIG_OK)
-    if not offending:
-        # A miss burst below the per-session triage bar: the missed
-        # streams themselves are the evidence.
-        offending = sorted(report.deadline_misses_by_stream)
-    sessions = []
-    for stream_id in offending:
-        result = report.results.get(stream_id)
-        if result is None:
-            continue
-        spec = StreamSpec.from_payload(result.spec_payload)
-        versions = {environment_id: getattr(snapshot, "version", snapshot)
-                    for environment_id, snapshot
-                    in (maps_by_stream.get(stream_id) or {}).items()}
-        spec_fingerprint = hashlib.sha256(
-            json.dumps(spec.payload(), sort_keys=True).encode()).hexdigest()
-        sessions.append({
-            "stream_id": stream_id,
-            "signature": report.failure_signatures.get(stream_id, SIG_OK),
-            "serving_key": serving_key(spec, versions),
-            "spec_fingerprint": spec_fingerprint,
-            "session_signature": result.signature(),
-            "deadline_misses": report.deadline_misses_by_stream.get(stream_id, 0),
-        })
-    payload: Dict[str, object] = {
-        "triggers": triggers,
-        "ingestion": report.ingestion,
-        "deadline_misses": report.deadline_misses,
-        "failure_census": report.failure_census(),
-        "fleet_maps": dict(sorted(report.fleet_maps.items())),
-        "maps_published": report.maps_published,
-        "maps_updated": dict(sorted(report.maps_updated.items())),
-        "sessions": sessions,
-    }
-    if report.ingestion == "streaming":
-        # Streaming decisions ride the deterministic virtual clock; pool
-        # decisions are wall-stamped and would split the content address.
-        payload["autoscaler_decisions"] = [
-            asdict(decision)
-            for decision in report.scale_decisions[-DECISION_TAIL:]]
-    telemetry: Dict[str, object] = {
-        "wall_s": report.wall_s,
-        "workers": report.workers,
-    }
-    if slo is not None:
-        # Virtual-domain burn rates are deterministic and belong in the
-        # hashed evidence; a wall-domain tracker (the front door's) would
-        # split the content address, so its view rides telemetry.
-        view = {"burn_rates": slo.burn_rates(),
-                "fast_burn": sorted(slo.fast_burns())}
-        if slo.domain == "virtual":
-            payload["slo"] = view
-        else:
-            telemetry["slo"] = view
-    if tracer is not None:
-        telemetry["trace_tail"] = [
-            {"name": event.name, "category": event.category,
-             "phase": event.phase, "clock": event.clock,
-             "timestamp_us": event.timestamp_us,
-             "duration_us": event.duration_us, "track": event.track,
-             "args": event.args_dict()}
-            for event in list(tracer.events)[-TRACE_TAIL:]]
-    return recorder.record(triggers[0], payload, telemetry)
 
 
 # ------------------------------------------------- scheduler telemetry feed

@@ -230,8 +230,9 @@ class SessionResult:
         modes, switch events, map provenance — never recorded on the serving
         hot path.  Because a session result is a pure function of its spec
         (the bit-identity contract :meth:`signature` witnesses), the derived
-        span sequence is identical across the materialized, streaming and
-        pool ingestion paths, and on warm store hits.  ``clock_offset``
+        span sequence is identical however the session was served (straight
+        through, in the streaming loop, in a shard) and on warm store hits.
+        ``clock_offset``
         shifts the stream-relative timestamps onto the engine's continuous
         decision clock.
         """
@@ -299,9 +300,9 @@ class Session:
 
     Frames reach a session through two equivalent paths:
 
-    * **materialized** — :meth:`step` pulls the next frame straight from the
-      stream's incremental iterator and serves it (the worker-process path,
-      and the legacy serial loop);
+    * **straight through** — :meth:`step` pulls the next frame straight from
+      the stream's incremental iterator and serves it (:meth:`run`, the
+      reference :func:`~repro.serving.engine.run_session` path);
     * **streaming ingestion** — the engine's event loop calls
       :meth:`ingest_ready` to admit frames that have *arrived* on the
       virtual clock into a bounded ingress queue, then :meth:`serve_pending`
@@ -311,7 +312,8 @@ class Session:
 
     Both paths funnel every frame through the same :meth:`_serve` core, so
     they produce bit-identical :class:`SessionResult`s — the engine's
-    serial/parallel/streaming signature contract rests on this.
+    signature contract against :func:`~repro.serving.engine.run_session`
+    rests on this.
     """
 
     def __init__(self, spec: StreamSpec, config: Optional[LocalizerConfig] = None,
@@ -432,12 +434,6 @@ class Session:
             return False
         return self.next_arrival() is None
 
-    def next_timestamp(self) -> Optional[float]:
-        """Timestamp of the next ready frame (None when the stream ended)."""
-        if self._ingress:
-            return self._ingress[0].frame.timestamp
-        return self.next_arrival()
-
     def step(self) -> bool:
         """Serve one frame; returns False once the stream is exhausted."""
         if self._ingress:
@@ -452,7 +448,7 @@ class Session:
         return True
 
     def run(self) -> SessionResult:
-        """Serve the whole stream to completion (the worker-process path)."""
+        """Serve the whole stream to completion, frame by frame."""
         while self.step():
             pass
         return self.result()

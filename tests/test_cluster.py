@@ -7,10 +7,10 @@ The load-bearing contracts, in order of importance:
   and an N-shard cluster serves every session to the plain engine's exact
   :meth:`SessionResult.signature` — sharding is an execution topology, not
   a result change.
-* **Store-mediated coordination.**  Shards publish through their own map
-  store handles; the coordinator applies the wave's MapUpdate deltas in
-  one fold; the refreshed canonical maps are what every shard resolves
-  next wave.
+* **Store-mediated coordination.**  The coordinator publishes the whole
+  wave's snapshots and applies its MapUpdate deltas in one fold, exactly
+  as the plain engine does; the refreshed canonical maps are what every
+  shard is pinned to next wave, whatever the shard count.
 * **Single-box assumption sweep.**  Cross-shard duplicate rejection before
   any shard serves; per-target-shard saturation for admission (not
   any-shard); churn telemetry counted once, not once per shard handle.
@@ -35,7 +35,7 @@ from repro.cluster import (
 from repro.experiments.runner import RunStore
 from repro.maps import MapStore
 from repro.scheduler import LatencyAutoscaler
-from repro.serving import ServingEngine, multi_environment_fleet
+from repro.serving import ServingEngine, cold_start_fleet, multi_environment_fleet
 
 
 def small_fleet(count=5, prefix="session", base_seed=0):
@@ -181,7 +181,7 @@ def identity_reports(tmp_path_factory):
         store=RunStore(tmp / "runs-plain", -1, -1),
         map_store=MapStore(tmp / "maps-plain", -1, -1),
         autoscaler=make_scaler())
-    reports["plain"] = plain.serve(fleet, parallel=False, ingestion="streaming")
+    reports["plain"] = plain.serve(fleet)
     for shards in (1, 2):
         engine = ShardedServingEngine(
             shards,
@@ -228,8 +228,10 @@ class TestShardedBitIdentity:
         loaded = [rep for rep in report.shard_reports if rep is not None]
         assert sum(rep.session_count for rep in loaded) == 5
         assert report.ticks == sum(rep.ticks for rep in loaded)
-        assert report.maps_published == sum(rep.maps_published
-                                            for rep in loaded)
+        # The coordinator publishes for the whole wave, like the plain
+        # engine; shards have no map store of their own.
+        assert report.maps_published == identity_reports["plain"].maps_published
+        assert all(rep.maps_published == 0 for rep in loaded)
 
     def test_merged_as_dict_extends_the_plain_shape(self, identity_reports):
         plain_keys = set(identity_reports["plain"].as_dict())
@@ -309,6 +311,48 @@ class TestShardedServing:
         assert len(second.fleet_maps) == 2
         for environment_id, version in first.maps_updated.items():
             assert second.fleet_maps[environment_id] == version
+
+    def test_replays_meeting_a_wiped_map_store_publish_like_the_plain_engine(
+            self, tmp_path):
+        """Replayed sessions re-seed only an environment with no history,
+        and every computed snapshot of the wave lands first — for the
+        whole wave, not per shard.  A shard that replays must not re-seed
+        an empty environment before a sibling shard's computed sessions
+        publish there, or the store state (and the next wave's canonical
+        map) would depend on the shard count."""
+        fleet = cold_start_fleet(6, environment="reseed-yard", base_seed=300,
+                                 segment_duration=1.0, camera_rate_hz=5.0,
+                                 prefix="s")
+        probe = cold_start_fleet(2, environment="reseed-yard", base_seed=900,
+                                 segment_duration=1.0, camera_rate_hz=5.0,
+                                 prefix="probe")
+        ring = HashRing(2)
+        shard_zero = [spec for spec in fleet if ring.shard_for(spec.stream_id) == 0]
+        assert 0 < len(shard_zero) < len(fleet)
+
+        def plain(runs, maps):
+            return ServingEngine(store=runs, map_store=maps,
+                                 min_map_quality=0.05)
+
+        def cluster(runs, maps):
+            return ShardedServingEngine(2, run_store=runs, map_store=maps,
+                                        min_map_quality=0.05,
+                                        shard_parallel=False)
+
+        outcomes = {}
+        for label, make in (("plain", plain), ("cluster", cluster)):
+            runs = RunStore(tmp_path / label / "runs", -1, -1)
+            make(runs, MapStore(tmp_path / label / "maps-first", -1, -1)).serve(
+                shard_zero)
+            # The map store is wiped while the run store stays warm: the
+            # shard-0 streams replay, the others are computed.
+            engine = make(runs, MapStore(tmp_path / label / "maps-wiped", -1, -1))
+            wave = engine.serve(fleet)
+            assert wave.store_hits == len(shard_zero)
+            outcomes[label] = (wave.maps_published, engine.serve(probe))
+        assert outcomes["cluster"][0] == outcomes["plain"][0]
+        assert outcomes["cluster"][1].fleet_maps == outcomes["plain"][1].fleet_maps
+        assert outcomes["cluster"][1].signature() == outcomes["plain"][1].signature()
 
     def test_process_parallel_shards_match_sequential(self, tmp_path):
         fleet = small_fleet(4)
@@ -479,6 +523,14 @@ class TestClusterAdmissionSurface:
         assert topology["shards"] == 2
         assert sum(topology["slots_per_shard"].values()) == \
             topology["slot_count"]
+
+    def test_legacy_max_workers_per_shard_warns_and_changes_nothing(self):
+        """The per-shard pool it sized is gone: scaler-less shards report 1."""
+        with pytest.warns(DeprecationWarning, match="max_workers_per_shard"):
+            legacy = ShardedServingEngine(2, max_workers_per_shard=4,
+                                          shard_parallel=False)
+        assert [row["workers"] for row in legacy.shard_health()] == [1, 1]
+        assert legacy.pinned_capacity is None
 
 
 # ------------------------------------------------------------ metrics plane

@@ -225,33 +225,29 @@ class TestBoundedStaleness:
         store = _store(tmp_path)
         cold = [_env_spec("cold-0", "depot", seed=0),
                 _env_spec("cold-1", "depot", seed=1000)]
-        seed_engine = ServingEngine(store=None, max_workers=1, map_store=store,
+        seed_engine = ServingEngine(store=None, map_store=store,
                                     min_map_quality=EASY_GATE)
-        seed_engine.serve(cold, parallel=False, ingestion="streaming")
-        bounded = ServingEngine(store=None, max_workers=1,
+        seed_engine.serve(cold)
+        bounded = ServingEngine(store=None,
                                 map_store=_store(tmp_path),
                                 min_map_quality=EASY_GATE, map_updates=False,
                                 map_staleness_bound=1)
-        warm = bounded.serve([_env_spec("w0", "depot", seed=7000)],
-                             parallel=False, ingestion="streaming")
+        warm = bounded.serve([_env_spec("w0", "depot", seed=7000)])
         pinned = next(iter(warm.fleet_maps.values()))
         assert warm.map_cache_misses == 1 and warm.map_staleness_served == 0
         # A foreign wave (another engine) republishes: head moves.
-        seed_engine.serve([_env_spec("f0", "depot", seed=8000)],
-                          parallel=False, ingestion="streaming")
-        stale = bounded.serve([_env_spec("w1", "depot", seed=9000)],
-                              parallel=False, ingestion="streaming")
+        seed_engine.serve([_env_spec("f0", "depot", seed=8000)])
+        stale = bounded.serve([_env_spec("w1", "depot", seed=9000)])
         # Within the bound the engine serves the version it already has —
         # reported as a stale serve, not hidden in the hit count.
         assert next(iter(stale.fleet_maps.values())) == pinned
         assert stale.map_staleness_served == 1
         assert stale.map_cache_hit_rate == 1.0
         # Strict engines on the same root see the new head immediately.
-        strict = ServingEngine(store=None, max_workers=1,
+        strict = ServingEngine(store=None,
                                map_store=_store(tmp_path),
                                min_map_quality=EASY_GATE, map_updates=False)
-        head = strict.serve([_env_spec("w2", "depot", seed=9500)],
-                            parallel=False, ingestion="streaming")
+        head = strict.serve([_env_spec("w2", "depot", seed=9500)])
         assert next(iter(head.fleet_maps.values())) != pinned
 
 
@@ -307,9 +303,9 @@ class TestClusterDeltaSync:
         store = _store(tmp_path)
         cold = [_env_spec(f"cold-{i}", "depot", seed=seed)
                 for i, seed in enumerate((0, 1000))]
-        ServingEngine(store=None, max_workers=1, map_store=store,
+        ServingEngine(store=None, map_store=store,
                       min_map_quality=EASY_GATE).serve(
-            cold, parallel=False, ingestion="streaming")
+            cold)
         return store
 
     def test_process_wave_ships_references_not_snapshots(self, tmp_path):
@@ -362,11 +358,11 @@ class TestUpdateAwareDriftGate:
         import repro.serving.session as session_module
         original_publish_gate = session_module.MIN_PUBLISH_LANDMARKS
         store = _store(tmp_path)
-        engine = ServingEngine(store=None, max_workers=1, map_store=store,
+        engine = ServingEngine(store=None, map_store=store,
                                min_map_quality=EASY_GATE)
         engine.serve(drifting_environment_fleet(
             2, segment_duration=SEGMENT, camera_rate_hz=RATE,
-            environment="yard"), parallel=False, ingestion="streaming")
+            environment="yard"))
         # Now suppress BOTH repair channels: the drifted wave demotes
         # (map_stale) but produces no update and republishes nothing —
         # exactly the regime where re-serving the same canonical would
@@ -377,8 +373,7 @@ class TestUpdateAwareDriftGate:
                             10 ** 9)
         stale = engine.serve(
             drifting_environment_fleet(2, base_seed=20000, prefix="stale",
-                                       **self._drift_kwargs()),
-            parallel=False, ingestion="streaming")
+                                       **self._drift_kwargs()))
         reasons = {switch.reason for result in stale.results.values()
                    for switch in result.mode_switches}
         assert "map_stale" in reasons
@@ -389,8 +384,7 @@ class TestUpdateAwareDriftGate:
         # acquisition, no mid-segment demotion — the gate closed first.
         gated = engine.serve(
             drifting_environment_fleet(2, base_seed=30000, prefix="gated",
-                                       **self._drift_kwargs()),
-            parallel=False, ingestion="streaming")
+                                       **self._drift_kwargs()))
         assert gated.fleet_maps == {}
         assert gated.map_acquisition_count == 0
         gated_reasons = {switch.reason for result in gated.results.values()
@@ -402,15 +396,13 @@ class TestUpdateAwareDriftGate:
                             original_publish_gate)
         repair = engine.serve(
             drifting_environment_fleet(2, base_seed=40000, prefix="repair",
-                                       **self._drift_kwargs()),
-            parallel=False, ingestion="streaming")
+                                       **self._drift_kwargs()))
         assert repair.fleet_maps == {} and repair.maps_published > 0
         # ...which lifts the gate: the next wave resolves and serves the
         # repaired version, not the condemned one.
         recovered = engine.serve(
             drifting_environment_fleet(2, base_seed=50000, prefix="recov",
-                                       **self._drift_kwargs()),
-            parallel=False, ingestion="streaming")
+                                       **self._drift_kwargs()))
         assert recovered.fleet_maps
         for environment_id, version in recovered.fleet_maps.items():
             assert condemned.get(environment_id) != version
@@ -422,15 +414,14 @@ class TestUpdateAwareDriftGate:
         monkeypatch.setattr("repro.serving.session.MIN_UPDATE_LANDMARKS",
                             10 ** 9)
         store = _store(tmp_path)
-        engine = ServingEngine(store=None, max_workers=1, map_store=store,
+        engine = ServingEngine(store=None, map_store=store,
                                min_map_quality=EASY_GATE, map_updates=False)
         engine.serve(drifting_environment_fleet(
             2, segment_duration=SEGMENT, camera_rate_hz=RATE,
-            environment="yard"), parallel=False, ingestion="streaming")
+            environment="yard"))
         stale = engine.serve(
             drifting_environment_fleet(2, base_seed=20000, prefix="stale",
-                                       **self._drift_kwargs()),
-            parallel=False, ingestion="streaming")
+                                       **self._drift_kwargs()))
         reasons = {switch.reason for result in stale.results.values()
                    for switch in result.mode_switches}
         assert "map_stale" in reasons

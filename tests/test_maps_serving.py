@@ -9,7 +9,7 @@ The contracts pinned here:
 * a later wave acquires the merged fleet map: acquisitions are logged,
   registration displaces SLAM in the mode log, and the ``map_acquired``
   switch reason marks the online map-entry event;
-* materialized, streaming and pool execution stay bit-identical with map
+* served sessions stay bit-identical to :func:`run_session` with map
   acquisition enabled (resolution happens once, up front);
 * the resolved map version is folded into the serving cache key, so warm
   and cold serves of one spec occupy different run-store entries;
@@ -36,6 +36,7 @@ from repro.serving import (
     expected_segment_mode,
     mixed_fleet,
     multi_environment_fleet,
+    run_session,
     segment_environment_id,
     serving_key,
 )
@@ -64,9 +65,9 @@ def _warm_store(tmp_path, environment="shared-env", seeds=(0, 1000)):
     store = MapStore(tmp_path / "maps", max_bytes=-1, max_age_s=-1)
     cold = [_env_spec(f"cold-{i}", environment, seed=seed)
             for i, seed in enumerate(seeds)]
-    ServingEngine(store=None, max_workers=1, map_store=store,
+    ServingEngine(store=None, map_store=store,
                   min_map_quality=EASY_GATE).serve(
-        cold, parallel=False, ingestion="streaming")
+        cold)
     return store
 
 
@@ -135,8 +136,8 @@ class TestMapLifecycle:
             StreamSegment(ScenarioKind.OUTDOOR_UNKNOWN, SEGMENT),
             StreamSegment(ScenarioKind.INDOOR_UNKNOWN, SEGMENT, environment="atrium"),
         ), camera_rate_hz=RATE, landmark_count=120, seed=0)
-        report = ServingEngine(store=None, max_workers=1, map_store=store).serve(
-            [spec], parallel=False, ingestion="streaming")
+        report = ServingEngine(store=None, map_store=store).serve(
+            [spec])
         result = report.results["cold"]
         # Segment 0 publishes at its exit, segment 2 at stream end; the
         # unshared outdoor segment publishes nothing.
@@ -151,8 +152,8 @@ class TestMapLifecycle:
             assert snapshot.frame_count > 0
         # Serving the same session again republishes identical content:
         # store recency refreshes, but nothing new is counted as published.
-        again = ServingEngine(store=None, max_workers=1, map_store=store).serve(
-            [spec], parallel=False, ingestion="streaming")
+        again = ServingEngine(store=None, map_store=store).serve(
+            [spec])
         assert again.maps_published == 0
         assert len(store.snapshots(environment_id)) == 2
 
@@ -177,9 +178,9 @@ class TestMapLifecycle:
     def test_registration_sessions_do_not_republish(self, tmp_path):
         store = _warm_store(tmp_path)
         warm = [_env_spec("warm", "shared-env", seed=7777)]
-        report = ServingEngine(store=None, max_workers=1, map_store=store,
+        report = ServingEngine(store=None, map_store=store,
                                min_map_quality=EASY_GATE).serve(
-            warm, parallel=False, ingestion="streaming")
+            warm)
         result = report.results["warm"]
         assert result.map_acquisitions
         assert not result.published_maps
@@ -195,9 +196,9 @@ class TestMapLifecycle:
         # environment id, so their cache keys are independent of map-store
         # evolution they could never observe.
         assert spec.environment_ids == {}
-        report = ServingEngine(store=None, max_workers=1, map_store=store,
+        report = ServingEngine(store=None, map_store=store,
                                min_map_quality=EASY_GATE).serve(
-            [spec], parallel=False, ingestion="streaming")
+            [spec])
         assert not report.results["kn"].map_acquisitions
         assert report.fleet_maps == {}
 
@@ -207,9 +208,9 @@ class TestMapLifecycle:
         # unlocks registration at the shared segment — the online map-entry.
         warm = [_env_spec("warm", "shared-env", seed=4242,
                           lead_kind=ScenarioKind.INDOOR_UNKNOWN)]
-        report = ServingEngine(store=None, max_workers=1, map_store=store,
+        report = ServingEngine(store=None, map_store=store,
                                min_map_quality=EASY_GATE).serve(
-            warm, parallel=False, ingestion="streaming")
+            warm)
         result = report.results["warm"]
         acquisition = result.map_acquisitions[0]
         assert acquisition.segment_index == 1
@@ -226,9 +227,9 @@ class TestMapLifecycle:
     def test_quality_gate_blocks_acquisition(self, tmp_path):
         store = _warm_store(tmp_path)
         warm = [_env_spec("warm", "shared-env", seed=4242)]
-        report = ServingEngine(store=None, max_workers=1, map_store=store,
+        report = ServingEngine(store=None, map_store=store,
                                min_map_quality=0.999).serve(
-            warm, parallel=False, ingestion="streaming")
+            warm)
         result = report.results["warm"]
         assert not result.map_acquisitions
         assert report.fleet_maps == {}
@@ -247,26 +248,26 @@ class TestMapLifecycle:
         gate = good.quality * 0.8
         assert stale_store.resolve(environment_id, min_quality=gate) is None
         warm = [_env_spec("warm", "shared-env", seed=4242)]
-        report = ServingEngine(store=None, max_workers=1, map_store=stale_store,
+        report = ServingEngine(store=None, map_store=stale_store,
                                min_map_quality=gate).serve(
-            warm, parallel=False, ingestion="streaming")
+            warm)
         assert not report.results["warm"].map_acquisitions
         assert {e.mode for e in report.results["warm"].trajectory.estimates} == {"slam"}
 
     def test_multi_environment_tour_acquires_everywhere(self, tmp_path):
         store = MapStore(tmp_path, max_bytes=-1, max_age_s=-1)
-        engine = ServingEngine(store=None, max_workers=1, map_store=store,
+        engine = ServingEngine(store=None, map_store=store,
                                min_map_quality=EASY_GATE)
         cold = multi_environment_fleet(2, environments=("atrium", "depot"),
                                        segment_duration=SEGMENT,
                                        camera_rate_hz=RATE, landmark_count=120)
-        engine.serve(cold, parallel=False, ingestion="streaming")
+        engine.serve(cold)
         assert len(store.environments()) == 2
         warm = multi_environment_fleet(1, environments=("atrium", "depot"),
                                        base_seed=5000, prefix="wave2",
                                        segment_duration=SEGMENT,
                                        camera_rate_hz=RATE, landmark_count=120)
-        report = engine.serve(warm, parallel=False, ingestion="streaming")
+        report = engine.serve(warm)
         result = report.results["wave2-000"]
         assert len(result.map_acquisitions) == 2
         assert len({a.environment_id for a in result.map_acquisitions}) == 2
@@ -291,9 +292,9 @@ class TestMapUpdateLifecycle:
         environment_id = _env_spec("x", "shared-env").environment_ids[0]
         before = store.resolve(environment_id, min_quality=0.0).version
         warm = [_env_spec("warm", "shared-env", seed=7777)]
-        report = ServingEngine(store=None, max_workers=1, map_store=store,
+        report = ServingEngine(store=None, map_store=store,
                                min_map_quality=EASY_GATE).serve(
-            warm, parallel=False, ingestion="streaming")
+            warm)
         result = report.results["warm"]
         # The session registered against the map and handed back a delta...
         assert result.map_acquisitions and result.map_updates
@@ -315,14 +316,12 @@ class TestMapUpdateLifecycle:
         pre-update canonical (resolution is pre-dispatch); the next call
         acquires the refreshed version."""
         store = _warm_store(tmp_path)
-        engine = ServingEngine(store=None, max_workers=1, map_store=store,
+        engine = ServingEngine(store=None, map_store=store,
                                min_map_quality=EASY_GATE)
-        first = engine.serve([_env_spec("w1", "shared-env", seed=7777)],
-                             parallel=False, ingestion="streaming")
+        first = engine.serve([_env_spec("w1", "shared-env", seed=7777)])
         environment_id = next(iter(first.fleet_maps))
         assert first.fleet_maps[environment_id] != first.maps_updated[environment_id]
-        second = engine.serve([_env_spec("w2", "shared-env", seed=8888)],
-                              parallel=False, ingestion="streaming")
+        second = engine.serve([_env_spec("w2", "shared-env", seed=8888)])
         assert (second.fleet_maps[environment_id]
                 == first.maps_updated[environment_id])
         assert (second.results["w2"].map_acquisitions[0].version
@@ -332,10 +331,9 @@ class TestMapUpdateLifecycle:
         store = _warm_store(tmp_path)
         environment_id = _env_spec("x", "shared-env").environment_ids[0]
         history = [s.version for s in store.snapshots(environment_id)]
-        report = ServingEngine(store=None, max_workers=1, map_store=store,
+        report = ServingEngine(store=None, map_store=store,
                                min_map_quality=EASY_GATE, map_updates=False).serve(
-            [_env_spec("warm", "shared-env", seed=7777)],
-            parallel=False, ingestion="streaming")
+            [_env_spec("warm", "shared-env", seed=7777)])
         # Sessions still *produce* deltas (pure data in the result)...
         assert report.map_update_count == 1
         # ...but nothing is applied: the PR-4 publish-only behavior.
@@ -351,21 +349,20 @@ class TestMapUpdateLifecycle:
         map_store = MapStore(tmp_path / "maps", max_bytes=-1, max_age_s=-1)
         # The replaying engine never resolves a map (impossible gate), so
         # the cold wave's serving key stays stable across the compaction.
-        replaying = ServingEngine(store=run_store, max_workers=1,
+        replaying = ServingEngine(store=run_store,
                                   map_store=map_store, min_map_quality=0.999)
         cold = [_env_spec("cold", "shared-env", seed=0)]
-        first = replaying.serve(cold, parallel=False, ingestion="streaming")
+        first = replaying.serve(cold)
         assert first.maps_published > 0
         environment_id = _env_spec("x", "shared-env").environment_ids[0]
         # A warm wave through a serving engine updates + compacts the env.
-        ServingEngine(store=None, max_workers=1, map_store=map_store,
+        ServingEngine(store=None, map_store=map_store,
                       min_map_quality=EASY_GATE).serve(
-            [_env_spec("warm", "shared-env", seed=7777)],
-            parallel=False, ingestion="streaming")
+            [_env_spec("warm", "shared-env", seed=7777)])
         compacted = [s.version for s in map_store.snapshots(environment_id)]
         assert len(compacted) == 1  # history folded into the updated version
         # Replaying the cold wave must leave the compacted history alone.
-        again = replaying.serve(cold, parallel=False, ingestion="streaming")
+        again = replaying.serve(cold)
         assert again.store_hits == 1
         assert again.maps_published == 0
         assert ([s.version for s in map_store.snapshots(environment_id)]
@@ -378,65 +375,47 @@ class TestMapUpdateLifecycle:
         keeps hitting."""
         run_store = RunStore(tmp_path / "runs", max_bytes=-1, max_age_s=-1)
         map_store = MapStore(tmp_path / "maps", max_bytes=-1, max_age_s=-1)
-        engine = ServingEngine(store=run_store, max_workers=1,
+        engine = ServingEngine(store=run_store,
                                map_store=map_store, min_map_quality=0.999)
         cold = [_env_spec("cold", "shared-env", seed=0)]
-        first = engine.serve(cold, parallel=False, ingestion="streaming")
+        first = engine.serve(cold)
         assert first.maps_published > 0
         environment_id = _env_spec("x", "shared-env").environment_ids[0]
         versions = {s.version for s in map_store.snapshots(environment_id)}
         for key in list(map_store._snapshot_keys(environment_id)):
             map_store.path_for(key).unlink()  # the eviction
-        again = engine.serve(cold, parallel=False, ingestion="streaming")
+        again = engine.serve(cold)
         assert again.store_hits == 1
         assert again.maps_published == first.maps_published
         assert {s.version
                 for s in map_store.snapshots(environment_id)} == versions
 
-    def test_three_wave_lifecycle_bit_identical_across_paths(self, tmp_path):
+    def test_three_wave_lifecycle_bit_identical_to_run_session(self, tmp_path):
         """publish -> resolve -> update -> re-resolve over three serve
-        calls: every execution path replays the identical store evolution
-        and produces bit-identical results wave for wave."""
-        def lifecycle(label, serve):
-            store = MapStore(tmp_path / label, max_bytes=-1, max_age_s=-1)
-            waves = []
-            for wave_index, base_seed in enumerate((0, 5000, 11000)):
-                fleet = [_env_spec(f"v{wave_index}-{i}", "shared-env",
-                                   seed=base_seed + 1000 * i) for i in range(2)]
-                waves.append(serve(store, fleet))
-            return waves
-
-        def serial(ingestion):
-            def serve(store, fleet):
-                return ServingEngine(store=None, max_workers=1, map_store=store,
-                                     min_map_quality=EASY_GATE).serve(
-                    fleet, parallel=False, ingestion=ingestion)
-            return serve
-
-        def pooled(store, fleet):
-            return ServingEngine(store=None, max_workers=2, map_store=store,
-                                 min_map_quality=EASY_GATE).serve(
-                fleet, parallel=True)
-
-        materialized = lifecycle("materialized", serial("materialized"))
-        streaming = lifecycle("streaming", serial("streaming"))
-        pool = lifecycle("pool", pooled)
-        assert any(report.parallel for report in pool), (
-            "no pool spawned — the comparison would be vacuous")
+        calls: every wave's sessions are bit-identical to the same specs run
+        straight through against the canonical map the store held before
+        that wave."""
+        store = MapStore(tmp_path / "maps", max_bytes=-1, max_age_s=-1)
+        engine = ServingEngine(store=None, map_store=store,
+                               min_map_quality=EASY_GATE)
+        waves = []
+        for wave_index, base_seed in enumerate((0, 5000, 11000)):
+            fleet = [_env_spec(f"v{wave_index}-{i}", "shared-env",
+                               seed=base_seed + 1000 * i) for i in range(2)]
+            environment_id = fleet[0].environment_ids[0]
+            canonical = store.resolve(environment_id, min_quality=EASY_GATE)
+            maps = {environment_id: canonical} if canonical is not None else None
+            report = engine.serve(fleet)
+            for spec in fleet:
+                assert (report.results[spec.stream_id].signature()
+                        == run_session(spec, maps=maps).signature())
+            waves.append(report)
         # Wave 1 published, wave 2 acquired + updated, wave 3 acquired the
         # refreshed canonical: the lifecycle actually closed.
-        assert materialized[0].maps_published > 0
-        assert materialized[1].map_update_count > 0 and materialized[1].maps_updated
-        assert (list(materialized[2].fleet_maps.values())
-                == list(materialized[1].maps_updated.values()))
-        for wave_index in range(3):
-            expected = materialized[wave_index]
-            for other in (streaming[wave_index], pool[wave_index]):
-                assert other.fleet_maps == expected.fleet_maps
-                assert other.maps_updated == expected.maps_updated
-                for stream_id, result in expected.results.items():
-                    assert (other.results[stream_id].signature()
-                            == result.signature())
+        assert waves[0].maps_published > 0 and not waves[0].fleet_maps
+        assert waves[1].map_update_count > 0 and waves[1].maps_updated
+        assert (list(waves[2].fleet_maps.values())
+                == list(waves[1].maps_updated.values()))
 
 
 class TestDriftingWorlds:
@@ -494,19 +473,18 @@ class TestDriftingWorlds:
 
     def test_stale_map_demoted_then_recovered_through_updates(self, tmp_path):
         store = MapStore(tmp_path, max_bytes=-1, max_age_s=-1)
-        engine = ServingEngine(store=None, max_workers=1, map_store=store,
+        engine = ServingEngine(store=None, map_store=store,
                                min_map_quality=EASY_GATE)
         cold = drifting_environment_fleet(2, environment="yard",
                                           segment_duration=SEGMENT,
                                           camera_rate_hz=RATE)
-        assert engine.serve(cold, parallel=False,
-                            ingestion="streaming").maps_published > 0
+        assert engine.serve(cold).maps_published > 0
         drift_kwargs = dict(environment="yard", segment_duration=SEGMENT,
                             camera_rate_hz=RATE, drift_m=2.0,
                             drift_fraction=0.4, drift_seed=7)
         stale_wave = drifting_environment_fleet(2, base_seed=20000,
                                                 prefix="stale", **drift_kwargs)
-        stale = engine.serve(stale_wave, parallel=False, ingestion="streaming")
+        stale = engine.serve(stale_wave)
         # The drifted world reads as inflated residuals: sessions demote the
         # stale map mid-segment and fall back to SLAM...
         assert "map_stale" in _switch_reasons(stale)
@@ -518,8 +496,7 @@ class TestDriftingWorlds:
         # the repaired canonical: no demotion, no SLAM.
         recovered_wave = drifting_environment_fleet(2, base_seed=30000,
                                                     prefix="recov", **drift_kwargs)
-        recovered = engine.serve(recovered_wave, parallel=False,
-                                 ingestion="streaming")
+        recovered = engine.serve(recovered_wave)
         assert "map_stale" not in _switch_reasons(recovered)
         assert _modes(recovered).get("slam", 0) == 0
         assert recovered.map_acquisition_count == len(recovered_wave) * 2
@@ -568,11 +545,11 @@ class TestMapAwareSizing:
         store = MapStore(tmp_path, max_bytes=-1, max_age_s=-1)
 
         def serve(fleet):
-            engine = ServingEngine(store=None, max_workers=1, map_store=store,
+            engine = ServingEngine(store=None, map_store=store,
                                    min_map_quality=EASY_GATE,
                                    autoscaler=autoscaler(),
                                    frames_per_worker_tick=2)
-            return engine.serve(fleet, parallel=False, ingestion="streaming")
+            return engine.serve(fleet)
 
         cold = serve(cold_start_fleet(4, environment="size-env",
                                       segment_duration=SEGMENT,
@@ -596,7 +573,7 @@ class TestMapAwareSizing:
         store = MapStore(tmp_path, max_bytes=-1, max_age_s=-1)
 
         def engine():
-            return ServingEngine(store=None, max_workers=1, map_store=store,
+            return ServingEngine(store=None, map_store=store,
                                  autoscaler=LatencyAutoscaler(min_workers=1,
                                                               max_workers=16),
                                  frames_per_worker_tick=1)
@@ -619,13 +596,12 @@ class TestMapAwareSizing:
     def test_sizing_disabled_without_map_store(self):
         """No map store => no mode-mix knowledge => no prime decision (the
         PR-3 autoscaling behavior, golden-pinned elsewhere)."""
-        engine = ServingEngine(store=None, max_workers=1,
+        engine = ServingEngine(store=None,
                                autoscaler=LatencyAutoscaler(min_workers=1,
                                                             max_workers=4))
         assert not engine.map_aware_sizing
         report = engine.serve(
-            [_env_spec("plain", "anywhere", seed=1)],
-            parallel=False, ingestion="streaming")
+            [_env_spec("plain", "anywhere", seed=1)])
         assert all(d.action != "prime" for d in report.scale_decisions)
 
 
@@ -639,40 +615,36 @@ class TestMapDeterminism:
                 for i in range(3)]
         return store, warm
 
-    def _engine(self, store, max_workers=1):
+    def _engine(self, store):
         # map_updates=False freezes the store across the repeated serves of
         # this class: these tests pin the acquisition contract against ONE
         # canonical map state.  The closed update lifecycle (where each
         # serve refreshes the canonical) has its own determinism suite in
         # TestMapUpdateLifecycle, with a fresh store per execution path.
-        return ServingEngine(store=None, max_workers=max_workers, map_store=store,
+        return ServingEngine(store=None, map_store=store,
                              min_map_quality=EASY_GATE, map_updates=False)
 
-    def test_all_paths_identical_with_acquisition(self, warm_setup):
+    def test_streaming_identical_to_run_session_with_acquisition(self, warm_setup):
         store, warm = warm_setup
-        materialized = self._engine(store).serve(warm, parallel=False,
-                                                 ingestion="materialized")
-        streaming = self._engine(store).serve(warm, parallel=False,
-                                              ingestion="streaming")
-        pooled = self._engine(store, max_workers=2).serve(warm, parallel=True)
-        assert pooled.parallel, "no pool spawned — the comparison would be vacuous"
-        for report in (materialized, streaming, pooled):
-            assert report.map_acquisition_count == len(warm)
-        for stream_id, expected in materialized.results.items():
-            assert streaming.results[stream_id].signature() == expected.signature()
-            assert pooled.results[stream_id].signature() == expected.signature()
-            pooled_acquisitions = pooled.results[stream_id].map_acquisitions
+        streaming = self._engine(store).serve(warm)
+        assert streaming.map_acquisition_count == len(warm)
+        environment_id = warm[0].environment_ids[1]
+        maps = {environment_id: store.resolve(environment_id,
+                                              min_quality=EASY_GATE)}
+        for spec in warm:
+            expected = run_session(spec, maps=maps)
+            served = streaming.results[spec.stream_id]
+            assert served.signature() == expected.signature()
             assert ([(a.environment_id, a.version, a.frame_index)
                      for a in expected.map_acquisitions]
                     == [(a.environment_id, a.version, a.frame_index)
-                        for a in pooled_acquisitions])
+                        for a in served.map_acquisitions])
 
     def test_acquisition_changes_signature(self, warm_setup):
         store, warm = warm_setup
-        with_map = self._engine(store).serve(warm, parallel=False,
-                                             ingestion="streaming")
-        mapless = ServingEngine(store=None, max_workers=1).serve(
-            warm, parallel=False, ingestion="streaming")
+        with_map = self._engine(store).serve(warm)
+        mapless = ServingEngine(store=None).serve(
+            warm)
         for stream_id in with_map.results:
             assert (with_map.results[stream_id].signature()
                     != mapless.results[stream_id].signature())
@@ -692,20 +664,20 @@ class TestMapDeterminism:
         store, warm = warm_setup
         run_store = RunStore(tmp_path / "runs", max_bytes=-1, max_age_s=-1)
         spec = warm[0]
-        cold_engine = ServingEngine(store=run_store, max_workers=1)
-        cold_report = cold_engine.serve([spec], parallel=False, ingestion="streaming")
+        cold_engine = ServingEngine(store=run_store)
+        cold_report = cold_engine.serve([spec])
         assert cold_report.computed_sessions == 1
-        warm_engine = ServingEngine(store=run_store, max_workers=1, map_store=store,
+        warm_engine = ServingEngine(store=run_store, map_store=store,
                                     min_map_quality=EASY_GATE, map_updates=False)
-        first = warm_engine.serve([spec], parallel=False, ingestion="streaming")
+        first = warm_engine.serve([spec])
         assert first.store_hits == 0 and first.computed_sessions == 1
-        second = warm_engine.serve([spec], parallel=False, ingestion="streaming")
+        second = warm_engine.serve([spec])
         assert second.store_hits == 1 and second.computed_sessions == 0
         assert (second.results[spec.stream_id].signature()
                 == first.results[spec.stream_id].signature())
         # The cached warm result still carries its acquisition provenance.
         assert second.results[spec.stream_id].map_acquisitions
         # And the cold entry is untouched: serving mapless hits it again.
-        again_cold = cold_engine.serve([spec], parallel=False, ingestion="streaming")
+        again_cold = cold_engine.serve([spec])
         assert again_cold.store_hits == 1
         assert not again_cold.results[spec.stream_id].map_acquisitions

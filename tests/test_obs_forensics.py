@@ -254,7 +254,7 @@ class TestFlightRecorder:
 
 def _starved_engine(slo, recorder):
     return ServingEngine(
-        store=None, max_workers=1,
+        store=None,
         autoscaler=LatencyAutoscaler(min_workers=1, max_workers=1),
         frames_per_worker_tick=1, slo=slo, recorder=recorder)
 
@@ -268,7 +268,7 @@ class TestForensicAcceptance:
             fleet = cold_start_fleet(4, deadline_ms=200.0)
             recorder = FlightRecorder(root=tmp_path / run)
             report = _starved_engine(SLOTracker(), recorder).serve(
-                fleet, parallel=False, ingestion="streaming")
+                fleet)
             assert report.deadline_misses > 0
             paths = recorder.bundle_paths()
             assert paths, "starved fleet captured no bundle"
@@ -282,7 +282,7 @@ class TestForensicAcceptance:
         fleet = cold_start_fleet(4, deadline_ms=200.0)
         recorder = FlightRecorder(root=tmp_path)
         _starved_engine(SLOTracker(), recorder).serve(
-            fleet, parallel=False, ingestion="streaming")
+            fleet)
         bundle = load_bundle(recorder.bundle_paths()[-1])
         sessions = bundle["payload"]["sessions"]
         assert sessions
@@ -295,15 +295,15 @@ class TestForensicAcceptance:
         """Signatures with SLO + recorder + tracer + metrics all bound are
         byte-identical to the plain engine's (the golden contract)."""
         fleet = mixed_fleet(4, segment_duration=1.0, camera_rate_hz=RATE)
-        plain = ServingEngine(store=None, max_workers=1).serve(
-            fleet, parallel=False, ingestion="streaming")
+        plain = ServingEngine(store=None).serve(
+            fleet)
         import tempfile
         with tempfile.TemporaryDirectory() as root:
             instrumented = ServingEngine(
-                store=None, max_workers=1, tracer=Tracer(),
+                store=None, tracer=Tracer(),
                 metrics=MetricsRegistry(), slo=SLOTracker(),
                 recorder=FlightRecorder(root=root)).serve(
-                fleet, parallel=False, ingestion="streaming")
+                fleet)
         assert instrumented.signature() == plain.signature()
         for stream_id, result in plain.results.items():
             assert (instrumented.results[stream_id].signature()

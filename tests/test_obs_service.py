@@ -112,7 +112,7 @@ class TestPrometheusEndpoint:
 
     def test_map_engine_exposes_resolve_hit_rate(self, tmp_path):
         store = MapStore(tmp_path / "maps", max_bytes=-1, max_age_s=-1)
-        engine = ServingEngine(store=None, max_workers=1, map_store=store,
+        engine = ServingEngine(store=None, map_store=store,
                                min_map_quality=0.05)
 
         async def scenario(service):
@@ -181,7 +181,7 @@ class TestMapServiceSection:
 
     def test_live_counters_with_a_map_store(self, tmp_path):
         store = MapStore(tmp_path / "maps", max_bytes=-1, max_age_s=-1)
-        engine = ServingEngine(store=None, max_workers=1, map_store=store,
+        engine = ServingEngine(store=None, map_store=store,
                                min_map_quality=0.05)
 
         async def scenario(service):

@@ -7,8 +7,9 @@ The contracts this file enforces, in order of importance:
    the same ``tests/data/serving_signatures.json`` the golden suite uses,
    with ``EUDOXUS_TRACE=1`` forced on.
 2. **Deterministic**: the virtual-clock ``session``-category span sequence
-   is a pure function of the fleet — identical across the materialized,
-   streaming, and process-pool ingestion paths, and across repeat runs.
+   is a pure function of the fleet — identical to the spans of each
+   session run straight through (:func:`run_session`), and across repeat
+   runs.
 3. **Complete**: exported Chrome traces carry spans from the engine, the
    session layer, the scheduler, and the map plane; ``ServingReport``
    exposes the map-service telemetry slice and a pinned ``as_dict`` shape.
@@ -29,8 +30,9 @@ from repro.obs.profile import (
     kernel_tracing_enabled,
     profile_kernel,
 )
+from repro.cluster import ShardedServingEngine
 from repro.scheduler import LatencyAutoscaler
-from repro.serving import ServingEngine, cold_start_fleet, mixed_fleet
+from repro.serving import ServingEngine, cold_start_fleet, mixed_fleet, run_session
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "serving_signatures.json"
 
@@ -55,7 +57,6 @@ def map_wave(base_seed, prefix):
 
 def traced_engine(**kwargs):
     kwargs.setdefault("store", None)
-    kwargs.setdefault("max_workers", 1)
     return ServingEngine(tracer=Tracer(), **kwargs)
 
 
@@ -68,29 +69,33 @@ def session_span_sequence(tracer):
 
 
 class TestSpanDeterminism:
-    def _serve(self, parallel, ingestion):
-        engine = traced_engine(max_workers=2 if parallel else 1)
-        engine.serve(canonical_fleet(), parallel=parallel, ingestion=ingestion)
+    def _serve(self):
+        engine = traced_engine()
+        engine.serve(canonical_fleet())
         return session_span_sequence(engine.tracer)
 
-    def test_session_spans_identical_across_paths(self):
-        materialized = self._serve(False, "materialized")
-        streaming = self._serve(False, "streaming")
-        pooled = self._serve(True, None)
-        assert materialized, "no session spans recorded"
-        assert materialized == streaming == pooled
+    def test_session_spans_match_run_session(self):
+        streaming = self._serve()
+        assert streaming, "no session spans recorded"
+        # A fresh engine's decision clock starts at zero, so the spans of
+        # each session run straight through line up exactly.
+        isolated = [span
+                    for spec in sorted(canonical_fleet(),
+                                       key=lambda spec: spec.stream_id)
+                    for span in run_session(spec).trace_spans()]
+        assert streaming == isolated
 
     def test_repeat_runs_are_identical(self):
-        first = self._serve(False, "streaming")
-        second = self._serve(False, "streaming")
+        first = self._serve()
+        second = self._serve()
         assert first == second
 
     def test_session_spans_live_on_the_virtual_clock(self):
-        spans = self._serve(False, "streaming")
+        spans = self._serve()
         assert {event.clock for event in spans} == {"virtual"}
 
     def test_span_sequence_covers_every_stream(self):
-        spans = self._serve(False, "materialized")
+        spans = self._serve()
         fleet = canonical_fleet()
         session_spans = [e for e in spans if e.name == "session"]
         assert sorted(e.track for e in session_spans) == sorted(
@@ -100,8 +105,7 @@ class TestSpanDeterminism:
         """Per stream, collapsed mode-run frame counts sum to the session's
         frame count — the span projection loses no frames."""
         engine = traced_engine()
-        report = engine.serve(canonical_fleet(), parallel=False,
-                              ingestion="materialized")
+        report = engine.serve(canonical_fleet())
         for stream_id, result in report.results.items():
             runs = [e for e in session_span_sequence(engine.tracer)
                     if e.track == stream_id and e.name.startswith("mode.")
@@ -117,11 +121,10 @@ class TestGoldenWithTracing:
             pytest.fail("golden file missing; run the golden suite first")
         golden = json.loads(GOLDEN_PATH.read_text())["signatures"]
         monkeypatch.setenv("EUDOXUS_TRACE", "1")
-        engine = ServingEngine(store=None, max_workers=1,
+        engine = ServingEngine(store=None,
                                metrics=MetricsRegistry())
         assert engine.tracer is not None, "EUDOXUS_TRACE=1 must auto-build"
-        report = engine.serve(canonical_fleet(), parallel=False,
-                              ingestion="streaming")
+        report = engine.serve(canonical_fleet())
         produced = {stream_id: result.signature()
                     for stream_id, result in sorted(report.results.items())}
         assert produced == golden
@@ -136,7 +139,7 @@ class TestTraceExport:
                                        grow_patience=2, shrink_patience=4,
                                        cooldown=2)
         engine = traced_engine(autoscaler=autoscaler, frames_per_worker_tick=1)
-        engine.serve(canonical_fleet(), parallel=False, ingestion="streaming")
+        engine.serve(canonical_fleet())
         path = engine.tracer.export_chrome(tmp_path / "trace.json")
         doc = json.loads(path.read_text())
         categories = {entry.get("cat") for entry in doc["traceEvents"]}
@@ -145,32 +148,52 @@ class TestTraceExport:
     def test_map_engine_traces_map_plane(self, tmp_path):
         store = MapStore(tmp_path / "maps", max_bytes=-1, max_age_s=-1)
         engine = traced_engine(map_store=store, min_map_quality=MAP_GATE)
-        engine.serve(map_wave(100, "cold"), parallel=False,
-                     ingestion="materialized")
-        engine.serve(map_wave(9100, "warm"), parallel=False,
-                     ingestion="materialized")
+        engine.serve(map_wave(100, "cold"))
+        engine.serve(map_wave(9100, "warm"))
         names = {event.name for event in engine.tracer.by_category("maps")}
         assert "map.resolve" in names
         doc = json.loads(
             engine.tracer.export_chrome(tmp_path / "t.json").read_text())
         assert any(entry.get("cat") == "maps" for entry in doc["traceEvents"])
 
+    def test_cluster_emits_the_plain_engine_map_instants(self, tmp_path):
+        """One emission site for the map plane: a 2-shard cluster exports
+        the same ``maps``-category instant names and arg keys as the plain
+        engine for the same cold + warm waves."""
+        def instant_shapes(engine):
+            engine.serve(map_wave(100, "cold"))
+            engine.serve(map_wave(9100, "warm"))
+            return {(event.name, tuple(sorted(event.args_dict())))
+                    for event in engine.tracer.by_category("maps")}
+
+        plain = instant_shapes(traced_engine(
+            map_store=MapStore(tmp_path / "plain", max_bytes=-1, max_age_s=-1),
+            min_map_quality=MAP_GATE))
+        cluster = instant_shapes(ShardedServingEngine(
+            2, map_store=MapStore(tmp_path / "cluster", max_bytes=-1,
+                                  max_age_s=-1),
+            min_map_quality=MAP_GATE, shard_parallel=False, tracer=Tracer()))
+        assert {name for name, _ in plain} >= {
+            "map.tier_cache", "map.resolve", "map.publish_wave",
+            "map.apply_updates"}
+        assert cluster == plain
+
     def test_store_hits_emit_instants(self, tmp_path):
         store = RunStore(tmp_path / "runs", max_bytes=-1, max_age_s=-1)
         fleet = canonical_fleet()
         engine = traced_engine(store=store)
-        engine.serve(fleet, parallel=False, ingestion="materialized")
+        engine.serve(fleet)
         first = [e.name for e in engine.tracer.by_category("store")]
         assert first.count("run_store.miss") == FLEET_SIZE
-        rerun = ServingEngine(store=store, max_workers=1, tracer=Tracer())
-        rerun.serve(fleet, parallel=False, ingestion="materialized")
+        rerun = ServingEngine(store=store, tracer=Tracer())
+        rerun.serve(fleet)
         second = [e.name for e in rerun.tracer.by_category("store")]
         assert second.count("run_store.hit") == FLEET_SIZE
 
     def test_untraced_engine_records_nothing(self):
-        engine = ServingEngine(store=None, max_workers=1)
+        engine = ServingEngine(store=None)
         assert engine.tracer is None
-        engine.serve(canonical_fleet(), parallel=False, ingestion="streaming")
+        engine.serve(canonical_fleet())
 
 
 # ------------------------------------------------------------ kernel hooks
@@ -187,10 +210,9 @@ class TestKernelHooks:
 
     def test_enabled_hooks_capture_backend_kernels(self):
         tracer = enable_kernel_tracing()
-        ServingEngine(store=None, max_workers=1).serve(
+        ServingEngine(store=None).serve(
             mixed_fleet(2, segment_duration=SEGMENT_DURATION,
-                        camera_rate_hz=RATE_HZ),
-            parallel=False, ingestion="materialized")
+                        camera_rate_hz=RATE_HZ))
         names = {event.name for event in tracer.by_category("kernel")}
         assert {"frontend.triangulation", "msckf.update"} <= names
         assert all(event.clock == "wall"
@@ -213,11 +235,10 @@ class TestEngineMetrics:
         autoscaler = LatencyAutoscaler(min_workers=1, max_workers=4, window=32,
                                        grow_patience=2, shrink_patience=4,
                                        cooldown=2)
-        engine = ServingEngine(store=None, max_workers=1,
+        engine = ServingEngine(store=None,
                                autoscaler=autoscaler,
                                frames_per_worker_tick=1, metrics=registry)
-        report = engine.serve(canonical_fleet(), parallel=False,
-                              ingestion="streaming")
+        report = engine.serve(canonical_fleet())
         snapshot = registry.as_dict()
         assert snapshot["eudoxus_engine_frames_total"][""] == report.frame_count
         latency = snapshot["eudoxus_engine_serving_latency_ms"][""]
@@ -229,18 +250,17 @@ class TestEngineMetrics:
 
     def test_mode_census_matches_metric(self):
         registry = MetricsRegistry()
-        engine = ServingEngine(store=None, max_workers=1, metrics=registry)
-        report = engine.serve(canonical_fleet(), parallel=False,
-                              ingestion="materialized")
+        engine = ServingEngine(store=None, metrics=registry)
+        report = engine.serve(canonical_fleet())
         by_mode = registry.as_dict()["eudoxus_engine_mode_frames_total"]
         for mode, count in report.mode_census().items():
             assert by_mode[f'{{mode="{mode}"}}'] == count
 
     def test_rebinding_same_registry_is_safe(self):
         registry = MetricsRegistry()
-        engine = ServingEngine(store=None, max_workers=1, metrics=registry)
+        engine = ServingEngine(store=None, metrics=registry)
         engine.bind_metrics(registry)  # idempotent, no ValueError
-        engine.serve(canonical_fleet(), parallel=False, ingestion="streaming")
+        engine.serve(canonical_fleet())
 
 
 class TestMapServiceTelemetry:
@@ -248,12 +268,10 @@ class TestMapServiceTelemetry:
 
     def _lifecycle(self, tmp_path, registry=None):
         store = MapStore(tmp_path / "maps", max_bytes=-1, max_age_s=-1)
-        engine = ServingEngine(store=None, max_workers=1, map_store=store,
+        engine = ServingEngine(store=None, map_store=store,
                                min_map_quality=MAP_GATE, metrics=registry)
-        cold = engine.serve(map_wave(100, "cold"), parallel=False,
-                            ingestion="materialized")
-        warm = engine.serve(map_wave(9100, "warm"), parallel=False,
-                            ingestion="materialized")
+        cold = engine.serve(map_wave(100, "cold"))
+        warm = engine.serve(map_wave(9100, "warm"))
         return store, cold, warm
 
     def test_report_carries_resolve_and_merge_telemetry(self, tmp_path):
@@ -317,8 +335,8 @@ SESSION_KEYS = {"deadline_misses", "failure_signature", "frames",
 
 class TestReportAsDict:
     def test_key_set_is_pinned(self):
-        report = ServingEngine(store=None, max_workers=1).serve(
-            canonical_fleet(), parallel=False, ingestion="streaming")
+        report = ServingEngine(store=None).serve(
+            canonical_fleet())
         payload = report.as_dict()
         assert set(payload) == REPORT_KEYS, (
             "ServingReport.as_dict changed shape — update the pin AND the "
@@ -328,20 +346,18 @@ class TestReportAsDict:
 
     def test_round_trips_through_json(self, tmp_path):
         store = MapStore(tmp_path / "maps", max_bytes=-1, max_age_s=-1)
-        engine = ServingEngine(store=None, max_workers=1, map_store=store,
+        engine = ServingEngine(store=None, map_store=store,
                                min_map_quality=MAP_GATE)
-        engine.serve(map_wave(100, "cold"), parallel=False,
-                     ingestion="materialized")
-        report = engine.serve(map_wave(9100, "warm"), parallel=False,
-                              ingestion="materialized")
+        engine.serve(map_wave(100, "cold"))
+        report = engine.serve(map_wave(9100, "warm"))
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["session_count"] == 2
         assert payload["map_resolve_hits"] == report.map_resolve_hits
         assert payload["sessions"], "per-session block missing"
 
     def test_signatures_survive_the_round_trip(self):
-        report = ServingEngine(store=None, max_workers=1).serve(
-            canonical_fleet(), parallel=False, ingestion="materialized")
+        report = ServingEngine(store=None).serve(
+            canonical_fleet())
         payload = report.as_dict()
         for stream_id, result in report.results.items():
             assert payload["sessions"][stream_id]["signature"] == \

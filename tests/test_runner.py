@@ -14,7 +14,6 @@ from repro.experiments.runner import (
     ExperimentGrid,
     ExperimentRunner,
     RunStore,
-    WorkerPool,
     code_fingerprint,
     execute_cell,
     fan_out,
@@ -416,47 +415,22 @@ class TestStoreEdgeCases:
         assert len(rebuilt) == 8
 
 
-class TestWorkerPool:
-    """The resizable shared pool the serving autoscaler drives."""
+class TestFanOut:
+    """The process fan-out the runner and the sharded coordinator share."""
 
-    def test_resize_changes_width(self):
-        pool = WorkerPool(2)
-        assert pool.width == 2
-        assert not pool.resize(2)  # same width: no churn
-        assert pool.resizes == 0
-        assert pool.resize(3)
-        assert pool.width == 3 and pool.resizes == 1
-        assert pool.resize(0) and pool.width == 1  # floored at one worker
-
-    def test_resize_respawns_executor(self):
-        with WorkerPool(2) as pool:
-            first = pool.executor()
-            assert pool.executor() is first  # reused between batches
-            pool.resize(3)
-            second = pool.executor()
-            assert second is not first
-
-    def test_fan_out_through_shared_pool(self):
+    def test_fan_out_spawns_a_pool_and_yields_every_payload(self):
         payloads = [{"x": i} for i in range(5)]
         spawned = []
-        with WorkerPool(2) as pool:
-            results = dict(fan_out(_double_payload, payloads, 1,
-                                   on_pool=lambda: spawned.append(True),
-                                   pool=pool))
-            assert {i: r["doubled"] for i, r in results.items()} == \
-                {i: 2 * i for i in range(5)}
-            # The pool's width governs, not the max_workers argument.
-            assert spawned
-            # A second batch reuses the same executor.
-            again = dict(fan_out(_double_payload, payloads, 1, pool=pool))
-            assert len(again) == 5
+        results = dict(fan_out(_double_payload, payloads, 2,
+                               on_pool=lambda: spawned.append(True)))
+        assert {i: r["doubled"] for i, r in results.items()} == \
+            {i: 2 * i for i in range(5)}
+        assert spawned == [True]  # reported once, after a worker answered
 
-    def test_width_one_pool_runs_in_process(self):
+    def test_width_one_runs_in_process(self):
         payloads = [{"x": i} for i in range(3)]
         spawned = []
-        with WorkerPool(1) as pool:
-            results = dict(fan_out(_double_payload, payloads, 8,
-                                   on_pool=lambda: spawned.append(True),
-                                   pool=pool))
+        results = dict(fan_out(_double_payload, payloads, 1,
+                               on_pool=lambda: spawned.append(True)))
         assert not spawned
         assert results[2]["doubled"] == 4

@@ -2,11 +2,10 @@
 
 The load-bearing guarantees pinned here:
 
-* N concurrent sessions served through the process pool produce
-  bit-identical trajectories and mode switches to the same sessions served
-  serially — through the legacy materialized multiplexer *and* through the
-  arrival-time streaming-ingestion event loop (with or without autoscaled
-  capacity);
+* N concurrent sessions multiplexed by the arrival-time streaming event
+  loop (with or without autoscaled capacity) produce bit-identical
+  trajectories and mode switches to the same sessions each run straight
+  through (:func:`run_session`, the reference);
 * the incremental frame iterator reproduces the materialized frame grid
   exactly — no dropped or duplicated frames at segment transitions;
 * bounded ingress queues push back instead of buffering without limit;
@@ -84,12 +83,12 @@ class TestStreams:
         assert spec.frame_count == 2 * FRAMES_PER_SEGMENT
 
     def test_payload_serializes_floats_exactly(self):
-        """The pool worker rebuilds specs from payloads — no quantization.
+        """Shard workers rebuild specs from payloads — no quantization.
 
         A duration that differs from a round value only past the sixth
         decimal must survive the payload round-trip bit-for-bit; otherwise
-        the pool path would serve a different segment than the serial path
-        and distinct specs would collide onto one cache key.
+        a process shard would serve a different segment than an in-process
+        one and distinct specs would collide onto one cache key.
         """
         awkward = StreamSpec(
             stream_id="exact",
@@ -270,30 +269,29 @@ class TestServingDeterminism:
 
     @pytest.fixture(scope="class")
     def serial_report(self, fleet):
-        return ServingEngine(store=None, max_workers=1).serve(fleet, parallel=False)
+        return ServingEngine(store=None).serve(fleet)
 
     def test_serial_event_loop_multiplexes(self, serial_report):
         assert serial_report.session_count == 4
         # All sessions share a frame rate, so every tick batches the fleet.
         assert serial_report.mean_batch_size > 1.0
 
-    def test_parallel_bit_identical_to_serial(self, fleet, serial_report):
-        parallel_report = ServingEngine(store=None, max_workers=2).serve(fleet, parallel=True)
-        # Guard against a vacuous pass: a pool must actually have spawned
-        # (report.parallel stays False when fan_out falls back in-process).
-        assert parallel_report.parallel
-        assert parallel_report.session_count == serial_report.session_count
-        for stream_id, serial_result in serial_report.results.items():
-            parallel_result = parallel_report.results[stream_id]
-            assert parallel_result.signature() == serial_result.signature()
+    def test_interleaved_bit_identical_to_isolated(self, fleet, serial_report):
+        """The event loop's interleaving cannot leak state across sessions:
+        every session equals the same spec run straight through."""
+        assert serial_report.session_count == len(fleet)
+        for spec in fleet:
+            isolated = run_session(spec)
+            served = serial_report.results[spec.stream_id]
+            assert served.signature() == isolated.signature()
             # Signature equality is backed by exact pose equality.
-            for a, b in zip(serial_result.trajectory.estimates,
-                            parallel_result.trajectory.estimates):
+            for a, b in zip(isolated.trajectory.estimates,
+                            served.trajectory.estimates):
                 np.testing.assert_array_equal(a.pose.rotation, b.pose.rotation)
                 np.testing.assert_array_equal(a.pose.translation, b.pose.translation)
                 assert a.mode == b.mode
-            assert ([(s.frame_index, s.to_mode, s.reason) for s in serial_result.mode_switches]
-                    == [(s.frame_index, s.to_mode, s.reason) for s in parallel_result.mode_switches])
+            assert ([(s.frame_index, s.to_mode, s.reason) for s in isolated.mode_switches]
+                    == [(s.frame_index, s.to_mode, s.reason) for s in served.mode_switches])
 
     def test_signature_ignores_wall_time_telemetry(self, serial_report):
         result = next(iter(serial_report.results.values()))
@@ -301,21 +299,15 @@ class TestServingDeterminism:
         result.frame_wall_ms[0] += 123.0
         assert result.signature() == signature
 
-    def test_interleaved_equals_isolated(self, fleet, serial_report):
-        """The event loop's interleaving cannot leak state across sessions."""
-        isolated = run_session(fleet[0])
-        assert isolated.signature() == serial_report.results[fleet[0].stream_id].signature()
-
-    def test_exhausted_stream_served_on_both_paths(self):
-        """A zero-segment stream yields an empty result, serially and pooled."""
+    def test_exhausted_stream_yields_an_empty_result(self):
+        """A zero-segment stream yields an empty result, as run_session does."""
         fleet = [StreamSpec(stream_id="empty", segments=(), camera_rate_hz=RATE),
                  _spec("real", [(ScenarioKind.OUTDOOR_UNKNOWN, 0.0)])]
-        serial = ServingEngine(store=None, max_workers=1).serve(fleet, parallel=False)
-        pooled = ServingEngine(store=None, max_workers=2).serve(fleet, parallel=True)
-        for report in (serial, pooled):
-            assert report.session_count == 2
-            assert report.results["empty"].frame_count == 0
-        assert serial.results["empty"].signature() == pooled.results["empty"].signature()
+        report = ServingEngine(store=None).serve(fleet)
+        assert report.session_count == 2
+        assert report.results["empty"].frame_count == 0
+        assert (report.results["empty"].signature()
+                == run_session(fleet[0]).signature())
 
 
 class TestStreamingIngestion:
@@ -327,27 +319,24 @@ class TestStreamingIngestion:
                            deadline_ms=300.0)
 
     @pytest.fixture(scope="class")
-    def materialized(self, fleet):
-        return ServingEngine(store=None, max_workers=1).serve(
-            fleet, parallel=False, ingestion="materialized")
+    def isolated(self, fleet):
+        return {spec.stream_id: run_session(spec) for spec in fleet}
 
-    def test_streaming_identical_to_materialized(self, fleet, materialized):
-        streaming = ServingEngine(store=None, max_workers=1).serve(
-            fleet, parallel=False, ingestion="streaming")
+    def test_streaming_identical_to_run_session(self, fleet, isolated):
+        streaming = ServingEngine(store=None).serve(fleet)
         assert streaming.ingestion == "streaming"
-        assert materialized.ingestion == "materialized"
-        for stream_id, expected in materialized.results.items():
+        for stream_id, expected in isolated.items():
             assert streaming.results[stream_id].signature() == expected.signature()
 
-    def test_streaming_under_autoscaled_capacity_identical(self, fleet, materialized):
+    def test_streaming_under_autoscaled_capacity_identical(self, fleet, isolated):
         """Throttled capacity reshuffles *when* frames are served, never what."""
         autoscaler = LatencyAutoscaler(min_workers=1, max_workers=4, window=32,
                                        grow_patience=2, shrink_patience=4,
                                        cooldown=2)
-        engine = ServingEngine(store=None, max_workers=1, autoscaler=autoscaler,
+        engine = ServingEngine(store=None, autoscaler=autoscaler,
                                frames_per_worker_tick=1)
-        report = engine.serve(fleet, parallel=False, ingestion="streaming")
-        for stream_id, expected in materialized.results.items():
+        report = engine.serve(fleet)
+        for stream_id, expected in isolated.items():
             assert report.results[stream_id].signature() == expected.signature()
         # Under-provisioned start: a backlog formed and latency was measured.
         assert report.virtual_latency_percentile(95.0) > 0.0
@@ -357,12 +346,22 @@ class TestStreamingIngestion:
 
     def test_unthrottled_streaming_serves_on_arrival(self, fleet):
         """Without an autoscaler nothing queues: zero serving latency."""
-        report = ServingEngine(store=None, max_workers=1).serve(
-            fleet, parallel=False, ingestion="streaming")
+        report = ServingEngine(store=None).serve(fleet)
         assert report.ticks > 0
         assert report.virtual_latency_percentile(95.0) == 0.0
         assert report.deadline_misses == 0
         assert report.mean_batch_size > 1.0
+        assert report.workers == report.final_workers == 1
+
+    def test_legacy_max_workers_warns_and_changes_nothing(self, fleet):
+        """``max_workers`` sized a process pool the engine no longer has."""
+        with pytest.warns(DeprecationWarning, match="max_workers"):
+            legacy = ServingEngine(store=None, max_workers=8)
+        report = legacy.serve(fleet)
+        plain = ServingEngine(store=None).serve(fleet)
+        assert report.signature() == plain.signature()
+        assert report.virtual_latency_ms == plain.virtual_latency_ms
+        assert report.workers == 1
 
     def test_ingress_queue_is_bounded(self):
         spec = _spec("bounded", [(ScenarioKind.OUTDOOR_UNKNOWN, 0.0),
@@ -406,8 +405,8 @@ class TestStreamingIngestion:
 
     def test_online_scheduler_feed(self, fleet):
         accelerator = accelerator_for("drone")
-        engine = ServingEngine(store=None, max_workers=1, accelerator=accelerator)
-        report = engine.serve(fleet, parallel=False, ingestion="streaming")
+        engine = ServingEngine(store=None, accelerator=accelerator)
+        report = engine.serve(fleet)
         served_modes = {estimate.mode for result in report.results.values()
                         for estimate in result.trajectory.estimates}
         for mode in served_modes:
@@ -415,97 +414,24 @@ class TestStreamingIngestion:
         total = sum(accelerator.scheduler.observation_count(m) for m in served_modes)
         assert total == report.frame_count
 
-    def test_unknown_ingestion_mode_rejected(self, fleet):
-        with pytest.raises(ValueError):
-            ServingEngine(store=None, max_workers=1).serve(fleet, ingestion="psychic")
-
-    def test_explicit_ingestion_forces_serial_loop(self, fleet):
-        """Naming an ingestion must win over the automatic pool choice.
-
-        Otherwise the loop a caller explicitly asked to measure would
-        silently depend on the host's core count.
-        """
-        report = ServingEngine(store=None, max_workers=8).serve(
-            fleet, ingestion="materialized")
-        assert report.ingestion == "materialized"
-        assert not report.parallel
-        with pytest.raises(ValueError):
-            ServingEngine(store=None, max_workers=8).serve(
-                fleet, parallel=True, ingestion="streaming")
-
     def test_streaming_empty_stream(self):
         fleet = [StreamSpec(stream_id="empty", segments=(), camera_rate_hz=RATE)]
-        report = ServingEngine(store=None, max_workers=1).serve(
-            fleet, parallel=False, ingestion="streaming")
+        report = ServingEngine(store=None).serve(
+            fleet)
         assert report.results["empty"].frame_count == 0
-
-    def test_autoscaled_pool_path_identical(self, fleet, materialized):
-        """Wave dispatch through the resizable pool preserves signatures."""
-        autoscaler = LatencyAutoscaler(min_workers=2, max_workers=2)
-        engine = ServingEngine(store=None, max_workers=2, autoscaler=autoscaler)
-        report = engine.serve(fleet, parallel=True)
-        assert report.ingestion == "pool"
-        assert report.scale_decisions  # one decision per dispatch wave
-        for stream_id, expected in materialized.results.items():
-            assert report.results[stream_id].signature() == expected.signature()
-
-    def test_pool_path_grows_under_queue_pressure(self):
-        """Sessions stuck behind a narrow pool must be able to force growth.
-
-        Per-frame compute is far under the deadline, so only the queue-wait
-        signal can push pressure over the grow threshold; the autoscaler's
-        bounds are also narrowed to the engine's max_workers, so the
-        decision log never reports a width the pool could not have.
-        """
-        fleet = mixed_fleet(5, segment_duration=1.0, camera_rate_hz=RATE,
-                            deadline_ms=100.0)
-        autoscaler = LatencyAutoscaler(min_workers=1, max_workers=8,
-                                       grow_patience=1, shrink_patience=50,
-                                       cooldown=0)
-        engine = ServingEngine(store=None, max_workers=2, autoscaler=autoscaler)
-        report = engine.serve(fleet, parallel=True)
-        assert any(d.action == "grow" for d in report.scale_decisions)
-        # During the call the decision log is bounded by the real pool cap;
-        # afterwards the scaler's full sizing state is restored, so a later
-        # streaming serve's virtual capacity stays host-independent.
-        assert all(d.workers_after <= 2 for d in report.scale_decisions)
-        assert autoscaler.max_workers == 8
-        assert autoscaler.workers == 1
 
 
 class TestServingAccounting:
     """Deadline-miss accounting and decision-clock continuity.
 
-    ``deadline_misses`` used to be computed in two separate code paths
-    (streaming vs pool) that could drift apart; it is now a single helper
-    with one definition — virtual-schedule violations only — and these
-    tests pin it across every ingestion path.
+    ``deadline_misses`` has one definition — virtual-schedule violations,
+    counted at a single accounting point — and these tests pin it.
     """
 
     @pytest.fixture(scope="class")
     def fleet(self):
         return mixed_fleet(3, segment_duration=1.0, camera_rate_hz=RATE,
                            deadline_ms=300.0)
-
-    def test_deadline_misses_identical_across_ingestion_paths(self, fleet):
-        """Same fleet, three paths, one number.
-
-        The materialized and pool paths serve every frame on arrival by
-        construction, and the unthrottled streaming loop does too — so the
-        shared definition makes all three report identical misses (zero),
-        where the old split accounting let the pool path silently diverge.
-        """
-        materialized = ServingEngine(store=None, max_workers=1).serve(
-            fleet, parallel=False, ingestion="materialized")
-        streaming = ServingEngine(store=None, max_workers=1).serve(
-            fleet, parallel=False, ingestion="streaming")
-        pooled = ServingEngine(store=None, max_workers=2).serve(
-            fleet, parallel=True)
-        assert pooled.ingestion == "pool"
-        assert (materialized.deadline_misses
-                == streaming.deadline_misses
-                == pooled.deadline_misses
-                == 0)
 
     def test_throttled_misses_match_recorded_latencies(self, fleet):
         """The counter is exactly the over-deadline latency samples.
@@ -517,10 +443,10 @@ class TestServingAccounting:
         """
         autoscaler = LatencyAutoscaler(min_workers=1, max_workers=1,
                                        window=32)
-        engine = ServingEngine(store=None, max_workers=1,
+        engine = ServingEngine(store=None,
                                autoscaler=autoscaler,
                                frames_per_worker_tick=1)
-        report = engine.serve(fleet, parallel=False, ingestion="streaming")
+        report = engine.serve(fleet)
         over = sum(1 for latency in report.virtual_latency_ms if latency > 300.0)
         assert report.deadline_misses == over
         assert report.deadline_misses > 0  # the throttle actually bit
@@ -535,12 +461,12 @@ class TestServingAccounting:
         autoscaler = LatencyAutoscaler(min_workers=1, max_workers=4,
                                        window=32, grow_patience=2,
                                        shrink_patience=4, cooldown=2)
-        engine = ServingEngine(store=None, max_workers=1,
+        engine = ServingEngine(store=None,
                                autoscaler=autoscaler,
                                frames_per_worker_tick=1)
-        engine.serve(fleet, parallel=False, ingestion="streaming")
+        engine.serve(fleet)
         first_count = len(autoscaler.decisions)
-        engine.serve(fleet, parallel=False, ingestion="streaming")
+        engine.serve(fleet)
         assert len(autoscaler.decisions) > first_count
         decisions = list(autoscaler.decisions)
         clocks = [d.clock for d in decisions]
@@ -556,9 +482,9 @@ class TestServingStore:
     def test_session_results_roundtrip(self, tmp_path):
         fleet = mixed_fleet(2, segment_duration=1.0, camera_rate_hz=RATE)
         store = RunStore(tmp_path)
-        first = ServingEngine(store=store, max_workers=1).serve(fleet)
+        first = ServingEngine(store=store).serve(fleet)
         assert first.computed_sessions == 2 and first.store_hits == 0
-        second = ServingEngine(store=store, max_workers=1).serve(fleet)
+        second = ServingEngine(store=store).serve(fleet)
         assert second.computed_sessions == 0 and second.store_hits == 2
         for stream_id in first.results:
             assert second.results[stream_id].signature() == first.results[stream_id].signature()
@@ -580,8 +506,8 @@ class TestServingStore:
         warm = mixed_fleet(1, segment_duration=1.0, camera_rate_hz=RATE,
                            deadline_ms=250.0)
         store = RunStore(tmp_path)
-        ServingEngine(store=store, max_workers=1).serve(cold)
-        report = ServingEngine(store=store, max_workers=1).serve(warm)
+        ServingEngine(store=store).serve(cold)
+        report = ServingEngine(store=store).serve(warm)
         assert report.store_hits == 1
         payload = report.results[warm[0].stream_id].spec_payload
         assert payload["deadline_ms"] == 250.0
@@ -589,9 +515,9 @@ class TestServingStore:
     def test_warm_serve_still_reports_resolution_path(self, tmp_path):
         fleet = mixed_fleet(2, segment_duration=1.0, camera_rate_hz=RATE)
         store = RunStore(tmp_path)
-        ServingEngine(store=store, max_workers=1).serve(fleet)
-        warm = ServingEngine(store=store, max_workers=1).serve(
-            fleet, parallel=False, ingestion="streaming")
+        ServingEngine(store=store).serve(fleet)
+        warm = ServingEngine(store=store).serve(
+            fleet)
         assert warm.store_hits == 2
         assert warm.ingestion == "streaming"
 
@@ -605,7 +531,7 @@ class TestSchedulerTelemetryFeed:
     @pytest.fixture(scope="class")
     def results(self):
         fleet = mixed_fleet(2, segment_duration=SEGMENT, camera_rate_hz=RATE)
-        return ServingEngine(store=None, max_workers=1).serve(fleet).results
+        return ServingEngine(store=None).serve(fleet).results
 
     def test_samples_cover_served_modes(self, results):
         accelerator = accelerator_for("drone")

@@ -2,10 +2,11 @@
 
 ``tests/data/serving_signatures.json`` pins the
 :meth:`~repro.serving.session.SessionResult.signature` of a small canonical
-fleet.  Every serving path — the legacy materialized multiplexer, the
-arrival-time streaming event loop (plain and capacity-throttled under the
-autoscaler), and the process-pool shard — must reproduce those exact
-digests.  This catches *silent determinism drift*: a change that perturbs
+fleet, served through the arrival-time streaming event loop, and of a
+three-wave fleet-map lifecycle served both by the plain engine and by a
+2-shard cluster whose shards run in worker processes.  Both must
+reproduce those exact digests.  This catches *silent determinism drift*: a
+change that perturbs
 poses or mode switches without failing any behavioral test (a reordered
 reduction, an RNG stream that moved, a segment rebuilt with different
 stitching) shows up here as a signature mismatch.
@@ -22,8 +23,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster import ShardedServingEngine
 from repro.maps import MapStore
-from repro.scheduler import LatencyAutoscaler
 from repro.serving import ServingEngine, cold_start_fleet, mixed_fleet
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "serving_signatures.json"
@@ -69,27 +70,26 @@ def updated_wave():
                             camera_rate_hz=RATE_HZ, prefix="upd")
 
 
-def _map_engine(store, max_workers=1):
-    return ServingEngine(store=None, max_workers=max_workers, map_store=store,
+def _map_engine(store):
+    return ServingEngine(store=None, map_store=store,
                          min_map_quality=MAP_GATE)
 
 
 def _seed_map_store(root):
     """Serve the cold wave into a fresh map store; returns (store, report)."""
     store = MapStore(root, max_bytes=-1, max_age_s=-1)
-    report = _map_engine(store).serve(cold_wave(), parallel=False,
-                                      ingestion="materialized")
+    report = _map_engine(store).serve(cold_wave())
     return store, report
 
 
 def _lifecycle_reports(root, serve):
-    """The three-wave lifecycle against one fresh store, via one path.
+    """The three-wave lifecycle against one fresh store, via one engine.
 
     cold (publish) -> warm (acquire + hand back updates; the engine folds
     them into a new canonical version post-serve) -> updated (acquire the
-    refreshed version).  ``serve`` runs one engine through one execution
-    path; the store is rebuilt from scratch so every path sees the exact
-    same store evolution.
+    refreshed version).  ``serve`` serves one wave through one engine; the
+    store is rebuilt from scratch so every engine sees the exact same store
+    evolution.
     """
     store = MapStore(root, max_bytes=-1, max_age_s=-1)
     cold = serve(store, cold_wave())
@@ -98,14 +98,17 @@ def _lifecycle_reports(root, serve):
     return cold, warm, updated
 
 
-def _serial_serve(ingestion):
-    def serve(store, fleet):
-        return _map_engine(store).serve(fleet, parallel=False, ingestion=ingestion)
-    return serve
+def _streaming_serve(store, fleet):
+    return _map_engine(store).serve(fleet)
 
 
-def _pool_serve(store, fleet):
-    return _map_engine(store, max_workers=2).serve(fleet, parallel=True)
+def _sharded_serve(store, fleet):
+    # Three hash slots put each wave's two streams on different shards, so
+    # every wave goes through the worker-process payload path.
+    report = ShardedServingEngine(2, map_store=store, min_map_quality=MAP_GATE,
+                                  slot_count=3, shard_parallel=True).serve(fleet)
+    assert sorted(report.shard_of.values()) == [0, 1]
+    return report
 
 
 def _signatures(report):
@@ -117,10 +120,9 @@ def _signatures(report):
 def golden(tmp_path_factory):
     if os.environ.get(REGEN_ENV, "").strip():
         fleet = canonical_fleet()
-        report = ServingEngine(store=None, max_workers=1).serve(
-            fleet, parallel=False, ingestion="materialized")
+        report = ServingEngine(store=None).serve(fleet)
         cold_report, warm_report, updated_report = _lifecycle_reports(
-            tmp_path_factory.mktemp("golden-maps"), _serial_serve("materialized"))
+            tmp_path_factory.mktemp("golden-maps"), _streaming_serve)
         assert warm_report.map_acquisition_count > 0, (
             "golden warm wave acquired no fleet map — pins would be vacuous")
         assert warm_report.map_update_count > 0 and warm_report.maps_updated, (
@@ -161,30 +163,9 @@ def _assert_matches(report, golden, path):
         f"is intentional, regenerate with {REGEN_ENV}=1 and review the diff")
 
 
-def test_materialized_path_matches_golden(fleet, golden):
-    report = ServingEngine(store=None, max_workers=1).serve(
-        fleet, parallel=False, ingestion="materialized")
-    _assert_matches(report, golden["signatures"], "materialized")
-
-
 def test_streaming_path_matches_golden(fleet, golden):
-    report = ServingEngine(store=None, max_workers=1).serve(
-        fleet, parallel=False, ingestion="streaming")
+    report = ServingEngine(store=None).serve(fleet)
     _assert_matches(report, golden["signatures"], "streaming")
-
-
-def test_throttled_streaming_path_matches_golden(fleet, golden):
-    autoscaler = LatencyAutoscaler(min_workers=1, max_workers=4, window=32,
-                                   grow_patience=2, shrink_patience=4, cooldown=2)
-    report = ServingEngine(store=None, max_workers=1, autoscaler=autoscaler,
-                           frames_per_worker_tick=1).serve(
-        fleet, parallel=False, ingestion="streaming")
-    _assert_matches(report, golden["signatures"], "autoscaled streaming")
-
-
-def test_pool_path_matches_golden(fleet, golden):
-    report = ServingEngine(store=None, max_workers=2).serve(fleet, parallel=True)
-    _assert_matches(report, golden["signatures"], "process-pool")
 
 
 # ------------------------------------------------------ fleet-map golden pins
@@ -200,19 +181,19 @@ def test_cold_wave_publication_matches_golden(golden, tmp_path):
 
 
 @pytest.mark.parametrize("label,serve", [
-    ("materialized", _serial_serve("materialized")),
-    ("streaming", _serial_serve("streaming")),
-    ("pool", _pool_serve),
+    ("streaming", _streaming_serve),
+    ("sharded", _sharded_serve),
 ])
 def test_map_lifecycle_matches_golden_on_all_paths(golden, tmp_path, label, serve):
-    """publish -> resolve -> update -> re-resolve, pinned on every path.
+    """publish -> resolve -> update -> re-resolve, pinned on both engines.
 
-    Each execution path replays the full three-wave lifecycle against its
-    own fresh store: the cold wave's publishes, the warm wave's
-    acquisitions *and* the MapUpdate deltas it hands back, and the updated
-    wave's acquisition of the refreshed canonical must all be bit-identical
-    to the pins — including the canonical versions before and after the
-    update application."""
+    Each engine replays the full three-wave lifecycle against its own fresh
+    store (the 2-shard cluster serves its shards in worker processes and
+    publishes and applies for them): the cold wave's publishes, the warm
+    wave's acquisitions *and* the MapUpdate deltas it hands back, and the
+    updated wave's acquisition of the refreshed canonical must all be
+    bit-identical to the pins — including the canonical versions before
+    and after the update application."""
     cold_report, warm_report, updated_report = _lifecycle_reports(tmp_path, serve)
     _assert_matches(cold_report, golden["fleet_map_signatures"]["cold"],
                     f"fleet-map cold {label}")
