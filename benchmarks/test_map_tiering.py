@@ -51,7 +51,8 @@ def _fleet(duration, base_seed, prefix, **drift):
         **drift)
 
 
-def test_map_tiering(benchmark, tmp_path, shard_settings, serving_settings):
+def test_map_tiering(benchmark, tmp_path, monkeypatch, shard_settings,
+                     serving_settings):
     duration = serving_settings["segment_duration"]
     warm_wave = _fleet(duration, 5000, "warm")
     rewarm_wave = _fleet(duration, 6000, "rewarm")
@@ -72,8 +73,8 @@ def test_map_tiering(benchmark, tmp_path, shard_settings, serving_settings):
         _warm_root(root, duration)
         cluster = ShardedServingEngine(
             shards, map_store=_store(root), min_map_quality=GATE,
-            map_updates=False, shard_parallel=True)
-        first = cluster.serve(warm_wave, parallel=True)
+            map_updates=False)
+        first = cluster.serve(warm_wave)
         # Strict mode, cache + delta sync active: bit-identical to the
         # plain engine at every width.
         assert first.signature() == plain.signature(), (
@@ -81,10 +82,10 @@ def test_map_tiering(benchmark, tmp_path, shard_settings, serving_settings):
         assert first.map_cache_misses >= 1  # the cold lookup is honest
         if shards == shard_counts[-1]:
             second = benchmark.pedantic(
-                lambda: cluster.serve(rewarm_wave, parallel=True),
+                lambda: cluster.serve(rewarm_wave),
                 rounds=1, iterations=1)
         else:
-            second = cluster.serve(rewarm_wave, parallel=True)
+            second = cluster.serve(rewarm_wave)
         # The acceptance pin: a warm re-serve revalidates by stamp alone.
         assert second.map_cache_hit_rate >= 0.5, (
             f"warm-wave Tier-1 hit rate {second.map_cache_hit_rate:.2f} "
@@ -104,16 +105,16 @@ def test_map_tiering(benchmark, tmp_path, shard_settings, serving_settings):
 
     # Tier-2 on a drifting-world update wave: >= 2 loaded shards, payload
     # dispatch, updates applied — and the references must undercut the
-    # full-snapshot protocol.
+    # full-snapshot protocol.  Sync bytes count only what crossed a process
+    # boundary, so the width is pinned wide enough to spawn on any host.
+    monkeypatch.setenv("EUDOXUS_MAX_WORKERS", str(max(shard_counts)))
     sync_root = tmp_path / "maps-sync"
     _warm_root(sync_root, duration)
     sync_cluster = ShardedServingEngine(
-        max(shard_counts), map_store=_store(sync_root), min_map_quality=GATE,
-        shard_parallel=True)
+        max(shard_counts), map_store=_store(sync_root), min_map_quality=GATE)
     update_wave = sync_cluster.serve(
         _fleet(duration, 20000, "drift",
-               drift_m=2.0, drift_fraction=0.4, drift_seed=7),
-        parallel=True)
+               drift_m=2.0, drift_fraction=0.4, drift_seed=7))
     sync = sync_cluster.sync_accounting
     if max(shard_counts) >= 2:
         assert len(set(update_wave.shard_of.values())) >= 2, (

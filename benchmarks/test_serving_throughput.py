@@ -41,7 +41,7 @@ def test_serving_throughput(benchmark, serving_settings):
     )
 
     serial = ServingEngine(store=None).serve(fleet)
-    cluster = ShardedServingEngine(2, shard_parallel=True)
+    cluster = ShardedServingEngine(2)
     report = benchmark.pedantic(
         lambda: cluster.serve(fleet), rounds=1, iterations=1
     )

@@ -254,7 +254,7 @@ def main() -> None:
                 camera_rate_hz=5.0, prefix="seed"))
         cluster = ShardedServingEngine(
             2, map_store=MapStore(map_root, max_bytes=-1, max_age_s=-1),
-            min_map_quality=MAP_GATE, map_updates=False, shard_parallel=True)
+            min_map_quality=MAP_GATE, map_updates=False)
         for wave_index in range(3):
             cluster.serve(drifting_environment_fleet(
                 4, environment="tiered-yard", base_seed=40000 + 1000 * wave_index,

@@ -13,6 +13,12 @@ dispatch step differs (partition, fan out, merge):
   pre-dispatch, and pins every shard to it
   (``ServingEngine.serve(..., fleet_maps=...)``).  Shards have no map
   store, so they never resolve, publish or apply;
+* every loaded shard is served from a payload through
+  :func:`~repro.experiments.runner.fan_out` — the one dispatch path, run
+  in worker processes when ``EUDOXUS_MAX_WORKERS`` allows and a pool
+  spawns, in-process otherwise.  The shard's autoscaler (whole) and
+  decision-clock water-mark go out in the payload and come back on its
+  report, so its state after a wave does not depend on where it ran;
 * after the shards finish, the coordinator publishes the whole wave's
   snapshots and folds its ``MapUpdate`` deltas through one store handle —
   computed snapshots before any replayed re-seed, deltas sorted inside
@@ -24,7 +30,7 @@ dispatch step differs (partition, fan out, merge):
 
 **Determinism contract.**  Sessions are pure functions of
 ``(spec, resolved maps)``, so shard count, slot assignment, and in-process
-vs process-parallel shard execution cannot change a single served pose.
+vs worker-process shard execution cannot change a single served pose.
 The merged report's signature is pinned bit-identical to the plain
 engine's (tests/test_cluster.py).
 
@@ -94,49 +100,27 @@ def _store_bounds(store: RunStore) -> Tuple[float, float]:
             -1.0 if store.max_age_s is None else float(store.max_age_s))
 
 
-def _autoscaler_config(scaler: Optional[LatencyAutoscaler]) -> Optional[Dict]:
-    """Everything needed to reconstruct the scaler in a shard subprocess.
-
-    ``initial_workers`` is the *current* width, not the construction-time
-    one: the reconstruction continues from where the resident scaler left
-    off, which is what carries pool width across process-mode waves.
-    """
-    if scaler is None:
-        return None
-    return {
-        "min_workers": scaler.min_workers,
-        "max_workers": scaler.max_workers,
-        "initial_workers": scaler.workers,
-        "window": scaler._window,
-        "grow_pressure": scaler.grow_pressure,
-        "shrink_pressure": scaler.shrink_pressure,
-        "grow_patience": scaler.grow_patience,
-        "shrink_patience": scaler.shrink_patience,
-        "cooldown": scaler.cooldown,
-        "grow_factor": scaler.grow_factor,
-        "default_deadline_ms": scaler.default_deadline_ms,
-    }
-
-
 def _serve_shard_payload(payload: Dict) -> ServingReport:
-    """Process-pool entry point: rebuild one shard's engine and serve.
+    """Serve one shard's slice of a wave; ``fan_out`` runs it in a worker
+    process or in-process, and nothing here depends on which.
 
-    Each shard subprocess constructs its own run-store handle on the shared
-    root (the content-addressed layout makes concurrent handles safe) and
-    its own autoscaler from the shipped config; the coordinator folds the
-    returned report's final width back into the resident scaler
-    (:meth:`LatencyAutoscaler.sync`).
+    The shard gets its own run-store handle on the shared root (the
+    content-addressed layout makes concurrent handles safe) and no map
+    store, tracer, recorder or SLO tracker — whatever ``EUDOXUS_TRACE`` /
+    ``EUDOXUS_RECORDER`` say: the coordinator publishes, traces, and
+    captures at most one bundle from the merged report.
 
     The wave's map assignment arrives as Tier-2 ``{version, inputs}``
-    references (``fleet_map_sync``), not pickled snapshots: the worker
+    references (``fleet_map_sync``), not pickled snapshots: the shard
     rebuilds each canonical from the shared map store through its own
     :class:`~repro.maps.SnapshotCache` (content addressing makes the
     rebuild provably bit-identical — the version must match).  A reference
     that cannot be materialized falls back to the store's own canonical
     merge; a version mismatch there is a determinism violation and raises
-    rather than serving a map the coordinator never resolved.  The shard
-    engine itself gets no map store: it serves the pinned maps and leaves
-    publishing and updates to the coordinator.
+    rather than serving a map the coordinator never resolved.
+
+    The shard's autoscaler and decision-clock water-mark come back on the
+    report (``shard_state``) for the coordinator to adopt.
     """
     specs = [StreamSpec.from_payload(raw) for raw in payload["specs"]]
     run_store = (RunStore(payload["run_root"], *payload["run_bounds"])
@@ -160,14 +144,17 @@ def _serve_shard_payload(payload: Dict) -> ServingReport:
                 f"shard {payload['shard']} could not materialize canonical "
                 f"map {ref['version'][:12]} for {environment_id}")
         fleet_maps[environment_id] = snapshot
-    config = payload["autoscaler"]
     engine = ServingEngine(
         store=run_store,
-        autoscaler=LatencyAutoscaler(**config) if config else None,
+        autoscaler=payload["autoscaler"],
         frames_per_worker_tick=payload["frames_per_worker_tick"],
         map_aware_sizing=payload["map_aware_sizing"],
     )
-    return engine.serve(specs, fleet_maps=fleet_maps)
+    engine.tracer = engine.recorder = None
+    engine._decision_clock = payload["decision_clock"]
+    report = engine.serve(specs, fleet_maps=fleet_maps)
+    report.shard_state = (engine.autoscaler, engine._decision_clock)
+    return report
 
 
 @dataclass
@@ -248,14 +235,16 @@ class ShardedServingEngine(WaveLifecycle):
 
     Construction mirrors the plain engine where the concepts coincide; the
     per-shard pieces take factories.  ``run_store`` / ``map_store`` are the
-    *coordinator's* handles.  Every shard gets its own run-store handle
-    onto the same root (constructed here for in-process shards, in the
-    subprocess for process-parallel waves), which is both the scale-out
-    story and the cross-instance coordination the store machinery is
-    tested for; the map store is touched by the coordinator alone.
-    ``max_workers_per_shard`` sized a per-shard process pool that no longer
-    exists: it is accepted only so existing callers keep working, has no
-    effect, and warns.
+    *coordinator's* handles.  Shard engines live for one wave, each built
+    from its payload with its own run-store handle onto the same root —
+    both the scale-out story and the cross-instance coordination the store
+    machinery is tested for; the map store is touched by the coordinator
+    alone.  Only controller state persists per shard: ``autoscalers[i]``
+    (adopted in place, so the admission probe's object never changes) and
+    ``decision_clocks[i]``.  ``max_workers_per_shard`` and
+    ``shard_parallel`` chose a per-shard pool and the shard executor, both
+    gone: they are accepted only so existing callers keep working, have no
+    effect, and warn.
     """
 
     def __init__(self, shards: Optional[int] = None, *,
@@ -289,30 +278,20 @@ class ShardedServingEngine(WaveLifecycle):
             warnings.warn("ShardedServingEngine(max_workers_per_shard=) has no "
                           "effect; each shard's autoscaler sizes its loop",
                           DeprecationWarning, stacklevel=2)
-        # None = decide per wave: processes when the host has cores to use.
-        self.shard_parallel = shard_parallel
+        if shard_parallel is not None:
+            warnings.warn("ShardedServingEngine(shard_parallel=) has no effect; "
+                          "fan_out picks the shard executor from "
+                          "EUDOXUS_MAX_WORKERS", DeprecationWarning, stacklevel=2)
         self.autoscalers: List[Optional[LatencyAutoscaler]] = [
             autoscaler_factory(shard) if autoscaler_factory is not None else None
             for shard in range(self.shard_count)
         ]
-        # Resident in-process shard engines: used directly on sequential
-        # waves, and as the configuration source for subprocess payloads on
-        # parallel waves.  They are pure executors with no map store — the
-        # coordinator resolves, publishes and applies for the whole wave —
-        # so map-aware sizing is set to what a map-backed engine would
-        # choose, and their autoscalers prime on the pinned maps.  Each gets
-        # its own run-store handle on the shared root, never the
-        # coordinator's.
-        self.engines: List[ServingEngine] = [
-            ServingEngine(
-                store=self._shard_run_store(),
-                autoscaler=self.autoscalers[shard],
-                frames_per_worker_tick=frames_per_worker_tick,
-                map_aware_sizing=self.map_store is not None,
-            )
-            for shard in range(self.shard_count)
-        ]
-        self.frames_per_worker_tick = self.engines[0].frames_per_worker_tick
+        # Each shard's decision-clock water-mark (see ServingEngine), so a
+        # shard's decision log stays monotone in clock across waves.
+        self.decision_clocks: List[float] = [0.0] * self.shard_count
+        self.frames_per_worker_tick = max(1, int(
+            frames_per_worker_tick if frames_per_worker_tick is not None
+            else ServingEngine.FRAMES_PER_WORKER_TICK))
         self.waves_served = 0
         self.rebalance_log: List[RebalanceDecision] = []
         self.tracer = tracer if tracer is not None else tracer_from_env()
@@ -330,29 +309,22 @@ class ShardedServingEngine(WaveLifecycle):
         if metrics is not None:
             self.bind_metrics(metrics)
 
-    def _shard_run_store(self) -> Optional[RunStore]:
-        if self.run_store is None:
-            return None
-        return RunStore(self.run_store.root, *_store_bounds(self.run_store))
-
     # ------------------------------------------------------------ serving
 
-    def serve(self, specs: Sequence[StreamSpec],
-              parallel: Optional[bool] = None) -> ShardedServingReport:
+    def serve(self, specs: Sequence[StreamSpec]) -> ShardedServingReport:
         """Partition the fleet by the ring, serve every shard, merge.
 
-        ``parallel`` selects *shard-level* process fan-out (``None`` =
-        processes whenever the host has more than one core and more than
-        one shard is loaded; within a shard the deterministic streaming
+        Shards fan out through ``fan_out`` (worker processes when the width
+        allows, else in-process; within a shard the deterministic streaming
         loop always runs).  Results are bit-identical either way — see the
         module docstring for why.
         """
-        return self._serve_wave(specs, parallel=parallel)
+        return self._serve_wave(specs)
 
     def _dispatch(self, specs: List[StreamSpec],
                   fleet_maps: Dict[str, MapSnapshot],
-                  maps_by_stream: Dict[str, Dict[str, MapSnapshot]],
-                  parallel: Optional[bool] = None) -> ShardedServingReport:
+                  maps_by_stream: Dict[str, Dict[str, MapSnapshot]]
+                  ) -> ShardedServingReport:
         shard_specs: List[List[StreamSpec]] = [[] for _ in range(self.shard_count)]
         shard_of: Dict[str, int] = {}
         for spec in specs:
@@ -361,50 +333,34 @@ class ShardedServingEngine(WaveLifecycle):
             shard_specs[shard].append(spec)
         loaded = [shard for shard in range(self.shard_count) if shard_specs[shard]]
         shard_reports: List[Optional[ServingReport]] = [None] * self.shard_count
+        sync_plan, sync_fallbacks = self._build_sync_plan(fleet_maps)
+        payloads = [self._shard_payload(shard, shard_specs[shard], sync_plan)
+                    for shard in loaded]
         spawned = [False]
-        if self._use_processes(parallel) and len(loaded) > 1:
-            sync_plan, sync_fallbacks = self._build_sync_plan(fleet_maps)
-            payloads = [self._shard_payload(shard, shard_specs[shard], sync_plan)
-                        for shard in loaded]
-            if fleet_maps:
-                # Every payload ships the same plan; the counterfactual is
-                # every payload shipping the full resolved snapshots.
-                self.sync_accounting.record(
-                    full_bytes=payload_bytes(fleet_maps) * len(payloads),
-                    delta_bytes=payload_bytes(sync_plan) * len(payloads),
-                    environments=len(fleet_maps) * len(payloads),
-                    fallbacks=sync_fallbacks * len(payloads))
-            width = min(len(loaded), resolve_max_workers(None))
-            with self._maybe_wall_span("cluster.wave", shards=len(loaded),
-                                       width=width, mode="process"):
-                for index, shard_report in fan_out(
-                        _serve_shard_payload, payloads, width,
-                        on_pool=lambda: spawned.__setitem__(0, True)):
-                    shard = loaded[index]
-                    shard_reports[shard] = shard_report
-                    self._sync_shard_state(shard, shard_report)
-        else:
-            with self._maybe_wall_span("cluster.wave", shards=len(loaded),
-                                       width=1, mode="sequential"):
-                for shard in loaded:
-                    with self._maybe_wall_span("shard.serve", shard=shard,
-                                               sessions=len(shard_specs[shard])):
-                        shard_reports[shard] = self.engines[shard].serve(
-                            shard_specs[shard], fleet_maps=fleet_maps)
+        width = min(len(loaded), resolve_max_workers(None))
+        with self._maybe_wall_span("cluster.wave", shards=len(loaded),
+                                   width=width):
+            for index, shard_report in fan_out(
+                    _serve_shard_payload, payloads, width,
+                    on_pool=lambda: spawned.__setitem__(0, True)):
+                shard = loaded[index]
+                shard_reports[shard] = shard_report
+                self._adopt_shard_state(shard, shard_report)
+        if spawned[0] and fleet_maps:
+            # Bytes that crossed the process boundary: every payload ships
+            # the same plan; the counterfactual is every payload shipping
+            # the full resolved snapshots.
+            self.sync_accounting.record(
+                full_bytes=payload_bytes(fleet_maps) * len(payloads),
+                delta_bytes=payload_bytes(sync_plan) * len(payloads),
+                environments=len(fleet_maps) * len(payloads),
+                fallbacks=sync_fallbacks * len(payloads))
         report = self._merge(shard_reports, shard_of, parallel=spawned[0])
         self._record_slo(report)
         report.rebalances = self._rebalance(specs, shard_reports, fleet_maps)
         report.slot_assignment = self.ring.assignment()
         self._emit_trace(report)
         return report
-
-    def _use_processes(self, parallel: Optional[bool]) -> bool:
-        if self.shard_count < 2:
-            return False
-        choice = self.shard_parallel if parallel is None else parallel
-        if choice is not None:
-            return bool(choice)
-        return resolve_max_workers(None) > 1
 
     def _build_sync_plan(self, fleet_maps: Dict[str, MapSnapshot]
                          ) -> Tuple[Dict[str, Dict], int]:
@@ -450,24 +406,25 @@ class ShardedServingEngine(WaveLifecycle):
             "map_bounds": (_store_bounds(self.map_store)
                            if self.map_store is not None else None),
             "merger": self.map_merger,
-            "map_aware_sizing": self.engines[shard].map_aware_sizing,
+            # Shards serve maps pinned by the coordinator without a store of
+            # their own, so they are told to size like a map-backed engine.
+            "map_aware_sizing": self.map_store is not None,
             "frames_per_worker_tick": self.frames_per_worker_tick,
-            "autoscaler": _autoscaler_config(self.autoscalers[shard]),
+            "autoscaler": self.autoscalers[shard],
+            "decision_clock": self.decision_clocks[shard],
             "fleet_map_sync": sync_plan,
         }
 
-    def _sync_shard_state(self, shard: int, shard_report: ServingReport) -> None:
-        """Fold a subprocess shard's controller state back into the
-        resident scaler, and its decisions into the resident log — so the
-        next wave, the admission probe, and the service metrics endpoint
-        behave identically across sequential and process execution."""
-        scaler = self.autoscalers[shard]
-        if scaler is None:
-            return
-        saturated = bool(shard_report.scale_decisions
-                         and shard_report.scale_decisions[-1].saturated)
-        scaler.sync(shard_report.final_workers, saturated)
-        scaler.decisions.extend(shard_report.scale_decisions)
+    def _adopt_shard_state(self, shard: int, shard_report: ServingReport) -> None:
+        """Take the shard's controller state off its report and adopt it.
+
+        An in-process shard served with ``autoscalers[shard]`` itself; a
+        worker-process shard's copy is adopted into it in place.
+        """
+        scaler, self.decision_clocks[shard] = shard_report.shard_state
+        shard_report.shard_state = None
+        if scaler is not None and scaler is not self.autoscalers[shard]:
+            self.autoscalers[shard].adopt(scaler)
 
     # ------------------------------------------------------------ merging
 
@@ -652,9 +609,9 @@ class ShardedServingEngine(WaveLifecycle):
         coordinator from shard reports — NOT by binding the shard engines:
         the engine's own families are unlabeled (re-registering them with a
         shard label would conflict with any plain engine sharing the
-        registry), and subprocess shards could not report into this
-        registry anyway.  Recording from reports makes sequential and
-        process waves meter identically.
+        registry), and worker-process shards could not report into this
+        registry anyway.  Recording from reports makes in-process and
+        worker-process shards meter identically.
         """
         self.metrics = registry
         self._m_shard_sessions = registry.counter(

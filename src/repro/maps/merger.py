@@ -87,6 +87,12 @@ class MapMerger:
             "(confirmed, relocated, pruned, carried = unobserved).",
             ("outcome",))
 
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle without the metric handles: a registry belongs to the
+        process that bound it, so a copy shipped to a shard worker travels
+        unbound."""
+        return dict(self.__dict__, metrics=None, _m_outcomes=None)
+
     def signature(self) -> Tuple:
         """The parameters that change what :meth:`merge` / :meth:`apply_updates`
         produce.

@@ -58,6 +58,10 @@ from typing import Deque, Dict, List, Optional
 import numpy as np
 
 
+#: The registry-bound attributes of a scaler (see ``bind_metrics``).
+_METRIC_HANDLES = ("metrics", "_m_decisions", "_m_workers", "_m_saturated")
+
+
 @dataclass(frozen=True)
 class ScaleDecision:
     """One autoscaler evaluation (held, grew or shrank) or sizing prime."""
@@ -137,6 +141,7 @@ class LatencyAutoscaler:
         self.metrics = None
         self._m_decisions = None
         self._m_workers = None
+        self._m_saturated = None
 
     def bind_metrics(self, registry) -> None:
         """Register the scaler's families with a
@@ -186,21 +191,20 @@ class LatencyAutoscaler:
         """
         return self._saturated
 
-    def sync(self, workers: int, saturated: bool = False) -> None:
-        """Adopt externally observed controller state.
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle without the metric handles: a registry belongs to the
+        process that bound it, so a copy shipped to a shard worker travels
+        unbound."""
+        return dict(self.__dict__, **dict.fromkeys(_METRIC_HANDLES))
 
-        A sharded serving coordinator running shards in worker *processes*
-        reconstructs a copy of this scaler in each subprocess; the copy's
-        final width and saturation flag come back in the shard's report,
-        and the coordinator folds them into the resident scaler here — so
-        the next wave starts where the last one ended and the front door's
-        admission probe reads live overload, exactly as in the
-        single-process case.  No decision is logged: the decisions were
-        made (and logged) by the copy; this only carries the state across
-        the process boundary.
-        """
-        self.workers = self._clamp(workers)
-        self._saturated = bool(saturated)
+    def adopt(self, other: "LatencyAutoscaler") -> None:
+        """Take over a copy's whole controller state in place — width,
+        windows, streaks, cooldown, tick, saturation, decision log — keeping
+        this instance's identity and metric handles.  Logs no decision: the
+        copy already made and logged them."""
+        handles = {name: getattr(self, name) for name in _METRIC_HANDLES}
+        self.__dict__.update(other.__getstate__())
+        self.__dict__.update(handles)
 
     # ------------------------------------------------------------ observing
 

@@ -176,6 +176,11 @@ class ServingReport:
     map_cache_hits: int = 0
     map_cache_misses: int = 0
     map_staleness_served: int = 0
+    # A shard's controller state after the wave — its autoscaler and
+    # decision-clock water-mark — handed back to the sharded coordinator on
+    # the report (across the process boundary when the shard ran in a
+    # worker) and taken off again when adopted.  Unset on a plain serve.
+    shard_state: Optional[Tuple[Optional[LatencyAutoscaler], float]] = None
 
     @property
     def session_count(self) -> int:

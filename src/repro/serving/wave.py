@@ -137,10 +137,10 @@ class WaveLifecycle:
     # ------------------------------------------------------------ the wave
 
     def _serve_wave(self, specs: Sequence[StreamSpec],
-                    fleet_maps: Optional[Dict[str, MapSnapshot]] = None,
-                    **dispatch_options) -> "ServingReport":
+                    fleet_maps: Optional[Dict[str, MapSnapshot]] = None
+                    ) -> "ServingReport":
         """Run one wave; ``fleet_maps`` pins the assignment instead of
-        resolving it, and ``dispatch_options`` go to :meth:`_dispatch`."""
+        resolving it."""
         specs = list(specs)
         # Duplicate stream ids make the fleet invalid as a whole, so the
         # check runs before any store lookup, map resolution, or dispatch:
@@ -156,8 +156,7 @@ class WaveLifecycle:
             fleet_maps = self._resolve_fleet_maps(specs)
         maps_by_stream = {spec.stream_id: self._maps_for(spec, fleet_maps)
                           for spec in specs}
-        report = self._dispatch(specs, fleet_maps, maps_by_stream,
-                                **dispatch_options)
+        report = self._dispatch(specs, fleet_maps, maps_by_stream)
         report.fleet_maps = self._map_versions(fleet_maps)
         replayed = set(report.replayed_streams)
         self._publish_fleet_maps(report, replayed)
@@ -174,8 +173,8 @@ class WaveLifecycle:
 
     def _dispatch(self, specs: List[StreamSpec],
                   fleet_maps: Dict[str, MapSnapshot],
-                  maps_by_stream: Dict[str, Dict[str, MapSnapshot]],
-                  **options) -> "ServingReport":
+                  maps_by_stream: Dict[str, Dict[str, MapSnapshot]]
+                  ) -> "ServingReport":
         """Serve the wave's sessions and return the report (engine-specific)."""
         raise NotImplementedError
 

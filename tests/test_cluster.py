@@ -187,8 +187,7 @@ def identity_reports(tmp_path_factory):
             shards,
             run_store=RunStore(tmp / f"runs-{shards}", -1, -1),
             map_store=MapStore(tmp / f"maps-{shards}", -1, -1),
-            autoscaler_factory=make_scaler,
-            shard_parallel=False)
+            autoscaler_factory=make_scaler)
         reports[shards] = engine.serve(fleet)
         reports[f"engine-{shards}"] = engine
     return reports
@@ -267,8 +266,7 @@ class TestShardedServing:
         # fleet at the door.
         store = RunStore(tmp_path / "runs", -1, -1)
         engine = ShardedServingEngine(
-            2, run_store=store, autoscaler_factory=make_scaler,
-            shard_parallel=False)
+            2, run_store=store, autoscaler_factory=make_scaler)
         fleet = small_fleet(4)
         dup = fleet + [fleet[0]]
         with pytest.raises(ValueError, match="duplicate stream_id"):
@@ -281,7 +279,7 @@ class TestShardedServing:
         engine = ShardedServingEngine(
             2, run_store=RunStore(tmp_path / "runs", -1, -1),
             map_store=MapStore(tmp_path / "maps", -1, -1),
-            autoscaler_factory=make_scaler, shard_parallel=False)
+            autoscaler_factory=make_scaler)
         fleet = small_fleet(4)
         first = engine.serve(fleet)
         second = engine.serve(fleet)
@@ -299,9 +297,9 @@ class TestShardedServing:
         # canonical assignment in wave 2.
         engine = ShardedServingEngine(
             2, map_store=MapStore(tmp_path / "maps", -1, -1),
-            min_map_quality=0.0,  # short segments: don't let the quality
-            autoscaler_factory=make_scaler,  # gate hide the lifecycle
-            shard_parallel=False)
+            # Short segments: don't let the quality gate hide the lifecycle.
+            min_map_quality=0.0,
+            autoscaler_factory=make_scaler)
         first = engine.serve(small_fleet(4))
         assert first.fleet_maps == {}  # cold world: nothing to resolve yet
         assert first.maps_published > 0
@@ -336,8 +334,7 @@ class TestShardedServing:
 
         def cluster(runs, maps):
             return ShardedServingEngine(2, run_store=runs, map_store=maps,
-                                        min_map_quality=0.05,
-                                        shard_parallel=False)
+                                        min_map_quality=0.05)
 
         outcomes = {}
         for label, make in (("plain", plain), ("cluster", cluster)):
@@ -354,28 +351,70 @@ class TestShardedServing:
         assert outcomes["cluster"][1].fleet_maps == outcomes["plain"][1].fleet_maps
         assert outcomes["cluster"][1].signature() == outcomes["plain"][1].signature()
 
-    def test_process_parallel_shards_match_sequential(self, tmp_path):
-        fleet = small_fleet(4)
-        sequential = ShardedServingEngine(
-            2, map_store=MapStore(tmp_path / "maps-seq", -1, -1),
-            autoscaler_factory=make_scaler, shard_parallel=False)
-        processes = ShardedServingEngine(
-            2, map_store=MapStore(tmp_path / "maps-proc", -1, -1),
-            autoscaler_factory=make_scaler, shard_parallel=True)
-        seq_report = sequential.serve(fleet)
-        proc_report = processes.serve(fleet)
-        assert session_signatures(proc_report) == session_signatures(seq_report)
-        assert proc_report.maps_updated == seq_report.maps_updated
-        assert proc_report.signature() == seq_report.signature()
-        # Subprocess controller state was folded back into the resident
-        # scalers: widths live, decision logs populated.
-        for scaler in processes.autoscalers:
-            assert scaler.workers >= 1
-            assert len(scaler.decisions) > 0
+    def test_process_parallel_shards_match_sequential(self, monkeypatch):
+        """One dispatch path, two executors: serving the shards in-process
+        (width 1) or in worker processes (width 2) leaves every shard in
+        the same state, wave after wave — the whole controller state makes
+        the round trip, not a hand-picked subset of it."""
+        def serve_waves(workers):
+            monkeypatch.setenv("EUDOXUS_MAX_WORKERS", workers)
+            # One frame per worker tick: the fleet congests, so the scalers
+            # grow, hold full windows and log misses across waves.
+            engine = ShardedServingEngine(2, autoscaler_factory=make_scaler,
+                                          frames_per_worker_tick=1)
+            scalers = list(engine.autoscalers)
+            reports = [engine.serve(small_fleet(6, prefix=f"w{wave}",
+                                                base_seed=100 * wave))
+                       for wave in range(3)]
+            # Adopted in place: the admission probe's scalers never change.
+            assert all(live is kept
+                       for live, kept in zip(engine.autoscalers, scalers))
+            logs = [[(d.tick, d.clock, d.action, d.workers_before,
+                      d.workers_after, d.pressure) for d in scaler.decisions]
+                    for scaler in engine.autoscalers]
+            return engine, reports, logs
+
+        sequential, seq_reports, seq_logs = serve_waves("1")
+        processes, proc_reports, proc_logs = serve_waves("2")
+        assert not any(report.parallel for report in seq_reports)
+        assert proc_logs == seq_logs
+        assert [r.deadline_misses for r in proc_reports] == \
+            [r.deadline_misses for r in seq_reports]
+        assert sum(r.deadline_misses for r in seq_reports) > 0
+        assert [s.workers for s in processes.autoscalers] == \
+            [s.workers for s in sequential.autoscalers]
+        assert [r.signature() for r in proc_reports] == \
+            [r.signature() for r in seq_reports]
+        for log in seq_logs:
+            # Three waves of decisions, one monotone log per shard.
+            assert len(log) > 3
+            ticks = [entry[0] for entry in log]
+            clocks = [entry[1] for entry in log]
+            assert ticks == list(range(1, len(log) + 1))
+            assert all(a < b for a, b in zip(clocks, clocks[1:]))
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_env_recorder_writes_one_bundle_per_wave(self, tmp_path,
+                                                     monkeypatch, workers):
+        """Shard executors ignore the EUDOXUS_TRACE / EUDOXUS_RECORDER
+        hooks: the coordinator captures one bundle from the merged report,
+        even when every shard's own report would trip the trigger."""
+        monkeypatch.setenv("EUDOXUS_RUN_CACHE", str(tmp_path / "runs"))
+        monkeypatch.setenv("EUDOXUS_RECORDER", "1")
+        monkeypatch.setenv("EUDOXUS_TRACE", "1")
+        monkeypatch.setenv("EUDOXUS_MAX_WORKERS", workers)
+        engine = ShardedServingEngine(
+            2, autoscaler_factory=lambda shard: LatencyAutoscaler(
+                min_workers=1, max_workers=1),
+            frames_per_worker_tick=1)
+        report = engine.serve(small_fleet(6))
+        assert all(rep is not None
+                   and rep.deadline_misses >= engine.recorder.miss_burst
+                   for rep in report.shard_reports)
+        assert len(engine.recorder.bundle_paths()) == 1
 
     def test_empty_fleet_serves_to_an_empty_report(self):
-        engine = ShardedServingEngine(2, autoscaler_factory=make_scaler,
-                                      shard_parallel=False)
+        engine = ShardedServingEngine(2, autoscaler_factory=make_scaler)
         report = engine.serve([])
         assert report.session_count == 0
         assert report.rebalances == []
@@ -407,7 +446,7 @@ class TestShardedServing:
         target = 1 - probe.shard_for(stream)
         engine = ShardedServingEngine(
             2, run_store=RunStore(tmp_path / "runs", -1, -1),
-            autoscaler_factory=make_scaler, shard_parallel=False,
+            autoscaler_factory=make_scaler,
             rebalancer=ForcedRebalancer(slot, target))
         first = engine.serve(fleet)
         assert len(first.rebalances) == 1
@@ -425,7 +464,7 @@ class TestShardedServing:
         # skewed wave leaves behind and check slots actually flow from the
         # pressured shard to the idle one.
         engine = ShardedServingEngine(
-            2, autoscaler_factory=make_scaler, shard_parallel=False,
+            2, autoscaler_factory=make_scaler,
             rebalancer=ShardRebalancer(pressure_gap=0.5, max_slot_moves=4))
         # Rig a genuinely skewed fleet: most streams hash to one shard, so
         # the pressured shard also carries the larger expected cost.
@@ -466,8 +505,7 @@ class TestClusterAdmissionSurface:
         scaler._saturated = True
 
     def test_saturated_for_judges_the_target_shard_only(self):
-        engine = ShardedServingEngine(2, autoscaler_factory=make_scaler,
-                                      shard_parallel=False)
+        engine = ShardedServingEngine(2, autoscaler_factory=make_scaler)
         fleet = small_fleet(6)
         shard_of = {spec.stream_id: engine.ring.shard_for(spec.stream_id)
                     for spec in fleet}
@@ -477,8 +515,7 @@ class TestClusterAdmissionSurface:
             assert engine.saturated_for(stream_id) == (shard == 0)
 
     def test_cluster_saturated_means_all_shards(self):
-        engine = ShardedServingEngine(2, autoscaler_factory=make_scaler,
-                                      shard_parallel=False)
+        engine = ShardedServingEngine(2, autoscaler_factory=make_scaler)
         assert not engine.saturated
         self.saturate(engine.autoscalers[0])
         assert not engine.saturated  # one hot shard is not cluster exhaustion
@@ -486,8 +523,7 @@ class TestClusterAdmissionSurface:
         assert engine.saturated
 
     def test_saturated_for_follows_the_live_ring(self):
-        engine = ShardedServingEngine(2, autoscaler_factory=make_scaler,
-                                      shard_parallel=False)
+        engine = ShardedServingEngine(2, autoscaler_factory=make_scaler)
         stream = "session-000"
         home = engine.ring.shard_for(stream)
         self.saturate(engine.autoscalers[home])
@@ -497,24 +533,40 @@ class TestClusterAdmissionSurface:
         engine.ring.move([engine.ring.slot_of(stream)], 1 - home)
         assert not engine.saturated_for(stream)
 
-    def test_sync_adopts_state_and_next_wave_clears_saturation(self):
-        scaler = make_scaler()
-        scaler.sync(3, saturated=True)
-        assert scaler.workers == 3 and scaler.saturated
-        scaler.sync(99, saturated=False)  # clamped to max_workers
-        assert scaler.workers == scaler.max_workers and not scaler.saturated
+    def test_adopt_carries_whole_state_keeps_handles(self):
+        """A bound scaler still pickles (unbound), and adopting the copy's
+        state back carries everything while keeping identity and handles."""
+        import pickle
+        from repro.obs import MetricsRegistry
+        registry = MetricsRegistry()
+        scaler = LatencyAutoscaler(min_workers=1, max_workers=1,
+                                   grow_patience=1)
+        scaler.bind_metrics(registry)
+        copy = pickle.loads(pickle.dumps(scaler))
+        assert copy.metrics is None
+        copy.observe(1000.0, deadline_ms=100.0)
+        copy.decide(clock=5.0)
+        assert copy.saturated
+        scaler.adopt(copy)
+        assert scaler.saturated
+        assert scaler.decision_tail() == copy.decision_tail()
+        assert scaler.decide(clock=6.0).tick == 2  # the tick carried over
+        assert scaler.metrics is registry
+        decisions = registry.counter(
+            "eudoxus_autoscaler_decisions_total",
+            "Scaling evaluations by action (prime, grow, shrink, hold).",
+            ("action",))
+        assert decisions.value(action="hold") == 1  # only its own decision
 
     def test_pinned_capacity_sums_shards(self):
-        engine = ShardedServingEngine(3, autoscaler_factory=make_scaler,
-                                      shard_parallel=False)
+        engine = ShardedServingEngine(3, autoscaler_factory=make_scaler)
         assert engine.pinned_capacity == \
             3 * 4 * engine.frames_per_worker_tick
-        bare = ShardedServingEngine(2, shard_parallel=False)
+        bare = ShardedServingEngine(2)
         assert bare.pinned_capacity is None
 
     def test_shard_health_and_describe_shapes(self):
-        engine = ShardedServingEngine(2, autoscaler_factory=make_scaler,
-                                      shard_parallel=False)
+        engine = ShardedServingEngine(2, autoscaler_factory=make_scaler)
         health = engine.shard_health()
         assert [row["shard"] for row in health] == [0, 1]
         assert all(set(row) == {"shard", "slots", "workers", "saturated"}
@@ -527,10 +579,18 @@ class TestClusterAdmissionSurface:
     def test_legacy_max_workers_per_shard_warns_and_changes_nothing(self):
         """The per-shard pool it sized is gone: scaler-less shards report 1."""
         with pytest.warns(DeprecationWarning, match="max_workers_per_shard"):
-            legacy = ShardedServingEngine(2, max_workers_per_shard=4,
-                                          shard_parallel=False)
+            legacy = ShardedServingEngine(2, max_workers_per_shard=4)
         assert [row["workers"] for row in legacy.shard_health()] == [1, 1]
         assert legacy.pinned_capacity is None
+
+    def test_legacy_shard_parallel_warns_and_changes_nothing(self, monkeypatch):
+        """The executor is fan_out's choice; the keyword no longer picks it."""
+        monkeypatch.setenv("EUDOXUS_MAX_WORKERS", "1")
+        with pytest.warns(DeprecationWarning, match="shard_parallel"):
+            legacy = ShardedServingEngine(2, shard_parallel=True)
+        report = legacy.serve(small_fleet(4))
+        assert not report.parallel
+        assert len({shard for shard in report.shard_of.values()}) == 2
 
 
 # ------------------------------------------------------------ metrics plane
@@ -542,8 +602,7 @@ class TestClusterMetrics:
         registry = MetricsRegistry()
         engine = ShardedServingEngine(
             2, map_store=MapStore(tmp_path / "maps", -1, -1),
-            autoscaler_factory=make_scaler, shard_parallel=False,
-            metrics=registry)
+            autoscaler_factory=make_scaler, metrics=registry)
         report = engine.serve(small_fleet(4))
         sessions = registry.counter(
             "eudoxus_cluster_shard_sessions_total",
@@ -560,8 +619,7 @@ class TestClusterMetrics:
         from repro.obs import MetricsRegistry
         registry = MetricsRegistry()
         plain = ServingEngine(store=None, metrics=registry)
-        engine = ShardedServingEngine(2, autoscaler_factory=make_scaler,
-                                      shard_parallel=False)
+        engine = ShardedServingEngine(2, autoscaler_factory=make_scaler)
         engine.bind_metrics(registry)
         engine.bind_metrics(registry)  # idempotent re-bind
         assert "eudoxus_cluster_rebalances_total" in registry

@@ -308,19 +308,22 @@ class TestClusterDeltaSync:
             cold)
         return store
 
-    def test_process_wave_ships_references_not_snapshots(self, tmp_path):
+    def test_process_wave_ships_references_not_snapshots(self, tmp_path,
+                                                         monkeypatch):
         self._warm_store(tmp_path)
+        # Width 2 lets the shards spawn even on a 1-core host: sync bytes
+        # count only what crossed a process boundary.
+        monkeypatch.setenv("EUDOXUS_MAX_WORKERS", "2")
         # map_updates off: an applied update fold moves the canonical and
         # would (correctly) turn the second wave into a revalidating miss;
         # the frozen store isolates the cache/sync protocol itself.
         cluster = ShardedServingEngine(
             2, map_store=_store(tmp_path), min_map_quality=EASY_GATE,
-            shard_parallel=True, map_updates=False)
+            map_updates=False)
         warm = [_env_spec(f"warm-{i}", "depot", seed=5000 + i)
                 for i in range(4)]
-        report = cluster.serve(warm, parallel=True)
-        # The payload path ran (on a 1-core host fan_out computes the same
-        # payloads in-process — the protocol is identical either way).
+        report = cluster.serve(warm)
+        assert report.parallel
         assert len(report.fleet_maps) == 1
         sync = cluster.sync_accounting
         assert sync.waves == 1 and sync.fallbacks == 0
@@ -331,17 +334,19 @@ class TestClusterDeltaSync:
         assert report.map_cache_misses == 1
         second = cluster.serve(
             [_env_spec(f"again-{i}", "depot", seed=6000 + i)
-             for i in range(4)], parallel=True)
+             for i in range(4)])
         assert second.map_cache_hits >= 1
 
-    def test_sequential_waves_ship_nothing(self, tmp_path):
+    def test_sequential_waves_ship_nothing(self, tmp_path, monkeypatch):
         self._warm_store(tmp_path)
+        monkeypatch.setenv("EUDOXUS_MAX_WORKERS", "1")
         cluster = ShardedServingEngine(
-            2, map_store=_store(tmp_path), min_map_quality=EASY_GATE,
-            shard_parallel=False)
-        cluster.serve([_env_spec(f"warm-{i}", "depot", seed=5000 + i)
-                       for i in range(4)], parallel=False)
-        # In-process shards share the coordinator's objects: no sync bytes.
+            2, map_store=_store(tmp_path), min_map_quality=EASY_GATE)
+        report = cluster.serve([_env_spec(f"warm-{i}", "depot", seed=5000 + i)
+                                for i in range(4)])
+        # In-process shards cross no process boundary: no sync bytes, even
+        # though the same payloads were built.
+        assert not report.parallel and len(report.fleet_maps) == 1
         assert cluster.sync_accounting.waves == 0
 
 

@@ -302,7 +302,6 @@ class TestHealthzShardRows:
             2,
             autoscaler_factory=lambda shard: LatencyAutoscaler(
                 min_workers=1, max_workers=1, grow_patience=1),
-            shard_parallel=False,
         )
         scaler = engine.autoscalers[1]
         scaler.observe(1000.0, deadline_ms=100.0)

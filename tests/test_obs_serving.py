@@ -172,7 +172,7 @@ class TestTraceExport:
         cluster = instant_shapes(ShardedServingEngine(
             2, map_store=MapStore(tmp_path / "cluster", max_bytes=-1,
                                   max_age_s=-1),
-            min_map_quality=MAP_GATE, shard_parallel=False, tracer=Tracer()))
+            min_map_quality=MAP_GATE, tracer=Tracer()))
         assert {name for name, _ in plain} >= {
             "map.tier_cache", "map.resolve", "map.publish_wave",
             "map.apply_updates"}

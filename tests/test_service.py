@@ -495,7 +495,6 @@ def _sharded_engine(shards=2):
         shards,
         autoscaler_factory=lambda shard: LatencyAutoscaler(
             min_workers=1, max_workers=1, grow_patience=1),
-        shard_parallel=False,
     )
 
 

@@ -104,9 +104,9 @@ def _streaming_serve(store, fleet):
 
 def _sharded_serve(store, fleet):
     # Three hash slots put each wave's two streams on different shards, so
-    # every wave goes through the worker-process payload path.
+    # every wave fans two shard payloads out.
     report = ShardedServingEngine(2, map_store=store, min_map_quality=MAP_GATE,
-                                  slot_count=3, shard_parallel=True).serve(fleet)
+                                  slot_count=3).serve(fleet)
     assert sorted(report.shard_of.values()) == [0, 1]
     return report
 
