@@ -1,16 +1,16 @@
-"""Map tiering: Tier-1 cache economics + Tier-2 delta sync, bit-identical.
+"""Map tiering: canonical-memo economics + Tier-2 delta sync, bit-identical.
 
 The tiered map plane must pay for itself without buying any of it with
 correctness.  This benchmark serves one warm fleet through clusters of
-increasing width with the full tier plane active (coordinator snapshot
-cache, ``{version, inputs}`` shard sync) and pins both halves:
+increasing width with the full tier plane active (the coordinator store's
+canonical-map memo, ``{version, inputs}`` shard sync) and pins both halves:
 
 * **determinism** — every topology's report signature equals a plain
   engine's on an identically warmed store (content addressing makes
-  separately warmed roots byte-identical), with the cache and the
+  separately warmed roots byte-identical), with the memo and the
   reference protocol in the path;
-* **economics** — a warm re-serve validates by version stamp alone
-  (Tier-1 hit rate >= 0.5 — in practice 1.0: no unpickle, no re-merge),
+* **economics** — a warm re-serve is answered by the store's resolve memo
+  (resolve hit rate >= 0.5 — in practice 1.0: no unpickle, no re-merge),
   and a drifting-world update wave ships strictly fewer sync bytes as
   references than the full-snapshot protocol would have.
 """
@@ -75,31 +75,29 @@ def test_map_tiering(benchmark, tmp_path, monkeypatch, shard_settings,
             shards, map_store=_store(root), min_map_quality=GATE,
             map_updates=False)
         first = cluster.serve(warm_wave)
-        # Strict mode, cache + delta sync active: bit-identical to the
-        # plain engine at every width.
+        # Memo + delta sync active: bit-identical to the plain engine at
+        # every width.
         assert first.signature() == plain.signature(), (
             f"{shards}-shard tiered serving diverged from the plain engine")
-        assert first.map_cache_misses >= 1  # the cold lookup is honest
+        assert first.map_resolve_misses >= 1  # the cold lookup is honest
         if shards == shard_counts[-1]:
             second = benchmark.pedantic(
                 lambda: cluster.serve(rewarm_wave),
                 rounds=1, iterations=1)
         else:
             second = cluster.serve(rewarm_wave)
-        # The acceptance pin: a warm re-serve revalidates by stamp alone.
-        assert second.map_cache_hit_rate >= 0.5, (
-            f"warm-wave Tier-1 hit rate {second.map_cache_hit_rate:.2f} "
-            f"below 0.5 at {shards} shard(s)")
-        assert second.map_staleness_served == 0  # strict mode serves head
+        # The acceptance pin: a warm re-serve is answered by the memo.
+        assert second.map_resolve_hit_rate >= 0.5, (
+            f"re-warm wave resolve hit rate "
+            f"{second.map_resolve_hit_rate:.2f} below 0.5 at {shards} shard(s)")
         rows.append([shards,
                      "processes" if second.parallel else "inline",
                      second.session_count,
-                     round(second.map_cache_hit_rate, 2),
-                     cluster.map_cache.hits, cluster.map_cache.misses,
+                     round(second.map_resolve_hit_rate, 2),
                      round(second.sessions_per_second, 2)])
         append_bench_row(
             f"map_tiering_x{shards}",
-            warm_hit_rate=second.map_cache_hit_rate,
+            warm_hit_rate=second.map_resolve_hit_rate,
             sessions_per_second=second.sessions_per_second,
         )
 
@@ -133,8 +131,8 @@ def test_map_tiering(benchmark, tmp_path, monkeypatch, shard_settings,
 
     print_banner("Serving — tiered map distribution")
     print(format_table(
-        ["shards", "execution", "sessions", "warm_hit_rate",
-         "cache_hits", "cache_misses", "sessions/s"], rows))
+        ["shards", "execution", "sessions", "warm_hit_rate", "sessions/s"],
+        rows))
     print(f"\nall widths bit-identical to the plain engine: True")
     print(f"update-wave sync: {sync.delta_bytes} B shipped as references "
           f"vs {sync.full_bytes} B full snapshots "

@@ -27,10 +27,10 @@ a landmark-displacement burst demonstrates staleness detection
 autoscaler shows a warm registration-heavy fleet priming — and staying —
 at a fraction of the cold fleet's worker count.  The tiered distribution
 plane gets its own exhibit: a sharded cluster resolves warm waves through
-the coordinator's Tier-1 snapshot cache (stamp-validated hits — no
-unpickle, no re-merge) and ships Tier-2 ``{version, inputs}`` references
-to its shards, with the hit/miss table and the full-vs-delta byte savings
-printed.
+the coordinator store's canonical-map memo (hits validated by the snapshot
+file stems — no unpickle, no re-merge) and ships Tier-2
+``{version, inputs}`` references to its shards, with the per-wave memo
+hit/miss table and the full-vs-delta byte savings printed.
 
 The epilogue is service mode: the same engine behind the asyncio front
 door (`repro.service`), with per-tenant QoS classes mapped onto serving
@@ -236,15 +236,15 @@ def main() -> None:
               f"{recovered_modes} — registration again, no re-demotion")
 
     # 9. Tiered map distribution: a 2-shard cluster on the same kind of
-    #    shared world.  The coordinator resolves each wave through its
-    #    bounded Tier-1 snapshot cache — after the first wave the store's
-    #    version stamp is unchanged, so every later resolve is a hit that
+    #    shared world.  The coordinator resolves each wave through its map
+    #    store's canonical-map memo — after the first wave the snapshot
+    #    file stems are unchanged, so every later resolve is a hit that
     #    never unpickles a snapshot or re-runs a merge — and process-mode
     #    waves ship Tier-2 {version, inputs} references to the shards
     #    instead of pickled snapshots.  (The store is frozen here; an
     #    update fold would move the canonical and honestly turn the next
-    #    resolve into a revalidating miss.)
-    print("\n--- tiered map distribution: snapshot cache + delta sync ---")
+    #    resolve into a re-merging miss.)
+    print("\n--- tiered map distribution: canonical memo + delta sync ---")
     with tempfile.TemporaryDirectory() as map_root:
         seed_store = MapStore(map_root, max_bytes=-1, max_age_s=-1)
         ServingEngine(store=None, map_store=seed_store,
@@ -255,19 +255,20 @@ def main() -> None:
         cluster = ShardedServingEngine(
             2, map_store=MapStore(map_root, max_bytes=-1, max_age_s=-1),
             min_map_quality=MAP_GATE, map_updates=False)
+        print("Canonical-map memo (coordinator store), per warm wave:")
+        print("  wave  hits  misses  merges")
         for wave_index in range(3):
-            cluster.serve(drifting_environment_fleet(
+            report = cluster.serve(drifting_environment_fleet(
                 4, environment="tiered-yard", base_seed=40000 + 1000 * wave_index,
                 prefix=f"wave{wave_index}", segment_duration=2.0,
                 camera_rate_hz=5.0))
-        cache = cluster.map_cache.as_dict()
+            print(f"  {wave_index:4d}  {report.map_resolve_hits:4d}  "
+                  f"{report.map_resolve_misses:6d}  "
+                  f"{len(report.map_merge_ms):6d}")
+        memo = cluster.map_store
+        total = memo.resolve_hits + memo.resolve_misses
+        print(f"  lifetime hit rate {memo.resolve_hits / max(1, total):.2f}")
         sync = cluster.sync_accounting
-        print("Tier-1 snapshot cache (coordinator), after 3 warm waves:")
-        print("  outcome       count")
-        for outcome in ("hits", "misses", "stale_serves", "evictions"):
-            print(f"  {outcome:12s} {cache[outcome]:5d}")
-        print(f"  hit rate {cache['hit_rate']:.2f}, {cache['entries']} "
-              f"entry(ies), {cache['cached_bytes']} B cached")
         print(f"Tier-2 delta sync over {sync.waves} process wave(s): "
               f"{sync.delta_bytes} B shipped as references vs "
               f"{sync.full_bytes} B as full snapshots "

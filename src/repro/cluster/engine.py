@@ -56,7 +56,6 @@ from repro.maps import (
     MapMerger,
     MapSnapshot,
     MapStore,
-    SnapshotCache,
     SyncAccounting,
 )
 from repro.maps.tier import payload_bytes
@@ -112,8 +111,8 @@ def _serve_shard_payload(payload: Dict) -> ServingReport:
 
     The wave's map assignment arrives as Tier-2 ``{version, inputs}``
     references (``fleet_map_sync``), not pickled snapshots: the shard
-    rebuilds each canonical from the shared map store through its own
-    :class:`~repro.maps.SnapshotCache` (content addressing makes the
+    rebuilds each canonical from the shared map store through
+    :meth:`~repro.maps.MapStore.materialize` (content addressing makes the
     rebuild provably bit-identical — the version must match).  A reference
     that cannot be materialized falls back to the store's own canonical
     merge; a version mismatch there is a determinism violation and raises
@@ -127,13 +126,12 @@ def _serve_shard_payload(payload: Dict) -> ServingReport:
                  if payload["run_root"] else None)
     map_store = (MapStore(payload["map_root"], *payload["map_bounds"])
                  if payload["map_root"] else None)
-    map_cache = SnapshotCache(map_store) if map_store is not None else None
     merger = payload["merger"]
     fleet_maps: Dict[str, MapSnapshot] = {}
     for environment_id, ref in payload["fleet_map_sync"].items():
         snapshot = ref["snapshot"]
-        if snapshot is None and map_cache is not None:
-            snapshot = map_cache.materialize(
+        if snapshot is None and map_store is not None:
+            snapshot = map_store.materialize(
                 environment_id, ref["version"], ref["inputs"], merger=merger)
         if snapshot is None and map_store is not None:
             candidate = map_store.canonical(environment_id, merger)
@@ -253,7 +251,6 @@ class ShardedServingEngine(WaveLifecycle):
                  map_merger: Optional[MapMerger] = None,
                  min_map_quality: float = DEFAULT_MIN_MAP_QUALITY,
                  map_updates: bool = True,
-                 map_staleness_bound: Optional[int] = None,
                  autoscaler_factory: Optional[
                      Callable[[int], Optional[LatencyAutoscaler]]] = None,
                  max_workers_per_shard: Optional[int] = None,
@@ -268,8 +265,7 @@ class ShardedServingEngine(WaveLifecycle):
         self.shard_count = resolve_shard_count(shards)
         if self.shard_count < 1:
             raise ValueError("shards must be >= 1")
-        super().__init__(map_store, map_merger, min_map_quality, map_updates,
-                         map_staleness_bound)
+        super().__init__(map_store, map_merger, min_map_quality, map_updates)
         self.ring = HashRing(self.shard_count, slot_count)
         self.rebalancer = rebalancer if rebalancer is not None else ShardRebalancer()
         self.run_store = run_store
@@ -367,23 +363,21 @@ class ShardedServingEngine(WaveLifecycle):
         """The wave's Tier-2 sync plan: one reference per resolved map.
 
         A reference carries the canonical version and the snapshot file
-        stems its merge consumed (read from the coordinator cache's
-        provenance — no extra store traffic); the shard rebuilds the exact
-        snapshot from the shared store.  A stale-served entry
-        (``versions_behind > 0``) or a cache that cannot vouch for the
-        resolved version embeds the full snapshot instead — counted as a
-        fallback, never served silently wrong.
+        stems its merge consumed, read from the store's resolve memo
+        (:meth:`~repro.maps.MapStore.canonical_provenance` — no merge, no
+        extra store traffic); the shard rebuilds the exact snapshot from
+        the shared store.  A memo that cannot vouch for the resolved
+        version embeds the full snapshot instead — counted as a fallback,
+        never served silently wrong.
         """
         plan: Dict[str, Dict] = {}
         fallbacks = 0
         for environment_id, snapshot in fleet_maps.items():
-            prov = (self.map_cache.provenance(environment_id, self.map_merger)
-                    if self.map_cache is not None else None)
-            if (prov is not None and prov[1] is not None
-                    and prov[1].version == snapshot.version
-                    and prov[2] == 0 and prov[0]):
+            inputs, canonical = self.map_store.canonical_provenance(
+                environment_id, self.map_merger)
+            if canonical is not None and canonical.version == snapshot.version:
                 plan[environment_id] = {"version": snapshot.version,
-                                        "inputs": list(prov[0]),
+                                        "inputs": list(inputs),
                                         "snapshot": None}
             else:
                 plan[environment_id] = {"version": snapshot.version,
@@ -587,16 +581,6 @@ class ShardedServingEngine(WaveLifecycle):
             "waves_served": self.waves_served,
             "slot_moves": self.ring.moves,
             "rebalances": [asdict(d) for d in self.rebalance_log[-16:]],
-            "map_tier": self.map_tier_stats(),
-        }
-
-    def map_tier_stats(self) -> Dict[str, object]:
-        """Tier-1 cache + Tier-2 sync posture for the service endpoints."""
-        return {
-            "staleness_bound": self.map_staleness_bound,
-            "cache": (self.map_cache.as_dict()
-                      if self.map_cache is not None else None),
-            "sync": self.sync_accounting.as_dict(),
         }
 
     # ------------------------------------------------------- observability

@@ -19,17 +19,18 @@ turns maps from a static per-stream flag into a fleet-wide resource:
   closed lifecycle — per-landmark observation deltas a session accumulates
   while serving *against* a fleet map, applied back through
   :meth:`MapMerger.apply_updates` (confirm / relocate / prune).
-* :mod:`repro.maps.tier` — :class:`SnapshotCache` / :class:`SyncAccounting`:
-  the tiered distribution layer — a bounded per-engine read-through cache
-  keyed on the store's content-version stamp (Tier 1), the delta-sync
-  reference protocol and its byte accounting (Tier 2), and the
-  bounded-staleness knob (``EUDOXUS_MAP_STALENESS``) on top.
+* :mod:`repro.maps.tier` — :class:`SyncAccounting`: the Tier-2 delta-sync
+  byte accounting for the ``{version, inputs}`` references a sharded
+  coordinator ships instead of pickled snapshots.
 * :mod:`repro.maps.store` — :class:`MapStore`: a persistent LRU store next
   to the run cache (``~/.cache/eudoxus-repro/maps``, ``EUDOXUS_MAP_CACHE*``
   overrides) with atomic concurrent-writer-safe publishes, a quality-gated
-  :meth:`~MapStore.resolve` that serves the canonical map, and
-  :meth:`~MapStore.apply_updates` folding registration deltas into a new
-  content-addressed canonical version (compacting the superseded history).
+  :meth:`~MapStore.resolve` that serves the canonical map from the one
+  canonical-map memo (validated against the snapshot file stems),
+  :meth:`~MapStore.materialize` that rebuilds a canonical from a Tier-2
+  reference, and :meth:`~MapStore.apply_updates` folding registration
+  deltas into a new content-addressed canonical version (compacting the
+  superseded history).
 
 The serving layer closes the loop both ways: SLAM sessions publish
 snapshots at segment exits, the engine resolves fleet maps up front per
@@ -57,36 +58,21 @@ from repro.maps.store import (
     MapStore,
     default_map_root,
 )
-from repro.maps.tier import (
-    DEFAULT_MAP_TIER_MAX_ENTRIES,
-    DEFAULT_MAP_TIER_MAX_MB,
-    MAP_STALENESS_ENV,
-    MAP_TIER_MAX_ENTRIES_ENV,
-    MAP_TIER_MAX_MB_ENV,
-    SnapshotCache,
-    SyncAccounting,
-    resolve_staleness_bound,
-)
+from repro.maps.tier import SyncAccounting
 from repro.maps.update import MapObservationAccumulator, MapUpdate
 
 __all__ = [
     "DEFAULT_MAP_CACHE_MAX_AGE_DAYS",
     "DEFAULT_MAP_CACHE_MAX_MB",
-    "DEFAULT_MAP_TIER_MAX_ENTRIES",
-    "DEFAULT_MAP_TIER_MAX_MB",
     "DEFAULT_MIN_MAP_QUALITY",
     "MAP_CACHE_ENV",
     "MAP_CACHE_MAX_AGE_DAYS_ENV",
     "MAP_CACHE_MAX_MB_ENV",
-    "MAP_STALENESS_ENV",
-    "MAP_TIER_MAX_ENTRIES_ENV",
-    "MAP_TIER_MAX_MB_ENV",
     "MapMerger",
     "MapObservationAccumulator",
     "MapSnapshot",
     "MapStore",
     "MapUpdate",
-    "SnapshotCache",
     "SyncAccounting",
     "default_map_root",
     "degrade_snapshot",

@@ -1,77 +1,29 @@
-"""Tiered map distribution: the per-engine layer above the map store.
+"""Tier-2 map sync: the reference protocol between coordinator and shards.
 
 The map plane has three tiers (ROADMAP item 5):
 
 * **Tier 0 — authoritative**: the on-disk :class:`~repro.maps.store.MapStore`
-  keeps the canonical merge and stays the bit-identical oracle.
-* **Tier 1 — per-engine cache**: :class:`SnapshotCache`, a read-through,
-  bounded (entries + MB) cache in front of one store handle.  Entries are
-  keyed on the environment and the merger's parameter signature and
-  validated against the store's content-version stamp
-  (:meth:`MapStore.version_stamp` — one directory scan, no unpickling), so
-  a hit never loads a snapshot or re-runs a merge, and invalidation is
-  exact, never heuristic: equal stamps mean byte-identical merge inputs.
-* **Tier 2 — delta sync**: shard payloads carry ``{version, inputs}``
-  references instead of pickled snapshots; the shard side rebuilds the
-  exact canonical through :meth:`SnapshotCache.materialize` and
+  keeps every published snapshot and stays the bit-identical oracle.
+* **Tier 1 — canonical memo**: the store handle's in-memory memo of each
+  environment's canonical merge, validated against the snapshot file stems
+  on every :meth:`~repro.maps.store.MapStore.resolve` — a resolve whose
+  stems are unchanged costs one directory scan, no unpickle, no merge.  It
+  is the only canonical-map cache, and its hit/miss counters are the ones
+  every report, metric and endpoint shows.
+* **Tier 2 — delta sync** (this module): shard payloads carry
+  ``{version, inputs}`` references, read from
+  :meth:`~repro.maps.store.MapStore.canonical_provenance`, instead of
+  pickled snapshots; the shard rebuilds the exact canonical through
+  :meth:`~repro.maps.store.MapStore.materialize`, and
   :class:`SyncAccounting` counts the bytes the reference protocol shipped
   against the bytes the full-snapshot protocol would have.
-
-On top of the tiers sits **bounded staleness**: a cache entry up to
-``staleness_bound`` canonical versions behind head may still be served
-(:func:`resolve_staleness_bound` reads ``EUDOXUS_MAP_STALENESS``; the
-default ``0`` is strict and bit-identical to resolving through the store).
-A stale serve is never silent — it is counted here, reported per serve
-call, and correctness degrades through the existing registration-residual
-→ ``map_stale`` demotion path, exactly as for any other outdated map.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.maps.merger import MapMerger
-from repro.maps.snapshot import DEFAULT_MIN_MAP_QUALITY, MapSnapshot
-from repro.maps.store import MapStore
-
-MAP_STALENESS_ENV = "EUDOXUS_MAP_STALENESS"
-MAP_TIER_MAX_ENTRIES_ENV = "EUDOXUS_MAP_TIER_MAX_ENTRIES"
-MAP_TIER_MAX_MB_ENV = "EUDOXUS_MAP_TIER_MAX_MB"
-DEFAULT_MAP_TIER_MAX_ENTRIES = 64
-DEFAULT_MAP_TIER_MAX_MB = 64.0
-
-
-def _env_number(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def resolve_staleness_bound(bound: Optional[int] = None) -> int:
-    """The effective staleness bound: explicit argument over environment.
-
-    ``0`` (the default) is strict serving — every resolve revalidates
-    against the store head.  Negative values clamp to strict rather than
-    meaning "unbounded": an accidental ``-1`` must never disable
-    freshness checking.
-    """
-    if bound is not None:
-        return max(0, int(bound))
-    raw = os.environ.get(MAP_STALENESS_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
+from typing import Dict
 
 
 def payload_bytes(value) -> int:
@@ -140,253 +92,3 @@ class SyncAccounting:
             "eudoxus_map_tier_sync_fallbacks_total",
             "Sync payloads that embedded a full snapshot because no "
             "reference could be shipped.")
-
-
-class SnapshotCache:
-    """Tier 1: a bounded read-through cache over one :class:`MapStore`.
-
-    One entry per ``(environment, merger signature)`` holds the canonical
-    snapshot (ungated — the quality gate is applied per lookup, so one
-    cached merge serves any ``min_quality``) together with the version
-    stamp it was computed from.  A lookup scans the directory for the
-    current stamp; an equal stamp is a **hit** — no unpickle, no merge.
-    A changed stamp is a **miss** unless the caller allows bounded
-    staleness, in which case an entry at most ``staleness_bound`` distinct
-    stamp changes behind head is served anyway (a **stale serve**, counted
-    separately).
-
-    Bounds: ``max_entries`` / ``max_mb`` (env
-    ``EUDOXUS_MAP_TIER_MAX_ENTRIES`` / ``EUDOXUS_MAP_TIER_MAX_MB``;
-    ``<= 0`` disables a bound, matching the store conventions).  Eviction
-    is LRU on lookup recency.
-    """
-
-    def __init__(self, store: MapStore,
-                 max_entries: Optional[int] = None,
-                 max_mb: Optional[float] = None) -> None:
-        self.store = store
-        if max_entries is None:
-            max_entries = int(_env_number(MAP_TIER_MAX_ENTRIES_ENV,
-                                          DEFAULT_MAP_TIER_MAX_ENTRIES))
-        if max_mb is None:
-            max_mb = _env_number(MAP_TIER_MAX_MB_ENV, DEFAULT_MAP_TIER_MAX_MB)
-        self.max_entries = int(max_entries)
-        self.max_bytes = int(max_mb * 1024 * 1024) if max_mb > 0 else 0
-        # key -> [stamp, snapshot, cost_bytes, versions_behind, last_seen_stamp]
-        self._entries: "OrderedDict[Tuple[str, Tuple], List]" = OrderedDict()
-        self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.stale_serves = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self.materializations = 0
-        self._m_lookups = None
-        self._m_evictions = None
-        self._m_invalidations = None
-        self._m_bytes_gauge = None
-
-    # ---------------------------------------------------------------- lookup
-
-    def resolve(self, environment_id: str,
-                merger: Optional[MapMerger] = None,
-                min_quality: float = DEFAULT_MIN_MAP_QUALITY,
-                staleness_bound: int = 0) -> Optional[MapSnapshot]:
-        """The canonical map if servable — through the cache.
-
-        Semantics match :meth:`MapStore.resolve` exactly at
-        ``staleness_bound=0``; with a positive bound an entry up to that
-        many canonical versions behind head may be served without
-        revalidating its content.
-        """
-        merger = merger or MapMerger()
-        key = (environment_id, merger.signature())
-        stamp = self.store.version_stamp(environment_id)
-        entry = self._entries.get(key)
-        if entry is not None:
-            if entry[0] == stamp:
-                self.hits += 1
-                if self._m_lookups is not None:
-                    self._m_lookups.inc(outcome="hit")
-                self._entries.move_to_end(key)
-                return self._gated(entry[1], min_quality)
-            if staleness_bound > 0 and entry[1] is not None:
-                if entry[4] != stamp:
-                    # Count *distinct* head movements, not repeated looks
-                    # at the same moved head: K means "K versions behind".
-                    entry[3] += 1
-                    entry[4] = stamp
-                if entry[3] <= staleness_bound:
-                    self.stale_serves += 1
-                    if self._m_lookups is not None:
-                        self._m_lookups.inc(outcome="stale")
-                    self._entries.move_to_end(key)
-                    return self._gated(entry[1], min_quality)
-        self.misses += 1
-        if self._m_lookups is not None:
-            self._m_lookups.inc(outcome="miss")
-        fresh_stamp, canonical = self.store.canonical_provenance(
-            environment_id, merger)
-        self._insert(key, fresh_stamp, canonical)
-        return self._gated(canonical, min_quality)
-
-    def materialize(self, environment_id: str, version: str,
-                    inputs: Sequence[str],
-                    merger: Optional[MapMerger] = None) -> Optional[MapSnapshot]:
-        """Rebuild the exact canonical ``version`` from a Tier-2 reference.
-
-        ``inputs`` are the snapshot file stems the coordinator's merge
-        consumed; loading them from the shared store and merging under the
-        same merger parameters reproduces the canonical bit for bit (a
-        single input *is* the canonical — :meth:`MapMerger.merge` of one
-        snapshot returns it unchanged).  Returns ``None`` when any input
-        is unloadable or the rebuilt version disagrees — the caller falls
-        back rather than serving a map it cannot prove identical.
-        """
-        merger = merger or MapMerger()
-        key = (environment_id, merger.signature())
-        stamp = tuple(inputs)
-        entry = self._entries.get(key)
-        if (entry is not None and entry[1] is not None
-                and entry[1].version == version):
-            self._entries.move_to_end(key)
-            return entry[1]
-        loaded = []
-        for stem in stamp:
-            snapshot = self.store.load_key(stem, expect=MapSnapshot)
-            if snapshot is None:
-                return None
-            loaded.append(snapshot)
-        if not loaded:
-            return None
-        rebuilt = merger.merge(loaded)
-        if rebuilt is None or rebuilt.version != version:
-            return None
-        self.materializations += 1
-        self._insert(key, stamp, rebuilt)
-        return rebuilt
-
-    def provenance(self, environment_id: str,
-                   merger: Optional[MapMerger] = None,
-                   ) -> Optional[Tuple[Tuple[str, ...],
-                                       Optional[MapSnapshot], int]]:
-        """``(stamp, snapshot, versions_behind)`` of the cached entry.
-
-        The Tier-2 sync planner reads this *after* a resolve to turn the
-        wave's assignment into ``{version, inputs}`` references without
-        touching the store again.  ``versions_behind > 0`` means the entry
-        was stale-served — its stamp may name compacted files, so the
-        planner must fall back to embedding the snapshot.  ``None`` when
-        nothing is cached for the key.
-        """
-        merger = merger or MapMerger()
-        entry = self._entries.get((environment_id, merger.signature()))
-        if entry is None:
-            return None
-        return tuple(entry[0]), entry[1], entry[3]
-
-    # ------------------------------------------------------------- management
-
-    def invalidate(self, environment_id: Optional[str] = None) -> int:
-        """Drop entries for one environment (or all); returns the count."""
-        if environment_id is None:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._bytes = 0
-        else:
-            stale = [key for key in self._entries if key[0] == environment_id]
-            for key in stale:
-                self._drop(key)
-            dropped = len(stale)
-        self.invalidations += dropped
-        if dropped and self._m_invalidations is not None:
-            self._m_invalidations.inc(dropped)
-        return dropped
-
-    @property
-    def entry_count(self) -> int:
-        return len(self._entries)
-
-    @property
-    def cached_bytes(self) -> int:
-        return self._bytes
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served without touching snapshot content."""
-        lookups = self.hits + self.misses + self.stale_serves
-        return (self.hits + self.stale_serves) / lookups if lookups else 0.0
-
-    def counters(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stale_serves": self.stale_serves,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "materializations": self.materializations,
-        }
-
-    def as_dict(self) -> Dict[str, float]:
-        stats = dict(self.counters())
-        stats["entries"] = self.entry_count
-        stats["cached_bytes"] = self.cached_bytes
-        stats["hit_rate"] = round(self.hit_rate, 4)
-        return stats
-
-    def bind_metrics(self, registry) -> None:
-        self._m_lookups = registry.counter(
-            "eudoxus_map_tier_lookups_total",
-            "Tier-1 snapshot cache lookups by outcome "
-            "(hit / miss / stale serve).", ("outcome",))
-        self._m_evictions = registry.counter(
-            "eudoxus_map_tier_evictions_total",
-            "Tier-1 cache entries evicted by the entry/byte bounds.")
-        self._m_invalidations = registry.counter(
-            "eudoxus_map_tier_invalidations_total",
-            "Tier-1 cache entries dropped by explicit invalidation.")
-        self._m_bytes_gauge = registry.gauge(
-            "eudoxus_map_tier_cached_bytes",
-            "Approximate bytes held by the Tier-1 snapshot cache.")
-        registry.register_collector(self._collect_metrics)
-
-    def _collect_metrics(self, registry) -> None:
-        self._m_bytes_gauge.set(float(self._bytes))
-
-    # -------------------------------------------------------------- internals
-
-    @staticmethod
-    def _gated(snapshot: Optional[MapSnapshot],
-               min_quality: float) -> Optional[MapSnapshot]:
-        if snapshot is None or snapshot.quality < min_quality:
-            return None
-        return snapshot
-
-    def _insert(self, key, stamp: Tuple[str, ...],
-                snapshot: Optional[MapSnapshot]) -> None:
-        cost = payload_bytes(snapshot) if snapshot is not None else 64
-        if key in self._entries:
-            self._drop(key)
-        self._entries[key] = [tuple(stamp), snapshot, cost, 0, tuple(stamp)]
-        self._bytes += cost
-        self._enforce_bounds()
-
-    def _drop(self, key) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            self._bytes -= entry[2]
-
-    def _enforce_bounds(self) -> None:
-        while self._entries and (
-                (self.max_entries > 0 and len(self._entries) > self.max_entries)
-                or (self.max_bytes > 0 and self._bytes > self.max_bytes)):
-            if len(self._entries) == 1 and (
-                    self.max_entries <= 0 or len(self._entries) <= self.max_entries):
-                # A single entry over the byte bound still serves — evicting
-                # the map we are about to return would thrash forever.
-                break
-            key = next(iter(self._entries))
-            self._drop(key)
-            self.evictions += 1
-            if self._m_evictions is not None:
-                self._m_evictions.inc()

@@ -502,18 +502,6 @@ class LocalizationService:
                                           "inflight": self.inflight,
                                           "saturated": self._saturated(),
                                           "slo_fast_burn": self.slo.fast_burns()}
-            cache = getattr(self.engine, "map_cache", None)
-            if cache is not None:
-                # A degraded map tier is a liveness concern: a collapsing
-                # hit rate under a nonzero staleness bound means the fleet
-                # is re-merging (or stale-serving) its way through churn.
-                payload["map_tier"] = {
-                    "hit_rate": round(cache.hit_rate, 4),
-                    "entries": cache.entry_count,
-                    "stale_serves": cache.stale_serves,
-                    "staleness_bound": int(
-                        getattr(self.engine, "map_staleness_bound", 0)),
-                }
             if self._sharded:
                 rows = self.engine.shard_health()
                 for row in rows:
@@ -707,14 +695,7 @@ class LocalizationService:
             "updated": store.updated,
             "version_churn": dict(sorted(store.version_churn.items())),
         }
-        # Tiered distribution (ROADMAP item 5, tier plane): the engine's
-        # Tier-1 cache posture, its staleness bound, and — on a cluster —
-        # the Tier-2 sync byte accounting.
-        cache = getattr(self.engine, "map_cache", None)
-        if cache is not None:
-            payload["tier_cache"] = cache.as_dict()
-        payload["staleness_bound"] = int(
-            getattr(self.engine, "map_staleness_bound", 0))
+        # On a cluster: the Tier-2 sync byte accounting.
         sync = getattr(self.engine, "sync_accounting", None)
         if sync is not None:
             payload["tier_sync"] = sync.as_dict()

@@ -66,7 +66,6 @@ from repro.maps import (
     MapMerger,
     MapSnapshot,
     MapStore,
-    SnapshotCache,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder, recorder_from_env
@@ -168,14 +167,6 @@ class ServingReport:
     map_resolve_misses: int = 0
     map_merge_ms: List[float] = field(default_factory=list)
     map_version_churn: Dict[str, int] = field(default_factory=dict)
-    # Tiered distribution (ROADMAP item 5): deltas of the engine's Tier-1
-    # SnapshotCache counters over this serve call — lookups answered
-    # without touching snapshot content vs misses that fell through to the
-    # store, and how many resolves served a bounded-staleness (behind-head)
-    # canonical.  Strict mode pins map_staleness_served to 0.
-    map_cache_hits: int = 0
-    map_cache_misses: int = 0
-    map_staleness_served: int = 0
     # A shard's controller state after the wave — its autoscaler and
     # decision-clock water-mark — handed back to the sharded coordinator on
     # the report (across the process boundary when the shard ran in a
@@ -217,16 +208,18 @@ class ServingReport:
         total = self.map_resolve_hits + self.map_resolve_misses
         return self.map_resolve_hits / total if total else 0.0
 
-    @property
-    def map_cache_hit_rate(self) -> float:
-        """Fraction of Tier-1 cache lookups served without snapshot content.
+    # The serving benchmark still reads the memo counters under the names
+    # of the retired per-engine cache, and a stale-serve count that is now
+    # always 0 (ROADMAP item 11: delete with the next benchmark change).
+    map_staleness_served = 0
 
-        Hits and bounded-staleness serves both avoid the store (that is the
-        tier's job); misses fell through to the canonical merge path.
-        """
-        served = self.map_cache_hits + self.map_staleness_served
-        total = served + self.map_cache_misses
-        return served / total if total else 0.0
+    @property
+    def map_cache_hits(self) -> int:
+        return self.map_resolve_hits
+
+    @property
+    def map_cache_misses(self) -> int:
+        return self.map_resolve_misses
 
     def map_merge_percentile(self, percent: float) -> float:
         if not self.map_merge_ms:
@@ -377,8 +370,6 @@ class ServingReport:
             "map_resolve_hits": self.map_resolve_hits,
             "map_resolve_misses": self.map_resolve_misses,
             "map_resolve_hit_rate": self.map_resolve_hit_rate,
-            "map_cache_hit_rate": self.map_cache_hit_rate,
-            "map_staleness_served": self.map_staleness_served,
             "map_merge_p50_ms": self.map_merge_percentile(50.0),
             "map_version_churn": dict(sorted(self.map_version_churn.items())),
             "failure_census": self.failure_census(),
@@ -426,14 +417,11 @@ class ServingEngine(WaveLifecycle):
                  min_map_quality: float = DEFAULT_MIN_MAP_QUALITY,
                  map_updates: bool = True,
                  map_aware_sizing: Optional[bool] = None,
-                 map_staleness_bound: Optional[int] = None,
-                 map_cache: Optional[SnapshotCache] = None,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  slo: Optional[SLOTracker] = None,
                  recorder: Optional[FlightRecorder] = None) -> None:
-        super().__init__(map_store, map_merger, min_map_quality, map_updates,
-                         map_staleness_bound, map_cache)
+        super().__init__(map_store, map_merger, min_map_quality, map_updates)
         if max_workers is not None:
             warnings.warn("ServingEngine(max_workers=) has no effect; the "
                           "autoscaler sizes the streaming loop",

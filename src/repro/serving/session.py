@@ -402,13 +402,6 @@ class Session:
             admitted += 1
         return admitted
 
-    def ingest(self, stream_frame: StreamFrame) -> bool:
-        """Push one externally-produced frame; False when the queue is full."""
-        if len(self._ingress) >= self.ingress_capacity:
-            return False
-        self._ingress.append(stream_frame)
-        return True
-
     @property
     def pending(self) -> int:
         """Frames admitted but not yet served."""

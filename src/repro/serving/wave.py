@@ -2,15 +2,16 @@
 
 A serve call is a *wave*: a fleet resolved against the fleet map plane,
 served, and folded back into it.  :class:`WaveLifecycle` owns the map-plane
-state (map store, Tier-1 :class:`~repro.maps.SnapshotCache`, merger,
-quality gate, staleness bound, update switch, drift evidence) and runs the
-steps every wave takes, in order:
+state (map store, merger, quality gate, update switch, drift evidence) and
+runs the steps every wave takes, in order:
 
 1. reject a fleet with duplicate stream ids, before any work starts;
 2. snapshot the map store's telemetry counters;
 3. resolve the canonical, quality-gated map of every shared environment
-   the fleet visits, behind the update-aware drift gate — once, before
-   dispatch, so every session of the wave sees the same assignment;
+   the fleet visits through :meth:`~repro.maps.MapStore.resolve`, whose
+   canonical-map memo is the only map cache, behind the update-aware drift
+   gate — once, before dispatch, so every session of the wave sees the
+   same assignment;
 4. **dispatch**, the one engine-specific step.  The plain engine replays
    what its run store holds and serves the rest through its streaming
    loop; the sharded coordinator partitions the fleet over its ring, fans
@@ -21,8 +22,8 @@ steps every wave takes, in order:
    session only re-seeds an environment with no history);
 6. apply the wave's ``MapUpdate`` deltas in one fold;
 7. record the drift evidence that gates the next wave's resolve;
-8. fold the map store's counter deltas into the report, then record the
-   engine's metrics;
+8. fold the map store's counter deltas (memo hits and misses, merges,
+   version churn) into the report, then record the engine's metrics;
 9. emit the map trace instants;
 10. capture forensics, outside the timed window.
 
@@ -43,13 +44,7 @@ from repro.experiments.runner import (
     code_fingerprint,
     config_fingerprint,
 )
-from repro.maps import (
-    MapMerger,
-    MapSnapshot,
-    MapStore,
-    SnapshotCache,
-    resolve_staleness_bound,
-)
+from repro.maps import MapMerger, MapSnapshot, MapStore
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import DECISION_TAIL, TRACE_TAIL, FlightRecorder
 from repro.obs.slo import SLOTracker
@@ -107,9 +102,7 @@ class WaveLifecycle:
     def __init__(self, map_store: Optional[MapStore],
                  map_merger: Optional[MapMerger],
                  min_map_quality: float,
-                 map_updates: bool,
-                 map_staleness_bound: Optional[int],
-                 map_cache: Optional[SnapshotCache] = None) -> None:
+                 map_updates: bool) -> None:
         self.map_store = map_store
         self.map_merger = map_merger or MapMerger()
         self.min_map_quality = float(min_map_quality)
@@ -117,14 +110,6 @@ class WaveLifecycle:
         # store post-serve (False keeps the publish-only behavior — the
         # control arm of the drifting-world benchmark).
         self.map_updates = bool(map_updates)
-        # Tier 1: the read-through snapshot cache in front of the store, and
-        # the bounded-staleness budget its lookups may spend (explicit
-        # argument over EUDOXUS_MAP_STALENESS; 0 = strict, which is
-        # bit-identical to resolving through the store directly).
-        self.map_staleness_bound = resolve_staleness_bound(map_staleness_bound)
-        if map_cache is None and map_store is not None:
-            map_cache = SnapshotCache(map_store)
-        self.map_cache = map_cache
         # Update-aware quality gating: environments whose *observed*
         # registration residuals flagged the served canonical as stale
         # (high-residual MapUpdate evidence or a map_stale demotion), keyed
@@ -187,14 +172,13 @@ class WaveLifecycle:
     def _resolve_fleet_maps(self, specs: Sequence[StreamSpec]) -> Dict[str, MapSnapshot]:
         """Canonical, quality-gated map per shared environment the fleet visits.
 
-        Resolution goes through the Tier-1 :class:`SnapshotCache`: a lookup
-        whose version stamp matches the store head costs one directory scan
-        (no unpickling, no merge), and with a positive
-        ``map_staleness_bound`` an entry up to that many canonical versions
-        behind head is served without revalidation.  On top of the quality
-        gate sits the update-aware drift gate: an environment whose served
-        canonical drew high-residual evidence last wave is withheld until
-        its canonical version moves.
+        Every lookup goes through :meth:`MapStore.resolve`: a memo hit
+        (unchanged snapshot file stems) costs one directory scan — no
+        unpickling, no merge — and is counted where the report, the metrics
+        and the service endpoints read it.  On top of the quality gate sits
+        the update-aware drift gate: an environment whose served canonical
+        drew high-residual evidence last wave is withheld until its
+        canonical version moves.
         """
         if self.map_store is None:
             return {}
@@ -203,15 +187,9 @@ class WaveLifecycle:
             for environment_id in spec.environment_ids.values():
                 if environment_id in resolved:
                     continue
-                if self.map_cache is not None:
-                    snapshot = self.map_cache.resolve(
-                        environment_id, merger=self.map_merger,
-                        min_quality=self.min_map_quality,
-                        staleness_bound=self.map_staleness_bound)
-                else:
-                    snapshot = self.map_store.resolve(
-                        environment_id, merger=self.map_merger,
-                        min_quality=self.min_map_quality)
+                snapshot = self.map_store.resolve(
+                    environment_id, merger=self.map_merger,
+                    min_quality=self.min_map_quality)
                 if snapshot is None:
                     continue
                 flagged = self._map_drift_evidence.get(environment_id)
@@ -347,15 +325,10 @@ class WaveLifecycle:
         """Snapshot of the map store's telemetry counters (None storeless)."""
         if self.map_store is None:
             return None
-        counters = {"hits": self.map_store.resolve_hits,
-                    "misses": self.map_store.resolve_misses,
-                    "merges": len(self.map_store.merge_ms),
-                    "churn": dict(self.map_store.version_churn)}
-        if self.map_cache is not None:
-            counters["cache_hits"] = self.map_cache.hits
-            counters["cache_misses"] = self.map_cache.misses
-            counters["cache_stale"] = self.map_cache.stale_serves
-        return counters
+        return {"hits": self.map_store.resolve_hits,
+                "misses": self.map_store.resolve_misses,
+                "merges": len(self.map_store.merge_ms),
+                "churn": dict(self.map_store.version_churn)}
 
     def _finish_map_telemetry(self, report: "ServingReport",
                               before: Optional[Dict[str, object]]) -> None:
@@ -372,17 +345,10 @@ class WaveLifecycle:
             if delta:
                 churn[environment_id] = delta
         report.map_version_churn = churn
-        if self.map_cache is not None and "cache_hits" in before:
-            report.map_cache_hits = self.map_cache.hits - before["cache_hits"]
-            report.map_cache_misses = (
-                self.map_cache.misses - before["cache_misses"])
-            report.map_staleness_served = (
-                self.map_cache.stale_serves - before["cache_stale"])
 
     def _emit_map_trace(self, report: "ServingReport") -> None:
         """The wave's map-lifecycle instants (wall domain), one set for both
-        engines: tier-cache outcome, resolved canonicals, publishes, and
-        refreshed canonicals."""
+        engines: resolved canonicals, publishes, and refreshed canonicals."""
         if self.tracer is None or self.map_store is None:
             return
         wall = self.tracer.wall_now()
@@ -391,11 +357,6 @@ class WaveLifecycle:
             self.tracer.instant(name, "maps", wall, clock="wall", track="maps",
                                 **args)
 
-        if report.map_cache_hits or report.map_cache_misses \
-                or report.map_staleness_served:
-            instant("map.tier_cache", hits=report.map_cache_hits,
-                    misses=report.map_cache_misses,
-                    stale_serves=report.map_staleness_served)
         for environment_id, version in sorted(report.fleet_maps.items()):
             instant("map.resolve", environment=environment_id,
                     version=version[:12])
@@ -414,8 +375,6 @@ class WaveLifecycle:
         if self.map_store is not None:
             self.map_store.bind_metrics(registry)
             self.map_merger.bind_metrics(registry)
-        if self.map_cache is not None:
-            self.map_cache.bind_metrics(registry)
 
     def _record_forensics(self, report: "ServingReport",
                           maps_by_stream: Dict[str, Dict[str, MapSnapshot]]) -> None:

@@ -2,21 +2,18 @@
 
 Contracts pinned here:
 
-* **Tier-1 cache**: a :class:`SnapshotCache` lookup whose version stamp
-  matches the store head is a hit — no unpickle, no merge, no store
-  resolve traffic; the quality gate is applied per lookup over one cached
-  canonical; bounds evict LRU; ``invalidate`` is exact.
-* **Cross-instance invalidation**: a *foreign* store handle publishing or
-  compacting the environment flips the version stamp, so every sibling
-  cache misses and recomputes — the cache can never serve content the
-  store would no longer produce (the sharded engine's coordination plane,
-  extended from ``TestMapStoreCrossInstance``).
-* **Bounded staleness**: ``staleness_bound=K`` serves an entry at most K
-  distinct canonical-version movements behind head, counted as stale
-  serves, never silently; ``0`` (the default) is strict.
-* **Tier-2 delta sync**: ``materialize`` rebuilds the exact canonical
-  from ``{version, inputs}`` references; the sharded engine ships
-  references instead of snapshots and the byte accounting shows it.
+* **One canonical-map memo**: :meth:`MapStore.resolve` is the only
+  canonical-map cache.  A resolve whose snapshot file stems are unchanged
+  is a memo hit — no unpickle, no merge — the quality gate is applied per
+  lookup over one memoized canonical, and a foreign publish is a miss
+  (all pinned on the store in ``tests/test_maps.py``).  Here: a foreign
+  publish reaches an engine's very next wave.
+* **Tier-2 delta sync**: :meth:`MapStore.canonical_provenance` reads a
+  resolve's ``{version, inputs}`` reference off the memo without counting a
+  second lookup; :meth:`MapStore.materialize` rebuilds the exact canonical
+  from it; the sharded engine ships references instead of snapshots, the
+  byte accounting shows it, and a reference no shard can rebuild fails the
+  wave loudly.
 * **Update-aware drift gating**: observed ``map_stale`` evidence closes a
   drifting environment's own quality gate *before* the next wave's
   sessions demote mid-segment, and the gate lifts when the canonical
@@ -27,14 +24,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import ShardedServingEngine
-from repro.maps import (
-    MapSnapshot,
-    MapStore,
-    SnapshotCache,
-    SyncAccounting,
-    resolve_staleness_bound,
-)
-from repro.maps.tier import MAP_STALENESS_ENV, payload_bytes
+from repro.maps import MapMerger, MapSnapshot, MapStore, SyncAccounting
+from repro.maps.tier import payload_bytes
 from repro.sensors.scenarios import ScenarioKind
 from repro.serving import (
     ServingEngine,
@@ -75,180 +66,42 @@ def _env_spec(stream_id, environment, seed=0):
         camera_rate_hz=RATE, landmark_count=120, seed=seed)
 
 
-class TestResolveStalenessBound:
-    def test_default_is_strict(self):
-        assert resolve_staleness_bound() == 0
-
-    def test_explicit_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(MAP_STALENESS_ENV, "5")
-        assert resolve_staleness_bound(2) == 2
-        assert resolve_staleness_bound() == 5
-
-    def test_negative_and_garbage_clamp_to_strict(self, monkeypatch):
-        assert resolve_staleness_bound(-3) == 0
-        monkeypatch.setenv(MAP_STALENESS_ENV, "-1")
-        assert resolve_staleness_bound() == 0
-        monkeypatch.setenv(MAP_STALENESS_ENV, "lots")
-        assert resolve_staleness_bound() == 0
-
-
-class TestSnapshotCache:
-    def test_hit_skips_store_entirely(self, tmp_path):
+class TestCanonicalMemo:
+    def test_provenance_reads_the_memo_only(self, tmp_path):
         store = _store(tmp_path)
-        store.publish(_snapshot())
-        cache = SnapshotCache(store)
-        first = cache.resolve("env-a", min_quality=0.0)
-        assert first is not None
-        assert (cache.misses, cache.hits) == (1, 0)
-        store_counts = (store.resolve_hits, store.resolve_misses)
-        second = cache.resolve("env-a", min_quality=0.0)
-        assert second is first  # the cached object, no reload, no re-merge
-        assert (cache.misses, cache.hits) == (1, 1)
-        # A hit validates via the directory stamp only — the store's
-        # resolve machinery is never consulted.
-        assert (store.resolve_hits, store.resolve_misses) == store_counts
-        assert cache.hit_rate == 0.5
+        store.publish(_snapshot(seed=1))
+        store.publish(_snapshot(seed=2, id_offset=100))
+        assert store.canonical_provenance("env-a") == ((), None)
+        resolved = store.resolve("env-a", min_quality=0.0)
+        counts = (store.resolve_hits, store.resolve_misses)
+        inputs, canonical = store.canonical_provenance("env-a")
+        assert canonical is resolved
+        assert inputs == tuple(sorted(f"env-a__{snapshot.version}"
+                                      for snapshot in store.snapshots("env-a")))
+        # A reference is read, not looked up: no second count.
+        assert (store.resolve_hits, store.resolve_misses) == counts
+        # The memo only vouches for the merger parameters it merged under.
+        other = MapMerger(drift_residual_m=0.123)
+        assert store.canonical_provenance("env-a", other) == ((), None)
 
-    def test_quality_gate_is_per_lookup(self, tmp_path):
+    def test_engine_sees_foreign_publish_next_wave(self, tmp_path):
         store = _store(tmp_path)
-        store.publish(_snapshot(count=12, spread=0.5))
-        cache = SnapshotCache(store)
-        strict = cache.resolve("env-a", min_quality=0.99)
-        assert strict is None  # gated out...
-        assert cache.resolve("env-a", min_quality=0.0) is not None
-        # ...but both lookups shared one cached merge (miss then hit).
-        assert (cache.misses, cache.hits) == (1, 1)
-
-    def test_foreign_publish_flips_the_stamp(self, tmp_path):
-        """Satellite: cross-instance invalidation through the cache."""
-        mine, sibling = _store(tmp_path), _store(tmp_path)
-        mine.publish(_snapshot(count=40, seed=1))
-        cache = SnapshotCache(mine)
-        first = cache.resolve("env-a", min_quality=0.0)
-        assert cache.resolve("env-a", min_quality=0.0).version == first.version
-        assert (cache.misses, cache.hits) == (1, 1)
-        # A foreign handle publishes new content: the stamp moves, the
-        # cache must miss and recompute — never serve the old canonical.
-        sibling.publish(_snapshot(count=40, seed=2, id_offset=100))
-        second = cache.resolve("env-a", min_quality=0.0)
-        assert second.version != first.version
-        assert second.landmark_count > first.landmark_count
-        assert (cache.misses, cache.hits) == (2, 1)
-
-    def test_foreign_compaction_flips_the_stamp(self, tmp_path):
-        mine, sibling = _store(tmp_path), _store(tmp_path)
-        mine.publish(_snapshot(count=30, seed=3))
-        mine.publish(_snapshot(count=30, seed=4, id_offset=200))
-        cache = SnapshotCache(mine)
-        merged = cache.resolve("env-a", min_quality=0.0)
-        # The sibling compacts history down to the merged canonical (the
-        # post-update shape): same content, different stem set — stamp
-        # moves, so the entry revalidates as a miss.
-        sibling.publish(merged)
-        for key in sibling.version_stamp("env-a"):
-            if key != f"env-a__{merged.version}":
-                sibling.path_for(key).unlink()
-        cache.resolve("env-a", min_quality=0.0)
-        assert (cache.misses, cache.hits) == (2, 0)
-
-    def test_entry_bound_evicts_lru(self, tmp_path):
-        store = _store(tmp_path)
-        for env in ("env-a", "env-b", "env-c"):
-            store.publish(_snapshot(environment_id=env))
-        cache = SnapshotCache(store, max_entries=2)
-        cache.resolve("env-a", min_quality=0.0)
-        cache.resolve("env-b", min_quality=0.0)
-        cache.resolve("env-c", min_quality=0.0)  # evicts env-a (oldest)
-        assert cache.entry_count == 2
-        assert cache.evictions == 1
-        cache.resolve("env-b", min_quality=0.0)
-        assert cache.hits == 1  # env-b survived
-        cache.resolve("env-a", min_quality=0.0)
-        assert cache.misses == 4  # env-a was evicted: recompute
-
-    def test_single_entry_over_byte_bound_still_serves(self, tmp_path):
-        store = _store(tmp_path)
-        store.publish(_snapshot(count=400))
-        cache = SnapshotCache(store, max_mb=1e-6)  # impossibly tight
-        assert cache.resolve("env-a", min_quality=0.0) is not None
-        # The sole entry exceeds the byte bound but must not thrash away.
-        assert cache.entry_count == 1
-        assert cache.resolve("env-a", min_quality=0.0) is not None
-        assert cache.hits == 1
-
-    def test_invalidate_counts_and_scopes(self, tmp_path):
-        store = _store(tmp_path)
-        store.publish(_snapshot(environment_id="env-a"))
-        store.publish(_snapshot(environment_id="env-b"))
-        cache = SnapshotCache(store)
-        cache.resolve("env-a", min_quality=0.0)
-        cache.resolve("env-b", min_quality=0.0)
-        assert cache.invalidate("env-a") == 1
-        assert cache.entry_count == 1
-        assert cache.invalidate() == 1
-        assert cache.entry_count == 0 and cache.cached_bytes == 0
-        assert cache.invalidations == 2
-
-
-class TestBoundedStaleness:
-    def test_strict_mode_misses_on_stamp_move(self, tmp_path):
-        mine, sibling = _store(tmp_path), _store(tmp_path)
-        mine.publish(_snapshot(seed=1))
-        cache = SnapshotCache(mine)
-        cache.resolve("env-a", min_quality=0.0)
-        sibling.publish(_snapshot(seed=2, id_offset=100))
-        fresh = cache.resolve("env-a", min_quality=0.0, staleness_bound=0)
-        assert fresh.landmark_count == 80  # the recomputed merge
-        assert cache.stale_serves == 0
-
-    def test_bound_serves_k_versions_behind(self, tmp_path):
-        mine, sibling = _store(tmp_path), _store(tmp_path)
-        mine.publish(_snapshot(seed=1))
-        cache = SnapshotCache(mine)
-        old = cache.resolve("env-a", min_quality=0.0)
-        sibling.publish(_snapshot(seed=2, id_offset=100))
-        # One version behind, bound 1: served stale, counted.
-        stale = cache.resolve("env-a", min_quality=0.0, staleness_bound=1)
-        assert stale.version == old.version
-        # Repeated looks at the SAME moved head stay "1 behind".
-        again = cache.resolve("env-a", min_quality=0.0, staleness_bound=1)
-        assert again.version == old.version
-        assert cache.stale_serves == 2
-        # A second distinct movement exceeds the bound: recompute.
-        sibling.publish(_snapshot(seed=3, id_offset=200))
-        fresh = cache.resolve("env-a", min_quality=0.0, staleness_bound=1)
-        assert fresh.version != old.version
-        assert fresh.landmark_count == 120
-        assert (cache.misses, cache.stale_serves) == (2, 2)
-
-    def test_engine_staleness_bound_defers_foreign_publishes(self, tmp_path):
-        store = _store(tmp_path)
-        cold = [_env_spec("cold-0", "depot", seed=0),
-                _env_spec("cold-1", "depot", seed=1000)]
         seed_engine = ServingEngine(store=None, map_store=store,
                                     min_map_quality=EASY_GATE)
-        seed_engine.serve(cold)
-        bounded = ServingEngine(store=None,
-                                map_store=_store(tmp_path),
-                                min_map_quality=EASY_GATE, map_updates=False,
-                                map_staleness_bound=1)
-        warm = bounded.serve([_env_spec("w0", "depot", seed=7000)])
-        pinned = next(iter(warm.fleet_maps.values()))
-        assert warm.map_cache_misses == 1 and warm.map_staleness_served == 0
-        # A foreign wave (another engine) republishes: head moves.
-        seed_engine.serve([_env_spec("f0", "depot", seed=8000)])
-        stale = bounded.serve([_env_spec("w1", "depot", seed=9000)])
-        # Within the bound the engine serves the version it already has —
-        # reported as a stale serve, not hidden in the hit count.
-        assert next(iter(stale.fleet_maps.values())) == pinned
-        assert stale.map_staleness_served == 1
-        assert stale.map_cache_hit_rate == 1.0
-        # Strict engines on the same root see the new head immediately.
-        strict = ServingEngine(store=None,
-                               map_store=_store(tmp_path),
+        seed_engine.serve([_env_spec("cold-0", "depot", seed=0),
+                           _env_spec("cold-1", "depot", seed=1000)])
+        engine = ServingEngine(store=None, map_store=_store(tmp_path),
                                min_map_quality=EASY_GATE, map_updates=False)
-        head = strict.serve([_env_spec("w2", "depot", seed=9500)])
+        warm = engine.serve([_env_spec("w0", "depot", seed=7000)])
+        pinned = next(iter(warm.fleet_maps.values()))
+        assert (warm.map_resolve_misses, warm.map_resolve_hits) == (1, 0)
+        # A foreign wave (another engine) republishes: the stems move.
+        seed_engine.serve([_env_spec("f0", "depot", seed=8000)])
+        head = engine.serve([_env_spec("w1", "depot", seed=9000)])
+        # The next wave serves the new head and reports the re-merge.
         assert next(iter(head.fleet_maps.values())) != pinned
+        assert (head.map_resolve_misses, head.map_resolve_hits) == (1, 0)
+        assert head.map_staleness_served == 0
 
 
 class TestMaterialize:
@@ -256,28 +109,28 @@ class TestMaterialize:
         store = _store(tmp_path)
         store.publish(_snapshot(seed=1))
         store.publish(_snapshot(seed=2, id_offset=100))
-        stamp, canonical = store.canonical_provenance("env-a")
-        # A fresh handle + cache (the shard side) rebuilds from references.
-        shard_cache = SnapshotCache(_store(tmp_path))
-        rebuilt = shard_cache.materialize("env-a", canonical.version, stamp)
+        store.resolve("env-a", min_quality=0.0)
+        inputs, canonical = store.canonical_provenance("env-a")
+        # A fresh handle (the shard side) rebuilds from the reference.
+        shard_store = _store(tmp_path)
+        rebuilt = shard_store.materialize("env-a", canonical.version, inputs)
         assert rebuilt is not None and rebuilt.version == canonical.version
-        assert shard_cache.materializations == 1
-        # Idempotent: the cached entry satisfies the same reference.
-        again = shard_cache.materialize("env-a", canonical.version, stamp)
-        assert again is rebuilt
-        assert shard_cache.materializations == 1
+        # Rebuilding is not a resolve: the shard's memo counters stay put.
+        assert (shard_store.resolve_hits, shard_store.resolve_misses) == (0, 0)
 
     def test_unloadable_or_mismatched_inputs_return_none(self, tmp_path):
         store = _store(tmp_path)
         snapshot = _snapshot(seed=1)
         store.publish(snapshot)
-        cache = SnapshotCache(store)
-        assert cache.materialize("env-a", snapshot.version,
+        store.publish(_snapshot(environment_id="env-b", seed=2))
+        stem = f"env-a__{snapshot.version}"
+        assert store.materialize("env-a", snapshot.version,
                                  ["env-a__missing"]) is None
-        assert cache.materialize("env-a", "not-the-version",
-                                 [f"env-a__{snapshot.version}"]) is None
-        assert cache.materialize("env-a", snapshot.version, []) is None
-        assert cache.materializations == 0
+        assert store.materialize("env-a", "not-the-version", [stem]) is None
+        assert store.materialize("env-a", snapshot.version, []) is None
+        # A stem of another environment never vouches for this one.
+        assert store.materialize("env-b", snapshot.version, [stem]) is None
+        assert store.materialize("env-a", snapshot.version, [stem]) is not None
 
 
 class TestSyncAccounting:
@@ -316,7 +169,7 @@ class TestClusterDeltaSync:
         monkeypatch.setenv("EUDOXUS_MAX_WORKERS", "2")
         # map_updates off: an applied update fold moves the canonical and
         # would (correctly) turn the second wave into a revalidating miss;
-        # the frozen store isolates the cache/sync protocol itself.
+        # the frozen store isolates the memo/sync protocol itself.
         cluster = ShardedServingEngine(
             2, map_store=_store(tmp_path), min_map_quality=EASY_GATE,
             map_updates=False)
@@ -330,12 +183,13 @@ class TestClusterDeltaSync:
         # The acceptance pin: references cost strictly less than the
         # full-snapshot protocol would have for the same wave.
         assert 0 < sync.delta_bytes < sync.full_bytes
-        # Coordinator resolve went through its Tier-1 cache.
-        assert report.map_cache_misses == 1
+        # The coordinator's resolve is counted by the store memo, and
+        # building the references counted nothing more.
+        assert (report.map_resolve_misses, report.map_resolve_hits) == (1, 0)
         second = cluster.serve(
             [_env_spec(f"again-{i}", "depot", seed=6000 + i)
              for i in range(4)])
-        assert second.map_cache_hits >= 1
+        assert (second.map_resolve_misses, second.map_resolve_hits) == (0, 1)
 
     def test_sequential_waves_ship_nothing(self, tmp_path, monkeypatch):
         self._warm_store(tmp_path)
@@ -348,6 +202,36 @@ class TestClusterDeltaSync:
         # though the same payloads were built.
         assert not report.parallel and len(report.fleet_maps) == 1
         assert cluster.sync_accounting.waves == 0
+
+    def test_unmaterializable_reference_fails_loudly(self, tmp_path,
+                                                     monkeypatch):
+        """A reference no shard can rebuild — its stem is gone and its
+        version is not the store's canonical — must fail the wave, never
+        serve a map the coordinator did not resolve."""
+        self._warm_store(tmp_path)
+        monkeypatch.setenv("EUDOXUS_MAX_WORKERS", "1")
+        cluster = ShardedServingEngine(
+            2, map_store=_store(tmp_path), min_map_quality=EASY_GATE,
+            map_updates=False)
+        build_sync_plan = cluster._build_sync_plan
+
+        def broken_sync_plan(fleet_maps):
+            plan, fallbacks = build_sync_plan(fleet_maps)
+            assert plan and fallbacks == 0
+            for environment_id, ref in plan.items():
+                ref["inputs"] = [f"{environment_id}__missing"]
+                ref["version"] = "0" * 64
+            return plan, fallbacks
+
+        monkeypatch.setattr(cluster, "_build_sync_plan", broken_sync_plan)
+        before = [snapshot.version
+                  for snapshot in cluster.map_store.snapshots("depot")]
+        with pytest.raises(RuntimeError, match="could not materialize"):
+            cluster.serve([_env_spec(f"warm-{i}", "depot", seed=5000 + i)
+                           for i in range(4)])
+        # The failed wave published nothing.
+        assert [snapshot.version for snapshot in
+                cluster.map_store.snapshots("depot")] == before
 
 
 class TestUpdateAwareDriftGate:

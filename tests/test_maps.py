@@ -390,6 +390,8 @@ class TestMapStore:
         assert merged.landmark_count == 100  # union of 0..59 and 40..99
         # The gate: an impossible bar yields no servable map.
         assert store.resolve("env-a", min_quality=0.999) is None
+        # The gate applies per lookup over one memoized merge.
+        assert (store.resolve_misses, store.resolve_hits) == (1, 1)
 
     def test_resolve_memo_tracks_new_publishes(self, tmp_path):
         store = MapStore(tmp_path, max_bytes=-1, max_age_s=-1)

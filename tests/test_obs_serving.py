@@ -174,8 +174,7 @@ class TestTraceExport:
                                   max_age_s=-1),
             min_map_quality=MAP_GATE, tracer=Tracer()))
         assert {name for name, _ in plain} >= {
-            "map.tier_cache", "map.resolve", "map.publish_wave",
-            "map.apply_updates"}
+            "map.resolve", "map.publish_wave", "map.apply_updates"}
         assert cluster == plain
 
     def test_store_hits_emit_instants(self, tmp_path):
@@ -310,6 +309,29 @@ class TestMapServiceTelemetry:
         assert "eudoxus_map_store_merge_ms" in parsed
         assert "eudoxus_map_store_version_churn_total" in parsed
 
+    def test_warm_rewave_counts_memo_hits(self, tmp_path):
+        """A wave that re-serves an unchanged fleet map must report the
+        resolve as a memo hit — in the report and in the engine's gauge —
+        rather than 0/0 because some cache answered before the store."""
+        registry = MetricsRegistry()
+        store = MapStore(tmp_path / "maps", max_bytes=-1, max_age_s=-1)
+        engine = ServingEngine(store=None, map_store=store,
+                               min_map_quality=MAP_GATE, map_updates=False,
+                               metrics=registry)
+        engine.serve(map_wave(100, "cold"))
+        engine.serve(map_wave(9100, "warm"))
+        third = engine.serve(map_wave(18100, "third"))
+        assert third.fleet_maps, "third wave resolved no fleet map"
+        assert third.map_resolve_hits >= 1
+        assert third.map_resolve_hit_rate == 1.0
+        assert (third.map_cache_hits, third.map_cache_misses) == (
+            third.map_resolve_hits, third.map_resolve_misses)
+        from repro.obs import parse_prometheus
+        parsed = parse_prometheus(registry.render_prometheus())
+        gauge = parsed["eudoxus_engine_map_resolve_hit_rate"]["samples"][
+            "eudoxus_engine_map_resolve_hit_rate"]
+        assert gauge == third.map_resolve_hit_rate
+
 
 # ------------------------------------------------------------ report shape
 
@@ -318,8 +340,8 @@ REPORT_KEYS = {
     "computed_sessions", "deadline_misses", "failure_census", "final_workers",
     "fleet_maps",
     "frame_count", "frames_per_second", "ingestion", "map_acquisition_count",
-    "map_cache_hit_rate", "map_merge_p50_ms", "map_resolve_hit_rate",
-    "map_resolve_hits", "map_resolve_misses", "map_staleness_served",
+    "map_merge_p50_ms", "map_resolve_hit_rate",
+    "map_resolve_hits", "map_resolve_misses",
     "map_update_count", "map_version_churn",
     "maps_published", "maps_updated", "mean_batch_size", "mode_census",
     "mode_switches", "p50_frame_ms", "p50_serving_ms", "p95_frame_ms",

@@ -395,14 +395,6 @@ class TestStreamingIngestion:
         # drifted clock and must all be admitted.
         assert admitted == 9
 
-    def test_ingest_rejects_when_full(self):
-        spec = _spec("rej", [(ScenarioKind.OUTDOOR_UNKNOWN, 0.0)])
-        donor = Session(spec)
-        frames = [donor.stream.frames().__next__()]
-        session = Session(spec, ingress_capacity=1)
-        assert session.ingest(frames[0])
-        assert not session.ingest(frames[0])
-
     def test_online_scheduler_feed(self, fleet):
         accelerator = accelerator_for("drone")
         engine = ServingEngine(store=None, accelerator=accelerator)
