@@ -10,11 +10,55 @@ keyframe database queried by L1 similarity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.frontend.orb import hamming_distance_matrix
+
+
+# Survey maps of different worlds often carry the very same descriptors (the
+# same landmark ids, the same vocabulary seed), so training is memoized on
+# its exact inputs.  Bounded: each entry keeps its descriptor bytes as key.
+VOCABULARY_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=VOCABULARY_MEMO_SIZE)
+def _train_words(shape: Tuple[int, ...], payload: bytes, num_words: int, iterations: int,
+                 seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """k-majority words and training IDF of the descriptors in ``payload``.
+
+    Returns read-only arrays shared by every hit; callers copy them.
+    """
+    descriptors = np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+    rng = np.random.default_rng(seed)
+    initial = rng.choice(descriptors.shape[0], size=num_words, replace=False)
+    centroids = descriptors[initial].copy()
+
+    bits = np.unpackbits(descriptors, axis=1)
+    for _ in range(iterations):
+        distances = hamming_distance_matrix(descriptors, centroids)
+        assignment = np.argmin(distances, axis=1)
+        new_centroids = centroids.copy()
+        for word in range(num_words):
+            members = bits[assignment == word]
+            if members.shape[0] == 0:
+                continue
+            majority = (members.mean(axis=0) >= 0.5).astype(np.uint8)
+            new_centroids[word] = np.packbits(majority)
+        if np.array_equal(new_centroids, centroids):
+            break
+        centroids = new_centroids
+
+    # Inverse document frequency from the training assignment.
+    distances = hamming_distance_matrix(descriptors, centroids)
+    assignment = np.argmin(distances, axis=1)
+    counts = np.bincount(assignment, minlength=num_words).astype(float)
+    idf = np.log((descriptors.shape[0] + 1.0) / (counts + 1.0))
+    centroids.flags.writeable = False
+    idf.flags.writeable = False
+    return centroids, idf
 
 
 class BinaryVocabulary:
@@ -38,31 +82,10 @@ class BinaryVocabulary:
         descriptors = np.asarray(descriptors, dtype=np.uint8)
         if descriptors.ndim != 2 or descriptors.shape[0] < self.num_words:
             raise ValueError("need at least num_words descriptors to train the vocabulary")
-        rng = np.random.default_rng(self._seed)
-        initial = rng.choice(descriptors.shape[0], size=self.num_words, replace=False)
-        centroids = descriptors[initial].copy()
-
-        bits = np.unpackbits(descriptors, axis=1)
-        for _ in range(self.iterations):
-            distances = hamming_distance_matrix(descriptors, centroids)
-            assignment = np.argmin(distances, axis=1)
-            new_centroids = centroids.copy()
-            for word in range(self.num_words):
-                members = bits[assignment == word]
-                if members.shape[0] == 0:
-                    continue
-                majority = (members.mean(axis=0) >= 0.5).astype(np.uint8)
-                new_centroids[word] = np.packbits(majority)
-            if np.array_equal(new_centroids, centroids):
-                break
-            centroids = new_centroids
-        self.words = centroids
-
-        # Inverse document frequency from the training assignment.
-        distances = hamming_distance_matrix(descriptors, centroids)
-        assignment = np.argmin(distances, axis=1)
-        counts = np.bincount(assignment, minlength=self.num_words).astype(float)
-        self.idf = np.log((descriptors.shape[0] + 1.0) / (counts + 1.0))
+        words, idf = _train_words(descriptors.shape, descriptors.tobytes(), self.num_words,
+                                  self.iterations, self._seed)
+        self.words = words.copy()
+        self.idf = idf.copy()
 
     def quantize(self, descriptors: np.ndarray) -> np.ndarray:
         """Assign each descriptor to its nearest word; returns word indices."""

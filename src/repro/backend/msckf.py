@@ -138,29 +138,39 @@ class Msckf:
             return
         imu = self.state.imu
         cfg = self.config
+        # A batch's steps share one or two distinct dt values, so the
+        # dt-only blocks are built once per distinct dt.  Every block of
+        # phi_imu written below is rewritten each step, so one buffer serves
+        # the whole batch; the arithmetic per step is unchanged.
+        dt_blocks: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
+        phi_imu = np.eye(IMU_ERROR_DIM)
         for i in range(len(imu_samples) - 1):
             dt = imu_samples[i + 1].timestamp - imu_samples[i].timestamp
             if dt <= 0:
                 continue
+            blocks = dt_blocks.get(dt)
+            if blocks is None:
+                noise = np.zeros((IMU_ERROR_DIM, IMU_ERROR_DIM))
+                noise[0:3, 0:3] = np.eye(3) * cfg.imu_gyro_noise**2 * dt
+                noise[6:9, 6:9] = np.eye(3) * cfg.imu_accel_noise**2 * dt
+                noise[9:12, 9:12] = np.eye(3) * cfg.imu_gyro_bias_noise**2 * dt
+                noise[12:15, 12:15] = np.eye(3) * cfg.imu_accel_bias_noise**2 * dt
+                blocks = dt_blocks[dt] = (np.eye(3) * dt, noise)
+            eye_dt, noise = blocks
             gyro = imu_samples[i].angular_velocity - imu.gyro_bias
             accel = imu_samples[i].linear_acceleration - imu.accel_bias
 
             rotation = imu.rotation
-            accel_world = rotation @ accel + GRAVITY
+            specific_force_world = rotation @ accel
+            accel_world = specific_force_world + GRAVITY
 
             # Error-state transition (world-frame rotation error convention).
             state_dim = self.state.error_dim
-            phi_imu = np.eye(IMU_ERROR_DIM)
-            phi_imu[0:3, 9:12] = -rotation * dt
-            phi_imu[3:6, 6:9] = np.eye(3) * dt
-            phi_imu[6:9, 0:3] = -skew(rotation @ accel) * dt
-            phi_imu[6:9, 12:15] = -rotation * dt
-
-            noise = np.zeros((IMU_ERROR_DIM, IMU_ERROR_DIM))
-            noise[0:3, 0:3] = np.eye(3) * cfg.imu_gyro_noise**2 * dt
-            noise[6:9, 6:9] = np.eye(3) * cfg.imu_accel_noise**2 * dt
-            noise[9:12, 9:12] = np.eye(3) * cfg.imu_gyro_bias_noise**2 * dt
-            noise[12:15, 12:15] = np.eye(3) * cfg.imu_accel_bias_noise**2 * dt
+            neg_rotation_dt = -rotation * dt
+            phi_imu[0:3, 9:12] = neg_rotation_dt
+            phi_imu[3:6, 6:9] = eye_dt
+            phi_imu[6:9, 0:3] = -skew(specific_force_world) * dt
+            phi_imu[6:9, 12:15] = neg_rotation_dt
 
             cov = self.state.covariance
             cov[:IMU_ERROR_DIM, :IMU_ERROR_DIM] = (

@@ -148,10 +148,15 @@ class LocalizationMap:
 class MapTracker:
     """Estimates the pose of each frame against a :class:`LocalizationMap`."""
 
+    # Seed of the tracker's descriptor-noise generator: two trackers fed the
+    # same frames draw the same bit flips.
+    DESCRIPTOR_NOISE_SEED = 0
+
     def __init__(self, config: Optional[TrackingConfig] = None,
                  camera: Optional[PinholeCamera] = None) -> None:
         self.config = config or TrackingConfig()
         self.camera = camera
+        self._descriptor_rng = np.random.default_rng(self.DESCRIPTOR_NOISE_SEED)
         self.last_workload = RegistrationWorkload()
         self.last_kernel_ms: Dict[str, float] = {}
         # Basis of the last tracked frame's per-landmark evidence; the
@@ -192,7 +197,7 @@ class MapTracker:
 
         with stopwatch.measure("update"):
             if pose is not None and localization_map.vocabulary is not None and localization_map.vocabulary.trained:
-                descriptors = synthetic_descriptors_for_tracks(frontend.observations)
+                descriptors = synthetic_descriptors_for_tracks(frontend.observations, rng=self._descriptor_rng)
                 if descriptors.shape[0] > 0:
                     localization_map.add_keyframe(frontend.frame_index, pose, descriptors)
 
@@ -283,7 +288,7 @@ class MapTracker:
 
         # Fall back to descriptor matching (needed when track identities do not
         # align with map identities, e.g. dense-frontend relocalization).
-        descriptors = synthetic_descriptors_for_tracks(frontend.observations)
+        descriptors = synthetic_descriptors_for_tracks(frontend.observations, rng=self._descriptor_rng)
         map_descriptors = localization_map.descriptors()
         if descriptors.shape[0] == 0 or map_descriptors.shape[0] == 0:
             return correspondences

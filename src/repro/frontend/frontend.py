@@ -405,7 +405,8 @@ def synthetic_descriptors_for_tracks(observations: List[TrackObservation],
     Used by the bag-of-words registration backend, which needs descriptors
     even when the frontend ran in sparse mode.  The descriptor is derived from
     the track identity so repeated visits to the same landmark produce nearly
-    identical signatures.
+    identical signatures.  The ``noise_bits`` flips of every observation are
+    drawn in order from the one ``rng``, required when ``noise_bits > 0``.
     """
     if not observations:
         return np.zeros((0, 32), dtype=np.uint8)

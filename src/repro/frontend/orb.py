@@ -10,6 +10,7 @@ matching-optimization task compares in hardware.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -100,18 +101,33 @@ class OrbDescriptor:
         return np.packbits(descriptors, axis=1)
 
 
+# Landmark appearances recur across every frame, session and survey map, so
+# the base bits of each (appearance_seed, bits) pair are built once.  The memo
+# is bounded: a fleet of ever-new landmark ids evicts rather than grows.
+DESCRIPTOR_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=DESCRIPTOR_MEMO_SIZE)
+def _base_bits(appearance_seed: int, bits: int) -> np.ndarray:
+    """Unpacked base bits of a landmark appearance; read-only, shared."""
+    descriptor_bits = np.random.default_rng(appearance_seed).integers(0, 2, size=bits).astype(np.uint8)
+    descriptor_bits.flags.writeable = False
+    return descriptor_bits
+
+
 def descriptor_from_seed(appearance_seed: int, bits: int = 256, noise_bits: int = 0,
                          rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Deterministic descriptor for a simulated landmark appearance.
 
     The sparse frontend path uses this to give every landmark a stable,
     discriminative binary signature.  ``noise_bits`` random bit flips model
-    viewpoint/illumination change between observations.
+    viewpoint/illumination change between observations; they are drawn from
+    ``rng``, which is then required so the flips are reproducible.
     """
-    seed_rng = np.random.default_rng(appearance_seed)
-    descriptor_bits = seed_rng.integers(0, 2, size=bits).astype(np.uint8)
+    if noise_bits > 0 and rng is None:
+        raise ValueError("noise_bits > 0 needs an rng to draw the flips from")
+    descriptor_bits = _base_bits(appearance_seed, bits).copy()
     if noise_bits > 0:
-        flip_rng = rng if rng is not None else np.random.default_rng()
-        flip_positions = flip_rng.choice(bits, size=min(noise_bits, bits), replace=False)
+        flip_positions = rng.choice(bits, size=min(noise_bits, bits), replace=False)
         descriptor_bits[flip_positions] ^= 1
     return np.packbits(descriptor_bits)

@@ -250,10 +250,13 @@ class SequenceBuilder:
         valid = left_valid & right_valid & in_range
 
         observations: Dict[int, StereoObservation] = {}
-        noise_std = self.config.pixel_noise_std
-        for idx in np.nonzero(valid)[0]:
-            left = left_pixels[idx] + rng.normal(0.0, noise_std, size=2)
-            right = right_pixels[idx] + rng.normal(0.0, noise_std, size=2)
+        visible = np.nonzero(valid)[0]
+        # One (left x, left y, right x, right y) row per visible landmark:
+        # the same stream order as drawing each landmark's pairs in turn.
+        noise = rng.normal(0.0, self.config.pixel_noise_std, size=(visible.size, 4))
+        for row, idx in enumerate(visible):
+            left = left_pixels[idx] + noise[row, :2]
+            right = right_pixels[idx] + noise[row, 2:]
             landmark_id = world.landmarks[idx].landmark_id
             observations[landmark_id] = StereoObservation(landmark_id, left, right)
         return observations

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.backend import tracking
 from repro.backend.registration import RegistrationBackend
 from repro.backend.tracking import LocalizationMap, MapPoint, MapTracker, RegistrationWorkload
 from repro.common.config import BackendConfig, TrackingConfig
 from repro.common.geometry import Pose, euler_to_rotation
 from repro.core.modes import BackendMode, ModeSelector
-from repro.frontend.frontend import VisualFrontend
+from repro.frontend.frontend import VisualFrontend, synthetic_descriptors_for_tracks
 from repro.metrics.trajectory import (
     absolute_trajectory_error,
     relative_trajectory_error_percent,
@@ -61,6 +62,28 @@ class TestMapTracker:
         pose, workload = tracker.track(frontend.process(indoor_sequence.frames[0]), empty_map)
         assert pose is None
         assert workload.map_points == 0
+
+    def test_fresh_trackers_draw_identical_descriptors(self, indoor_mapped_sequence, monkeypatch):
+        # The keyframe descriptors carry the default noise_bits flips; two
+        # fresh trackers on the same frames must produce the same bytes.
+        drawn = []
+
+        def recording(observations, *args, **kwargs):
+            descriptors = synthetic_descriptors_for_tracks(observations, *args, **kwargs)
+            drawn[-1].append(descriptors.tobytes())
+            return descriptors
+
+        monkeypatch.setattr(tracking, "synthetic_descriptors_for_tracks", recording)
+        frontend = VisualFrontend(rig=indoor_mapped_sequence.rig, sparse=True, dropout_probability=0.0)
+        results = [frontend.process(frame) for frame in indoor_mapped_sequence.frames[:6]]
+        for _ in range(2):
+            drawn.append([])
+            localization_map = LocalizationMap.from_world(indoor_mapped_sequence.world)
+            tracker = MapTracker(camera=indoor_mapped_sequence.rig.camera)
+            for result in results:
+                tracker.track(result, localization_map)
+        assert len(drawn[0]) == len(results)
+        assert drawn[0] == drawn[1]
 
     def test_kernel_timings(self, indoor_mapped_sequence):
         localization_map = LocalizationMap.from_world(indoor_mapped_sequence.world)

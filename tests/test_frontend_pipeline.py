@@ -164,5 +164,16 @@ class TestSyntheticDescriptors:
         assert descriptors.shape == (result.feature_count, 32)
         assert np.array_equal(descriptors, again)
 
+    def test_noise_flips_come_from_the_caller_rng(self, outdoor_sequence):
+        frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
+        observations = frontend.process(outdoor_sequence.frames[0]).observations
+        with pytest.raises(ValueError):
+            synthetic_descriptors_for_tracks(observations)
+        noisy = synthetic_descriptors_for_tracks(observations, rng=np.random.default_rng(4))
+        again = synthetic_descriptors_for_tracks(observations, rng=np.random.default_rng(4))
+        clean = synthetic_descriptors_for_tracks(observations, noise_bits=0)
+        assert noisy.tobytes() == again.tobytes()
+        assert not np.array_equal(noisy, clean)
+
     def test_empty(self):
         assert synthetic_descriptors_for_tracks([]).shape == (0, 32)
