@@ -138,25 +138,20 @@ class Msckf:
             return
         imu = self.state.imu
         cfg = self.config
-        # A batch's steps share one or two distinct dt values, so the
-        # dt-only blocks are built once per distinct dt.  Every block of
+        # Process noise per unit time: scaling it by dt each step gives the
+        # same bits as scaling each diagonal block by dt.  Every block of
         # phi_imu written below is rewritten each step, so one buffer serves
-        # the whole batch; the arithmetic per step is unchanged.
-        dt_blocks: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
+        # the whole batch.
+        noise_rate = np.zeros((IMU_ERROR_DIM, IMU_ERROR_DIM))
+        noise_rate[0:3, 0:3] = np.eye(3) * cfg.imu_gyro_noise**2
+        noise_rate[6:9, 6:9] = np.eye(3) * cfg.imu_accel_noise**2
+        noise_rate[9:12, 9:12] = np.eye(3) * cfg.imu_gyro_bias_noise**2
+        noise_rate[12:15, 12:15] = np.eye(3) * cfg.imu_accel_bias_noise**2
         phi_imu = np.eye(IMU_ERROR_DIM)
         for i in range(len(imu_samples) - 1):
             dt = imu_samples[i + 1].timestamp - imu_samples[i].timestamp
             if dt <= 0:
                 continue
-            blocks = dt_blocks.get(dt)
-            if blocks is None:
-                noise = np.zeros((IMU_ERROR_DIM, IMU_ERROR_DIM))
-                noise[0:3, 0:3] = np.eye(3) * cfg.imu_gyro_noise**2 * dt
-                noise[6:9, 6:9] = np.eye(3) * cfg.imu_accel_noise**2 * dt
-                noise[9:12, 9:12] = np.eye(3) * cfg.imu_gyro_bias_noise**2 * dt
-                noise[12:15, 12:15] = np.eye(3) * cfg.imu_accel_bias_noise**2 * dt
-                blocks = dt_blocks[dt] = (np.eye(3) * dt, noise)
-            eye_dt, noise = blocks
             gyro = imu_samples[i].angular_velocity - imu.gyro_bias
             accel = imu_samples[i].linear_acceleration - imu.accel_bias
 
@@ -168,9 +163,10 @@ class Msckf:
             state_dim = self.state.error_dim
             neg_rotation_dt = -rotation * dt
             phi_imu[0:3, 9:12] = neg_rotation_dt
-            phi_imu[3:6, 6:9] = eye_dt
+            phi_imu[3:6, 6:9] = np.eye(3) * dt
             phi_imu[6:9, 0:3] = -skew(specific_force_world) * dt
             phi_imu[6:9, 12:15] = neg_rotation_dt
+            noise = noise_rate * dt
 
             cov = self.state.covariance
             cov[:IMU_ERROR_DIM, :IMU_ERROR_DIM] = (

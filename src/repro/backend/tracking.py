@@ -148,8 +148,9 @@ class LocalizationMap:
 class MapTracker:
     """Estimates the pose of each frame against a :class:`LocalizationMap`."""
 
-    # Seed of the tracker's descriptor-noise generator: two trackers fed the
-    # same frames draw the same bit flips.
+    # Bit flips per track descriptor, drawn from a generator with a fixed
+    # seed: two trackers fed the same frames draw the same flips.
+    DESCRIPTOR_NOISE_BITS = 4
     DESCRIPTOR_NOISE_SEED = 0
 
     def __init__(self, config: Optional[TrackingConfig] = None,
@@ -197,7 +198,7 @@ class MapTracker:
 
         with stopwatch.measure("update"):
             if pose is not None and localization_map.vocabulary is not None and localization_map.vocabulary.trained:
-                descriptors = synthetic_descriptors_for_tracks(frontend.observations, rng=self._descriptor_rng)
+                descriptors = self._track_descriptors(frontend)
                 if descriptors.shape[0] > 0:
                     localization_map.add_keyframe(frontend.frame_index, pose, descriptors)
 
@@ -233,6 +234,10 @@ class MapTracker:
         return self._map_observations
 
     # ------------------------------------------------------------ internals
+
+    def _track_descriptors(self, frontend: FrontendResult) -> np.ndarray:
+        return synthetic_descriptors_for_tracks(
+            frontend.observations, self.DESCRIPTOR_NOISE_BITS, self._descriptor_rng)
 
     def _project_map(self, localization_map: LocalizationMap, prior: Pose) -> np.ndarray:
         """Project all map points through the camera model at the prior pose.
@@ -288,7 +293,7 @@ class MapTracker:
 
         # Fall back to descriptor matching (needed when track identities do not
         # align with map identities, e.g. dense-frontend relocalization).
-        descriptors = synthetic_descriptors_for_tracks(frontend.observations, rng=self._descriptor_rng)
+        descriptors = self._track_descriptors(frontend)
         map_descriptors = localization_map.descriptors()
         if descriptors.shape[0] == 0 or map_descriptors.shape[0] == 0:
             return correspondences

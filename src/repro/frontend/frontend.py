@@ -398,15 +398,15 @@ class VisualFrontend:
 
 
 def synthetic_descriptors_for_tracks(observations: List[TrackObservation],
-                                     noise_bits: int = 4,
+                                     noise_bits: int = 0,
                                      rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Generate stable binary descriptors for sparse-path observations.
 
     Used by the bag-of-words registration backend, which needs descriptors
     even when the frontend ran in sparse mode.  The descriptor is derived from
     the track identity so repeated visits to the same landmark produce nearly
-    identical signatures.  The ``noise_bits`` flips of every observation are
-    drawn in order from the one ``rng``, required when ``noise_bits > 0``.
+    identical signatures.  With ``noise_bits > 0`` each observation's flips are
+    drawn in order from the one ``rng``, which is then required.
     """
     if not observations:
         return np.zeros((0, 32), dtype=np.uint8)

@@ -64,7 +64,7 @@ class TestMapTracker:
         assert workload.map_points == 0
 
     def test_fresh_trackers_draw_identical_descriptors(self, indoor_mapped_sequence, monkeypatch):
-        # The keyframe descriptors carry the default noise_bits flips; two
+        # The tracker's descriptors carry its DESCRIPTOR_NOISE_BITS flips; two
         # fresh trackers on the same frames must produce the same bytes.
         drawn = []
 

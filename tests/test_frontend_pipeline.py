@@ -168,10 +168,10 @@ class TestSyntheticDescriptors:
         frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
         observations = frontend.process(outdoor_sequence.frames[0]).observations
         with pytest.raises(ValueError):
-            synthetic_descriptors_for_tracks(observations)
-        noisy = synthetic_descriptors_for_tracks(observations, rng=np.random.default_rng(4))
-        again = synthetic_descriptors_for_tracks(observations, rng=np.random.default_rng(4))
-        clean = synthetic_descriptors_for_tracks(observations, noise_bits=0)
+            synthetic_descriptors_for_tracks(observations, noise_bits=4)
+        noisy = synthetic_descriptors_for_tracks(observations, 4, np.random.default_rng(4))
+        again = synthetic_descriptors_for_tracks(observations, 4, np.random.default_rng(4))
+        clean = synthetic_descriptors_for_tracks(observations)
         assert noisy.tobytes() == again.tobytes()
         assert not np.array_equal(noisy, clean)
 

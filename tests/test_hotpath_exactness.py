@@ -246,8 +246,8 @@ class TestVocabularyTraining:
 
 
 def _imu_batch(rng: np.random.Generator, count: int, start: float):
-    # Mostly regular steps with a jittered, a repeated and a non-positive dt,
-    # so the per-dt blocks see hits, misses and skipped steps.
+    # Mostly regular steps with a jittered, a zero and a negative dt, so the
+    # noise scaled per step sees varying dt and the loop skips steps.
     steps = np.full(count, 0.005)
     steps[rng.integers(0, count)] = 0.0
     steps[rng.integers(0, count)] = -0.001
