@@ -9,7 +9,7 @@ sequence was generated from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -21,7 +21,6 @@ from repro.sensors.gps import GpsSample, GpsSimulator
 from repro.sensors.imaging import ImageRenderer
 from repro.sensors.imu import ImuSample, ImuSimulator
 from repro.sensors.scenarios import OperatingScenario, ScenarioKind
-from repro.sensors.trajectory import TrajectorySample
 from repro.sensors.world import LandmarkWorld, camera_frame_from_body
 
 
@@ -147,10 +146,8 @@ class SequenceBuilder:
         frame_times = start_time + np.arange(frame_count) / config.camera_rate_hz
 
         # Sample the trajectory densely first so the world hugs the path.
-        truth_per_frame: List[TrajectorySample] = [
-            scenario.trajectory.sample(float(t - start_time)) for t in frame_times
-        ]
-        path_points = np.array([s.pose.translation for s in truth_per_frame])
+        truth = scenario.trajectory.sample_array(frame_times - start_time)
+        path_points = truth.positions
         effective_world_seed = seed if world_seed is None else int(world_seed)
         if scenario.is_indoor:
             world = LandmarkWorld.indoor(path_points, count=scenario.landmark_count,
@@ -177,40 +174,25 @@ class SequenceBuilder:
         renderer = ImageRenderer(camera, config.stereo_baseline, seed=seed + 3) if self.render_images else None
         rng = np.random.default_rng(seed + 4)
 
-        imu_dt = 1.0 / config.imu_rate_hz
+        imu_batches = self._imu_batches(scenario, imu, frame_times, start_time)
         frames: List[Frame] = []
-        for i, truth in enumerate(truth_per_frame):
-            timestamp = float(frame_times[i])
-            observations = self._observe(truth.pose, world, rig, rng)
-            imu_batch: List[ImuSample] = []
-            if i > 0:
-                previous_time = float(frame_times[i - 1])
-                steps = max(1, int(round((timestamp - previous_time) / imu_dt)))
-                for step in range(steps + 1):
-                    t = previous_time + step * (timestamp - previous_time) / steps
-                    sub_truth = scenario.trajectory.sample(t - start_time)
-                    sub_truth = TrajectorySample(
-                        timestamp=t,
-                        pose=sub_truth.pose,
-                        velocity=sub_truth.velocity,
-                        acceleration=sub_truth.acceleration,
-                        angular_velocity=sub_truth.angular_velocity,
-                    )
-                    imu_batch.append(imu.measure(sub_truth, (timestamp - previous_time) / steps))
-            gps_sample = gps.measure(timestamp, truth.pose) if scenario.has_gps else None
+        for i, timestamp in enumerate(frame_times.tolist()):
+            pose = Pose(truth.rotations[i], truth.positions[i])
+            observations = self._observe(pose, world, rig, rng)
+            gps_sample = gps.measure(timestamp, pose) if scenario.has_gps else None
 
             frame = Frame(
                 index=start_index + i,
                 timestamp=timestamp,
-                ground_truth=truth.pose,
+                ground_truth=pose,
                 observations=observations,
-                imu_samples=imu_batch,
+                imu_samples=imu_batches[i],
                 gps=gps_sample,
                 scenario=scenario.kind,
-                ground_truth_velocity=truth.velocity,
+                ground_truth_velocity=truth.velocities[i],
             )
             if renderer is not None:
-                frame.left_image, frame.right_image = renderer.render(truth.pose, world, frame_index=i)
+                frame.left_image, frame.right_image = renderer.render(pose, world, frame_index=i)
             frames.append(frame)
 
         return SyntheticSequence(
@@ -221,6 +203,30 @@ class SequenceBuilder:
             config=config,
             has_prebuilt_map=scenario.has_map,
         )
+
+    def _imu_batches(self, scenario: OperatingScenario, imu: ImuSimulator,
+                     frame_times: np.ndarray, start_time: float) -> List[List[ImuSample]]:
+        """Each frame's IMU samples, from the previous frame's epoch to its own.
+
+        Frame ``i > 0`` gets ``steps + 1`` samples at ``previous_time + step *
+        (timestamp - previous_time) / steps``, both ends included; frame 0 gets
+        none.  A segment has at least two frames; all its sub-steps are
+        sampled in one call and measured in one call.
+        """
+        imu_dt = 1.0 / self.config.imu_rate_hz
+        epochs = frame_times.tolist()
+        counts = np.array([max(1, int(round((timestamp - previous_time) / imu_dt))) + 1
+                           for previous_time, timestamp in zip(epochs, epochs[1:])])
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        steps = np.repeat(counts - 1, counts)
+        step = np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts)
+        previous = np.repeat(frame_times[:-1], counts)
+        span = np.repeat(frame_times[1:] - frame_times[:-1], counts)
+        times = previous + step * span / steps
+        truth = replace(scenario.trajectory.sample_array(times - start_time), timestamps=times)
+        samples = imu.measure_array(truth, span / steps)
+        ends = bounds.tolist()
+        return [[]] + [samples[lo:hi] for lo, hi in zip(ends, ends[1:])]
 
     def build_mixed(self, scenarios: List[OperatingScenario]) -> List[SyntheticSequence]:
         """Build back-to-back segments for a mixed deployment."""

@@ -9,11 +9,11 @@ specific force and angular velocity derived from the trajectory generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.sensors.trajectory import TrajectorySample
+from repro.sensors.trajectory import TrajectoryArrays, TrajectorySample
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -57,35 +57,51 @@ class ImuSimulator:
 
     def measure(self, truth: TrajectorySample, dt: float) -> ImuSample:
         """Produce one noisy IMU sample from the ground truth at ``truth``."""
-        rotation_world_to_body = truth.pose.rotation.T
-        # Specific force: measured acceleration minus gravity, in body frame.
-        specific_force = rotation_world_to_body @ (truth.acceleration - GRAVITY)
-        angular_velocity = rotation_world_to_body @ truth.angular_velocity
-
-        # Bias random walks.
-        self.gyro_bias = self.gyro_bias + self._rng.normal(0.0, self.gyro_bias_walk * np.sqrt(dt), size=3)
-        self.accel_bias = self.accel_bias + self._rng.normal(0.0, self.accel_bias_walk * np.sqrt(dt), size=3)
-
-        noisy_gyro = angular_velocity + self.gyro_bias + self._rng.normal(0.0, self.gyro_noise, size=3)
-        noisy_accel = specific_force + self.accel_bias + self._rng.normal(0.0, self.accel_noise, size=3)
-        return ImuSample(
-            timestamp=truth.timestamp,
-            angular_velocity=noisy_gyro,
-            linear_acceleration=noisy_accel,
-        )
+        return self.measure_array(TrajectoryArrays.stack([truth]), [dt])[0]
 
     def measure_interval(self, samples: List[TrajectorySample]) -> List[ImuSample]:
         """Measure a batch of consecutive ground-truth samples."""
-        measurements: List[ImuSample] = []
-        for i, truth in enumerate(samples):
-            if i + 1 < len(samples):
-                dt = samples[i + 1].timestamp - truth.timestamp
-            elif i > 0:
-                dt = truth.timestamp - samples[i - 1].timestamp
-            else:
-                dt = 0.01
-            measurements.append(self.measure(truth, max(dt, 1e-4)))
-        return measurements
+        truth = TrajectoryArrays.stack(samples)
+        # Each sample integrates up to the next one; the last reuses the gap
+        # before it, and a lone sample assumes 0.01 s.
+        dts = np.full(len(truth), 0.01)
+        if len(truth) > 1:
+            gaps = np.diff(truth.timestamps)
+            dts[:-1] = gaps
+            dts[-1] = gaps[-1]
+        return self.measure_array(truth, np.maximum(dts, 1e-4))
+
+    def measure_array(self, truth: TrajectoryArrays, dts: Sequence[float]) -> List[ImuSample]:
+        """One noisy IMU sample per row of ``truth``; row ``k`` integrates ``dts[k]``.
+
+        Each row draws its gyro and accel bias walks, then its gyro and accel
+        white noise, three values each: the stream order of measuring the rows
+        one at a time.  ``Generator.normal`` computes every value as
+        ``0.0 + scale * z`` from a standard normal ``z``, and so does this.
+        """
+        n = len(truth)
+        rotation_world_to_body = truth.rotations.transpose(0, 2, 1)
+        # Specific force: measured acceleration minus gravity, in body frame.
+        specific_force = (rotation_world_to_body @ (truth.accelerations - GRAVITY)[:, :, None])[:, :, 0]
+        angular_velocity = (rotation_world_to_body @ truth.angular_velocities[:, :, None])[:, :, 0]
+
+        draws = self._rng.standard_normal((n, 4, 3))
+        root_dt = np.sqrt(np.asarray(dts, dtype=float)).reshape(n, 1)
+        gyro_walk = 0.0 + (self.gyro_bias_walk * root_dt) * draws[:, 0]
+        accel_walk = 0.0 + (self.accel_bias_walk * root_dt) * draws[:, 1]
+        # Bias random walks: a running sum from the current bias, row by row.
+        gyro_bias = np.cumsum(np.vstack([self.gyro_bias, gyro_walk]), axis=0)
+        accel_bias = np.cumsum(np.vstack([self.accel_bias, accel_walk]), axis=0)
+        self.gyro_bias = gyro_bias[-1].copy()
+        self.accel_bias = accel_bias[-1].copy()
+
+        noisy_gyro = angular_velocity + gyro_bias[1:] + (0.0 + self.gyro_noise * draws[:, 2])
+        noisy_accel = specific_force + accel_bias[1:] + (0.0 + self.accel_noise * draws[:, 3])
+        return [
+            ImuSample(timestamp=timestamp, angular_velocity=noisy_gyro[k],
+                      linear_acceleration=noisy_accel[k])
+            for k, timestamp in enumerate(truth.timestamps.tolist())
+        ]
 
 
 def integrate_imu(samples: List[ImuSample], initial_pose, initial_velocity: np.ndarray):

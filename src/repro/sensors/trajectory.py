@@ -10,11 +10,11 @@ and acceleration for the IMU simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Sequence
 
 import numpy as np
 
-from repro.common.geometry import Pose, euler_to_rotation
+from repro.common.geometry import Pose
 
 
 @dataclass
@@ -28,78 +28,141 @@ class TrajectorySample:
     angular_velocity: np.ndarray
 
 
-class TrajectoryGenerator:
-    """Samples a parametric trajectory at a fixed rate.
+@dataclass
+class TrajectoryArrays:
+    """Ground truth at ``n`` timestamps, one row per timestamp."""
 
-    The trajectory is described by a position function ``p(t)`` and a yaw
-    function ``yaw(t)``; velocity, acceleration and angular velocity are
-    obtained by central finite differences, which keeps the generator simple
-    while remaining accurate for the smooth paths used here.
+    timestamps: np.ndarray  # (n,)
+    rotations: np.ndarray  # (n, 3, 3), body to world
+    positions: np.ndarray  # (n, 3)
+    velocities: np.ndarray  # (n, 3)
+    accelerations: np.ndarray  # (n, 3)
+    angular_velocities: np.ndarray  # (n, 3)
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def sample(self, index: int) -> TrajectorySample:
+        """Row ``index`` as a :class:`TrajectorySample` (its arrays are row views)."""
+        return TrajectorySample(
+            timestamp=float(self.timestamps[index]),
+            pose=Pose(self.rotations[index], self.positions[index]),
+            velocity=self.velocities[index],
+            acceleration=self.accelerations[index],
+            angular_velocity=self.angular_velocities[index],
+        )
+
+    @classmethod
+    def stack(cls, samples: Sequence[TrajectorySample]) -> "TrajectoryArrays":
+        """Stack per-timestamp samples into rows."""
+        return cls(
+            timestamps=np.array([s.timestamp for s in samples], dtype=float),
+            rotations=np.array([s.pose.rotation for s in samples], dtype=float).reshape(-1, 3, 3),
+            positions=np.array([s.pose.translation for s in samples], dtype=float).reshape(-1, 3),
+            velocities=np.array([s.velocity for s in samples], dtype=float).reshape(-1, 3),
+            accelerations=np.array([s.acceleration for s in samples], dtype=float).reshape(-1, 3),
+            angular_velocities=np.array([s.angular_velocity for s in samples],
+                                        dtype=float).reshape(-1, 3),
+        )
+
+
+# ``euler_to_rotation``'s pitch and roll factors at pitch = roll = 0.0, signed
+# zeros included: a vehicle's body stays level and faces along its travel.
+_RY = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.0, 0.0, 1.0]])
+_RX = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -0.0], [0.0, 0.0, 1.0]])
+
+
+class TrajectoryGenerator:
+    """Samples a parametric trajectory at arrays of timestamps.
+
+    The trajectory is described by a position function that maps a float64
+    timestamp array of shape ``(n,)`` to positions of shape ``(n, 3)``.  The
+    body faces along the direction of travel; velocity, acceleration and
+    angular velocity are obtained by central finite differences, which keeps
+    the generator simple while remaining accurate for the smooth paths used
+    here.  Every sample is computed elementwise, so a timestamp's ground
+    truth does not depend on the other timestamps sampled with it.
     """
 
-    def __init__(
-        self,
-        position_fn: Callable[[float], np.ndarray],
-        yaw_fn: Optional[Callable[[float], float]] = None,
-        pitch: float = 0.0,
-        roll: float = 0.0,
-    ) -> None:
+    def __init__(self, position_fn: Callable[[np.ndarray], np.ndarray]) -> None:
         self._position_fn = position_fn
-        self._yaw_fn = yaw_fn
-        self._pitch = pitch
-        self._roll = roll
 
-    def _yaw(self, t: float, dt: float = 1e-3) -> float:
-        if self._yaw_fn is not None:
-            return float(self._yaw_fn(t))
-        # Face along the direction of travel.
-        p0 = self._position_fn(t - dt)
-        p1 = self._position_fn(t + dt)
-        delta = np.asarray(p1) - np.asarray(p0)
-        if np.linalg.norm(delta[:2]) < 1e-9:
-            return 0.0
-        return float(np.arctan2(delta[1], delta[0]))
-
-    def sample(self, timestamp: float, dt: float = 1e-3) -> TrajectorySample:
-        position = np.asarray(self._position_fn(timestamp), dtype=float).reshape(3)
-        prev = np.asarray(self._position_fn(timestamp - dt), dtype=float).reshape(3)
-        nxt = np.asarray(self._position_fn(timestamp + dt), dtype=float).reshape(3)
+    def sample_array(self, timestamps, dt: float = 1e-3) -> TrajectoryArrays:
+        """Ground truth at every timestamp of ``timestamps``."""
+        t = np.array(timestamps, dtype=float).reshape(-1)
+        n = t.size
+        before = t - dt
+        after = t + dt
+        # The yaw rate differences the heading at t - dt and t + dt, and each
+        # heading looks a further dt either side; (t - dt) + dt need not be t.
+        times = np.concatenate([t, before, after, before - dt, before + dt, after - dt, after + dt])
+        points = np.asarray(self._position_fn(times), dtype=float).reshape(7, n, 3)
+        position, prev, nxt = points[0], points[1], points[2]
         velocity = (nxt - prev) / (2.0 * dt)
         acceleration = (nxt - 2.0 * position + prev) / (dt * dt)
 
-        yaw = self._yaw(timestamp, dt)
-        yaw_prev = self._yaw(timestamp - dt, dt)
-        yaw_next = self._yaw(timestamp + dt, dt)
+        yaw = _heading(prev, nxt)
+        yaw_prev = _heading(points[3], points[4])
+        yaw_next = _heading(points[5], points[6])
         yaw_rate = _wrap_angle(yaw_next - yaw_prev) / (2.0 * dt)
 
-        rotation = euler_to_rotation(yaw, self._pitch, self._roll)
-        pose = Pose(rotation, position)
-        angular_velocity = np.array([0.0, 0.0, yaw_rate])
-        return TrajectorySample(
-            timestamp=timestamp,
-            pose=pose,
-            velocity=velocity,
-            acceleration=acceleration,
-            angular_velocity=angular_velocity,
+        cy, sy = np.cos(yaw), np.sin(yaw)
+        rz = np.zeros((n, 3, 3))
+        rz[:, 0, 0] = cy
+        rz[:, 0, 1] = -sy
+        rz[:, 1, 0] = sy
+        rz[:, 1, 1] = cy
+        rz[:, 2, 2] = 1.0
+        angular_velocity = np.zeros((n, 3))
+        angular_velocity[:, 2] = yaw_rate
+        return TrajectoryArrays(
+            timestamps=t,
+            rotations=rz @ _RY @ _RX,
+            positions=position,
+            velocities=velocity,
+            accelerations=acceleration,
+            angular_velocities=angular_velocity,
         )
+
+    def sample(self, timestamp: float, dt: float = 1e-3) -> TrajectorySample:
+        return self.sample_array([timestamp], dt).sample(0)
 
     def sample_range(self, duration: float, rate_hz: float, start: float = 0.0) -> List[TrajectorySample]:
         count = int(round(duration * rate_hz))
-        timestamps = start + np.arange(count) / rate_hz
-        return [self.sample(float(t)) for t in timestamps]
+        truth = self.sample_array(start + np.arange(count) / rate_hz)
+        return [truth.sample(i) for i in range(count)]
 
 
-def _wrap_angle(angle: float) -> float:
-    """Wrap an angle difference into ``[-pi, pi]``."""
-    return float((angle + np.pi) % (2.0 * np.pi) - np.pi)
+def _heading(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """Yaw of travel from ``p0`` to ``p1`` per row; 0.0 where the xy step is below 1e-9."""
+    delta = p1 - p0
+    planar = delta[:, :2]
+    # sqrt of a (1, 2) @ (2, 1) product per row runs the same BLAS dot as the
+    # norm of one 2-vector; a sum of squares differs from it in the last bit.
+    still = np.sqrt((planar[:, None, :] @ planar[:, :, None])[:, 0, 0]) < 1e-9
+    return np.where(still, 0.0, np.arctan2(delta[:, 1], delta[:, 0]))
+
+
+def _wrap_angle(angle: np.ndarray) -> np.ndarray:
+    """Wrap angle differences into ``[-pi, pi]``."""
+    return (angle + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def _points(t: np.ndarray, x, y, z) -> np.ndarray:
+    """Stack per-axis arrays over ``t`` (or constants) into ``(n, 3)`` positions."""
+    out = np.empty((t.size, 3))
+    out[:, 0] = x
+    out[:, 1] = y
+    out[:, 2] = z
+    return out
 
 
 def circle_trajectory(radius: float = 10.0, period: float = 60.0, height: float = 0.0) -> TrajectoryGenerator:
     """A circular loop — the canonical loop-closure trajectory for SLAM."""
     omega = 2.0 * np.pi / period
 
-    def position(t: float) -> np.ndarray:
-        return np.array([radius * np.cos(omega * t), radius * np.sin(omega * t), height])
+    def position(t: np.ndarray) -> np.ndarray:
+        return _points(t, radius * np.cos(omega * t), radius * np.sin(omega * t), height)
 
     return TrajectoryGenerator(position)
 
@@ -109,13 +172,12 @@ def figure_eight_trajectory(scale: float = 6.0, period: float = 40.0, height: fl
     """A figure-eight with mild altitude oscillation — a drone-style path."""
     omega = 2.0 * np.pi / period
 
-    def position(t: float) -> np.ndarray:
-        return np.array(
-            [
-                scale * np.sin(omega * t),
-                scale * np.sin(omega * t) * np.cos(omega * t),
-                height + vertical_amplitude * np.sin(2.0 * omega * t),
-            ]
+    def position(t: np.ndarray) -> np.ndarray:
+        return _points(
+            t,
+            scale * np.sin(omega * t),
+            scale * np.sin(omega * t) * np.cos(omega * t),
+            height + vertical_amplitude * np.sin(2.0 * omega * t),
         )
 
     return TrajectoryGenerator(position)
@@ -126,8 +188,8 @@ def straight_trajectory(speed: float = 8.0, lateral_wiggle: float = 0.5,
     """A mostly straight road segment — a KITTI-style outdoor car path."""
     omega = 2.0 * np.pi / wiggle_period
 
-    def position(t: float) -> np.ndarray:
-        return np.array([speed * t, lateral_wiggle * np.sin(omega * t), height])
+    def position(t: np.ndarray) -> np.ndarray:
+        return _points(t, speed * t, lateral_wiggle * np.sin(omega * t), height)
 
     return TrajectoryGenerator(position)
 
@@ -143,20 +205,22 @@ def warehouse_trajectory(aisle_length: float = 20.0, aisle_spacing: float = 4.0,
     cross_time = aisle_spacing / speed
     cycle = 2.0 * (segment_time + cross_time)
 
-    def position(t: float) -> np.ndarray:
+    def position(t: np.ndarray) -> np.ndarray:
         phase = t % cycle
-        lane_pair = int(t // cycle)
+        # The whole lane pair is exact as a float; + 0.0 turns a -0.0
+        # quotient into the +0.0 an integer lane count would give.
+        lane_pair = t // cycle + 0.0
         base_y = 2.0 * aisle_spacing * lane_pair
-        if phase < segment_time:
-            return np.array([phase * speed, base_y, height])
-        phase -= segment_time
-        if phase < cross_time:
-            return np.array([aisle_length, base_y + phase * speed, height])
-        phase -= cross_time
-        if phase < segment_time:
-            return np.array([aisle_length - phase * speed, base_y + aisle_spacing, height])
-        phase -= segment_time
-        return np.array([0.0, base_y + aisle_spacing + phase * speed, height])
+        across = phase - segment_time
+        back = across - cross_time
+        over = back - segment_time
+        # Down the aisle, across to the next, back up it, then over to the
+        # next pair: the first leg whose phase is still inside it wins.
+        legs = [phase < segment_time, across < cross_time, back < segment_time]
+        x = np.select(legs, [phase * speed, aisle_length, aisle_length - back * speed], 0.0)
+        y = np.select(legs, [base_y, base_y + across * speed, base_y + aisle_spacing],
+                      base_y + aisle_spacing + over * speed)
+        return _points(t, x, y, height)
 
     return TrajectoryGenerator(position)
 
@@ -173,9 +237,9 @@ def random_smooth_trajectory(seed: int = 0, scale: float = 8.0, duration_hint: f
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(harmonics, 2))
     frequencies = rng.uniform(0.5, 2.0, size=harmonics) * 2.0 * np.pi / duration_hint
 
-    def position(t: float) -> np.ndarray:
+    def position(t: np.ndarray) -> np.ndarray:
         x = sum(amplitudes[i, 0] * np.sin(frequencies[i] * t + phases[i, 0]) for i in range(harmonics))
         y = sum(amplitudes[i, 1] * np.sin(frequencies[i] * t + phases[i, 1]) for i in range(harmonics))
-        return np.array([x, y, height])
+        return _points(t, x, y, height)
 
     return TrajectoryGenerator(position)

@@ -1,20 +1,23 @@
-"""Bit-exactness of the memoized and trimmed hot-path kernels.
+"""Bit-exactness of the memoized, trimmed and vectorized hot-path kernels.
 
 Each kernel is compared with a verbatim copy of the implementation it
 replaced (the ``_reference_*`` functions below): the memoized descriptor
-base bits, the memoized vocabulary training, the MSCKF propagation loop and
-the pixel-noise draw of the synthetic dataset.  Equality is byte for byte,
+base bits, the memoized vocabulary training, the MSCKF propagation loop, the
+pixel-noise draw of the synthetic dataset, and the array ground truth and IMU
+synthesis of a segment.  Equality is byte for byte, signed zeros included,
 and any generator the kernel draws from must end in the same state.  The
-memos are also checked for aliasing (a caller mutating its result must not
-reach the next hit) and for their size bound.  Last, the script that pins
-the servbench wave signatures in CI must reject any moved bit.
+memos and the per-segment arrays are also checked for aliasing (a caller
+mutating its result must not reach the next hit or another frame) and the
+memos for their size bound.  A host canary checks the numpy loops the array
+synthesis relies on against their per-element results.  Last, the script
+that pins the servbench wave signatures in CI must reject any moved bit.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 import pytest
@@ -25,13 +28,21 @@ from repro.backend import bow
 from repro.backend.bow import VOCABULARY_MEMO_SIZE, BinaryVocabulary
 from repro.backend.msckf import Msckf
 from repro.backend.state import IMU_ERROR_DIM
-from repro.common.camera import world_to_camera
+from repro.common.camera import StereoRig, world_to_camera
+from repro.common.config import SensorConfig
 from repro.common.geometry import Pose, euler_to_rotation, skew, so3_exp
 from repro.frontend import orb
 from repro.frontend.orb import DESCRIPTOR_MEMO_SIZE, descriptor_from_seed, hamming_distance_matrix
-from repro.sensors.dataset import SequenceBuilder, StereoObservation
-from repro.sensors.imu import GRAVITY, ImuSample
-from repro.sensors.world import camera_frame_from_body
+from repro.sensors import dataset, trajectory
+from repro.sensors.dataset import (Frame, SequenceBuilder, StereoObservation, SyntheticSequence,
+                                   segment_frame_count)
+from repro.sensors.gps import GpsSimulator
+from repro.sensors.imaging import ImageRenderer
+from repro.sensors.imu import GRAVITY, ImuSample, ImuSimulator
+from repro.sensors.scenarios import ScenarioKind, scenario_catalog
+from repro.sensors.trajectory import TrajectoryArrays, TrajectorySample
+from repro.sensors.world import LandmarkWorld, camera_frame_from_body
+from repro.serving.streams import drift_world
 
 # ------------------------------------------------- reference implementations
 
@@ -137,6 +148,260 @@ def _reference_observe(self, pose, world, rig, rng) -> Dict[int, StereoObservati
         landmark_id = world.landmarks[idx].landmark_id
         observations[landmark_id] = StereoObservation(landmark_id, left, right)
     return observations
+
+
+class _ReferenceTrajectory:
+    """The scalar ``TrajectoryGenerator`` the array path replaced."""
+
+    def __init__(
+        self,
+        position_fn: Callable[[float], np.ndarray],
+        yaw_fn: Optional[Callable[[float], float]] = None,
+        pitch: float = 0.0,
+        roll: float = 0.0,
+    ) -> None:
+        self._position_fn = position_fn
+        self._yaw_fn = yaw_fn
+        self._pitch = pitch
+        self._roll = roll
+
+    def _yaw(self, t: float, dt: float = 1e-3) -> float:
+        if self._yaw_fn is not None:
+            return float(self._yaw_fn(t))
+        # Face along the direction of travel.
+        p0 = self._position_fn(t - dt)
+        p1 = self._position_fn(t + dt)
+        delta = np.asarray(p1) - np.asarray(p0)
+        if np.linalg.norm(delta[:2]) < 1e-9:
+            return 0.0
+        return float(np.arctan2(delta[1], delta[0]))
+
+    def sample(self, timestamp: float, dt: float = 1e-3) -> TrajectorySample:
+        position = np.asarray(self._position_fn(timestamp), dtype=float).reshape(3)
+        prev = np.asarray(self._position_fn(timestamp - dt), dtype=float).reshape(3)
+        nxt = np.asarray(self._position_fn(timestamp + dt), dtype=float).reshape(3)
+        velocity = (nxt - prev) / (2.0 * dt)
+        acceleration = (nxt - 2.0 * position + prev) / (dt * dt)
+
+        yaw = self._yaw(timestamp, dt)
+        yaw_prev = self._yaw(timestamp - dt, dt)
+        yaw_next = self._yaw(timestamp + dt, dt)
+        yaw_rate = _reference_wrap_angle(yaw_next - yaw_prev) / (2.0 * dt)
+
+        rotation = euler_to_rotation(yaw, self._pitch, self._roll)
+        pose = Pose(rotation, position)
+        angular_velocity = np.array([0.0, 0.0, yaw_rate])
+        return TrajectorySample(
+            timestamp=timestamp,
+            pose=pose,
+            velocity=velocity,
+            acceleration=acceleration,
+            angular_velocity=angular_velocity,
+        )
+
+    def sample_range(self, duration: float, rate_hz: float, start: float = 0.0) -> List[TrajectorySample]:
+        count = int(round(duration * rate_hz))
+        timestamps = start + np.arange(count) / rate_hz
+        return [self.sample(float(t)) for t in timestamps]
+
+
+def _reference_wrap_angle(angle: float) -> float:
+    return float((angle + np.pi) % (2.0 * np.pi) - np.pi)
+
+
+def _reference_circle(radius=10.0, period=60.0, height=0.0):
+    omega = 2.0 * np.pi / period
+
+    def position(t: float) -> np.ndarray:
+        return np.array([radius * np.cos(omega * t), radius * np.sin(omega * t), height])
+
+    return _ReferenceTrajectory(position)
+
+
+def _reference_figure_eight(scale=6.0, period=40.0, height=1.2, vertical_amplitude=0.3):
+    omega = 2.0 * np.pi / period
+
+    def position(t: float) -> np.ndarray:
+        return np.array(
+            [
+                scale * np.sin(omega * t),
+                scale * np.sin(omega * t) * np.cos(omega * t),
+                height + vertical_amplitude * np.sin(2.0 * omega * t),
+            ]
+        )
+
+    return _ReferenceTrajectory(position)
+
+
+def _reference_straight(speed=8.0, lateral_wiggle=0.5, wiggle_period=20.0, height=1.5):
+    omega = 2.0 * np.pi / wiggle_period
+
+    def position(t: float) -> np.ndarray:
+        return np.array([speed * t, lateral_wiggle * np.sin(omega * t), height])
+
+    return _ReferenceTrajectory(position)
+
+
+def _reference_warehouse(aisle_length=20.0, aisle_spacing=4.0, speed=1.5, height=0.4):
+    segment_time = aisle_length / speed
+    cross_time = aisle_spacing / speed
+    cycle = 2.0 * (segment_time + cross_time)
+
+    def position(t: float) -> np.ndarray:
+        phase = t % cycle
+        lane_pair = int(t // cycle)
+        base_y = 2.0 * aisle_spacing * lane_pair
+        if phase < segment_time:
+            return np.array([phase * speed, base_y, height])
+        phase -= segment_time
+        if phase < cross_time:
+            return np.array([aisle_length, base_y + phase * speed, height])
+        phase -= cross_time
+        if phase < segment_time:
+            return np.array([aisle_length - phase * speed, base_y + aisle_spacing, height])
+        phase -= segment_time
+        return np.array([0.0, base_y + aisle_spacing + phase * speed, height])
+
+    return _ReferenceTrajectory(position)
+
+
+def _reference_random_smooth(seed=0, scale=8.0, duration_hint=120.0, harmonics=4, height=1.0):
+    rng = np.random.default_rng(seed)
+    amplitudes = rng.uniform(0.2, 1.0, size=(harmonics, 2)) * scale / harmonics
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(harmonics, 2))
+    frequencies = rng.uniform(0.5, 2.0, size=harmonics) * 2.0 * np.pi / duration_hint
+
+    def position(t: float) -> np.ndarray:
+        x = sum(amplitudes[i, 0] * np.sin(frequencies[i] * t + phases[i, 0]) for i in range(harmonics))
+        y = sum(amplitudes[i, 1] * np.sin(frequencies[i] * t + phases[i, 1]) for i in range(harmonics))
+        return np.array([x, y, height])
+
+    return _ReferenceTrajectory(position)
+
+
+def _reference_measure(self, truth: TrajectorySample, dt: float) -> ImuSample:
+    rotation_world_to_body = truth.pose.rotation.T
+    # Specific force: measured acceleration minus gravity, in body frame.
+    specific_force = rotation_world_to_body @ (truth.acceleration - GRAVITY)
+    angular_velocity = rotation_world_to_body @ truth.angular_velocity
+
+    # Bias random walks.
+    self.gyro_bias = self.gyro_bias + self._rng.normal(0.0, self.gyro_bias_walk * np.sqrt(dt), size=3)
+    self.accel_bias = self.accel_bias + self._rng.normal(0.0, self.accel_bias_walk * np.sqrt(dt), size=3)
+
+    noisy_gyro = angular_velocity + self.gyro_bias + self._rng.normal(0.0, self.gyro_noise, size=3)
+    noisy_accel = specific_force + self.accel_bias + self._rng.normal(0.0, self.accel_noise, size=3)
+    return ImuSample(
+        timestamp=truth.timestamp,
+        angular_velocity=noisy_gyro,
+        linear_acceleration=noisy_accel,
+    )
+
+
+def _reference_measure_interval(self, samples: List[TrajectorySample]) -> List[ImuSample]:
+    measurements: List[ImuSample] = []
+    for i, truth in enumerate(samples):
+        if i + 1 < len(samples):
+            dt = samples[i + 1].timestamp - truth.timestamp
+        elif i > 0:
+            dt = truth.timestamp - samples[i - 1].timestamp
+        else:
+            dt = 0.01
+        measurements.append(_reference_measure(self, truth, max(dt, 1e-4)))
+    return measurements
+
+
+def _reference_build(self, scenario, reference_trajectory: _ReferenceTrajectory,
+                     start_time: float = 0.0, start_index: int = 0, seed_offset: int = 0,
+                     world_seed: Optional[int] = None, world_mutator=None):
+    """``SequenceBuilder.build`` as it was, sampling ``reference_trajectory``
+    (the scalar twin of ``scenario.trajectory``) and measuring through
+    ``_reference_measure``.  Returns its IMU and GPS simulators and its
+    pixel-noise generator alongside the sequence."""
+    config = self.config
+    camera = self._camera()
+    rig = StereoRig(camera=camera, baseline=config.stereo_baseline)
+    seed = config.seed + seed_offset
+
+    frame_count = segment_frame_count(scenario.duration, config.camera_rate_hz)
+    frame_times = start_time + np.arange(frame_count) / config.camera_rate_hz
+
+    # Sample the trajectory densely first so the world hugs the path.
+    truth_per_frame: List[TrajectorySample] = [
+        reference_trajectory.sample(float(t - start_time)) for t in frame_times
+    ]
+    path_points = np.array([s.pose.translation for s in truth_per_frame])
+    effective_world_seed = seed if world_seed is None else int(world_seed)
+    if scenario.is_indoor:
+        world = LandmarkWorld.indoor(path_points, count=scenario.landmark_count,
+                                     seed=effective_world_seed)
+    else:
+        world = LandmarkWorld.outdoor(path_points, count=scenario.landmark_count,
+                                      seed=effective_world_seed)
+    if world_mutator is not None:
+        world = world_mutator(world)
+
+    imu = ImuSimulator(
+        gyro_noise=config.imu_gyro_noise * scenario.imu_noise_scale,
+        accel_noise=config.imu_accel_noise * scenario.imu_noise_scale,
+        gyro_bias_walk=config.imu_gyro_bias_walk * scenario.imu_bias_scale,
+        accel_bias_walk=config.imu_accel_bias_walk * scenario.imu_bias_scale,
+        seed=seed + 1,
+    )
+    gps = GpsSimulator(
+        noise_std=config.gps_noise_std,
+        outage_probability=max(config.gps_outage_probability, scenario.gps_outage_probability),
+        indoor=not scenario.has_gps,
+        seed=seed + 2,
+    )
+    renderer = ImageRenderer(camera, config.stereo_baseline, seed=seed + 3) if self.render_images else None
+    rng = np.random.default_rng(seed + 4)
+
+    imu_dt = 1.0 / config.imu_rate_hz
+    frames: List[Frame] = []
+    for i, truth in enumerate(truth_per_frame):
+        timestamp = float(frame_times[i])
+        observations = self._observe(truth.pose, world, rig, rng)
+        imu_batch: List[ImuSample] = []
+        if i > 0:
+            previous_time = float(frame_times[i - 1])
+            steps = max(1, int(round((timestamp - previous_time) / imu_dt)))
+            for step in range(steps + 1):
+                t = previous_time + step * (timestamp - previous_time) / steps
+                sub_truth = reference_trajectory.sample(t - start_time)
+                sub_truth = TrajectorySample(
+                    timestamp=t,
+                    pose=sub_truth.pose,
+                    velocity=sub_truth.velocity,
+                    acceleration=sub_truth.acceleration,
+                    angular_velocity=sub_truth.angular_velocity,
+                )
+                imu_batch.append(_reference_measure(imu, sub_truth, (timestamp - previous_time) / steps))
+        gps_sample = gps.measure(timestamp, truth.pose) if scenario.has_gps else None
+
+        frame = Frame(
+            index=start_index + i,
+            timestamp=timestamp,
+            ground_truth=truth.pose,
+            observations=observations,
+            imu_samples=imu_batch,
+            gps=gps_sample,
+            scenario=scenario.kind,
+            ground_truth_velocity=truth.velocity,
+        )
+        if renderer is not None:
+            frame.left_image, frame.right_image = renderer.render(truth.pose, world, frame_index=i)
+        frames.append(frame)
+
+    sequence = SyntheticSequence(
+        frames=frames,
+        world=world,
+        rig=rig,
+        scenario=scenario.kind,
+        config=config,
+        has_prebuilt_map=scenario.has_map,
+    )
+    return sequence, imu, gps, rng
 
 
 def _same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
@@ -318,6 +583,400 @@ class TestObservePixelNoise:
         assert builder._observe(behind, indoor_mapped_sequence.world,
                                 indoor_mapped_sequence.rig, rng) == {}
         assert rng.bit_generator.state == before
+
+
+# ------------------------------------------------- array ground truth
+
+
+DT = 1e-3
+_REFERENCE_FACTORIES = {
+    "circle": _reference_circle,
+    "figure_eight": _reference_figure_eight,
+    "straight": _reference_straight,
+    "warehouse": _reference_warehouse,
+    "random_smooth": _reference_random_smooth,
+}
+
+
+def _same_bits(got: np.ndarray, expected: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: signed zeros and NaN payloads included."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    return (got.dtype == expected.dtype and got.shape == expected.shape
+            and got.tobytes() == expected.tobytes())
+
+
+def _sample_bits(sample: TrajectorySample) -> tuple:
+    return (sample.pose.rotation.tobytes(), sample.pose.translation.tobytes(),
+            sample.velocity.tobytes(), sample.acceleration.tobytes(),
+            sample.angular_velocity.tobytes())
+
+
+def _signed(values):
+    return st.one_of(st.just(0.0), st.just(-0.0), values)
+
+
+_LENGTHS = st.floats(min_value=0.5, max_value=40.0)
+_PARAMS = {
+    "circle": st.fixed_dictionaries({
+        "radius": st.floats(min_value=0.1, max_value=50.0),
+        "period": st.floats(min_value=2.0, max_value=200.0),
+        "height": _signed(st.floats(min_value=-5.0, max_value=5.0))}),
+    "figure_eight": st.fixed_dictionaries({
+        "scale": st.floats(min_value=0.1, max_value=20.0),
+        "period": st.floats(min_value=2.0, max_value=200.0),
+        "height": _signed(st.floats(min_value=-5.0, max_value=5.0)),
+        "vertical_amplitude": _signed(st.floats(min_value=-1.0, max_value=1.0))}),
+    "straight": st.fixed_dictionaries({
+        "speed": _signed(st.floats(min_value=-20.0, max_value=20.0)),
+        "lateral_wiggle": _signed(st.floats(min_value=-2.0, max_value=2.0)),
+        "wiggle_period": st.floats(min_value=2.0, max_value=100.0),
+        "height": _signed(st.floats(min_value=-5.0, max_value=5.0))}),
+    "warehouse": st.fixed_dictionaries({
+        "aisle_length": _LENGTHS, "aisle_spacing": _LENGTHS,
+        "speed": st.floats(min_value=0.2, max_value=5.0),
+        "height": _signed(st.floats(min_value=-5.0, max_value=5.0))}),
+    "random_smooth": st.fixed_dictionaries({
+        "seed": st.integers(min_value=0, max_value=2**32 - 1),
+        "scale": st.floats(min_value=0.1, max_value=30.0),
+        "duration_hint": st.floats(min_value=5.0, max_value=500.0),
+        "harmonics": st.integers(min_value=1, max_value=6),
+        "height": _signed(st.floats(min_value=-5.0, max_value=5.0))}),
+}
+
+
+def _edge_times(kind: str, params: dict) -> List[float]:
+    """Timestamps on and around the places a sample can round differently:
+    zero (either sign), the first frame's t - dt, and every warehouse leg
+    boundary, each with its +-dt, +-2dt and next-float neighbours."""
+    edges = [0.0, -DT, -2.0 * DT]
+    if kind == "warehouse":
+        segment_time = params["aisle_length"] / params["speed"]
+        cross_time = params["aisle_spacing"] / params["speed"]
+        cycle = 2.0 * (segment_time + cross_time)
+        for lane_pair in (-1, 0, 1, 2):
+            start = lane_pair * cycle
+            edges += [start, start + segment_time, start + segment_time + cross_time,
+                      start + 2.0 * segment_time + cross_time]
+    times = [-0.0]
+    for edge in edges:
+        times += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+        times += [edge + k * DT for k in (-2, -1, 1, 2)]
+    return [float(t) for t in times]
+
+
+@st.composite
+def _trajectory_cases(draw):
+    kind = draw(st.sampled_from(sorted(_PARAMS)))
+    params = draw(_PARAMS[kind])
+    times = draw(st.lists(st.floats(min_value=-0.01, max_value=60.0), min_size=1, max_size=40))
+    return kind, params, times + _edge_times(kind, params)
+
+
+class TestArrayTrajectory:
+    @given(case=_trajectory_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_sample_array_matches_scalar_reference(self, case):
+        kind, params, times = case
+        generator = getattr(trajectory, f"{kind}_trajectory")(**params)
+        reference = _REFERENCE_FACTORIES[kind](**params)
+        truth = generator.sample_array(np.array(times))
+        assert len(truth) == len(times)
+        for i, t in enumerate(times):
+            expected = reference.sample(t)
+            assert truth.timestamps[i] == t
+            assert _same_bits(truth.rotations[i], expected.pose.rotation), (kind, params, t)
+            assert _same_bits(truth.positions[i], expected.pose.translation), (kind, params, t)
+            assert _same_bits(truth.velocities[i], expected.velocity), (kind, params, t)
+            assert _same_bits(truth.accelerations[i], expected.acceleration), (kind, params, t)
+            assert _same_bits(truth.angular_velocities[i], expected.angular_velocity), (kind, params, t)
+        # The scalar entry point routes through the same array path.
+        t = times[0]
+        assert _sample_bits(generator.sample(t)) == _sample_bits(reference.sample(t))
+
+    @pytest.mark.parametrize("kind", sorted(_REFERENCE_FACTORIES))
+    def test_default_trajectory_on_a_grid(self, kind):
+        generator = getattr(trajectory, f"{kind}_trajectory")()
+        reference = _REFERENCE_FACTORIES[kind]()
+        for sample, expected in zip(generator.sample_range(30.0, 50.0, start=-0.02),
+                                    reference.sample_range(30.0, 50.0, start=-0.02)):
+            assert sample.timestamp == expected.timestamp
+            assert _sample_bits(sample) == _sample_bits(expected), (kind, sample.timestamp)
+
+    def test_a_still_path_faces_zero_yaw(self):
+        times = np.array([-DT, -0.0, 0.0, 1.0, 37.5])
+        truth = trajectory.straight_trajectory(speed=0.0, lateral_wiggle=0.0).sample_array(times)
+        reference = _reference_straight(speed=0.0, lateral_wiggle=0.0)
+        for i, t in enumerate(times.tolist()):
+            assert _same_bits(truth.rotations[i], reference.sample(t).pose.rotation)
+        assert not np.signbit(truth.rotations[:, 1, 0]).any()
+
+    def test_still_guard_matches_reference_at_the_threshold(self):
+        # Planar steps within a few ulps of the 1e-9 guard, where a sum of
+        # squares and the scalar path's BLAS dot round to opposite sides.
+        rng = np.random.default_rng(8)
+        angle = rng.uniform(0.0, 2.0 * np.pi, 4000)
+        radius = 1e-9 * (1.0 + rng.integers(-4, 5, angle.size) * 2.2e-16)
+        deltas = np.stack([radius * np.cos(angle), radius * np.sin(angle), np.zeros(angle.size)], axis=1)
+        expected = [_ReferenceTrajectory(lambda t, d=d: d if t > 0 else np.zeros(3))._yaw(0.0)
+                    for d in deltas]
+        assert _same_bits(trajectory._heading(np.zeros_like(deltas), deltas), np.array(expected))
+        assert 0.0 < np.count_nonzero(np.array(expected) == 0.0) < angle.size
+
+    def test_empty_timestamps(self):
+        truth = trajectory.circle_trajectory().sample_array(np.zeros(0))
+        assert truth.rotations.shape == (0, 3, 3) and truth.positions.shape == (0, 3)
+
+
+# ------------------------------------------------------------ batched IMU
+
+
+def _random_truths(rng: np.random.Generator, count: int) -> List[TrajectorySample]:
+    truths = []
+    for k in range(count):
+        rotation = euler_to_rotation(*rng.uniform(-np.pi, np.pi, 3))
+        acceleration = rng.normal(0.0, 3.0, 3) if k % 3 else np.zeros(3)
+        angular_velocity = rng.normal(0.0, 1.0, 3) if k % 4 else np.array([0.0, -0.0, 0.0])
+        timestamp = float(k) * 0.01 + rng.uniform(0.0, 1e-3)
+        truths.append(TrajectorySample(timestamp, Pose(rotation, rng.normal(size=3)),
+                                       rng.normal(size=3), acceleration, angular_velocity))
+    return truths
+
+
+def _imu_pair(seed: int, scales, bias_rng: np.random.Generator):
+    pair = []
+    gyro_bias, accel_bias = bias_rng.normal(0.0, 1e-3, 3), bias_rng.normal(0.0, 1e-2, 3)
+    for _ in range(2):
+        imu = ImuSimulator(*scales, seed=seed)
+        imu.gyro_bias, imu.accel_bias = gyro_bias.copy(), accel_bias.copy()
+        pair.append(imu)
+    return pair
+
+
+def _same_imu(got: List[ImuSample], expected: List[ImuSample]) -> bool:
+    return len(got) == len(expected) and all(
+        a.timestamp == b.timestamp and type(a.timestamp) is type(b.timestamp)
+        and _same_bits(a.angular_velocity, b.angular_velocity)
+        and _same_bits(a.linear_acceleration, b.linear_acceleration)
+        for a, b in zip(got, expected))
+
+
+def _same_simulator(a: ImuSimulator, b: ImuSimulator) -> bool:
+    return (_same_bits(a.gyro_bias, b.gyro_bias) and _same_bits(a.accel_bias, b.accel_bias)
+            and _same_state(a._rng, b._rng))
+
+
+_SCALE = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.5))
+
+
+class TestBatchedImu:
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           count=st.integers(min_value=0, max_value=30),
+           scales=st.tuples(_SCALE, _SCALE, _SCALE, _SCALE))
+    @settings(max_examples=80, deadline=None)
+    def test_measure_array_matches_reference(self, seed, count, scales):
+        rng = np.random.default_rng(seed)
+        truths = _random_truths(rng, count)
+        dts = rng.uniform(1e-4, 0.05, count)
+        batched, reference = _imu_pair(seed, scales, rng)
+        got = batched.measure_array(TrajectoryArrays.stack(truths), dts)
+        expected = [_reference_measure(reference, truth, float(dt)) for truth, dt in zip(truths, dts)]
+        assert _same_imu(got, expected)
+        assert _same_simulator(batched, reference)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           count=st.integers(min_value=0, max_value=12),
+           scales=st.tuples(_SCALE, _SCALE, _SCALE, _SCALE))
+    @settings(max_examples=60, deadline=None)
+    def test_measure_and_measure_interval_match_reference(self, seed, count, scales):
+        rng = np.random.default_rng(seed)
+        truths = _random_truths(rng, count)
+        batched, reference = _imu_pair(seed, scales, rng)
+        for truth in truths:
+            dt = float(rng.uniform(1e-4, 0.05))
+            assert _same_imu([batched.measure(truth, dt)], [_reference_measure(reference, truth, dt)])
+        assert _same_imu(batched.measure_interval(truths), _reference_measure_interval(reference, truths))
+        assert _same_simulator(batched, reference)
+
+
+# ------------------------------------------------------- segment synthesis
+
+
+def _imu_bits(samples: List[ImuSample]) -> tuple:
+    return tuple((repr(s.timestamp), type(s.timestamp), s.angular_velocity.tobytes(),
+                  s.linear_acceleration.tobytes()) for s in samples)
+
+
+def _frame_bits(frame: Frame) -> tuple:
+    """Every value a frame carries, as exact bytes (and exact Python scalars)."""
+    gps = frame.gps
+    return (
+        frame.index, repr(frame.timestamp), type(frame.timestamp), frame.scenario,
+        frame.ground_truth.rotation.tobytes(), frame.ground_truth.translation.tobytes(),
+        frame.ground_truth_velocity.tobytes(),
+        tuple((landmark_id, obs.landmark_id, obs.left_pixel.tobytes(), obs.right_pixel.tobytes())
+              for landmark_id, obs in frame.observations.items()),
+        _imu_bits(frame.imu_samples),
+        None if gps is None else (repr(gps.timestamp), gps.valid, gps.position.tobytes(),
+                                  gps.covariance.tobytes()),
+    )
+
+
+def _world_bits(world: LandmarkWorld) -> tuple:
+    return (world.is_indoor, world.positions.tobytes(),
+            tuple((lm.landmark_id, lm.appearance_seed, lm.position.tobytes()) for lm in world.landmarks))
+
+
+def _catalog_reference(kind: ScenarioKind, duration: float) -> _ReferenceTrajectory:
+    """The scalar twin of ``scenario_catalog(duration)[kind].trajectory``."""
+    return {
+        ScenarioKind.INDOOR_UNKNOWN: lambda: _reference_figure_eight(scale=5.0, period=duration),
+        ScenarioKind.INDOOR_KNOWN: lambda: _reference_warehouse(aisle_length=15.0, speed=1.5),
+        ScenarioKind.OUTDOOR_UNKNOWN: lambda: _reference_straight(speed=6.0),
+        ScenarioKind.OUTDOOR_KNOWN: lambda: _reference_circle(radius=20.0, period=duration * 2.0,
+                                                              height=1.5),
+    }[kind]()
+
+
+def _recording(cls, log: list):
+    class Recording(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            log.append(self)
+    return Recording
+
+
+class _RecordingBuilder(SequenceBuilder):
+    """Keeps the pixel-noise generator each build hands to ``_observe``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.observe_rngs: List[np.random.Generator] = []
+
+    def _observe(self, pose, world, rig, rng):
+        if not self.observe_rngs or self.observe_rngs[-1] is not rng:
+            self.observe_rngs.append(rng)
+        return super()._observe(pose, world, rig, rng)
+
+
+def _mutator(world: LandmarkWorld) -> LandmarkWorld:
+    return drift_world(world, 0.6, 0.3, seed=17)
+
+
+class TestSegmentSynthesis:
+    @pytest.mark.parametrize("kind", list(ScenarioKind))
+    @pytest.mark.parametrize("start_time, camera_rate_hz, seed_offset",
+                             [(3.7, 10.0, 10), (0.05, 9.0, 20), (41.25, 7.0, 30)])
+    def test_build_matches_reference(self, monkeypatch, kind, start_time, camera_rate_hz, seed_offset):
+        duration = 3.0
+        config = SensorConfig(camera_rate_hz=camera_rate_hz, landmark_count=120,
+                              gps_outage_probability=0.2, seed=5)
+        scenario = scenario_catalog(duration=duration, landmark_count=120)[kind]
+        simulators: list = []
+        monkeypatch.setattr(dataset, "ImuSimulator", _recording(ImuSimulator, simulators))
+        monkeypatch.setattr(dataset, "GpsSimulator", _recording(GpsSimulator, simulators))
+        builder = _RecordingBuilder(config)
+        got = builder.build(scenario, start_time=start_time, start_index=4, seed_offset=seed_offset,
+                            world_mutator=_mutator)
+        expected, imu, gps, rng = _reference_build(
+            SequenceBuilder(config), scenario, _catalog_reference(kind, duration),
+            start_time=start_time, start_index=4, seed_offset=seed_offset, world_mutator=_mutator)
+
+        assert len(got.frames) == len(expected.frames) > 2
+        for frame, expected_frame in zip(got.frames, expected.frames):
+            assert _frame_bits(frame) == _frame_bits(expected_frame), (kind, frame.index)
+        assert sum(len(frame.imu_samples) for frame in got.frames) > len(got.frames)
+        assert _world_bits(got.world) == _world_bits(expected.world)
+        built_imu, built_gps = simulators
+        assert _same_simulator(built_imu, imu)
+        assert _same_state(built_gps._rng, gps._rng)
+        assert len(builder.observe_rngs) == 1 and _same_state(builder.observe_rngs[0], rng)
+
+    def test_writing_into_one_frame_reaches_nothing_else(self, small_sensor_config):
+        scenario = scenario_catalog(duration=2.0, landmark_count=60)[ScenarioKind.OUTDOOR_UNKNOWN]
+
+        def build():
+            return SequenceBuilder(small_sensor_config).build(scenario, start_time=1.5,
+                                                              world_mutator=_mutator)
+
+        segment = build()
+        frames_before = [_frame_bits(frame) for frame in segment.frames]
+        world_before = _world_bits(segment.world)
+        target = segment.frames[3]
+        imu_before = _imu_bits(target.imu_samples)
+        target.ground_truth.translation[:] = 1e9
+        target.ground_truth.rotation[:] = 7.0
+        target.ground_truth_velocity[:] = -3.0
+        # Frame 3's first IMU sample shares its timestamp with frame 2's last.
+        target.imu_samples[0].angular_velocity[:] = 5.0
+        target.imu_samples[0].linear_acceleration[:] = 5.0
+        frames_after = [_frame_bits(frame) for frame in segment.frames]
+        for index, (before, after) in enumerate(zip(frames_before, frames_after)):
+            if index != 3:
+                assert after == before, index
+        assert _imu_bits(target.imu_samples)[1:] == imu_before[1:]
+        assert _world_bits(segment.world) == world_before
+        assert [_frame_bits(frame) for frame in build().frames] == frames_before
+
+
+# ------------------------------------------------------- host numpy canary
+
+
+def _host_message(loop: str) -> str:
+    return (f"this host's numpy {loop} loop differs from its per-element result, so the array "
+            "ground-truth and IMU synthesis cannot reproduce the scalar bits here.  The code is "
+            "not at fault: record this host and the one that pinned the signatures (ROADMAP.md, "
+            "'Vectorize segment synthesis') and stop; never re-pin the goldens to one host.")
+
+
+class TestHostNumpyLoops:
+    """The array synthesis is exact only while these loops agree, on this host,
+    with the per-element values the scalar code computed."""
+
+    @staticmethod
+    def _angles(rng: np.random.Generator) -> np.ndarray:
+        return np.concatenate([
+            rng.uniform(-200.0, 200.0, 20000), rng.uniform(-4.0, 4.0, 5000),
+            [0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, np.pi / 2.0, 1e-300, -1e-300, 1e6, -1e6]])
+
+    def test_sin_cos(self):
+        angles = self._angles(np.random.default_rng(1))
+        for name, ufunc in (("sin", np.sin), ("cos", np.cos)):
+            expected = np.array([ufunc(x) for x in angles.tolist()])
+            assert _same_bits(ufunc(angles), expected), _host_message(name)
+
+    def test_arctan2(self):
+        rng = np.random.default_rng(2)
+        y, x = rng.normal(0.0, 1.0, (2, 20000)) * 10.0 ** rng.uniform(-6, 2, (2, 20000))
+        y = np.concatenate([y, [0.0, -0.0, 0.0, -0.0, 1.0, -1.0]])
+        x = np.concatenate([x, [1.0, 1.0, -1.0, -1.0, 0.0, -0.0]])
+        expected = np.array([np.arctan2(a, b) for a, b in zip(y.tolist(), x.tolist())])
+        assert _same_bits(np.arctan2(y, x), expected), _host_message("arctan2")
+
+    def test_remainder_and_floor_divide(self):
+        rng = np.random.default_rng(3)
+        values = np.concatenate([self._angles(rng), rng.uniform(-0.01, 120.0, 10000)])
+        for divisor in (2.0 * np.pi, 29.333333333333332, 0.7, 1e-3):
+            remainder = np.array([v % divisor for v in values.tolist()])
+            quotient = np.array([v // divisor for v in values.tolist()])
+            assert _same_bits(np.remainder(values, divisor), remainder), _host_message("remainder")
+            assert _same_bits(np.floor_divide(values, divisor), quotient), _host_message("floor_divide")
+
+    def test_stacked_matmul(self):
+        rng = np.random.default_rng(4)
+        n = 4000
+        left = rng.normal(size=(n, 3, 3))
+        right = rng.normal(size=(3, 3))
+        vectors = rng.normal(size=(n, 3))
+        expected = np.array([m @ right for m in left])
+        assert _same_bits(left @ right, expected), _host_message("stacked matmul")
+        transposed = left.transpose(0, 2, 1)
+        expected = np.array([m.T @ v for m, v in zip(left, vectors)])
+        assert _same_bits((transposed @ vectors[:, :, None])[:, :, 0], expected), \
+            _host_message("stacked matrix-vector matmul")
+        planar = vectors[:, :2]
+        expected = np.array([np.linalg.norm(v) for v in planar])
+        assert _same_bits(np.sqrt((planar[:, None, :] @ planar[:, :, None])[:, 0, 0]), expected), \
+            _host_message("stacked dot-product matmul")
 
 
 # ------------------------------------------------ servbench signature check
