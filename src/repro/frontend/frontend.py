@@ -183,8 +183,6 @@ class VisualFrontend:
         self._next_track_id = 0
         self._active_tracks: Dict[int, TrackObservation] = {}
         self._previous_left_image: Optional[np.ndarray] = None
-        self._previous_keypoints: List[Keypoint] = []
-        self._previous_track_ids: List[int] = []
 
     # ------------------------------------------------------------------ API
 
@@ -193,8 +191,6 @@ class VisualFrontend:
         self._next_track_id = 0
         self._active_tracks = {}
         self._previous_left_image = None
-        self._previous_keypoints = []
-        self._previous_track_ids = []
 
     @property
     def active_track_count(self) -> int:
@@ -218,33 +214,30 @@ class VisualFrontend:
         new_ids: List[int] = []
 
         with stopwatch.measure("feature_extraction"):
-            items = [
-                (landmark_id, stereo_obs)
-                for landmark_id, stereo_obs in frame.observations.items()
-                if stereo_obs.left_pixel[0] - stereo_obs.right_pixel[0] >= self.config.min_disparity
-            ]
-            if len(items) > self.config.max_features:
-                # Prefer close landmarks (larger disparity) as real detectors do.
-                items.sort(key=lambda kv: kv[1].left_pixel[0] - kv[1].right_pixel[0], reverse=True)
-                items = items[: self.config.max_features]
+            disparity = frame.left_pixels[:, 0] - frame.right_pixels[:, 0]
+            items = np.nonzero(disparity >= self.config.min_disparity)[0]
+            if items.size > self.config.max_features:
+                # Prefer close landmarks (larger disparity) as real detectors
+                # do; equal disparities keep their frame order.
+                order = np.argsort(-disparity[items], kind="stable")
+                items = items[order[: self.config.max_features]]
 
         with stopwatch.measure("stereo_matching"):
-            if items:
-                keep = self._rng.random(len(items)) >= self.dropout_probability
-                kept = [item for item, keep_it in zip(items, keep) if keep_it]
-            else:
-                kept = []
-            if kept:
-                left_pixels = np.stack([stereo_obs.left_pixel for _, stereo_obs in kept])
-                right_pixels = np.stack([stereo_obs.right_pixel for _, stereo_obs in kept])
+            kept = items
+            if items.size:
+                kept = items[self._rng.random(items.size) >= self.dropout_probability]
+            if kept.size:
+                # Fancy indexing copies: no observation aliases the frame.
+                left_pixels = frame.left_pixels[kept]
+                right_pixels = frame.right_pixels[kept]
                 with profile_kernel("frontend.triangulation",
-                                    features=len(kept)):
+                                    features=kept.size):
                     points_camera = rig.triangulate(left_pixels, right_pixels)
                 points_body = body_frame_from_camera(points_camera)
                 noise_stds = stereo_point_noise(
                     points_camera[:, 2], rig.camera.fx, rig.baseline, self.config.assumed_pixel_noise
                 )
-                for i, (landmark_id, stereo_obs) in enumerate(kept):
+                for i, landmark_id in enumerate(frame.landmark_ids[kept].tolist()):
                     previous = self._active_tracks.get(landmark_id)
                     observations.append(
                         TrackObservation(
@@ -270,10 +263,10 @@ class VisualFrontend:
         workload = FrontendWorkload(
             image_width=rig.camera.width,
             image_height=rig.camera.height,
-            keypoints_left=len(items),
-            keypoints_right=len(items),
-            descriptors_computed=2 * len(items),
-            stereo_candidates=len(items),
+            keypoints_left=items.size,
+            keypoints_right=items.size,
+            descriptors_computed=2 * items.size,
+            stereo_candidates=items.size,
             stereo_matches=len(observations),
             tracked_points=len(previous_ids),
             temporal_matches=temporal_matches,
@@ -349,9 +342,6 @@ class VisualFrontend:
         lost_ids = sorted(previous_ids - current_ids)
         self._active_tracks = {obs.track_id: obs for obs in observations}
         self._previous_left_image = left_image
-        self._previous_keypoints = left_keypoints
-        self._previous_track_ids = [obs.track_id for obs in observations]
-        self._previous_keypoint_index = {obs.track_id: obs.left_pixel for obs in observations}
 
         workload = FrontendWorkload(
             image_width=left_image.shape[1],

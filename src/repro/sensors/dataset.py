@@ -4,13 +4,15 @@ A :class:`SyntheticSequence` plays the role of a KITTI/EuRoC/in-house
 recording: a list of :class:`Frame` objects carrying noisy landmark
 observations, IMU batches, optional GPS fixes and (optionally) rendered
 stereo images, plus the ground-truth trajectory and the landmark world the
-sequence was generated from.
+sequence was generated from.  A frame's observations are columns: the ids
+of the visible landmarks in world order and their noisy left and right
+pixels, one row per landmark.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -30,26 +32,20 @@ def segment_frame_count(duration: float, camera_rate_hz: float) -> int:
 
 
 @dataclass
-class StereoObservation:
-    """Noisy pixel observation of one landmark in both cameras."""
-
-    landmark_id: int
-    left_pixel: np.ndarray
-    right_pixel: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.left_pixel = np.asarray(self.left_pixel, dtype=float).reshape(2)
-        self.right_pixel = np.asarray(self.right_pixel, dtype=float).reshape(2)
-
-
-@dataclass
 class Frame:
-    """All sensor data associated with one camera epoch."""
+    """All sensor data associated with one camera epoch.
+
+    Row ``i`` of ``left_pixels`` and ``right_pixels`` (float64, shape
+    ``(n, 2)``) is the noisy stereo observation of landmark
+    ``landmark_ids[i]`` (int64, shape ``(n,)``).
+    """
 
     index: int
     timestamp: float
     ground_truth: Pose
-    observations: Dict[int, StereoObservation] = field(default_factory=dict)
+    landmark_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    left_pixels: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
+    right_pixels: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
     imu_samples: List[ImuSample] = field(default_factory=list)
     gps: Optional[GpsSample] = None
     scenario: ScenarioKind = ScenarioKind.OUTDOOR_UNKNOWN
@@ -59,7 +55,7 @@ class Frame:
 
     @property
     def observation_count(self) -> int:
-        return len(self.observations)
+        return self.landmark_ids.size
 
     @property
     def has_gps(self) -> bool:
@@ -178,14 +174,16 @@ class SequenceBuilder:
         frames: List[Frame] = []
         for i, timestamp in enumerate(frame_times.tolist()):
             pose = Pose(truth.rotations[i], truth.positions[i])
-            observations = self._observe(pose, world, rig, rng)
+            landmark_ids, left_pixels, right_pixels = self._observe(pose, world, rig, rng)
             gps_sample = gps.measure(timestamp, pose) if scenario.has_gps else None
 
             frame = Frame(
                 index=start_index + i,
                 timestamp=timestamp,
                 ground_truth=pose,
-                observations=observations,
+                landmark_ids=landmark_ids,
+                left_pixels=left_pixels,
+                right_pixels=right_pixels,
                 imu_samples=imu_batches[i],
                 gps=gps_sample,
                 scenario=scenario.kind,
@@ -242,27 +240,19 @@ class SequenceBuilder:
         return segments
 
     def _observe(self, pose: Pose, world: LandmarkWorld, rig: StereoRig,
-                 rng: np.random.Generator) -> Dict[int, StereoObservation]:
-        """Project visible landmarks into both cameras, adding pixel noise."""
-        if not len(world):
-            return {}
-        points_body = world_to_camera(pose, world.positions)
-        points_camera = camera_frame_from_body(points_body)
-        left_pixels, left_valid = rig.camera.project(points_camera)
-        right_points = points_camera - np.array([rig.baseline, 0.0, 0.0])
-        right_pixels, right_valid = rig.camera.project(right_points)
+                 rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Project visible landmarks into both cameras, adding pixel noise.
+
+        Returns the visible landmarks' ids and their noisy left and right
+        pixels, in world order.
+        """
+        points_camera = camera_frame_from_body(world_to_camera(pose, world.positions))
+        left_pixels, right_pixels, valid = rig.project_stereo(points_camera)
         max_depth = 40.0 if world.is_indoor else 80.0
         in_range = (points_camera[:, 2] > 0.3) & (points_camera[:, 2] < max_depth)
-        valid = left_valid & right_valid & in_range
-
-        observations: Dict[int, StereoObservation] = {}
-        visible = np.nonzero(valid)[0]
+        visible = np.nonzero(valid & in_range)[0]
         # One (left x, left y, right x, right y) row per visible landmark:
         # the same stream order as drawing each landmark's pairs in turn.
         noise = rng.normal(0.0, self.config.pixel_noise_std, size=(visible.size, 4))
-        for row, idx in enumerate(visible):
-            left = left_pixels[idx] + noise[row, :2]
-            right = right_pixels[idx] + noise[row, 2:]
-            landmark_id = world.landmarks[idx].landmark_id
-            observations[landmark_id] = StereoObservation(landmark_id, left, right)
-        return observations
+        return (world.landmark_ids[visible], left_pixels[visible] + noise[:, :2],
+                right_pixels[visible] + noise[:, 2:])

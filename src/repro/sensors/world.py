@@ -10,13 +10,10 @@ uses to synthesize stable ORB descriptors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
-
-from repro.common.camera import PinholeCamera, world_to_camera
-from repro.common.geometry import Pose
 
 
 @dataclass
@@ -32,7 +29,7 @@ class Landmark:
 
 
 class LandmarkWorld:
-    """A collection of landmarks with visibility queries.
+    """A collection of landmarks, with their positions and ids as arrays.
 
     Parameters
     ----------
@@ -48,6 +45,7 @@ class LandmarkWorld:
         self.landmarks = landmarks
         self.is_indoor = is_indoor
         self._positions = np.array([lm.position for lm in landmarks]) if landmarks else np.zeros((0, 3))
+        self.landmark_ids = np.array([lm.landmark_id for lm in landmarks], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.landmarks)
@@ -55,30 +53,6 @@ class LandmarkWorld:
     @property
     def positions(self) -> np.ndarray:
         return self._positions
-
-    def visible_from(self, pose: Pose, camera: PinholeCamera, max_depth: float = 60.0,
-                     min_depth: float = 0.3) -> List[int]:
-        """Indices of landmarks visible from ``pose`` through ``camera``."""
-        if not self.landmarks:
-            return []
-        points_camera = world_to_camera(pose, self._positions)
-        # Camera convention: +z forward after the body-to-camera alignment.
-        pixels, valid = camera.project(_body_to_camera(points_camera))
-        depth = points_camera[:, 0]
-        in_range = (depth > min_depth) & (depth < max_depth)
-        return list(np.nonzero(valid & in_range)[0])
-
-    def observe(self, pose: Pose, camera: PinholeCamera, max_depth: float = 60.0) -> Dict[int, np.ndarray]:
-        """Map from landmark index to noiseless pixel observation."""
-        indices = self.visible_from(pose, camera, max_depth=max_depth)
-        if not indices:
-            return {}
-        points_camera = world_to_camera(pose, self._positions[indices])
-        pixels, valid = camera.project(_body_to_camera(points_camera))
-        return {int(idx): pixels[i] for i, idx in enumerate(indices) if valid[i]}
-
-    def subset(self, indices: List[int]) -> "LandmarkWorld":
-        return LandmarkWorld([self.landmarks[i] for i in indices], is_indoor=self.is_indoor)
 
     @classmethod
     def corridor(cls, trajectory_points: np.ndarray, count: int, lateral_spread: float,
@@ -135,7 +109,7 @@ class LandmarkWorld:
         )
 
 
-def _body_to_camera(points_body: np.ndarray) -> np.ndarray:
+def camera_frame_from_body(points_body: np.ndarray) -> np.ndarray:
     """Convert body-frame points (x forward, y left, z up) to camera frame.
 
     The camera frame follows the computer-vision convention: z forward,
@@ -150,11 +124,6 @@ def _body_to_camera(points_body: np.ndarray) -> np.ndarray:
         ],
         axis=1,
     )
-
-
-def camera_frame_from_body(points_body: np.ndarray) -> np.ndarray:
-    """Public alias for :func:`_body_to_camera` used elsewhere in the library."""
-    return _body_to_camera(points_body)
 
 
 def body_frame_from_camera(points_camera: np.ndarray) -> np.ndarray:

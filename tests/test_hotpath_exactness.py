@@ -3,20 +3,24 @@
 Each kernel is compared with a verbatim copy of the implementation it
 replaced (the ``_reference_*`` functions below): the memoized descriptor
 base bits, the memoized vocabulary training, the MSCKF propagation loop, the
-pixel-noise draw of the synthetic dataset, and the array ground truth and IMU
-synthesis of a segment.  Equality is byte for byte, signed zeros included,
-and any generator the kernel draws from must end in the same state.  The
-memos and the per-segment arrays are also checked for aliasing (a caller
-mutating its result must not reach the next hit or another frame) and the
-memos for their size bound.  A host canary checks the numpy loops the array
-synthesis relies on against their per-element results.  Last, the script
+columnar observations of the synthetic dataset and the sparse frontend that
+consumes them (both once built around a per-landmark ``StereoObservation``
+dict), and the array ground truth and IMU synthesis of a segment.  Equality
+is byte for byte, signed zeros included, and any generator the kernel draws
+from must end in the same state.  The memos, the per-segment arrays and the
+frontend's track observations are also checked for aliasing (a caller
+mutating its result must not reach the next hit, another frame or the frame
+it came from) and the memos for their size bound.  A host canary checks the
+numpy loops the array synthesis relies on against their per-element results.  Last, the script
 that pins the servbench wave signatures in CI must reject any moved bit.
 """
 
 import json
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -29,19 +33,22 @@ from repro.backend.bow import VOCABULARY_MEMO_SIZE, BinaryVocabulary
 from repro.backend.msckf import Msckf
 from repro.backend.state import IMU_ERROR_DIM
 from repro.common.camera import StereoRig, world_to_camera
-from repro.common.config import SensorConfig
+from repro.common.config import FrontendConfig, SensorConfig
 from repro.common.geometry import Pose, euler_to_rotation, skew, so3_exp
+from repro.common.timing import StopwatchCollector
 from repro.frontend import orb
+from repro.frontend.frontend import (FrontendResult, FrontendWorkload, TrackObservation,
+                                     VisualFrontend, stereo_point_noise)
 from repro.frontend.orb import DESCRIPTOR_MEMO_SIZE, descriptor_from_seed, hamming_distance_matrix
+from repro.obs.profile import profile_kernel
 from repro.sensors import dataset, trajectory
-from repro.sensors.dataset import (Frame, SequenceBuilder, StereoObservation, SyntheticSequence,
-                                   segment_frame_count)
+from repro.sensors.dataset import Frame, SequenceBuilder, SyntheticSequence, segment_frame_count
 from repro.sensors.gps import GpsSimulator
 from repro.sensors.imaging import ImageRenderer
 from repro.sensors.imu import GRAVITY, ImuSample, ImuSimulator
 from repro.sensors.scenarios import ScenarioKind, scenario_catalog
 from repro.sensors.trajectory import TrajectoryArrays, TrajectorySample
-from repro.sensors.world import LandmarkWorld, camera_frame_from_body
+from repro.sensors.world import LandmarkWorld, body_frame_from_camera, camera_frame_from_body
 from repro.serving.streams import drift_world
 
 # ------------------------------------------------- reference implementations
@@ -128,6 +135,19 @@ def _reference_propagate(self, imu_samples):
     self.state.symmetrize()
 
 
+@dataclass
+class StereoObservation:
+    """Noisy pixel observation of one landmark in both cameras."""
+
+    landmark_id: int
+    left_pixel: np.ndarray
+    right_pixel: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.left_pixel = np.asarray(self.left_pixel, dtype=float).reshape(2)
+        self.right_pixel = np.asarray(self.right_pixel, dtype=float).reshape(2)
+
+
 def _reference_observe(self, pose, world, rig, rng) -> Dict[int, StereoObservation]:
     if not len(world):
         return {}
@@ -148,6 +168,99 @@ def _reference_observe(self, pose, world, rig, rng) -> Dict[int, StereoObservati
         landmark_id = world.landmarks[idx].landmark_id
         observations[landmark_id] = StereoObservation(landmark_id, left, right)
     return observations
+
+
+def _reference_process_sparse(self, frame, rig: StereoRig) -> FrontendResult:
+    """``VisualFrontend._process_sparse`` over ``frame.observations``, the
+    per-landmark ``StereoObservation`` dict that frames carried before."""
+    stopwatch = StopwatchCollector()
+    previous_ids = set(self._active_tracks.keys())
+    observations: List[TrackObservation] = []
+    new_ids: List[int] = []
+
+    with stopwatch.measure("feature_extraction"):
+        items = [
+            (landmark_id, stereo_obs)
+            for landmark_id, stereo_obs in frame.observations.items()
+            if stereo_obs.left_pixel[0] - stereo_obs.right_pixel[0] >= self.config.min_disparity
+        ]
+        if len(items) > self.config.max_features:
+            # Prefer close landmarks (larger disparity) as real detectors do.
+            items.sort(key=lambda kv: kv[1].left_pixel[0] - kv[1].right_pixel[0], reverse=True)
+            items = items[: self.config.max_features]
+
+    with stopwatch.measure("stereo_matching"):
+        if items:
+            keep = self._rng.random(len(items)) >= self.dropout_probability
+            kept = [item for item, keep_it in zip(items, keep) if keep_it]
+        else:
+            kept = []
+        if kept:
+            left_pixels = np.stack([stereo_obs.left_pixel for _, stereo_obs in kept])
+            right_pixels = np.stack([stereo_obs.right_pixel for _, stereo_obs in kept])
+            with profile_kernel("frontend.triangulation",
+                                features=len(kept)):
+                points_camera = rig.triangulate(left_pixels, right_pixels)
+            points_body = body_frame_from_camera(points_camera)
+            noise_stds = stereo_point_noise(
+                points_camera[:, 2], rig.camera.fx, rig.baseline, self.config.assumed_pixel_noise
+            )
+            for i, (landmark_id, stereo_obs) in enumerate(kept):
+                previous = self._active_tracks.get(landmark_id)
+                observations.append(
+                    TrackObservation(
+                        track_id=landmark_id,
+                        left_pixel=left_pixels[i],
+                        right_pixel=right_pixels[i],
+                        point_camera=points_camera[i],
+                        point_body=points_body[i],
+                        descriptor=None,
+                        age=previous.age + 1 if previous is not None else 1,
+                        noise_std=noise_stds[i],
+                    )
+                )
+                if previous is None:
+                    new_ids.append(landmark_id)
+
+    with stopwatch.measure("temporal_matching"):
+        current_ids = {obs.track_id for obs in observations}
+        lost_ids = sorted(previous_ids - current_ids)
+        temporal_matches = len(previous_ids & current_ids)
+        self._active_tracks = {obs.track_id: obs for obs in observations}
+
+    workload = FrontendWorkload(
+        image_width=rig.camera.width,
+        image_height=rig.camera.height,
+        keypoints_left=len(items),
+        keypoints_right=len(items),
+        descriptors_computed=2 * len(items),
+        stereo_candidates=len(items),
+        stereo_matches=len(observations),
+        tracked_points=len(previous_ids),
+        temporal_matches=temporal_matches,
+    )
+    return FrontendResult(
+        frame_index=frame.index,
+        timestamp=frame.timestamp,
+        observations=observations,
+        new_track_ids=new_ids,
+        lost_track_ids=lost_ids,
+        workload=workload,
+        measured_ms=stopwatch.as_dict(),
+    )
+
+
+def _columns(observations: Dict[int, StereoObservation]) -> tuple:
+    """The ids and left and right pixels of the dict form, in its order."""
+    values = list(observations.values())
+    return (np.array([obs.landmark_id for obs in values], dtype=np.int64),
+            np.array([obs.left_pixel for obs in values]).reshape(-1, 2),
+            np.array([obs.right_pixel for obs in values]).reshape(-1, 2))
+
+
+def _column_bits(landmark_ids: np.ndarray, left_pixels: np.ndarray, right_pixels: np.ndarray) -> tuple:
+    return tuple((column.dtype.str, column.shape, column.tobytes())
+                 for column in (landmark_ids, left_pixels, right_pixels))
 
 
 class _ReferenceTrajectory:
@@ -315,8 +428,9 @@ def _reference_build(self, scenario, reference_trajectory: _ReferenceTrajectory,
                      start_time: float = 0.0, start_index: int = 0, seed_offset: int = 0,
                      world_seed: Optional[int] = None, world_mutator=None):
     """``SequenceBuilder.build`` as it was, sampling ``reference_trajectory``
-    (the scalar twin of ``scenario.trajectory``) and measuring through
-    ``_reference_measure``.  Returns its IMU and GPS simulators and its
+    (the scalar twin of ``scenario.trajectory``), measuring through
+    ``_reference_measure`` and observing through ``_reference_observe``.
+    Returns its IMU and GPS simulators and its
     pixel-noise generator alongside the sequence."""
     config = self.config
     camera = self._camera()
@@ -361,7 +475,8 @@ def _reference_build(self, scenario, reference_trajectory: _ReferenceTrajectory,
     frames: List[Frame] = []
     for i, truth in enumerate(truth_per_frame):
         timestamp = float(frame_times[i])
-        observations = self._observe(truth.pose, world, rig, rng)
+        landmark_ids, left_pixels, right_pixels = _columns(
+            _reference_observe(self, truth.pose, world, rig, rng))
         imu_batch: List[ImuSample] = []
         if i > 0:
             previous_time = float(frame_times[i - 1])
@@ -383,7 +498,9 @@ def _reference_build(self, scenario, reference_trajectory: _ReferenceTrajectory,
             index=start_index + i,
             timestamp=timestamp,
             ground_truth=truth.pose,
-            observations=observations,
+            landmark_ids=landmark_ids,
+            left_pixels=left_pixels,
+            right_pixels=right_pixels,
             imu_samples=imu_batch,
             gps=gps_sample,
             scenario=scenario.kind,
@@ -557,22 +674,21 @@ class TestPropagate:
 
 
 class TestObservePixelNoise:
+    def _assert_matches_reference(self, builder, pose, world, rig, seed):
+        rng_new = np.random.default_rng(seed)
+        rng_ref = np.random.default_rng(seed)
+        got = builder._observe(pose, world, rig, rng_new)
+        expected = _reference_observe(builder, pose, world, rig, rng_ref)
+        assert _column_bits(*got) == _column_bits(*_columns(expected))
+        assert _same_state(rng_new, rng_ref)
+        return len(expected)
+
     def test_matches_reference_on_a_fixed_world(self, indoor_mapped_sequence, small_sensor_config):
         builder = SequenceBuilder(small_sensor_config)
-        world = indoor_mapped_sequence.world
-        rig = indoor_mapped_sequence.rig
-        rng_new = np.random.default_rng(11)
-        rng_ref = np.random.default_rng(11)
         seen = 0
-        for frame in indoor_mapped_sequence.frames[:12]:
-            got = builder._observe(frame.ground_truth, world, rig, rng_new)
-            expected = _reference_observe(builder, frame.ground_truth, world, rig, rng_ref)
-            assert list(got) == list(expected)
-            for landmark_id, observation in expected.items():
-                assert got[landmark_id].left_pixel.tobytes() == observation.left_pixel.tobytes()
-                assert got[landmark_id].right_pixel.tobytes() == observation.right_pixel.tobytes()
-            assert _same_state(rng_new, rng_ref)
-            seen += len(expected)
+        for seed, frame in enumerate(indoor_mapped_sequence.frames[:12]):
+            seen += self._assert_matches_reference(builder, frame.ground_truth, indoor_mapped_sequence.world,
+                                                   indoor_mapped_sequence.rig, seed)
         assert seen > 0
 
     def test_no_visible_landmark_draws_nothing(self, indoor_mapped_sequence, small_sensor_config):
@@ -580,9 +696,131 @@ class TestObservePixelNoise:
         behind = Pose(np.eye(3), np.array([0.0, 0.0, 1e6]))
         rng = np.random.default_rng(2)
         before = rng.bit_generator.state
-        assert builder._observe(behind, indoor_mapped_sequence.world,
-                                indoor_mapped_sequence.rig, rng) == {}
+        landmark_ids, left_pixels, right_pixels = builder._observe(
+            behind, indoor_mapped_sequence.world, indoor_mapped_sequence.rig, rng)
+        assert (landmark_ids.shape, left_pixels.shape, right_pixels.shape) == ((0,), (0, 2), (0, 2))
         assert rng.bit_generator.state == before
+        assert self._assert_matches_reference(builder, behind, indoor_mapped_sequence.world,
+                                              indoor_mapped_sequence.rig, 2) == 0
+
+    @pytest.mark.parametrize("is_indoor", [True, False])
+    def test_empty_world(self, indoor_mapped_sequence, small_sensor_config, is_indoor):
+        builder = SequenceBuilder(small_sensor_config)
+        pose = indoor_mapped_sequence.frames[0].ground_truth
+        assert self._assert_matches_reference(builder, pose, LandmarkWorld([], is_indoor=is_indoor),
+                                              indoor_mapped_sequence.rig, 3) == 0
+
+
+# ------------------------------------------------------ sparse frontend
+
+
+# Pixels on a quarter-pixel grid, so left x minus right x is exact and equal
+# disparities really tie.
+_QUARTERS = st.integers(min_value=0, max_value=4 * 640).map(lambda q: q / 4.0)
+_OBSERVATION = st.tuples(_QUARTERS, _QUARTERS,
+                         st.integers(min_value=-8, max_value=48).map(lambda q: q / 4.0),
+                         st.sampled_from([0.0, 0.25, -0.5]))
+
+
+@st.composite
+def _sparse_frames(draw):
+    """Frames whose landmark ids come from a small pool (so tracks persist)
+    and whose disparities come from a coarse grid (so they tie)."""
+    frames = []
+    for index in range(draw(st.integers(min_value=1, max_value=4))):
+        ids = draw(st.lists(st.integers(min_value=0, max_value=40), unique=True, max_size=24))
+        rows = [draw(_OBSERVATION) for _ in ids]
+        frames.append(_sparse_frame(index, ids, rows))
+    return frames
+
+
+def _sparse_frame(index: int, ids: List[int], rows: List[tuple]) -> Frame:
+    """``rows`` holds ``(left x, left y, disparity, right y - left y)``."""
+    left = np.array([(x, y) for x, y, _, _ in rows]).reshape(-1, 2)
+    right = np.array([(x - d, y + dy) for x, y, d, dy in rows]).reshape(-1, 2)
+    return Frame(index=index, timestamp=0.1 * index, ground_truth=Pose.identity(),
+                 landmark_ids=np.array(ids, dtype=np.int64), left_pixels=left, right_pixels=right)
+
+
+def _dict_frame(frame: Frame) -> SimpleNamespace:
+    """``frame`` in the per-landmark dict form the reference consumes."""
+    observations = {
+        landmark_id: StereoObservation(landmark_id, left.copy(), right.copy())
+        for landmark_id, left, right in zip(frame.landmark_ids.tolist(), frame.left_pixels,
+                                            frame.right_pixels)
+    }
+    return SimpleNamespace(index=frame.index, timestamp=frame.timestamp, observations=observations)
+
+
+def _track_bits(obs: TrackObservation) -> tuple:
+    return (obs.track_id, type(obs.track_id), obs.age, obs.descriptor,
+            obs.left_pixel.tobytes(), obs.right_pixel.tobytes(), obs.point_camera.tobytes(),
+            obs.point_body.tobytes(), obs.noise_std.tobytes())
+
+
+def _assert_sparse_matches_reference(frames: List[Frame], config: FrontendConfig, dropout: float,
+                                     rig: StereoRig, seed: int = 0) -> None:
+    frontend = VisualFrontend(config=config, rig=rig, dropout_probability=dropout, seed=seed)
+    reference = VisualFrontend(config=config, rig=rig, dropout_probability=dropout, seed=seed)
+    for frame in frames:
+        got = frontend.process(frame)
+        expected = _reference_process_sparse(reference, _dict_frame(frame), rig)
+        assert [_track_bits(obs) for obs in got.observations] == \
+            [_track_bits(obs) for obs in expected.observations]
+        assert got.new_track_ids == expected.new_track_ids
+        assert got.lost_track_ids == expected.lost_track_ids
+        assert all(type(track_id) is int for track_id in got.new_track_ids + got.lost_track_ids)
+        assert got.workload == expected.workload
+        assert all(type(value) is int for value in vars(got.workload).values())
+        assert (got.frame_index, got.timestamp) == (expected.frame_index, expected.timestamp)
+        assert _same_state(frontend._rng, reference._rng)
+
+
+class TestSparseFrontendColumns:
+    @given(frames=_sparse_frames(),
+           max_features=st.integers(min_value=1, max_value=12),
+           min_disparity=st.sampled_from([0.5, 2.0, 100.0]),
+           dropout=st.sampled_from([0.0, 0.02, 0.5]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, small_rig, frames, max_features, min_disparity, dropout, seed):
+        config = FrontendConfig(max_features=max_features, min_disparity=min_disparity)
+        _assert_sparse_matches_reference(frames, config, dropout, small_rig, seed)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.02, 0.5])
+    def test_edge_frames_match_reference(self, small_rig, dropout):
+        tied = [(100.0, 50.0, 8.0, 0.0), (120.0, 60.0, 4.0, 0.25), (140.0, 70.0, 8.0, 0.0),
+                (160.0, 80.0, 4.0, 0.0), (180.0, 90.0, 8.0, -0.5), (200.0, 95.0, 1.0, 0.0)]
+        below = [(300.0, 40.0, 1.75, 0.0), (310.0, 41.0, -1.0, 0.0)]
+        # More candidates than numpy sorts by insertion, all in three ties.
+        many = [(10.0 * i, 5.0 * i, (3.0, 6.0, 9.0)[i % 3], 0.0) for i in range(48)]
+        frames = [
+            _sparse_frame(0, [], []),
+            _sparse_frame(1, [9, 3, 7, 1, 5, 2], tied),
+            _sparse_frame(2, [4, 6], below),
+            _sparse_frame(3, [], []),
+            _sparse_frame(4, [3, 9, 1, 5, 7, 2], tied),
+            _sparse_frame(5, list(range(100, 52, -1)), many),
+        ]
+        config = FrontendConfig(max_features=4, min_disparity=2.0)
+        _assert_sparse_matches_reference(frames, config, dropout, small_rig)
+
+    def test_on_a_synthetic_segment(self, outdoor_sequence):
+        config = FrontendConfig(max_features=40)
+        _assert_sparse_matches_reference(outdoor_sequence.frames, config, 0.02, outdoor_sequence.rig, 5)
+
+    def test_writing_into_an_observation_leaves_its_frame_unchanged(self, outdoor_sequence):
+        frame = outdoor_sequence.frames[0]
+        before = _column_bits(frame.landmark_ids, frame.left_pixels, frame.right_pixels)
+        # Keep every landmark, so the kept rows are the frame's own rows.
+        config = FrontendConfig(min_disparity=-np.inf, max_features=frame.observation_count)
+        frontend = VisualFrontend(config=config, rig=outdoor_sequence.rig, dropout_probability=0.0)
+        observations = frontend.process(frame).observations
+        assert len(observations) == frame.observation_count > 0
+        for obs in observations:
+            obs.left_pixel[:] = -1.0
+            obs.right_pixel[:] = -1.0
+        assert _column_bits(frame.landmark_ids, frame.left_pixels, frame.right_pixels) == before
 
 
 # ------------------------------------------------- array ground truth
@@ -813,8 +1051,7 @@ def _frame_bits(frame: Frame) -> tuple:
         frame.index, repr(frame.timestamp), type(frame.timestamp), frame.scenario,
         frame.ground_truth.rotation.tobytes(), frame.ground_truth.translation.tobytes(),
         frame.ground_truth_velocity.tobytes(),
-        tuple((landmark_id, obs.landmark_id, obs.left_pixel.tobytes(), obs.right_pixel.tobytes())
-              for landmark_id, obs in frame.observations.items()),
+        _column_bits(frame.landmark_ids, frame.left_pixels, frame.right_pixels),
         _imu_bits(frame.imu_samples),
         None if gps is None else (repr(gps.timestamp), gps.valid, gps.position.tobytes(),
                                   gps.covariance.tobytes()),
@@ -822,7 +1059,7 @@ def _frame_bits(frame: Frame) -> tuple:
 
 
 def _world_bits(world: LandmarkWorld) -> tuple:
-    return (world.is_indoor, world.positions.tobytes(),
+    return (world.is_indoor, world.positions.tobytes(), world.landmark_ids.tobytes(),
             tuple((lm.landmark_id, lm.appearance_seed, lm.position.tobytes()) for lm in world.landmarks))
 
 
@@ -906,6 +1143,9 @@ class TestSegmentSynthesis:
         target.ground_truth.translation[:] = 1e9
         target.ground_truth.rotation[:] = 7.0
         target.ground_truth_velocity[:] = -3.0
+        target.landmark_ids[:] = -1
+        target.left_pixels[:] = -1.0
+        target.right_pixels[:] = -1.0
         # Frame 3's first IMU sample shares its timestamp with frame 2's last.
         target.imu_samples[0].angular_velocity[:] = 5.0
         target.imu_samples[0].linear_acceleration[:] = 5.0

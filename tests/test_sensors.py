@@ -98,18 +98,6 @@ class TestLandmarkWorld:
         outdoor_spread = np.abs(outdoor.positions[:, 1]).mean()
         assert indoor_spread < outdoor_spread
 
-    def test_visibility_and_observation(self, small_rig):
-        world = self._world()
-        pose = Pose.identity()
-        visible = world.visible_from(pose, small_rig.camera, max_depth=30.0)
-        observations = world.observe(pose, small_rig.camera, max_depth=30.0)
-        assert set(observations.keys()).issubset(set(visible))
-
-    def test_subset(self):
-        world = self._world()
-        sub = world.subset([0, 1, 2])
-        assert len(sub) == 3
-
     def test_frame_conversion_roundtrip(self, rng):
         points = rng.normal(size=(10, 3))
         roundtrip = body_frame_from_camera(camera_frame_from_body(points))
@@ -221,10 +209,10 @@ class TestScenariosAndDataset:
         frame = outdoor_sequence.frames[3]
         rig = outdoor_sequence.rig
         world = outdoor_sequence.world
-        for landmark_id, obs in list(frame.observations.items())[:10]:
-            disparity = obs.left_pixel[0] - obs.right_pixel[0]
-            assert disparity > -2.0  # disparity is positive up to noise
-            assert 0 <= obs.left_pixel[0] <= rig.camera.width
+        left, right = frame.left_pixels[:10], frame.right_pixels[:10]
+        disparity = left[:, 0] - right[:, 0]
+        assert np.all(disparity > -2.0)  # disparity is positive up to noise
+        assert np.all((0 <= left[:, 0]) & (left[:, 0] <= rig.camera.width))
         assert len(world) == outdoor_sequence.config.landmark_count
 
     def test_imu_batches_cover_frame_interval(self, outdoor_sequence):
