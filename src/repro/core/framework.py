@@ -99,10 +99,11 @@ class EudoxusLocalizer:
     def collect_last_frame(self, estimate: PoseEstimate, into: TrajectoryResult) -> None:
         """Append the just-processed frame's outputs and latency record.
 
-        The single place where a frame's estimate, frontend/backend results
-        and measured-latency record are assembled into a
+        The single place where a frame's estimate, frontend summary, backend
+        result and measured-latency record are assembled into a
         :class:`TrajectoryResult` — shared by :meth:`process_sequence` and
-        the serving layer's per-frame stepping.
+        the serving layer's per-frame stepping.  The frame's observations
+        stay behind: the backend has already consumed them.
         """
         frontend_result = self._last_frontend_result
         backend_result = self._last_backend_result
@@ -112,7 +113,7 @@ class EudoxusLocalizer:
         for name, value in backend_result.kernel_ms.items():
             record.add_backend(name, value)
         into.estimates.append(estimate)
-        into.frontend_results.append(frontend_result)
+        into.frontend_results.append(frontend_result.summary())
         into.backend_results.append(backend_result)
         into.latency_records.append(record)
 

@@ -10,7 +10,7 @@ import numpy as np
 from repro.backend.base import BackendResult
 from repro.common.geometry import Pose
 from repro.common.timing import LatencyRecord, TimingStats
-from repro.frontend.frontend import FrontendResult
+from repro.frontend.frontend import FrontendSummary
 from repro.metrics.trajectory import absolute_trajectory_error, relative_trajectory_error_percent
 
 
@@ -33,10 +33,14 @@ class PoseEstimate:
 
 @dataclass
 class TrajectoryResult:
-    """Everything produced by running the framework over one sequence."""
+    """Everything produced by running the framework over one sequence.
+
+    ``frontend_results`` holds one :class:`FrontendSummary` per frame, not
+    the frame's observations: the backend consumes those within the frame.
+    """
 
     estimates: List[PoseEstimate] = field(default_factory=list)
-    frontend_results: List[FrontendResult] = field(default_factory=list)
+    frontend_results: List[FrontendSummary] = field(default_factory=list)
     backend_results: List[BackendResult] = field(default_factory=list)
     latency_records: List[LatencyRecord] = field(default_factory=list)
     scenario: str = ""

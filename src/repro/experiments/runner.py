@@ -465,9 +465,15 @@ class RunStore:
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            with open(tmp, "wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
+            try:
+                with open(tmp, "wb") as handle:
+                    pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                os.replace(tmp, path)
+            except BaseException:
+                # Unpicklable payloads and interrupts propagate, but must
+                # not leave the half-written temp file behind.
+                self._try_unlink(tmp)
+                raise
         except OSError:
             # The store is a cache: an unwritable root (read-only disk, bad
             # EUDOXUS_RUN_CACHE path) must never lose a computed result.

@@ -24,6 +24,7 @@ from repro.frontend.stereo import StereoMatcher, StereoMatch
 from repro.frontend.optical_flow import LucasKanadeTracker, FlowResult
 from repro.frontend.frontend import (
     FrontendResult,
+    FrontendSummary,
     TrackObservation,
     VisualFrontend,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "LucasKanadeTracker",
     "FlowResult",
     "FrontendResult",
+    "FrontendSummary",
     "TrackObservation",
     "VisualFrontend",
 ]

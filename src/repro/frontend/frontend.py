@@ -149,6 +149,27 @@ class FrontendResult:
                 return obs
         return None
 
+    def summary(self) -> "FrontendSummary":
+        """The part of this frame that outlives the backend step."""
+        return FrontendSummary(self.frame_index, self.timestamp,
+                               self.feature_count, self.workload)
+
+
+@dataclass(frozen=True)
+class FrontendSummary:
+    """What a run keeps of one frame's frontend output once the backend has run.
+
+    The observations are consumed within the frame; the platform latency
+    models, the offload scheduler and the per-frame statistics read only
+    these fields, so results, shard reports and run-store entries carry
+    this instead of the full :class:`FrontendResult`.
+    """
+
+    frame_index: int
+    timestamp: float
+    feature_count: int
+    workload: FrontendWorkload
+
 
 class VisualFrontend:
     """Shared vision frontend; see module docstring for the two paths."""

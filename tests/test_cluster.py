@@ -19,6 +19,7 @@ The load-bearing contracts, in order of importance:
 from __future__ import annotations
 
 import hashlib
+import pickle
 
 import pytest
 
@@ -36,6 +37,10 @@ from repro.experiments.runner import RunStore
 from repro.maps import MapStore
 from repro.scheduler import LatencyAutoscaler
 from repro.serving import ServingEngine, cold_start_fleet, multi_environment_fleet
+
+
+# Same budget as a plain engine's session results (tests/test_framework.py).
+SESSION_BYTES_PER_FRAME = 2048
 
 
 def small_fleet(count=5, prefix="session", base_seed=0):
@@ -247,6 +252,18 @@ class TestShardedBitIdentity:
         # must not multiply one global event by the shard count.
         plain_churn = identity_reports["plain"].map_version_churn
         assert identity_reports[2].map_version_churn == plain_churn
+
+    def test_shard_reports_fit_the_per_frame_budget(self, identity_reports):
+        # What each shard pickles back to the coordinator: per-frame
+        # summaries, not the frames' observations.
+        loaded = [rep for rep in identity_reports[2].shard_reports
+                  if rep is not None]
+        assert loaded
+        for rep in loaded:
+            size = len(pickle.dumps(rep, protocol=pickle.HIGHEST_PROTOCOL))
+            assert rep.frame_count > 0
+            assert size <= SESSION_BYTES_PER_FRAME * rep.frame_count, \
+                (size, rep.frame_count)
 
     def test_final_workers_sums_shards(self, identity_reports):
         report = identity_reports[2]

@@ -1,13 +1,27 @@
 """Integration tests for the unified localization framework (Fig. 4 dataflow)."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.baselines.cpu import CpuLatencyModel
 from repro.common.config import LocalizerConfig
 from repro.core.framework import EudoxusLocalizer
 from repro.core.modes import BackendMode
 from repro.core.result import PoseEstimate, TrajectoryResult
+from repro.experiments.common import accelerator_for
+from repro.experiments.runner import RunStore
+from repro.frontend.frontend import FrontendSummary
 from repro.sensors.scenarios import ScenarioKind
+from repro.serving import ServingEngine, SessionResult, mixed_fleet, serving_key
+from repro.serving.engine import scheduler_training_samples
+
+# What a served session may pickle to, per frame.  Frame summaries put a
+# session near 1 KB per frame; keeping each frame's observations would
+# cost about 8 KB.
+SESSION_BYTES_PER_FRAME = 2048
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +179,101 @@ class TestAccuracyOrdering:
         # Low-resolution fixture: SLAM must stay localized on the 5 m course
         # even though neither GPS nor a survey map is available.
         assert slam_error < 1.5
+
+
+class TestFrontendSummaries:
+    """A run keeps one :class:`FrontendSummary` per frame, and every reader
+    of ``frontend_results`` gets the same answer from it as from the full
+    :class:`~repro.frontend.frontend.FrontendResult`."""
+
+    @pytest.fixture(scope="class",
+                    params=["outdoor_sequence", "indoor_sequence", "indoor_mapped_sequence"])
+    def runs(self, request, config):
+        """One run's result, and the same result over the full frontend outputs."""
+        sequence = request.getfixturevalue(request.param)
+        localizer = EudoxusLocalizer(config)
+        localizer.prepare(sequence)
+        full = []
+        process = localizer.frontend.process
+
+        def keep(*args, **kwargs):
+            full.append(process(*args, **kwargs))
+            return full[-1]
+
+        localizer.frontend.process = keep
+        result = localizer.process_sequence(sequence, reset=False)
+        return result, dataclasses.replace(result, frontend_results=full)
+
+    def test_results_hold_summaries_of_the_frontend_outputs(self, runs):
+        result, full = runs
+        assert all(type(summary) is FrontendSummary for summary in result.frontend_results)
+        assert result.frontend_results == [r.summary() for r in full.frontend_results]
+        assert [summary.feature_count for summary in result.frontend_results] == \
+            [len(r.observations) for r in full.frontend_results]
+        assert result.mean_feature_count() > 0
+
+    def test_accelerate_is_unchanged(self, runs):
+        result, full = runs
+        expected = accelerator_for("car").accelerate(full)
+        got = accelerator_for("car").accelerate(result)
+        assert len(got.frames) == len(result) > 0
+        assert [dataclasses.astuple(f) for f in got.frames] == \
+            [dataclasses.astuple(f) for f in expected.frames]
+
+    def test_cpu_records_are_unchanged(self, runs):
+        result, full = runs
+        model = CpuLatencyModel()
+        assert model.records_from_results(result) == model.records_from_results(full)
+
+    def test_per_mode_and_feature_count_are_unchanged(self, runs):
+        result, full = runs
+        assert result.mean_feature_count() == full.mean_feature_count()
+        by_mode, full_by_mode = result.per_mode(), full.per_mode()
+        assert set(by_mode) == set(full_by_mode)
+        for mode, part in by_mode.items():
+            assert part.frontend_results == \
+                [r.summary() for r in full_by_mode[mode].frontend_results]
+            assert part.mean_feature_count() == full_by_mode[mode].mean_feature_count()
+
+    def test_scheduler_training_samples_are_unchanged(self, runs):
+        result, full = runs
+        accelerator = accelerator_for("car")
+        samples = scheduler_training_samples(
+            {"s": SessionResult("s", {}, trajectory=result)}, accelerator)
+        expected = scheduler_training_samples(
+            {"s": SessionResult("s", {}, trajectory=full)}, accelerator)
+        assert samples and samples == expected
+
+    def test_summary_is_read_only(self, runs):
+        summary = runs[0].frontend_results[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            summary.feature_count = 0
+
+
+class TestSessionResultFootprint:
+    @pytest.fixture(scope="class")
+    def served(self):
+        fleet = mixed_fleet(3, segment_duration=1.0, camera_rate_hz=5.0)
+        return fleet, ServingEngine(store=None).serve(fleet)
+
+    def test_session_pickle_fits_the_per_frame_budget(self, served):
+        _, report = served
+        for result in report.results.values():
+            size = len(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+            assert result.frame_count > 0
+            assert size <= SESSION_BYTES_PER_FRAME * result.frame_count, \
+                (result.stream_id, size, result.frame_count)
+
+    def test_run_store_round_trip_keeps_signature_and_summaries(self, served, tmp_path):
+        fleet, report = served
+        store = RunStore(tmp_path)
+        for spec in fleet:
+            result = report.results[spec.stream_id]
+            key = serving_key(spec)
+            assert store.save_key(key, result) is not None
+            loaded = store.load_key(key, expect=SessionResult)
+            assert loaded.signature() == result.signature()
+            assert len(loaded.trajectory.frontend_results) == loaded.frame_count
+            for summary in loaded.trajectory.frontend_results:
+                assert type(summary) is FrontendSummary
+                assert not hasattr(summary, "observations")

@@ -1,6 +1,7 @@
 """Tests for the parallel experiment engine and its persistent run store."""
 
 import os
+import pickle
 import threading
 import time
 
@@ -192,8 +193,6 @@ class TestRunStore:
         assert RunStore(tmp_path).load(cell) is not None
 
     def test_wrong_payload_type_treated_as_corruption(self, tmp_path):
-        import pickle
-
         store = RunStore(tmp_path)
         cell = _cell()
         store.root.mkdir(parents=True, exist_ok=True)
@@ -231,6 +230,19 @@ class TestRunStore:
         assert in_flight.exists()     # recent (possibly live) write untouched
         store.clear()
         assert not in_flight.exists()  # clear removes temp files regardless of age
+
+    def test_failed_pickle_leaves_no_temp_file(self, tmp_path):
+        """A payload that cannot be pickled raises, and its half-written
+        temp file is removed at once, not left for the stale sweep."""
+        store = RunStore(tmp_path)
+
+        def local_function():
+            pass
+
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            store.save_key("unpicklable", {"result": local_function})
+        assert list(tmp_path.glob("*.tmp.*")) == []
+        assert store.load_key("unpicklable") is None
 
     def test_code_fingerprint_stable_within_process(self):
         assert code_fingerprint() == code_fingerprint()
