@@ -27,6 +27,19 @@ from repro.linalg.solvers import batched_symmetric_inverse, solve_cholesky
 from repro.obs.profile import profile_kernel
 
 
+def scatter_sum(index: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """``out[index[i]] += values[i]`` into a zeroed ``(count, *values.shape[1:])`` array.
+
+    One flat-index ``np.bincount`` over at least one row.  Like ``np.add.at``
+    it adds each slot's values in input order starting from 0.0, so the sums
+    are bit-identical.
+    """
+    shape = values.shape[1:]
+    size = int(np.prod(shape))
+    flat = (index[:, None] * size + np.arange(size)).reshape(-1)
+    return np.bincount(flat, weights=values.reshape(-1), minlength=count * size).reshape((count,) + shape)
+
+
 @dataclass
 class SlamWorkload:
     """Problem sizes the SLAM backend kernels operated on this frame."""
@@ -172,18 +185,23 @@ class KeyframeMapper:
         if gathered is None:
             return 0
         damping = self.config.initial_damping
-        previous_cost = self._total_cost(landmark_ids, gathered)
+        # Residuals at the current iterate: an accepted step's trial residuals
+        # linearize the next iteration, a rejected step keeps the old ones.
+        residuals = self._batched_residuals(gathered, landmark_ids)
+        previous_cost = self._cost(residuals)
         iterations = 0
         for _ in range(self.config.max_iterations):
             iterations += 1
-            step = self._solve_normal_equations(landmark_ids, damping, workload, gathered)
+            step = self._solve_normal_equations(landmark_ids, damping, workload, gathered, residuals)
             if step is None:
                 break
             pose_deltas, landmark_deltas = step
-            backup = self._snapshot()
+            backup = self._snapshot(landmark_ids)
             self._apply_step(landmark_ids, pose_deltas, landmark_deltas)
-            cost = self._total_cost(landmark_ids, gathered)
+            trial = self._batched_residuals(gathered, landmark_ids)
+            cost = self._cost(trial)
             if cost < previous_cost:
+                residuals = trial
                 damping = max(damping * self.config.damping_down, 1e-9)
                 if previous_cost - cost < self.config.convergence_tolerance * max(previous_cost, 1.0):
                     previous_cost = cost
@@ -194,17 +212,19 @@ class KeyframeMapper:
                 damping *= self.config.damping_up
         return iterations
 
-    def _snapshot(self):
-        return (
-            [(kf.pose.rotation.copy(), kf.pose.translation.copy()) for kf in self.keyframes],
-            {k: v.copy() for k, v in self.landmarks.items()},
-        )
+    def _snapshot(self, landmark_ids: List[int]):
+        """The window state a step replaces, by reference.
+
+        ``_apply_step`` assigns new pose and landmark objects and never
+        mutates the old ones, so keeping references is a full backup.
+        """
+        return [kf.pose for kf in self.keyframes], {k: self.landmarks[k] for k in landmark_ids}
 
     def _restore(self, backup) -> None:
         poses, landmarks = backup
-        for keyframe, (rotation, translation) in zip(self.keyframes, poses):
-            keyframe.pose = Pose(rotation, translation)
-        self.landmarks = landmarks
+        for keyframe, pose in zip(self.keyframes, poses):
+            keyframe.pose = pose
+        self.landmarks.update(landmarks)
 
     def _gather_window(self, landmark_ids: List[int]) -> Optional[Tuple[np.ndarray, ...]]:
         """Flatten the window's (keyframe, landmark) observations into index arrays.
@@ -268,37 +288,35 @@ class KeyframeMapper:
         j_pose = np.concatenate([j_rotation, rotation_t], axis=2)
         return j_pose, -rotation_t
 
-    def _assemble_normal_blocks(self, gathered: Tuple[np.ndarray, ...],
-                                landmark_ids: List[int]) -> Tuple[np.ndarray, ...]:
+    def _assemble_normal_blocks(self, gathered: Tuple[np.ndarray, ...], landmark_ids: List[int],
+                                residuals: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, ...]:
         """Accumulate the weighted Gauss-Newton blocks for all observations.
 
         Returns ``(pose_blocks, cross_blocks, landmark_blocks, b_pose,
         b_landmark)``: per-keyframe 6x6 diagonal blocks, per-(keyframe,
         landmark) 6x3 cross blocks, per-landmark 3x3 diagonal blocks, and the
         negated gradient halves.  Shared by the solver and marginalization so
-        the two linearizations can never drift apart.
+        the two linearizations can never drift apart.  ``residuals`` is the
+        :meth:`_batched_residuals` tuple at the current iterate.
         """
         kf_idx, lm_idx, _, _ = gathered
         pose_count = len(self.keyframes)
         landmark_count = len(landmark_ids)
-        rot, delta, residual, weight = self._batched_residuals(gathered, landmark_ids)
+        rot, delta, residual, weight = residuals
         j_pose, j_landmark = self._batched_jacobians(rot, delta)
         w = weight[:, None, None]
 
-        pose_blocks = np.zeros((pose_count, 6, 6))
-        cross_blocks = np.zeros((pose_count, landmark_count, 6, 3))
-        landmark_blocks = np.zeros((landmark_count, 3, 3))
-        b_pose = np.zeros((pose_count, 6))
-        b_landmark = np.zeros((landmark_count, 3))
-        np.add.at(pose_blocks, kf_idx, w * np.einsum("nki,nkj->nij", j_pose, j_pose))
-        np.add.at(cross_blocks, (kf_idx, lm_idx),
-                  w * np.einsum("nki,nkj->nij", j_pose, j_landmark))
-        np.add.at(landmark_blocks, lm_idx,
-                  w * np.einsum("nki,nkj->nij", j_landmark, j_landmark))
-        np.add.at(b_pose, kf_idx,
-                  -weight[:, None] * np.einsum("nki,nk->ni", j_pose, residual))
-        np.add.at(b_landmark, lm_idx,
-                  -weight[:, None] * np.einsum("nki,nk->ni", j_landmark, residual))
+        pose_blocks = scatter_sum(kf_idx, w * np.einsum("nki,nkj->nij", j_pose, j_pose), pose_count)
+        cross_blocks = scatter_sum(kf_idx * landmark_count + lm_idx,
+                                   w * np.einsum("nki,nkj->nij", j_pose, j_landmark),
+                                   pose_count * landmark_count,
+                                   ).reshape(pose_count, landmark_count, 6, 3)
+        landmark_blocks = scatter_sum(lm_idx, w * np.einsum("nki,nkj->nij", j_landmark, j_landmark),
+                                      landmark_count)
+        b_pose = scatter_sum(kf_idx, -weight[:, None] * np.einsum("nki,nk->ni", j_pose, residual),
+                             pose_count)
+        b_landmark = scatter_sum(lm_idx, -weight[:, None] * np.einsum("nki,nk->ni", j_landmark, residual),
+                                 landmark_count)
         return pose_blocks, cross_blocks, landmark_blocks, b_pose, b_landmark
 
     @staticmethod
@@ -309,18 +327,15 @@ class KeyframeMapper:
         out.reshape(n, d, n, d)[np.arange(n), :, np.arange(n), :] = blocks
         return out
 
-    def _total_cost(self, landmark_ids: List[int],
-                    gathered: Optional[Tuple[np.ndarray, ...]] = None) -> float:
-        if gathered is None:
-            gathered = self._gather_window(landmark_ids)
-        if gathered is None:
-            return 0.0
-        _, _, residual, weight = self._batched_residuals(gathered, landmark_ids)
+    @staticmethod
+    def _cost(residuals: Tuple[np.ndarray, ...]) -> float:
+        """Weighted squared error of a :meth:`_batched_residuals` tuple."""
+        _, _, residual, weight = residuals
         return float(np.sum(weight * np.einsum("ni,ni->n", residual, residual)))
 
     def _solve_normal_equations(self, landmark_ids: List[int], damping: float,
-                                workload: SlamWorkload,
-                                gathered: Optional[Tuple[np.ndarray, ...]] = None,
+                                workload: SlamWorkload, gathered: Tuple[np.ndarray, ...],
+                                residuals: Tuple[np.ndarray, ...],
                                 ) -> Optional[Tuple[np.ndarray, Dict[int, np.ndarray]]]:
         """Build and solve the damped normal equations with a Schur complement."""
         pose_count = len(self.keyframes)
@@ -329,18 +344,9 @@ class KeyframeMapper:
         landmark_dim = 3 * landmark_count
         landmark_index = {track_id: i for i, track_id in enumerate(landmark_ids)}
 
-        if gathered is None:
-            gathered = self._gather_window(landmark_ids)
-        if gathered is not None:
-            pose_blocks, cross_blocks, landmark_blocks, b_pose, b_landmark = (
-                self._assemble_normal_blocks(gathered, landmark_ids)
-            )
-        else:
-            pose_blocks = np.zeros((pose_count, 6, 6))
-            cross_blocks = np.zeros((pose_count, landmark_count, 6, 3))
-            landmark_blocks = np.zeros((landmark_count, 3, 3))
-            b_pose = np.zeros((pose_count, 6))
-            b_landmark = np.zeros((landmark_count, 3))
+        pose_blocks, cross_blocks, landmark_blocks, b_pose, b_landmark = (
+            self._assemble_normal_blocks(gathered, landmark_ids, residuals)
+        )
 
         h_pp = self._block_diagonal(pose_blocks)
         h_pl = cross_blocks.transpose(0, 2, 1, 3).reshape(pose_dim, landmark_dim)
@@ -403,21 +409,21 @@ class KeyframeMapper:
                 ]
 
     def _marginalize_oldest(self, workload: SlamWorkload) -> None:
-        """Marginalize the oldest keyframe and its exclusive landmarks."""
+        """Marginalize the oldest keyframe into a prior on the remaining poses.
+
+        The landmarks the departing keyframe shares with the window are
+        marginalized with it through the Schur complement.  Landmarks only it
+        observed carry no information about the remaining states, so they stay
+        out of the linearization; they leave the active window but stay in
+        :attr:`landmarks`, available to the tracking block and the persisted map.
+        """
         departing = self.keyframes[0]
         remaining_frames = [kf.frame_index for kf in self.keyframes[1:]]
 
-        # Landmarks observed only by the departing keyframe are simply dropped
-        # (they carry no information about the remaining states); landmarks it
-        # shares with the window are marginalized through the Schur complement.
         shared_landmarks = [
             track_id for track_id in departing.observations
             if track_id in self.landmarks
             and any(track_id in kf.observations for kf in self.keyframes[1:])
-        ]
-        exclusive = [
-            track_id for track_id in departing.observations
-            if track_id in self.landmarks and track_id not in shared_landmarks
         ]
         workload.feature_points = len(departing.observations)
 
@@ -434,7 +440,8 @@ class KeyframeMapper:
         gathered = self._gather_window(shared_landmarks) if shared_landmarks else None
         if gathered is not None:
             pose_blocks, cross_blocks, landmark_blocks, b_pose, b_landmark = (
-                self._assemble_normal_blocks(gathered, shared_landmarks)
+                self._assemble_normal_blocks(gathered, shared_landmarks,
+                                             self._batched_residuals(gathered, shared_landmarks))
             )
             cross = cross_blocks.transpose(0, 2, 1, 3).reshape(pose_dim, landmark_dim)
             hessian[:pose_dim, :pose_dim] = self._block_diagonal(pose_blocks)
@@ -451,9 +458,4 @@ class KeyframeMapper:
         self._prior_hessian = result.hessian
         self._prior_gradient = result.gradient
         self._prior_frames = remaining_frames
-
-        for track_id in exclusive:
-            # Exclusive landmarks leave the active map but stay available to
-            # the tracking block as part of the persisted map.
-            pass
         self.keyframes.pop(0)

@@ -11,8 +11,10 @@ from must end in the same state.  The memos, the per-segment arrays and the
 frontend's track observations are also checked for aliasing (a caller
 mutating its result must not reach the next hit, another frame or the frame
 it came from) and the memos for their size bound.  A host canary checks the
-numpy loops the array synthesis relies on against their per-element results.  Last, the script
-that pins the servbench wave signatures in CI must reject any moved bit.
+numpy loops the array synthesis relies on against their per-element results.  The window
+bundle adjustment (residuals reused across iterations, by-reference step backups,
+``np.bincount`` scatters) is compared with its untrimmed copy.  Last, the script that pins the
+servbench wave signatures in CI must reject any moved bit.
 """
 
 import json
@@ -21,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -30,16 +32,20 @@ from hypothesis import strategies as st
 
 from repro.backend import bow
 from repro.backend.bow import VOCABULARY_MEMO_SIZE, BinaryVocabulary
+from repro.backend.mapping import KeyframeMapper, SlamWorkload, scatter_sum
+from repro.backend.marginalization import MarginalizationResult, marginalize_schur
 from repro.backend.msckf import Msckf
 from repro.backend.state import IMU_ERROR_DIM
 from repro.common.camera import StereoRig, world_to_camera
-from repro.common.config import FrontendConfig, SensorConfig
+from repro.common.config import FrontendConfig, MappingConfig, SensorConfig
 from repro.common.geometry import Pose, euler_to_rotation, skew, so3_exp
 from repro.common.timing import StopwatchCollector
 from repro.frontend import orb
 from repro.frontend.frontend import (FrontendResult, FrontendWorkload, TrackObservation,
                                      VisualFrontend, stereo_point_noise)
 from repro.frontend.orb import DESCRIPTOR_MEMO_SIZE, descriptor_from_seed, hamming_distance_matrix
+from repro.linalg.ops import matmul, transpose
+from repro.linalg.solvers import batched_symmetric_inverse, solve_cholesky
 from repro.obs.profile import profile_kernel
 from repro.sensors import dataset, trajectory
 from repro.sensors.dataset import Frame, SequenceBuilder, SyntheticSequence, segment_frame_count
@@ -519,6 +525,209 @@ def _reference_build(self, scenario, reference_trajectory: _ReferenceTrajectory,
         has_prebuilt_map=scenario.has_map,
     )
     return sequence, imu, gps, rng
+
+
+class _ReferenceMapper(KeyframeMapper):
+    """The window bundle adjustment before its exact trims: residuals computed
+    twice per accepted iteration, a full copy of every landmark per step, and
+    ``np.add.at`` scatters."""
+
+    def _optimize(self, workload: SlamWorkload) -> int:
+        """Levenberg-Marquardt over window poses and landmarks (Schur trick)."""
+        landmark_ids = self._window_landmark_ids()
+        if len(self.keyframes) < 2 or not landmark_ids:
+            return 0
+        gathered = self._gather_window(landmark_ids)
+        if gathered is None:
+            return 0
+        damping = self.config.initial_damping
+        previous_cost = self._total_cost(landmark_ids, gathered)
+        iterations = 0
+        for _ in range(self.config.max_iterations):
+            iterations += 1
+            step = self._solve_normal_equations(landmark_ids, damping, workload, gathered)
+            if step is None:
+                break
+            pose_deltas, landmark_deltas = step
+            backup = self._snapshot()
+            self._apply_step(landmark_ids, pose_deltas, landmark_deltas)
+            cost = self._total_cost(landmark_ids, gathered)
+            if cost < previous_cost:
+                damping = max(damping * self.config.damping_down, 1e-9)
+                if previous_cost - cost < self.config.convergence_tolerance * max(previous_cost, 1.0):
+                    previous_cost = cost
+                    break
+                previous_cost = cost
+            else:
+                self._restore(backup)
+                damping *= self.config.damping_up
+        return iterations
+
+    def _snapshot(self):
+        return (
+            [(kf.pose.rotation.copy(), kf.pose.translation.copy()) for kf in self.keyframes],
+            {k: v.copy() for k, v in self.landmarks.items()},
+        )
+
+    def _restore(self, backup) -> None:
+        poses, landmarks = backup
+        for keyframe, (rotation, translation) in zip(self.keyframes, poses):
+            keyframe.pose = Pose(rotation, translation)
+        self.landmarks = landmarks
+
+    def _assemble_normal_blocks(self, gathered: Tuple[np.ndarray, ...],
+                                landmark_ids: List[int]) -> Tuple[np.ndarray, ...]:
+        """Accumulate the weighted Gauss-Newton blocks for all observations.
+
+        Returns ``(pose_blocks, cross_blocks, landmark_blocks, b_pose,
+        b_landmark)``: per-keyframe 6x6 diagonal blocks, per-(keyframe,
+        landmark) 6x3 cross blocks, per-landmark 3x3 diagonal blocks, and the
+        negated gradient halves.  Shared by the solver and marginalization so
+        the two linearizations can never drift apart.
+        """
+        kf_idx, lm_idx, _, _ = gathered
+        pose_count = len(self.keyframes)
+        landmark_count = len(landmark_ids)
+        rot, delta, residual, weight = self._batched_residuals(gathered, landmark_ids)
+        j_pose, j_landmark = self._batched_jacobians(rot, delta)
+        w = weight[:, None, None]
+
+        pose_blocks = np.zeros((pose_count, 6, 6))
+        cross_blocks = np.zeros((pose_count, landmark_count, 6, 3))
+        landmark_blocks = np.zeros((landmark_count, 3, 3))
+        b_pose = np.zeros((pose_count, 6))
+        b_landmark = np.zeros((landmark_count, 3))
+        np.add.at(pose_blocks, kf_idx, w * np.einsum("nki,nkj->nij", j_pose, j_pose))
+        np.add.at(cross_blocks, (kf_idx, lm_idx),
+                  w * np.einsum("nki,nkj->nij", j_pose, j_landmark))
+        np.add.at(landmark_blocks, lm_idx,
+                  w * np.einsum("nki,nkj->nij", j_landmark, j_landmark))
+        np.add.at(b_pose, kf_idx,
+                  -weight[:, None] * np.einsum("nki,nk->ni", j_pose, residual))
+        np.add.at(b_landmark, lm_idx,
+                  -weight[:, None] * np.einsum("nki,nk->ni", j_landmark, residual))
+        return pose_blocks, cross_blocks, landmark_blocks, b_pose, b_landmark
+
+    def _total_cost(self, landmark_ids: List[int],
+                    gathered: Optional[Tuple[np.ndarray, ...]] = None) -> float:
+        if gathered is None:
+            gathered = self._gather_window(landmark_ids)
+        if gathered is None:
+            return 0.0
+        _, _, residual, weight = self._batched_residuals(gathered, landmark_ids)
+        return float(np.sum(weight * np.einsum("ni,ni->n", residual, residual)))
+
+    def _solve_normal_equations(self, landmark_ids: List[int], damping: float,
+                                workload: SlamWorkload,
+                                gathered: Optional[Tuple[np.ndarray, ...]] = None,
+                                ) -> Optional[Tuple[np.ndarray, Dict[int, np.ndarray]]]:
+        """Build and solve the damped normal equations with a Schur complement."""
+        pose_count = len(self.keyframes)
+        pose_dim = 6 * pose_count
+        landmark_count = len(landmark_ids)
+        landmark_dim = 3 * landmark_count
+        landmark_index = {track_id: i for i, track_id in enumerate(landmark_ids)}
+
+        if gathered is None:
+            gathered = self._gather_window(landmark_ids)
+        if gathered is not None:
+            pose_blocks, cross_blocks, landmark_blocks, b_pose, b_landmark = (
+                self._assemble_normal_blocks(gathered, landmark_ids)
+            )
+        else:
+            pose_blocks = np.zeros((pose_count, 6, 6))
+            cross_blocks = np.zeros((pose_count, landmark_count, 6, 3))
+            landmark_blocks = np.zeros((landmark_count, 3, 3))
+            b_pose = np.zeros((pose_count, 6))
+            b_landmark = np.zeros((landmark_count, 3))
+
+        h_pp = self._block_diagonal(pose_blocks)
+        h_pl = cross_blocks.transpose(0, 2, 1, 3).reshape(pose_dim, landmark_dim)
+        b_p = b_pose.reshape(-1)
+        b_l = b_landmark.reshape(-1)
+
+        # Gauge fixing: anchor the first keyframe with a strong prior.
+        h_pp[:6, :6] += np.eye(6) * 1e8
+        # Marginalization prior from previously removed keyframes.
+        self._apply_prior(h_pp, b_p)
+
+        h_pp += np.eye(pose_dim) * damping
+        landmark_blocks += np.eye(3) * damping
+
+        workload.hessian_dim = max(workload.hessian_dim, pose_dim + landmark_dim)
+
+        try:
+            # Schur complement over landmarks: H_ll is block diagonal (3x3), so
+            # its inverse is one batched 3x3 inversion.
+            h_ll_inv = self._block_diagonal(batched_symmetric_inverse(landmark_blocks))
+            h_pl_h_ll_inv = matmul(h_pl, h_ll_inv)
+            reduced_h = h_pp - matmul(h_pl_h_ll_inv, transpose(h_pl))
+            reduced_b = b_p - h_pl_h_ll_inv @ b_l
+            pose_delta = solve_cholesky(reduced_h + np.eye(pose_dim) * 1e-9, reduced_b)
+            landmark_delta_vec = h_ll_inv @ (b_l - h_pl.T @ pose_delta)
+        except np.linalg.LinAlgError:
+            return None
+
+        landmark_deltas = {
+            track_id: landmark_delta_vec[3 * i : 3 * i + 3] for track_id, i in landmark_index.items()
+        }
+        return pose_delta, landmark_deltas
+
+    def _marginalize_oldest(self, workload: SlamWorkload) -> None:
+        """Marginalize the oldest keyframe and its exclusive landmarks."""
+        departing = self.keyframes[0]
+        remaining_frames = [kf.frame_index for kf in self.keyframes[1:]]
+
+        # Landmarks observed only by the departing keyframe are simply dropped
+        # (they carry no information about the remaining states); landmarks it
+        # shares with the window are marginalized through the Schur complement.
+        shared_landmarks = [
+            track_id for track_id in departing.observations
+            if track_id in self.landmarks
+            and any(track_id in kf.observations for kf in self.keyframes[1:])
+        ]
+        exclusive = [
+            track_id for track_id in departing.observations
+            if track_id in self.landmarks and track_id not in shared_landmarks
+        ]
+        workload.feature_points = len(departing.observations)
+
+        # Build a small linearized system over (departing pose, shared landmarks,
+        # remaining poses) and marginalize the first two groups.
+        pose_count = len(self.keyframes)
+        landmark_count = len(shared_landmarks)
+        pose_dim = 6 * pose_count
+        landmark_dim = 3 * landmark_count
+        total_dim = pose_dim + landmark_dim
+        hessian = np.zeros((total_dim, total_dim))
+        gradient = np.zeros(total_dim)
+
+        gathered = self._gather_window(shared_landmarks) if shared_landmarks else None
+        if gathered is not None:
+            pose_blocks, cross_blocks, landmark_blocks, b_pose, b_landmark = (
+                self._assemble_normal_blocks(gathered, shared_landmarks)
+            )
+            cross = cross_blocks.transpose(0, 2, 1, 3).reshape(pose_dim, landmark_dim)
+            hessian[:pose_dim, :pose_dim] = self._block_diagonal(pose_blocks)
+            hessian[:pose_dim, pose_dim:] = cross
+            hessian[pose_dim:, :pose_dim] = cross.T
+            hessian[pose_dim:, pose_dim:] = self._block_diagonal(landmark_blocks)
+            gradient[:pose_dim] = b_pose.reshape(-1)
+            gradient[pose_dim:] = b_landmark.reshape(-1)
+
+        marginalize_indices = list(range(0, 6)) + list(range(pose_dim, total_dim))
+        result: MarginalizationResult = marginalize_schur(hessian, gradient, marginalize_indices)
+        workload.marginalized_dim = result.marginalized_dim
+
+        self._prior_hessian = result.hessian
+        self._prior_gradient = result.gradient
+        self._prior_frames = remaining_frames
+
+        for track_id in exclusive:
+            # Exclusive landmarks leave the active map but stay available to
+            # the tracking block as part of the persisted map.
+            pass
+        self.keyframes.pop(0)
 
 
 def _same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
@@ -1156,6 +1365,105 @@ class TestSegmentSynthesis:
         assert _imu_bits(target.imu_samples)[1:] == imu_before[1:]
         assert _world_bits(segment.world) == world_before
         assert [_frame_bits(frame) for frame in build().frames] == frames_before
+
+
+# ------------------------------------------------- window bundle adjustment
+
+
+_SCATTER_VALUES = st.one_of(st.just(0.0), st.just(-0.0),
+                            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+
+
+@st.composite
+def _scatter_cases(draw):
+    """Few slots and many rows, so indices repeat; signed zeros in the values."""
+    count = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.integers(min_value=1, max_value=24))
+    shape = draw(st.sampled_from([(), (3,), (6,), (3, 3), (6, 3), (6, 6)]))
+    index = np.array(draw(st.lists(st.integers(min_value=0, max_value=count - 1),
+                                   min_size=rows, max_size=rows)), dtype=np.int64)
+    size = int(np.prod(shape))
+    values = np.array(draw(st.lists(_SCATTER_VALUES, min_size=rows * size, max_size=rows * size)),
+                      dtype=float).reshape((rows,) + shape)
+    return index, values, count
+
+
+class TestScatterSum:
+    @given(case=_scatter_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_add_at(self, case):
+        index, values, count = case
+        expected = np.zeros((count,) + values.shape[1:])
+        np.add.at(expected, index, values)
+        assert _same_bits(scatter_sum(index, values, count), expected)
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        got = scatter_sum(np.array([0, 0, 1]), np.array([-0.0, -0.0, -0.0]), 3)
+        assert _same_bits(got, np.zeros(3))
+
+
+def _ba_frames(seed: int, frames: int, outliers: float, perturbation: float) -> List[tuple]:
+    """(frontend result, pose guess) per frame of a platform moving past a
+    landmark field: noisy body-frame points, a share of gross outliers (so
+    Huber weights kick in) and perturbed pose guesses (so steps get rejected)."""
+    rng = np.random.default_rng(seed)
+    world = rng.uniform(-6.0, 6.0, (40, 3)) + np.array([4.0, 0.0, 0.0])
+    out = []
+    for index in range(frames):
+        truth = Pose(euler_to_rotation(0.05 * index, 0.0, 0.0), np.array([0.3 * index, 0.0, 0.0]))
+        observations = []
+        for track_id in np.flatnonzero(rng.random(len(world)) < 0.8):
+            noise_std = rng.uniform(0.01, 0.2, 3)
+            point = truth.rotation.T @ (world[track_id] - truth.translation) + rng.normal(0.0, noise_std)
+            if rng.random() < outliers:
+                point = point + rng.normal(0.0, 2.0, 3)
+            observations.append(SimpleNamespace(track_id=int(track_id), point_body=point,
+                                                noise_std=noise_std))
+        guess = truth.perturb(rng.normal(0.0, perturbation / 5.0, 3), rng.normal(0.0, perturbation, 3))
+        out.append((SimpleNamespace(frame_index=index, timestamp=0.1 * index,
+                                    observations=observations), guess))
+    return out
+
+
+def _mapper_bits(mapper: KeyframeMapper) -> tuple:
+    prior = [None if a is None else a.tobytes()
+             for a in (mapper._prior_hessian, mapper._prior_gradient)]
+    return ([(kf.pose.rotation.tobytes(), kf.pose.translation.tobytes()) for kf in mapper.keyframes],
+            [(track_id, position.tobytes()) for track_id, position in mapper.landmarks.items()],
+            prior, list(mapper._prior_frames))
+
+
+def _run_pair(config: MappingConfig, frames: List[tuple]) -> int:
+    """Feed both mappers the same keyframes; return how many steps the
+    trimmed one rejected (restored)."""
+    trimmed, reference = KeyframeMapper(config), _ReferenceMapper(config)
+    restores = []
+    restore = trimmed._restore
+    trimmed._restore = lambda backup: (restores.append(1), restore(backup))
+    for frontend, guess in frames:
+        got = trimmed.insert_keyframe(frontend, guess)
+        expected = reference.insert_keyframe(frontend, guess)
+        assert got == expected
+        assert _mapper_bits(trimmed) == _mapper_bits(reference)
+    return len(restores)
+
+
+class TestWindowBundleAdjustment:
+    """Residual reuse, by-reference backups and ``scatter_sum`` leave the
+    window solve, its rejected steps and the marginalization prior
+    bit-identical."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           frames=st.integers(min_value=2, max_value=9),
+           window=st.integers(min_value=2, max_value=5),
+           outliers=st.sampled_from([0.0, 0.1, 0.3]),
+           perturbation=st.sampled_from([0.0, 0.05, 0.5]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, seed, frames, window, outliers, perturbation):
+        _run_pair(MappingConfig(window_size=window), _ba_frames(seed, frames, outliers, perturbation))
+
+    def test_rejected_steps_restore_the_same_bits(self):
+        assert _run_pair(MappingConfig(window_size=3), _ba_frames(0, 8, outliers=0.0, perturbation=0.5)) > 0
 
 
 # ------------------------------------------------------- host numpy canary
