@@ -8,9 +8,12 @@ from repro.backend.mapping import KeyframeMapper, SlamWorkload
 from repro.backend.marginalization import marginalize_schur, marginalize_structured
 from repro.backend.slam import SlamBackend
 from repro.common.config import BackendConfig, MappingConfig
-from repro.common.geometry import Pose
+from repro.common.geometry import Pose, so3_exp
+from repro.experiments.runner import sensor_config_for
 from repro.frontend.frontend import VisualFrontend
 from repro.frontend.orb import descriptor_from_seed
+from repro.sensors.scenarios import ScenarioKind
+from repro.serving.streams import ScenarioStream, StreamSegment, StreamSpec
 
 
 def random_spd(n, seed=0):
@@ -230,3 +233,37 @@ class TestSlamBackend:
         slam.reset()
         assert not slam.initialized
         assert slam.mapper.map_size == 0
+
+
+class TestKeyframeSpacing:
+    """The default keyframe spacing must skip frames at fleet speeds.
+
+    Counts, not timings: each inserted keyframe runs window bundle adjustment,
+    so the insertion rate is what the SLAM backend's cost scales with.
+    """
+
+    def test_fleet_speed_segment_inserts_on_at_most_60_percent_of_frames(self):
+        # One serving segment at the fleet's 5 Hz camera rate, moving 0.3 m
+        # per frame: a keyframe on every frame at the old 0.25 m spacing.
+        spec = StreamSpec("keyframes", (StreamSegment(ScenarioKind.INDOOR_KNOWN, 8.0),), seed=1)
+        sequence = ScenarioStream(spec, sensor_config_for("drone", spec.camera_rate_hz, spec.seed)
+                                  ).build_segment(0)
+        steps = [np.linalg.norm(b.ground_truth.translation - a.ground_truth.translation)
+                 for a, b in zip(sequence.frames, sequence.frames[1:])]
+        assert 0.24 <= np.median(steps) <= 0.31
+        frontend = VisualFrontend(rig=sequence.rig, sparse=True, dropout_probability=0.0)
+        slam = SlamBackend(BackendConfig(), camera=sequence.rig.camera)
+        inserted = 0
+        for frame in sequence.frames:
+            slam.process(frontend.process(frame), frame)
+            inserted += slam.mapper.keyframes[-1].frame_index == frame.index
+        assert inserted <= 0.6 * len(sequence.frames), (inserted, len(sequence.frames))
+
+    def test_one_frame_of_motion_is_not_a_keyframe(self):
+        mapper = KeyframeMapper()
+        mapper.keyframes.append(
+            type("KF", (), {"pose": Pose.identity(), "frame_index": 0, "observations": {}})()
+        )
+        turn = so3_exp(np.array([0.0, 0.0, 0.05]))
+        assert not mapper.should_insert_keyframe(Pose(turn, np.array([0.3, 0.0, 0.0])))
+        assert mapper.should_insert_keyframe(Pose(turn, np.array([0.7, 0.0, 0.0])))
