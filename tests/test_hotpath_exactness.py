@@ -1437,15 +1437,21 @@ def _run_pair(config: MappingConfig, frames: List[tuple]) -> int:
     """Feed both mappers the same keyframes; return how many steps the
     trimmed one rejected (restored)."""
     trimmed, reference = KeyframeMapper(config), _ReferenceMapper(config)
-    restores = []
+    restores = 0
     restore = trimmed._restore
-    trimmed._restore = lambda backup: (restores.append(1), restore(backup))
+
+    def counting_restore(backup):
+        nonlocal restores
+        restores += 1
+        restore(backup)
+
+    trimmed._restore = counting_restore
     for frontend, guess in frames:
         got = trimmed.insert_keyframe(frontend, guess)
         expected = reference.insert_keyframe(frontend, guess)
         assert got == expected
         assert _mapper_bits(trimmed) == _mapper_bits(reference)
-    return len(restores)
+    return restores
 
 
 class TestWindowBundleAdjustment:
