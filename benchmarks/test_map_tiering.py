@@ -1,18 +1,15 @@
-"""Map tiering: canonical-memo economics + Tier-2 delta sync, bit-identical.
+"""Map tiering: canonical-memo economics, bit-identical at every width.
 
-The tiered map plane must pay for itself without buying any of it with
-correctness.  This benchmark serves one warm fleet through clusters of
-increasing width with the full tier plane active (the coordinator store's
-canonical-map memo, ``{version, inputs}`` shard sync) and pins both halves:
+The coordinator store's canonical-map memo must pay for itself without
+buying any of it with correctness.  This benchmark serves one warm fleet
+through clusters of increasing width, each shipping the resolved snapshots
+to its shards, and pins both halves:
 
 * **determinism** — every topology's report signature equals a plain
   engine's on an identically warmed store (content addressing makes
-  separately warmed roots byte-identical), with the memo and the
-  reference protocol in the path;
+  separately warmed roots byte-identical), with the memo in the path;
 * **economics** — a warm re-serve is answered by the store's resolve memo
-  (resolve hit rate >= 0.5 — in practice 1.0: no unpickle, no re-merge),
-  and a drifting-world update wave ships strictly fewer sync bytes as
-  references than the full-snapshot protocol would have.
+  (resolve hit rate >= 0.5 — in practice 1.0: no unpickle, no re-merge).
 """
 
 from conftest import append_bench_row, print_banner
@@ -24,7 +21,7 @@ from repro.serving import ServingEngine, drifting_environment_fleet
 
 RATE = 5.0
 #: Small test fleets build small maps; the permissive gate keeps the focus
-#: on the tier plane (the unit tests pin the gate behavior itself).
+#: on the memo (the unit tests pin the gate behavior itself).
 GATE = 0.05
 FLEET_SIZE = 6
 ENVIRONMENT = "depot"
@@ -44,15 +41,13 @@ def _warm_root(root, duration) -> None:
         cold)
 
 
-def _fleet(duration, base_seed, prefix, **drift):
+def _fleet(duration, base_seed, prefix):
     return drifting_environment_fleet(
         FLEET_SIZE, environment=ENVIRONMENT, base_seed=base_seed,
-        prefix=prefix, segment_duration=duration, camera_rate_hz=RATE,
-        **drift)
+        prefix=prefix, segment_duration=duration, camera_rate_hz=RATE)
 
 
-def test_map_tiering(benchmark, tmp_path, monkeypatch, shard_settings,
-                     serving_settings):
+def test_map_tiering(benchmark, tmp_path, shard_settings, serving_settings):
     duration = serving_settings["segment_duration"]
     warm_wave = _fleet(duration, 5000, "warm")
     rewarm_wave = _fleet(duration, 6000, "rewarm")
@@ -75,8 +70,8 @@ def test_map_tiering(benchmark, tmp_path, monkeypatch, shard_settings,
             shards, map_store=_store(root), min_map_quality=GATE,
             map_updates=False)
         first = cluster.serve(warm_wave)
-        # Memo + delta sync active: bit-identical to the plain engine at
-        # every width.
+        # Memo active, resolved maps shipped: bit-identical to the plain
+        # engine at every width.
         assert first.signature() == plain.signature(), (
             f"{shards}-shard tiered serving diverged from the plain engine")
         assert first.map_resolve_misses >= 1  # the cold lookup is honest
@@ -101,40 +96,8 @@ def test_map_tiering(benchmark, tmp_path, monkeypatch, shard_settings,
             sessions_per_second=second.sessions_per_second,
         )
 
-    # Tier-2 on a drifting-world update wave: >= 2 loaded shards, payload
-    # dispatch, updates applied — and the references must undercut the
-    # full-snapshot protocol.  Sync bytes count only what crossed a process
-    # boundary, so the width is pinned wide enough to spawn on any host.
-    monkeypatch.setenv("EUDOXUS_MAX_WORKERS", str(max(shard_counts)))
-    sync_root = tmp_path / "maps-sync"
-    _warm_root(sync_root, duration)
-    sync_cluster = ShardedServingEngine(
-        max(shard_counts), map_store=_store(sync_root), min_map_quality=GATE)
-    update_wave = sync_cluster.serve(
-        _fleet(duration, 20000, "drift",
-               drift_m=2.0, drift_fraction=0.4, drift_seed=7))
-    sync = sync_cluster.sync_accounting
-    if max(shard_counts) >= 2:
-        assert len(set(update_wave.shard_of.values())) >= 2, (
-            "update wave loaded a single shard — sync path unexercised")
-        assert update_wave.maps_updated, "drifted wave repaired nothing"
-        assert sync.waves >= 1 and sync.fallbacks == 0
-        assert 0 < sync.delta_bytes < sync.full_bytes, (
-            f"references ({sync.delta_bytes} B) did not undercut full "
-            f"snapshots ({sync.full_bytes} B)")
-    append_bench_row(
-        "map_tiering_sync",
-        savings_fraction=sync.savings_fraction,
-        delta_bytes=sync.delta_bytes,
-        full_bytes=sync.full_bytes,
-    )
-
     print_banner("Serving — tiered map distribution")
     print(format_table(
         ["shards", "execution", "sessions", "warm_hit_rate", "sessions/s"],
         rows))
     print(f"\nall widths bit-identical to the plain engine: True")
-    print(f"update-wave sync: {sync.delta_bytes} B shipped as references "
-          f"vs {sync.full_bytes} B full snapshots "
-          f"({100.0 * sync.savings_fraction:.1f}% saved, "
-          f"{sync.fallbacks} fallbacks)")

@@ -25,12 +25,11 @@ lifecycle then *closes*: the registering wave hands back MapUpdate deltas,
 a landmark-displacement burst demonstrates staleness detection
 (``map_stale`` demotion) and update-driven repair, and the map-aware
 autoscaler shows a warm registration-heavy fleet priming — and staying —
-at a fraction of the cold fleet's worker count.  The tiered distribution
-plane gets its own exhibit: a sharded cluster resolves warm waves through
-the coordinator store's canonical-map memo (hits validated by the snapshot
-file stems — no unpickle, no re-merge) and ships Tier-2
-``{version, inputs}`` references to its shards, with the per-wave memo
-hit/miss table and the full-vs-delta byte savings printed.
+at a fraction of the cold fleet's worker count.  The canonical-map memo
+gets its own exhibit: a sharded cluster resolves warm waves through the
+coordinator store's memo (hits validated by the snapshot file stems — no
+unpickle, no re-merge) and ships the resolved snapshots to its shards, with
+the per-wave memo hit/miss table printed.
 
 The epilogue is service mode: the same engine behind the asyncio front
 door (`repro.service`), with per-tenant QoS classes mapped onto serving
@@ -235,16 +234,15 @@ def main() -> None:
               f"{recovered.map_acquisition_count} acquisitions, mode census "
               f"{recovered_modes} — registration again, no re-demotion")
 
-    # 9. Tiered map distribution: a 2-shard cluster on the same kind of
-    #    shared world.  The coordinator resolves each wave through its map
-    #    store's canonical-map memo — after the first wave the snapshot
-    #    file stems are unchanged, so every later resolve is a hit that
-    #    never unpickles a snapshot or re-runs a merge — and process-mode
-    #    waves ship Tier-2 {version, inputs} references to the shards
-    #    instead of pickled snapshots.  (The store is frozen here; an
-    #    update fold would move the canonical and honestly turn the next
-    #    resolve into a re-merging miss.)
-    print("\n--- tiered map distribution: canonical memo + delta sync ---")
+    # 9. Canonical-map memo: a 2-shard cluster on the same kind of shared
+    #    world.  The coordinator resolves each wave through its map store's
+    #    canonical-map memo — after the first wave the snapshot file stems
+    #    are unchanged, so every later resolve is a hit that never
+    #    unpickles a snapshot or re-runs a merge — and ships the resolved
+    #    snapshots to the shards.  (The store is frozen here; an update
+    #    fold would move the canonical and honestly turn the next resolve
+    #    into a re-merging miss.)
+    print("\n--- sharded map resolution: canonical memo ---")
     with tempfile.TemporaryDirectory() as map_root:
         seed_store = MapStore(map_root, max_bytes=-1, max_age_s=-1)
         ServingEngine(store=None, map_store=seed_store,
@@ -268,12 +266,6 @@ def main() -> None:
         memo = cluster.map_store
         total = memo.resolve_hits + memo.resolve_misses
         print(f"  lifetime hit rate {memo.resolve_hits / max(1, total):.2f}")
-        sync = cluster.sync_accounting
-        print(f"Tier-2 delta sync over {sync.waves} process wave(s): "
-              f"{sync.delta_bytes} B shipped as references vs "
-              f"{sync.full_bytes} B as full snapshots "
-              f"({100.0 * sync.savings_fraction:.1f}% saved, "
-              f"{sync.fallbacks} fallbacks)")
 
     # 10. Map-aware autoscaling: the engine's pre-dispatch map resolution
     #    knows each session's expected mode mix, so the autoscaler starts

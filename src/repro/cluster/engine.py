@@ -10,9 +10,10 @@ fixed hash slots, rebalanced by slot reassignment), each shard a
 dispatch step differs (partition, fan out, merge):
 
 * the coordinator resolves the wave's canonical map assignment once,
-  pre-dispatch, and pins every shard to it
-  (``ServingEngine.serve(..., fleet_maps=...)``).  Shards have no map
-  store, so they never resolve, publish or apply;
+  pre-dispatch, ships the resolved snapshots in every shard payload and
+  pins the shard to them (``ServingEngine.serve(..., fleet_maps=...)``).
+  Shards have no map store, so they never resolve, merge, publish or
+  apply;
 * every loaded shard is served from a payload through
   :func:`~repro.experiments.runner.fan_out` — the one dispatch path, run
   in worker processes when ``EUDOXUS_MAX_WORKERS`` allows and a pool
@@ -51,14 +52,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import RunStore, fan_out, resolve_max_workers
-from repro.maps import (
-    DEFAULT_MIN_MAP_QUALITY,
-    MapMerger,
-    MapSnapshot,
-    MapStore,
-    SyncAccounting,
-)
-from repro.maps.tier import payload_bytes
+from repro.maps import DEFAULT_MIN_MAP_QUALITY, MapMerger, MapSnapshot, MapStore
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder, recorder_from_env
 from repro.obs.slo import SLOTracker
@@ -109,14 +103,9 @@ def _serve_shard_payload(payload: Dict) -> ServingReport:
     ``EUDOXUS_RECORDER`` say: the coordinator publishes, traces, and
     captures at most one bundle from the merged report.
 
-    The wave's map assignment arrives as Tier-2 ``{version, inputs}``
-    references (``fleet_map_sync``), not pickled snapshots: the shard
-    rebuilds each canonical from the shared map store through
-    :meth:`~repro.maps.MapStore.materialize` (content addressing makes the
-    rebuild provably bit-identical — the version must match).  A reference
-    that cannot be materialized falls back to the store's own canonical
-    merge; a version mismatch there is a determinism violation and raises
-    rather than serving a map the coordinator never resolved.
+    The wave's map assignment arrives whole: ``fleet_maps`` holds the
+    canonical snapshots the coordinator resolved, and the shard serves
+    exactly those (a map pickles to a few KB), so it never merges.
 
     The shard's autoscaler and decision-clock water-mark come back on the
     report (``shard_state``) for the coordinator to adopt.
@@ -124,24 +113,6 @@ def _serve_shard_payload(payload: Dict) -> ServingReport:
     specs = [StreamSpec.from_payload(raw) for raw in payload["specs"]]
     run_store = (RunStore(payload["run_root"], *payload["run_bounds"])
                  if payload["run_root"] else None)
-    map_store = (MapStore(payload["map_root"], *payload["map_bounds"])
-                 if payload["map_root"] else None)
-    merger = payload["merger"]
-    fleet_maps: Dict[str, MapSnapshot] = {}
-    for environment_id, ref in payload["fleet_map_sync"].items():
-        snapshot = ref["snapshot"]
-        if snapshot is None and map_store is not None:
-            snapshot = map_store.materialize(
-                environment_id, ref["version"], ref["inputs"], merger=merger)
-        if snapshot is None and map_store is not None:
-            candidate = map_store.canonical(environment_id, merger)
-            if candidate is not None and candidate.version == ref["version"]:
-                snapshot = candidate
-        if snapshot is None:
-            raise RuntimeError(
-                f"shard {payload['shard']} could not materialize canonical "
-                f"map {ref['version'][:12]} for {environment_id}")
-        fleet_maps[environment_id] = snapshot
     engine = ServingEngine(
         store=run_store,
         autoscaler=payload["autoscaler"],
@@ -150,7 +121,7 @@ def _serve_shard_payload(payload: Dict) -> ServingReport:
     )
     engine.tracer = engine.recorder = None
     engine._decision_clock = payload["decision_clock"]
-    report = engine.serve(specs, fleet_maps=fleet_maps)
+    report = engine.serve(specs, fleet_maps=payload["fleet_maps"])
     report.shard_state = (engine.autoscaler, engine._decision_clock)
     return report
 
@@ -236,8 +207,10 @@ class ShardedServingEngine(WaveLifecycle):
     *coordinator's* handles.  Shard engines live for one wave, each built
     from its payload with its own run-store handle onto the same root —
     both the scale-out story and the cross-instance coordination the store
-    machinery is tested for; the map store is touched by the coordinator
-    alone.  Only controller state persists per shard: ``autoscalers[i]``
+    machinery is tested for.  The map store is touched by the coordinator
+    alone: each payload carries the wave's resolved snapshots
+    (``fleet_maps``), so a shard neither reads the store nor merges.  Only
+    controller state persists per shard: ``autoscalers[i]``
     (adopted in place, so the admission probe's object never changes) and
     ``decision_clocks[i]``.  ``max_workers_per_shard`` and
     ``shard_parallel`` chose a per-shard pool and the shard executor, both
@@ -269,7 +242,6 @@ class ShardedServingEngine(WaveLifecycle):
         self.ring = HashRing(self.shard_count, slot_count)
         self.rebalancer = rebalancer if rebalancer is not None else ShardRebalancer()
         self.run_store = run_store
-        self.sync_accounting = SyncAccounting()
         if max_workers_per_shard is not None:
             warnings.warn("ShardedServingEngine(max_workers_per_shard=) has no "
                           "effect; each shard's autoscaler sizes its loop",
@@ -329,8 +301,7 @@ class ShardedServingEngine(WaveLifecycle):
             shard_specs[shard].append(spec)
         loaded = [shard for shard in range(self.shard_count) if shard_specs[shard]]
         shard_reports: List[Optional[ServingReport]] = [None] * self.shard_count
-        sync_plan, sync_fallbacks = self._build_sync_plan(fleet_maps)
-        payloads = [self._shard_payload(shard, shard_specs[shard], sync_plan)
+        payloads = [self._shard_payload(shard, shard_specs[shard], fleet_maps)
                     for shard in loaded]
         spawned = [False]
         width = min(len(loaded), resolve_max_workers(None))
@@ -342,15 +313,6 @@ class ShardedServingEngine(WaveLifecycle):
                 shard = loaded[index]
                 shard_reports[shard] = shard_report
                 self._adopt_shard_state(shard, shard_report)
-        if spawned[0] and fleet_maps:
-            # Bytes that crossed the process boundary: every payload ships
-            # the same plan; the counterfactual is every payload shipping
-            # the full resolved snapshots.
-            self.sync_accounting.record(
-                full_bytes=payload_bytes(fleet_maps) * len(payloads),
-                delta_bytes=payload_bytes(sync_plan) * len(payloads),
-                environments=len(fleet_maps) * len(payloads),
-                fallbacks=sync_fallbacks * len(payloads))
         report = self._merge(shard_reports, shard_of, parallel=spawned[0])
         self._record_slo(report)
         report.rebalances = self._rebalance(specs, shard_reports, fleet_maps)
@@ -358,55 +320,21 @@ class ShardedServingEngine(WaveLifecycle):
         self._emit_trace(report)
         return report
 
-    def _build_sync_plan(self, fleet_maps: Dict[str, MapSnapshot]
-                         ) -> Tuple[Dict[str, Dict], int]:
-        """The wave's Tier-2 sync plan: one reference per resolved map.
-
-        A reference carries the canonical version and the snapshot file
-        stems its merge consumed, read from the store's resolve memo
-        (:meth:`~repro.maps.MapStore.canonical_provenance` — no merge, no
-        extra store traffic); the shard rebuilds the exact snapshot from
-        the shared store.  A memo that cannot vouch for the resolved
-        version embeds the full snapshot instead — counted as a fallback,
-        never served silently wrong.
-        """
-        plan: Dict[str, Dict] = {}
-        fallbacks = 0
-        for environment_id, snapshot in fleet_maps.items():
-            inputs, canonical = self.map_store.canonical_provenance(
-                environment_id, self.map_merger)
-            if canonical is not None and canonical.version == snapshot.version:
-                plan[environment_id] = {"version": snapshot.version,
-                                        "inputs": list(inputs),
-                                        "snapshot": None}
-            else:
-                plan[environment_id] = {"version": snapshot.version,
-                                        "inputs": None,
-                                        "snapshot": snapshot}
-                fallbacks += 1
-        return plan, fallbacks
-
     def _shard_payload(self, shard: int, specs: List[StreamSpec],
-                       sync_plan: Dict[str, Dict]) -> Dict:
+                       fleet_maps: Dict[str, MapSnapshot]) -> Dict:
         return {
-            "shard": shard,
             "specs": [spec.payload() for spec in specs],
             "run_root": (str(self.run_store.root)
                          if self.run_store is not None else None),
             "run_bounds": (_store_bounds(self.run_store)
                            if self.run_store is not None else None),
-            "map_root": (str(self.map_store.base_root)
-                         if self.map_store is not None else None),
-            "map_bounds": (_store_bounds(self.map_store)
-                           if self.map_store is not None else None),
-            "merger": self.map_merger,
             # Shards serve maps pinned by the coordinator without a store of
             # their own, so they are told to size like a map-backed engine.
             "map_aware_sizing": self.map_store is not None,
             "frames_per_worker_tick": self.frames_per_worker_tick,
             "autoscaler": self.autoscalers[shard],
             "decision_clock": self.decision_clocks[shard],
-            "fleet_map_sync": sync_plan,
+            "fleet_maps": fleet_maps,
         }
 
     def _adopt_shard_state(self, shard: int, shard_report: ServingReport) -> None:
@@ -625,7 +553,6 @@ class ShardedServingEngine(WaveLifecycle):
             "eudoxus_cluster_rebalanced_slots_total",
             "Hash slots moved between shards by the rebalancer.")
         self._bind_map_plane_metrics(registry)
-        self.sync_accounting.bind_metrics(registry)
         if self.run_store is not None:
             self.run_store.bind_metrics(registry)
 

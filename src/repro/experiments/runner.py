@@ -28,6 +28,7 @@ import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -80,23 +81,37 @@ def fan_out(fn, payloads: Sequence[Dict], max_workers: int, on_pool=None):
 
     ``fn`` must be a module-level function of one picklable payload so it can
     cross the process boundary.  Results are yielded in completion order, so
-    callers can persist each one immediately; when no usable process pool is
-    available (restricted sandbox, missing semaphores, OOM-killed worker...)
-    the unfinished payloads are computed in-process instead.  ``on_pool`` is
-    called once when a pool actually spawned, so callers can keep honest
-    parallelism statistics.  Both the experiment runner and the sharded
-    serving coordinator fan their work out through this single helper.
+    callers can persist each one immediately.  Only a pool failure falls
+    back to in-process execution: when no pool can be created or fed
+    (restricted sandbox, missing semaphores...) or a worker dies
+    (``BrokenProcessPool``: OOM kill, ``os._exit``), the payloads whose
+    results were lost are computed in-process instead.  An exception raised
+    by ``fn`` itself propagates unchanged after exactly one run.  ``on_pool``
+    is called once when a pool actually answered, so callers can keep
+    honest parallelism statistics.  Both the experiment runner and the
+    sharded serving coordinator fan their work out through this single
+    helper.
     """
-    indices = list(range(len(payloads)))
+    pending = list(range(len(payloads)))
     if max_workers > 1 and len(payloads) > 1:
-        remaining = list(indices)
         try:
-            with ProcessPoolExecutor(
-                    max_workers=min(max_workers, len(payloads))) as executor:
-                index_of = {executor.submit(fn, payloads[i]): i for i in indices}
+            executor = ProcessPoolExecutor(
+                max_workers=min(max_workers, len(payloads)))
+        except (OSError, RuntimeError):
+            executor = None
+        if executor is not None:
+            with executor:
+                index_of = {}
+                try:
+                    for index in pending:
+                        index_of[executor.submit(fn, payloads[index])] = index
+                except (OSError, RuntimeError):
+                    pass  # the unsubmitted payloads run in-process below
                 for future in as_completed(index_of):
-                    index = index_of[future]
-                    result = future.result()
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        continue  # lost with its worker: rerun in-process
                     if on_pool is not None:
                         # Only after the first result actually came back
                         # from a worker: under the spawn start method the
@@ -105,12 +120,10 @@ def fan_out(fn, payloads: Sequence[Dict], max_workers: int, on_pool=None):
                         # counted as parallel execution.
                         on_pool()
                         on_pool = None
-                    remaining.remove(index)
+                    index = index_of[future]
+                    pending.remove(index)
                     yield index, result
-            return
-        except (OSError, RuntimeError):
-            indices = remaining
-    for index in indices:
+    for index in pending:
         yield index, fn(payloads[index])
 
 

@@ -19,23 +19,19 @@ turns maps from a static per-stream flag into a fleet-wide resource:
   closed lifecycle — per-landmark observation deltas a session accumulates
   while serving *against* a fleet map, applied back through
   :meth:`MapMerger.apply_updates` (confirm / relocate / prune).
-* :mod:`repro.maps.tier` — :class:`SyncAccounting`: the Tier-2 delta-sync
-  byte accounting for the ``{version, inputs}`` references a sharded
-  coordinator ships instead of pickled snapshots.
 * :mod:`repro.maps.store` — :class:`MapStore`: a persistent LRU store next
   to the run cache (``~/.cache/eudoxus-repro/maps``, ``EUDOXUS_MAP_CACHE*``
   overrides) with atomic concurrent-writer-safe publishes, a quality-gated
   :meth:`~MapStore.resolve` that serves the canonical map from the one
-  canonical-map memo (validated against the snapshot file stems),
-  :meth:`~MapStore.materialize` that rebuilds a canonical from a Tier-2
-  reference, and :meth:`~MapStore.apply_updates` folding registration
-  deltas into a new content-addressed canonical version (compacting the
-  superseded history).
+  canonical-map memo (validated against the snapshot file stems), and
+  :meth:`~MapStore.apply_updates` folding registration deltas into a new
+  content-addressed canonical version (compacting the superseded history).
 
 The serving layer closes the loop both ways: SLAM sessions publish
 snapshots at segment exits, the engine resolves fleet maps up front per
-serve call (so serial/streaming/pool stay bit-identical) and folds the
-resolved versions into its cache keys, sessions acquire maps mid-stream —
+serve call (a sharded coordinator ships the resolved snapshots themselves
+to its shards, which hold no store) and folds the resolved versions into
+its cache keys, sessions acquire maps mid-stream —
 shifting fleet traffic from SLAM onto registration as the map matures —
 and registration sessions hand observation deltas back, so a drifting
 world is detected (``map_stale`` demotion), repaired and re-served.
@@ -58,7 +54,6 @@ from repro.maps.store import (
     MapStore,
     default_map_root,
 )
-from repro.maps.tier import SyncAccounting
 from repro.maps.update import MapObservationAccumulator, MapUpdate
 
 __all__ = [
@@ -73,7 +68,6 @@ __all__ = [
     "MapSnapshot",
     "MapStore",
     "MapUpdate",
-    "SyncAccounting",
     "default_map_root",
     "degrade_snapshot",
     "merge_quality",

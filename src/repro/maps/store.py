@@ -34,7 +34,7 @@ import shutil
 import time
 from collections import deque
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.experiments.runner import RunStore, code_fingerprint
 from repro.maps.merger import MapMerger
@@ -204,66 +204,6 @@ class MapStore(RunStore):
             if separator:
                 seen.add(prefix)
         return sorted(seen)
-
-    def canonical(self, environment_id: str,
-                  merger: Optional[MapMerger] = None) -> Optional[MapSnapshot]:
-        """The ungated canonical map (memoized merge of the full history).
-
-        This is :meth:`resolve` without the quality gate — the shard-side
-        fallback when a Tier-2 reference cannot be materialized.
-        """
-        return self._canonical_merge(environment_id, merger or MapMerger())
-
-    def canonical_provenance(
-            self, environment_id: str, merger: Optional[MapMerger] = None,
-    ) -> Tuple[Tuple[str, ...], Optional[MapSnapshot]]:
-        """``(inputs, canonical)`` of the memo entry, as one consistent pair.
-
-        ``inputs`` are the snapshot file stems the memoized merge consumed —
-        a Tier-2 sync reference for :meth:`materialize`.  This only reads
-        the memo the last resolve filled: no directory scan, no merge, no
-        counter, so building references after a resolve never counts a
-        second lookup.  Taking the stems *from the memo entry* (rather than
-        re-scanning the directory) closes the publish race: a concurrent
-        writer landing after the merge can never pair the canonical with
-        stems the merge never saw.  ``((), None)`` when the memo holds no
-        entry for this merger.
-        """
-        merger = merger or MapMerger()
-        cached = self._canonical.get(environment_id)
-        if cached is None or cached[0][1] != merger.signature():
-            return (), None
-        return cached[0][0], cached[1]
-
-    def materialize(self, environment_id: str, version: str,
-                    inputs: Sequence[str],
-                    merger: Optional[MapMerger] = None) -> Optional[MapSnapshot]:
-        """Rebuild the exact canonical ``version`` from a Tier-2 reference.
-
-        ``inputs`` are the snapshot file stems the coordinator's merge
-        consumed; loading them from the shared store and merging under the
-        same merger parameters reproduces the canonical bit for bit (a
-        single input *is* the canonical — :meth:`MapMerger.merge` of one
-        snapshot returns it unchanged).  Returns ``None`` when an input is
-        unloadable or belongs to another environment, or when the rebuilt
-        version disagrees — the caller falls back rather than serving a map
-        it cannot prove identical.
-        """
-        merger = merger or MapMerger()
-        prefix = f"{_validate_environment(environment_id)}__"
-        loaded = []
-        for stem in inputs:
-            snapshot = (self.load_key(stem, expect=MapSnapshot)
-                        if stem.startswith(prefix) else None)
-            if snapshot is None:
-                return None
-            loaded.append(snapshot)
-        if not loaded:
-            return None
-        rebuilt = merger.merge(loaded)
-        if rebuilt is None or rebuilt.version != version:
-            return None
-        return rebuilt
 
     def resolve(self, environment_id: str,
                 merger: Optional[MapMerger] = None,

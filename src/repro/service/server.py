@@ -684,7 +684,7 @@ class LocalizationService:
             return None
         total = store.resolve_hits + store.resolve_misses
         merge_ms = list(store.merge_ms)
-        payload: Dict[str, object] = {
+        return {
             "resolve_hits": store.resolve_hits,
             "resolve_misses": store.resolve_misses,
             "resolve_hit_rate": (store.resolve_hits / total) if total else 0.0,
@@ -695,11 +695,6 @@ class LocalizationService:
             "updated": store.updated,
             "version_churn": dict(sorted(store.version_churn.items())),
         }
-        # On a cluster: the Tier-2 sync byte accounting.
-        sync = getattr(self.engine, "sync_accounting", None)
-        if sync is not None:
-            payload["tier_sync"] = sync.as_dict()
-        return payload
 
     def metrics(self) -> Dict[str, object]:
         scaler = getattr(self.engine, "autoscaler", None)

@@ -1,4 +1,5 @@
-"""The tiered map-distribution plane (ROADMAP item 5, tier layer).
+"""The canonical-map plane between the store and the engines (ROADMAP
+item 5).
 
 Contracts pinned here:
 
@@ -8,24 +9,19 @@ Contracts pinned here:
   lookup over one memoized canonical, and a foreign publish is a miss
   (all pinned on the store in ``tests/test_maps.py``).  Here: a foreign
   publish reaches an engine's very next wave.
-* **Tier-2 delta sync**: :meth:`MapStore.canonical_provenance` reads a
-  resolve's ``{version, inputs}`` reference off the memo without counting a
-  second lookup; :meth:`MapStore.materialize` rebuilds the exact canonical
-  from it; the sharded engine ships references instead of snapshots, the
-  byte accounting shows it, and a reference no shard can rebuild fails the
-  wave loudly.
+* **Shards get the resolved maps**: the sharded coordinator resolves each
+  wave once through its store's memo and ships the resolved snapshots
+  themselves to its shards.  A shard builds no map store and never
+  merges, and every session serves exactly the version the coordinator
+  resolved.
 * **Update-aware drift gating**: observed ``map_stale`` evidence closes a
   drifting environment's own quality gate *before* the next wave's
   sessions demote mid-segment, and the gate lifts when the canonical
   version moves.
 """
 
-import numpy as np
-import pytest
-
 from repro.cluster import ShardedServingEngine
-from repro.maps import MapMerger, MapSnapshot, MapStore, SyncAccounting
-from repro.maps.tier import payload_bytes
+from repro.maps import MapStore
 from repro.sensors.scenarios import ScenarioKind
 from repro.serving import (
     ServingEngine,
@@ -37,21 +33,6 @@ from repro.serving import (
 SEGMENT = 2.0
 RATE = 5.0
 EASY_GATE = 0.05
-
-
-def _snapshot(environment_id="env-a", count=40, spread=4.0, residual=0.05,
-              seed=0, id_offset=0, **overrides):
-    rng = np.random.default_rng(seed)
-    defaults = dict(
-        environment_id=environment_id,
-        landmark_ids=np.arange(id_offset, id_offset + count),
-        positions=rng.uniform(-spread, spread, size=(count, 3)),
-        mean_residual_m=residual,
-        max_residual_m=3.0 * residual,
-        source="test",
-    )
-    defaults.update(overrides)
-    return MapSnapshot(**defaults)
 
 
 def _store(tmp_path, name="maps"):
@@ -67,23 +48,6 @@ def _env_spec(stream_id, environment, seed=0):
 
 
 class TestCanonicalMemo:
-    def test_provenance_reads_the_memo_only(self, tmp_path):
-        store = _store(tmp_path)
-        store.publish(_snapshot(seed=1))
-        store.publish(_snapshot(seed=2, id_offset=100))
-        assert store.canonical_provenance("env-a") == ((), None)
-        resolved = store.resolve("env-a", min_quality=0.0)
-        counts = (store.resolve_hits, store.resolve_misses)
-        inputs, canonical = store.canonical_provenance("env-a")
-        assert canonical is resolved
-        assert inputs == tuple(sorted(f"env-a__{snapshot.version}"
-                                      for snapshot in store.snapshots("env-a")))
-        # A reference is read, not looked up: no second count.
-        assert (store.resolve_hits, store.resolve_misses) == counts
-        # The memo only vouches for the merger parameters it merged under.
-        other = MapMerger(drift_residual_m=0.123)
-        assert store.canonical_provenance("env-a", other) == ((), None)
-
     def test_engine_sees_foreign_publish_next_wave(self, tmp_path):
         store = _store(tmp_path)
         seed_engine = ServingEngine(store=None, map_store=store,
@@ -104,54 +68,7 @@ class TestCanonicalMemo:
         assert head.map_staleness_served == 0
 
 
-class TestMaterialize:
-    def test_rebuild_is_the_exact_canonical(self, tmp_path):
-        store = _store(tmp_path)
-        store.publish(_snapshot(seed=1))
-        store.publish(_snapshot(seed=2, id_offset=100))
-        store.resolve("env-a", min_quality=0.0)
-        inputs, canonical = store.canonical_provenance("env-a")
-        # A fresh handle (the shard side) rebuilds from the reference.
-        shard_store = _store(tmp_path)
-        rebuilt = shard_store.materialize("env-a", canonical.version, inputs)
-        assert rebuilt is not None and rebuilt.version == canonical.version
-        # Rebuilding is not a resolve: the shard's memo counters stay put.
-        assert (shard_store.resolve_hits, shard_store.resolve_misses) == (0, 0)
-
-    def test_unloadable_or_mismatched_inputs_return_none(self, tmp_path):
-        store = _store(tmp_path)
-        snapshot = _snapshot(seed=1)
-        store.publish(snapshot)
-        store.publish(_snapshot(environment_id="env-b", seed=2))
-        stem = f"env-a__{snapshot.version}"
-        assert store.materialize("env-a", snapshot.version,
-                                 ["env-a__missing"]) is None
-        assert store.materialize("env-a", "not-the-version", [stem]) is None
-        assert store.materialize("env-a", snapshot.version, []) is None
-        # A stem of another environment never vouches for this one.
-        assert store.materialize("env-b", snapshot.version, [stem]) is None
-        assert store.materialize("env-a", snapshot.version, [stem]) is not None
-
-
-class TestSyncAccounting:
-    def test_record_and_savings(self):
-        sync = SyncAccounting()
-        assert sync.savings_fraction == 0.0
-        sync.record(full_bytes=1000, delta_bytes=100, environments=2)
-        sync.record(full_bytes=1000, delta_bytes=900, environments=2,
-                    fallbacks=1)
-        assert sync.waves == 2 and sync.environments == 4
-        assert sync.fallbacks == 1
-        assert sync.savings_fraction == pytest.approx(0.5)
-        assert sync.as_dict()["savings_fraction"] == pytest.approx(0.5)
-
-    def test_payload_bytes_is_pickle_cost(self):
-        assert payload_bytes({"a": 1}) > 0
-        assert payload_bytes(_snapshot(count=200)) > \
-            payload_bytes({"version": "x" * 64, "inputs": ["y" * 70]})
-
-
-class TestClusterDeltaSync:
+class TestClusterFleetMaps:
     def _warm_store(self, tmp_path):
         store = _store(tmp_path)
         cold = [_env_spec(f"cold-{i}", "depot", seed=seed)
@@ -161,77 +78,53 @@ class TestClusterDeltaSync:
             cold)
         return store
 
-    def test_process_wave_ships_references_not_snapshots(self, tmp_path,
+    def test_process_wave_resolves_once_through_the_memo(self, tmp_path,
                                                          monkeypatch):
         self._warm_store(tmp_path)
-        # Width 2 lets the shards spawn even on a 1-core host: sync bytes
-        # count only what crossed a process boundary.
+        # Width 2 lets the shards spawn even on a 1-core host.
         monkeypatch.setenv("EUDOXUS_MAX_WORKERS", "2")
         # map_updates off: an applied update fold moves the canonical and
         # would (correctly) turn the second wave into a revalidating miss;
-        # the frozen store isolates the memo/sync protocol itself.
+        # the frozen store isolates the memo itself.
         cluster = ShardedServingEngine(
             2, map_store=_store(tmp_path), min_map_quality=EASY_GATE,
             map_updates=False)
-        warm = [_env_spec(f"warm-{i}", "depot", seed=5000 + i)
-                for i in range(4)]
-        report = cluster.serve(warm)
+        report = cluster.serve([_env_spec(f"warm-{i}", "depot", seed=5000 + i)
+                                for i in range(4)])
         assert report.parallel
         assert len(report.fleet_maps) == 1
-        sync = cluster.sync_accounting
-        assert sync.waves == 1 and sync.fallbacks == 0
-        # The acceptance pin: references cost strictly less than the
-        # full-snapshot protocol would have for the same wave.
-        assert 0 < sync.delta_bytes < sync.full_bytes
-        # The coordinator's resolve is counted by the store memo, and
-        # building the references counted nothing more.
+        # The coordinator's resolve is the only lookup the wave counts.
         assert (report.map_resolve_misses, report.map_resolve_hits) == (1, 0)
         second = cluster.serve(
             [_env_spec(f"again-{i}", "depot", seed=6000 + i)
              for i in range(4)])
         assert (second.map_resolve_misses, second.map_resolve_hits) == (0, 1)
 
-    def test_sequential_waves_ship_nothing(self, tmp_path, monkeypatch):
+    def test_shards_build_no_map_store(self, tmp_path, monkeypatch):
         self._warm_store(tmp_path)
         monkeypatch.setenv("EUDOXUS_MAX_WORKERS", "1")
         cluster = ShardedServingEngine(
             2, map_store=_store(tmp_path), min_map_quality=EASY_GATE)
+        constructed = []
+        init = MapStore.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MapStore, "__init__", counting_init)
         report = cluster.serve([_env_spec(f"warm-{i}", "depot", seed=5000 + i)
                                 for i in range(4)])
-        # In-process shards cross no process boundary: no sync bytes, even
-        # though the same payloads were built.
-        assert not report.parallel and len(report.fleet_maps) == 1
-        assert cluster.sync_accounting.waves == 0
-
-    def test_unmaterializable_reference_fails_loudly(self, tmp_path,
-                                                     monkeypatch):
-        """A reference no shard can rebuild — its stem is gone and its
-        version is not the store's canonical — must fail the wave, never
-        serve a map the coordinator did not resolve."""
-        self._warm_store(tmp_path)
-        monkeypatch.setenv("EUDOXUS_MAX_WORKERS", "1")
-        cluster = ShardedServingEngine(
-            2, map_store=_store(tmp_path), min_map_quality=EASY_GATE,
-            map_updates=False)
-        build_sync_plan = cluster._build_sync_plan
-
-        def broken_sync_plan(fleet_maps):
-            plan, fallbacks = build_sync_plan(fleet_maps)
-            assert plan and fallbacks == 0
-            for environment_id, ref in plan.items():
-                ref["inputs"] = [f"{environment_id}__missing"]
-                ref["version"] = "0" * 64
-            return plan, fallbacks
-
-        monkeypatch.setattr(cluster, "_build_sync_plan", broken_sync_plan)
-        before = [snapshot.version
-                  for snapshot in cluster.map_store.snapshots("depot")]
-        with pytest.raises(RuntimeError, match="could not materialize"):
-            cluster.serve([_env_spec(f"warm-{i}", "depot", seed=5000 + i)
-                           for i in range(4)])
-        # The failed wave published nothing.
-        assert [snapshot.version for snapshot in
-                cluster.map_store.snapshots("depot")] == before
+        assert len(set(report.shard_of.values())) == 2
+        assert constructed == []
+        # Every session served exactly the map the coordinator resolved.
+        assert report.fleet_maps
+        acquisitions = [acquisition for result in report.results.values()
+                        for acquisition in result.map_acquisitions]
+        assert acquisitions
+        for acquisition in acquisitions:
+            assert report.fleet_maps[acquisition.environment_id] == \
+                acquisition.version
 
 
 class TestUpdateAwareDriftGate:

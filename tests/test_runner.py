@@ -27,6 +27,25 @@ def _double_payload(payload):
     return {"doubled": payload["x"] * 2}
 
 
+def _marked_payload(payload):
+    """Leave one marker file per run, naming the process; then exit the
+    worker, raise, or double, as the payload asks."""
+    pid = os.getpid()
+    with open(os.path.join(payload["marks"], f"{payload['x']}-{pid}"), "w"):
+        pass
+    if payload.get("exit_in_worker") and pid != payload["parent"]:
+        os._exit(1)
+    if payload.get("fail"):
+        raise RuntimeError(f"payload {payload['x']} failed")
+    return {"doubled": payload["x"] * 2, "pid": pid}
+
+
+def _marks(tmp_path, x):
+    """The pids that ran payload ``x``, one per run."""
+    return [int(name.split("-")[1]) for name in os.listdir(tmp_path)
+            if name.split("-")[0] == str(x)]
+
+
 def _cell(seed: int = 0, **overrides) -> ExperimentCell:
     defaults = dict(
         scenario=ScenarioKind.OUTDOOR_UNKNOWN,
@@ -446,3 +465,39 @@ class TestFanOut:
                                on_pool=lambda: spawned.append(True)))
         assert not spawned
         assert results[2]["doubled"] == 4
+
+    def test_payload_error_propagates_after_one_worker_run(self, tmp_path):
+        payloads = [{"x": i, "marks": str(tmp_path), "parent": os.getpid(),
+                     "fail": i == 1} for i in range(3)]
+        with pytest.raises(RuntimeError, match="payload 1 failed"):
+            list(fan_out(_marked_payload, payloads, 2))
+        # The payload's own error is not a pool failure: it is never rerun,
+        # least of all in the parent.
+        runs = _marks(tmp_path, 1)
+        assert len(runs) == 1 and runs[0] != os.getpid()
+
+    def test_dead_worker_payloads_rerun_in_process(self, tmp_path):
+        payloads = [{"x": i, "marks": str(tmp_path), "parent": os.getpid(),
+                     "exit_in_worker": i == 1} for i in range(4)]
+        yielded = list(fan_out(_marked_payload, payloads, 2))
+        assert sorted(index for index, _ in yielded) == [0, 1, 2, 3]
+        results = dict(yielded)
+        assert {i: r["doubled"] for i, r in results.items()} == \
+            {i: 2 * i for i in range(4)}
+        # The payload that killed its worker was computed in-process.
+        assert results[1]["pid"] == os.getpid()
+
+    def test_pool_creation_failure_runs_in_process(self, tmp_path,
+                                                   monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pool here")
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", no_pool)
+        payloads = [{"x": i, "marks": str(tmp_path), "parent": os.getpid()}
+                    for i in range(3)]
+        spawned = []
+        results = dict(fan_out(_marked_payload, payloads, 2,
+                               on_pool=lambda: spawned.append(True)))
+        assert not spawned
+        assert all(result["pid"] == os.getpid() for result in results.values())
+        assert sorted(results) == [0, 1, 2]
