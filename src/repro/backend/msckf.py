@@ -22,14 +22,14 @@ import numpy as np
 
 from repro.backend.state import CLONE_ERROR_DIM, IMU_ERROR_DIM, MsckfState
 from repro.common.config import MSCKFConfig
-from repro.common.geometry import Pose, skew, skew_batch, so3_exp
+from repro.common.geometry import Pose, skew_batch, so3_exp_batch
 from repro.common.timing import StopwatchCollector
 from repro.frontend.frontend import FrontendResult, TrackObservation
 from repro.linalg.decompositions import qr_reduced
 from repro.linalg.ops import matmul, quadratic_form, transpose
 from repro.linalg.solvers import solve_cholesky
 from repro.obs.profile import profile_kernel
-from repro.sensors.imu import GRAVITY, ImuSample
+from repro.sensors.imu import GRAVITY
 
 
 @dataclass
@@ -104,16 +104,20 @@ class Msckf:
 
     # ----------------------------------------------------------- processing
 
-    def process_frame(self, frontend: FrontendResult, imu_samples: List[ImuSample]) -> Pose:
-        """Propagate with the IMU batch, then update with finished tracks."""
+    def process_frame(self, frontend: FrontendResult, imu_timestamps: np.ndarray,
+                      imu_gyro: np.ndarray, imu_accel: np.ndarray) -> Pose:
+        """Propagate with the IMU batch, then update with finished tracks.
+
+        The batch is a frame's IMU columns (see :class:`~repro.sensors.dataset.Frame`).
+        """
         if not self._initialized:
             raise RuntimeError("Msckf.initialize must be called before process_frame")
         stopwatch = StopwatchCollector()
         workload = VioWorkload()
 
         with stopwatch.measure("imu_processing"):
-            self._propagate(imu_samples)
-            workload.imu_samples = len(imu_samples)
+            self._propagate(imu_timestamps, imu_gyro, imu_accel)
+            workload.imu_samples = len(imu_timestamps)
 
         with stopwatch.measure("covariance"):
             self.state.augment(frontend.frame_index, frontend.timestamp)
@@ -133,53 +137,80 @@ class Msckf:
 
     # ---------------------------------------------------------- propagation
 
-    def _propagate(self, imu_samples: List[ImuSample]) -> None:
-        if len(imu_samples) < 2:
+    def _propagate(self, timestamps: np.ndarray, gyro: np.ndarray, accel: np.ndarray) -> None:
+        """Integrate the IMU batch into the nominal state and the covariance.
+
+        Reading ``k`` drives the step from ``timestamps[k]`` to
+        ``timestamps[k + 1]``; steps whose ``dt`` is not positive are dropped
+        up front.  The biases are fixed within a batch, so all the rotation
+        increments ``so3_exp((gyro - bias) * dt)`` come from one batched
+        Rodrigues call.  What stays sequential, in the per-step operation
+        order: the rotation chain, the velocity and position updates (running
+        sums over the per-step terms) and the covariance recurrence.  The
+        specific forces, transition matrices and process noises are arrays
+        over the steps.  The recurrence runs on local copies of the IMU block
+        and the IMU-to-clone cross-covariance, written back once, with the
+        cross block's transpose.
+        """
+        if len(timestamps) < 2:
             return
         imu = self.state.imu
         cfg = self.config
-        # Process noise per unit time: scaling it by dt each step gives the
-        # same bits as scaling each diagonal block by dt.  Every block of
-        # phi_imu written below is rewritten each step, so one buffer serves
-        # the whole batch.
+        dts = np.diff(timestamps)
+        kept = dts > 0
+        dts = dts[kept]
+        steps = dts.size
+        increments = so3_exp_batch((gyro[:-1][kept] - imu.gyro_bias) * dts[:, None])
+        accel = accel[:-1][kept] - imu.accel_bias
+        rotation = imu.rotation
+        rotations = []                           # at the start of each step
+        for increment in increments:
+            rotations.append(rotation)
+            rotation = rotation @ increment
+        rotations = np.array(rotations).reshape(steps, 3, 3)
+        specific_force_world = (rotations @ accel[:, :, None])[:, :, 0]
+        accel_world = specific_force_world + GRAVITY
+
+        # Nominal state integration: v + a dt, and p + v dt + 0.5 a dt dt.
+        step_dts = dts[:, None]
+        velocities = np.cumsum(np.vstack([imu.velocity, accel_world * step_dts]), axis=0)
+        position_terms = np.empty((2 * steps + 1, 3))
+        position_terms[0] = imu.position
+        position_terms[1::2] = velocities[:-1] * step_dts
+        position_terms[2::2] = 0.5 * accel_world * step_dts * step_dts
+        imu.rotation = rotation
+        imu.position = np.cumsum(position_terms, axis=0)[-1]
+        imu.velocity = velocities[-1]
+
+        # Error-state transitions (world-frame rotation error convention).
+        block_dts = dts[:, None, None]
+        transitions = np.repeat(np.eye(IMU_ERROR_DIM)[None], steps, axis=0)
+        neg_rotation_dt = -rotations * block_dts
+        transitions[:, 0:3, 9:12] = neg_rotation_dt
+        transitions[:, 3:6, 6:9] = np.eye(3) * block_dts
+        transitions[:, 6:9, 0:3] = -skew_batch(specific_force_world) * block_dts
+        transitions[:, 6:9, 12:15] = neg_rotation_dt
+        # Process noise per unit time: scaling it by dt gives the same bits as
+        # scaling each diagonal block by dt.
         noise_rate = np.zeros((IMU_ERROR_DIM, IMU_ERROR_DIM))
         noise_rate[0:3, 0:3] = np.eye(3) * cfg.imu_gyro_noise**2
         noise_rate[6:9, 6:9] = np.eye(3) * cfg.imu_accel_noise**2
         noise_rate[9:12, 9:12] = np.eye(3) * cfg.imu_gyro_bias_noise**2
         noise_rate[12:15, 12:15] = np.eye(3) * cfg.imu_accel_bias_noise**2
-        phi_imu = np.eye(IMU_ERROR_DIM)
-        for i in range(len(imu_samples) - 1):
-            dt = imu_samples[i + 1].timestamp - imu_samples[i].timestamp
-            if dt <= 0:
-                continue
-            gyro = imu_samples[i].angular_velocity - imu.gyro_bias
-            accel = imu_samples[i].linear_acceleration - imu.accel_bias
+        noises = noise_rate * block_dts
 
-            rotation = imu.rotation
-            specific_force_world = rotation @ accel
-            accel_world = specific_force_world + GRAVITY
-
-            # Error-state transition (world-frame rotation error convention).
-            state_dim = self.state.error_dim
-            neg_rotation_dt = -rotation * dt
-            phi_imu[0:3, 9:12] = neg_rotation_dt
-            phi_imu[3:6, 6:9] = np.eye(3) * dt
-            phi_imu[6:9, 0:3] = -skew(specific_force_world) * dt
-            phi_imu[6:9, 12:15] = neg_rotation_dt
-            noise = noise_rate * dt
-
-            cov = self.state.covariance
-            cov[:IMU_ERROR_DIM, :IMU_ERROR_DIM] = (
-                phi_imu @ cov[:IMU_ERROR_DIM, :IMU_ERROR_DIM] @ phi_imu.T + noise
-            )
-            if state_dim > IMU_ERROR_DIM:
-                cov[:IMU_ERROR_DIM, IMU_ERROR_DIM:] = phi_imu @ cov[:IMU_ERROR_DIM, IMU_ERROR_DIM:]
-                cov[IMU_ERROR_DIM:, :IMU_ERROR_DIM] = cov[:IMU_ERROR_DIM, IMU_ERROR_DIM:].T
-
-            # Nominal state integration.
-            imu.rotation = rotation @ so3_exp(gyro * dt)
-            imu.position = imu.position + imu.velocity * dt + 0.5 * accel_world * dt * dt
-            imu.velocity = imu.velocity + accel_world * dt
+        cov = self.state.covariance
+        p_imu = cov[:IMU_ERROR_DIM, :IMU_ERROR_DIM].copy()
+        p_cross = cov[:IMU_ERROR_DIM, IMU_ERROR_DIM:].copy()
+        has_clones = p_cross.shape[1] > 0
+        for phi_imu, noise in zip(transitions, noises):
+            p_imu = phi_imu @ p_imu @ phi_imu.T + noise
+            if has_clones:
+                p_cross = phi_imu @ p_cross
+        cov[:IMU_ERROR_DIM, :IMU_ERROR_DIM] = p_imu
+        if has_clones:
+            cov[:IMU_ERROR_DIM, IMU_ERROR_DIM:] = p_cross
+            cov[IMU_ERROR_DIM:, :IMU_ERROR_DIM] = p_cross.T
         self.state.symmetrize()
 
     # -------------------------------------------------------------- updates
@@ -242,16 +273,6 @@ class Msckf:
         world = np.einsum("nij,nj->ni", rotations, points) + positions
         weights = (1.0 / noise[:, 0] ** 2).reshape(-1, 1)
         return (world * weights).sum(axis=0) / weights.sum()
-
-    def _triangulate_track(self, record: _TrackRecord) -> Optional[np.ndarray]:
-        """Estimate the world-frame feature position from clone observations."""
-        gathered = self._clone_observation_arrays(record)
-        if gathered is None:
-            return None
-        clone_idx, points, noise = gathered
-        rotations = np.stack([self.state.clones[i].rotation for i in clone_idx])
-        positions = np.stack([self.state.clones[i].position for i in clone_idx])
-        return self._weighted_triangulation(points, noise, rotations, positions)
 
     def _update(self, tracks: List[_TrackRecord], stopwatch: StopwatchCollector,
                 workload: VioWorkload) -> None:

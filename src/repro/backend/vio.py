@@ -48,7 +48,8 @@ class VioBackend:
         if not self.filter.initialized:
             self.initialize(frame.ground_truth, frame.ground_truth_velocity)
 
-        vio_pose = self.filter.process_frame(frontend, frame.imu_samples)
+        vio_pose = self.filter.process_frame(frontend, frame.imu_timestamps, frame.imu_gyro,
+                                             frame.imu_accel)
         kernel_ms = dict(self.filter.last_kernel_ms)
 
         stopwatch = StopwatchCollector()

@@ -60,6 +60,25 @@ def so3_exp(phi: np.ndarray) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
+def so3_exp_batch(phis: np.ndarray) -> np.ndarray:
+    """:func:`so3_exp` of every row: ``(n, 3) -> (n, 3, 3)``, bit for bit.
+
+    Each row's angle is the square root of its stacked-matmul dot with
+    itself, the value ``np.linalg.norm`` computes for one row; an einsum or
+    an axis-wise norm can round it differently.
+    """
+    phis = np.asarray(phis, dtype=float).reshape(-1, 3)
+    angles = np.sqrt((phis[:, None, :] @ phis[:, :, None])[:, 0, 0])
+    small = angles < 1e-9
+    # Small rows divide by 1.0 here and take the Taylor branch below.
+    angles = np.where(small, 1.0, angles)[:, None, None]
+    k = skew_batch(phis / angles[:, :, 0])
+    out = np.eye(3) + np.sin(angles) * k + (1.0 - np.cos(angles)) * (k @ k)
+    if small.any():
+        out[small] = np.eye(3) + skew_batch(phis[small])
+    return out
+
+
 def so3_log(rotation: np.ndarray) -> np.ndarray:
     """Logarithm map from a rotation matrix to a rotation vector."""
     rotation = np.asarray(rotation, dtype=float).reshape(3, 3)

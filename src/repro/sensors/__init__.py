@@ -17,7 +17,7 @@ from repro.sensors.trajectory import (
     warehouse_trajectory,
 )
 from repro.sensors.world import LandmarkWorld
-from repro.sensors.imu import ImuSimulator, ImuSample
+from repro.sensors.imu import ImuSimulator
 from repro.sensors.gps import GpsSimulator, GpsSample
 from repro.sensors.dataset import Frame, SyntheticSequence, SequenceBuilder
 from repro.sensors.scenarios import (
@@ -35,7 +35,6 @@ __all__ = [
     "warehouse_trajectory",
     "LandmarkWorld",
     "ImuSimulator",
-    "ImuSample",
     "GpsSimulator",
     "GpsSample",
     "Frame",

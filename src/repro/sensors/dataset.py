@@ -6,7 +6,9 @@ observations, IMU batches, optional GPS fixes and (optionally) rendered
 stereo images, plus the ground-truth trajectory and the landmark world the
 sequence was generated from.  A frame's observations are columns: the ids
 of the visible landmarks in world order and their noisy left and right
-pixels, one row per landmark.
+pixels, one row per landmark.  Its IMU batch is columns too: the timestamps,
+gyro and accelerometer readings since the previous frame, one row per
+reading, sliced from the segment's one IMU measurement.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.common.config import SensorConfig
 from repro.common.geometry import Pose
 from repro.sensors.gps import GpsSample, GpsSimulator
 from repro.sensors.imaging import ImageRenderer
-from repro.sensors.imu import ImuSample, ImuSimulator
+from repro.sensors.imu import ImuSimulator
 from repro.sensors.scenarios import OperatingScenario, ScenarioKind
 from repro.sensors.world import LandmarkWorld, camera_frame_from_body
 
@@ -38,6 +40,13 @@ class Frame:
     Row ``i`` of ``left_pixels`` and ``right_pixels`` (float64, shape
     ``(n, 2)``) is the noisy stereo observation of landmark
     ``landmark_ids[i]`` (int64, shape ``(n,)``).
+
+    Row ``k`` of ``imu_gyro`` and ``imu_accel`` (float64, shape ``(m, 3)``) is
+    the body-frame angular velocity and specific force read at
+    ``imu_timestamps[k]`` (float64, shape ``(m,)``).  The batch runs from the
+    previous frame's epoch to this one's, both included, so consecutive
+    frames share their boundary timestamp; frame 0 of a segment has ``m = 0``.
+    The columns are views of the segment's one measurement.
     """
 
     index: int
@@ -46,7 +55,9 @@ class Frame:
     landmark_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     left_pixels: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
     right_pixels: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
-    imu_samples: List[ImuSample] = field(default_factory=list)
+    imu_timestamps: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    imu_gyro: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    imu_accel: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     gps: Optional[GpsSample] = None
     scenario: ScenarioKind = ScenarioKind.OUTDOOR_UNKNOWN
     left_image: Optional[np.ndarray] = None
@@ -170,7 +181,7 @@ class SequenceBuilder:
         renderer = ImageRenderer(camera, config.stereo_baseline, seed=seed + 3) if self.render_images else None
         rng = np.random.default_rng(seed + 4)
 
-        imu_batches = self._imu_batches(scenario, imu, frame_times, start_time)
+        imu_timestamps, imu_gyro, imu_accel = self._imu_batches(scenario, imu, frame_times, start_time)
         frames: List[Frame] = []
         for i, timestamp in enumerate(frame_times.tolist()):
             pose = Pose(truth.rotations[i], truth.positions[i])
@@ -184,7 +195,9 @@ class SequenceBuilder:
                 landmark_ids=landmark_ids,
                 left_pixels=left_pixels,
                 right_pixels=right_pixels,
-                imu_samples=imu_batches[i],
+                imu_timestamps=imu_timestamps[i],
+                imu_gyro=imu_gyro[i],
+                imu_accel=imu_accel[i],
                 gps=gps_sample,
                 scenario=scenario.kind,
                 ground_truth_velocity=truth.velocities[i],
@@ -203,10 +216,12 @@ class SequenceBuilder:
         )
 
     def _imu_batches(self, scenario: OperatingScenario, imu: ImuSimulator,
-                     frame_times: np.ndarray, start_time: float) -> List[List[ImuSample]]:
-        """Each frame's IMU samples, from the previous frame's epoch to its own.
+                     frame_times: np.ndarray, start_time: float
+                     ) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
+        """Each frame's IMU columns, from the previous frame's epoch to its own.
 
-        Frame ``i > 0`` gets ``steps + 1`` samples at ``previous_time + step *
+        Returns per-frame ``timestamps``, ``gyro`` and ``accel`` slices.  Frame
+        ``i > 0`` gets ``steps + 1`` rows at ``previous_time + step *
         (timestamp - previous_time) / steps``, both ends included; frame 0 gets
         none.  A segment has at least two frames; all its sub-steps are
         sampled in one call and measured in one call.
@@ -222,9 +237,10 @@ class SequenceBuilder:
         span = np.repeat(frame_times[1:] - frame_times[:-1], counts)
         times = previous + step * span / steps
         truth = replace(scenario.trajectory.sample_array(times - start_time), timestamps=times)
-        samples = imu.measure_array(truth, span / steps)
-        ends = bounds.tolist()
-        return [[]] + [samples[lo:hi] for lo, hi in zip(ends, ends[1:])]
+        gyro, accel = imu.measure_array(truth, span / steps)
+        ends = [0] + bounds.tolist()
+        return tuple([column[lo:hi] for lo, hi in zip(ends, ends[1:])]
+                     for column in (times, gyro, accel))
 
     def build_mixed(self, scenarios: List[OperatingScenario]) -> List[SyntheticSequence]:
         """Build back-to-back segments for a mixed deployment."""

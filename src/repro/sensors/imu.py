@@ -8,31 +8,17 @@ specific force and angular velocity derived from the trajectory generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.sensors.trajectory import TrajectoryArrays, TrajectorySample
+from repro.sensors.trajectory import TrajectoryArrays
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
 
-@dataclass
-class ImuSample:
-    """One IMU measurement: body-frame angular velocity and specific force."""
-
-    timestamp: float
-    angular_velocity: np.ndarray
-    linear_acceleration: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.angular_velocity = np.asarray(self.angular_velocity, dtype=float).reshape(3)
-        self.linear_acceleration = np.asarray(self.linear_acceleration, dtype=float).reshape(3)
-
-
 class ImuSimulator:
-    """Generates noisy IMU samples from ground-truth trajectory samples."""
+    """Generates noisy IMU measurements from ground-truth trajectory rows."""
 
     def __init__(
         self,
@@ -55,24 +41,12 @@ class ImuSimulator:
         self.gyro_bias = np.zeros(3)
         self.accel_bias = np.zeros(3)
 
-    def measure(self, truth: TrajectorySample, dt: float) -> ImuSample:
-        """Produce one noisy IMU sample from the ground truth at ``truth``."""
-        return self.measure_array(TrajectoryArrays.stack([truth]), [dt])[0]
+    def measure_array(self, truth: TrajectoryArrays,
+                      dts: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+        """Noisy ``(gyro, accel)`` columns, one ``(n, 3)`` row per row of ``truth``.
 
-    def measure_interval(self, samples: List[TrajectorySample]) -> List[ImuSample]:
-        """Measure a batch of consecutive ground-truth samples."""
-        truth = TrajectoryArrays.stack(samples)
-        # Each sample integrates up to the next one; the last reuses the gap
-        # before it, and a lone sample assumes 0.01 s.
-        dts = np.full(len(truth), 0.01)
-        if len(truth) > 1:
-            gaps = np.diff(truth.timestamps)
-            dts[:-1] = gaps
-            dts[-1] = gaps[-1]
-        return self.measure_array(truth, np.maximum(dts, 1e-4))
-
-    def measure_array(self, truth: TrajectoryArrays, dts: Sequence[float]) -> List[ImuSample]:
-        """One noisy IMU sample per row of ``truth``; row ``k`` integrates ``dts[k]``.
+        Row ``k`` is the body-frame angular velocity and specific force
+        measured at ``truth.timestamps[k]``, integrating ``dts[k]``.
 
         Each row draws its gyro and accel bias walks, then its gyro and accel
         white noise, three values each: the stream order of measuring the rows
@@ -97,33 +71,5 @@ class ImuSimulator:
 
         noisy_gyro = angular_velocity + gyro_bias[1:] + (0.0 + self.gyro_noise * draws[:, 2])
         noisy_accel = specific_force + accel_bias[1:] + (0.0 + self.accel_noise * draws[:, 3])
-        return [
-            ImuSample(timestamp=timestamp, angular_velocity=noisy_gyro[k],
-                      linear_acceleration=noisy_accel[k])
-            for k, timestamp in enumerate(truth.timestamps.tolist())
-        ]
+        return noisy_gyro, noisy_accel
 
-
-def integrate_imu(samples: List[ImuSample], initial_pose, initial_velocity: np.ndarray):
-    """Dead-reckon a pose by naively integrating IMU samples.
-
-    This is used in tests to demonstrate the drift the paper attributes to
-    IMU-only estimation (Sec. II), and in the MSCKF propagation step.
-
-    Returns ``(pose, velocity)`` after integrating all samples.
-    """
-    from repro.common.geometry import Pose, so3_exp
-
-    pose = initial_pose.copy()
-    velocity = np.asarray(initial_velocity, dtype=float).reshape(3).copy()
-    for i in range(len(samples) - 1):
-        dt = samples[i + 1].timestamp - samples[i].timestamp
-        if dt <= 0:
-            continue
-        omega = samples[i].angular_velocity
-        accel_world = pose.rotation @ samples[i].linear_acceleration + GRAVITY
-        new_rotation = pose.rotation @ so3_exp(omega * dt)
-        new_translation = pose.translation + velocity * dt + 0.5 * accel_world * dt * dt
-        velocity = velocity + accel_world * dt
-        pose = Pose(new_rotation, new_translation)
-    return pose, velocity

@@ -1,20 +1,22 @@
 """Bit-exactness of the memoized, trimmed and vectorized hot-path kernels.
 
-Each kernel is compared with a verbatim copy of the implementation it
-replaced (the ``_reference_*`` functions below): the memoized descriptor
-base bits, the memoized vocabulary training, the MSCKF propagation loop, the
-columnar observations of the synthetic dataset and the sparse frontend that
-consumes them (both once built around a per-landmark ``StereoObservation``
-dict), and the array ground truth and IMU synthesis of a segment.  Equality
-is byte for byte, signed zeros included, and any generator the kernel draws
-from must end in the same state.  The memos, the per-segment arrays and the
-frontend's track observations are also checked for aliasing (a caller
-mutating its result must not reach the next hit, another frame or the frame
-it came from) and the memos for their size bound.  A host canary checks the
-numpy loops the array synthesis relies on against their per-element results.  The window
-bundle adjustment (residuals reused across iterations, by-reference step backups,
-``np.bincount`` scatters) is compared with its untrimmed copy.  Last, the script that pins the
-servbench wave signatures in CI must reject any moved bit.
+Each kernel is compared with a verbatim copy of the implementation it replaced
+(the ``_reference_*`` functions below): the memoized descriptor base bits, the
+memoized vocabulary training, the MSCKF propagation (once a loop over
+per-sample objects, now over IMU columns with batched rotation increments),
+the columnar observations of the synthetic dataset and the sparse frontend
+that consumes them (both once built around a per-landmark
+``StereoObservation`` dict), and the array ground truth and IMU synthesis of a
+segment.  Equality is byte for byte, signed zeros included, and any generator
+the kernel draws from must end in the same state.  The memos, the per-segment
+arrays and the frontend's track observations are also checked for aliasing (a
+caller mutating its result must not reach the next hit, another frame or the
+frame it came from) and the memos for their size bound.  A host canary checks
+the numpy loops the array synthesis and the propagation rely on against their
+per-element results.  The window bundle adjustment (residuals reused across
+iterations, by-reference step backups, ``np.bincount`` scatters) is compared
+with its untrimmed copy.  Last, the script that pins the servbench wave
+signatures in CI must reject any moved bit.
 """
 
 import json
@@ -38,7 +40,8 @@ from repro.backend.msckf import Msckf
 from repro.backend.state import IMU_ERROR_DIM
 from repro.common.camera import StereoRig, world_to_camera
 from repro.common.config import FrontendConfig, MappingConfig, SensorConfig
-from repro.common.geometry import Pose, euler_to_rotation, skew, so3_exp
+from repro.common.geometry import (Pose, euler_to_rotation, skew, skew_batch, so3_exp,
+                                   so3_exp_batch)
 from repro.common.timing import StopwatchCollector
 from repro.frontend import orb
 from repro.frontend.frontend import (FrontendResult, FrontendWorkload, TrackObservation,
@@ -51,13 +54,36 @@ from repro.sensors import dataset, trajectory
 from repro.sensors.dataset import Frame, SequenceBuilder, SyntheticSequence, segment_frame_count
 from repro.sensors.gps import GpsSimulator
 from repro.sensors.imaging import ImageRenderer
-from repro.sensors.imu import GRAVITY, ImuSample, ImuSimulator
+from repro.sensors.imu import GRAVITY, ImuSimulator
 from repro.sensors.scenarios import ScenarioKind, scenario_catalog
 from repro.sensors.trajectory import TrajectoryArrays, TrajectorySample
 from repro.sensors.world import LandmarkWorld, body_frame_from_camera, camera_frame_from_body
 from repro.serving.streams import drift_world
 
 # ------------------------------------------------- reference implementations
+
+
+@dataclass
+class _ImuSample:
+    """One IMU measurement as the reference implementations carried it: an
+    object per reading, before the IMU batches became columns."""
+
+    timestamp: float
+    angular_velocity: np.ndarray
+    linear_acceleration: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.angular_velocity = np.asarray(self.angular_velocity, dtype=float).reshape(3)
+        self.linear_acceleration = np.asarray(self.linear_acceleration, dtype=float).reshape(3)
+
+
+def _imu_columns(samples: List[_ImuSample]) -> Dict[str, np.ndarray]:
+    """A batch of reference samples as a frame's IMU columns."""
+    return {
+        "imu_timestamps": np.array([s.timestamp for s in samples], dtype=float),
+        "imu_gyro": np.array([s.angular_velocity for s in samples], dtype=float).reshape(-1, 3),
+        "imu_accel": np.array([s.linear_acceleration for s in samples], dtype=float).reshape(-1, 3),
+    }
 
 
 def _reference_descriptor_from_seed(appearance_seed, bits=256, noise_bits=0, rng=None):
@@ -398,7 +424,7 @@ def _reference_random_smooth(seed=0, scale=8.0, duration_hint=120.0, harmonics=4
     return _ReferenceTrajectory(position)
 
 
-def _reference_measure(self, truth: TrajectorySample, dt: float) -> ImuSample:
+def _reference_measure(self, truth: TrajectorySample, dt: float) -> _ImuSample:
     rotation_world_to_body = truth.pose.rotation.T
     # Specific force: measured acceleration minus gravity, in body frame.
     specific_force = rotation_world_to_body @ (truth.acceleration - GRAVITY)
@@ -410,24 +436,11 @@ def _reference_measure(self, truth: TrajectorySample, dt: float) -> ImuSample:
 
     noisy_gyro = angular_velocity + self.gyro_bias + self._rng.normal(0.0, self.gyro_noise, size=3)
     noisy_accel = specific_force + self.accel_bias + self._rng.normal(0.0, self.accel_noise, size=3)
-    return ImuSample(
+    return _ImuSample(
         timestamp=truth.timestamp,
         angular_velocity=noisy_gyro,
         linear_acceleration=noisy_accel,
     )
-
-
-def _reference_measure_interval(self, samples: List[TrajectorySample]) -> List[ImuSample]:
-    measurements: List[ImuSample] = []
-    for i, truth in enumerate(samples):
-        if i + 1 < len(samples):
-            dt = samples[i + 1].timestamp - truth.timestamp
-        elif i > 0:
-            dt = truth.timestamp - samples[i - 1].timestamp
-        else:
-            dt = 0.01
-        measurements.append(_reference_measure(self, truth, max(dt, 1e-4)))
-    return measurements
 
 
 def _reference_build(self, scenario, reference_trajectory: _ReferenceTrajectory,
@@ -435,7 +448,8 @@ def _reference_build(self, scenario, reference_trajectory: _ReferenceTrajectory,
                      world_seed: Optional[int] = None, world_mutator=None):
     """``SequenceBuilder.build`` as it was, sampling ``reference_trajectory``
     (the scalar twin of ``scenario.trajectory``), measuring through
-    ``_reference_measure`` and observing through ``_reference_observe``.
+    ``_reference_measure`` and observing through ``_reference_observe``; each
+    frame's batch of IMU samples is stacked into the frame's IMU columns.
     Returns its IMU and GPS simulators and its
     pixel-noise generator alongside the sequence."""
     config = self.config
@@ -483,7 +497,7 @@ def _reference_build(self, scenario, reference_trajectory: _ReferenceTrajectory,
         timestamp = float(frame_times[i])
         landmark_ids, left_pixels, right_pixels = _columns(
             _reference_observe(self, truth.pose, world, rig, rng))
-        imu_batch: List[ImuSample] = []
+        imu_batch: List[_ImuSample] = []
         if i > 0:
             previous_time = float(frame_times[i - 1])
             steps = max(1, int(round((timestamp - previous_time) / imu_dt)))
@@ -507,7 +521,7 @@ def _reference_build(self, scenario, reference_trajectory: _ReferenceTrajectory,
             landmark_ids=landmark_ids,
             left_pixels=left_pixels,
             right_pixels=right_pixels,
-            imu_samples=imu_batch,
+            **_imu_columns(imu_batch),
             gps=gps_sample,
             scenario=scenario.kind,
             ground_truth_velocity=truth.velocity,
@@ -836,16 +850,30 @@ class TestVocabularyTraining:
 # ----------------------------------------------------------- MSCKF propagate
 
 
-def _imu_batch(rng: np.random.Generator, count: int, start: float):
+def _imu_batch(rng: np.random.Generator, count: int, start: float,
+               gyro_bias: np.ndarray) -> List[_ImuSample]:
     # Mostly regular steps with a jittered, a zero and a negative dt, so the
-    # noise scaled per step sees varying dt and the loop skips steps.
-    steps = np.full(count, 0.005)
-    steps[rng.integers(0, count)] = 0.0
-    steps[rng.integers(0, count)] = -0.001
-    steps[rng.integers(0, count)] = 0.005 + rng.uniform(1e-6, 1e-3)
-    timestamps = start + np.concatenate([[0.0], np.cumsum(steps)])
-    return [ImuSample(float(t), rng.normal(0.0, 0.3, 3), rng.normal(0.0, 2.0, 3) - GRAVITY)
-            for t in timestamps]
+    # noise scaled per step sees varying dt and the loop skips steps.  Some
+    # readings sit so close to the filter's gyro bias that their increment
+    # takes the small-angle branch of so3_exp; one equals the bias.
+    steps = np.full(max(count - 1, 0), 0.005)
+    if steps.size:
+        steps[rng.integers(0, steps.size)] = 0.0
+        steps[rng.integers(0, steps.size)] = -0.001
+        steps[rng.integers(0, steps.size)] = 0.005 + rng.uniform(1e-6, 1e-3)
+    timestamps = start + np.concatenate([[0.0], np.cumsum(steps)])[:count]
+    gyro = rng.normal(0.0, 0.3, (count, 3))
+    slow = rng.random(count) < 0.25
+    gyro[slow] = gyro_bias + rng.normal(0.0, 1e-8, (int(slow.sum()), 3))
+    if count:
+        gyro[rng.integers(0, count)] = gyro_bias
+    return [_ImuSample(float(t), w, rng.normal(0.0, 2.0, 3) - GRAVITY)
+            for t, w in zip(timestamps, gyro)]
+
+
+def _propagate_columns(vio: Msckf, batch: List[_ImuSample]) -> None:
+    columns = _imu_columns(batch)
+    vio._propagate(columns["imu_timestamps"], columns["imu_gyro"], columns["imu_accel"])
 
 
 def _filter(rng: np.random.Generator, clones: int) -> Msckf:
@@ -862,21 +890,80 @@ def _filter(rng: np.random.Generator, clones: int) -> Msckf:
 
 
 class TestPropagate:
+    """The columnar propagation against the per-sample loop it replaced."""
+
+    @staticmethod
+    def _assert_same_state(got: Msckf, expected: Msckf) -> None:
+        assert got.state.covariance.tobytes() == expected.state.covariance.tobytes()
+        for name in ("rotation", "position", "velocity", "gyro_bias", "accel_bias"):
+            assert (getattr(got.state.imu, name).tobytes()
+                    == getattr(expected.state.imu, name).tobytes()), name
+
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           clones=st.integers(min_value=0, max_value=4),
-           count=st.integers(min_value=2, max_value=24))
-    @settings(max_examples=40, deadline=None)
+           clones=st.integers(min_value=0, max_value=30),
+           count=st.integers(min_value=0, max_value=24))
+    @settings(max_examples=60, deadline=None)
     def test_matches_reference(self, seed, clones, count):
-        batch = _imu_batch(np.random.default_rng(seed), count, start=1.0)
         trimmed = _filter(np.random.default_rng(seed), clones)
         reference = _filter(np.random.default_rng(seed), clones)
+        batch = _imu_batch(np.random.default_rng(seed), count, 1.0, trimmed.state.imu.gyro_bias)
         for _ in range(2):
-            trimmed._propagate(batch)
+            _propagate_columns(trimmed, batch)
             _reference_propagate(reference, batch)
-        assert trimmed.state.covariance.tobytes() == reference.state.covariance.tobytes()
-        for name in ("rotation", "position", "velocity"):
-            assert (getattr(trimmed.state.imu, name).tobytes()
-                    == getattr(reference.state.imu, name).tobytes())
+        self._assert_same_state(trimmed, reference)
+
+    @pytest.mark.parametrize("clones", [0, 1, 30])
+    @pytest.mark.parametrize("steps", [[0.0], [-0.001], [0.0, -0.001, 0.0], [0.005], [0.0, 0.005]])
+    def test_degenerate_batches_match_reference(self, clones, steps):
+        rng = np.random.default_rng(len(steps) + clones)
+        timestamps = 2.0 + np.concatenate([[0.0], np.cumsum(steps)])
+        batch = [_ImuSample(float(t), rng.normal(0.0, 0.3, 3), rng.normal(0.0, 2.0, 3) - GRAVITY)
+                 for t in timestamps]
+        trimmed = _filter(np.random.default_rng(clones), clones)
+        reference = _filter(np.random.default_rng(clones), clones)
+        _propagate_columns(trimmed, batch)
+        _reference_propagate(reference, batch)
+        self._assert_same_state(trimmed, reference)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_from_rest_at_the_origin(self, seed):
+        """Position and velocity start at zero, so the last bits of each
+        step's terms reach the state instead of vanishing below its ulp."""
+        trimmed = _filter(np.random.default_rng(seed), 2)
+        reference = _filter(np.random.default_rng(seed), 2)
+        for vio in (trimmed, reference):
+            vio.state.imu.position = np.zeros(3)
+            vio.state.imu.velocity = np.zeros(3)
+        batch = _imu_batch(np.random.default_rng(seed), 6, 0.0, trimmed.state.imu.gyro_bias)
+        _propagate_columns(trimmed, batch)
+        _reference_propagate(reference, batch)
+        self._assert_same_state(trimmed, reference)
+
+    def test_window_sized_state(self):
+        """30 clones: the full 195-dimensional window state of the default config."""
+        rng = np.random.default_rng(11)
+        trimmed = _filter(np.random.default_rng(11), 30)
+        reference = _filter(np.random.default_rng(11), 30)
+        assert trimmed.state.error_dim == 195
+        for start in (1.0, 1.2, 1.4):
+            batch = _imu_batch(rng, 21, start, trimmed.state.imu.gyro_bias)
+            _propagate_columns(trimmed, batch)
+            _reference_propagate(reference, batch)
+        self._assert_same_state(trimmed, reference)
+
+
+class TestSo3ExpBatch:
+    _ROW = st.one_of(
+        st.floats(min_value=-50.0, max_value=50.0),
+        st.floats(min_value=-1e-9, max_value=1e-9),
+        st.sampled_from([0.0, -0.0, 5e-10, -5e-10, 1e-9, np.pi]))
+
+    @given(rows=st.lists(st.tuples(_ROW, _ROW, _ROW), max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_so3_exp_per_row(self, rows):
+        phis = np.array(rows, dtype=float).reshape(-1, 3)
+        expected = np.array([so3_exp(phi) for phi in phis]).reshape(-1, 3, 3)
+        assert _same_bits(so3_exp_batch(phis), expected)
 
 
 # ------------------------------------------------------- dataset pixel noise
@@ -1199,12 +1286,9 @@ def _imu_pair(seed: int, scales, bias_rng: np.random.Generator):
     return pair
 
 
-def _same_imu(got: List[ImuSample], expected: List[ImuSample]) -> bool:
-    return len(got) == len(expected) and all(
-        a.timestamp == b.timestamp and type(a.timestamp) is type(b.timestamp)
-        and _same_bits(a.angular_velocity, b.angular_velocity)
-        and _same_bits(a.linear_acceleration, b.linear_acceleration)
-        for a, b in zip(got, expected))
+def _same_imu(got: Tuple[np.ndarray, np.ndarray], expected: List[_ImuSample]) -> bool:
+    columns = _imu_columns(expected)
+    return _same_bits(got[0], columns["imu_gyro"]) and _same_bits(got[1], columns["imu_accel"])
 
 
 def _same_simulator(a: ImuSimulator, b: ImuSimulator) -> bool:
@@ -1234,23 +1318,24 @@ class TestBatchedImu:
            count=st.integers(min_value=0, max_value=12),
            scales=st.tuples(_SCALE, _SCALE, _SCALE, _SCALE))
     @settings(max_examples=60, deadline=None)
-    def test_measure_and_measure_interval_match_reference(self, seed, count, scales):
+    def test_row_by_row_measure_array_matches_reference(self, seed, count, scales):
+        """Measuring one row per call continues the same stream as one call."""
         rng = np.random.default_rng(seed)
         truths = _random_truths(rng, count)
         batched, reference = _imu_pair(seed, scales, rng)
         for truth in truths:
             dt = float(rng.uniform(1e-4, 0.05))
-            assert _same_imu([batched.measure(truth, dt)], [_reference_measure(reference, truth, dt)])
-        assert _same_imu(batched.measure_interval(truths), _reference_measure_interval(reference, truths))
+            got = batched.measure_array(TrajectoryArrays.stack([truth]), [dt])
+            assert _same_imu(got, [_reference_measure(reference, truth, dt)])
         assert _same_simulator(batched, reference)
 
 
 # ------------------------------------------------------- segment synthesis
 
 
-def _imu_bits(samples: List[ImuSample]) -> tuple:
-    return tuple((repr(s.timestamp), type(s.timestamp), s.angular_velocity.tobytes(),
-                  s.linear_acceleration.tobytes()) for s in samples)
+def _imu_bits(frame: Frame) -> tuple:
+    return tuple((column.dtype, column.shape, column.tobytes())
+                 for column in (frame.imu_timestamps, frame.imu_gyro, frame.imu_accel))
 
 
 def _frame_bits(frame: Frame) -> tuple:
@@ -1261,7 +1346,7 @@ def _frame_bits(frame: Frame) -> tuple:
         frame.ground_truth.rotation.tobytes(), frame.ground_truth.translation.tobytes(),
         frame.ground_truth_velocity.tobytes(),
         _column_bits(frame.landmark_ids, frame.left_pixels, frame.right_pixels),
-        _imu_bits(frame.imu_samples),
+        _imu_bits(frame),
         None if gps is None else (repr(gps.timestamp), gps.valid, gps.position.tobytes(),
                                   gps.covariance.tobytes()),
     )
@@ -1330,7 +1415,7 @@ class TestSegmentSynthesis:
         assert len(got.frames) == len(expected.frames) > 2
         for frame, expected_frame in zip(got.frames, expected.frames):
             assert _frame_bits(frame) == _frame_bits(expected_frame), (kind, frame.index)
-        assert sum(len(frame.imu_samples) for frame in got.frames) > len(got.frames)
+        assert sum(len(frame.imu_timestamps) for frame in got.frames) > len(got.frames)
         assert _world_bits(got.world) == _world_bits(expected.world)
         built_imu, built_gps = simulators
         assert _same_simulator(built_imu, imu)
@@ -1348,21 +1433,27 @@ class TestSegmentSynthesis:
         frames_before = [_frame_bits(frame) for frame in segment.frames]
         world_before = _world_bits(segment.world)
         target = segment.frames[3]
-        imu_before = _imu_bits(target.imu_samples)
+        imu_before = [column.copy() for column in (target.imu_timestamps, target.imu_gyro,
+                                                   target.imu_accel)]
         target.ground_truth.translation[:] = 1e9
         target.ground_truth.rotation[:] = 7.0
         target.ground_truth_velocity[:] = -3.0
         target.landmark_ids[:] = -1
         target.left_pixels[:] = -1.0
         target.right_pixels[:] = -1.0
-        # Frame 3's first IMU sample shares its timestamp with frame 2's last.
-        target.imu_samples[0].angular_velocity[:] = 5.0
-        target.imu_samples[0].linear_acceleration[:] = 5.0
+        # Frame 3's first IMU row shares its timestamp with frame 2's last, and
+        # all three frames' columns are slices of one measurement.
+        target.imu_timestamps[0] = -1.0
+        target.imu_gyro[0] = 5.0
+        target.imu_accel[0] = 5.0
         frames_after = [_frame_bits(frame) for frame in segment.frames]
         for index, (before, after) in enumerate(zip(frames_before, frames_after)):
             if index != 3:
                 assert after == before, index
-        assert _imu_bits(target.imu_samples)[1:] == imu_before[1:]
+        for column, before in zip((target.imu_timestamps, target.imu_gyro, target.imu_accel),
+                                  imu_before):
+            assert not _same_bits(column[:1], before[:1])
+            assert _same_bits(column[1:], before[1:])
         assert _world_bits(segment.world) == world_before
         assert [_frame_bits(frame) for frame in build().frames] == frames_before
 
@@ -1475,16 +1566,20 @@ class TestWindowBundleAdjustment:
 # ------------------------------------------------------- host numpy canary
 
 
-def _host_message(loop: str) -> str:
-    return (f"this host's numpy {loop} loop differs from its per-element result, so the array "
-            "ground-truth and IMU synthesis cannot reproduce the scalar bits here.  The code is "
-            "not at fault: record this host and the one that pinned the signatures (ROADMAP.md, "
-            "'Vectorize segment synthesis') and stop; never re-pin the goldens to one host.")
+def _host_message(loop: str, kernel: str = "the array ground-truth and IMU synthesis") -> str:
+    return (f"this host's numpy {loop} loop differs from its per-element result, so {kernel} "
+            "cannot reproduce the scalar bits here.  The code is not at fault: record this host "
+            "and the one that pinned the signatures (ROADMAP.md, 'Standing constraints for array "
+            "work') and stop; keep the per-row form and never re-pin the goldens to one host.")
+
+
+_PROPAGATION = "the batched MSCKF propagation"
 
 
 class TestHostNumpyLoops:
-    """The array synthesis is exact only while these loops agree, on this host,
-    with the per-element values the scalar code computed."""
+    """The array synthesis and the MSCKF propagation are exact only while these
+    loops agree, on this host, with the per-element values the scalar code
+    computed."""
 
     @staticmethod
     def _angles(rng: np.random.Generator) -> np.ndarray:
@@ -1531,6 +1626,52 @@ class TestHostNumpyLoops:
         expected = np.array([np.linalg.norm(v) for v in planar])
         assert _same_bits(np.sqrt((planar[:, None, :] @ planar[:, :, None])[:, 0, 0]), expected), \
             _host_message("stacked dot-product matmul")
+
+    def test_stacked_dot_of_rotation_vectors(self):
+        """``so3_exp_batch``'s angles against ``so3_exp``'s per-row norm."""
+        rng = np.random.default_rng(5)
+        vectors = np.concatenate([
+            rng.normal(size=(6000, 3)) * 10.0 ** rng.uniform(-12, 3, (6000, 1)),
+            rng.normal(0.0, 1e-10, (500, 3)), rng.normal(0.0, 1e150, (100, 3)),
+            [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e-300, 0.0, 0.0], [0.0, -5e-10, 0.0]]])
+        expected = np.array([float(np.linalg.norm(v)) for v in vectors])
+        got = np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
+        assert _same_bits(got, expected), _host_message("stacked dot-product matmul", _PROPAGATION)
+
+    def test_stacked_3x3_products(self):
+        """``k @ k`` of the batched Rodrigues, each step's ``rotation @ accel``
+        and the running sums of the nominal integration."""
+        rng = np.random.default_rng(6)
+        k = skew_batch(rng.normal(size=(4000, 3)) * 10.0 ** rng.uniform(-6, 2, (4000, 1)))
+        expected = np.array([m @ m for m in k])
+        assert _same_bits(k @ k, expected), _host_message("stacked 3x3 matmul", _PROPAGATION)
+        rotations = np.array([euler_to_rotation(*angles)
+                              for angles in rng.uniform(-np.pi, np.pi, (4000, 3))])
+        vectors = rng.normal(0.0, 5.0, (4000, 3))
+        expected = np.array([r @ v for r, v in zip(rotations, vectors)])
+        assert _same_bits((rotations @ vectors[:, :, None])[:, :, 0], expected), \
+            _host_message("stacked matrix-vector matmul", _PROPAGATION)
+        running = [vectors[0]]
+        for row in vectors[1:]:
+            running.append(running[-1] + row)
+        assert _same_bits(np.cumsum(vectors, axis=0), np.array(running)), \
+            _host_message("cumulative sum", _PROPAGATION)
+
+    def test_strided_15_row_products(self):
+        """The propagation multiplies the covariance's 15x15 IMU block and its
+        15 x 6c cross block in contiguous local buffers; the per-step loop read
+        them as views of the (15 + 6c)-wide covariance."""
+        rng = np.random.default_rng(7)
+        phi = rng.normal(size=(IMU_ERROR_DIM, IMU_ERROR_DIM))
+        for clones in range(31):
+            dim = IMU_ERROR_DIM + 6 * clones
+            cov = rng.normal(size=(dim, dim))
+            for block in (cov[:IMU_ERROR_DIM, :IMU_ERROR_DIM], cov[:IMU_ERROR_DIM, IMU_ERROR_DIM:]):
+                assert _same_bits(phi @ block, phi @ block.copy()), \
+                    _host_message(f"strided 15x{block.shape[1]} matmul (lda {dim})", _PROPAGATION)
+            block = cov[:IMU_ERROR_DIM, :IMU_ERROR_DIM]
+            assert _same_bits(phi @ block @ phi.T, phi @ block.copy() @ phi.T), \
+                _host_message(f"strided 15x15 sandwich (lda {dim})", _PROPAGATION)
 
 
 # ------------------------------------------------ servbench signature check

@@ -6,7 +6,7 @@ import pytest
 from repro.common.geometry import Pose
 from repro.sensors.dataset import Frame, SequenceBuilder
 from repro.sensors.gps import GpsSimulator
-from repro.sensors.imu import GRAVITY, ImuSimulator, integrate_imu
+from repro.sensors.imu import GRAVITY, ImuSimulator
 from repro.sensors.scenarios import (
     OperatingScenario,
     ScenarioKind,
@@ -14,6 +14,8 @@ from repro.sensors.scenarios import (
     scenario_catalog,
 )
 from repro.sensors.trajectory import (
+    TrajectoryArrays,
+    TrajectorySample,
     circle_trajectory,
     figure_eight_trajectory,
     random_smooth_trajectory,
@@ -110,42 +112,25 @@ class TestLandmarkWorld:
 
 
 class TestImu:
-    def test_stationary_measures_gravity(self):
-        from repro.sensors.trajectory import TrajectorySample
+    @staticmethod
+    def _still(count: int) -> TrajectoryArrays:
+        return TrajectoryArrays.stack([
+            TrajectorySample(0.01 * k, Pose.identity(), np.zeros(3), np.zeros(3), np.zeros(3))
+            for k in range(count)])
 
-        truth = TrajectorySample(
-            timestamp=0.0, pose=Pose.identity(), velocity=np.zeros(3),
-            acceleration=np.zeros(3), angular_velocity=np.zeros(3),
-        )
+    def test_stationary_measures_gravity(self):
         imu = ImuSimulator(gyro_noise=0.0, accel_noise=0.0, gyro_bias_walk=0.0, accel_bias_walk=0.0)
-        sample = imu.measure(truth, dt=0.01)
-        assert np.allclose(sample.linear_acceleration, -GRAVITY, atol=1e-9)
-        assert np.allclose(sample.angular_velocity, np.zeros(3), atol=1e-9)
+        gyro, accel = imu.measure_array(self._still(4), np.full(4, 0.01))
+        assert gyro.shape == accel.shape == (4, 3)
+        assert np.allclose(accel, -GRAVITY, atol=1e-9)
+        assert np.allclose(gyro, np.zeros(3), atol=1e-9)
 
     def test_noise_is_reproducible(self):
-        from repro.sensors.trajectory import TrajectorySample
-
-        truth = TrajectorySample(0.0, Pose.identity(), np.zeros(3), np.zeros(3), np.zeros(3))
-        a = ImuSimulator(seed=5).measure(truth, 0.01)
-        b = ImuSimulator(seed=5).measure(truth, 0.01)
-        assert np.allclose(a.linear_acceleration, b.linear_acceleration)
-
-    def test_integration_recovers_straight_motion(self):
-        trajectory = straight_trajectory(speed=2.0, lateral_wiggle=0.0)
-        samples = trajectory.sample_range(duration=1.0, rate_hz=200.0)
-        imu = ImuSimulator(gyro_noise=0.0, accel_noise=0.0, gyro_bias_walk=0.0, accel_bias_walk=0.0)
-        measurements = imu.measure_interval(samples)
-        pose, velocity = integrate_imu(measurements, samples[0].pose, samples[0].velocity)
-        assert np.allclose(pose.translation, samples[-1].pose.translation, atol=0.05)
-
-    def test_noisy_integration_drifts(self):
-        trajectory = straight_trajectory(speed=2.0)
-        samples = trajectory.sample_range(duration=3.0, rate_hz=100.0)
-        imu = ImuSimulator(gyro_noise=5e-3, accel_noise=5e-2, seed=2)
-        measurements = imu.measure_interval(samples)
-        pose, _ = integrate_imu(measurements, samples[0].pose, samples[0].velocity)
-        drift = np.linalg.norm(pose.translation - samples[-1].pose.translation)
-        assert drift > 0.0
+        a = ImuSimulator(seed=5).measure_array(self._still(3), np.full(3, 0.01))
+        b = ImuSimulator(seed=5).measure_array(self._still(3), np.full(3, 0.01))
+        c = ImuSimulator(seed=6).measure_array(self._still(3), np.full(3, 0.01))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert not np.array_equal(a[1], c[1])
 
 
 class TestGps:
@@ -194,7 +179,12 @@ class TestScenariosAndDataset:
         frame = outdoor_sequence.frames[5]
         assert isinstance(frame, Frame)
         assert frame.observation_count > 0
-        assert len(frame.imu_samples) > 0
+        batch = len(frame.imu_timestamps)
+        assert batch > 0
+        assert frame.imu_timestamps.shape == (batch,)
+        assert frame.imu_gyro.shape == frame.imu_accel.shape == (batch, 3)
+        for column in (frame.imu_timestamps, frame.imu_gyro, frame.imu_accel):
+            assert column.dtype == np.float64
         assert frame.has_gps  # outdoor scenario provides GPS
         assert np.isclose(outdoor_sequence.frame_rate, 10.0, atol=0.5)
 
@@ -216,11 +206,31 @@ class TestScenariosAndDataset:
         assert len(world) == outdoor_sequence.config.landmark_count
 
     def test_imu_batches_cover_frame_interval(self, outdoor_sequence):
-        frame = outdoor_sequence.frames[4]
-        stamps = [s.timestamp for s in frame.imu_samples]
-        assert stamps[0] >= outdoor_sequence.frames[3].timestamp - 1e-6
-        assert stamps[-1] <= frame.timestamp + 1e-6
-        assert len(stamps) >= outdoor_sequence.config.imu_per_frame
+        frames = outdoor_sequence.frames
+        first = frames[0]
+        assert first.imu_timestamps.shape == (0,)
+        assert first.imu_gyro.shape == first.imu_accel.shape == (0, 3)
+        for previous, frame in zip(frames, frames[1:]):
+            stamps = frame.imu_timestamps
+            # Each batch runs from the previous epoch to its own, both included,
+            # so consecutive batches share their boundary timestamp.
+            assert stamps[0] == previous.timestamp
+            assert stamps[-1] == pytest.approx(frame.timestamp, abs=1e-9)
+            if previous is not first:
+                assert previous.imu_timestamps[-1] == pytest.approx(stamps[0], abs=1e-9)
+            assert np.all(np.diff(stamps) > 0)
+            assert len(stamps) >= outdoor_sequence.config.imu_per_frame
+
+    def test_vio_workload_counts_the_frame_batch(self, outdoor_sequence):
+        """The modeled CPU and accelerator VIO latencies read this count."""
+        from repro.backend.vio import VioBackend
+        from repro.frontend.frontend import VisualFrontend
+
+        frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True)
+        backend = VioBackend()
+        for frame in outdoor_sequence.frames[:4]:
+            backend.process(frontend.process(frame), frame)
+            assert backend.filter.last_workload.imu_samples == len(frame.imu_timestamps)
 
     def test_build_mixed_indices_contiguous(self, small_sensor_config):
         builder = SequenceBuilder(small_sensor_config)
