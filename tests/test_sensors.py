@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.backend.vio import VioBackend
 from repro.common.geometry import Pose
+from repro.frontend.frontend import VisualFrontend
 from repro.sensors.dataset import Frame, SequenceBuilder
 from repro.sensors.gps import GpsSimulator
 from repro.sensors.imu import GRAVITY, ImuSimulator
@@ -223,9 +225,6 @@ class TestScenariosAndDataset:
 
     def test_vio_workload_counts_the_frame_batch(self, outdoor_sequence):
         """The modeled CPU and accelerator VIO latencies read this count."""
-        from repro.backend.vio import VioBackend
-        from repro.frontend.frontend import VisualFrontend
-
         frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True)
         backend = VioBackend()
         for frame in outdoor_sequence.frames[:4]:
