@@ -132,13 +132,14 @@ class KeyframeMapper:
         workload = SlamWorkload()
 
         with stopwatch.measure("init"):
+            track_ids = frontend.track_ids.tolist()
             keyframe = Keyframe(
                 frame_index=frontend.frame_index,
                 timestamp=frontend.timestamp,
                 pose=pose_guess.copy(),
-                observations={obs.track_id: obs.point_body.copy() for obs in frontend.observations},
-                observation_sigma={obs.track_id: max(float(np.mean(obs.noise_std)), 1e-3)
-                                   for obs in frontend.observations},
+                observations=dict(zip(track_ids, frontend.points_body.copy())),
+                observation_sigma=dict(zip(track_ids, np.maximum(frontend.noise_std.mean(axis=1),
+                                                                 1e-3).tolist())),
             )
             self.keyframes.append(keyframe)
             self._initialize_landmarks(keyframe)

@@ -15,7 +15,7 @@ forward/backward-substitute to solve ``S K^T = H P`` (Equ. 1a/1b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -24,7 +24,7 @@ from repro.backend.state import CLONE_ERROR_DIM, IMU_ERROR_DIM, MsckfState
 from repro.common.config import MSCKFConfig
 from repro.common.geometry import Pose, skew_batch, so3_exp_batch
 from repro.common.timing import StopwatchCollector
-from repro.frontend.frontend import FrontendResult, TrackObservation
+from repro.frontend.frontend import FrontendResult
 from repro.linalg.decompositions import qr_reduced
 from repro.linalg.ops import matmul, quadratic_form, transpose
 from repro.linalg.solvers import solve_cholesky
@@ -50,25 +50,8 @@ class VioWorkload:
         return self.features_used
 
 
-@dataclass
-class _TrackRecord:
-    """Accumulated body-frame observations of one track across clones."""
-
-    track_id: int
-    observations: List[Tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
-
-    def add(self, frame_index: int, point_body: np.ndarray, noise_std: np.ndarray) -> None:
-        self.observations.append(
-            (
-                frame_index,
-                np.asarray(point_body, dtype=float).reshape(3),
-                np.asarray(noise_std, dtype=float).reshape(3),
-            )
-        )
-
-    @property
-    def length(self) -> int:
-        return len(self.observations)
+# One observation of a track: (frame index, body point, noise std).
+_Observation = Tuple[int, np.ndarray, np.ndarray]
 
 
 class Msckf:
@@ -77,7 +60,7 @@ class Msckf:
     def __init__(self, config: Optional[MSCKFConfig] = None) -> None:
         self.config = config or MSCKFConfig()
         self.state = MsckfState(window_size=self.config.window_size)
-        self._tracks: Dict[int, _TrackRecord] = {}
+        self._tracks: Dict[int, List[_Observation]] = {}
         self._initialized = False
         self.last_workload = VioWorkload()
         self.last_kernel_ms: Dict[str, float] = {}
@@ -216,34 +199,34 @@ class Msckf:
     # -------------------------------------------------------------- updates
 
     def _record_observations(self, frontend: FrontendResult) -> None:
-        for obs in frontend.observations:
-            record = self._tracks.setdefault(obs.track_id, _TrackRecord(obs.track_id))
-            record.add(frontend.frame_index, obs.point_body, obs.noise_std)
+        rows = zip(frontend.track_ids.tolist(), frontend.points_body, frontend.noise_std)
+        for track_id, point_body, noise_std in rows:
+            self._tracks.setdefault(track_id, []).append((frontend.frame_index, point_body, noise_std))
 
-    def _select_update_tracks(self, frontend: FrontendResult) -> List[_TrackRecord]:
-        """Tracks that are lost this frame or have spanned the full window."""
-        current_ids = set(frontend.track_ids)
+    def _select_update_tracks(self, frontend: FrontendResult) -> List[List[_Observation]]:
+        """Tracks that are lost this frame or have spanned the full window.
+
+        The longest come first; equal lengths keep the tracks' first-seen order.
+        """
+        current_ids = set(frontend.track_ids.tolist())
         clone_frames = {clone.frame_index for clone in self.state.clones}
-        finished: List[_TrackRecord] = []
+        finished: List[List[_Observation]] = []
         for track_id in list(self._tracks.keys()):
-            record = self._tracks[track_id]
             # Keep only observations that still have a clone in the window.
-            record.observations = [
-                (frame, point, noise) for frame, point, noise in record.observations
-                if frame in clone_frames
-            ]
-            if not record.observations:
+            observations = [row for row in self._tracks[track_id] if row[0] in clone_frames]
+            if not observations:
                 del self._tracks[track_id]
                 continue
+            self._tracks[track_id] = observations
             lost = track_id not in current_ids
-            saturated = record.length >= self.config.window_size
-            if (lost or saturated) and record.length >= self.config.min_track_for_update:
-                finished.append(record)
+            saturated = len(observations) >= self.config.window_size
+            if (lost or saturated) and len(observations) >= self.config.min_track_for_update:
+                finished.append(observations)
                 del self._tracks[track_id]
-        finished.sort(key=lambda r: r.length, reverse=True)
+        finished.sort(key=len, reverse=True)
         return finished[: self.config.max_features_per_update]
 
-    def _clone_observation_arrays(self, record: _TrackRecord) -> Optional[Tuple[np.ndarray, ...]]:
+    def _clone_observation_arrays(self, observations: List[_Observation]) -> Optional[Tuple[np.ndarray, ...]]:
         """Gather a track's observations that still have a clone in the window.
 
         Returns ``(clone_indices, points_body, noise_std)`` as arrays, or None
@@ -252,7 +235,7 @@ class Msckf:
         index_by_frame = {clone.frame_index: i for i, clone in enumerate(self.state.clones)}
         rows = [
             (index_by_frame[frame_index], point_body, noise_std)
-            for frame_index, point_body, noise_std in record.observations
+            for frame_index, point_body, noise_std in observations
             if frame_index in index_by_frame
         ]
         if not rows:
@@ -274,15 +257,15 @@ class Msckf:
         weights = (1.0 / noise[:, 0] ** 2).reshape(-1, 1)
         return (world * weights).sum(axis=0) / weights.sum()
 
-    def _update(self, tracks: List[_TrackRecord], stopwatch: StopwatchCollector,
+    def _update(self, tracks: List[List[_Observation]], stopwatch: StopwatchCollector,
                 workload: VioWorkload) -> None:
         state_dim = self.state.error_dim
 
         with stopwatch.measure("jacobian"):
             rows: List[np.ndarray] = []
             residuals: List[np.ndarray] = []
-            for record in tracks:
-                block = self._feature_jacobian(record)
+            for observations in tracks:
+                block = self._feature_jacobian(observations)
                 if block is None:
                     continue
                 h_block, r_block = block
@@ -323,11 +306,11 @@ class Msckf:
             self.state.symmetrize()
             self.state.apply_correction(correction)
 
-    def _feature_jacobian(self, record: _TrackRecord) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    def _feature_jacobian(self, observations: List[_Observation]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Build the nullspace-projected Jacobian and residual for one track."""
         state_dim = self.state.error_dim
 
-        gathered = self._clone_observation_arrays(record)
+        gathered = self._clone_observation_arrays(observations)
         if gathered is None or gathered[0].size < 2:
             return None
         clone_idx, points_body, noise_std = gathered

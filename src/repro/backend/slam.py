@@ -36,8 +36,8 @@ class SlamBackend:
         self.map = LocalizationMap()
         self._last_pose: Optional[Pose] = None
         self._last_relative: Optional[Pose] = None
-        self._previous_points: Dict[int, np.ndarray] = {}
-        self._previous_sigmas: Dict[int, float] = {}
+        # The last frame's frontend result, the visual odometry's reference.
+        self._previous: Optional[FrontendResult] = None
         self._initialized = False
 
     def reset(self) -> None:
@@ -45,8 +45,7 @@ class SlamBackend:
         self.map = LocalizationMap()
         self._last_pose = None
         self._last_relative = None
-        self._previous_points = {}
-        self._previous_sigmas = {}
+        self._previous = None
         self._initialized = False
 
     @property
@@ -99,8 +98,7 @@ class SlamBackend:
         kernel_ms.setdefault("init", 0.0)
 
         self._last_pose = pose.copy()
-        self._previous_points = {obs.track_id: obs.point_body.copy() for obs in frontend.observations}
-        self._previous_sigmas = {obs.track_id: float(np.mean(obs.noise_std)) for obs in frontend.observations}
+        self._previous = frontend
         workload.keyframes = len(self.mapper.keyframes)
         workload.landmarks = self.mapper.map_size
         return BackendResult(
@@ -126,10 +124,10 @@ class SlamBackend:
 
     def _map_coverage(self, frontend: FrontendResult) -> float:
         """Fraction of the current observations already present in the map."""
-        if not frontend.observations:
+        if not frontend.feature_count:
             return 0.0
-        known = sum(1 for obs in frontend.observations if obs.track_id in self.mapper.landmarks)
-        return known / len(frontend.observations)
+        known = sum(1 for track_id in frontend.track_ids.tolist() if track_id in self.mapper.landmarks)
+        return known / frontend.feature_count
 
     def _visual_odometry_prediction(self, frontend: FrontendResult) -> Pose:
         """Predict the pose from frame-to-frame motion of common tracks.
@@ -140,20 +138,24 @@ class SlamBackend:
         """
         if self._last_pose is None:
             return Pose.identity()
-        if not self._previous_points:
+        previous = self._previous
+        if previous is None or not previous.feature_count:
             return self._last_pose.copy()
-        current, previous, weights = [], [], []
-        for obs in frontend.observations:
-            if obs.track_id in self._previous_points:
-                current.append(obs.point_body)
-                previous.append(self._previous_points[obs.track_id])
-                sigma = max(self._previous_sigmas.get(obs.track_id, 0.1), float(np.mean(obs.noise_std)), 1e-3)
-                weights.append(1.0 / sigma**2)
-        if len(current) < 8:
+        previous_row = {track_id: row for row, track_id in enumerate(previous.track_ids.tolist())}
+        pairs = [(row, previous_row[track_id]) for row, track_id in enumerate(frontend.track_ids.tolist())
+                 if track_id in previous_row]
+        if len(pairs) < 8:
             if self._last_relative is not None:
                 return self._last_pose.compose(self._last_relative)
             return self._last_pose.copy()
+        current_rows, previous_rows = np.array(pairs).T
+        sigma = np.maximum(np.maximum(previous.noise_std[previous_rows].mean(axis=1),
+                                      frontend.noise_std[current_rows].mean(axis=1)), 1e-3)
+        # Python's float power per row: numpy's ``sigma**2`` rounds some
+        # values differently, which would move the odometry's bits.
+        weights = np.array([1.0 / value**2 for value in sigma.tolist()])
         # Relative motion: previous-body-frame point = R_rel @ current + t_rel.
-        relative = _weighted_horn(np.asarray(current), np.asarray(previous), np.asarray(weights))
+        relative = _weighted_horn(frontend.points_body[current_rows],
+                                  previous.points_body[previous_rows], weights)
         self._last_relative = relative
         return self._last_pose.compose(relative)

@@ -164,7 +164,7 @@ class MapTracker:
         # triples themselves are computed lazily in last_map_observations —
         # only registration sessions with an active fleet map ever read
         # them, and every other MapTracker frame must not pay for them.
-        self._observation_basis: Optional[Tuple[Pose, List]] = None
+        self._observation_basis: Optional[Tuple[Pose, np.ndarray, np.ndarray, np.ndarray]] = None
         self._map_observations: Optional[List[Tuple[int, np.ndarray, float]]] = None
 
     def track(self, frontend: FrontendResult, localization_map: LocalizationMap,
@@ -179,21 +179,21 @@ class MapTracker:
             workload.projected_points = projected.shape[1] if projected.size else 0
 
         with stopwatch.measure("match"):
-            correspondences = self._match(frontend, localization_map)
-            workload.matches = len(correspondences)
+            map_ids, body, world, sigma = self._match(frontend, localization_map)
+            workload.matches = map_ids.size
 
         pose: Optional[Pose] = None
         with stopwatch.measure("pose_optimization"):
-            if len(correspondences) >= self.config.min_inliers:
-                pose, inliers, iterations = self._estimate_pose(correspondences)
+            if map_ids.size >= self.config.min_inliers:
+                pose, inliers, iterations = self._estimate_pose(body, world, sigma)
                 workload.inliers = inliers
                 workload.pose_iterations = iterations
 
         # Stash the basis for the fleet map-update lifecycle's per-landmark
         # evidence; the triples are derived lazily (see
         # last_map_observations) so frames nobody asks about cost nothing.
-        self._observation_basis = ((pose, correspondences)
-                                   if pose is not None and correspondences else None)
+        self._observation_basis = ((pose, map_ids, body, world)
+                                   if pose is not None and map_ids.size else None)
         self._map_observations = None
 
         with stopwatch.measure("update"):
@@ -222,22 +222,17 @@ class MapTracker:
             if basis is None:
                 self._map_observations = []
             else:
-                pose, correspondences = basis
-                body = np.array([c[1] for c in correspondences])
-                world = np.array([c[2] for c in correspondences])
+                pose, map_ids, body, world = basis
                 observed = pose.transform_points(body)
                 residuals = np.linalg.norm(observed - world, axis=1)
-                self._map_observations = [
-                    (int(c[0]), observed[i], float(residuals[i]))
-                    for i, c in enumerate(correspondences)
-                ]
+                self._map_observations = list(zip(map_ids.tolist(), observed, residuals.tolist()))
         return self._map_observations
 
     # ------------------------------------------------------------ internals
 
     def _track_descriptors(self, frontend: FrontendResult) -> np.ndarray:
         return synthetic_descriptors_for_tracks(
-            frontend.observations, self.DESCRIPTOR_NOISE_BITS, self._descriptor_rng)
+            frontend.track_ids, self.DESCRIPTOR_NOISE_BITS, self._descriptor_rng)
 
     def _project_map(self, localization_map: LocalizationMap, prior: Pose) -> np.ndarray:
         """Project all map points through the camera model at the prior pose.
@@ -273,51 +268,44 @@ class MapTracker:
         return matmul(camera.projection_matrix, homogeneous_points)
 
     def _match(self, frontend: FrontendResult,
-               localization_map: LocalizationMap) -> List[Tuple[int, np.ndarray, np.ndarray, float]]:
+               localization_map: LocalizationMap) -> Tuple[np.ndarray, ...]:
         """Associate observations to map points.
 
-        Returns (map point id, body point, map point, noise std) tuples,
-        where the noise std summarises the stereo triangulation uncertainty
-        of the body point.
+        Returns ``(map point ids, body points, map points, noise std)``
+        columns, one row per match, where the noise std is the depth std of
+        the stereo-triangulated body point.  Matches by track identity come
+        first, in frontend row order; too few of them add the descriptor
+        matches of every row after them.
         """
-        correspondences: List[Tuple[int, np.ndarray, np.ndarray, float]] = []
-        matched_by_id = 0
-        for obs in frontend.observations:
-            map_point = localization_map.points.get(obs.track_id)
-            if map_point is not None:
-                correspondences.append(
-                    (map_point.point_id, obs.point_body, map_point.position, obs.depth_std))
-                matched_by_id += 1
-        if matched_by_id >= self.config.min_inliers:
-            return correspondences
+        points = localization_map.points
+        track_ids = frontend.track_ids.tolist()
+        rows = [row for row, track_id in enumerate(track_ids) if track_id in points]
+        map_ids = [points[track_ids[row]].point_id for row in rows]
+        if len(rows) < self.config.min_inliers:
+            # Fall back to descriptor matching (needed when track identities do
+            # not align with map identities, e.g. dense-frontend relocalization).
+            descriptors = self._track_descriptors(frontend)
+            map_descriptors = localization_map.descriptors()
+            if descriptors.shape[0] > 0 and map_descriptors.shape[0] > 0:
+                distances = hamming_distance_matrix(descriptors, map_descriptors)
+                point_ids = list(points)
+                for row, nearest in enumerate(np.argmin(distances, axis=1).tolist()):
+                    if distances[row, nearest] <= 64:
+                        rows.append(row)
+                        map_ids.append(point_ids[nearest])
+        world = np.array([points[map_id].position for map_id in map_ids]).reshape(-1, 3)
+        return (np.array(map_ids, dtype=np.int64), frontend.points_body[rows], world,
+                frontend.noise_std[rows, 0])
 
-        # Fall back to descriptor matching (needed when track identities do not
-        # align with map identities, e.g. dense-frontend relocalization).
-        descriptors = self._track_descriptors(frontend)
-        map_descriptors = localization_map.descriptors()
-        if descriptors.shape[0] == 0 or map_descriptors.shape[0] == 0:
-            return correspondences
-        distances = hamming_distance_matrix(descriptors, map_descriptors)
-        map_ids = [p.point_id for p in localization_map.points.values()]
-        for i, obs in enumerate(frontend.observations):
-            j = int(np.argmin(distances[i]))
-            if distances[i, j] <= 64:
-                correspondences.append(
-                    (map_ids[j], obs.point_body,
-                     localization_map.points[map_ids[j]].position, obs.depth_std)
-                )
-        return correspondences
-
-    def _estimate_pose(self, correspondences: List[Tuple[int, np.ndarray, np.ndarray, float]]) -> Tuple[Pose, int, int]:
+    def _estimate_pose(self, body: np.ndarray, world: np.ndarray,
+                       sigma: np.ndarray) -> Tuple[Pose, int, int]:
         """Robust absolute-orientation estimation from 3-D/3-D matches."""
-        body = np.array([c[1] for c in correspondences])
-        world = np.array([c[2] for c in correspondences])
-        sigma = np.maximum(np.array([c[3] for c in correspondences]), 1e-3)
+        sigma = np.maximum(sigma, 1e-3)
         base_weights = 1.0 / sigma**2
         weights = base_weights.copy()
         pose = Pose.identity()
         iterations = 0
-        inliers = len(correspondences)
+        inliers = len(body)
         for iteration in range(self.config.pnp_iterations):
             iterations += 1
             pose = _weighted_horn(body, world, weights)
@@ -329,7 +317,7 @@ class MapTracker:
             new_weights = base_weights * inlier_mask.astype(float)
             if inliers < self.config.min_inliers:
                 new_weights = base_weights
-                inliers = len(correspondences)
+                inliers = len(body)
             if np.allclose(new_weights, weights):
                 break
             weights = new_weights

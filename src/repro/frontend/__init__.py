@@ -25,7 +25,6 @@ from repro.frontend.optical_flow import LucasKanadeTracker, FlowResult
 from repro.frontend.frontend import (
     FrontendResult,
     FrontendSummary,
-    TrackObservation,
     VisualFrontend,
 )
 
@@ -44,6 +43,5 @@ __all__ = [
     "FlowResult",
     "FrontendResult",
     "FrontendSummary",
-    "TrackObservation",
     "VisualFrontend",
 ]

@@ -1,8 +1,9 @@
 """The visual frontend block: feature matching shared by all backend modes.
 
-``VisualFrontend`` produces, for every camera frame, a set of
-:class:`TrackObservation` records: stereo-matched feature points with
-persistent track identities across time.  The backend consumes only these
+``VisualFrontend`` produces, for every camera frame, a
+:class:`FrontendResult`: the frame's stereo-matched feature points with
+persistent track identities across time, one row per correspondence in a few
+columns.  Every backend reads these columns directly; it consumes only these
 correspondences (2-3 KB per frame in the paper) plus the IMU/GPS samples.
 
 Two execution paths are supported:
@@ -24,7 +25,7 @@ latencies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,43 +39,6 @@ from repro.frontend.stereo import StereoMatcher
 from repro.obs.profile import profile_kernel
 from repro.sensors.dataset import Frame
 from repro.sensors.world import body_frame_from_camera
-
-
-@dataclass
-class TrackObservation:
-    """One stereo feature observation attached to a persistent track."""
-
-    track_id: int
-    left_pixel: np.ndarray
-    right_pixel: np.ndarray
-    point_camera: np.ndarray
-    point_body: np.ndarray
-    descriptor: Optional[np.ndarray] = None
-    age: int = 1
-    noise_std: np.ndarray = None
-
-    def __post_init__(self) -> None:
-        self.left_pixel = np.asarray(self.left_pixel, dtype=float).reshape(2)
-        self.right_pixel = np.asarray(self.right_pixel, dtype=float).reshape(2)
-        self.point_camera = np.asarray(self.point_camera, dtype=float).reshape(3)
-        self.point_body = np.asarray(self.point_body, dtype=float).reshape(3)
-        if self.noise_std is None:
-            self.noise_std = np.full(3, 0.05)
-        else:
-            self.noise_std = np.asarray(self.noise_std, dtype=float).reshape(3)
-
-    @property
-    def disparity(self) -> float:
-        return float(self.left_pixel[0] - self.right_pixel[0])
-
-    @property
-    def depth(self) -> float:
-        return float(self.point_camera[2])
-
-    @property
-    def depth_std(self) -> float:
-        """Standard deviation of the triangulated depth (body x axis)."""
-        return float(self.noise_std[0])
 
 
 def stereo_point_noise(depth, fx: float, baseline: float,
@@ -125,29 +89,35 @@ class FrontendWorkload:
 
 @dataclass
 class FrontendResult:
-    """Per-frame output of the visual frontend."""
+    """Per-frame output of the visual frontend, one row per correspondence.
+
+    The rows are in the frontend's rank order, which the backends keep.
+    Each column exists because a reader needs it:
+
+    * ``track_ids`` — int64 ``(n,)`` persistent track identities; every
+      backend reads them.
+    * ``points_body`` — ``(n, 3)`` stereo-triangulated points in the body
+      frame; the MSCKF update, the SLAM odometry and keyframes, and the
+      registration pose solve read them.
+    * ``noise_std`` — ``(n, 3)`` per-axis noise of those points (see
+      :func:`stereo_point_noise`; column 0 is the depth std); the same
+      three readers weight by it.
+    * ``left_pixels`` — ``(n, 2)`` left-image pixels; only the dense path's
+      Lucas-Kanade association of the next frame reads them.
+    """
 
     frame_index: int
     timestamp: float
-    observations: List[TrackObservation] = field(default_factory=list)
-    new_track_ids: List[int] = field(default_factory=list)
-    lost_track_ids: List[int] = field(default_factory=list)
+    track_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    points_body: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    noise_std: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    left_pixels: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
     workload: FrontendWorkload = field(default_factory=FrontendWorkload)
     measured_ms: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def track_ids(self) -> List[int]:
-        return [obs.track_id for obs in self.observations]
-
-    @property
     def feature_count(self) -> int:
-        return len(self.observations)
-
-    def observation_for(self, track_id: int) -> Optional[TrackObservation]:
-        for obs in self.observations:
-            if obs.track_id == track_id:
-                return obs
-        return None
+        return self.track_ids.size
 
     def summary(self) -> "FrontendSummary":
         """The part of this frame that outlives the backend step."""
@@ -202,7 +172,8 @@ class VisualFrontend:
         )
 
         self._next_track_id = 0
-        self._active_tracks: Dict[int, TrackObservation] = {}
+        # The last frame's result: its rows are the active tracks.
+        self._previous = FrontendResult(frame_index=-1, timestamp=0.0)
         self._previous_left_image: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ API
@@ -210,12 +181,12 @@ class VisualFrontend:
     def reset(self) -> None:
         """Forget all active tracks (e.g. when a new sequence segment starts)."""
         self._next_track_id = 0
-        self._active_tracks = {}
+        self._previous = FrontendResult(frame_index=-1, timestamp=0.0)
         self._previous_left_image = None
 
     @property
     def active_track_count(self) -> int:
-        return len(self._active_tracks)
+        return self._previous.feature_count
 
     def process(self, frame: Frame, rig: Optional[StereoRig] = None) -> FrontendResult:
         """Process one frame and return its correspondences."""
@@ -226,13 +197,31 @@ class VisualFrontend:
             return self._process_sparse(frame, rig)
         return self._process_dense(frame, rig)
 
+    def _advance(self, result: FrontendResult) -> Tuple[int, int]:
+        """Make ``result`` the previous frame.
+
+        Returns how many tracks were active before it and how many of them
+        it continues.
+        """
+        previous_ids = set(self._previous.track_ids.tolist())
+        continued = len(previous_ids.intersection(result.track_ids.tolist()))
+        self._previous = result
+        return len(previous_ids), continued
+
+    def _triangulate(self, result: FrontendResult, right_pixels: np.ndarray, rig: StereoRig) -> None:
+        """Fill ``result``'s body points and their noise from its stereo pixels."""
+        with profile_kernel("frontend.triangulation", features=result.feature_count):
+            points_camera = rig.triangulate(result.left_pixels, right_pixels)
+        result.points_body = body_frame_from_camera(points_camera)
+        result.noise_std = stereo_point_noise(
+            points_camera[:, 2], rig.camera.fx, rig.baseline, self.config.assumed_pixel_noise
+        )
+
     # --------------------------------------------------------- sparse path
 
     def _process_sparse(self, frame: Frame, rig: StereoRig) -> FrontendResult:
         stopwatch = StopwatchCollector()
-        previous_ids = set(self._active_tracks.keys())
-        observations: List[TrackObservation] = []
-        new_ids: List[int] = []
+        result = FrontendResult(frame_index=frame.index, timestamp=frame.timestamp)
 
         with stopwatch.measure("feature_extraction"):
             disparity = frame.left_pixels[:, 0] - frame.right_pixels[:, 0]
@@ -248,59 +237,27 @@ class VisualFrontend:
             if items.size:
                 kept = items[self._rng.random(items.size) >= self.dropout_probability]
             if kept.size:
-                # Fancy indexing copies: no observation aliases the frame.
-                left_pixels = frame.left_pixels[kept]
-                right_pixels = frame.right_pixels[kept]
-                with profile_kernel("frontend.triangulation",
-                                    features=kept.size):
-                    points_camera = rig.triangulate(left_pixels, right_pixels)
-                points_body = body_frame_from_camera(points_camera)
-                noise_stds = stereo_point_noise(
-                    points_camera[:, 2], rig.camera.fx, rig.baseline, self.config.assumed_pixel_noise
-                )
-                for i, landmark_id in enumerate(frame.landmark_ids[kept].tolist()):
-                    previous = self._active_tracks.get(landmark_id)
-                    observations.append(
-                        TrackObservation(
-                            track_id=landmark_id,
-                            left_pixel=left_pixels[i],
-                            right_pixel=right_pixels[i],
-                            point_camera=points_camera[i],
-                            point_body=points_body[i],
-                            descriptor=None,
-                            age=previous.age + 1 if previous is not None else 1,
-                            noise_std=noise_stds[i],
-                        )
-                    )
-                    if previous is None:
-                        new_ids.append(landmark_id)
+                # Fancy indexing copies: no column aliases the frame.
+                result.track_ids = frame.landmark_ids[kept]
+                result.left_pixels = frame.left_pixels[kept]
+                self._triangulate(result, frame.right_pixels[kept], rig)
 
         with stopwatch.measure("temporal_matching"):
-            current_ids = {obs.track_id for obs in observations}
-            lost_ids = sorted(previous_ids - current_ids)
-            temporal_matches = len(previous_ids & current_ids)
-            self._active_tracks = {obs.track_id: obs for obs in observations}
+            tracked_points, temporal_matches = self._advance(result)
 
-        workload = FrontendWorkload(
+        result.workload = FrontendWorkload(
             image_width=rig.camera.width,
             image_height=rig.camera.height,
             keypoints_left=items.size,
             keypoints_right=items.size,
             descriptors_computed=2 * items.size,
             stereo_candidates=items.size,
-            stereo_matches=len(observations),
-            tracked_points=len(previous_ids),
+            stereo_matches=result.feature_count,
+            tracked_points=tracked_points,
             temporal_matches=temporal_matches,
         )
-        return FrontendResult(
-            frame_index=frame.index,
-            timestamp=frame.timestamp,
-            observations=observations,
-            new_track_ids=new_ids,
-            lost_track_ids=lost_ids,
-            workload=workload,
-            measured_ms=stopwatch.as_dict(),
-        )
+        result.measured_ms = stopwatch.as_dict()
+        return result
 
     # ---------------------------------------------------------- dense path
 
@@ -324,47 +281,34 @@ class VisualFrontend:
         with stopwatch.measure("temporal_matching"):
             association = self._temporal_association(left_image, left_keypoints)
 
-        observations: List[TrackObservation] = []
-        new_ids: List[int] = []
-        used_track_ids: set = set()
+        track_ids: List[int] = []
+        left_rows: List[Tuple[float, float]] = []
+        right_rows: List[Tuple[float, float]] = []
         for match in matches:
             if match.disparity < self.config.min_disparity:
                 continue
             keypoint = left_keypoints[match.left_index]
-            right_keypoint = right_keypoints[match.right_index]
             track_id = association.get(match.left_index)
-            if track_id is None or track_id in used_track_ids:
+            if track_id is None or track_id in track_ids:
                 track_id = self._next_track_id
                 self._next_track_id += 1
-                new_ids.append(track_id)
-            used_track_ids.add(track_id)
-            left_pixel = np.array([keypoint.x, keypoint.y])
-            right_pixel = np.array([keypoint.x - match.disparity, right_keypoint.y])
-            point_camera = rig.triangulate(left_pixel.reshape(1, 2), right_pixel.reshape(1, 2))[0]
-            point_body = body_frame_from_camera(point_camera.reshape(1, 3))[0]
-            previous = self._active_tracks.get(track_id)
-            observations.append(
-                TrackObservation(
-                    track_id=track_id,
-                    left_pixel=left_pixel,
-                    right_pixel=right_pixel,
-                    point_camera=point_camera,
-                    point_body=point_body,
-                    descriptor=left_descriptors[match.left_index],
-                    age=previous.age + 1 if previous is not None else 1,
-                    noise_std=stereo_point_noise(
-                        point_camera[2], rig.camera.fx, rig.baseline, self.config.assumed_pixel_noise
-                    ),
-                )
-            )
+            track_ids.append(track_id)
+            left_rows.append((keypoint.x, keypoint.y))
+            right_rows.append((keypoint.x - match.disparity, right_keypoints[match.right_index].y))
 
-        previous_ids = set(self._active_tracks.keys())
-        current_ids = {obs.track_id for obs in observations}
-        lost_ids = sorted(previous_ids - current_ids)
-        self._active_tracks = {obs.track_id: obs for obs in observations}
+        result = FrontendResult(
+            frame_index=frame.index,
+            timestamp=frame.timestamp,
+            track_ids=np.array(track_ids, dtype=np.int64),
+            left_pixels=np.array(left_rows, dtype=float).reshape(-1, 2),
+            measured_ms=stopwatch.as_dict(),
+        )
+        if track_ids:
+            self._triangulate(result, np.array(right_rows, dtype=float), rig)
+        tracked_points, temporal_matches = self._advance(result)
         self._previous_left_image = left_image
 
-        workload = FrontendWorkload(
+        result.workload = FrontendWorkload(
             image_width=left_image.shape[1],
             image_height=left_image.shape[0],
             keypoints_left=len(left_keypoints),
@@ -372,29 +316,21 @@ class VisualFrontend:
             descriptors_computed=len(left_keypoints) + len(right_keypoints),
             stereo_candidates=len(left_keypoints) * max(1, len(right_keypoints)),
             stereo_matches=len(matches),
-            tracked_points=len(previous_ids),
-            temporal_matches=len(previous_ids & current_ids),
+            tracked_points=tracked_points,
+            temporal_matches=temporal_matches,
         )
-        return FrontendResult(
-            frame_index=frame.index,
-            timestamp=frame.timestamp,
-            observations=observations,
-            new_track_ids=new_ids,
-            lost_track_ids=lost_ids,
-            workload=workload,
-            measured_ms=stopwatch.as_dict(),
-        )
+        return result
 
     def _temporal_association(self, left_image: np.ndarray,
                               current_keypoints: List[Keypoint]) -> Dict[int, int]:
         """Map current left-keypoint index -> persistent track id via LK tracking."""
-        if self._previous_left_image is None or not self._active_tracks:
+        previous = self._previous
+        if self._previous_left_image is None or not previous.feature_count:
             return {}
-        previous_points = np.array([obs.left_pixel for obs in self._active_tracks.values()])
-        previous_ids = list(self._active_tracks.keys())
-        flow = self._tracker.track(self._previous_left_image, left_image, previous_points)
+        flow = self._tracker.track(self._previous_left_image, left_image, previous.left_pixels)
         if not current_keypoints:
             return {}
+        previous_ids = previous.track_ids.tolist()
         current_xy = keypoints_to_array(current_keypoints)
 
         association: Dict[int, int] = {}
@@ -408,20 +344,20 @@ class VisualFrontend:
         return association
 
 
-def synthetic_descriptors_for_tracks(observations: List[TrackObservation],
+def synthetic_descriptors_for_tracks(track_ids: np.ndarray,
                                      noise_bits: int = 0,
                                      rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Generate stable binary descriptors for sparse-path observations.
+    """Generate stable binary descriptors for a frame's ``track_ids`` column.
 
     Used by the bag-of-words registration backend, which needs descriptors
     even when the frontend ran in sparse mode.  The descriptor is derived from
     the track identity so repeated visits to the same landmark produce nearly
-    identical signatures.  With ``noise_bits > 0`` each observation's flips are
-    drawn in order from the one ``rng``, which is then required.
+    identical signatures.  With ``noise_bits > 0`` each row's flips are drawn
+    in row order from the one ``rng``, which is then required.
     """
-    if not observations:
+    if not track_ids.size:
         return np.zeros((0, 32), dtype=np.uint8)
     return np.stack(
-        [descriptor_from_seed(obs.track_id * 2654435761 % (2**31), noise_bits=noise_bits, rng=rng)
-         for obs in observations]
+        [descriptor_from_seed(track_id * 2654435761 % (2**31), noise_bits=noise_bits, rng=rng)
+         for track_id in track_ids.tolist()]
     )

@@ -68,8 +68,8 @@ class TestMapTracker:
         # fresh trackers on the same frames must produce the same bytes.
         drawn = []
 
-        def recording(observations, *args, **kwargs):
-            descriptors = synthetic_descriptors_for_tracks(observations, *args, **kwargs)
+        def recording(track_ids, *args, **kwargs):
+            descriptors = synthetic_descriptors_for_tracks(track_ids, *args, **kwargs)
             drawn[-1].append(descriptors.tobytes())
             return descriptors
 

@@ -209,7 +209,7 @@ class TestFrontendSummaries:
         assert all(type(summary) is FrontendSummary for summary in result.frontend_results)
         assert result.frontend_results == [r.summary() for r in full.frontend_results]
         assert [summary.feature_count for summary in result.frontend_results] == \
-            [len(r.observations) for r in full.frontend_results]
+            [r.track_ids.size for r in full.frontend_results]
         assert result.mean_feature_count() > 0
 
     def test_accelerate_is_unchanged(self, runs):

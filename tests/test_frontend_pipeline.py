@@ -6,7 +6,6 @@ import pytest
 from repro.common.config import FrontendConfig
 from repro.frontend.frontend import (
     FrontendWorkload,
-    TrackObservation,
     VisualFrontend,
     stereo_point_noise,
     synthetic_descriptors_for_tracks,
@@ -30,53 +29,35 @@ class TestStereoPointNoise:
         assert np.all(noise >= 0.02)
 
 
-class TestTrackObservation:
-    def test_derived_quantities(self):
-        obs = TrackObservation(
-            track_id=7,
-            left_pixel=[100.0, 50.0],
-            right_pixel=[90.0, 50.0],
-            point_camera=[0.1, 0.2, 6.4],
-            point_body=[6.4, -0.1, -0.2],
-            noise_std=[0.3, 0.01, 0.01],
-        )
-        assert obs.disparity == 10.0
-        assert np.isclose(obs.depth, 6.4)
-        assert np.isclose(obs.depth_std, 0.3)
-
-    def test_default_noise(self):
-        obs = TrackObservation(1, [0, 0], [0, 0], [0, 0, 1], [1, 0, 0])
-        assert obs.noise_std.shape == (3,)
-
-
 class TestSparseFrontend:
     def test_produces_observations(self, outdoor_sequence):
         frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
         result = frontend.process(outdoor_sequence.frames[0])
         assert result.feature_count > 10
         assert result.workload.stereo_matches == result.feature_count
-        assert all(obs.depth > 0 for obs in result.observations)
+        n = result.feature_count
+        assert result.track_ids.dtype == np.int64 and result.track_ids.shape == (n,)
+        assert result.points_body.shape == result.noise_std.shape == (n, 3)
+        assert result.left_pixels.shape == (n, 2)
+        # Body x is the camera depth.
+        assert np.all(result.points_body[:, 0] > 0)
 
     def test_track_persistence(self, outdoor_sequence):
         frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
         first = frontend.process(outdoor_sequence.frames[0])
         second = frontend.process(outdoor_sequence.frames[1])
-        common = set(first.track_ids) & set(second.track_ids)
+        common = set(first.track_ids.tolist()) & set(second.track_ids.tolist())
         assert len(common) > 5
-        # Ages increase for persistent tracks.
-        for obs in second.observations:
-            if obs.track_id in common:
-                assert obs.age >= 2
+        assert second.workload.tracked_points == first.feature_count
+        assert second.workload.temporal_matches == len(common)
 
     def test_triangulation_accuracy(self, outdoor_sequence):
         frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
         frame = outdoor_sequence.frames[2]
         result = frontend.process(frame)
-        errors = []
-        for obs in result.observations:
-            landmark = outdoor_sequence.world.landmarks[obs.track_id].position
-            world_point = frame.ground_truth.transform_point(obs.point_body)
-            errors.append(np.linalg.norm(world_point - landmark))
+        landmarks = np.array([outdoor_sequence.world.landmarks[track_id].position
+                              for track_id in result.track_ids.tolist()])
+        errors = np.linalg.norm(frame.ground_truth.transform_points(result.points_body) - landmarks, axis=1)
         assert np.median(errors) < 3.0
 
     def test_max_features_respected(self, outdoor_sequence):
@@ -89,15 +70,21 @@ class TestSparseFrontend:
         config = FrontendConfig(min_disparity=5.0)
         frontend = VisualFrontend(config=config, rig=outdoor_sequence.rig, sparse=True,
                                   dropout_probability=0.0)
-        result = frontend.process(outdoor_sequence.frames[0])
-        assert all(obs.disparity >= 5.0 - 1.0 for obs in result.observations)
+        frame = outdoor_sequence.frames[0]
+        result = frontend.process(frame)
+        disparity = frame.left_pixels[:, 0] - frame.right_pixels[:, 0]
+        wide = set(frame.landmark_ids[disparity >= 5.0].tolist())
+        assert 0 < result.feature_count < frame.observation_count
+        assert set(result.track_ids.tolist()) <= wide
 
     def test_lost_tracks_reported(self, outdoor_sequence):
         frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
-        for frame in outdoor_sequence.frames[:6]:
+        first = frontend.process(outdoor_sequence.frames[0])
+        for frame in outdoor_sequence.frames[1:6]:
             result = frontend.process(frame)
         # After several frames of forward motion some tracks must have left the view.
-        assert frontend.active_track_count > 0
+        assert frontend.active_track_count == result.feature_count > 0
+        assert set(first.track_ids.tolist()) - set(result.track_ids.tolist())
 
     def test_reset(self, outdoor_sequence):
         frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True)
@@ -123,13 +110,6 @@ class TestSparseFrontend:
         result = frontend.process(outdoor_sequence.frames[0])
         assert set(result.measured_ms) == {"feature_extraction", "stereo_matching", "temporal_matching"}
 
-    def test_observation_lookup(self, outdoor_sequence):
-        frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
-        result = frontend.process(outdoor_sequence.frames[0])
-        track_id = result.track_ids[0]
-        assert result.observation_for(track_id).track_id == track_id
-        assert result.observation_for(-1) is None
-
 
 class TestDenseFrontend:
     def test_dense_pipeline_runs(self, rendered_sequence):
@@ -143,10 +123,15 @@ class TestDenseFrontend:
     def test_dense_tracks_propagate(self, rendered_sequence):
         config = FrontendConfig(max_features=60, fast_threshold=18.0, min_disparity=0.5)
         frontend = VisualFrontend(config=config, rig=rendered_sequence.rig, sparse=False)
-        first = frontend.process(rendered_sequence.frames[0])
-        second = frontend.process(rendered_sequence.frames[1])
-        if first.feature_count and second.feature_count:
-            assert second.workload.tracked_points >= 0
+        previous = frontend.process(rendered_sequence.frames[0])
+        for frame in rendered_sequence.frames[1:6]:
+            result = frontend.process(frame)
+            # Lucas-Kanade carries some of the previous frame's tracks over.
+            shared = set(previous.track_ids.tolist()) & set(result.track_ids.tolist())
+            assert len(shared) >= 1
+            assert result.workload.temporal_matches == len(shared)
+            assert result.workload.tracked_points == previous.feature_count
+            previous = result
 
     def test_sparse_fallback_without_images(self, outdoor_sequence):
         frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=False)
@@ -159,21 +144,21 @@ class TestSyntheticDescriptors:
     def test_shapes_and_determinism(self, outdoor_sequence):
         frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
         result = frontend.process(outdoor_sequence.frames[0])
-        descriptors = synthetic_descriptors_for_tracks(result.observations, noise_bits=0)
-        again = synthetic_descriptors_for_tracks(result.observations, noise_bits=0)
+        descriptors = synthetic_descriptors_for_tracks(result.track_ids, noise_bits=0)
+        again = synthetic_descriptors_for_tracks(result.track_ids, noise_bits=0)
         assert descriptors.shape == (result.feature_count, 32)
         assert np.array_equal(descriptors, again)
 
     def test_noise_flips_come_from_the_caller_rng(self, outdoor_sequence):
         frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
-        observations = frontend.process(outdoor_sequence.frames[0]).observations
+        track_ids = frontend.process(outdoor_sequence.frames[0]).track_ids
         with pytest.raises(ValueError):
-            synthetic_descriptors_for_tracks(observations, noise_bits=4)
-        noisy = synthetic_descriptors_for_tracks(observations, 4, np.random.default_rng(4))
-        again = synthetic_descriptors_for_tracks(observations, 4, np.random.default_rng(4))
-        clean = synthetic_descriptors_for_tracks(observations)
+            synthetic_descriptors_for_tracks(track_ids, noise_bits=4)
+        noisy = synthetic_descriptors_for_tracks(track_ids, 4, np.random.default_rng(4))
+        again = synthetic_descriptors_for_tracks(track_ids, 4, np.random.default_rng(4))
+        clean = synthetic_descriptors_for_tracks(track_ids)
         assert noisy.tobytes() == again.tobytes()
         assert not np.array_equal(noisy, clean)
 
     def test_empty(self):
-        assert synthetic_descriptors_for_tracks([]).shape == (0, 32)
+        assert synthetic_descriptors_for_tracks(np.zeros(0, dtype=np.int64)).shape == (0, 32)

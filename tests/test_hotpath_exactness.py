@@ -6,14 +6,17 @@ memoized vocabulary training, the MSCKF propagation (once a loop over
 per-sample objects, now over IMU columns with batched rotation increments),
 the columnar observations of the synthetic dataset and the sparse frontend
 that consumes them (both once built around a per-landmark
-``StereoObservation`` dict), and the array ground truth and IMU synthesis of a
+``StereoObservation`` dict), the columnar frontend result of both frontend
+paths and its readers in the MSCKF, SLAM and registration backends (all once
+built around per-row ``TrackObservation`` records, kept here as
+``_TrackObservation``), and the array ground truth and IMU synthesis of a
 segment.  Equality is byte for byte, signed zeros included, and any generator
 the kernel draws from must end in the same state.  The memos, the per-segment
-arrays and the frontend's track observations are also checked for aliasing (a
+arrays and the frontend's result columns are also checked for aliasing (a
 caller mutating its result must not reach the next hit, another frame or the
 frame it came from) and the memos for their size bound.  A host canary checks
-the numpy loops the array synthesis and the propagation rely on against their
-per-element results.  The window bundle adjustment (residuals reused across
+the numpy loops the array synthesis, the propagation and the SLAM readers rely
+on against their per-element results.  The window bundle adjustment (residuals reused across
 iterations, by-reference step backups, ``np.bincount`` scatters) is compared
 with its untrimmed copy.  Last, the script that pins the servbench wave
 signatures in CI must reject any moved bit.
@@ -22,7 +25,7 @@ signatures in CI must reject any moved bit.
 import json
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
@@ -34,18 +37,24 @@ from hypothesis import strategies as st
 
 from repro.backend import bow
 from repro.backend.bow import VOCABULARY_MEMO_SIZE, BinaryVocabulary
-from repro.backend.mapping import KeyframeMapper, SlamWorkload, scatter_sum
+from repro.backend.base import BackendResult
+from repro.backend.mapping import Keyframe, KeyframeMapper, SlamWorkload, scatter_sum
 from repro.backend.marginalization import MarginalizationResult, marginalize_schur
 from repro.backend.msckf import Msckf
+from repro.backend.slam import SlamBackend
+from repro.backend.tracking import (LocalizationMap, MapPoint, MapTracker, RegistrationWorkload,
+                                    _weighted_horn)
 from repro.backend.state import IMU_ERROR_DIM
 from repro.common.camera import StereoRig, world_to_camera
-from repro.common.config import FrontendConfig, MappingConfig, SensorConfig
+from repro.common.config import (BackendConfig, FrontendConfig, MappingConfig, MSCKFConfig,
+                                 SensorConfig, TrackingConfig)
 from repro.common.geometry import (Pose, euler_to_rotation, skew, skew_batch, so3_exp,
                                    so3_exp_batch)
 from repro.common.timing import StopwatchCollector
 from repro.frontend import orb
-from repro.frontend.frontend import (FrontendResult, FrontendWorkload, TrackObservation,
-                                     VisualFrontend, stereo_point_noise)
+from repro.frontend.fast import Keypoint, keypoints_to_array
+from repro.frontend.frontend import (FrontendResult, FrontendWorkload, VisualFrontend,
+                                     stereo_point_noise)
 from repro.frontend.orb import DESCRIPTOR_MEMO_SIZE, descriptor_from_seed, hamming_distance_matrix
 from repro.linalg.ops import matmul, transpose
 from repro.linalg.solvers import batched_symmetric_inverse, solve_cholesky
@@ -202,12 +211,79 @@ def _reference_observe(self, pose, world, rig, rng) -> Dict[int, StereoObservati
     return observations
 
 
-def _reference_process_sparse(self, frame, rig: StereoRig) -> FrontendResult:
+@dataclass
+class _TrackObservation:
+    """One stereo feature observation attached to a persistent track: the
+    record the frontend handed every backend before its result became
+    columns."""
+
+    track_id: int
+    left_pixel: np.ndarray
+    right_pixel: np.ndarray
+    point_camera: np.ndarray
+    point_body: np.ndarray
+    descriptor: Optional[np.ndarray] = None
+    age: int = 1
+    noise_std: np.ndarray = None
+
+    def __post_init__(self) -> None:
+        self.left_pixel = np.asarray(self.left_pixel, dtype=float).reshape(2)
+        self.right_pixel = np.asarray(self.right_pixel, dtype=float).reshape(2)
+        self.point_camera = np.asarray(self.point_camera, dtype=float).reshape(3)
+        self.point_body = np.asarray(self.point_body, dtype=float).reshape(3)
+        if self.noise_std is None:
+            self.noise_std = np.full(3, 0.05)
+        else:
+            self.noise_std = np.asarray(self.noise_std, dtype=float).reshape(3)
+
+    @property
+    def disparity(self) -> float:
+        return float(self.left_pixel[0] - self.right_pixel[0])
+
+    @property
+    def depth(self) -> float:
+        return float(self.point_camera[2])
+
+    @property
+    def depth_std(self) -> float:
+        """Standard deviation of the triangulated depth (body x axis)."""
+        return float(self.noise_std[0])
+
+
+@dataclass
+class _RecordResult:
+    """The frontend result as it was: a list of ``_TrackObservation`` records."""
+
+    frame_index: int
+    timestamp: float
+    observations: List[_TrackObservation] = field(default_factory=list)
+    new_track_ids: List[int] = field(default_factory=list)
+    lost_track_ids: List[int] = field(default_factory=list)
+    workload: FrontendWorkload = field(default_factory=FrontendWorkload)
+    measured_ms: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def track_ids(self) -> List[int]:
+        return [obs.track_id for obs in self.observations]
+
+    @property
+    def feature_count(self) -> int:
+        return len(self.observations)
+
+
+def _reference_frontend(**kwargs) -> VisualFrontend:
+    """A frontend whose state the reference paths below read and write."""
+    frontend = VisualFrontend(**kwargs)
+    frontend._active_tracks = {}
+    return frontend
+
+
+def _reference_process_sparse(self, frame, rig: StereoRig) -> _RecordResult:
     """``VisualFrontend._process_sparse`` over ``frame.observations``, the
     per-landmark ``StereoObservation`` dict that frames carried before."""
     stopwatch = StopwatchCollector()
     previous_ids = set(self._active_tracks.keys())
-    observations: List[TrackObservation] = []
+    observations: List[_TrackObservation] = []
     new_ids: List[int] = []
 
     with stopwatch.measure("feature_extraction"):
@@ -240,7 +316,7 @@ def _reference_process_sparse(self, frame, rig: StereoRig) -> FrontendResult:
             for i, (landmark_id, stereo_obs) in enumerate(kept):
                 previous = self._active_tracks.get(landmark_id)
                 observations.append(
-                    TrackObservation(
+                    _TrackObservation(
                         track_id=landmark_id,
                         left_pixel=left_pixels[i],
                         right_pixel=right_pixels[i],
@@ -271,7 +347,7 @@ def _reference_process_sparse(self, frame, rig: StereoRig) -> FrontendResult:
         tracked_points=len(previous_ids),
         temporal_matches=temporal_matches,
     )
-    return FrontendResult(
+    return _RecordResult(
         frame_index=frame.index,
         timestamp=frame.timestamp,
         observations=observations,
@@ -280,6 +356,112 @@ def _reference_process_sparse(self, frame, rig: StereoRig) -> FrontendResult:
         workload=workload,
         measured_ms=stopwatch.as_dict(),
     )
+
+
+def _reference_process_dense(self, frame, rig: StereoRig) -> _RecordResult:
+    """``VisualFrontend._process_dense`` building one record per match."""
+    stopwatch = StopwatchCollector()
+    left_image = np.asarray(frame.left_image, dtype=float)
+    right_image = np.asarray(frame.right_image, dtype=float)
+
+    with stopwatch.measure("feature_extraction"):
+        left_keypoints = self._detector.detect(left_image)
+        right_keypoints = self._detector.detect(right_image)
+        left_descriptors = self._descriptor.compute(left_image, left_keypoints)
+        right_descriptors = self._descriptor.compute(right_image, right_keypoints)
+
+    with stopwatch.measure("stereo_matching"):
+        matches = self._stereo.match(
+            left_keypoints, left_descriptors, right_keypoints, right_descriptors,
+            left_image=left_image, right_image=right_image,
+        )
+
+    with stopwatch.measure("temporal_matching"):
+        association = _reference_temporal_association(self, left_image, left_keypoints)
+
+    observations: List[_TrackObservation] = []
+    new_ids: List[int] = []
+    used_track_ids: set = set()
+    for match in matches:
+        if match.disparity < self.config.min_disparity:
+            continue
+        keypoint = left_keypoints[match.left_index]
+        right_keypoint = right_keypoints[match.right_index]
+        track_id = association.get(match.left_index)
+        if track_id is None or track_id in used_track_ids:
+            track_id = self._next_track_id
+            self._next_track_id += 1
+            new_ids.append(track_id)
+        used_track_ids.add(track_id)
+        left_pixel = np.array([keypoint.x, keypoint.y])
+        right_pixel = np.array([keypoint.x - match.disparity, right_keypoint.y])
+        point_camera = rig.triangulate(left_pixel.reshape(1, 2), right_pixel.reshape(1, 2))[0]
+        point_body = body_frame_from_camera(point_camera.reshape(1, 3))[0]
+        previous = self._active_tracks.get(track_id)
+        observations.append(
+            _TrackObservation(
+                track_id=track_id,
+                left_pixel=left_pixel,
+                right_pixel=right_pixel,
+                point_camera=point_camera,
+                point_body=point_body,
+                descriptor=left_descriptors[match.left_index],
+                age=previous.age + 1 if previous is not None else 1,
+                noise_std=stereo_point_noise(
+                    point_camera[2], rig.camera.fx, rig.baseline, self.config.assumed_pixel_noise
+                ),
+            )
+        )
+
+    previous_ids = set(self._active_tracks.keys())
+    current_ids = {obs.track_id for obs in observations}
+    lost_ids = sorted(previous_ids - current_ids)
+    self._active_tracks = {obs.track_id: obs for obs in observations}
+    self._previous_left_image = left_image
+
+    workload = FrontendWorkload(
+        image_width=left_image.shape[1],
+        image_height=left_image.shape[0],
+        keypoints_left=len(left_keypoints),
+        keypoints_right=len(right_keypoints),
+        descriptors_computed=len(left_keypoints) + len(right_keypoints),
+        stereo_candidates=len(left_keypoints) * max(1, len(right_keypoints)),
+        stereo_matches=len(matches),
+        tracked_points=len(previous_ids),
+        temporal_matches=len(previous_ids & current_ids),
+    )
+    return _RecordResult(
+        frame_index=frame.index,
+        timestamp=frame.timestamp,
+        observations=observations,
+        new_track_ids=new_ids,
+        lost_track_ids=lost_ids,
+        workload=workload,
+        measured_ms=stopwatch.as_dict(),
+    )
+
+
+def _reference_temporal_association(self, left_image: np.ndarray,
+                                    current_keypoints: List[Keypoint]) -> Dict[int, int]:
+    """Map current left-keypoint index -> persistent track id via LK tracking."""
+    if self._previous_left_image is None or not self._active_tracks:
+        return {}
+    previous_points = np.array([obs.left_pixel for obs in self._active_tracks.values()])
+    previous_ids = list(self._active_tracks.keys())
+    flow = self._tracker.track(self._previous_left_image, left_image, previous_points)
+    if not current_keypoints:
+        return {}
+    current_xy = keypoints_to_array(current_keypoints)
+
+    association: Dict[int, int] = {}
+    for result in flow:
+        if not result.converged:
+            continue
+        distances = np.linalg.norm(current_xy - result.current, axis=1)
+        nearest = int(np.argmin(distances))
+        if distances[nearest] <= 3.0 and nearest not in association:
+            association[nearest] = previous_ids[result.index]
+    return association
 
 
 def _columns(observations: Dict[int, StereoObservation]) -> tuple:
@@ -544,7 +726,42 @@ def _reference_build(self, scenario, reference_trajectory: _ReferenceTrajectory,
 class _ReferenceMapper(KeyframeMapper):
     """The window bundle adjustment before its exact trims: residuals computed
     twice per accepted iteration, a full copy of every landmark per step, and
-    ``np.add.at`` scatters."""
+    ``np.add.at`` scatters; its keyframes are built from records."""
+
+    def insert_keyframe(self, frontend: _RecordResult, pose_guess: Pose) -> SlamWorkload:
+        """Add a keyframe, run the solver, and marginalize if needed."""
+        stopwatch = StopwatchCollector()
+        workload = SlamWorkload()
+
+        with stopwatch.measure("init"):
+            keyframe = Keyframe(
+                frame_index=frontend.frame_index,
+                timestamp=frontend.timestamp,
+                pose=pose_guess.copy(),
+                observations={obs.track_id: obs.point_body.copy() for obs in frontend.observations},
+                observation_sigma={obs.track_id: max(float(np.mean(obs.noise_std)), 1e-3)
+                                   for obs in frontend.observations},
+            )
+            self.keyframes.append(keyframe)
+            self._initialize_landmarks(keyframe)
+
+        with stopwatch.measure("solver"):
+            with profile_kernel("slam.bundle_adjustment",
+                                keyframes=len(self.keyframes)):
+                iterations = self._optimize(workload)
+            workload.solver_iterations = iterations
+
+        with stopwatch.measure("marginalization"):
+            if len(self.keyframes) > self.config.window_size:
+                with profile_kernel("slam.marginalization"):
+                    self._marginalize_oldest(workload)
+
+        workload.keyframes = len(self.keyframes)
+        workload.landmarks = len(self.landmarks)
+        workload.observations = sum(len(kf.observations) for kf in self.keyframes)
+        self.last_workload = workload
+        self.last_kernel_ms = stopwatch.as_dict()
+        return workload
 
     def _optimize(self, workload: SlamWorkload) -> int:
         """Levenberg-Marquardt over window poses and landmarks (Schur trick)."""
@@ -742,6 +959,337 @@ class _ReferenceMapper(KeyframeMapper):
             # the tracking block as part of the persisted map.
             pass
         self.keyframes.pop(0)
+
+
+@dataclass
+class _TrackRecord:
+    """Accumulated body-frame observations of one track across clones."""
+
+    track_id: int
+    observations: List[Tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
+
+    def add(self, frame_index: int, point_body: np.ndarray, noise_std: np.ndarray) -> None:
+        self.observations.append(
+            (
+                frame_index,
+                np.asarray(point_body, dtype=float).reshape(3),
+                np.asarray(noise_std, dtype=float).reshape(3),
+            )
+        )
+
+    @property
+    def length(self) -> int:
+        return len(self.observations)
+
+
+class _ReferenceMsckf(Msckf):
+    """The MSCKF's readers over records: one ``_TrackRecord`` per track."""
+
+    def _record_observations(self, frontend: _RecordResult) -> None:
+        for obs in frontend.observations:
+            record = self._tracks.setdefault(obs.track_id, _TrackRecord(obs.track_id))
+            record.add(frontend.frame_index, obs.point_body, obs.noise_std)
+
+    def _select_update_tracks(self, frontend: _RecordResult) -> List[_TrackRecord]:
+        """Tracks that are lost this frame or have spanned the full window."""
+        current_ids = set(frontend.track_ids)
+        clone_frames = {clone.frame_index for clone in self.state.clones}
+        finished: List[_TrackRecord] = []
+        for track_id in list(self._tracks.keys()):
+            record = self._tracks[track_id]
+            # Keep only observations that still have a clone in the window.
+            record.observations = [
+                (frame, point, noise) for frame, point, noise in record.observations
+                if frame in clone_frames
+            ]
+            if not record.observations:
+                del self._tracks[track_id]
+                continue
+            lost = track_id not in current_ids
+            saturated = record.length >= self.config.window_size
+            if (lost or saturated) and record.length >= self.config.min_track_for_update:
+                finished.append(record)
+                del self._tracks[track_id]
+        finished.sort(key=lambda r: r.length, reverse=True)
+        return finished[: self.config.max_features_per_update]
+
+    def _clone_observation_arrays(self, record: _TrackRecord) -> Optional[Tuple[np.ndarray, ...]]:
+        """Gather a track's observations that still have a clone in the window.
+
+        Returns ``(clone_indices, points_body, noise_std)`` as arrays, or None
+        when no observation matches a clone.
+        """
+        index_by_frame = {clone.frame_index: i for i, clone in enumerate(self.state.clones)}
+        rows = [
+            (index_by_frame[frame_index], point_body, noise_std)
+            for frame_index, point_body, noise_std in record.observations
+            if frame_index in index_by_frame
+        ]
+        if not rows:
+            return None
+        clone_idx = np.array([row[0] for row in rows])
+        points = np.array([row[1] for row in rows])
+        noise = np.array([row[2] for row in rows])
+        return clone_idx, points, noise
+
+
+def _reference_synthetic_descriptors(observations: List[_TrackObservation],
+                                      noise_bits: int = 0,
+                                      rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """Generate stable binary descriptors for sparse-path observations.
+
+    Used by the bag-of-words registration backend, which needs descriptors
+    even when the frontend ran in sparse mode.  The descriptor is derived from
+    the track identity so repeated visits to the same landmark produce nearly
+    identical signatures.  With ``noise_bits > 0`` each observation's flips are
+    drawn in order from the one ``rng``, which is then required.
+    """
+    if not observations:
+        return np.zeros((0, 32), dtype=np.uint8)
+    return np.stack(
+        [descriptor_from_seed(obs.track_id * 2654435761 % (2**31), noise_bits=noise_bits, rng=rng)
+         for obs in observations]
+    )
+
+
+class _ReferenceTracker(MapTracker):
+    """Registration's readers over records: correspondences as 4-tuples."""
+
+    def track(self, frontend: _RecordResult, localization_map: LocalizationMap,
+              prior_pose: Optional[Pose] = None) -> Tuple[Optional[Pose], RegistrationWorkload]:
+        """Estimate the frame pose; returns (pose, workload)."""
+        stopwatch = StopwatchCollector()
+        workload = RegistrationWorkload(map_points=len(localization_map))
+        prior = prior_pose or Pose.identity()
+
+        with stopwatch.measure("projection"):
+            projected = self._project_map(localization_map, prior)
+            workload.projected_points = projected.shape[1] if projected.size else 0
+
+        with stopwatch.measure("match"):
+            correspondences = self._match(frontend, localization_map)
+            workload.matches = len(correspondences)
+
+        pose: Optional[Pose] = None
+        with stopwatch.measure("pose_optimization"):
+            if len(correspondences) >= self.config.min_inliers:
+                pose, inliers, iterations = self._estimate_pose(correspondences)
+                workload.inliers = inliers
+                workload.pose_iterations = iterations
+
+        # Stash the basis for the fleet map-update lifecycle's per-landmark
+        # evidence; the triples are derived lazily (see
+        # last_map_observations) so frames nobody asks about cost nothing.
+        self._observation_basis = ((pose, correspondences)
+                                   if pose is not None and correspondences else None)
+        self._map_observations = None
+
+        with stopwatch.measure("update"):
+            if pose is not None and localization_map.vocabulary is not None and localization_map.vocabulary.trained:
+                descriptors = self._track_descriptors(frontend)
+                if descriptors.shape[0] > 0:
+                    localization_map.add_keyframe(frontend.frame_index, pose, descriptors)
+
+        self.last_workload = workload
+        self.last_kernel_ms = stopwatch.as_dict()
+        return pose, workload
+
+    @property
+    def last_map_observations(self) -> List[Tuple[int, np.ndarray, float]]:
+        """Per-landmark evidence of the last tracked frame, computed lazily.
+
+        ``(map point id, observed world position — the body point through
+        the solved pose — residual against the map)`` triples; empty when
+        tracking failed.  The serving layer's map-update lifecycle is the
+        only consumer, so the array work happens on first access per frame
+        (cached until the next :meth:`track`), not on every tracked frame
+        of every experiment.
+        """
+        if self._map_observations is None:
+            basis = self._observation_basis
+            if basis is None:
+                self._map_observations = []
+            else:
+                pose, correspondences = basis
+                body = np.array([c[1] for c in correspondences])
+                world = np.array([c[2] for c in correspondences])
+                observed = pose.transform_points(body)
+                residuals = np.linalg.norm(observed - world, axis=1)
+                self._map_observations = [
+                    (int(c[0]), observed[i], float(residuals[i]))
+                    for i, c in enumerate(correspondences)
+                ]
+        return self._map_observations
+
+    def _track_descriptors(self, frontend: _RecordResult) -> np.ndarray:
+        return _reference_synthetic_descriptors(
+            frontend.observations, self.DESCRIPTOR_NOISE_BITS, self._descriptor_rng)
+
+    def _match(self, frontend: _RecordResult,
+               localization_map: LocalizationMap) -> List[Tuple[int, np.ndarray, np.ndarray, float]]:
+        """Associate observations to map points.
+
+        Returns (map point id, body point, map point, noise std) tuples,
+        where the noise std summarises the stereo triangulation uncertainty
+        of the body point.
+        """
+        correspondences: List[Tuple[int, np.ndarray, np.ndarray, float]] = []
+        matched_by_id = 0
+        for obs in frontend.observations:
+            map_point = localization_map.points.get(obs.track_id)
+            if map_point is not None:
+                correspondences.append(
+                    (map_point.point_id, obs.point_body, map_point.position, obs.depth_std))
+                matched_by_id += 1
+        if matched_by_id >= self.config.min_inliers:
+            return correspondences
+
+        # Fall back to descriptor matching (needed when track identities do not
+        # align with map identities, e.g. dense-frontend relocalization).
+        descriptors = self._track_descriptors(frontend)
+        map_descriptors = localization_map.descriptors()
+        if descriptors.shape[0] == 0 or map_descriptors.shape[0] == 0:
+            return correspondences
+        distances = hamming_distance_matrix(descriptors, map_descriptors)
+        map_ids = [p.point_id for p in localization_map.points.values()]
+        for i, obs in enumerate(frontend.observations):
+            j = int(np.argmin(distances[i]))
+            if distances[i, j] <= 64:
+                correspondences.append(
+                    (map_ids[j], obs.point_body,
+                     localization_map.points[map_ids[j]].position, obs.depth_std)
+                )
+        return correspondences
+
+    def _estimate_pose(self, correspondences: List[Tuple[int, np.ndarray, np.ndarray, float]]) -> Tuple[Pose, int, int]:
+        """Robust absolute-orientation estimation from 3-D/3-D matches."""
+        body = np.array([c[1] for c in correspondences])
+        world = np.array([c[2] for c in correspondences])
+        sigma = np.maximum(np.array([c[3] for c in correspondences]), 1e-3)
+        base_weights = 1.0 / sigma**2
+        weights = base_weights.copy()
+        pose = Pose.identity()
+        iterations = 0
+        inliers = len(correspondences)
+        for iteration in range(self.config.pnp_iterations):
+            iterations += 1
+            pose = _weighted_horn(body, world, weights)
+            predicted = pose.transform_points(body)
+            errors = np.linalg.norm(predicted - world, axis=1)
+            threshold = self.config.pnp_inlier_threshold * np.maximum(sigma, 0.05)
+            inlier_mask = errors <= threshold
+            inliers = int(inlier_mask.sum())
+            new_weights = base_weights * inlier_mask.astype(float)
+            if inliers < self.config.min_inliers:
+                new_weights = base_weights
+                inliers = len(correspondences)
+            if np.allclose(new_weights, weights):
+                break
+            weights = new_weights
+        return pose, inliers, iterations
+
+
+class _ReferenceSlam(SlamBackend):
+    """SLAM's readers over records: the odometry's previous points and sigmas
+    as dicts, the coverage count and ``_ReferenceMapper``'s keyframes."""
+
+    def __init__(self, config: Optional[BackendConfig] = None, camera=None) -> None:
+        super().__init__(config, camera)
+        self.mapper = _ReferenceMapper(self.config.mapping)
+        self.tracker = _ReferenceTracker(self.config.tracking, camera=camera)
+        self._previous_points: Dict[int, np.ndarray] = {}
+        self._previous_sigmas: Dict[int, float] = {}
+
+    def process(self, frontend: _RecordResult, frame: Frame) -> BackendResult:
+        """Track against the latest map, inserting keyframes as needed."""
+        if not self._initialized:
+            self.initialize(frame.ground_truth)
+
+        stopwatch = StopwatchCollector()
+        kernel_ms: Dict[str, float] = {}
+        workload = SlamWorkload()
+
+        with stopwatch.measure("others"):
+            self._sync_map_from_mapper()
+            predicted = self._visual_odometry_prediction(frontend)
+
+            pose: Optional[Pose] = None
+            coverage = self._map_coverage(frontend)
+            if len(self.map) >= self.config.tracking.min_inliers and coverage > 0.2:
+                pose, _tracking_workload = self.tracker.track(frontend, self.map, prior_pose=predicted)
+            if pose is None or pose.distance_to(predicted) > 2.0:
+                # Reject tracking results far from the motion model (standard
+                # gating against bad data association) and fall back to VO.
+                pose = predicted
+
+        # Mapping: insert a keyframe when the platform moved enough or the
+        # current view is poorly covered by the existing map.
+        if self.mapper.should_insert_keyframe(pose) or coverage < 0.5:
+            workload = self.mapper.insert_keyframe(frontend, pose)
+            kernel_ms.update(self.mapper.last_kernel_ms)
+            latest = self.mapper.latest_pose()
+            if latest is not None:
+                pose = latest
+
+        kernel_ms.update(stopwatch.as_dict())
+        # Ensure the canonical kernel names always appear in the breakdown.
+        kernel_ms.setdefault("solver", 0.0)
+        kernel_ms.setdefault("marginalization", 0.0)
+        kernel_ms.setdefault("init", 0.0)
+
+        self._last_pose = pose.copy()
+        self._previous_points = {obs.track_id: obs.point_body.copy() for obs in frontend.observations}
+        self._previous_sigmas = {obs.track_id: float(np.mean(obs.noise_std)) for obs in frontend.observations}
+        workload.keyframes = len(self.mapper.keyframes)
+        workload.landmarks = self.mapper.map_size
+        return BackendResult(
+            frame_index=frame.index,
+            timestamp=frame.timestamp,
+            pose=pose,
+            mode="slam",
+            workload=workload,
+            kernel_ms=kernel_ms,
+            diagnostics={
+                "keyframes": len(self.mapper.keyframes),
+                "map_size": self.mapper.map_size,
+                "map_coverage": coverage,
+            },
+        )
+
+    def _map_coverage(self, frontend: _RecordResult) -> float:
+        """Fraction of the current observations already present in the map."""
+        if not frontend.observations:
+            return 0.0
+        known = sum(1 for obs in frontend.observations if obs.track_id in self.mapper.landmarks)
+        return known / len(frontend.observations)
+
+    def _visual_odometry_prediction(self, frontend: _RecordResult) -> Pose:
+        """Predict the pose from frame-to-frame motion of common tracks.
+
+        When the view is feature-poor (fewer than a handful of common tracks)
+        the frame-to-frame estimate is unreliable, so a constant-velocity
+        model (replaying the previous relative motion) bridges the gap.
+        """
+        if self._last_pose is None:
+            return Pose.identity()
+        if not self._previous_points:
+            return self._last_pose.copy()
+        current, previous, weights = [], [], []
+        for obs in frontend.observations:
+            if obs.track_id in self._previous_points:
+                current.append(obs.point_body)
+                previous.append(self._previous_points[obs.track_id])
+                sigma = max(self._previous_sigmas.get(obs.track_id, 0.1), float(np.mean(obs.noise_std)), 1e-3)
+                weights.append(1.0 / sigma**2)
+        if len(current) < 8:
+            if self._last_relative is not None:
+                return self._last_pose.compose(self._last_relative)
+            return self._last_pose.copy()
+        # Relative motion: previous-body-frame point = R_rel @ current + t_rel.
+        relative = _weighted_horn(np.asarray(current), np.asarray(previous), np.asarray(weights))
+        self._last_relative = relative
+        return self._last_pose.compose(relative)
+
 
 
 def _same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
@@ -1048,28 +1596,49 @@ def _dict_frame(frame: Frame) -> SimpleNamespace:
     return SimpleNamespace(index=frame.index, timestamp=frame.timestamp, observations=observations)
 
 
-def _track_bits(obs: TrackObservation) -> tuple:
-    return (obs.track_id, type(obs.track_id), obs.age, obs.descriptor,
-            obs.left_pixel.tobytes(), obs.right_pixel.tobytes(), obs.point_camera.tobytes(),
-            obs.point_body.tobytes(), obs.noise_std.tobytes())
+def _track_bits(result: FrontendResult) -> tuple:
+    return tuple((column.dtype.str, column.shape, column.tobytes())
+                 for column in (result.track_ids, result.left_pixels, result.points_body, result.noise_std))
+
+
+def _columnar(result: _RecordResult) -> FrontendResult:
+    """The records' columns, in their order, with the same bits."""
+    rows = result.observations
+    return FrontendResult(
+        frame_index=result.frame_index,
+        timestamp=result.timestamp,
+        track_ids=np.array([obs.track_id for obs in rows], dtype=np.int64),
+        points_body=np.array([obs.point_body for obs in rows]).reshape(-1, 3),
+        noise_std=np.array([obs.noise_std for obs in rows]).reshape(-1, 3),
+        left_pixels=np.array([obs.left_pixel for obs in rows]).reshape(-1, 2),
+        workload=result.workload,
+    )
+
+
+def _assert_same_result(got: FrontendResult, expected: _RecordResult, previous_ids: List[int]) -> None:
+    """``got`` holds ``expected``'s rows; the track ids it starts and ends
+    are the ones the records listed."""
+    assert _track_bits(got) == _track_bits(_columnar(expected))
+    ids = got.track_ids.tolist()
+    assert [track_id for track_id in ids if track_id not in previous_ids] == expected.new_track_ids
+    assert sorted(set(previous_ids) - set(ids)) == expected.lost_track_ids
+    assert got.workload == expected.workload
+    assert all(type(value) is int for value in vars(got.workload).values())
+    assert (got.frame_index, got.timestamp) == (expected.frame_index, expected.timestamp)
 
 
 def _assert_sparse_matches_reference(frames: List[Frame], config: FrontendConfig, dropout: float,
                                      rig: StereoRig, seed: int = 0) -> None:
     frontend = VisualFrontend(config=config, rig=rig, dropout_probability=dropout, seed=seed)
-    reference = VisualFrontend(config=config, rig=rig, dropout_probability=dropout, seed=seed)
+    reference = _reference_frontend(config=config, rig=rig, dropout_probability=dropout, seed=seed)
+    previous_ids: List[int] = []
     for frame in frames:
         got = frontend.process(frame)
         expected = _reference_process_sparse(reference, _dict_frame(frame), rig)
-        assert [_track_bits(obs) for obs in got.observations] == \
-            [_track_bits(obs) for obs in expected.observations]
-        assert got.new_track_ids == expected.new_track_ids
-        assert got.lost_track_ids == expected.lost_track_ids
-        assert all(type(track_id) is int for track_id in got.new_track_ids + got.lost_track_ids)
-        assert got.workload == expected.workload
-        assert all(type(value) is int for value in vars(got.workload).values())
-        assert (got.frame_index, got.timestamp) == (expected.frame_index, expected.timestamp)
+        _assert_same_result(got, expected, previous_ids)
+        assert frontend.active_track_count == len(reference._active_tracks)
         assert _same_state(frontend._rng, reference._rng)
+        previous_ids = got.track_ids.tolist()
 
 
 class TestSparseFrontendColumns:
@@ -1111,12 +1680,33 @@ class TestSparseFrontendColumns:
         # Keep every landmark, so the kept rows are the frame's own rows.
         config = FrontendConfig(min_disparity=-np.inf, max_features=frame.observation_count)
         frontend = VisualFrontend(config=config, rig=outdoor_sequence.rig, dropout_probability=0.0)
-        observations = frontend.process(frame).observations
-        assert len(observations) == frame.observation_count > 0
-        for obs in observations:
-            obs.left_pixel[:] = -1.0
-            obs.right_pixel[:] = -1.0
+        result = frontend.process(frame)
+        assert result.feature_count == frame.observation_count > 0
+        result.track_ids[:] = -1
+        result.left_pixels[:] = -1.0
         assert _column_bits(frame.landmark_ids, frame.left_pixels, frame.right_pixels) == before
+
+
+class TestDenseFrontendColumns:
+    """The dense path's stacked rows against its per-match records."""
+
+    def test_matches_reference(self, rendered_sequence):
+        rig = rendered_sequence.rig
+        config = FrontendConfig(max_features=60, fast_threshold=18.0, min_disparity=0.5)
+        frontend = VisualFrontend(config=config, rig=rig, sparse=False)
+        reference = _reference_frontend(config=config, rig=rig, sparse=False)
+        previous_ids: List[int] = []
+        continued = 0
+        for frame in rendered_sequence.frames[:6]:
+            got = frontend.process(frame)
+            expected = _reference_process_dense(reference, frame, rig)
+            _assert_same_result(got, expected, previous_ids)
+            assert frontend._next_track_id == reference._next_track_id
+            continued += sum(obs.age > 1 for obs in expected.observations)
+            previous_ids = got.track_ids.tolist()
+        # Lucas-Kanade association carried tracks over, so the previous
+        # frame's pixels were read.
+        assert continued > 0
 
 
 # ------------------------------------------------- array ground truth
@@ -1502,31 +2092,55 @@ def _ba_frames(seed: int, frames: int, outliers: float, perturbation: float) -> 
     out = []
     for index in range(frames):
         truth = Pose(euler_to_rotation(0.05 * index, 0.0, 0.0), np.array([0.3 * index, 0.0, 0.0]))
-        observations = []
-        for track_id in np.flatnonzero(rng.random(len(world)) < 0.8):
+        track_ids = np.flatnonzero(rng.random(len(world)) < 0.8)
+        points, noise = [], []
+        for track_id in track_ids:
             noise_std = rng.uniform(0.01, 0.2, 3)
             point = truth.rotation.T @ (world[track_id] - truth.translation) + rng.normal(0.0, noise_std)
             if rng.random() < outliers:
                 point = point + rng.normal(0.0, 2.0, 3)
-            observations.append(SimpleNamespace(track_id=int(track_id), point_body=point,
-                                                noise_std=noise_std))
+            points.append(point)
+            noise.append(noise_std)
         guess = truth.perturb(rng.normal(0.0, perturbation / 5.0, 3), rng.normal(0.0, perturbation, 3))
-        out.append((SimpleNamespace(frame_index=index, timestamp=0.1 * index,
-                                    observations=observations), guess))
+        out.append((_frontend_result(index, track_ids, points, noise), guess))
     return out
+
+
+def _frontend_result(index: int, track_ids, points_body, noise_std) -> FrontendResult:
+    """A frontend result with these rows; the left pixels no backend reads are zeros."""
+    track_ids = np.asarray(track_ids, dtype=np.int64)
+    return FrontendResult(frame_index=index, timestamp=0.1 * index, track_ids=track_ids,
+                          points_body=np.array(points_body, dtype=float).reshape(-1, 3),
+                          noise_std=np.array(noise_std, dtype=float).reshape(-1, 3),
+                          left_pixels=np.zeros((track_ids.size, 2)))
+
+
+def _records(result: FrontendResult) -> _RecordResult:
+    """``result``'s rows as records for the reference readers.  No backend
+    reads a record's pixels or camera point, so those are zeros."""
+    rows = zip(result.track_ids.tolist(), result.points_body, result.noise_std)
+    return _RecordResult(
+        frame_index=result.frame_index, timestamp=result.timestamp, workload=result.workload,
+        observations=[_TrackObservation(track_id, np.zeros(2), np.zeros(2), np.zeros(3), point_body,
+                                        noise_std=noise_std)
+                      for track_id, point_body, noise_std in rows])
 
 
 def _mapper_bits(mapper: KeyframeMapper) -> tuple:
     prior = [None if a is None else a.tobytes()
              for a in (mapper._prior_hessian, mapper._prior_gradient)]
+    keyframes = [(kf.frame_index, kf.timestamp,
+                  [(track_id, type(track_id), point.tobytes()) for track_id, point in kf.observations.items()],
+                  [(track_id, type(track_id), sigma.hex()) for track_id, sigma in kf.observation_sigma.items()])
+                 for kf in mapper.keyframes]
     return ([(kf.pose.rotation.tobytes(), kf.pose.translation.tobytes()) for kf in mapper.keyframes],
             [(track_id, position.tobytes()) for track_id, position in mapper.landmarks.items()],
-            prior, list(mapper._prior_frames))
+            prior, list(mapper._prior_frames), keyframes)
 
 
 def _run_pair(config: MappingConfig, frames: List[tuple]) -> int:
-    """Feed both mappers the same keyframes; return how many steps the
-    trimmed one rejected (restored)."""
+    """Feed the columnar mapper and the record-fed reference the same
+    keyframes; return how many steps the trimmed one rejected (restored)."""
     trimmed, reference = KeyframeMapper(config), _ReferenceMapper(config)
     restores = 0
     restore = trimmed._restore
@@ -1539,7 +2153,7 @@ def _run_pair(config: MappingConfig, frames: List[tuple]) -> int:
     trimmed._restore = counting_restore
     for frontend, guess in frames:
         got = trimmed.insert_keyframe(frontend, guess)
-        expected = reference.insert_keyframe(frontend, guess)
+        expected = reference.insert_keyframe(_records(frontend), guess)
         assert got == expected
         assert _mapper_bits(trimmed) == _mapper_bits(reference)
     return restores
@@ -1563,6 +2177,248 @@ class TestWindowBundleAdjustment:
         assert _run_pair(MappingConfig(window_size=3), _ba_frames(0, 8, outliers=0.0, perturbation=0.5)) > 0
 
 
+# ------------------------------------------- columnar results in the backends
+
+
+# Noise rows with equal, tiny (below the SLAM sigma floor) and ordinary values.
+_NOISE = st.one_of(st.floats(min_value=1e-6, max_value=0.5),
+                   st.sampled_from([0.02, 0.05, 1e-4, 5e-4]))
+
+
+def _truth(index: int, moving: bool) -> Pose:
+    if not moving:
+        return Pose.identity()
+    return Pose(euler_to_rotation(0.05 * index, 0.0, 0.0), np.array([0.3 * index, 0.0, 0.0]))
+
+
+@st.composite
+def _track_frames(draw, moving: bool, pool: int = 16):
+    """(frontend result, ground truth) per frame: ids from a small pool, so
+    tracks persist, tie in length and leave; some frames are empty."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    landmarks = rng.uniform(-5.0, 5.0, (pool, 3)) + np.array([8.0, 0.0, 0.0])
+    frames = []
+    for index in range(draw(st.integers(min_value=1, max_value=10))):
+        ids = draw(st.lists(st.integers(min_value=0, max_value=pool - 1), unique=True, max_size=12))
+        noise = [draw(st.tuples(_NOISE, _NOISE, _NOISE)) for _ in ids]
+        truth = _truth(index, moving)
+        points = (landmarks[ids] - truth.translation) @ truth.rotation + rng.normal(0.0, 0.01, (len(ids), 3))
+        frames.append((_frontend_result(index, ids, points, noise), truth))
+    return frames
+
+
+def _rows_bits(track) -> list:
+    rows = track.observations if isinstance(track, _TrackRecord) else track
+    return [(frame, type(frame), point.tobytes(), noise.tobytes()) for frame, point, noise in rows]
+
+
+def _arrays_bits(arrays) -> Optional[tuple]:
+    return None if arrays is None else tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
+def _recording_updates(vio: Msckf, log: list) -> None:
+    """Log the tracks each frame hands the update, with the arrays gathered from them."""
+    select = vio._select_update_tracks
+
+    def recording(frontend):
+        finished = select(frontend)
+        log.append([(_rows_bits(track), _arrays_bits(vio._clone_observation_arrays(track)))
+                    for track in finished])
+        return finished
+
+    vio._select_update_tracks = recording
+
+
+def _msckf_bits(vio: Msckf) -> tuple:
+    imu = vio.state.imu
+    return ([(track_id, _rows_bits(track)) for track_id, track in vio._tracks.items()],
+            vio.state.covariance.tobytes(), imu.rotation.tobytes(), imu.position.tobytes(),
+            imu.velocity.tobytes(),
+            [(c.frame_index, c.rotation.tobytes(), c.position.tobytes()) for c in vio.state.clones],
+            vio.last_workload)
+
+
+_NO_IMU = (np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)))
+
+
+class TestMsckfReaders:
+    """Per-track row lists against ``_TrackRecord``s: the observations kept,
+    the tracks selected (longest first, ties in first-seen order), the arrays
+    gathered from them and the filter state after the update."""
+
+    @staticmethod
+    def _pair(config: MSCKFConfig, pose: Pose) -> Tuple[Msckf, Msckf, list, list]:
+        got, reference = Msckf(config), _ReferenceMsckf(config)
+        logs: Tuple[list, list] = ([], [])
+        for vio, log in zip((got, reference), logs):
+            vio.initialize(pose)
+            _recording_updates(vio, log)
+        return got, reference, logs[0], logs[1]
+
+    @given(frames=_track_frames(moving=False),
+           window=st.integers(min_value=2, max_value=6),
+           min_track=st.integers(min_value=1, max_value=3),
+           max_features=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, frames, window, min_track, max_features):
+        config = MSCKFConfig(window_size=window, min_track_for_update=min_track,
+                             max_features_per_update=max_features)
+        got, reference, got_log, expected_log = self._pair(config, Pose.identity())
+        for frontend, _ in frames:
+            got.process_frame(frontend, *_NO_IMU)
+            reference.process_frame(_records(frontend), *_NO_IMU)
+            assert got_log == expected_log
+            assert _msckf_bits(got) == _msckf_bits(reference)
+
+    def test_on_a_synthetic_segment(self, indoor_sequence):
+        rig = indoor_sequence.rig
+        frontend = VisualFrontend(rig=rig, dropout_probability=0.02, seed=1)
+        records = _reference_frontend(rig=rig, dropout_probability=0.02, seed=1)
+        got, reference, got_log, expected_log = self._pair(MSCKFConfig(window_size=8),
+                                                           indoor_sequence.frames[0].ground_truth)
+        used = 0
+        for frame in indoor_sequence.frames:
+            imu = (frame.imu_timestamps, frame.imu_gyro, frame.imu_accel)
+            got.process_frame(frontend.process(frame), *imu)
+            reference.process_frame(_reference_process_sparse(records, _dict_frame(frame), rig), *imu)
+            assert got_log == expected_log
+            assert _msckf_bits(got) == _msckf_bits(reference)
+            used += got.last_workload.features_used
+        assert used > 0
+
+
+def _slam_bits(slam: SlamBackend, result: BackendResult) -> tuple:
+    relative = slam._last_relative
+    return (result.pose.rotation.tobytes(), result.pose.translation.tobytes(), result.workload,
+            result.diagnostics, _mapper_bits(slam.mapper),
+            None if relative is None else (relative.rotation.tobytes(), relative.translation.tobytes()),
+            slam.tracker._descriptor_rng.bit_generator.state)
+
+
+class TestSlamReaders:
+    """The odometry pairs, weights and coverage from the columns against the
+    dicts built from records, through whole SLAM steps."""
+
+    @given(frames=_track_frames(moving=True))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, frames):
+        got, reference = SlamBackend(), _ReferenceSlam()
+        for frontend, truth in frames:
+            frame = Frame(index=frontend.frame_index, timestamp=frontend.timestamp, ground_truth=truth)
+            assert _slam_bits(got, got.process(frontend, frame)) == \
+                _slam_bits(reference, reference.process(_records(frontend), frame))
+
+    def test_odometry_weights_round_as_per_row_powers(self):
+        """Noise rows whose mean squares differently under Python's float
+        power and numpy's ``**``: the odometry must weight as the records did."""
+        rng = np.random.default_rng(9)
+        rows = rng.uniform(0.01, 0.5, (100000, 3))
+        means = rows.mean(axis=1)
+        differ = rows[np.array([m**2 for m in means.tolist()]) != means**2][:12]
+        assert len(differ) == 12
+        landmarks = rng.uniform(-5.0, 5.0, (12, 3)) + np.array([8.0, 0.0, 0.0])
+        got, reference = SlamBackend(), _ReferenceSlam()
+        for index in range(3):
+            truth = _truth(index, moving=True)
+            points = (landmarks - truth.translation) @ truth.rotation
+            frontend = _frontend_result(index, np.arange(12), points, differ)
+            frame = Frame(index=index, timestamp=frontend.timestamp, ground_truth=truth)
+            assert _slam_bits(got, got.process(frontend, frame)) == \
+                _slam_bits(reference, reference.process(_records(frontend), frame))
+        assert got._last_relative is not None
+
+    def test_on_a_synthetic_segment(self, indoor_sequence):
+        rig = indoor_sequence.rig
+        frontend = VisualFrontend(rig=rig, dropout_probability=0.02, seed=2)
+        records = _reference_frontend(rig=rig, dropout_probability=0.02, seed=2)
+        got, reference = SlamBackend(camera=rig.camera), _ReferenceSlam(camera=rig.camera)
+        for frame in indoor_sequence.frames:
+            assert _slam_bits(got, got.process(frontend.process(frame), frame)) == \
+                _slam_bits(reference, reference.process(
+                    _reference_process_sparse(records, _dict_frame(frame), rig), frame))
+        assert got._last_relative is not None and len(got.mapper.keyframes) > 1
+
+
+@st.composite
+def _registration_cases(draw, pool: int = 20):
+    """A map whose points match a track by id, by id but with no descriptor,
+    only by descriptor (another id), or not at all, in a drawn order; and a
+    frame of tracks from a slightly larger pool."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    landmarks = rng.uniform(-5.0, 5.0, (pool + 4, 3)) + np.array([8.0, 0.0, 0.0])
+    kinds = [draw(st.sampled_from(["id", "bare", "alias", "absent"])) for _ in range(pool)]
+    points = []
+    for k in draw(st.permutations(range(pool))):
+        position = landmarks[k] + rng.normal(0.0, 0.05, 3)
+        descriptor = descriptor_from_seed(k * 2654435761 % (2**31))
+        if kinds[k] == "id":
+            points.append((k, position, descriptor))
+        elif kinds[k] == "bare":
+            points.append((k, position, None))
+        elif kinds[k] == "alias":
+            points.append((1000 + k, position, descriptor))
+    ids = draw(st.lists(st.integers(min_value=0, max_value=pool + 3), unique=True, max_size=16))
+    truth = Pose(euler_to_rotation(*rng.uniform(-0.3, 0.3, 3)), rng.normal(0.0, 1.0, 3))
+    noise = [draw(st.tuples(_NOISE, _NOISE, _NOISE)) for _ in ids]
+    body = (landmarks[ids] - truth.translation) @ truth.rotation + rng.normal(0.0, 0.02, (len(ids), 3))
+    return points, _frontend_result(3, ids, body, noise), draw(st.sampled_from([1, 3, 8, 30]))
+
+
+def _map(points: List[tuple]) -> LocalizationMap:
+    return LocalizationMap([MapPoint(point_id, position, descriptor)
+                            for point_id, position, descriptor in points])
+
+
+def _tracker_bits(tracker: MapTracker, pose: Optional[Pose], workload) -> tuple:
+    return (None if pose is None else (pose.rotation.tobytes(), pose.translation.tobytes()), workload,
+            [(point_id, type(point_id), observed.tobytes(), residual.hex())
+             for point_id, observed, residual in tracker.last_map_observations],
+            tracker._descriptor_rng.bit_generator.state)
+
+
+class TestRegistrationReaders:
+    """``_match``'s columns against its 4-tuples, ``_estimate_pose`` on them,
+    the descriptor fallback's draws and the map-update triples."""
+
+    @given(case=_registration_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, case):
+        points, frontend, min_inliers = case
+        config = TrackingConfig(min_inliers=min_inliers)
+        got, reference = MapTracker(config), _ReferenceTracker(config)
+        records = _records(frontend)
+        map_ids, body, world, sigma = got._match(frontend, _map(points))
+        expected = reference._match(records, _map(points))
+        assert [(m, type(m)) for m in map_ids.tolist()] == [(int(c[0]), int) for c in expected]
+        assert _arrays_bits((body, world, sigma)) == _arrays_bits((
+            np.array([c[1] for c in expected]).reshape(-1, 3),
+            np.array([c[2] for c in expected]).reshape(-1, 3),
+            np.array([c[3] for c in expected], dtype=float)))
+        assert _same_state(got._descriptor_rng, reference._descriptor_rng)
+        # The flips are drawn per row, in row order.
+        assert got._track_descriptors(frontend).tobytes() == \
+            reference._track_descriptors(records).tobytes()
+        assert _tracker_bits(got, *got.track(frontend, _map(points))) == \
+            _tracker_bits(reference, *reference.track(records, _map(points)))
+
+    def test_on_a_survey_map(self, indoor_mapped_sequence):
+        """Every tracked frame also adds a keyframe, drawing its descriptors."""
+        rig = indoor_mapped_sequence.rig
+        frontend = VisualFrontend(rig=rig, dropout_probability=0.02, seed=3)
+        records = _reference_frontend(rig=rig, dropout_probability=0.02, seed=3)
+        got, reference = MapTracker(camera=rig.camera), _ReferenceTracker(camera=rig.camera)
+        got_map, reference_map = (LocalizationMap.from_world(indoor_mapped_sequence.world, seed=4)
+                                  for _ in range(2))
+        for frame in indoor_mapped_sequence.frames:
+            prior = frame.ground_truth
+            got_bits = _tracker_bits(got, *got.track(frontend.process(frame), got_map, prior))
+            assert got_bits == _tracker_bits(reference, *reference.track(
+                _reference_process_sparse(records, _dict_frame(frame), rig), reference_map, prior))
+            assert [(e.keyframe_id, e.bow_vector.tobytes()) for e in got_map.database.entries] == \
+                [(e.keyframe_id, e.bow_vector.tobytes()) for e in reference_map.database.entries]
+        assert len(got_map.database) > len(indoor_mapped_sequence.frames) // 2
+
+
 # ------------------------------------------------------- host numpy canary
 
 
@@ -1577,9 +2433,9 @@ _PROPAGATION = "the batched MSCKF propagation"
 
 
 class TestHostNumpyLoops:
-    """The array synthesis and the MSCKF propagation are exact only while these
-    loops agree, on this host, with the per-element values the scalar code
-    computed."""
+    """The array synthesis, the MSCKF propagation and the SLAM readers are
+    exact only while these loops agree, on this host, with the per-element
+    values the scalar code computed."""
 
     @staticmethod
     def _angles(rng: np.random.Generator) -> np.ndarray:
@@ -1672,6 +2528,22 @@ class TestHostNumpyLoops:
             block = cov[:IMU_ERROR_DIM, :IMU_ERROR_DIM]
             assert _same_bits(phi @ block @ phi.T, phi @ block.copy() @ phi.T), \
                 _host_message(f"strided 15x15 sandwich (lda {dim})", _PROPAGATION)
+
+    def test_row_means(self):
+        """The SLAM readers take ``noise_std.mean(axis=1)`` (whole columns and
+        fancy-indexed rows) where the records took ``float(np.mean(row))``."""
+        rng = np.random.default_rng(8)
+        rows = np.concatenate([
+            rng.uniform(0.0, 1.0, (60000, 3)) * 10.0 ** rng.uniform(-8, 3, (60000, 1)),
+            rng.uniform(0.0, 1.0, (20000, 3)) * 10.0 ** rng.uniform(-8, 3, (20000, 3)),
+            np.repeat(rng.uniform(0.0, 1.0, (2000, 1)), 3, axis=1),
+            [[0.02, 0.02, 0.02], [1e-3, 1e-3, 2e-3], [1e-300, 1e-300, 1e-300],
+             [5e-324, 0.0, 5e-324], [0.0, 0.0, 0.0], [1e300, 1e300, 1e300]]])
+        expected = np.array([float(np.mean(row)) for row in rows])
+        message = _host_message("row-mean reduction", "the columnar SLAM readers")
+        assert _same_bits(rows.mean(axis=1), expected), message
+        picked = rng.permutation(len(rows))[:5000]
+        assert _same_bits(rows[picked].mean(axis=1), expected[picked]), message
 
 
 # ------------------------------------------------ servbench signature check
