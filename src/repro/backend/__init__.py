@@ -7,8 +7,9 @@ each activating a different set of blocks:
 * **VIO mode** — Filtering (MSCKF) + Fusion (loosely-coupled GPS EKF).
 * **SLAM mode** — Mapping (bundle adjustment with marginalization) running
   alongside Tracking against the continuously updated map.
-* **Registration mode** — Tracking against a pre-constructed map using
-  bag-of-words place recognition and camera-model projection.
+* **Registration mode** — Tracking against a pre-constructed map: camera-model
+  projection of the map, matching by track identity (descriptor matching as
+  the fallback) and absolute-orientation pose optimization.
 
 Each per-frame result carries a workload record describing the matrix sizes
 the mode's variation-contributing kernel operated on (projection, Kalman
@@ -21,7 +22,6 @@ from repro.backend.msckf import Msckf, VioWorkload
 from repro.backend.fusion import GpsFusion
 from repro.backend.mapping import KeyframeMapper, SlamWorkload
 from repro.backend.marginalization import marginalize_schur
-from repro.backend.bow import BinaryVocabulary, KeyframeDatabase
 from repro.backend.tracking import MapTracker, RegistrationWorkload, LocalizationMap, MapPoint
 from repro.backend.registration import RegistrationBackend
 from repro.backend.vio import VioBackend
@@ -38,8 +38,6 @@ __all__ = [
     "KeyframeMapper",
     "SlamWorkload",
     "marginalize_schur",
-    "BinaryVocabulary",
-    "KeyframeDatabase",
     "MapTracker",
     "RegistrationWorkload",
     "LocalizationMap",

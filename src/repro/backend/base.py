@@ -39,7 +39,3 @@ class BackendResult:
     kernel_ms: Dict[str, float] = field(default_factory=dict)
     diagnostics: Dict[str, Any] = field(default_factory=dict)
     valid: bool = True
-
-    @property
-    def total_measured_ms(self) -> float:
-        return float(sum(self.kernel_ms.values()))

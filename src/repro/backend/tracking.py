@@ -7,22 +7,24 @@ registration-mode breakdown of Fig. 6:
 * **Projection** — project every map point through the camera model at the
   pose prior (the ``C @ X`` matrix multiplication whose latency scales with
   the number of map points, Fig. 16a).
-* **Match** — associate current observations with projected map points
-  (by persistent identity in sparse mode, by descriptor otherwise), with the
-  bag-of-words database used for relocalization when the prior is unreliable.
+* **Match** — associate current observations with map points by persistent
+  identity, falling back to descriptor matching when too few identities
+  name map points.
 * **Pose optimization** — closed-form absolute orientation (Horn/SVD) on the
   3-D/3-D correspondences followed by robust re-weighted refinement.
-* **Update** — refresh map statistics and the keyframe database.
+
+The paper's fourth stage, **Update**, is kept only in the modeled ledgers
+(the CPU baseline and the accelerator models); the tracker measures the
+three stages above and writes nothing back to the map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend.bow import BinaryVocabulary, KeyframeDatabase
 from repro.common.camera import PinholeCamera
 from repro.common.config import TrackingConfig
 from repro.common.geometry import Pose, homogeneous
@@ -70,14 +72,10 @@ class MapPoint:
 
 
 class LocalizationMap:
-    """A map of 3-D points plus a keyframe database for place recognition."""
+    """A map of 3-D points, each optionally carrying a binary descriptor."""
 
-    def __init__(self, points: Optional[List[MapPoint]] = None,
-                 vocabulary: Optional[BinaryVocabulary] = None) -> None:
+    def __init__(self, points: Optional[List[MapPoint]] = None) -> None:
         self.points: Dict[int, MapPoint] = {p.point_id: p for p in (points or [])}
-        self.vocabulary = vocabulary
-        self.database = KeyframeDatabase()
-        self.keyframe_poses: Dict[int, Pose] = {}
 
     def __len__(self) -> int:
         return len(self.points)
@@ -92,11 +90,12 @@ class LocalizationMap:
     def point_ids(self) -> List[int]:
         return list(self.points.keys())
 
-    def descriptors(self) -> np.ndarray:
-        items = [p.descriptor for p in self.points.values() if p.descriptor is not None]
+    def descriptors(self) -> Tuple[List[int], np.ndarray]:
+        """The ids of the points that carry a descriptor, and their descriptors."""
+        items = [p for p in self.points.values() if p.descriptor is not None]
         if not items:
-            return np.zeros((0, 32), dtype=np.uint8)
-        return np.stack(items)
+            return [], np.zeros((0, 32), dtype=np.uint8)
+        return [p.point_id for p in items], np.stack([p.descriptor for p in items])
 
     def add_point(self, point: MapPoint) -> None:
         self.points[point.point_id] = point
@@ -107,15 +106,9 @@ class LocalizationMap:
         else:
             self.add_point(MapPoint(point_id, position))
 
-    def add_keyframe(self, keyframe_id: int, pose: Pose, descriptors: np.ndarray) -> None:
-        self.keyframe_poses[keyframe_id] = pose.copy()
-        if self.vocabulary is not None and self.vocabulary.trained and descriptors.shape[0] > 0:
-            self.database.add(keyframe_id, self.vocabulary.transform(descriptors))
-
     @classmethod
     def from_world(cls, world: LandmarkWorld, position_noise: float = 0.05,
-                   position_bias_std: float = 0.0,
-                   vocabulary_words: int = 64, seed: int = 0) -> "LocalizationMap":
+                   position_bias_std: float = 0.0, seed: int = 0) -> "LocalizationMap":
         """Build a pre-constructed map from a simulated landmark world.
 
         This models the paper's "known environment": the environment has been
@@ -128,16 +121,11 @@ class LocalizationMap:
         rng = np.random.default_rng(seed)
         bias = rng.normal(0.0, position_bias_std, size=3) if position_bias_std > 0.0 else np.zeros(3)
         points = []
-        descriptors = []
         for landmark in world.landmarks:
             noisy = landmark.position + bias + rng.normal(0.0, position_noise, size=3)
             descriptor = descriptor_from_seed(landmark.landmark_id * 2654435761 % (2**31))
             points.append(MapPoint(landmark.landmark_id, noisy, descriptor))
-            descriptors.append(descriptor)
-        vocabulary = BinaryVocabulary(num_words=min(vocabulary_words, max(2, len(points) // 2)), seed=seed)
-        if len(descriptors) >= vocabulary.num_words:
-            vocabulary.train(np.stack(descriptors))
-        return cls(points, vocabulary)
+        return cls(points)
 
     @classmethod
     def from_landmark_positions(cls, positions: Dict[int, np.ndarray]) -> "LocalizationMap":
@@ -195,12 +183,6 @@ class MapTracker:
         self._observation_basis = ((pose, map_ids, body, world)
                                    if pose is not None and map_ids.size else None)
         self._map_observations = None
-
-        with stopwatch.measure("update"):
-            if pose is not None and localization_map.vocabulary is not None and localization_map.vocabulary.trained:
-                descriptors = self._track_descriptors(frontend)
-                if descriptors.shape[0] > 0:
-                    localization_map.add_keyframe(frontend.frame_index, pose, descriptors)
 
         self.last_workload = workload
         self.last_kernel_ms = stopwatch.as_dict()
@@ -285,10 +267,9 @@ class MapTracker:
             # Fall back to descriptor matching (needed when track identities do
             # not align with map identities, e.g. dense-frontend relocalization).
             descriptors = self._track_descriptors(frontend)
-            map_descriptors = localization_map.descriptors()
+            point_ids, map_descriptors = localization_map.descriptors()
             if descriptors.shape[0] > 0 and map_descriptors.shape[0] > 0:
                 distances = hamming_distance_matrix(descriptors, map_descriptors)
-                point_ids = list(points)
                 for row, nearest in enumerate(np.argmin(distances, axis=1).tolist()):
                     if distances[row, nearest] <= 64:
                         rows.append(row)

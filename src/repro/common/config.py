@@ -83,11 +83,8 @@ class MappingConfig:
 
 @dataclass
 class TrackingConfig:
-    """Configuration of the bag-of-words tracking/registration block."""
+    """Configuration of the tracking/registration block."""
 
-    vocabulary_size: int = 64
-    vocabulary_depth: int = 2
-    top_candidates: int = 3
     pnp_iterations: int = 10
     pnp_inlier_threshold: float = 3.0
     min_inliers: int = 8

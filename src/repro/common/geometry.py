@@ -201,10 +201,6 @@ class Pose:
         return cls(np.eye(3), np.zeros(3))
 
     @classmethod
-    def from_quaternion(cls, q: np.ndarray, t: np.ndarray) -> "Pose":
-        return cls(quaternion_to_rotation(q), t)
-
-    @classmethod
     def from_euler(cls, yaw: float, pitch: float, roll: float, t: np.ndarray) -> "Pose":
         return cls(euler_to_rotation(yaw, pitch, roll), t)
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.backend.base import BackendResult
 from repro.common.geometry import Pose
-from repro.common.timing import LatencyRecord, TimingStats
+from repro.common.timing import LatencyRecord
 from repro.frontend.frontend import FrontendSummary
 from repro.metrics.trajectory import absolute_trajectory_error, relative_trajectory_error_percent
 
@@ -50,12 +50,6 @@ class TrajectoryResult:
 
     # ----------------------------------------------------------- accuracy
 
-    def estimated_poses(self) -> List[Pose]:
-        return [estimate.pose for estimate in self.estimates]
-
-    def ground_truth_poses(self) -> List[Pose]:
-        return [estimate.ground_truth for estimate in self.estimates if estimate.ground_truth is not None]
-
     def rmse_error(self, align: bool = False, skip_initial: int = 0) -> float:
         """RMSE of translational error in metres (the Fig. 3 y-axis)."""
         estimates = self.estimates[skip_initial:]
@@ -73,9 +67,6 @@ class TrajectoryResult:
         return relative_trajectory_error_percent(list(est), list(ref))
 
     # ------------------------------------------------------------- latency
-
-    def measured_total_ms(self) -> TimingStats:
-        return TimingStats(record.total for record in self.latency_records)
 
     def per_mode(self) -> Dict[str, "TrajectoryResult"]:
         """Split the run by the backend mode that was active."""

@@ -24,7 +24,6 @@ from repro.experiments.runner import (
     ExperimentCell,
     ExperimentRunner,
     RunStore,
-    _SEQUENCE_CACHE,
     build_sequence,
     localizer_config_for,
     platform_for,
@@ -127,15 +126,3 @@ def baseline_records(result: TrajectoryResult, platform_kind: str = "car") -> Li
 def accelerator_for(platform_kind: str = "car") -> EudoxusAccelerator:
     platform = platform_for(platform_kind)
     return EudoxusAccelerator(platform)
-
-
-def clear_caches(disk: bool = False) -> None:
-    """Drop all cached sequences and runs (used by tests).
-
-    The on-disk run store is preserved unless ``disk=True``.
-    """
-    _SEQUENCE_CACHE.clear()
-    runner = default_runner()
-    runner.clear_memory()
-    if disk and runner.store is not None:
-        runner.store.clear()

@@ -632,9 +632,6 @@ class ExperimentRunner:
             results[cell] = result
         return results
 
-    def run_grid(self, grid: ExperimentGrid) -> Dict[ExperimentCell, TrajectoryResult]:
-        return self.run_cells(grid.expand())
-
     def clear_memory(self) -> None:
         """Drop the in-process memo (the disk store is left untouched)."""
         self._memory.clear()

@@ -33,10 +33,6 @@ class Keypoint:
     score: float
     octave: int = 0
 
-    @property
-    def pt(self) -> Tuple[float, float]:
-        return (self.x, self.y)
-
 
 class FastDetector:
     """Vectorised FAST detector with grid-based non-maximum suppression."""

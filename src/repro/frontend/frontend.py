@@ -349,7 +349,8 @@ def synthetic_descriptors_for_tracks(track_ids: np.ndarray,
                                      rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Generate stable binary descriptors for a frame's ``track_ids`` column.
 
-    Used by the bag-of-words registration backend, which needs descriptors
+    Used by the tracking block's descriptor fallback, which matches a frame
+    whose track identities do not name map points and so needs descriptors
     even when the frontend ran in sparse mode.  The descriptor is derived from
     the track identity so repeated visits to the same landmark produce nearly
     identical signatures.  With ``noise_bits > 0`` each row's flips are drawn

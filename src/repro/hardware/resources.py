@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.linalg.primitives import TABLE_I_DECOMPOSITION
-
 
 @dataclass
 class ResourceUsage:
@@ -197,15 +195,3 @@ class ResourceModel:
             "backend_misc": back.scaled(block_share * 1.2),
         }
 
-    def no_sharing_breakdown(self) -> Dict[str, ResourceUsage]:
-        """Per-mode resources when each mode gets private hardware."""
-        front = self.frontend()
-        back = self.backend()
-        per_kernel_units = {
-            mode: len(blocks) for mode, blocks in TABLE_I_DECOMPOSITION.items()
-        }
-        total_units = sum(per_kernel_units.values())
-        out: Dict[str, ResourceUsage] = {}
-        for mode, units in per_kernel_units.items():
-            out[mode] = front + back.scaled(2.0 * units / total_units)
-        return out

@@ -77,9 +77,6 @@ class OperationTrace:
     def total_flops(self) -> float:
         return float(sum(call.flops for call in self.calls))
 
-    def calls_for(self, block: BuildingBlock) -> List[PrimitiveCall]:
-        return [call for call in self.calls if call.block is block]
-
     def clear(self) -> None:
         self.calls = []
 

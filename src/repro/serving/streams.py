@@ -163,10 +163,6 @@ class StreamSpec:
     deadline_ms: Optional[float] = None
 
     @property
-    def total_duration(self) -> float:
-        return float(sum(segment.duration for segment in self.segments))
-
-    @property
     def frame_count(self) -> int:
         """Total frames the stream will produce (segments never go below 2)."""
         return sum(segment_frame_count(segment.duration, self.camera_rate_hz)

@@ -1,9 +1,8 @@
-"""Tests for mapping (bundle adjustment), marginalization, BoW and SLAM."""
+"""Tests for mapping (bundle adjustment), marginalization and SLAM."""
 
 import numpy as np
 import pytest
 
-from repro.backend.bow import BinaryVocabulary, KeyframeDatabase
 from repro.backend.mapping import KeyframeMapper, SlamWorkload
 from repro.backend.marginalization import marginalize_schur, marginalize_structured
 from repro.backend.slam import SlamBackend
@@ -11,7 +10,6 @@ from repro.common.config import BackendConfig, MappingConfig
 from repro.common.geometry import Pose, so3_exp
 from repro.experiments.runner import sensor_config_for
 from repro.frontend.frontend import VisualFrontend
-from repro.frontend.orb import descriptor_from_seed
 from repro.sensors.scenarios import ScenarioKind
 from repro.serving.streams import ScenarioStream, StreamSegment, StreamSpec
 
@@ -87,55 +85,6 @@ class TestMarginalization:
         structured = marginalize_structured(diag, pose_block, coupling, a_mr, a_rr, b_m, b_r)
         assert np.allclose(structured.hessian, generic.hessian, atol=1e-4)
         assert np.allclose(structured.gradient, generic.gradient, atol=1e-4)
-
-
-class TestBagOfWords:
-    def _descriptors(self, count=64, seed=0):
-        return np.stack([descriptor_from_seed(seed * 1000 + i) for i in range(count)])
-
-    def test_train_and_quantize(self):
-        vocabulary = BinaryVocabulary(num_words=8, seed=1)
-        descriptors = self._descriptors(64)
-        vocabulary.train(descriptors)
-        assert vocabulary.trained
-        words = vocabulary.quantize(descriptors[:10])
-        assert words.shape == (10,)
-        assert words.max() < 8
-
-    def test_train_requires_enough_descriptors(self):
-        vocabulary = BinaryVocabulary(num_words=16)
-        with pytest.raises(ValueError):
-            vocabulary.train(self._descriptors(4))
-
-    def test_transform_normalized(self):
-        vocabulary = BinaryVocabulary(num_words=8, seed=2)
-        vocabulary.train(self._descriptors(64))
-        vector = vocabulary.transform(self._descriptors(20, seed=5))
-        assert np.isclose(np.abs(vector).sum(), 1.0)
-
-    def test_untrained_raises(self):
-        with pytest.raises(RuntimeError):
-            BinaryVocabulary().quantize(self._descriptors(4))
-
-    def test_database_query_prefers_same_place(self):
-        vocabulary = BinaryVocabulary(num_words=16, seed=3)
-        place_a = self._descriptors(40, seed=10)
-        place_b = self._descriptors(40, seed=20)
-        vocabulary.train(np.vstack([place_a, place_b]))
-        database = KeyframeDatabase()
-        database.add(1, vocabulary.transform(place_a))
-        database.add(2, vocabulary.transform(place_b))
-        query = vocabulary.transform(place_a[:30])
-        ranked = database.query(query, top_k=2)
-        assert ranked[0][0] == 1
-        assert ranked[0][1] > ranked[1][1]
-        assert ranked[0][1] > 0.5
-        assert len(database) == 2
-
-    def test_best_match_threshold(self):
-        database = KeyframeDatabase()
-        database.add(1, np.array([1.0, 0.0]))
-        assert database.best_match(np.array([0.0, 1.0]), min_score=0.9) is None
 
 
 class TestKeyframeMapper:

@@ -2,19 +2,19 @@
 
 Each kernel is compared with a verbatim copy of the implementation it replaced
 (the ``_reference_*`` functions below): the memoized descriptor base bits, the
-memoized vocabulary training, the MSCKF propagation (once a loop over
-per-sample objects, now over IMU columns with batched rotation increments),
-the columnar observations of the synthetic dataset and the sparse frontend
-that consumes them (both once built around a per-landmark
-``StereoObservation`` dict), the columnar frontend result of both frontend
-paths and its readers in the MSCKF, SLAM and registration backends (all once
-built around per-row ``TrackObservation`` records, kept here as
-``_TrackObservation``), and the array ground truth and IMU synthesis of a
+MSCKF propagation (once a loop over per-sample objects, now over IMU columns
+with batched rotation increments), the columnar observations of the synthetic
+dataset and the sparse frontend that consumes them (both once built around a
+per-landmark ``StereoObservation`` dict), the columnar frontend result of both
+frontend paths and its readers in the MSCKF, SLAM and registration backends
+(all once built around per-row ``TrackObservation`` records, kept here as
+``_TrackObservation``; the registration reference also keeps the deleted
+keyframe-update stage), and the array ground truth and IMU synthesis of a
 segment.  Equality is byte for byte, signed zeros included, and any generator
-the kernel draws from must end in the same state.  The memos, the per-segment
-arrays and the frontend's result columns are also checked for aliasing (a
-caller mutating its result must not reach the next hit, another frame or the
-frame it came from) and the memos for their size bound.  A host canary checks
+the kernel draws from must end in the same state.  The descriptor memo, the
+per-segment arrays and the frontend's result columns are also checked for
+aliasing (a caller mutating its result must not reach the next hit, another
+frame or the frame it came from) and the memo for its size bound.  A host canary checks
 the numpy loops the array synthesis, the propagation and the SLAM readers rely
 on against their per-element results.  The window bundle adjustment (residuals reused across
 iterations, by-reference step backups, ``np.bincount`` scatters) is compared
@@ -35,8 +35,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import bow
-from repro.backend.bow import VOCABULARY_MEMO_SIZE, BinaryVocabulary
 from repro.backend.base import BackendResult
 from repro.backend.mapping import Keyframe, KeyframeMapper, SlamWorkload, scatter_sum
 from repro.backend.marginalization import MarginalizationResult, marginalize_schur
@@ -103,35 +101,6 @@ def _reference_descriptor_from_seed(appearance_seed, bits=256, noise_bits=0, rng
         flip_positions = flip_rng.choice(bits, size=min(noise_bits, bits), replace=False)
         descriptor_bits[flip_positions] ^= 1
     return np.packbits(descriptor_bits)
-
-
-def _reference_train(descriptors, num_words, iterations, seed):
-    descriptors = np.asarray(descriptors, dtype=np.uint8)
-    rng = np.random.default_rng(seed)
-    initial = rng.choice(descriptors.shape[0], size=num_words, replace=False)
-    centroids = descriptors[initial].copy()
-
-    bits = np.unpackbits(descriptors, axis=1)
-    for _ in range(iterations):
-        distances = hamming_distance_matrix(descriptors, centroids)
-        assignment = np.argmin(distances, axis=1)
-        new_centroids = centroids.copy()
-        for word in range(num_words):
-            members = bits[assignment == word]
-            if members.shape[0] == 0:
-                continue
-            majority = (members.mean(axis=0) >= 0.5).astype(np.uint8)
-            new_centroids[word] = np.packbits(majority)
-        if np.array_equal(new_centroids, centroids):
-            break
-        centroids = new_centroids
-    words = centroids
-
-    distances = hamming_distance_matrix(descriptors, centroids)
-    assignment = np.argmin(distances, axis=1)
-    counts = np.bincount(assignment, minlength=num_words).astype(float)
-    idf = np.log((descriptors.shape[0] + 1.0) / (counts + 1.0))
-    return words, idf
 
 
 def _reference_propagate(self, imu_samples):
@@ -1052,8 +1021,27 @@ def _reference_synthetic_descriptors(observations: List[_TrackObservation],
     )
 
 
+class _ReferenceMap(LocalizationMap):
+    """A map as ``_ReferenceTracker``'s update stage reads it.
+
+    ``vocabulary`` is None (no update) or a stand-in that is only
+    ``trained``: the update stage then draws the frame's track descriptors
+    and hands them to ``add_keyframe``, which keeps them with the pose.  The
+    keyframe database they once fed is gone; no reader ever queried it.
+    """
+
+    def __init__(self, points: Optional[List[MapPoint]] = None, vocabulary=None) -> None:
+        super().__init__(points)
+        self.vocabulary = vocabulary
+        self.keyframes: List[Tuple[int, Pose, np.ndarray]] = []
+
+    def add_keyframe(self, keyframe_id: int, pose: Pose, descriptors: np.ndarray) -> None:
+        self.keyframes.append((keyframe_id, pose.copy(), descriptors))
+
+
 class _ReferenceTracker(MapTracker):
-    """Registration's readers over records: correspondences as 4-tuples."""
+    """Registration's readers over records: correspondences as 4-tuples,
+    and the update stage that drew descriptors for a keyframe database."""
 
     def track(self, frontend: _RecordResult, localization_map: LocalizationMap,
               prior_pose: Optional[Pose] = None) -> Tuple[Optional[Pose], RegistrationWorkload]:
@@ -1147,11 +1135,10 @@ class _ReferenceTracker(MapTracker):
         # Fall back to descriptor matching (needed when track identities do not
         # align with map identities, e.g. dense-frontend relocalization).
         descriptors = self._track_descriptors(frontend)
-        map_descriptors = localization_map.descriptors()
+        map_ids, map_descriptors = localization_map.descriptors()
         if descriptors.shape[0] == 0 or map_descriptors.shape[0] == 0:
             return correspondences
         distances = hamming_distance_matrix(descriptors, map_descriptors)
-        map_ids = [p.point_id for p in localization_map.points.values()]
         for i, obs in enumerate(frontend.observations):
             j = int(np.argmin(distances[i]))
             if distances[i, j] <= 64:
@@ -1197,6 +1184,7 @@ class _ReferenceSlam(SlamBackend):
         super().__init__(config, camera)
         self.mapper = _ReferenceMapper(self.config.mapping)
         self.tracker = _ReferenceTracker(self.config.tracking, camera=camera)
+        self.map = _ReferenceMap()
         self._previous_points: Dict[int, np.ndarray] = {}
         self._previous_sigmas: Dict[int, float] = {}
 
@@ -1336,63 +1324,6 @@ class TestDescriptorFromSeed:
         for seed in range(DESCRIPTOR_MEMO_SIZE + 64):
             descriptor_from_seed(10**6 + seed, bits=8)
         assert orb._base_bits.cache_info().currsize == DESCRIPTOR_MEMO_SIZE
-
-
-# ---------------------------------------------------- vocabulary training
-
-
-def _survey_descriptors(count: int, offset: int = 0) -> np.ndarray:
-    return np.stack([descriptor_from_seed((offset + i) * 2654435761 % (2**31))
-                     for i in range(count)])
-
-
-class TestVocabularyTraining:
-    @given(count=st.integers(min_value=8, max_value=160),
-           offset=st.integers(min_value=0, max_value=10**6),
-           num_words=st.integers(min_value=2, max_value=64),
-           iterations=st.integers(min_value=0, max_value=8),
-           seed=st.integers(min_value=0, max_value=2**16))
-    @settings(max_examples=40, deadline=None)
-    def test_hit_and_miss_match_reference(self, count, offset, num_words, iterations, seed):
-        num_words = min(num_words, count)
-        descriptors = _survey_descriptors(count, offset)
-        words, idf = _reference_train(descriptors, num_words, iterations, seed)
-        bow._train_words.cache_clear()
-        for expected_hits in (0, 1):
-            vocabulary = BinaryVocabulary(num_words=num_words, iterations=iterations, seed=seed)
-            vocabulary.train(descriptors)
-            assert bow._train_words.cache_info().hits == expected_hits
-            assert vocabulary.words.tobytes() == words.tobytes()
-            assert vocabulary.words.shape == words.shape
-            assert vocabulary.idf.tobytes() == idf.tobytes()
-
-    def test_survey_map_vocabulary_matches_reference(self):
-        descriptors = _survey_descriptors(150)
-        words, idf = _reference_train(descriptors, 64, 8, 0)
-        for _ in range(2):
-            vocabulary = BinaryVocabulary(num_words=64, seed=0)
-            vocabulary.train(descriptors)
-            assert vocabulary.words.tobytes() == words.tobytes()
-            assert vocabulary.idf.tobytes() == idf.tobytes()
-
-    def test_mutating_a_vocabulary_does_not_reach_the_memo(self):
-        descriptors = _survey_descriptors(40)
-        words, idf = _reference_train(descriptors, 8, 8, 5)
-        first = BinaryVocabulary(num_words=8, seed=5)
-        first.train(descriptors)
-        first.words[:] = 0
-        first.idf[:] = -1.0
-        second = BinaryVocabulary(num_words=8, seed=5)
-        second.train(descriptors)
-        assert second.words.tobytes() == words.tobytes()
-        assert second.idf.tobytes() == idf.tobytes()
-        assert second.words.flags.writeable and second.idf.flags.writeable
-
-    def test_memo_is_bounded(self):
-        assert bow._train_words.cache_info().maxsize == VOCABULARY_MEMO_SIZE
-        for offset in range(VOCABULARY_MEMO_SIZE + 4):
-            BinaryVocabulary(num_words=2, iterations=1).train(_survey_descriptors(4, 1000 + offset))
-        assert bow._train_words.cache_info().currsize == VOCABULARY_MEMO_SIZE
 
 
 # ----------------------------------------------------------- MSCKF propagate
@@ -2364,16 +2295,16 @@ def _registration_cases(draw, pool: int = 20):
     return points, _frontend_result(3, ids, body, noise), draw(st.sampled_from([1, 3, 8, 30]))
 
 
-def _map(points: List[tuple]) -> LocalizationMap:
-    return LocalizationMap([MapPoint(point_id, position, descriptor)
-                            for point_id, position, descriptor in points])
+def _map(points: List[tuple], cls=LocalizationMap) -> LocalizationMap:
+    return cls([MapPoint(point_id, position, descriptor)
+                for point_id, position, descriptor in points])
 
 
-def _tracker_bits(tracker: MapTracker, pose: Optional[Pose], workload) -> tuple:
+def _tracker_bits(tracker: MapTracker, pose: Optional[Pose], workload, rng: bool = True) -> tuple:
     return (None if pose is None else (pose.rotation.tobytes(), pose.translation.tobytes()), workload,
             [(point_id, type(point_id), observed.tobytes(), residual.hex())
              for point_id, observed, residual in tracker.last_map_observations],
-            tracker._descriptor_rng.bit_generator.state)
+            tracker._descriptor_rng.bit_generator.state if rng else None)
 
 
 class TestRegistrationReaders:
@@ -2399,24 +2330,28 @@ class TestRegistrationReaders:
         assert got._track_descriptors(frontend).tobytes() == \
             reference._track_descriptors(records).tobytes()
         assert _tracker_bits(got, *got.track(frontend, _map(points))) == \
-            _tracker_bits(reference, *reference.track(records, _map(points)))
+            _tracker_bits(reference, *reference.track(records, _map(points, _ReferenceMap)))
 
     def test_on_a_survey_map(self, indoor_mapped_sequence):
-        """Every tracked frame also adds a keyframe, drawing its descriptors."""
+        """The reference still runs the deleted update stage, drawing each
+        tracked frame's descriptors for a keyframe; no pose, workload or
+        map-update bit may depend on it.  Only the descriptor generators
+        part ways, so their states are left out."""
         rig = indoor_mapped_sequence.rig
         frontend = VisualFrontend(rig=rig, dropout_probability=0.02, seed=3)
         records = _reference_frontend(rig=rig, dropout_probability=0.02, seed=3)
         got, reference = MapTracker(camera=rig.camera), _ReferenceTracker(camera=rig.camera)
-        got_map, reference_map = (LocalizationMap.from_world(indoor_mapped_sequence.world, seed=4)
-                                  for _ in range(2))
+        got_map = LocalizationMap.from_world(indoor_mapped_sequence.world, seed=4)
+        reference_map = _ReferenceMap(
+            list(LocalizationMap.from_world(indoor_mapped_sequence.world, seed=4).points.values()),
+            vocabulary=SimpleNamespace(trained=True))
         for frame in indoor_mapped_sequence.frames:
             prior = frame.ground_truth
-            got_bits = _tracker_bits(got, *got.track(frontend.process(frame), got_map, prior))
+            got_bits = _tracker_bits(got, *got.track(frontend.process(frame), got_map, prior), rng=False)
             assert got_bits == _tracker_bits(reference, *reference.track(
-                _reference_process_sparse(records, _dict_frame(frame), rig), reference_map, prior))
-            assert [(e.keyframe_id, e.bow_vector.tobytes()) for e in got_map.database.entries] == \
-                [(e.keyframe_id, e.bow_vector.tobytes()) for e in reference_map.database.entries]
-        assert len(got_map.database) > len(indoor_mapped_sequence.frames) // 2
+                _reference_process_sparse(records, _dict_frame(frame), rig), reference_map, prior),
+                rng=False)
+        assert len(reference_map.keyframes) > len(indoor_mapped_sequence.frames) // 2
 
 
 # ------------------------------------------------------- host numpy canary
