@@ -23,7 +23,7 @@ from repro.common.geometry import Pose, skew_batch, so3_exp
 from repro.common.timing import StopwatchCollector
 from repro.frontend.frontend import FrontendResult
 from repro.linalg.ops import matmul, transpose
-from repro.linalg.solvers import batched_symmetric_inverse, solve_cholesky
+from repro.linalg.solvers import batched_symmetric_inverse, solve_spd
 from repro.obs.profile import profile_kernel
 
 
@@ -371,7 +371,7 @@ class KeyframeMapper:
             h_pl_h_ll_inv = matmul(h_pl, h_ll_inv)
             reduced_h = h_pp - matmul(h_pl_h_ll_inv, transpose(h_pl))
             reduced_b = b_p - h_pl_h_ll_inv @ b_l
-            pose_delta = solve_cholesky(reduced_h + np.eye(pose_dim) * 1e-9, reduced_b)
+            pose_delta = solve_spd(reduced_h + np.eye(pose_dim) * 1e-9, reduced_b)
             landmark_delta_vec = h_ll_inv @ (b_l - h_pl.T @ pose_delta)
         except np.linalg.LinAlgError:
             return None

@@ -7,15 +7,26 @@ measurement model uses the stereo-triangulated 3-D point of each observation
 expressed in the body frame of the observing clone, which matches the stereo
 MSCKF the paper builds on.
 
+Each camera frame makes one covariance propagation: the frame's per-step
+IMU transitions and noises are folded into one ``(Phi, Q)`` pair (a prefix
+scan over the steps), as OpenVINS' ``propagate_and_clone`` does, and applied
+once to the IMU block and the IMU-to-clone cross-covariance.  The update
+builds the nullspace-projected Jacobians of all finished tracks of one
+length in one pass of stacked array calls.
+
 The Kalman-gain computation — the VIO mode's dominant latency-variation
-kernel (Fig. 7/10) — is implemented exactly as the accelerator executes it:
-form ``S = H P H^T + R`` exploiting symmetry, Cholesky-decompose ``S`` and
-forward/backward-substitute to solve ``S K^T = H P`` (Equ. 1a/1b).
+kernel (Fig. 7/10) — follows the accelerator's steps: form
+``S = H P H^T + R`` exploiting symmetry, Cholesky-decompose ``S`` and
+forward/backward-substitute to solve ``S K^T = H P`` (Equ. 1a/1b).  The
+measured path makes the decomposition and the substitutions as LAPACK calls
+(:func:`~repro.linalg.solvers.solve_spd`); they are recorded as the same
+building blocks, so the modeled Cholesky + F/B ledger is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -27,7 +38,7 @@ from repro.common.timing import StopwatchCollector
 from repro.frontend.frontend import FrontendResult
 from repro.linalg.decompositions import qr_reduced
 from repro.linalg.ops import matmul, quadratic_form, transpose
-from repro.linalg.solvers import solve_cholesky
+from repro.linalg.solvers import solve_spd
 from repro.obs.profile import profile_kernel
 from repro.sensors.imu import GRAVITY
 
@@ -53,6 +64,37 @@ class VioWorkload:
 # One observation of a track: (frame index, body point, noise std).
 _Observation = Tuple[int, np.ndarray, np.ndarray]
 
+_IMU_IDENTITY = np.eye(IMU_ERROR_DIM)
+
+
+def _prefix_products(matrices: np.ndarray) -> np.ndarray:
+    """Running products ``M_0 M_1 ... M_k`` of an ``(n, d, d)`` stack.
+
+    A Hillis-Steele scan: ``ceil(log2 n)`` stacked products instead of ``n``
+    sequential ones.  Equal to the sequential chain to rounding.
+    """
+    out = matrices.copy()
+    shift = 1
+    while shift < len(out):
+        out[shift:] = out[:-shift] @ out[shift:]
+        shift *= 2
+    return out
+
+
+def _fold_transitions(transitions: np.ndarray, noise_diagonals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One ``(Phi, Q)`` for a sequence of per-step ``(Phi_k, diag(q_k))``.
+
+    Applying the steps in order, ``P <- Phi_k P Phi_k^T + Q_k``, equals one
+    application of ``Phi = Phi_n ... Phi_1`` and
+    ``Q = sum_k G_k Q_k G_k^T`` with ``G_k = Phi_n ... Phi_{k+1}``.  All the
+    ``G_k`` are prefix products of the reversed steps, and ``Q`` is one
+    product of them side by side, ``[G_n q_n ... G_1 q_1] [G_n ... G_1]^T``.
+    """
+    products = _prefix_products(transitions[::-1])          # Phi_n, Phi_n Phi_{n-1}, ...
+    gains = np.concatenate([_IMU_IDENTITY[None], products[:-1]]).transpose(1, 0, 2)
+    gains = gains.reshape(IMU_ERROR_DIM, -1)
+    return products[-1], (gains * noise_diagonals[::-1].reshape(-1)) @ gains.T
+
 
 class Msckf:
     """Stereo MSCKF with body-frame point measurements."""
@@ -64,6 +106,10 @@ class Msckf:
         self._initialized = False
         self.last_workload = VioWorkload()
         self.last_kernel_ms: Dict[str, float] = {}
+        # Diagonal of the process noise per unit time; a step's is this times its dt.
+        cfg = self.config
+        self._noise_rate = np.repeat([cfg.imu_gyro_noise**2, 0.0, cfg.imu_accel_noise**2,
+                                      cfg.imu_gyro_bias_noise**2, cfg.imu_accel_bias_noise**2], 3)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -127,30 +173,27 @@ class Msckf:
         ``timestamps[k + 1]``; steps whose ``dt`` is not positive are dropped
         up front.  The biases are fixed within a batch, so all the rotation
         increments ``so3_exp((gyro - bias) * dt)`` come from one batched
-        Rodrigues call.  What stays sequential, in the per-step operation
-        order: the rotation chain, the velocity and position updates (running
-        sums over the per-step terms) and the covariance recurrence.  The
-        specific forces, transition matrices and process noises are arrays
-        over the steps.  The recurrence runs on local copies of the IMU block
-        and the IMU-to-clone cross-covariance, written back once, with the
-        cross block's transpose.
+        Rodrigues call, and the rotation at each step is a prefix product of
+        them.  Velocity and position are running sums over the per-step
+        terms.  The per-step error-state transitions ``Phi_k`` and noises
+        ``Q_k`` are folded into one ``(Phi, Q)`` (:func:`_fold_transitions`),
+        so the covariance sees one ``P_II <- Phi P_II Phi^T + Q`` and one
+        ``P_IC <- Phi P_IC`` per batch, as in OpenVINS'
+        ``Propagator::propagate_and_clone``.
         """
         if len(timestamps) < 2:
             return
         imu = self.state.imu
-        cfg = self.config
         dts = np.diff(timestamps)
         kept = dts > 0
         dts = dts[kept]
         steps = dts.size
+        if steps == 0:
+            return
         increments = so3_exp_batch((gyro[:-1][kept] - imu.gyro_bias) * dts[:, None])
         accel = accel[:-1][kept] - imu.accel_bias
-        rotation = imu.rotation
-        rotations = []                           # at the start of each step
-        for increment in increments:
-            rotations.append(rotation)
-            rotation = rotation @ increment
-        rotations = np.array(rotations).reshape(steps, 3, 3)
+        ends = imu.rotation @ _prefix_products(increments)      # after each step
+        rotations = np.concatenate([imu.rotation[None], ends[:-1]])   # at the start of each step
         specific_force_world = (rotations @ accel[:, :, None])[:, :, 0]
         accel_world = specific_force_world + GRAVITY
 
@@ -161,40 +204,31 @@ class Msckf:
         position_terms[0] = imu.position
         position_terms[1::2] = velocities[:-1] * step_dts
         position_terms[2::2] = 0.5 * accel_world * step_dts * step_dts
-        imu.rotation = rotation
+        imu.rotation = ends[-1]
         imu.position = np.cumsum(position_terms, axis=0)[-1]
         imu.velocity = velocities[-1]
 
         # Error-state transitions (world-frame rotation error convention).
         block_dts = dts[:, None, None]
-        transitions = np.repeat(np.eye(IMU_ERROR_DIM)[None], steps, axis=0)
+        transitions = np.repeat(_IMU_IDENTITY[None], steps, axis=0)
         neg_rotation_dt = -rotations * block_dts
         transitions[:, 0:3, 9:12] = neg_rotation_dt
         transitions[:, 3:6, 6:9] = np.eye(3) * block_dts
         transitions[:, 6:9, 0:3] = -skew_batch(specific_force_world) * block_dts
         transitions[:, 6:9, 12:15] = neg_rotation_dt
-        # Process noise per unit time: scaling it by dt gives the same bits as
-        # scaling each diagonal block by dt.
-        noise_rate = np.zeros((IMU_ERROR_DIM, IMU_ERROR_DIM))
-        noise_rate[0:3, 0:3] = np.eye(3) * cfg.imu_gyro_noise**2
-        noise_rate[6:9, 6:9] = np.eye(3) * cfg.imu_accel_noise**2
-        noise_rate[9:12, 9:12] = np.eye(3) * cfg.imu_gyro_bias_noise**2
-        noise_rate[12:15, 12:15] = np.eye(3) * cfg.imu_accel_bias_noise**2
-        noises = noise_rate * block_dts
+        phi, noise = _fold_transitions(transitions, self._noise_rate * step_dts)
 
+        # Only the IMU block and the cross-covariance change, and the cross
+        # block is written with its exact transpose, so symmetrizing the IMU
+        # block keeps an exactly symmetric covariance (as the update, the
+        # clone augmentation and the pruning leave it) exactly symmetric.
         cov = self.state.covariance
-        p_imu = cov[:IMU_ERROR_DIM, :IMU_ERROR_DIM].copy()
-        p_cross = cov[:IMU_ERROR_DIM, IMU_ERROR_DIM:].copy()
-        has_clones = p_cross.shape[1] > 0
-        for phi_imu, noise in zip(transitions, noises):
-            p_imu = phi_imu @ p_imu @ phi_imu.T + noise
-            if has_clones:
-                p_cross = phi_imu @ p_cross
-        cov[:IMU_ERROR_DIM, :IMU_ERROR_DIM] = p_imu
-        if has_clones:
-            cov[:IMU_ERROR_DIM, IMU_ERROR_DIM:] = p_cross
-            cov[IMU_ERROR_DIM:, :IMU_ERROR_DIM] = p_cross.T
-        self.state.symmetrize()
+        p_imu = phi @ cov[:IMU_ERROR_DIM, :IMU_ERROR_DIM] @ phi.T + noise
+        cov[:IMU_ERROR_DIM, :IMU_ERROR_DIM] = 0.5 * (p_imu + p_imu.T)
+        if cov.shape[0] > IMU_ERROR_DIM:
+            cross = phi @ cov[:IMU_ERROR_DIM, IMU_ERROR_DIM:]
+            cov[:IMU_ERROR_DIM, IMU_ERROR_DIM:] = cross
+            cov[IMU_ERROR_DIM:, :IMU_ERROR_DIM] = cross.T
 
     # -------------------------------------------------------------- updates
 
@@ -226,56 +260,30 @@ class Msckf:
         finished.sort(key=len, reverse=True)
         return finished[: self.config.max_features_per_update]
 
-    def _clone_observation_arrays(self, observations: List[_Observation]) -> Optional[Tuple[np.ndarray, ...]]:
-        """Gather a track's observations that still have a clone in the window.
+    def _gather_tracks(self, tracks: List[List[_Observation]]) -> Tuple[np.ndarray, ...]:
+        """Stack the tracks' observations, track after track.
 
-        Returns ``(clone_indices, points_body, noise_std)`` as arrays, or None
-        when no observation matches a clone.
+        Returns ``(lengths, clone_indices, points_body, noise_std)``: one
+        length per track, then one row per observation.  Every observation
+        has a clone in the window (:meth:`_select_update_tracks` keeps only
+        those).
         """
         index_by_frame = {clone.frame_index: i for i, clone in enumerate(self.state.clones)}
-        rows = [
-            (index_by_frame[frame_index], point_body, noise_std)
-            for frame_index, point_body, noise_std in observations
-            if frame_index in index_by_frame
-        ]
-        if not rows:
-            return None
-        clone_idx = np.array([row[0] for row in rows])
-        points = np.array([row[1] for row in rows])
-        noise = np.array([row[2] for row in rows])
-        return clone_idx, points, noise
-
-    @staticmethod
-    def _weighted_triangulation(points: np.ndarray, noise: np.ndarray,
-                                rotations: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """World-frame feature estimate from gathered clone observations.
-
-        Observations are combined with inverse-variance weights so close-range
-        (accurate) stereo points dominate over distant (noisy) ones.
-        """
-        world = np.einsum("nij,nj->ni", rotations, points) + positions
-        weights = (1.0 / noise[:, 0] ** 2).reshape(-1, 1)
-        return (world * weights).sum(axis=0) / weights.sum()
+        rows = [row for observations in tracks for row in observations]
+        return (np.array([len(observations) for observations in tracks]),
+                np.array([index_by_frame[row[0]] for row in rows]),
+                np.array([row[1] for row in rows]),
+                np.array([row[2] for row in rows]))
 
     def _update(self, tracks: List[List[_Observation]], stopwatch: StopwatchCollector,
                 workload: VioWorkload) -> None:
         state_dim = self.state.error_dim
 
         with stopwatch.measure("jacobian"):
-            rows: List[np.ndarray] = []
-            residuals: List[np.ndarray] = []
-            for observations in tracks:
-                block = self._feature_jacobian(observations)
-                if block is None:
-                    continue
-                h_block, r_block = block
-                rows.append(h_block)
-                residuals.append(r_block)
-            if not rows:
+            h_stack, r_stack, passed = self._stacked_jacobians(tracks)
+            if not passed.any():
                 return
-            h_stack = np.vstack(rows)
-            r_stack = np.concatenate(residuals)
-            workload.features_used = len(rows)
+            workload.features_used = int(passed.sum())
 
         with stopwatch.measure("qr"):
             # Compress the stacked Jacobian when it is taller than the state.
@@ -292,7 +300,7 @@ class Msckf:
             s_matrix = quadratic_form(h_stack, covariance) + noise
             ph_t = matmul(covariance, transpose(h_stack))
             # Solve S K^T = H P  =>  K = (S^-1 H P)^T, via Cholesky + substitution.
-            k_transposed = solve_cholesky(s_matrix, transpose(ph_t))
+            k_transposed = solve_spd(s_matrix, transpose(ph_t))
             kalman_gain = k_transposed.T
             workload.kalman_gain_dim = s_matrix.shape[0]
 
@@ -306,53 +314,87 @@ class Msckf:
             self.state.symmetrize()
             self.state.apply_correction(correction)
 
-    def _feature_jacobian(self, observations: List[_Observation]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Build the nullspace-projected Jacobian and residual for one track."""
-        state_dim = self.state.error_dim
+    def _stacked_jacobians(self, tracks: List[List[_Observation]]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nullspace-projected Jacobian rows and residuals of the tracks.
 
-        gathered = self._clone_observation_arrays(observations)
-        if gathered is None or gathered[0].size < 2:
-            return None
-        clone_idx, points_body, noise_std = gathered
-        count = clone_idx.size
-        rotations = np.stack([self.state.clones[i].rotation for i in clone_idx])
-        positions = np.stack([self.state.clones[i].position for i in clone_idx])
-        feature_world = self._weighted_triangulation(points_body, noise_std, rotations, positions)
+        Returns ``(h, r, passed)``: the rows of every track that passes the
+        residual gate, in track order, and the per-track gate outcome.  A
+        track with fewer than two observations does not pass.  Each run of
+        equal-length tracks (:meth:`_select_update_tracks` sorts them, so
+        each length is one run) is one :meth:`_group_jacobians` call.
+        """
+        lengths, clone_idx, points, noise = self._gather_tracks(tracks)
+        clone_rotations = np.array([clone.rotation for clone in self.state.clones])
+        clone_positions = np.array([clone.position for clone in self.state.clones])
+        h_blocks: List[np.ndarray] = [np.zeros((0, self.state.error_dim))]
+        r_blocks: List[np.ndarray] = [np.zeros(0)]
+        passed: List[np.ndarray] = []
+        start = 0
+        for length, run in groupby(lengths.tolist()):
+            count = len(list(run))
+            stop = start + count * length
+            if length < 2:
+                passed.append(np.zeros(count, dtype=bool))
+            else:
+                rows = slice(start, stop)
+                index = clone_idx[rows].reshape(count, length)
+                h, r, group_passed = self._group_jacobians(
+                    clone_rotations[index], clone_positions[index], index,
+                    points[rows].reshape(count, length, 3), noise[rows].reshape(count, length, 3))
+                h_blocks.append(h.reshape(-1, self.state.error_dim))
+                r_blocks.append(r.reshape(-1))
+                passed.append(group_passed)
+            start = stop
+        return np.concatenate(h_blocks), np.concatenate(r_blocks), np.concatenate(passed)
 
-        deltas = feature_world - positions                       # (n, 3)
-        predicted = np.einsum("nji,nj->ni", rotations, deltas)   # R^T (f - p)
-        residuals = points_body - predicted
+    def _group_jacobians(self, rotations: np.ndarray, positions: np.ndarray, clone_idx: np.ndarray,
+                         points_body: np.ndarray, noise_std: np.ndarray,
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Projected Jacobians of ``t`` tracks of ``n`` observations each.
+
+        Inputs are ``(t, n, ...)`` stacks: the observing clones' rotations,
+        positions and indices, and the body-frame points and their per-axis
+        noise.  Returns the gated tracks' ``(t', 3n - 3, D)`` Jacobians and
+        ``(t', 3n - 3)`` residuals, and the ``(t,)`` gate outcome.
+        """
+        count, length = clone_idx.shape
+        # Inverse-variance weighted triangulation, so close-range (accurate)
+        # stereo points dominate over distant (noisy) ones.
+        world = np.einsum("tnij,tnj->tni", rotations, points_body) + positions
+        weights = 1.0 / noise_std[:, :, :1] ** 2
+        feature_world = (world * weights).sum(axis=1) / weights.sum(axis=1)
+
+        deltas = feature_world[:, None, :] - positions                # (t, n, 3)
+        rotation_t = rotations.swapaxes(2, 3)
+        predicted = np.einsum("tnij,tnj->tni", rotation_t, deltas)     # R^T (f - p)
+        residuals = ((points_body - predicted) / noise_std).reshape(count, 3 * length)
 
         # Per-observation blocks: dh/d(rot) = R^T [f - p]_x, dh/d(pos) = -R^T,
         # dh/d(feature) = R^T; whitened by the per-axis stereo noise so the
         # update can use an identity measurement covariance (scaled by
         # observation_noise).
-        rotation_t = np.transpose(rotations, (0, 2, 1))
-        whitening = (1.0 / noise_std)[:, :, None]                # (n, 3, 1)
-        h_rot = whitening * np.einsum("nji,njk->nik", rotations, skew_batch(deltas))
-        h_pos = -whitening * rotation_t
+        whitening = (1.0 / noise_std)[..., None]                       # (t, n, 3, 1)
         h_f = whitening * rotation_t
-        residuals = residuals / noise_std
-
-        # Scatter each 3x6 clone block into the sparse full-state Jacobian.
-        h_x = np.zeros((count, 3, state_dim))
-        offsets = np.array([self.state.clone_offset(i) for i in clone_idx])
-        columns = offsets[:, None] + np.arange(CLONE_ERROR_DIM)[None, :]      # (n, 6)
-        blocks = np.concatenate([h_rot, h_pos], axis=2)                       # (n, 3, 6)
-        h_x[np.arange(count)[:, None, None], np.arange(3)[None, :, None],
-            columns[:, None, :]] = blocks
-
-        h_x_stack = h_x.reshape(3 * count, state_dim)
-        h_f_stack = h_f.reshape(3 * count, 3)
-        residual_stack = residuals.reshape(-1)
 
         # Project onto the left nullspace of H_f to remove the feature error.
-        q_full, _ = np.linalg.qr(h_f_stack, mode="complete")
-        nullspace = q_full[:, 3:]
-        projected_h = nullspace.T @ h_x_stack
-        projected_r = nullspace.T @ residual_stack
+        q_full, _ = np.linalg.qr(h_f.reshape(count, 3 * length, 3), mode="complete")
+        nullspace = q_full[:, :, 3:]                                   # (t, 3n, 3n - 3)
+        projected_r = np.einsum("tkm,tk->tm", nullspace, residuals)
 
         # Chi-square style gating on the residual magnitude.
-        if np.linalg.norm(projected_r) > 10.0 * self.config.observation_noise * np.sqrt(len(projected_r)):
-            return None
-        return projected_h, projected_r
+        rows = 3 * length - 3
+        passed = ~(np.linalg.norm(projected_r, axis=1)
+                   > 10.0 * self.config.observation_noise * np.sqrt(rows))
+        kept = int(passed.sum())
+        rotation_t, deltas, whitening = rotation_t[passed], deltas[passed], whitening[passed]
+        h_rot = whitening * (rotation_t @ skew_batch(deltas).reshape(kept, length, 3, 3))
+        blocks = np.concatenate([h_rot, -whitening * rotation_t], axis=3)   # (t', n, 3, 6)
+
+        # Only each observation's 3x6 clone block is nonzero in the full-state
+        # Jacobian, so project the blocks and scatter them to their columns.
+        projected_blocks = np.einsum("tnam,tnab->tnbm",
+                                     nullspace[passed].reshape(kept, length, 3, rows), blocks)
+        columns = self.state.clone_offset(clone_idx[passed])[:, :, None] + np.arange(CLONE_ERROR_DIM)
+        projected_h = np.zeros((kept, rows, self.state.error_dim))
+        projected_h[np.arange(kept)[:, None, None], :, columns] = projected_blocks
+        return projected_h, projected_r[passed], passed

@@ -24,10 +24,7 @@ from repro.experiments.runner import (
     ExperimentCell,
     ExperimentRunner,
     RunStore,
-    build_sequence,
-    localizer_config_for,
     platform_for,
-    sensor_config_for,
 )
 from repro.hardware.accelerator import EudoxusAccelerator
 from repro.sensors.scenarios import ScenarioKind

@@ -4,6 +4,13 @@ Forward/backward substitution is the fifth building block of Table I.  The
 solvers here are the software counterparts of the accelerator's F/B
 substitution unit and of the specialized 6x6-plus-diagonal inverse unit used
 for the marginalization ``A_mm`` block (Sec. VI-A, "Optimization").
+
+Two symmetric positive-definite solves record the same building blocks:
+:func:`solve_cholesky` runs the from-scratch column loops and is the
+reference the Table I decomposition, the Fig. 16 scaling study and the
+accelerator model are validated against; :func:`solve_spd` makes the same
+decomposition and two substitutions as LAPACK calls and serves the measured
+hot paths (the window bundle adjustment and the MSCKF Kalman gain).
 """
 
 from __future__ import annotations
@@ -65,6 +72,30 @@ def solve_cholesky(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     lower = cholesky(matrix)
     y = forward_substitution(lower, rhs)
     return backward_substitution(lower.T, y)
+
+
+def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """:func:`solve_cholesky` through LAPACK, recorded as the same blocks.
+
+    ``np.linalg.cholesky`` factors ``A`` (one DECOMPOSITION) and two solves
+    against the lower and upper factor stand in for the forward and backward
+    substitution (two SUBSTITUTIONs, with :func:`solve_cholesky`'s shapes).
+    numpy has no triangular solve, so each is a general ``np.linalg.solve``
+    on the triangular factor.  The result agrees with :func:`solve_cholesky`
+    to rounding.  A matrix LAPACK refuses as not positive definite goes to
+    :func:`solve_cholesky`, whose diagonal jitter then decides it, so those
+    bits, and the primitives recorded, are the reference's own.
+    """
+    a = np.asarray(matrix, dtype=float)
+    b = np.asarray(rhs, dtype=float)
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return solve_cholesky(a, b)
+    record_primitive(BuildingBlock.DECOMPOSITION, a.shape)
+    for _ in range(2):
+        record_primitive(BuildingBlock.SUBSTITUTION, lower.shape, b.reshape(b.shape[0], -1).shape)
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
 
 
 def solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from repro.linalg import (
     transpose,
 )
 from repro.linalg.blocked import block_count, matmul_block_iterations
-from repro.linalg.solvers import block_diag_plus_dense_inverse
+from repro.linalg.solvers import block_diag_plus_dense_inverse, solve_spd
 from repro.linalg.primitives import PrimitiveCall, TABLE_I_DECOMPOSITION
 
 
@@ -190,6 +190,63 @@ class TestSolvers:
     def test_structured_inverse_shape_check(self):
         with pytest.raises(ValueError):
             block_diag_plus_dense_inverse(np.ones(3), np.eye(6), np.ones((4, 6)))
+
+
+def _calls(trace: OperationTrace) -> list:
+    return [(call.block, call.shape_a, call.shape_b) for call in trace.calls]
+
+
+class TestSolveSpd:
+    """The LAPACK solve of the hot paths against the from-scratch reference."""
+
+    @given(n=st.integers(min_value=1, max_value=60), columns=st.integers(min_value=0, max_value=8),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_solve_cholesky(self, n, columns, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n))
+        a = a @ a.T + rng.uniform(1e-3, 10.0) * np.eye(n)
+        rhs = rng.normal(size=(n, columns) if columns else n)
+        got, expected = solve_spd(a, rhs), solve_cholesky(a, rhs)
+        assert got.shape == expected.shape
+        residual_scale = np.linalg.norm(a, 2) * np.abs(expected).max() + np.abs(rhs).max()
+        assert np.abs(a @ got - rhs).max() <= 1e-12 * residual_scale
+        assert np.allclose(got, expected, rtol=1e-8, atol=1e-8 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("rhs", [np.arange(1.0, 5.0), np.arange(1.0, 13.0).reshape(4, 3)])
+    def test_refused_matrix_takes_the_reference_bits(self, rhs):
+        """Rank one: LAPACK refuses it, the reference's diagonal jitter solves it."""
+        a = np.ones((4, 4))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a)
+        got, expected = OperationTrace(), OperationTrace()
+        with traced(got):
+            x = solve_spd(a, rhs)
+        with traced(expected):
+            reference = solve_cholesky(a, rhs)
+        assert x.dtype == reference.dtype and x.shape == reference.shape
+        assert x.tobytes() == reference.tobytes()
+        assert _calls(got) == _calls(expected)
+
+    def test_refused_matrix_raises_like_the_reference(self):
+        a = -np.eye(3)
+        for solve in (solve_spd, solve_cholesky):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve(a, np.ones(3))
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 1), (7, 5)])
+    def test_records_the_reference_primitives(self, shape):
+        a = random_spd(7, seed=3)
+        rhs = np.ones(shape)
+        got, expected = OperationTrace(), OperationTrace()
+        with traced(got):
+            solve_spd(a, rhs)
+        with traced(expected):
+            solve_cholesky(a, rhs)
+        assert _calls(got) == _calls(expected)
+        assert [call[0] for call in _calls(got)] == [BuildingBlock.DECOMPOSITION,
+                                                     BuildingBlock.SUBSTITUTION,
+                                                     BuildingBlock.SUBSTITUTION]
 
 
 class TestOperationTrace:
