@@ -22,7 +22,7 @@ from repro.backend.msckf import Msckf, VioWorkload
 from repro.backend.fusion import GpsFusion
 from repro.backend.mapping import KeyframeMapper, SlamWorkload
 from repro.backend.marginalization import marginalize_schur
-from repro.backend.tracking import MapTracker, RegistrationWorkload, LocalizationMap, MapPoint
+from repro.backend.tracking import MapTracker, RegistrationWorkload, LocalizationMap
 from repro.backend.registration import RegistrationBackend
 from repro.backend.vio import VioBackend
 from repro.backend.slam import SlamBackend
@@ -41,7 +41,6 @@ __all__ = [
     "MapTracker",
     "RegistrationWorkload",
     "LocalizationMap",
-    "MapPoint",
     "RegistrationBackend",
     "VioBackend",
     "SlamBackend",

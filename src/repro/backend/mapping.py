@@ -87,8 +87,11 @@ class KeyframeMapper:
     def map_size(self) -> int:
         return len(self.landmarks)
 
-    def landmark_positions(self) -> Dict[int, np.ndarray]:
-        return {track_id: position.copy() for track_id, position in self.landmarks.items()}
+    def landmark_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every landmark as ``(ids int64 (n,), positions (n, 3))``, in insertion order."""
+        ids = np.fromiter(self.landmarks, dtype=np.int64, count=len(self.landmarks))
+        positions = np.stack(list(self.landmarks.values())) if self.landmarks else np.zeros((0, 3))
+        return ids, positions
 
     def latest_pose(self) -> Optional[Pose]:
         if not self.keyframes:

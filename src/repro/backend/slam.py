@@ -58,7 +58,7 @@ class SlamBackend:
 
     def persist_map(self) -> LocalizationMap:
         """Export the current map (the optional "persist map" path of Fig. 4)."""
-        return LocalizationMap.from_landmark_positions(self.mapper.landmark_positions())
+        return LocalizationMap(*self.mapper.landmark_columns())
 
     def process(self, frontend: FrontendResult, frame: Frame) -> BackendResult:
         """Track against the latest map, inserting keyframes as needed."""
@@ -70,7 +70,6 @@ class SlamBackend:
         workload = SlamWorkload()
 
         with stopwatch.measure("others"):
-            self._sync_map_from_mapper()
             predicted = self._visual_odometry_prediction(frontend)
 
             pose: Optional[Pose] = None
@@ -87,6 +86,9 @@ class SlamBackend:
         if self.mapper.should_insert_keyframe(pose) or coverage < 0.5:
             workload = self.mapper.insert_keyframe(frontend, pose)
             kernel_ms.update(self.mapper.last_kernel_ms)
+            # Only a keyframe insertion changes the mapper's landmarks, so the
+            # map rebuilt here holds until the next insertion.
+            self.map = LocalizationMap(*self.mapper.landmark_columns())
             latest = self.mapper.latest_pose()
             if latest is not None:
                 pose = latest
@@ -116,11 +118,6 @@ class SlamBackend:
         )
 
     # ------------------------------------------------------------ internals
-
-    def _sync_map_from_mapper(self) -> None:
-        """Refresh the tracking map with the mapper's latest landmark estimates."""
-        for track_id, position in self.mapper.landmarks.items():
-            self.map.update_point(track_id, position)
 
     def _map_coverage(self, frontend: FrontendResult) -> float:
         """Fraction of the current observations already present in the map."""

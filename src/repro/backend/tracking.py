@@ -59,52 +59,35 @@ class RegistrationWorkload:
         return self.map_points if self.projected_points is None else self.projected_points
 
 
-@dataclass
-class MapPoint:
-    """One point of a localization map."""
-
-    point_id: int
-    position: np.ndarray
-    descriptor: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-
-
 class LocalizationMap:
-    """A map of 3-D points, each optionally carrying a binary descriptor."""
+    """A map of 3-D points as columns, one row per point.
 
-    def __init__(self, points: Optional[List[MapPoint]] = None) -> None:
-        self.points: Dict[int, MapPoint] = {p.point_id: p for p in (points or [])}
+    ``point_ids`` (int64) and ``positions`` ``(n, 3)`` name and place every
+    point; ``point_descriptors`` ``(n, 32)`` uint8 holds the binary
+    descriptor of the rows that ``has_descriptor`` marks (zeros elsewhere);
+    ``row_of`` maps a point id to its row.  The columns are read, never
+    written: a map that changes is built anew.
+    """
+
+    def __init__(self, point_ids: np.ndarray = (), positions: np.ndarray = (),
+                 point_descriptors: Optional[np.ndarray] = None,
+                 has_descriptor: Optional[np.ndarray] = None) -> None:
+        self.point_ids = np.asarray(point_ids, dtype=np.int64)
+        self.positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+        described = point_descriptors is not None
+        self.point_descriptors = (np.asarray(point_descriptors, dtype=np.uint8) if described
+                                  else np.zeros((self.point_ids.size, 32), dtype=np.uint8))
+        self.has_descriptor = (np.full(self.point_ids.size, described) if has_descriptor is None
+                               else np.asarray(has_descriptor, dtype=bool))
+        self.row_of: Dict[int, int] = {point_id: row for row, point_id in enumerate(self.point_ids.tolist())}
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.point_ids.size
 
-    @property
-    def positions(self) -> np.ndarray:
-        if not self.points:
-            return np.zeros((0, 3))
-        return np.array([p.position for p in self.points.values()])
-
-    @property
-    def point_ids(self) -> List[int]:
-        return list(self.points.keys())
-
-    def descriptors(self) -> Tuple[List[int], np.ndarray]:
-        """The ids of the points that carry a descriptor, and their descriptors."""
-        items = [p for p in self.points.values() if p.descriptor is not None]
-        if not items:
-            return [], np.zeros((0, 32), dtype=np.uint8)
-        return [p.point_id for p in items], np.stack([p.descriptor for p in items])
-
-    def add_point(self, point: MapPoint) -> None:
-        self.points[point.point_id] = point
-
-    def update_point(self, point_id: int, position: np.ndarray) -> None:
-        if point_id in self.points:
-            self.points[point_id].position = np.asarray(position, dtype=float).reshape(3)
-        else:
-            self.add_point(MapPoint(point_id, position))
+    def descriptors(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows of the points that carry a descriptor, and their descriptors."""
+        rows = np.flatnonzero(self.has_descriptor)
+        return rows, self.point_descriptors[rows]
 
     @classmethod
     def from_world(cls, world: LandmarkWorld, position_noise: float = 0.05,
@@ -120,21 +103,21 @@ class LocalizationMap:
         """
         rng = np.random.default_rng(seed)
         bias = rng.normal(0.0, position_bias_std, size=3) if position_bias_std > 0.0 else np.zeros(3)
-        points = []
-        for landmark in world.landmarks:
-            noisy = landmark.position + bias + rng.normal(0.0, position_noise, size=3)
-            descriptor = descriptor_from_seed(landmark.landmark_id * 2654435761 % (2**31))
-            points.append(MapPoint(landmark.landmark_id, noisy, descriptor))
-        return cls(points)
-
-    @classmethod
-    def from_landmark_positions(cls, positions: Dict[int, np.ndarray]) -> "LocalizationMap":
-        """Build a map from the SLAM mapper's current landmark estimates."""
-        return cls([MapPoint(pid, pos) for pid, pos in positions.items()])
+        positions = world.positions + bias + rng.normal(0.0, position_noise, size=(len(world), 3))
+        descriptors = np.zeros((len(world), 32), dtype=np.uint8)
+        for row, landmark_id in enumerate(world.landmark_ids.tolist()):
+            descriptors[row] = descriptor_from_seed(landmark_id * 2654435761 % (2**31))
+        return cls(world.landmark_ids, positions, descriptors)
 
 
 class MapTracker:
-    """Estimates the pose of each frame against a :class:`LocalizationMap`."""
+    """Estimates the pose of each frame against a :class:`LocalizationMap`.
+
+    The tracker reads the map's columns as they are: projection takes the
+    whole ``positions`` column, and matching looks up rows through
+    ``row_of`` (or the described rows, on the descriptor fallback) and
+    gathers their ids and positions.
+    """
 
     # Bit flips per track descriptor, drawn from a generator with a fixed
     # seed: two trackers fed the same frames draw the same flips.
@@ -259,24 +242,24 @@ class MapTracker:
         first, in frontend row order; too few of them add the descriptor
         matches of every row after them.
         """
-        points = localization_map.points
+        row_of = localization_map.row_of
         track_ids = frontend.track_ids.tolist()
-        rows = [row for row, track_id in enumerate(track_ids) if track_id in points]
-        map_ids = [points[track_ids[row]].point_id for row in rows]
+        rows = [row for row, track_id in enumerate(track_ids) if track_id in row_of]
+        map_rows = [row_of[track_ids[row]] for row in rows]
         if len(rows) < self.config.min_inliers:
             # Fall back to descriptor matching (needed when track identities do
             # not align with map identities, e.g. dense-frontend relocalization).
             descriptors = self._track_descriptors(frontend)
-            point_ids, map_descriptors = localization_map.descriptors()
+            described_rows, map_descriptors = localization_map.descriptors()
             if descriptors.shape[0] > 0 and map_descriptors.shape[0] > 0:
                 distances = hamming_distance_matrix(descriptors, map_descriptors)
                 for row, nearest in enumerate(np.argmin(distances, axis=1).tolist()):
                     if distances[row, nearest] <= 64:
                         rows.append(row)
-                        map_ids.append(point_ids[nearest])
-        world = np.array([points[map_id].position for map_id in map_ids]).reshape(-1, 3)
-        return (np.array(map_ids, dtype=np.int64), frontend.points_body[rows], world,
-                frontend.noise_std[rows, 0])
+                        map_rows.append(int(described_rows[nearest]))
+        map_rows = np.array(map_rows, dtype=np.int64)
+        return (localization_map.point_ids[map_rows], frontend.points_body[rows],
+                localization_map.positions[map_rows], frontend.noise_std[rows, 0])
 
     def _estimate_pose(self, body: np.ndarray, world: np.ndarray,
                        sigma: np.ndarray) -> Tuple[Pose, int, int]:

@@ -632,10 +632,6 @@ class ExperimentRunner:
             results[cell] = result
         return results
 
-    def clear_memory(self) -> None:
-        """Drop the in-process memo (the disk store is left untouched)."""
-        self._memory.clear()
-
     # ------------------------------------------------------------- internals
 
     def _execute_cold(self, cells: List[ExperimentCell]):

@@ -101,7 +101,7 @@ class OrbDescriptor:
         return np.packbits(descriptors, axis=1)
 
 
-# Landmark appearances recur across every frame, session and survey map, so
+# A landmark's appearance recurs across every frame, session and survey map, so
 # the base bits of each (appearance_seed, bits) pair are built once.  The memo
 # is bounded: a fleet of ever-new landmark ids evicts rather than grows.
 DESCRIPTOR_MEMO_SIZE = 4096

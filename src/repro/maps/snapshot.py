@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
-from repro.backend.tracking import LocalizationMap, MapPoint
+from repro.backend.tracking import LocalizationMap
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.backend.mapping import KeyframeMapper
@@ -169,10 +169,7 @@ class MapSnapshot:
         persistent identity — exactly how the SLAM tracker consumes the same
         landmarks while the map is being built.
         """
-        return LocalizationMap([
-            MapPoint(int(lid), self.positions[i])
-            for i, lid in enumerate(self.landmark_ids)
-        ])
+        return LocalizationMap(self.landmark_ids, self.positions)
 
 
 def snapshot_from_mapper(mapper: "KeyframeMapper", environment_id: str,
@@ -184,12 +181,8 @@ def snapshot_from_mapper(mapper: "KeyframeMapper", environment_id: str,
     (:meth:`~repro.backend.mapping.KeyframeMapper.residual_stats`) — the
     observable a real fleet has, as opposed to ground truth it does not.
     """
-    positions_by_id = mapper.landmark_positions()
+    ids, positions = mapper.landmark_columns()
     mean_residual, max_residual, _ = mapper.residual_stats()
-    ids = np.fromiter(positions_by_id.keys(), dtype=np.int64,
-                      count=len(positions_by_id))
-    positions = (np.stack([positions_by_id[int(lid)] for lid in ids])
-                 if ids.size else np.zeros((0, 3)))
     return MapSnapshot(
         environment_id=environment_id,
         landmark_ids=ids,

@@ -87,8 +87,8 @@ class ImageRenderer:
             right_points = points_camera - np.array([self.baseline, 0.0, 0.0])
             right_pixels, right_valid = self.camera.project(right_points)
 
-            for idx, landmark in enumerate(world.landmarks):
-                patch = self._patch_for(landmark.appearance_seed)
+            for idx, appearance_seed in enumerate(world.appearance_seeds.tolist()):
+                patch = self._patch_for(appearance_seed)
                 if left_valid[idx]:
                     self._splat(left, left_pixels[idx, 0], left_pixels[idx, 1], patch)
                 if right_valid[idx]:

@@ -4,55 +4,43 @@ Visual localization algorithms consume feature correspondences, which
 ultimately come from salient 3-D landmarks in the environment.  The world
 model generates persistent landmark clouds along the trajectory corridor
 (walls for indoor scenes, building facades / roadside structure for outdoor
-scenes) together with per-landmark appearance identifiers that the frontend
-uses to synthesize stable ORB descriptors.
+scenes).  A world is three columns, one row per landmark: ``landmark_ids``,
+``positions`` and ``appearance_seeds``, the identifier from which the
+frontend synthesizes the landmark's stable ORB descriptor and the renderer
+its image patch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 import numpy as np
 
 
-@dataclass
-class Landmark:
-    """A persistent 3-D point with a stable appearance identity."""
-
-    landmark_id: int
-    position: np.ndarray
-    appearance_seed: int
-
-    def __post_init__(self) -> None:
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-
-
 class LandmarkWorld:
-    """A collection of landmarks, with their positions and ids as arrays.
+    """A landmark cloud as columns, one row per landmark.
 
     Parameters
     ----------
-    landmarks:
-        The landmark list.
+    landmark_ids:
+        ``(n,)`` int64 persistent identities.
+    positions:
+        ``(n, 3)`` world positions.
+    appearance_seeds:
+        ``(n,)`` int64 appearance identities.
     is_indoor:
         Indoor scenes have denser, closer structure; outdoor scenes have
         sparser, farther structure.  The flag is carried along so scenario
         generators can reason about GPS availability.
     """
 
-    def __init__(self, landmarks: List[Landmark], is_indoor: bool = False) -> None:
-        self.landmarks = landmarks
+    def __init__(self, landmark_ids: np.ndarray, positions: np.ndarray,
+                 appearance_seeds: np.ndarray, is_indoor: bool = False) -> None:
+        self.landmark_ids = np.asarray(landmark_ids, dtype=np.int64)
+        self.positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+        self.appearance_seeds = np.asarray(appearance_seeds, dtype=np.int64)
         self.is_indoor = is_indoor
-        self._positions = np.array([lm.position for lm in landmarks]) if landmarks else np.zeros((0, 3))
-        self.landmark_ids = np.array([lm.landmark_id for lm in landmarks], dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.landmarks)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._positions
+        return self.landmark_ids.size
 
     @classmethod
     def corridor(cls, trajectory_points: np.ndarray, count: int, lateral_spread: float,
@@ -76,11 +64,8 @@ class LandmarkWorld:
             axis=1,
         )
         positions = anchors + offsets
-        landmarks = [
-            Landmark(landmark_id=i, position=positions[i], appearance_seed=int(rng.integers(0, 2**31 - 1)))
-            for i in range(count)
-        ]
-        return cls(landmarks, is_indoor=is_indoor)
+        appearance_seeds = rng.integers(0, 2**31 - 1, size=count)
+        return cls(np.arange(count, dtype=np.int64), positions, appearance_seeds, is_indoor=is_indoor)
 
     @classmethod
     def indoor(cls, trajectory_points: np.ndarray, count: int = 400, seed: int = 0) -> "LandmarkWorld":

@@ -37,7 +37,7 @@ import numpy as np
 from repro.common.config import SensorConfig
 from repro.sensors.dataset import Frame, SequenceBuilder, SyntheticSequence, segment_frame_count
 from repro.sensors.scenarios import OperatingScenario, ScenarioKind, scenario_catalog
-from repro.sensors.world import Landmark, LandmarkWorld
+from repro.sensors.world import LandmarkWorld
 
 # Seed stride between segments of one stream (matches SequenceBuilder.build_mixed)
 # and between the streams of a generated fleet.
@@ -271,16 +271,9 @@ def drift_world(world: LandmarkWorld, drift_m: float, fraction: float,
     rng = np.random.default_rng(seed)
     moved = rng.random(len(world)) < fraction
     offsets = rng.normal(0.0, drift_m, size=(len(world), 3))
-    landmarks = [
-        Landmark(
-            landmark_id=landmark.landmark_id,
-            position=(landmark.position + offsets[i] if moved[i]
-                      else landmark.position),
-            appearance_seed=landmark.appearance_seed,
-        )
-        for i, landmark in enumerate(world.landmarks)
-    ]
-    return LandmarkWorld(landmarks, is_indoor=world.is_indoor)
+    positions = world.positions.copy()
+    positions[moved] += offsets[moved]
+    return LandmarkWorld(world.landmark_ids, positions, world.appearance_seeds, is_indoor=world.is_indoor)
 
 
 def expected_segment_mode(spec: StreamSpec, index: int,

@@ -5,7 +5,9 @@ import pytest
 
 from repro.backend import tracking
 from repro.backend.registration import RegistrationBackend
-from repro.backend.tracking import LocalizationMap, MapPoint, MapTracker, RegistrationWorkload
+from repro.backend.mapping import KeyframeMapper
+from repro.backend.slam import SlamBackend
+from repro.backend.tracking import LocalizationMap, MapTracker, RegistrationWorkload
 from repro.common.config import BackendConfig, TrackingConfig
 from repro.common.geometry import Pose, euler_to_rotation
 from repro.core.modes import BackendMode, ModeSelector
@@ -25,22 +27,37 @@ class TestLocalizationMap:
         localization_map = LocalizationMap.from_world(indoor_mapped_sequence.world, position_noise=0.01)
         assert len(localization_map) == len(indoor_mapped_sequence.world)
         assert localization_map.positions.shape == (len(localization_map), 3)
-        point_ids, descriptors = localization_map.descriptors()
-        assert point_ids == localization_map.point_ids
-        assert descriptors.shape[0] == len(localization_map)
+        np.testing.assert_array_equal(localization_map.point_ids, indoor_mapped_sequence.world.landmark_ids)
+        rows, descriptors = localization_map.descriptors()
+        assert rows.tolist() == list(range(len(localization_map)))
+        assert descriptors.shape == (len(localization_map), 32)
 
-    def test_update_and_add_point(self):
-        localization_map = LocalizationMap()
-        localization_map.add_point(MapPoint(1, [0.0, 0.0, 0.0]))
-        localization_map.update_point(1, [1.0, 0.0, 0.0])
-        localization_map.update_point(2, [2.0, 0.0, 0.0])
-        assert np.allclose(localization_map.points[1].position, [1.0, 0.0, 0.0])
-        assert 2 in localization_map.points
+    def test_columns_and_row_index(self):
+        descriptor = synthetic_descriptors_for_tracks(np.array([2]))[0]
+        localization_map = LocalizationMap([9, 2], [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
+                                           np.stack([np.zeros(32, dtype=np.uint8), descriptor]),
+                                           [False, True])
+        assert len(localization_map) == 2
+        assert localization_map.row_of == {9: 0, 2: 1}
+        rows, descriptors = localization_map.descriptors()
+        assert rows.tolist() == [1]
+        assert descriptors.tobytes() == descriptor.tobytes()
+        empty = LocalizationMap()
+        assert len(empty) == 0 and empty.positions.shape == (0, 3) and empty.row_of == {}
+        assert empty.descriptors()[1].shape == (0, 32)
 
-    def test_from_landmark_positions(self):
-        positions = {3: np.array([1.0, 2.0, 3.0]), 7: np.array([4.0, 5.0, 6.0])}
-        localization_map = LocalizationMap.from_landmark_positions(positions)
-        assert set(localization_map.point_ids) == {3, 7}
+    def test_from_mapper_columns(self):
+        slam = SlamBackend()
+        slam.mapper.landmarks.update({7: np.array([4.0, 5.0, 6.0]), 3: np.array([1.0, 2.0, 3.0])})
+        ids, positions = slam.mapper.landmark_columns()
+        assert ids.dtype == np.int64 and ids.tolist() == [7, 3]
+        assert positions.tolist() == [[4.0, 5.0, 6.0], [1.0, 2.0, 3.0]]
+        persisted = slam.persist_map()
+        assert persisted.point_ids.tolist() == [7, 3]
+        assert persisted.row_of == {7: 0, 3: 1}
+        assert not persisted.has_descriptor.any()
+        ids, positions = KeyframeMapper().landmark_columns()
+        assert ids.shape == (0,) and positions.shape == (0, 3)
 
 
 class TestMapTracker:
@@ -81,8 +98,7 @@ class TestMapTracker:
         frontend = VisualFrontend(rig=indoor_mapped_sequence.rig, sparse=True, dropout_probability=0.0)
         results = [frontend.process(frame) for frame in indoor_mapped_sequence.frames[:6]]
         survey = LocalizationMap.from_world(indoor_mapped_sequence.world)
-        localization_map = LocalizationMap([MapPoint(point.point_id + 10000, point.position, point.descriptor)
-                                            for point in survey.points.values()])
+        localization_map = LocalizationMap(survey.point_ids + 10000, survey.positions, survey.point_descriptors)
         for _ in range(2):
             drawn.append([])
             tracker = MapTracker(camera=indoor_mapped_sequence.rig.camera)
@@ -96,8 +112,9 @@ class TestMapTracker:
         # A descriptor-less point ahead of the described one must not shift
         # the match onto itself.
         descriptor = synthetic_descriptors_for_tracks(np.array([7]))[0]
-        localization_map = LocalizationMap([MapPoint(5, [1.0, 0.0, 5.0]),
-                                            MapPoint(1007, [0.0, 1.0, 5.0], descriptor)])
+        localization_map = LocalizationMap([5, 1007], [[1.0, 0.0, 5.0], [0.0, 1.0, 5.0]],
+                                           np.stack([np.zeros(32, dtype=np.uint8), descriptor]),
+                                           [False, True])
         frontend = FrontendResult(frame_index=0, timestamp=0.0, track_ids=np.array([7], dtype=np.int64),
                                   points_body=np.zeros((1, 3)), noise_std=np.full((1, 3), 0.1),
                                   left_pixels=np.zeros((1, 2)))

@@ -55,8 +55,7 @@ class TestSparseFrontend:
         frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
         frame = outdoor_sequence.frames[2]
         result = frontend.process(frame)
-        landmarks = np.array([outdoor_sequence.world.landmarks[track_id].position
-                              for track_id in result.track_ids.tolist()])
+        landmarks = outdoor_sequence.world.positions[result.track_ids]
         errors = np.linalg.norm(frame.ground_truth.transform_points(result.points_body) - landmarks, axis=1)
         assert np.median(errors) < 3.0
 

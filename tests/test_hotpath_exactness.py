@@ -8,8 +8,11 @@ per-landmark ``StereoObservation`` dict), the columnar frontend result of both
 frontend paths and its readers in the MSCKF, SLAM and registration backends
 (all once built around per-row ``TrackObservation`` records, kept here as
 ``_TrackObservation``; the registration reference also keeps the deleted
-keyframe-update stage), and the array ground truth and IMU synthesis of a
-segment.  Equality is byte for byte, signed zeros included, and any generator
+keyframe-update stage), the array ground truth and IMU synthesis of a
+segment, and the columnar landmark world, its survey map and its drift (once
+lists of ``_Landmark`` and dicts of ``_MapPoint`` rows, kept here; SLAM's
+tracking map, now rebuilt after each keyframe insertion, is checked against
+the per-frame ``update_point`` mirror of the mapper).  Equality is byte for byte, signed zeros included, and any generator
 the kernel draws from must end in the same state.  The descriptor memo, the
 per-segment arrays and the frontend's result columns are also checked for
 aliasing (a caller mutating its result must not reach the next hit, another
@@ -48,8 +51,7 @@ from repro.backend.mapping import Keyframe, KeyframeMapper, SlamWorkload, scatte
 from repro.backend.marginalization import MarginalizationResult, marginalize_schur
 from repro.backend.msckf import Msckf, VioWorkload
 from repro.backend.slam import SlamBackend
-from repro.backend.tracking import (LocalizationMap, MapPoint, MapTracker, RegistrationWorkload,
-                                    _weighted_horn)
+from repro.backend.tracking import LocalizationMap, MapTracker, RegistrationWorkload, _weighted_horn
 from repro.backend.state import CLONE_ERROR_DIM, IMU_ERROR_DIM
 from repro.common.camera import StereoRig, world_to_camera
 from repro.common.config import (BackendConfig, FrontendConfig, MappingConfig, MSCKFConfig,
@@ -184,7 +186,7 @@ def _reference_observe(self, pose, world, rig, rng) -> Dict[int, StereoObservati
     for idx in np.nonzero(valid)[0]:
         left = left_pixels[idx] + rng.normal(0.0, noise_std, size=2)
         right = right_pixels[idx] + rng.normal(0.0, noise_std, size=2)
-        landmark_id = world.landmarks[idx].landmark_id
+        landmark_id = int(world.landmark_ids[idx])
         observations[landmark_id] = StereoObservation(landmark_id, left, right)
     return observations
 
@@ -1039,8 +1041,85 @@ def _reference_synthetic_descriptors(observations: List[_TrackObservation],
     )
 
 
-class _ReferenceMap(LocalizationMap):
-    """A map as ``_ReferenceTracker``'s update stage reads it.
+@dataclass
+class _Landmark:
+    """A persistent 3-D point with a stable appearance identity: one row of
+    the world before ``LandmarkWorld`` became columns."""
+
+    landmark_id: int
+    position: np.ndarray
+    appearance_seed: int
+
+    def __post_init__(self) -> None:
+        self.position = np.asarray(self.position, dtype=float).reshape(3)
+
+
+def _reference_corridor(trajectory_points: np.ndarray, count: int, lateral_spread: float,
+                        height_spread: float, seed: int = 0, forward_spread: float = 5.0):
+    """``LandmarkWorld.corridor`` as it was, one ``_Landmark`` and one scalar
+    seed draw at a time; returns the landmarks and the generator."""
+    rng = np.random.default_rng(seed)
+    trajectory_points = np.asarray(trajectory_points, dtype=float).reshape(-1, 3)
+    anchors = trajectory_points[rng.integers(0, len(trajectory_points), size=count)]
+    offsets = np.stack(
+        [
+            rng.uniform(-forward_spread, forward_spread, size=count),
+            rng.choice([-1.0, 1.0], size=count) * rng.uniform(0.3 * lateral_spread, lateral_spread, size=count),
+            rng.uniform(-0.2 * height_spread, height_spread, size=count),
+        ],
+        axis=1,
+    )
+    positions = anchors + offsets
+    landmarks = [
+        _Landmark(landmark_id=i, position=positions[i], appearance_seed=int(rng.integers(0, 2**31 - 1)))
+        for i in range(count)
+    ]
+    return landmarks, rng
+
+
+def _landmark_rows(world: LandmarkWorld) -> List[_Landmark]:
+    return [_Landmark(landmark_id, position, appearance_seed) for landmark_id, position, appearance_seed
+            in zip(world.landmark_ids.tolist(), world.positions, world.appearance_seeds.tolist())]
+
+
+def _reference_drift_world(landmarks: List[_Landmark], drift_m: float, fraction: float, seed: int = 0):
+    """``drift_world`` as it was, one ``_Landmark`` at a time; returns the
+    landmarks and the generator (None when nothing is drawn)."""
+    fraction = float(np.clip(fraction, 0.0, 1.0))
+    if drift_m <= 0.0 or fraction <= 0.0 or not len(landmarks):
+        return landmarks, None
+    rng = np.random.default_rng(seed)
+    moved = rng.random(len(landmarks)) < fraction
+    offsets = rng.normal(0.0, drift_m, size=(len(landmarks), 3))
+    landmarks = [
+        _Landmark(
+            landmark_id=landmark.landmark_id,
+            position=(landmark.position + offsets[i] if moved[i]
+                      else landmark.position),
+            appearance_seed=landmark.appearance_seed,
+        )
+        for i, landmark in enumerate(landmarks)
+    ]
+    return landmarks, rng
+
+
+@dataclass
+class _MapPoint:
+    """One point of a localization map: the row type of ``LocalizationMap``
+    before it became columns."""
+
+    point_id: int
+    position: np.ndarray
+    descriptor: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        self.position = np.asarray(self.position, dtype=float).reshape(3)
+
+
+class _ReferenceMap:
+    """``LocalizationMap`` as it was, a dict of ``_MapPoint``s that stacks
+    its positions on every read and grows point by point, and as
+    ``_ReferenceTracker``'s update stage reads it.
 
     ``vocabulary`` is None (no update) or a stand-in that is only
     ``trained``: the update stage then draws the frame's track descriptors
@@ -1048,13 +1127,52 @@ class _ReferenceMap(LocalizationMap):
     keyframe database they once fed is gone; no reader ever queried it.
     """
 
-    def __init__(self, points: Optional[List[MapPoint]] = None, vocabulary=None) -> None:
-        super().__init__(points)
+    def __init__(self, points: Optional[List[_MapPoint]] = None, vocabulary=None) -> None:
+        self.points: Dict[int, _MapPoint] = {p.point_id: p for p in (points or [])}
         self.vocabulary = vocabulary
         self.keyframes: List[Tuple[int, Pose, np.ndarray]] = []
 
+    def __len__(self) -> int:
+        return len(self.points)
+
+    @property
+    def positions(self) -> np.ndarray:
+        if not self.points:
+            return np.zeros((0, 3))
+        return np.array([p.position for p in self.points.values()])
+
+    def descriptors(self) -> Tuple[List[int], np.ndarray]:
+        """The ids of the points that carry a descriptor, and their descriptors."""
+        items = [p for p in self.points.values() if p.descriptor is not None]
+        if not items:
+            return [], np.zeros((0, 32), dtype=np.uint8)
+        return [p.point_id for p in items], np.stack([p.descriptor for p in items])
+
+    def add_point(self, point: _MapPoint) -> None:
+        self.points[point.point_id] = point
+
+    def update_point(self, point_id: int, position: np.ndarray) -> None:
+        if point_id in self.points:
+            self.points[point_id].position = np.asarray(position, dtype=float).reshape(3)
+        else:
+            self.add_point(_MapPoint(point_id, position))
+
     def add_keyframe(self, keyframe_id: int, pose: Pose, descriptors: np.ndarray) -> None:
         self.keyframes.append((keyframe_id, pose.copy(), descriptors))
+
+
+def _reference_from_world(landmarks: List[_Landmark], position_noise: float = 0.05,
+                          position_bias_std: float = 0.0, seed: int = 0, vocabulary=None):
+    """``LocalizationMap.from_world`` as it was, one ``_MapPoint`` and one
+    noise draw at a time; returns the map and the generator."""
+    rng = np.random.default_rng(seed)
+    bias = rng.normal(0.0, position_bias_std, size=3) if position_bias_std > 0.0 else np.zeros(3)
+    points = []
+    for landmark in landmarks:
+        noisy = landmark.position + bias + rng.normal(0.0, position_noise, size=3)
+        descriptor = descriptor_from_seed(landmark.landmark_id * 2654435761 % (2**31))
+        points.append(_MapPoint(landmark.landmark_id, noisy, descriptor))
+    return _ReferenceMap(points, vocabulary=vocabulary), rng
 
 
 class _ReferenceTracker(MapTracker):
@@ -1196,7 +1314,8 @@ class _ReferenceTracker(MapTracker):
 
 class _ReferenceSlam(SlamBackend):
     """SLAM's readers over records: the odometry's previous points and sigmas
-    as dicts, the coverage count and ``_ReferenceMapper``'s keyframes."""
+    as dicts, the coverage count, ``_ReferenceMapper``'s keyframes and the
+    tracking map synced from the mapper point by point on every frame."""
 
     def __init__(self, config: Optional[BackendConfig] = None, camera=None) -> None:
         super().__init__(config, camera)
@@ -1261,6 +1380,11 @@ class _ReferenceSlam(SlamBackend):
                 "map_coverage": coverage,
             },
         )
+
+    def _sync_map_from_mapper(self) -> None:
+        """Refresh the tracking map with the mapper's latest landmark estimates."""
+        for track_id, position in self.mapper.landmarks.items():
+            self.map.update_point(track_id, position)
 
     def _map_coverage(self, frontend: _RecordResult) -> float:
         """Fraction of the current observations already present in the map."""
@@ -1752,8 +1876,9 @@ class TestObservePixelNoise:
     def test_empty_world(self, indoor_mapped_sequence, small_sensor_config, is_indoor):
         builder = SequenceBuilder(small_sensor_config)
         pose = indoor_mapped_sequence.frames[0].ground_truth
-        assert self._assert_matches_reference(builder, pose, LandmarkWorld([], is_indoor=is_indoor),
-                                              indoor_mapped_sequence.rig, 3) == 0
+        empty = LandmarkWorld(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
+                              is_indoor=is_indoor)
+        assert self._assert_matches_reference(builder, pose, empty, indoor_mapped_sequence.rig, 3) == 0
 
 
 # ------------------------------------------------------ sparse frontend
@@ -2144,8 +2269,17 @@ def _frame_bits(frame: Frame) -> tuple:
 
 
 def _world_bits(world: LandmarkWorld) -> tuple:
-    return (world.is_indoor, world.positions.tobytes(), world.landmark_ids.tobytes(),
-            tuple((lm.landmark_id, lm.appearance_seed, lm.position.tobytes()) for lm in world.landmarks))
+    return (world.is_indoor, len(world), world.positions.dtype, world.positions.shape, world.positions.tobytes(),
+            world.landmark_ids.dtype, world.landmark_ids.tobytes(),
+            world.appearance_seeds.dtype, world.appearance_seeds.tobytes())
+
+
+def _landmark_bits(landmarks: List[_Landmark]) -> tuple:
+    """The columns the parent's world stacked from its landmark list, as bytes."""
+    positions = np.array([lm.position for lm in landmarks]) if landmarks else np.zeros((0, 3))
+    return (len(landmarks), positions.dtype, positions.shape, positions.tobytes(),
+            np.dtype(np.int64), np.array([lm.landmark_id for lm in landmarks], dtype=np.int64).tobytes(),
+            np.dtype(np.int64), np.array([lm.appearance_seed for lm in landmarks], dtype=np.int64).tobytes())
 
 
 def _catalog_reference(kind: ScenarioKind, duration: float) -> _ReferenceTrajectory:
@@ -2247,6 +2381,88 @@ class TestSegmentSynthesis:
             assert _same_bits(column[1:], before[1:])
         assert _world_bits(segment.world) == world_before
         assert [_frame_bits(frame) for frame in build().frames] == frames_before
+
+
+# ------------------------------------------------------- columnar landmarks
+
+
+def _recording_generators(monkeypatch) -> List[np.random.Generator]:
+    """Record every generator ``np.random.default_rng`` hands out."""
+    made: List[np.random.Generator] = []
+    default_rng = np.random.default_rng
+
+    def recording(*args, **kwargs):
+        made.append(default_rng(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return made
+
+
+def _path(seed: int, count: int) -> np.ndarray:
+    rng = np.random.default_rng(1000 + seed)
+    return np.cumsum(rng.normal(0.0, 0.4, (count, 3)), axis=0)
+
+
+class TestLandmarkColumns:
+    """The world, its survey map and its drift as columns, against the
+    parent's per-landmark loops: same bytes, same generator states."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("count", [0, 1, 7, 400])
+    @pytest.mark.parametrize("indoor", [True, False])
+    def test_world_matches_reference(self, monkeypatch, seed, count, indoor):
+        path = _path(seed, 30)
+        made = _recording_generators(monkeypatch)
+        world = (LandmarkWorld.indoor if indoor else LandmarkWorld.outdoor)(path, count=count, seed=seed)
+        monkeypatch.undo()
+        spreads = (4.0, 3.0, 3.0) if indoor else (15.0, 8.0, 12.0)
+        landmarks, rng = _reference_corridor(path, count, spreads[0], spreads[1], seed=seed,
+                                             forward_spread=spreads[2])
+        assert world.is_indoor is indoor
+        assert _world_bits(world)[1:] == _landmark_bits(landmarks)
+        assert len(made) == 1 and _same_state(made[0], rng)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("position_noise, position_bias_std", [(0.05, 0.0), (0.01, 0.0), (0.05, 0.8)])
+    def test_survey_map_matches_reference(self, monkeypatch, seed, position_noise, position_bias_std):
+        world = LandmarkWorld.outdoor(_path(seed, 20), count=[0, 1, 150][seed % 3], seed=seed)
+        made = _recording_generators(monkeypatch)
+        got = LocalizationMap.from_world(world, position_noise=position_noise,
+                                         position_bias_std=position_bias_std, seed=seed + 5)
+        monkeypatch.undo()
+        expected, rng = _reference_from_world(_landmark_rows(world), position_noise=position_noise,
+                                              position_bias_std=position_bias_std, seed=seed + 5)
+        # The first generator is the map's; descriptor base bits draw from their own.
+        assert _same_state(made[0], rng)
+        assert got.point_ids.dtype == np.int64 and got.point_ids.tolist() == list(expected.points)
+        assert got.row_of == {point_id: row for row, point_id in enumerate(expected.points)}
+        assert got.positions.shape == expected.positions.shape
+        assert got.positions.tobytes() == expected.positions.tobytes()
+        rows, descriptors = got.descriptors()
+        expected_ids, expected_descriptors = expected.descriptors()
+        assert got.point_ids[rows].tolist() == expected_ids
+        assert descriptors.dtype == np.uint8 and descriptors.shape == expected_descriptors.shape
+        assert descriptors.tobytes() == expected_descriptors.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("drift_m, fraction", [(0.6, 0.3), (2.0, 1.0), (0.0, 0.5), (1.0, 0.0),
+                                                   (0.5, 1.7)])
+    def test_drift_matches_reference(self, monkeypatch, seed, drift_m, fraction):
+        world = LandmarkWorld.indoor(_path(seed, 20), count=[0, 1, 90][seed % 3], seed=seed)
+        if seed % 3 == 2:
+            # Signed zeros: an unmoved row must keep its -0.0.
+            world.positions[::3] = -0.0
+        made = _recording_generators(monkeypatch)
+        drifted = drift_world(world, drift_m, fraction, seed=seed + 3)
+        monkeypatch.undo()
+        landmarks, rng = _reference_drift_world(_landmark_rows(world), drift_m, fraction, seed=seed + 3)
+        assert _world_bits(drifted)[1:] == _landmark_bits(landmarks)
+        assert drifted.is_indoor is world.is_indoor
+        assert (rng is None) == (not made)
+        if rng is not None:
+            assert len(made) == 1 and _same_state(made[0], rng)
+            assert drifted.positions is not world.positions
 
 
 # ------------------------------------------------- window bundle adjustment
@@ -2496,18 +2712,35 @@ def _slam_bits(slam: SlamBackend, result: BackendResult) -> tuple:
             slam.tracker._descriptor_rng.bit_generator.state)
 
 
+def _assert_map_mirrors_mapper(slam: SlamBackend, mirror: _ReferenceMap) -> None:
+    """``slam.map`` against the per-frame ``update_point`` mirror of the
+    mapper's landmarks that the next frame used to start from."""
+    for track_id, position in slam.mapper.landmarks.items():
+        mirror.update_point(track_id, position)
+    assert slam.map.point_ids.dtype == np.int64
+    assert slam.map.point_ids.tolist() == list(mirror.points)
+    assert slam.map.positions.dtype == mirror.positions.dtype
+    assert slam.map.positions.shape == mirror.positions.shape
+    assert slam.map.positions.tobytes() == mirror.positions.tobytes()
+    assert slam.map.row_of == {point_id: row for row, point_id in enumerate(mirror.points)}
+    assert not slam.map.has_descriptor.any()
+
+
 class TestSlamReaders:
     """The odometry pairs, weights and coverage from the columns against the
-    dicts built from records, through whole SLAM steps."""
+    dicts built from records, through whole SLAM steps; and the tracking map,
+    rebuilt after each keyframe insertion, against the per-frame sync."""
 
     @given(frames=_track_frames(moving=True))
     @settings(max_examples=40, deadline=None)
     def test_matches_reference(self, frames):
         got, reference = SlamBackend(), _ReferenceSlam()
+        mirror = _ReferenceMap()
         for frontend, truth in frames:
             frame = Frame(index=frontend.frame_index, timestamp=frontend.timestamp, ground_truth=truth)
             assert _slam_bits(got, got.process(frontend, frame)) == \
                 _slam_bits(reference, reference.process(_records(frontend), frame))
+            _assert_map_mirrors_mapper(got, mirror)
 
     def test_odometry_weights_round_as_per_row_powers(self):
         """Noise rows whose mean squares differently under Python's float
@@ -2533,11 +2766,18 @@ class TestSlamReaders:
         frontend = VisualFrontend(rig=rig, dropout_probability=0.02, seed=2)
         records = _reference_frontend(rig=rig, dropout_probability=0.02, seed=2)
         got, reference = SlamBackend(camera=rig.camera), _ReferenceSlam(camera=rig.camera)
+        mirror = _ReferenceMap()
+        tracked = 0
         for frame in indoor_sequence.frames:
             assert _slam_bits(got, got.process(frontend.process(frame), frame)) == \
                 _slam_bits(reference, reference.process(
                     _reference_process_sparse(records, _dict_frame(frame), rig), frame))
+            _assert_map_mirrors_mapper(got, mirror)
+            tracked += got.tracker.last_workload.map_points > 0
         assert got._last_relative is not None and len(got.mapper.keyframes) > 1
+        # Keyframes leave frames in between, which track against the map the
+        # last insertion built.
+        assert len(got.mapper.keyframes) < len(indoor_sequence.frames) and tracked > 0
 
 
 @st.composite
@@ -2565,9 +2805,18 @@ def _registration_cases(draw, pool: int = 20):
     return points, _frontend_result(3, ids, body, noise), draw(st.sampled_from([1, 3, 8, 30]))
 
 
-def _map(points: List[tuple], cls=LocalizationMap) -> LocalizationMap:
-    return cls([MapPoint(point_id, position, descriptor)
-                for point_id, position, descriptor in points])
+def _map(points: List[tuple]) -> LocalizationMap:
+    """The column map of ``(id, position, descriptor or None)`` points."""
+    return LocalizationMap([point_id for point_id, _, _ in points],
+                           np.array([position for _, position, _ in points]).reshape(-1, 3),
+                           np.array([np.zeros(32, dtype=np.uint8) if descriptor is None else descriptor
+                                     for _, _, descriptor in points], dtype=np.uint8).reshape(-1, 32),
+                           [descriptor is not None for _, _, descriptor in points])
+
+
+def _reference_map(points: List[tuple]) -> _ReferenceMap:
+    return _ReferenceMap([_MapPoint(point_id, position, descriptor)
+                          for point_id, position, descriptor in points])
 
 
 def _tracker_bits(tracker: MapTracker, pose: Optional[Pose], workload, rng: bool = True) -> tuple:
@@ -2584,12 +2833,31 @@ class TestRegistrationReaders:
     @given(case=_registration_cases())
     @settings(max_examples=80, deadline=None)
     def test_matches_reference(self, case):
-        points, frontend, min_inliers = case
+        self._assert_matches_reference(*case)
+
+    def test_some_points_without_descriptors(self):
+        """Identity matches run short, so the descriptor fallback runs over a
+        column map whose every third point carries no descriptor: the
+        described rows must map back to the right ids and positions."""
+        rng = np.random.default_rng(11)
+        landmarks = rng.uniform(-5.0, 5.0, (24, 3)) + np.array([8.0, 0.0, 0.0])
+        points = [(k if k % 3 else 1000 + k, landmarks[k] + rng.normal(0.0, 0.05, 3),
+                   None if k % 3 == 1 else descriptor_from_seed(k * 2654435761 % (2**31)))
+                  for k in range(24)]
+        ids = list(range(0, 24, 2))
+        truth = Pose(euler_to_rotation(0.1, -0.2, 0.3), np.array([0.5, -0.3, 0.2]))
+        body = (landmarks[ids] - truth.translation) @ truth.rotation + rng.normal(0.0, 0.02, (len(ids), 3))
+        frontend = _frontend_result(3, ids, body, [(0.05, 0.02, 0.02)] * len(ids))
+        assert not _map(points).has_descriptor.all()
+        map_ids = self._assert_matches_reference(points, frontend, 30)
+        assert any(map_id >= 1000 for map_id in map_ids) and any(map_id < 1000 for map_id in map_ids)
+
+    def _assert_matches_reference(self, points, frontend, min_inliers) -> List[int]:
         config = TrackingConfig(min_inliers=min_inliers)
         got, reference = MapTracker(config), _ReferenceTracker(config)
         records = _records(frontend)
         map_ids, body, world, sigma = got._match(frontend, _map(points))
-        expected = reference._match(records, _map(points))
+        expected = reference._match(records, _reference_map(points))
         assert [(m, type(m)) for m in map_ids.tolist()] == [(int(c[0]), int) for c in expected]
         assert _arrays_bits((body, world, sigma)) == _arrays_bits((
             np.array([c[1] for c in expected]).reshape(-1, 3),
@@ -2600,7 +2868,8 @@ class TestRegistrationReaders:
         assert got._track_descriptors(frontend).tobytes() == \
             reference._track_descriptors(records).tobytes()
         assert _tracker_bits(got, *got.track(frontend, _map(points))) == \
-            _tracker_bits(reference, *reference.track(records, _map(points, _ReferenceMap)))
+            _tracker_bits(reference, *reference.track(records, _reference_map(points)))
+        return map_ids.tolist()
 
     def test_on_a_survey_map(self, indoor_mapped_sequence):
         """The reference still runs the deleted update stage, drawing each
@@ -2612,9 +2881,8 @@ class TestRegistrationReaders:
         records = _reference_frontend(rig=rig, dropout_probability=0.02, seed=3)
         got, reference = MapTracker(camera=rig.camera), _ReferenceTracker(camera=rig.camera)
         got_map = LocalizationMap.from_world(indoor_mapped_sequence.world, seed=4)
-        reference_map = _ReferenceMap(
-            list(LocalizationMap.from_world(indoor_mapped_sequence.world, seed=4).points.values()),
-            vocabulary=SimpleNamespace(trained=True))
+        reference_map, _ = _reference_from_world(_landmark_rows(indoor_mapped_sequence.world), seed=4,
+                                                 vocabulary=SimpleNamespace(trained=True))
         for frame in indoor_mapped_sequence.frames:
             prior = frame.ground_truth
             got_bits = _tracker_bits(got, *got.track(frontend.process(frame), got_map, prior), rng=False)

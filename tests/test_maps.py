@@ -124,7 +124,7 @@ class TestSnapshot:
         localization_map = snapshot.to_localization_map()
         assert len(localization_map) == 12
         lid = int(snapshot.landmark_ids[3])
-        np.testing.assert_array_equal(localization_map.points[lid].position,
+        np.testing.assert_array_equal(localization_map.positions[localization_map.row_of[lid]],
                                       snapshot.positions[3])
 
     def test_degrade_lowers_quality_and_changes_version(self):

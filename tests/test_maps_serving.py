@@ -427,8 +427,8 @@ class TestDriftingWorlds:
             spec, sensor_config_for("drone", RATE, 0)).build_segment(0).world
         drifted = drift_world(world, drift_m=2.0, fraction=0.4, seed=7)
         assert len(drifted) == len(world)
-        assert [lm.landmark_id for lm in drifted.landmarks] == \
-            [lm.landmark_id for lm in world.landmarks]
+        np.testing.assert_array_equal(drifted.landmark_ids, world.landmark_ids)
+        np.testing.assert_array_equal(drifted.appearance_seeds, world.appearance_seeds)
         moved = np.linalg.norm(drifted.positions - world.positions, axis=1) > 0
         assert 0 < moved.sum() < len(world)
         # Deterministic: same seed, same burst.

@@ -93,7 +93,9 @@ class TestLandmarkWorld:
     def test_count_and_ids(self):
         world = self._world()
         assert len(world) == 80
-        assert world.landmarks[5].landmark_id == 5
+        assert world.landmark_ids.tolist() == list(range(80))
+        assert world.positions.shape == (80, 3)
+        assert world.appearance_seeds.shape == (80,) and world.appearance_seeds.dtype == np.int64
 
     def test_indoor_closer_than_outdoor(self):
         indoor = self._world(indoor=True)
