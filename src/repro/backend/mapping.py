@@ -8,6 +8,13 @@ paper targets, and uses the Schur complement over landmarks so the reduced
 system only involves keyframe poses.  When the window overflows, the oldest
 keyframe and its exclusive landmarks are marginalized into a prior — the
 SLAM mode's dominant latency-variation kernel (Fig. 8/11).
+
+The solver works on arrays: the window's rotations, translations and
+landmark positions are stacked once per solve, every iterate is a new set of
+arrays, and the keyframe poses and :attr:`KeyframeMapper.landmarks` are
+written once, at the end.  The five normal-equation scatters of a solve fill
+through one :class:`NormalLayout`, and a rejected step re-solves the blocks
+it already assembled with more damping.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from repro.backend.marginalization import MarginalizationResult, marginalize_schur
 from repro.common.config import MappingConfig
-from repro.common.geometry import Pose, skew_batch, so3_exp
+from repro.common.geometry import Pose, skew_batch, so3_exp_batch
 from repro.common.timing import StopwatchCollector
 from repro.frontend.frontend import FrontendResult
 from repro.linalg.ops import matmul, transpose
@@ -27,17 +34,46 @@ from repro.linalg.solvers import batched_symmetric_inverse, solve_spd
 from repro.obs.profile import profile_kernel
 
 
-def scatter_sum(index: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
-    """``out[index[i]] += values[i]`` into a zeroed ``(count, *values.shape[1:])`` array.
+class NormalLayout:
+    """Where every observation's normal-equation terms land, for one solve.
 
-    One flat-index ``np.bincount`` over at least one row.  Like ``np.add.at``
-    it adds each slot's values in input order starting from 0.0, so the sums
-    are bit-identical.
+    The window's observation structure is fixed while the solver iterates,
+    so the flat ``np.bincount`` index of all five scatters (6x6 pose blocks,
+    6x3 cross blocks, 3x3 landmark blocks and the two gradient halves) is
+    built once.  :meth:`fill` sums them in one ``bincount`` call.  Like
+    ``np.add.at`` into zeros, every bin adds its values in observation order
+    starting from 0.0, so the sums are bit-identical (a sum of signed zeros
+    is +0.0).
     """
-    shape = values.shape[1:]
-    size = int(np.prod(shape))
-    flat = (index[:, None] * size + np.arange(size)).reshape(-1)
-    return np.bincount(flat, weights=values.reshape(-1), minlength=count * size).reshape((count,) + shape)
+
+    def __init__(self, kf_idx: np.ndarray, lm_idx: np.ndarray,
+                 pose_count: int, landmark_count: int) -> None:
+        scatters = (  # (block index of each observation, entries per block, blocks)
+            (kf_idx, 36, pose_count),
+            (kf_idx * landmark_count + lm_idx, 18, pose_count * landmark_count),
+            (lm_idx, 9, landmark_count),
+            (kf_idx, 6, pose_count),
+            (lm_idx, 3, landmark_count),
+        )
+        flat: List[np.ndarray] = []
+        self.bounds = [0]
+        for index, size, count in scatters:
+            flat.append((index[:, None] * size + (self.bounds[-1] + np.arange(size))).reshape(-1))
+            self.bounds.append(self.bounds[-1] + count * size)
+        self.index = np.concatenate(flat)
+        self.shapes = ((pose_count, 6, 6), (pose_count, landmark_count, 6, 3),
+                       (landmark_count, 3, 3), (pose_count, 6), (landmark_count, 3))
+
+    def fill(self, terms: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, ...]:
+        """Sum the five per-observation term stacks into their blocks.
+
+        The blocks are views of one array, so a caller that adds into one
+        in place must copy it first.
+        """
+        sums = np.bincount(self.index, weights=np.concatenate([t.reshape(-1) for t in terms]),
+                           minlength=self.bounds[-1])
+        return tuple(sums[start:end].reshape(shape)
+                     for start, end, shape in zip(self.bounds, self.bounds[1:], self.shapes))
 
 
 @dataclass
@@ -181,54 +217,61 @@ class KeyframeMapper:
         return sorted(track_id for track_id, count in counts.items() if count >= 2 and track_id in self.landmarks)
 
     def _optimize(self, workload: SlamWorkload) -> int:
-        """Levenberg-Marquardt over window poses and landmarks (Schur trick)."""
+        """Levenberg-Marquardt over window poses and landmarks (Schur trick).
+
+        The iterate is three arrays: rotations ``(K, 3, 3)``, translations
+        ``(K, 3)`` and window-landmark positions ``(L, 3)``.  A step builds
+        new ones; a rejected step keeps the old ones, whose residuals and
+        assembled blocks it re-solves with more damping.  The final iterate
+        is written to the keyframe poses and :attr:`landmarks` once.
+        """
         landmark_ids = self._window_landmark_ids()
         if len(self.keyframes) < 2 or not landmark_ids:
             return 0
         gathered = self._gather_window(landmark_ids)
         if gathered is None:
             return 0
+        layout = NormalLayout(gathered[0], gathered[1], len(self.keyframes), len(landmark_ids))
+        state = self._window_state(landmark_ids)
         damping = self.config.initial_damping
-        # Residuals at the current iterate: an accepted step's trial residuals
-        # linearize the next iteration, a rejected step keeps the old ones.
-        residuals = self._batched_residuals(gathered, landmark_ids)
+        residuals = self._batched_residuals(gathered, *state)
+        blocks = None
         previous_cost = self._cost(residuals)
         iterations = 0
         for _ in range(self.config.max_iterations):
             iterations += 1
-            step = self._solve_normal_equations(landmark_ids, damping, workload, gathered, residuals)
+            if blocks is None:
+                blocks = self._assemble_normal_blocks(layout, residuals)
+            step = self._solve_normal_equations(blocks, damping, workload)
             if step is None:
                 break
-            pose_deltas, landmark_deltas = step
-            backup = self._snapshot(landmark_ids)
-            self._apply_step(landmark_ids, pose_deltas, landmark_deltas)
-            trial = self._batched_residuals(gathered, landmark_ids)
+            rotations, translations, positions = state
+            pose_delta, landmark_delta = step[0].reshape(-1, 6), step[1].reshape(-1, 3)
+            trial_state = (so3_exp_batch(pose_delta[:, :3]) @ rotations,
+                           translations + pose_delta[:, 3:],
+                           positions + landmark_delta)
+            trial = self._batched_residuals(gathered, *trial_state)
             cost = self._cost(trial)
             if cost < previous_cost:
-                residuals = trial
+                state, residuals, blocks = trial_state, trial, None
                 damping = max(damping * self.config.damping_down, 1e-9)
                 if previous_cost - cost < self.config.convergence_tolerance * max(previous_cost, 1.0):
-                    previous_cost = cost
                     break
                 previous_cost = cost
             else:
-                self._restore(backup)
                 damping *= self.config.damping_up
+        rotations, translations, positions = state
+        for keyframe, rotation, translation in zip(self.keyframes, rotations, translations):
+            keyframe.pose = Pose(rotation.copy(), translation.copy())
+        for track_id, position in zip(landmark_ids, positions):
+            self.landmarks[track_id] = position.copy()
         return iterations
 
-    def _snapshot(self, landmark_ids: List[int]):
-        """The window state a step replaces, by reference.
-
-        ``_apply_step`` assigns new pose and landmark objects and never
-        mutates the old ones, so keeping references is a full backup.
-        """
-        return [kf.pose for kf in self.keyframes], {k: self.landmarks[k] for k in landmark_ids}
-
-    def _restore(self, backup) -> None:
-        poses, landmarks = backup
-        for keyframe, pose in zip(self.keyframes, poses):
-            keyframe.pose = pose
-        self.landmarks.update(landmarks)
+    def _window_state(self, landmark_ids: List[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The window's rotations, translations and ``landmark_ids`` positions, stacked."""
+        return (np.stack([kf.pose.rotation for kf in self.keyframes]),
+                np.stack([kf.pose.translation for kf in self.keyframes]),
+                np.stack([self.landmarks[track_id] for track_id in landmark_ids]))
 
     def _gather_window(self, landmark_ids: List[int]) -> Optional[Tuple[np.ndarray, ...]]:
         """Flatten the window's (keyframe, landmark) observations into index arrays.
@@ -260,13 +303,10 @@ class KeyframeMapper:
             np.maximum(np.asarray(sigma, dtype=float), 1e-3),
         )
 
-    def _batched_residuals(self, gathered: Tuple[np.ndarray, ...],
-                           landmark_ids: List[int]) -> Tuple[np.ndarray, ...]:
+    def _batched_residuals(self, gathered: Tuple[np.ndarray, ...], rotations: np.ndarray,
+                           translations: np.ndarray, landmarks: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Residuals and Huber weights for every gathered observation at once."""
         kf_idx, lm_idx, meas, sigma = gathered
-        rotations = np.stack([kf.pose.rotation for kf in self.keyframes])
-        translations = np.stack([kf.pose.translation for kf in self.keyframes])
-        landmarks = np.stack([self.landmarks[track_id] for track_id in landmark_ids])
         rot = rotations[kf_idx]                                   # (n, 3, 3)
         delta = landmarks[lm_idx] - translations[kf_idx]          # (n, 3)
         predicted = np.einsum("nji,nj->ni", rot, delta)           # R^T (l - t)
@@ -292,36 +332,28 @@ class KeyframeMapper:
         j_pose = np.concatenate([j_rotation, rotation_t], axis=2)
         return j_pose, -rotation_t
 
-    def _assemble_normal_blocks(self, gathered: Tuple[np.ndarray, ...], landmark_ids: List[int],
+    def _assemble_normal_blocks(self, layout: NormalLayout,
                                 residuals: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, ...]:
         """Accumulate the weighted Gauss-Newton blocks for all observations.
 
         Returns ``(pose_blocks, cross_blocks, landmark_blocks, b_pose,
         b_landmark)``: per-keyframe 6x6 diagonal blocks, per-(keyframe,
         landmark) 6x3 cross blocks, per-landmark 3x3 diagonal blocks, and the
-        negated gradient halves.  Shared by the solver and marginalization so
-        the two linearizations can never drift apart.  ``residuals`` is the
+        negated gradient halves, as views of one :meth:`NormalLayout.fill`.
+        Shared by the solver and marginalization so the two linearizations
+        can never drift apart.  ``residuals`` is the
         :meth:`_batched_residuals` tuple at the current iterate.
         """
-        kf_idx, lm_idx, _, _ = gathered
-        pose_count = len(self.keyframes)
-        landmark_count = len(landmark_ids)
         rot, delta, residual, weight = residuals
         j_pose, j_landmark = self._batched_jacobians(rot, delta)
         w = weight[:, None, None]
-
-        pose_blocks = scatter_sum(kf_idx, w * np.einsum("nki,nkj->nij", j_pose, j_pose), pose_count)
-        cross_blocks = scatter_sum(kf_idx * landmark_count + lm_idx,
-                                   w * np.einsum("nki,nkj->nij", j_pose, j_landmark),
-                                   pose_count * landmark_count,
-                                   ).reshape(pose_count, landmark_count, 6, 3)
-        landmark_blocks = scatter_sum(lm_idx, w * np.einsum("nki,nkj->nij", j_landmark, j_landmark),
-                                      landmark_count)
-        b_pose = scatter_sum(kf_idx, -weight[:, None] * np.einsum("nki,nk->ni", j_pose, residual),
-                             pose_count)
-        b_landmark = scatter_sum(lm_idx, -weight[:, None] * np.einsum("nki,nk->ni", j_landmark, residual),
-                                 landmark_count)
-        return pose_blocks, cross_blocks, landmark_blocks, b_pose, b_landmark
+        return layout.fill((
+            w * np.einsum("nki,nkj->nij", j_pose, j_pose),
+            w * np.einsum("nki,nkj->nij", j_pose, j_landmark),
+            w * np.einsum("nki,nkj->nij", j_landmark, j_landmark),
+            -weight[:, None] * np.einsum("nki,nk->ni", j_pose, residual),
+            -weight[:, None] * np.einsum("nki,nk->ni", j_landmark, residual),
+        ))
 
     @staticmethod
     def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
@@ -337,24 +369,22 @@ class KeyframeMapper:
         _, _, residual, weight = residuals
         return float(np.sum(weight * np.einsum("ni,ni->n", residual, residual)))
 
-    def _solve_normal_equations(self, landmark_ids: List[int], damping: float,
-                                workload: SlamWorkload, gathered: Tuple[np.ndarray, ...],
-                                residuals: Tuple[np.ndarray, ...],
-                                ) -> Optional[Tuple[np.ndarray, Dict[int, np.ndarray]]]:
-        """Build and solve the damped normal equations with a Schur complement."""
-        pose_count = len(self.keyframes)
-        pose_dim = 6 * pose_count
-        landmark_count = len(landmark_ids)
-        landmark_dim = 3 * landmark_count
-        landmark_index = {track_id: i for i, track_id in enumerate(landmark_ids)}
+    def _solve_normal_equations(self, blocks: Tuple[np.ndarray, ...], damping: float,
+                                workload: SlamWorkload) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Solve the damped normal equations of ``blocks`` with a Schur complement.
 
-        pose_blocks, cross_blocks, landmark_blocks, b_pose, b_landmark = (
-            self._assemble_normal_blocks(gathered, landmark_ids, residuals)
-        )
+        Returns the stacked pose step ``(6K,)`` and landmark step ``(3L,)``.
+        ``blocks`` is left as it was, so a rejected step can re-solve it.
+        """
+        pose_blocks, cross_blocks, landmark_blocks, b_pose, b_landmark = blocks
+        pose_count, landmark_count = pose_blocks.shape[0], landmark_blocks.shape[0]
+        pose_dim = 6 * pose_count
+        landmark_dim = 3 * landmark_count
 
         h_pp = self._block_diagonal(pose_blocks)
         h_pl = cross_blocks.transpose(0, 2, 1, 3).reshape(pose_dim, landmark_dim)
-        b_p = b_pose.reshape(-1)
+        # A copy: the prior is added into it in place.
+        b_p = b_pose.reshape(-1).copy()
         b_l = b_landmark.reshape(-1)
 
         # Gauge fixing: anchor the first keyframe with a strong prior.
@@ -363,7 +393,7 @@ class KeyframeMapper:
         self._apply_prior(h_pp, b_p)
 
         h_pp += np.eye(pose_dim) * damping
-        landmark_blocks += np.eye(3) * damping
+        landmark_blocks = landmark_blocks + np.eye(3) * damping
 
         workload.hessian_dim = max(workload.hessian_dim, pose_dim + landmark_dim)
 
@@ -375,25 +405,10 @@ class KeyframeMapper:
             reduced_h = h_pp - matmul(h_pl_h_ll_inv, transpose(h_pl))
             reduced_b = b_p - h_pl_h_ll_inv @ b_l
             pose_delta = solve_spd(reduced_h + np.eye(pose_dim) * 1e-9, reduced_b)
-            landmark_delta_vec = h_ll_inv @ (b_l - h_pl.T @ pose_delta)
+            landmark_delta = h_ll_inv @ (b_l - h_pl.T @ pose_delta)
         except np.linalg.LinAlgError:
             return None
-
-        landmark_deltas = {
-            track_id: landmark_delta_vec[3 * i : 3 * i + 3] for track_id, i in landmark_index.items()
-        }
-        return pose_delta, landmark_deltas
-
-    def _apply_step(self, landmark_ids: List[int], pose_delta: np.ndarray,
-                    landmark_deltas: Dict[int, np.ndarray]) -> None:
-        for k_index, keyframe in enumerate(self.keyframes):
-            delta = pose_delta[6 * k_index : 6 * k_index + 6]
-            keyframe.pose = Pose(
-                so3_exp(delta[:3]) @ keyframe.pose.rotation,
-                keyframe.pose.translation + delta[3:],
-            )
-        for track_id in landmark_ids:
-            self.landmarks[track_id] = self.landmarks[track_id] + landmark_deltas[track_id]
+        return pose_delta, landmark_delta
 
     def _apply_prior(self, h_pp: np.ndarray, b_p: np.ndarray) -> None:
         """Add the marginalization prior over the keyframes it references."""
@@ -443,9 +458,10 @@ class KeyframeMapper:
 
         gathered = self._gather_window(shared_landmarks) if shared_landmarks else None
         if gathered is not None:
+            layout = NormalLayout(gathered[0], gathered[1], pose_count, landmark_count)
+            residuals = self._batched_residuals(gathered, *self._window_state(shared_landmarks))
             pose_blocks, cross_blocks, landmark_blocks, b_pose, b_landmark = (
-                self._assemble_normal_blocks(gathered, shared_landmarks,
-                                             self._batched_residuals(gathered, shared_landmarks))
+                self._assemble_normal_blocks(layout, residuals)
             )
             cross = cross_blocks.transpose(0, 2, 1, 3).reshape(pose_dim, landmark_dim)
             hessian[:pose_dim, :pose_dim] = self._block_diagonal(pose_blocks)

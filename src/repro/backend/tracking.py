@@ -67,6 +67,11 @@ class LocalizationMap:
     descriptor of the rows that ``has_descriptor`` marks (zeros elsewhere);
     ``row_of`` maps a point id to its row.  The columns are read, never
     written: a map that changes is built anew.
+
+    A map given ``has_descriptor`` but no descriptors is a survey map
+    (:meth:`from_world`): each marked row carries the appearance of its
+    landmark id, built on the first read of ``point_descriptors``, since
+    most survey maps are never matched by descriptor.
     """
 
     def __init__(self, point_ids: np.ndarray = (), positions: np.ndarray = (),
@@ -75,14 +80,23 @@ class LocalizationMap:
         self.point_ids = np.asarray(point_ids, dtype=np.int64)
         self.positions = np.asarray(positions, dtype=float).reshape(-1, 3)
         described = point_descriptors is not None
-        self.point_descriptors = (np.asarray(point_descriptors, dtype=np.uint8) if described
-                                  else np.zeros((self.point_ids.size, 32), dtype=np.uint8))
+        self._point_descriptors = np.asarray(point_descriptors, dtype=np.uint8) if described else None
         self.has_descriptor = (np.full(self.point_ids.size, described) if has_descriptor is None
                                else np.asarray(has_descriptor, dtype=bool))
         self.row_of: Dict[int, int] = {point_id: row for row, point_id in enumerate(self.point_ids.tolist())}
 
     def __len__(self) -> int:
         return self.point_ids.size
+
+    @property
+    def point_descriptors(self) -> np.ndarray:
+        if self._point_descriptors is None:
+            descriptors = np.zeros((self.point_ids.size, 32), dtype=np.uint8)
+            rows = np.flatnonzero(self.has_descriptor)
+            for row, point_id in zip(rows.tolist(), self.point_ids[rows].tolist()):
+                descriptors[row] = descriptor_from_seed(point_id * 2654435761 % (2**31))
+            self._point_descriptors = descriptors
+        return self._point_descriptors
 
     def descriptors(self) -> Tuple[np.ndarray, np.ndarray]:
         """The rows of the points that carry a descriptor, and their descriptors."""
@@ -104,10 +118,7 @@ class LocalizationMap:
         rng = np.random.default_rng(seed)
         bias = rng.normal(0.0, position_bias_std, size=3) if position_bias_std > 0.0 else np.zeros(3)
         positions = world.positions + bias + rng.normal(0.0, position_noise, size=(len(world), 3))
-        descriptors = np.zeros((len(world), 32), dtype=np.uint8)
-        for row, landmark_id in enumerate(world.landmark_ids.tolist()):
-            descriptors[row] = descriptor_from_seed(landmark_id * 2654435761 % (2**31))
-        return cls(world.landmark_ids, positions, descriptors)
+        return cls(world.landmark_ids, positions, has_descriptor=np.ones(len(world), dtype=bool))
 
 
 class MapTracker:

@@ -19,8 +19,9 @@ aliasing (a caller mutating its result must not reach the next hit, another
 frame or the frame it came from) and the memo for its size bound.  A host canary checks
 the numpy loops the array synthesis, the batched Rodrigues formula and the SLAM
 readers rely on against their per-element results.  The window bundle adjustment (residuals reused across
-iterations, by-reference step backups, ``np.bincount`` scatters) is compared
-with its untrimmed copy.  Last, the script that pins the servbench wave
+iterations, an array iterate written back once per solve, one ``np.bincount``
+for all five normal-equation scatters, blocks re-solved after a rejected
+step) is compared with its untrimmed copy.  Last, the script that pins the servbench wave
 signatures in CI must reject any moved bit.
 
 Three MSCKF kernels reorder floating-point work on purpose and are compared
@@ -47,7 +48,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend.base import BackendResult
-from repro.backend.mapping import Keyframe, KeyframeMapper, SlamWorkload, scatter_sum
+from repro.backend.mapping import Keyframe, KeyframeMapper, NormalLayout, SlamWorkload
 from repro.backend.marginalization import MarginalizationResult, marginalize_schur
 from repro.backend.msckf import Msckf, VioWorkload
 from repro.backend.slam import SlamBackend
@@ -705,7 +706,9 @@ def _reference_build(self, scenario, reference_trajectory: _ReferenceTrajectory,
 
 class _ReferenceMapper(KeyframeMapper):
     """The window bundle adjustment before its exact trims: residuals computed
-    twice per accepted iteration, a full copy of every landmark per step, and
+    twice per accepted iteration, a full copy of every landmark per step, a
+    step written into the keyframe poses and landmark dict and read back
+    from them, normal blocks assembled anew for every solve, and
     ``np.add.at`` scatters; its keyframes are built from records.  The reduced
     system goes through the same solver as the code under test
     (``solve_spd``), so the comparison stays byte for byte."""
@@ -775,6 +778,37 @@ class _ReferenceMapper(KeyframeMapper):
                 self._restore(backup)
                 damping *= self.config.damping_up
         return iterations
+
+    def _apply_step(self, landmark_ids: List[int], pose_delta: np.ndarray,
+                    landmark_deltas: Dict[int, np.ndarray]) -> None:
+        for k_index, keyframe in enumerate(self.keyframes):
+            delta = pose_delta[6 * k_index : 6 * k_index + 6]
+            keyframe.pose = Pose(
+                so3_exp(delta[:3]) @ keyframe.pose.rotation,
+                keyframe.pose.translation + delta[3:],
+            )
+        for track_id in landmark_ids:
+            self.landmarks[track_id] = self.landmarks[track_id] + landmark_deltas[track_id]
+
+    def _batched_residuals(self, gathered: Tuple[np.ndarray, ...],
+                           landmark_ids: List[int]) -> Tuple[np.ndarray, ...]:
+        """Residuals and Huber weights for every gathered observation at once."""
+        kf_idx, lm_idx, meas, sigma = gathered
+        rotations = np.stack([kf.pose.rotation for kf in self.keyframes])
+        translations = np.stack([kf.pose.translation for kf in self.keyframes])
+        landmarks = np.stack([self.landmarks[track_id] for track_id in landmark_ids])
+        rot = rotations[kf_idx]                                   # (n, 3, 3)
+        delta = landmarks[lm_idx] - translations[kf_idx]          # (n, 3)
+        predicted = np.einsum("nji,nj->ni", rot, delta)           # R^T (l - t)
+        residual = meas - predicted
+        base = 1.0 / sigma**2
+        norm = np.linalg.norm(residual, axis=1) / sigma
+        weight = np.where(
+            norm <= self.config.huber_delta,
+            base,
+            base * self.config.huber_delta / np.maximum(norm, 1e-12),
+        )
+        return rot, delta, residual, weight
 
     def _snapshot(self):
         return (
@@ -2468,36 +2502,65 @@ class TestLandmarkColumns:
 # ------------------------------------------------- window bundle adjustment
 
 
-_SCATTER_VALUES = st.one_of(st.just(0.0), st.just(-0.0),
-                            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+_BLOCK_SHAPES = ((6, 6), (6, 3), (3, 3), (6,), (3,))
 
 
 @st.composite
 def _scatter_cases(draw):
-    """Few slots and many rows, so indices repeat; signed zeros in the values."""
-    count = draw(st.integers(min_value=1, max_value=5))
+    """Few keyframes and landmarks and many observations, so every bin
+    takes several values; a third of the values are +0.0 and a third -0.0."""
+    pose_count = draw(st.integers(min_value=1, max_value=3))
+    landmark_count = draw(st.integers(min_value=1, max_value=3))
     rows = draw(st.integers(min_value=1, max_value=24))
-    shape = draw(st.sampled_from([(), (3,), (6,), (3, 3), (6, 3), (6, 6)]))
-    index = np.array(draw(st.lists(st.integers(min_value=0, max_value=count - 1),
-                                   min_size=rows, max_size=rows)), dtype=np.int64)
-    size = int(np.prod(shape))
-    values = np.array(draw(st.lists(_SCATTER_VALUES, min_size=rows * size, max_size=rows * size)),
-                      dtype=float).reshape((rows,) + shape)
-    return index, values, count
+    kf_idx = np.array(draw(st.lists(st.integers(min_value=0, max_value=pose_count - 1),
+                                    min_size=rows, max_size=rows)), dtype=np.int64)
+    lm_idx = np.array(draw(st.lists(st.integers(min_value=0, max_value=landmark_count - 1),
+                                    min_size=rows, max_size=rows)), dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    terms = []
+    for shape in _BLOCK_SHAPES:
+        values = rng.uniform(-1e6, 1e6, (rows,) + shape)
+        kind = rng.integers(0, 3, values.shape)
+        values[kind == 0] = 0.0
+        values[kind == 1] = -0.0
+        terms.append(values)
+    return kf_idx, lm_idx, pose_count, landmark_count, tuple(terms)
+
+
+def _add_at_blocks(kf_idx, lm_idx, pose_count, landmark_count, terms) -> tuple:
+    """The five scatters as ``np.add.at`` into zeros, the form the layout replaced."""
+    pose_blocks = np.zeros((pose_count, 6, 6))
+    cross_blocks = np.zeros((pose_count, landmark_count, 6, 3))
+    landmark_blocks = np.zeros((landmark_count, 3, 3))
+    b_pose = np.zeros((pose_count, 6))
+    b_landmark = np.zeros((landmark_count, 3))
+    np.add.at(pose_blocks, kf_idx, terms[0])
+    np.add.at(cross_blocks, (kf_idx, lm_idx), terms[1])
+    np.add.at(landmark_blocks, lm_idx, terms[2])
+    np.add.at(b_pose, kf_idx, terms[3])
+    np.add.at(b_landmark, lm_idx, terms[4])
+    return pose_blocks, cross_blocks, landmark_blocks, b_pose, b_landmark
 
 
 class TestScatterSum:
+    """``NormalLayout.fill``'s one ``bincount`` against five ``np.add.at``."""
+
     @given(case=_scatter_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_add_at(self, case):
-        index, values, count = case
-        expected = np.zeros((count,) + values.shape[1:])
-        np.add.at(expected, index, values)
-        assert _same_bits(scatter_sum(index, values, count), expected)
+        kf_idx, lm_idx, pose_count, landmark_count, terms = case
+        got = NormalLayout(kf_idx, lm_idx, pose_count, landmark_count).fill(terms)
+        expected = _add_at_blocks(*case)
+        assert len(got) == len(expected)
+        for block, reference in zip(got, expected):
+            assert _same_bits(block, reference)
 
     def test_negative_zeros_sum_to_positive_zero(self):
-        got = scatter_sum(np.array([0, 0, 1]), np.array([-0.0, -0.0, -0.0]), 3)
-        assert _same_bits(got, np.zeros(3))
+        kf_idx, lm_idx = np.array([0, 0, 1]), np.array([1, 1, 0])
+        terms = tuple(np.full((3,) + shape, -0.0) for shape in _BLOCK_SHAPES)
+        got = NormalLayout(kf_idx, lm_idx, 3, 2).fill(terms)
+        for block, reference in zip(got, _add_at_blocks(kf_idx, lm_idx, 3, 2, terms)):
+            assert _same_bits(block, reference) and not np.signbit(block).any()
 
 
 def _ba_frames(seed: int, frames: int, outliers: float, perturbation: float) -> List[tuple]:
@@ -2557,29 +2620,32 @@ def _mapper_bits(mapper: KeyframeMapper) -> tuple:
 
 def _run_pair(config: MappingConfig, frames: List[tuple]) -> int:
     """Feed the columnar mapper and the record-fed reference the same
-    keyframes; return how many steps the trimmed one rejected (restored)."""
+    keyframes; return how many solves of the array one re-solved the blocks
+    of the solve before it (the steps it rejected and retried)."""
     trimmed, reference = KeyframeMapper(config), _ReferenceMapper(config)
-    restores = 0
-    restore = trimmed._restore
+    reused = 0
+    solve = trimmed._solve_normal_equations
+    last_blocks = None
 
-    def counting_restore(backup):
-        nonlocal restores
-        restores += 1
-        restore(backup)
+    def counting_solve(blocks, damping, workload):
+        nonlocal reused, last_blocks
+        reused += blocks is last_blocks
+        last_blocks = blocks
+        return solve(blocks, damping, workload)
 
-    trimmed._restore = counting_restore
+    trimmed._solve_normal_equations = counting_solve
     for frontend, guess in frames:
         got = trimmed.insert_keyframe(frontend, guess)
         expected = reference.insert_keyframe(_records(frontend), guess)
         assert got == expected
         assert _mapper_bits(trimmed) == _mapper_bits(reference)
-    return restores
+    return reused
 
 
 class TestWindowBundleAdjustment:
-    """Residual reuse, by-reference backups and ``scatter_sum`` leave the
-    window solve, its rejected steps and the marginalization prior
-    bit-identical."""
+    """Residual reuse, the array iterate, the one-``bincount`` layout and
+    the blocks re-solved after a rejected step leave the window solve, its
+    rejected steps and the marginalization prior bit-identical."""
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            frames=st.integers(min_value=2, max_value=9),
@@ -2592,6 +2658,27 @@ class TestWindowBundleAdjustment:
 
     def test_rejected_steps_restore_the_same_bits(self):
         assert _run_pair(MappingConfig(window_size=3), _ba_frames(0, 8, outliers=0.0, perturbation=0.5)) > 0
+
+    def test_a_solve_leaves_its_blocks_as_they_were(self):
+        """The blocks are views of one ``bincount`` output, and the solve adds
+        the prior and the damping in place: solving the same blocks twice
+        with a marginalization prior active must leave them byte-identical
+        and return the same step."""
+        mapper = KeyframeMapper(MappingConfig(window_size=3))
+        for frontend, guess in _ba_frames(3, 6, outliers=0.1, perturbation=0.05):
+            mapper.insert_keyframe(frontend, guess)
+        assert mapper._prior_hessian is not None and np.any(mapper._prior_gradient != 0.0)
+        landmark_ids = mapper._window_landmark_ids()
+        gathered = mapper._gather_window(landmark_ids)
+        layout = NormalLayout(gathered[0], gathered[1], len(mapper.keyframes), len(landmark_ids))
+        blocks = mapper._assemble_normal_blocks(
+            layout, mapper._batched_residuals(gathered, *mapper._window_state(landmark_ids)))
+        before = [block.tobytes() for block in blocks]
+        first = mapper._solve_normal_equations(blocks, 1e-3, SlamWorkload())
+        assert [block.tobytes() for block in blocks] == before
+        second = mapper._solve_normal_equations(blocks, 1e-3, SlamWorkload())
+        assert [block.tobytes() for block in blocks] == before
+        assert [part.tobytes() for part in first] == [part.tobytes() for part in second]
 
 
 # ------------------------------------------- columnar results in the backends
