@@ -151,6 +151,6 @@ def test_serving_streaming_autoscale(benchmark, serving_settings):
     assert identical, "streaming ingestion diverged from run_session"
     assert grows, "an under-provisioned pool must grow under backlog pressure"
     assert shrinks, "the pool must shrink once the backlog drains"
-    assert steady_p95 < DEADLINE_MS, (
+    assert steady_p95 <= DEADLINE_MS, (
         "converged serving latency must meet the per-session deadline")
     assert sum(trained.values()) == report.frame_count

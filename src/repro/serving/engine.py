@@ -13,8 +13,8 @@ sessions through two layers:
    clock, and each tick serves whatever is ready now — across sessions, in
    deterministic ``(arrival, stream_id)`` order, up to the service
    capacity.  Segments are built lazily; the stream is never materialized.
-   A frame served later than it arrived has *serving latency* (virtual
-   clock delta), the signal the autoscaler regulates.
+   A frame served later than it arrived has *serving latency* (the virtual
+   clock delta, in whole microseconds), the signal the autoscaler regulates.
 
 Every session is a pure function of its spec with deterministic
 per-session seeds, so the loop's interleaving never changes a result: each
@@ -70,7 +70,7 @@ from repro.maps import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder, recorder_from_env
 from repro.obs.slo import SLOTracker
-from repro.obs.trace import Tracer, tracer_from_env
+from repro.obs.trace import Tracer, quantize_us, tracer_from_env
 from repro.obs.triage import SIG_OK, classify_session, signature_census
 from repro.scheduler.autoscaler import LatencyAutoscaler, ScaleDecision
 from repro.serving.session import (
@@ -119,8 +119,9 @@ class ServingReport:
     them, so they are excluded from latency aggregates but counted as
     sessions).  ``virtual_latency_ms`` is the streaming loop's
     arrival-to-service delay on the virtual clock — the deadline the
-    autoscaler protects — and ``deadline_misses`` counts its samples past
-    their session's deadline (see ``ServingEngine._account_service_latency``).
+    autoscaler protects — in ms, each a whole number of µs; ``deadline_misses``
+    counts its samples past their session's deadline in µs (a frame served
+    exactly at it is on time; see ``ServingEngine._account_service_latency``).
     """
 
     results: Dict[str, SessionResult] = field(default_factory=dict)
@@ -538,7 +539,7 @@ class ServingEngine(WaveLifecycle):
         The loop advances a virtual clock over the fleet's frame arrivals.
         Each tick:
 
-        1. every active session admits frames that have arrived by ``clock``
+        1. every active session admits frames that have arrived by ``clock_us``
            into its bounded ingress queue (a full queue pushes back instead
            of buffering — congestion becomes latency, not memory);
         2. pending frames are served in ``(arrival, stream_id)`` order, up
@@ -546,11 +547,16 @@ class ServingEngine(WaveLifecycle):
            unit per frame, or the frame's expected mode cost when map-aware
            sizing is on (a registration frame against a resolved fleet map
            occupies a worker for a fraction of what a SLAM frame does);
-        3. served latencies (``clock - arrival``) feed the autoscaler, which
-           may resize ``workers`` (grow/shrink with hysteresis) — seeded by
-           the map-aware sizing prior when one was installed;
+        3. served latencies (``clock_us - arrival_us``) feed the autoscaler,
+           which may resize ``workers`` (grow/shrink with hysteresis) —
+           seeded by the map-aware sizing prior when one was installed;
         4. the clock advances one frame interval while a backlog remains,
            else jumps to the next arrival.
+
+        ``clock_us`` is whole microseconds, quantized once per tick from the
+        arrival it last jumped to plus ``ticks x tick_interval`` (adding up
+        rounded ticks would walk off a 1/30 s grid).  It jumps only when
+        nothing is pending, so no latency is negative.
 
         Sessions share no state, so any serving order is bit-identical to
         running each session straight through; the scheduling only shapes
@@ -580,7 +586,7 @@ class ServingEngine(WaveLifecycle):
                 for session in active
             }
         tick_interval = min(session.spec.frame_interval for session in active)
-        clock = min(session.next_arrival() for session in active)
+        clock_us = min(session.next_arrival().arrival_us for session in active)
         # Decision clocks are offset so consecutive serve calls on one
         # engine produce one monotone log (see __init__); the offset is
         # fixed for the whole call and bumped past the final clock on exit.
@@ -595,16 +601,23 @@ class ServingEngine(WaveLifecycle):
             }
             report.scale_decisions.append(self._prime_autoscaler(
                 [session.spec for session in active], segment_costs,
-                clock=clock_base + clock))
+                clock=clock_base + clock_us / 1e6))
         workers = self.autoscaler.workers if self.autoscaler is not None else 1
         # The width serving actually starts at, so final_workers stays
         # truthful even when no scale decision is ever logged.
         report.workers = workers
 
         while active:
+            if not any(session.pending for session in active):
+                # Nothing is pending, so every active session has a next
+                # arrival: jump to the earliest, the origin ticks count from.
+                origin = min((session.next_arrival() for session in active),
+                             key=lambda frame: frame.arrival_us).frame.timestamp
+                ticks = 0
+            clock_us = quantize_us(origin + ticks * tick_interval)
             report.ticks += 1
             for session in active:
-                session.ingest_ready(clock)
+                session.ingest_ready(clock_us)
             # The worker pool's service capacity this tick.  The virtual
             # pool is the autoscaler's actuator; without one, the loop
             # serves everything that is ready (no artificial throttle).
@@ -618,7 +631,7 @@ class ServingEngine(WaveLifecycle):
             served = 0
             served_cost = 0.0
             while heads and served_cost < capacity:
-                arrival, stream_id, session = heapq.heappop(heads)
+                arrival_us, stream_id, session = heapq.heappop(heads)
                 stream_frame = session.serve_pending()
                 served += 1
                 # segment_costs has an entry for every active session when
@@ -628,32 +641,28 @@ class ServingEngine(WaveLifecycle):
                 # mis-billing the frame.
                 served_cost += (segment_costs[stream_id][stream_frame.segment_index]
                                 if segment_costs else 1.0)
-                latency_ms = max(0.0, (clock - arrival) * 1000.0)
+                latency_us = clock_us - arrival_us
                 if self.tracer is not None:
                     # Arrival-to-service on the virtual clock: the queueing
                     # delay the autoscaler regulates, one span per frame.
                     self.tracer.span("frame.wait", "engine",
-                                     clock_base + arrival,
-                                     max(0.0, clock - arrival),
+                                     clock_base + arrival_us / 1e6, latency_us / 1e6,
                                      track="ingress", stream=stream_id)
-                deadline = session.spec.deadline_ms
-                self._account_service_latency(report, latency_ms, deadline,
-                                              stream_id)
-                if self.slo is not None and deadline is not None:
-                    tenant = slo_tenants.get(stream_id)
-                    if tenant is not None:
-                        # Continuity-offset clock, same domain as the
-                        # decision log — burn-rate windows then span serve
-                        # calls on one engine instead of restarting at zero.
-                        self.slo.record(tenant, clock_base + clock,
-                                        latency_ms <= deadline)
+                on_time = self._account_service_latency(
+                    report, latency_us, session.spec.deadline_ms, stream_id)
+                tenant = slo_tenants.get(stream_id)
+                if tenant is not None:
+                    # Continuity-offset clock, same domain as the decision
+                    # log — burn-rate windows then span serve calls on one
+                    # engine instead of restarting at zero.
+                    self.slo.record(tenant, clock_base + clock_us / 1e6, on_time)
                 if self.autoscaler is not None:
-                    self.autoscaler.observe(latency_ms, deadline)
+                    self.autoscaler.observe(latency_us / 1e3, session.spec.deadline_ms)
                 if self.accelerator is not None:
                     self._observe_scheduler(session)
                 # Serving freed an ingress slot: admit any backpressured
                 # frame that has been waiting at the door.
-                session.ingest_ready(clock)
+                session.ingest_ready(clock_us)
                 if session.pending:
                     heapq.heappush(heads, (session.next_pending(), stream_id, session))
             if served:
@@ -669,37 +678,35 @@ class ServingEngine(WaveLifecycle):
             if not active:
                 # Advance the continuity water-mark past this call's final
                 # clock, so the next serve call's decisions sort after ours.
-                self._decision_clock = clock_base + clock + tick_interval
+                self._decision_clock = clock_base + clock_us / 1e6 + tick_interval
                 return
             # Evaluate the scaler only while sessions remain: a decision on
             # the final tick would be logged but could never act.
             if self.autoscaler is not None:
-                decision = self.autoscaler.decide(clock_base + clock)
+                decision = self.autoscaler.decide(clock_base + clock_us / 1e6)
                 report.scale_decisions.append(decision)
                 workers = decision.workers_after
-            if any(session.pending for session in active):
-                clock += tick_interval
-            else:
-                arrivals = [session.next_arrival() for session in active]
-                clock = min(arrival for arrival in arrivals if arrival is not None)
+            ticks += 1
 
     @staticmethod
-    def _account_service_latency(report: ServingReport, latency_ms: float,
-                                 deadline_ms: Optional[float],
-                                 stream_id: Optional[str] = None) -> None:
+    def _account_service_latency(report: ServingReport, latency_us: int,
+                                 deadline_ms: Optional[float], stream_id: str) -> bool:
         """The single accounting point for serving latency vs QoS deadline.
 
-        ``deadline_misses`` counts *virtual-schedule* violations: frames the
-        streaming loop served more than their session's deadline after they
-        arrived.  The per-stream breakout (triage and SLO evidence) is kept
-        in the same place so the total and the breakdown cannot drift apart.
+        ``deadline_misses`` counts *virtual-schedule* violations in whole
+        microseconds: a frame misses when ``latency_us`` exceeds the deadline
+        quantized to µs, so one served exactly at its deadline is on time.
+        The per-stream breakout (triage and SLO evidence) is kept in the same
+        place so the total and the breakdown cannot drift apart.  Returns the
+        on-time verdict, which the SLO tracker records.
         """
-        report.virtual_latency_ms.append(latency_ms)
-        if deadline_ms is not None and latency_ms > deadline_ms:
+        report.virtual_latency_ms.append(latency_us / 1e3)
+        on_time = deadline_ms is None or latency_us <= quantize_us(deadline_ms / 1e3)
+        if not on_time:
             report.deadline_misses += 1
-            if stream_id is not None:
-                report.deadline_misses_by_stream[stream_id] = (
-                    report.deadline_misses_by_stream.get(stream_id, 0) + 1)
+            report.deadline_misses_by_stream[stream_id] = (
+                report.deadline_misses_by_stream.get(stream_id, 0) + 1)
+        return on_time
 
     def _observe_scheduler(self, session: Session) -> None:
         """Feed the just-served frame to the accelerator's offload scheduler."""

@@ -305,10 +305,11 @@ class Session:
       reference :func:`~repro.serving.engine.run_session` path);
     * **streaming ingestion** — the engine's event loop calls
       :meth:`ingest_ready` to admit frames that have *arrived* on the
-      virtual clock into a bounded ingress queue, then :meth:`serve_pending`
-      to serve the queue head.  A full queue refuses further ingestion
-      (backpressure): the un-admitted frames keep their arrival stamps, so
-      congestion shows up as serving latency, not as dropped frames.
+      virtual clock (``arrival_us <= clock_us``, both whole microseconds)
+      into a bounded ingress queue, then :meth:`serve_pending` to serve the
+      queue head.  A full queue refuses further ingestion (backpressure):
+      the un-admitted frames keep their arrival stamps, so congestion shows
+      up as serving latency, not as dropped frames.
 
     Both paths funnel every frame through the same :meth:`_serve` core, so
     they produce bit-identical :class:`SessionResult`s — the engine's
@@ -369,33 +370,23 @@ class Session:
             except StopIteration:
                 self._generator_done = True
 
-    def next_arrival(self) -> Optional[float]:
-        """Arrival time of the next not-yet-ingested frame (None at EOS)."""
+    def next_arrival(self) -> Optional[StreamFrame]:
+        """The next not-yet-ingested frame (None at EOS)."""
         self._advance()
-        return self._peek.arrival_time if self._peek is not None else None
+        return self._peek
 
-    # Admission tolerance, as a fraction of the frame interval: an event
-    # loop that advances its clock by repeated float adds drifts a few ulps
-    # below the exact arrival grid (e.g. 8 x 0.2 = 1.5999999999999999 vs a
-    # frame stamped 1.6); without the slack such a frame would be refused
-    # and admitted one full tick late, recording a phantom frame interval
-    # of serving latency.
-    INGEST_SLACK_FRACTION = 1e-6
+    def ingest_ready(self, clock_us: int) -> int:
+        """Admit frames that have arrived by ``clock_us`` into the ingress queue.
 
-    def ingest_ready(self, clock: float) -> int:
-        """Admit frames that have arrived by ``clock`` into the ingress queue.
-
-        Stops at the queue bound (backpressure) or at the first frame that
-        has not arrived yet; returns the number of frames admitted.  The
-        comparison tolerates :data:`INGEST_SLACK_FRACTION` of a frame
-        interval of clock drift, so a frame is never deferred a tick by
-        float rounding alone.
+        A frame has arrived when ``arrival_us <= clock_us``: both are whole
+        microseconds, so the test is exact and needs no tolerance.  Stops at
+        the queue bound (backpressure) or at the first frame that has not
+        arrived yet; returns the number of frames admitted.
         """
-        slack = self.INGEST_SLACK_FRACTION * self.spec.frame_interval
         admitted = 0
         while len(self._ingress) < self.ingress_capacity:
             self._advance()
-            if self._peek is None or self._peek.arrival_time > clock + slack:
+            if self._peek is None or self._peek.arrival_us > clock_us:
                 break
             self._ingress.append(self._peek)
             self._peek = None
@@ -407,9 +398,9 @@ class Session:
         """Frames admitted but not yet served."""
         return len(self._ingress)
 
-    def next_pending(self) -> Optional[float]:
-        """Arrival time of the queue head (None when the queue is empty)."""
-        return self._ingress[0].arrival_time if self._ingress else None
+    def next_pending(self) -> Optional[int]:
+        """``arrival_us`` of the queue head (None when the queue is empty)."""
+        return self._ingress[0].arrival_us if self._ingress else None
 
     def serve_pending(self) -> Optional[StreamFrame]:
         """Serve the ingress-queue head; None when nothing is pending."""

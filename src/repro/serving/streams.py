@@ -35,6 +35,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.config import SensorConfig
+from repro.obs.trace import quantize_us
 from repro.sensors.dataset import Frame, SequenceBuilder, SyntheticSequence, segment_frame_count
 from repro.sensors.scenarios import OperatingScenario, ScenarioKind, scenario_catalog
 from repro.sensors.world import LandmarkWorld
@@ -312,20 +313,21 @@ def expected_gps_denied_mode(spec: StreamSpec, index: int,
 class StreamFrame:
     """One frame of a stream as it arrives at the serving engine.
 
-    ``arrival_time`` is the frame's position on the stream's virtual clock
-    (its sensor timestamp: a client uploads a frame the moment its camera
-    produces it).  ``sequence`` is the segment the frame belongs to — frames
-    keep a reference so the localizer can be prepared with the segment's
-    world/rig exactly when its first frame is served, and so that the
-    number of segments alive at once is bounded by the ingress depth (at
-    most one per queued frame, plus the one being generated) regardless of
-    stream length.
+    ``arrival_us`` is the frame's position on the stream's virtual clock in
+    whole microseconds (its sensor timestamp, quantized once: a client
+    uploads a frame the moment its camera produces it); the serving loop
+    compares and subtracts only these integers.  ``sequence`` is the segment
+    the frame belongs to — frames keep a reference so the localizer can be
+    prepared with the segment's world/rig exactly when its first frame is
+    served, and so that the number of segments alive at once is bounded by
+    the ingress depth (at most one per queued frame, plus the one being
+    generated) regardless of stream length.
     """
 
     frame: Frame
     sequence: SyntheticSequence
     segment_index: int
-    arrival_time: float
+    arrival_us: int
 
 
 class ScenarioStream:
@@ -402,8 +404,8 @@ class ScenarioStream:
             sequence = self.build_segment(index, start_time=start_time,
                                           start_index=start_index)
             for frame in sequence.frames:
-                yield StreamFrame(frame=frame, sequence=sequence,
-                                  segment_index=index, arrival_time=frame.timestamp)
+                yield StreamFrame(frame=frame, sequence=sequence, segment_index=index,
+                                  arrival_us=quantize_us(frame.timestamp))
             if sequence.frames:
                 last = sequence.frames[-1]
                 start_time = last.timestamp + 1.0 / self.spec.camera_rate_hz

@@ -21,6 +21,8 @@ import pytest
 
 from repro.experiments.common import accelerator_for
 from repro.experiments.runner import RunStore, sensor_config_for
+from repro.obs.slo import SLOTarget, SLOTracker
+from repro.obs.trace import quantize_us
 from repro.scheduler import LatencyAutoscaler
 from repro.sensors.dataset import segment_frame_count
 from repro.sensors.scenarios import ScenarioKind
@@ -148,8 +150,9 @@ class TestStreamBoundaryExactness:
         assert indices == list(range(spec.frame_count))
         times = np.array([sf.frame.timestamp for sf in frames])
         np.testing.assert_allclose(np.diff(times), 1.0 / RATE, atol=1e-9)
-        arrivals = np.array([sf.arrival_time for sf in frames])
-        np.testing.assert_array_equal(arrivals, times)
+        arrivals = np.array([sf.arrival_us for sf in frames])
+        np.testing.assert_array_equal(arrivals, [quantize_us(t) for t in times])
+        np.testing.assert_array_equal(np.diff(arrivals), 200_000)
 
     def test_segment_counts_match_quantization(self):
         spec = self._awkward_spec()
@@ -367,33 +370,25 @@ class TestStreamingIngestion:
         spec = _spec("bounded", [(ScenarioKind.OUTDOOR_UNKNOWN, 0.0),
                                  (ScenarioKind.INDOOR_UNKNOWN, 0.0)])
         session = Session(spec, ingress_capacity=4)
-        admitted = session.ingest_ready(clock=1e9)  # everything has "arrived"
+        admitted = session.ingest_ready(clock_us=10**15)  # everything has "arrived"
         assert admitted == 4
         assert session.pending == 4
         # Backpressure: a full queue refuses frames...
-        assert session.ingest_ready(clock=1e9) == 0
+        assert session.ingest_ready(clock_us=10**15) == 0
         # ...and serving frees slots one for one.
         session.serve_pending()
-        assert session.ingest_ready(clock=1e9) == 1
+        assert session.ingest_ready(clock_us=10**15) == 1
 
-    def test_ingest_tolerates_clock_drift(self):
-        """A clock built from repeated float adds must not defer on-time frames.
+    def test_ingest_admits_exactly_at_arrival(self):
+        """Admission compares whole microseconds, with no tolerance.
 
-        Eight accumulated 0.2 s ticks land a few ulps below the exactly
-        stamped 1.6 s arrival; without admission slack that frame would be
-        admitted one tick late and record a phantom frame interval of
-        serving latency.
+        At frame 8's ``arrival_us`` frames 0..8 have all arrived; one
+        microsecond earlier, frame 8 has not.
         """
-        spec = _spec("drift", [(ScenarioKind.OUTDOOR_UNKNOWN, 0.0)])
-        drifted = 0.0
-        for _ in range(8):
-            drifted += 1.0 / RATE
-        assert drifted < 8.0 / RATE  # the drift this test exists for
-        session = Session(spec, ingress_capacity=20)
-        admitted = session.ingest_ready(drifted)
-        # Frames 0..8 (timestamps 0.0 .. 1.6) have all arrived by the
-        # drifted clock and must all be admitted.
-        assert admitted == 9
+        spec = _spec("exact", [(ScenarioKind.OUTDOOR_UNKNOWN, 0.0)])
+        arrivals = [sf.arrival_us for sf in ScenarioStream(spec, _sensor_config(spec)).frames()]
+        assert Session(spec, ingress_capacity=20).ingest_ready(arrivals[8]) == 9
+        assert Session(spec, ingress_capacity=20).ingest_ready(arrivals[8] - 1) == 8
 
     def test_online_scheduler_feed(self, fleet):
         accelerator = accelerator_for("drone")
@@ -442,6 +437,37 @@ class TestServingAccounting:
         over = sum(1 for latency in report.virtual_latency_ms if latency > 300.0)
         assert report.deadline_misses == over
         assert report.deadline_misses > 0  # the throttle actually bit
+
+    @pytest.mark.parametrize("rate", [RATE, 30.0])
+    def test_two_interval_deadline_is_exact(self, rate):
+        """A frame served exactly at its deadline is on time, at any rate.
+
+        A throttled fleet with a deadline of two frame intervals serves
+        many frames exactly two ticks after they arrive.  Every latency is
+        within 1 µs of a whole number of intervals (1/30 s is not a whole
+        number of µs), and ``deadline_misses`` and the SLO tracker's bad
+        events both count exactly the latencies past the deadline.
+        """
+        deadline_ms = 2e3 / rate
+        fleet = mixed_fleet(3, segment_duration=1.0, camera_rate_hz=rate,
+                            deadline_ms=deadline_ms)
+        slo = SLOTracker({"fleet": SLOTarget("fleet", objective=0.9,
+                                             deadline_ms=deadline_ms)})
+        engine = ServingEngine(store=None,
+                               autoscaler=LatencyAutoscaler(min_workers=1, max_workers=1,
+                                                            window=32),
+                               frames_per_worker_tick=1, slo=slo)
+        report = engine.serve(fleet)
+        latency_us = np.rint(np.array(report.virtual_latency_ms) * 1e3)
+        deadline_us = quantize_us(deadline_ms / 1e3)
+        interval_us = 1e6 / rate
+        off_grid = np.abs(latency_us - np.round(latency_us / interval_us) * interval_us)
+        assert off_grid.max() <= 1.0
+        assert np.any(latency_us == deadline_us)
+        over = int(np.sum(latency_us > deadline_us))
+        assert over > 0  # the throttle actually bit
+        assert report.deadline_misses == over
+        assert slo.totals("fleet") == (len(latency_us) - over, over)
 
     def test_decision_log_monotone_across_serve_calls(self, fleet):
         """A shared autoscaler's log stays clock-ordered call to call.
