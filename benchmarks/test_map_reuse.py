@@ -31,6 +31,9 @@ MAP_GATE = 0.05
 # deadline the map-aware autoscaler sizes against.
 DRIFT_KWARGS = dict(drift_m=2.0, drift_fraction=0.4, drift_seed=7)
 DEADLINE_MS = 400.0
+# Rounds of the drifting-world recovery comparison; the arm served first
+# alternates between rounds.
+RECOVERY_ROUNDS = 5
 
 
 def _wave(prefix, base_seed, serving_settings):
@@ -159,30 +162,44 @@ def test_drifting_world_updates(benchmark, serving_settings, tmp_path):
                                          drift=True))
         return engine, stale
 
-    updates_engine, updates_stale = arm("updates", map_updates=True)
-    control_engine, control_stale = arm("control", map_updates=False)
-    # Both arms hit the same wall after the drift: stale demotions, SLAM.
-    for stale in (updates_stale, control_stale):
-        reasons = [s.reason for r in stale.results.values()
-                   for s in r.mode_switches]
-        assert "map_stale" in reasons
-        assert _mode_census(stale).get("slam", 0) > 0
-    assert updates_stale.maps_updated and not control_stale.maps_updated
-
     recovery_fleet = _drift_wave("recov", 30000, serving_settings, drift=True)
-    recovered = benchmark.pedantic(
-        lambda: updates_engine.serve(recovery_fleet),
-        rounds=1, iterations=1)
-    control = control_engine.serve(recovery_fleet)
-    # Wall-noise hardening: per arm, take the faster of two attempts — the
-    # mode mix (the thing being measured) is deterministic, so a one-off
-    # scheduler stall in either arm must not flip the throughput verdict.
-    recovered_rate = max(
-        recovered.sessions_per_second,
-        updates_engine.serve(recovery_fleet).sessions_per_second)
-    control_rate = max(
-        control.sessions_per_second,
-        control_engine.serve(recovery_fleet).sessions_per_second)
+    # Wall-noise hardening.  A publish-only control that serves the recovery
+    # wave again has published that wave's SLAM maps and registers against
+    # them, so a repeat is a cheaper workload than the first serve.  Each
+    # round therefore builds both arms afresh and serves the recovery wave
+    # once per arm, the arm served first alternating between rounds; the
+    # verdict is the median of the per-round throughput ratios, so neither
+    # a one-off stall nor a load change between the arms flips it.
+    rounds = []
+    for round_index in range(RECOVERY_ROUNDS):
+        updates_engine, updates_stale = arm(f"updates-{round_index}", map_updates=True)
+        control_engine, control_stale = arm(f"control-{round_index}", map_updates=False)
+        # Both arms hit the same wall after the drift: stale demotions, SLAM.
+        for stale in (updates_stale, control_stale):
+            reasons = [s.reason for r in stale.results.values()
+                       for s in r.mode_switches]
+            assert "map_stale" in reasons
+            assert _mode_census(stale).get("slam", 0) > 0
+        assert updates_stale.maps_updated and not control_stale.maps_updated
+
+        order = [("updates", updates_engine), ("control", control_engine)]
+        if round_index % 2:
+            order.reverse()
+        recovery = {}
+        for label, engine in order:
+            if round_index == 0 and label == "updates":
+                recovery[label] = benchmark.pedantic(
+                    lambda: engine.serve(recovery_fleet), rounds=1, iterations=1)
+            else:
+                recovery[label] = engine.serve(recovery_fleet)
+        rounds.append(recovery)
+    ratios = [recovery["updates"].sessions_per_second
+              / recovery["control"].sessions_per_second for recovery in rounds]
+    # Every round served the same work: the mode mix is deterministic.
+    for recovery in rounds:
+        for label, report in recovery.items():
+            assert _mode_census(report) == _mode_census(rounds[0][label])
+    recovered, control = rounds[0]["updates"], rounds[0]["control"]
 
     recovered_modes = _mode_census(recovered)
     control_modes = _mode_census(control)
@@ -200,15 +217,16 @@ def test_drifting_world_updates(benchmark, serving_settings, tmp_path):
     print(format_table(
         ["arm", "sessions", "wall_s", "sessions/s", "reg_frames",
          "slam_frames", "updates", "applied"], rows))
-    speedup = recovered_rate / max(control_rate, 1e-9)
-    print(f"update-repair speedup on the drifted world: {speedup:.2f}x sessions/sec")
+    speedup = float(np.median(ratios))
+    print(f"update-repair speedup on the drifted world: {speedup:.2f}x sessions/sec "
+          f"(median of {len(ratios)} rounds: {', '.join(f'{r:.2f}' for r in ratios)})")
 
     # The headline: with updates, registration keeps displacing SLAM after
     # the drift, and the recovery wave serves strictly faster than the
     # publish-only control.
     assert recovered_modes.get("registration", 0) > 0
     assert recovered_modes.get("slam", 0) < control_modes.get("slam", 1)
-    assert recovered_rate > control_rate
+    assert speedup > 1.0
 
 
 def test_map_aware_autoscaler_sizing(benchmark, serving_settings, tmp_path):

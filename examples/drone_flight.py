@@ -44,7 +44,7 @@ def main() -> None:
     second_flight = SequenceBuilder(sensors).build(
         catalog[ScenarioKind.INDOOR_UNKNOWN], seed_offset=0
     )
-    frontend = VisualFrontend(config=config.frontend, rig=second_flight.rig, sparse=True,
+    frontend = VisualFrontend(config=config.frontend, rig=second_flight.rig,
                               dropout_probability=0.0)
     registration = RegistrationBackend(persisted_map, config=config.backend.tracking,
                                        camera=second_flight.rig.camera)

@@ -88,15 +88,6 @@ class MsckfState:
         """Column offset of clone ``clone_index`` in the error state."""
         return IMU_ERROR_DIM + CLONE_ERROR_DIM * clone_index
 
-    def clone_by_frame(self, frame_index: int) -> CloneState:
-        for clone in self.clones:
-            if clone.frame_index == frame_index:
-                return clone
-        raise KeyError(f"no clone for frame {frame_index}")
-
-    def has_clone(self, frame_index: int) -> bool:
-        return any(clone.frame_index == frame_index for clone in self.clones)
-
     def augment(self, frame_index: int, timestamp: float) -> None:
         """Add a clone of the current IMU pose to the window.
 

@@ -182,7 +182,3 @@ class CpuLatencyModel:
                 )
             )
         return records
-
-    def energy_per_frame_joules(self, record: LatencyRecord) -> float:
-        """Energy spent on this frame: average power times frame latency."""
-        return self.platform.power_watts * record.total / 1000.0

@@ -9,7 +9,6 @@ sorted per-frame latency series (Figs. 9-11) and worst-to-best ratios.
 from repro.characterization.stats import (
     backend_kernel_breakdown,
     frontend_backend_shares,
-    kernel_variation,
     latency_series,
     worst_to_best_ratio,
 )
@@ -18,7 +17,6 @@ from repro.characterization.report import format_table, percent
 __all__ = [
     "frontend_backend_shares",
     "backend_kernel_breakdown",
-    "kernel_variation",
     "latency_series",
     "worst_to_best_ratio",
     "format_table",

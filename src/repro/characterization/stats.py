@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -41,19 +41,6 @@ def backend_kernel_breakdown(records: Sequence[LatencyRecord]) -> Dict[str, floa
     if grand_total <= 0:
         return {name: 0.0 for name in totals}
     return {name: 100.0 * value / grand_total for name, value in sorted(totals.items())}
-
-
-def kernel_variation(records: Sequence[LatencyRecord]) -> Dict[str, Dict[str, float]]:
-    """Per-kernel latency statistics (mean, std, RSD) across frames."""
-    per_kernel: Dict[str, List[float]] = {}
-    for record in records:
-        for name, value in list(record.frontend.items()) + list(record.backend.items()):
-            per_kernel.setdefault(name, []).append(value)
-    out: Dict[str, Dict[str, float]] = {}
-    for name, values in per_kernel.items():
-        stats = TimingStats(values)
-        out[name] = {"mean_ms": stats.mean, "std_ms": stats.std, "rsd_percent": stats.rsd}
-    return out
 
 
 def latency_series(records: Sequence[LatencyRecord], sort_by_total: bool = True

@@ -65,9 +65,6 @@ class HashRing:
     def shard_for(self, stream_id: str) -> int:
         return self._shard_of_slot[self.slot_of(stream_id)]
 
-    def shard_of_slot(self, slot: int) -> int:
-        return self._shard_of_slot[slot]
-
     def slots_of(self, shard: int) -> Tuple[int, ...]:
         return tuple(slot for slot, owner in enumerate(self._shard_of_slot)
                      if owner == shard)

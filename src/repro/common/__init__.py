@@ -7,8 +7,6 @@ utilities, camera models and timing records defined here.
 
 from repro.common.geometry import (
     Pose,
-    quaternion_to_rotation,
-    rotation_to_quaternion,
     skew,
     so3_exp,
     so3_log,
@@ -23,8 +21,6 @@ __all__ = [
     "KernelTiming",
     "LatencyRecord",
     "TimingStats",
-    "quaternion_to_rotation",
-    "rotation_to_quaternion",
     "skew",
     "so3_exp",
     "so3_log",

@@ -93,13 +93,6 @@ class PinholeCamera:
         y = (pixels[:, 1] - self.cy) / self.fy * depths
         return np.stack([x, y, depths], axis=1)
 
-    def normalized_coordinates(self, pixels: np.ndarray) -> np.ndarray:
-        """Convert pixels to normalized image coordinates (z = 1 plane)."""
-        pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
-        x = (pixels[:, 0] - self.cx) / self.fx
-        y = (pixels[:, 1] - self.cy) / self.fy
-        return np.stack([x, y], axis=1)
-
     def scaled(self, factor: float) -> "PinholeCamera":
         """Return a camera with the image size (and intrinsics) scaled."""
         return PinholeCamera(
@@ -148,11 +141,6 @@ class StereoRig:
         depths = np.asarray(depths, dtype=float)
         return self.camera.fx * self.baseline / np.maximum(depths, 1e-6)
 
-    def depth_from_disparity(self, disparity: np.ndarray) -> np.ndarray:
-        """Metric depth corresponding to a stereo disparity (pixels)."""
-        disparity = np.asarray(disparity, dtype=float)
-        return self.camera.fx * self.baseline / np.maximum(disparity, 1e-6)
-
     def triangulate(self, left_pixels: np.ndarray, right_pixels: np.ndarray) -> np.ndarray:
         """Triangulate rectified correspondences into the left-camera frame."""
         left_pixels = np.asarray(left_pixels, dtype=float).reshape(-1, 2)
@@ -166,8 +154,3 @@ def world_to_camera(pose: Pose, points_world: np.ndarray) -> np.ndarray:
     """Transform world-frame points into the camera (body) frame of ``pose``."""
     points = np.asarray(points_world, dtype=float).reshape(-1, 3)
     return (points - pose.translation) @ pose.rotation
-
-
-def camera_to_world(pose: Pose, points_camera: np.ndarray) -> np.ndarray:
-    """Transform camera-frame points back into the world frame."""
-    return pose.transform_points(points_camera)

@@ -2,9 +2,8 @@
 
 Each subsystem exposes its own config object so examples, tests and benchmark
 drivers can describe a full experiment declaratively.  Defaults follow the
-paper's setup: 1280x720 inputs for the car platform, 640x480 for the drone,
-an MSCKF window of 30 states, and a 2-3 KB correspondence payload shipped
-from the frontend to the backend.
+paper's setup: 1280x720 inputs for the car platform, 640x480 for the drone
+and an MSCKF window of 30 states.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ class FrontendConfig:
     lk_window: int = 9
     lk_iterations: int = 10
     lk_max_error: float = 2.0
-    min_track_length: int = 2
     grid_cells: int = 8
 
     def __post_init__(self) -> None:
@@ -125,7 +123,6 @@ class SensorConfig:
     stereo_baseline: float = 0.25
     camera_rate_hz: float = 10.0
     imu_rate_hz: float = 100.0
-    gps_rate_hz: float = 5.0
     imu_gyro_noise: float = 1e-3
     imu_accel_noise: float = 1e-2
     imu_gyro_bias_walk: float = 1e-5
@@ -140,20 +137,17 @@ class SensorConfig:
     def resolution(self) -> Tuple[int, int]:
         return (self.image_width, self.image_height)
 
-    @property
-    def imu_per_frame(self) -> int:
-        return max(1, int(round(self.imu_rate_hz / self.camera_rate_hz)))
-
 
 @dataclass
 class LocalizerConfig:
-    """Top-level configuration of the unified localization framework."""
+    """Top-level configuration of the unified localization framework.
+
+    One config each for the frontend, the backend and the simulated sensors.
+    """
 
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
     backend: BackendConfig = field(default_factory=BackendConfig)
     sensors: SensorConfig = field(default_factory=SensorConfig)
-    use_sparse_frontend: bool = True
-    record_latency: bool = True
 
     @classmethod
     def car_default(cls) -> "LocalizerConfig":

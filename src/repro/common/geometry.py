@@ -1,4 +1,4 @@
-"""Rigid-body geometry: rotations, quaternions and 6-DoF poses.
+"""Rigid-body geometry: rotations and 6-DoF poses.
 
 Localization estimates the six degree-of-freedom pose of a body: a 3-D
 translation ``(x, y, z)`` plus a rotation (yaw, pitch, roll), exactly the
@@ -6,9 +6,8 @@ quantity depicted in Fig. 1 of the paper.  This module provides the SO(3) /
 SE(3) machinery used by the sensor simulator, the MSCKF filter, the bundle
 adjustment backend and the evaluation metrics.
 
-All rotations are represented internally as 3x3 orthonormal matrices; helper
-conversions to and from unit quaternions (``[w, x, y, z]`` convention) and
-Euler angles are provided.
+All rotations are represented as 3x3 orthonormal matrices; conversions to
+and from Euler angles are provided.
 """
 
 from __future__ import annotations
@@ -113,54 +112,6 @@ def so3_log(rotation: np.ndarray) -> np.ndarray:
     )
 
 
-def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Convert a unit quaternion ``[w, x, y, z]`` into a rotation matrix."""
-    q = np.asarray(q, dtype=float).reshape(4)
-    q = q / max(np.linalg.norm(q), _EPS)
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def rotation_to_quaternion(rotation: np.ndarray) -> np.ndarray:
-    """Convert a rotation matrix into a unit quaternion ``[w, x, y, z]``."""
-    m = np.asarray(rotation, dtype=float).reshape(3, 3)
-    trace = np.trace(m)
-    if trace > 0.0:
-        s = np.sqrt(trace + 1.0) * 2.0
-        w = 0.25 * s
-        x = (m[2, 1] - m[1, 2]) / s
-        y = (m[0, 2] - m[2, 0]) / s
-        z = (m[1, 0] - m[0, 1]) / s
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        w = (m[2, 1] - m[1, 2]) / s
-        x = 0.25 * s
-        y = (m[0, 1] + m[1, 0]) / s
-        z = (m[0, 2] + m[2, 0]) / s
-    elif m[1, 1] > m[2, 2]:
-        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        w = (m[0, 2] - m[2, 0]) / s
-        x = (m[0, 1] + m[1, 0]) / s
-        y = 0.25 * s
-        z = (m[1, 2] + m[2, 1]) / s
-    else:
-        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        w = (m[1, 0] - m[0, 1]) / s
-        x = (m[0, 2] + m[2, 0]) / s
-        y = (m[1, 2] + m[2, 1]) / s
-        z = 0.25 * s
-    q = np.array([w, x, y, z])
-    if q[0] < 0:
-        q = -q
-    return q / max(np.linalg.norm(q), _EPS)
-
-
 def euler_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:
     """Build a rotation matrix from intrinsic Z-Y-X (yaw, pitch, roll) angles."""
     cy, sy = np.cos(yaw), np.sin(yaw)
@@ -200,24 +151,12 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_euler(cls, yaw: float, pitch: float, roll: float, t: np.ndarray) -> "Pose":
-        return cls(euler_to_rotation(yaw, pitch, roll), t)
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "Pose":
-        matrix = np.asarray(matrix, dtype=float).reshape(4, 4)
-        return cls(matrix[:3, :3], matrix[:3, 3])
-
     def matrix(self) -> np.ndarray:
         """Return the 4x4 homogeneous transform (body to world)."""
         out = np.eye(4)
         out[:3, :3] = self.rotation
         out[:3, 3] = self.translation
         return out
-
-    def quaternion(self) -> np.ndarray:
-        return rotation_to_quaternion(self.rotation)
 
     def euler(self) -> tuple:
         return rotation_to_euler(self.rotation)
@@ -268,15 +207,6 @@ class Pose:
             f"Pose(t=[{self.translation[0]:.3f}, {self.translation[1]:.3f}, "
             f"{self.translation[2]:.3f}], ypr=[{yaw:.3f}, {pitch:.3f}, {roll:.3f}])"
         )
-
-
-def interpolate_pose(a: Pose, b: Pose, alpha: float) -> Pose:
-    """Interpolate between two poses (linear translation, geodesic rotation)."""
-    alpha = float(np.clip(alpha, 0.0, 1.0))
-    translation = (1.0 - alpha) * a.translation + alpha * b.translation
-    delta = so3_log(a.rotation.T @ b.rotation)
-    rotation = a.rotation @ so3_exp(alpha * delta)
-    return Pose(rotation, translation)
 
 
 def homogeneous(points: np.ndarray) -> np.ndarray:

@@ -151,26 +151,3 @@ class StopwatchCollector:
 
     def reset(self) -> None:
         self.timings = []
-
-
-def merge_records(records: Iterable[LatencyRecord]) -> Dict[str, TimingStats]:
-    """Aggregate per-frame records into per-kernel :class:`TimingStats`."""
-    per_kernel: Dict[str, List[float]] = {}
-    for record in records:
-        for name, value in list(record.frontend.items()) + list(record.backend.items()):
-            per_kernel.setdefault(name, []).append(value)
-    return {name: TimingStats(values) for name, values in per_kernel.items()}
-
-
-def total_stats(records: Iterable[LatencyRecord]) -> TimingStats:
-    """Total end-to-end latency statistics across frames."""
-    return TimingStats(record.total for record in records)
-
-
-def frontend_backend_split(records: Iterable[LatencyRecord]) -> Dict[str, TimingStats]:
-    """Frontend vs backend latency statistics (the Fig. 5 decomposition)."""
-    records = list(records)
-    return {
-        "frontend": TimingStats(r.frontend_total for r in records),
-        "backend": TimingStats(r.backend_total for r in records),
-    }

@@ -45,11 +45,7 @@ class EudoxusLocalizer:
 
     def prepare(self, sequence: SyntheticSequence) -> None:
         """Instantiate the frontend and backends for one sequence segment."""
-        self.frontend = VisualFrontend(
-            config=self.config.frontend,
-            rig=sequence.rig,
-            sparse=self.config.use_sparse_frontend,
-        )
+        self.frontend = VisualFrontend(config=self.config.frontend, rig=sequence.rig)
         self.vio = VioBackend(self.config.backend, use_gps=True)
         self.slam = SlamBackend(self.config.backend, camera=sequence.rig.camera)
         if sequence.has_prebuilt_map:

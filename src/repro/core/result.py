@@ -24,12 +24,6 @@ class PoseEstimate:
     mode: str
     ground_truth: Optional[Pose] = None
 
-    @property
-    def translation_error(self) -> float:
-        if self.ground_truth is None:
-            return 0.0
-        return self.pose.distance_to(self.ground_truth)
-
 
 @dataclass
 class TrajectoryResult:

@@ -37,8 +37,7 @@ MODE_SCENARIO: Dict[BackendMode, ScenarioKind] = {
     BackendMode.SLAM: ScenarioKind.INDOOR_UNKNOWN,
 }
 
-# The process-wide default runner every experiment driver shares.  Tests can
-# swap it (or its store) via :func:`set_default_runner`.
+# The process-wide default runner every experiment driver shares.
 _default_runner: Optional[ExperimentRunner] = None
 
 
@@ -48,12 +47,6 @@ def default_runner() -> ExperimentRunner:
     if _default_runner is None:
         _default_runner = ExperimentRunner(store=RunStore())
     return _default_runner
-
-
-def set_default_runner(runner: Optional[ExperimentRunner]) -> None:
-    """Replace the shared runner (pass None to recreate on next use)."""
-    global _default_runner
-    _default_runner = runner
 
 
 def characterization_cell(mode: Optional[BackendMode], platform_kind: str = "car",
@@ -74,16 +67,6 @@ def characterization_cell(mode: Optional[BackendMode], platform_kind: str = "car
         landmark_count=landmark_count,
         seed=seed,
     )
-
-
-def characterization_run(mode: BackendMode, platform_kind: str = "car",
-                         duration: float = DEFAULT_DURATION_S, camera_rate_hz: float = 10.0,
-                         landmark_count: int = DEFAULT_LANDMARKS, seed: int = 0,
-                         scenario_kind: Optional[ScenarioKind] = None) -> TrajectoryResult:
-    """Run (and cache) the framework pinned to one mode on its preferred scenario."""
-    cell = characterization_cell(mode, platform_kind, duration, camera_rate_hz,
-                                 landmark_count, seed, scenario_kind)
-    return default_runner().run_cell(cell)
 
 
 def all_mode_runs(platform_kind: str = "car", duration: float = DEFAULT_DURATION_S,

@@ -10,16 +10,17 @@ The frontend is shared by every backend mode and always activated
 * **Temporal matching** — Lucas-Kanade optical flow tracking of the previous
   frame's key points.
 
-Two execution paths are offered.  The *dense* path runs the real image
-algorithms on rendered frames; it is the workload the frontend accelerator
-model characterizes.  The *sparse* path consumes the simulator's landmark
-observations directly, which keeps long end-to-end localization runs fast
-while producing the same correspondence structure.
+The frame picks one of two execution paths.  A frame with rendered images
+runs the *dense* path: the real image algorithms, the workload the frontend
+accelerator model characterizes.  Any other frame runs the *sparse* path,
+which consumes the simulator's landmark observations directly; this keeps
+long end-to-end localization runs fast while producing the same
+correspondence structure.
 """
 
 from repro.frontend.fast import FastDetector, Keypoint
 from repro.frontend.orb import OrbDescriptor, hamming_distance, hamming_distance_matrix
-from repro.frontend.filtering import gaussian_blur, sobel_gradients, image_pyramid
+from repro.frontend.filtering import gaussian_blur, sobel_gradients
 from repro.frontend.stereo import StereoMatcher, StereoMatch
 from repro.frontend.optical_flow import LucasKanadeTracker, FlowResult
 from repro.frontend.frontend import (
@@ -36,7 +37,6 @@ __all__ = [
     "hamming_distance_matrix",
     "gaussian_blur",
     "sobel_gradients",
-    "image_pyramid",
     "StereoMatcher",
     "StereoMatch",
     "LucasKanadeTracker",

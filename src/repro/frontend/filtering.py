@@ -1,4 +1,4 @@
-"""Image filtering: Gaussian smoothing, gradients and pyramids.
+"""Image filtering: Gaussian smoothing, gradients and bilinear sampling.
 
 Image filtering (IF) is one of the three tasks inside the feature-extraction
 block of the frontend accelerator (Sec. V-B).  The separable convolutions here
@@ -8,7 +8,7 @@ structure captures (Sec. V-C).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -60,24 +60,6 @@ def sobel_gradients(image: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     gx = _convolve_1d(_convolve_1d(image, smooth, axis=0), diff, axis=1)
     gy = _convolve_1d(_convolve_1d(image, diff, axis=0), smooth, axis=1)
     return gx, gy
-
-
-def downsample(image: np.ndarray) -> np.ndarray:
-    """Halve the image size after a light blur (for pyramids)."""
-    blurred = gaussian_blur(image, sigma=1.0)
-    return blurred[::2, ::2]
-
-
-def image_pyramid(image: np.ndarray, levels: int = 3) -> List[np.ndarray]:
-    """Gaussian pyramid with ``levels`` levels, finest first."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    pyramid = [np.asarray(image, dtype=float)]
-    for _ in range(levels - 1):
-        if min(pyramid[-1].shape) < 8:
-            break
-        pyramid.append(downsample(pyramid[-1]))
-    return pyramid
 
 
 def bilinear_sample(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

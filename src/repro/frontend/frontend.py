@@ -6,15 +6,15 @@ persistent track identities across time, one row per correspondence in a few
 columns.  Every backend reads these columns directly; it consumes only these
 correspondences (2-3 KB per frame in the paper) plus the IMU/GPS samples.
 
-Two execution paths are supported:
+The frame decides which of two paths runs:
 
-* ``sparse`` — consumes the simulator's landmark observations directly.
-  Track identity equals the landmark identity (modelling a well-tuned data
-  association), with configurable feature budget and dropout.  This path is
-  fast enough for long end-to-end runs.
-* ``dense`` — runs the full FAST + ORB + stereo matching + Lucas-Kanade
-  pipeline on rendered images.  This is the workload characterized by the
-  frontend accelerator model.
+* ``dense``, when the frame carries rendered images — runs the full FAST +
+  ORB + stereo matching + Lucas-Kanade pipeline on them.  This is the
+  workload characterized by the frontend accelerator model.
+* ``sparse``, otherwise — consumes the simulator's landmark observations
+  directly.  Track identity equals the landmark identity (modelling a
+  well-tuned data association), with configurable feature budget and
+  dropout.  This path is fast enough for long end-to-end runs.
 
 Both paths report a :class:`FrontendWorkload` describing the work done
 (pixels filtered, keypoints detected, stereo pairs compared, points tracked)
@@ -80,12 +80,6 @@ class FrontendWorkload:
     def image_pixels(self) -> int:
         return self.image_width * self.image_height
 
-    @property
-    def correspondence_bytes(self) -> int:
-        """Approximate payload shipped to the backend (paper: 2-3 KB)."""
-        # Each correspondence: track id (4 B) + 2x2 pixel coords (16 B) + depth (4 B).
-        return 24 * self.stereo_matches + 8 * self.temporal_matches
-
 
 @dataclass
 class FrontendResult:
@@ -145,10 +139,9 @@ class VisualFrontend:
     """Shared vision frontend; see module docstring for the two paths."""
 
     def __init__(self, config: Optional[FrontendConfig] = None, rig: Optional[StereoRig] = None,
-                 sparse: bool = True, dropout_probability: float = 0.02, seed: int = 0) -> None:
+                 dropout_probability: float = 0.02, seed: int = 0) -> None:
         self.config = config or FrontendConfig()
         self.rig = rig
-        self.sparse = bool(sparse)
         self.dropout_probability = float(dropout_probability)
         self._rng = np.random.default_rng(seed)
 
@@ -193,9 +186,9 @@ class VisualFrontend:
         rig = rig or self.rig
         if rig is None:
             raise ValueError("a StereoRig must be supplied either at construction or per call")
-        if self.sparse or not frame.has_images:
-            return self._process_sparse(frame, rig)
-        return self._process_dense(frame, rig)
+        if frame.has_images:
+            return self._process_dense(frame, rig)
+        return self._process_sparse(frame, rig)
 
     def _advance(self, result: FrontendResult) -> Tuple[int, int]:
         """Make ``result`` the previous frame.

@@ -104,7 +104,3 @@ class LucasKanadeTracker:
             ok = converged and inside and residual <= self.max_error * 8.0
             results.append(FlowResult(index, point, current, bool(ok), residual))
         return results
-
-    def good_tracks(self, results: List[FlowResult]) -> List[FlowResult]:
-        """Filter to the successfully tracked points."""
-        return [r for r in results if r.converged]

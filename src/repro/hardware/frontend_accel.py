@@ -38,11 +38,6 @@ class FrontendAccelLatency:
         """End-to-end latency of one frame (TM is hidden behind FE+SM)."""
         return self.feature_extraction_ms + self.stereo_matching_ms
 
-    @property
-    def pipelined_interval_ms(self) -> float:
-        """Frame interval when FE and SM are pipelined (throughput limiter)."""
-        return max(self.feature_extraction_ms, self.stereo_matching_ms, self.temporal_matching_ms)
-
     def as_dict(self) -> Dict[str, float]:
         return {
             "feature_extraction": self.feature_extraction_ms,
@@ -110,10 +105,3 @@ class FrontendAcceleratorModel:
 
     def latency_ms(self, workload: FrontendWorkload) -> float:
         return self.frame_latency(workload).critical_path_ms
-
-    def throughput_fps(self, workload: FrontendWorkload, pipelined: bool = True) -> float:
-        latency = self.frame_latency(workload)
-        interval = latency.pipelined_interval_ms if pipelined else latency.critical_path_ms
-        if interval <= 0:
-            return 0.0
-        return 1000.0 / interval

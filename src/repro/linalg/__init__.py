@@ -4,20 +4,17 @@ The three latency-variation kernels of the backend — camera-model projection,
 Kalman-gain computation and marginalization — decompose into five matrix
 primitives: multiplication, decomposition, inverse, transpose and
 forward/backward substitution.  This subpackage implements those primitives
-from scratch (with blocked variants mirroring the accelerator's blocking
-strategy) and provides an operation-count tracker used to validate the
+from scratch and provides an operation-count tracker used to validate the
 Table I decomposition and to drive the backend accelerator cycle model.
 """
 
 from repro.linalg.primitives import BuildingBlock, OperationTrace, traced
-from repro.linalg.blocked import blocked_matmul, blocked_transpose
 from repro.linalg.ops import matmul, transpose, quadratic_form
-from repro.linalg.decompositions import cholesky, lu_decompose, qr_decompose
+from repro.linalg.decompositions import cholesky, qr_decompose
 from repro.linalg.solvers import (
     backward_substitution,
     forward_substitution,
     solve_cholesky,
-    solve_linear,
     symmetric_inverse,
 )
 
@@ -25,17 +22,13 @@ __all__ = [
     "BuildingBlock",
     "OperationTrace",
     "traced",
-    "blocked_matmul",
-    "blocked_transpose",
     "matmul",
     "transpose",
     "quadratic_form",
     "cholesky",
-    "lu_decompose",
     "qr_decompose",
     "forward_substitution",
     "backward_substitution",
     "solve_cholesky",
-    "solve_linear",
     "symmetric_inverse",
 ]

@@ -59,35 +59,6 @@ def qr_reduced(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.linalg.qr(a, mode="reduced")
 
 
-def lu_decompose(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LU decomposition with partial pivoting: ``P A = L U``.
-
-    Returns ``(permutation, lower, upper)`` where ``permutation`` is returned
-    as an index vector (row ``i`` of ``PA`` is row ``permutation[i]`` of A).
-    """
-    a = np.asarray(matrix, dtype=float).copy()
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"lu_decompose requires a square matrix, got {a.shape}")
-    record_primitive(BuildingBlock.DECOMPOSITION, a.shape)
-
-    n = a.shape[0]
-    permutation = np.arange(n)
-    lower = np.eye(n)
-    for k in range(n - 1):
-        pivot = int(np.argmax(np.abs(a[k:, k]))) + k
-        if abs(a[pivot, k]) < 1e-14:
-            continue
-        if pivot != k:
-            a[[k, pivot], :] = a[[pivot, k], :]
-            permutation[[k, pivot]] = permutation[[pivot, k]]
-            lower[[k, pivot], :k] = lower[[pivot, k], :k]
-        factors = a[k + 1 :, k] / a[k, k]
-        lower[k + 1 :, k] = factors
-        a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
-    upper = np.triu(a)
-    return permutation, lower, upper
-
-
 def qr_decompose(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Thin QR decomposition via Householder reflections.
 

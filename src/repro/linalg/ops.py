@@ -3,9 +3,7 @@
 Backend kernels route their matrix work through these helpers so every
 invocation is recorded as one of the Table I building blocks (via
 :func:`repro.linalg.primitives.record_primitive`) while still executing at
-NumPy speed.  The explicitly blocked variants in :mod:`repro.linalg.blocked`
-are used where the blocking structure itself matters (accelerator modelling
-and its tests).
+NumPy speed.
 """
 
 from __future__ import annotations

@@ -34,29 +34,6 @@ class PrimitiveCall:
     shape_a: Tuple[int, ...]
     shape_b: Optional[Tuple[int, ...]] = None
 
-    @property
-    def flops(self) -> float:
-        """Rough floating-point operation count for the call."""
-        if self.block is BuildingBlock.MULTIPLICATION and self.shape_b is not None:
-            m, k = self.shape_a[0], self.shape_a[-1]
-            n = self.shape_b[-1] if len(self.shape_b) > 1 else 1
-            return 2.0 * m * k * n
-        if self.block is BuildingBlock.DECOMPOSITION:
-            n = self.shape_a[0]
-            return (2.0 / 3.0) * n**3
-        if self.block is BuildingBlock.INVERSE:
-            n = self.shape_a[0]
-            return 2.0 * n**3
-        if self.block is BuildingBlock.TRANSPOSE:
-            rows = self.shape_a[0]
-            cols = self.shape_a[1] if len(self.shape_a) > 1 else 1
-            return float(rows * cols)
-        if self.block is BuildingBlock.SUBSTITUTION:
-            n = self.shape_a[0]
-            rhs = self.shape_b[-1] if self.shape_b is not None and len(self.shape_b) > 1 else 1
-            return float(n * n * rhs)
-        return 0.0
-
 
 class OperationTrace:
     """Accumulates primitive calls issued while the trace is active."""
@@ -73,9 +50,6 @@ class OperationTrace:
         for call in self.calls:
             counts[call.block] = counts.get(call.block, 0) + 1
         return counts
-
-    def total_flops(self) -> float:
-        return float(sum(call.flops for call in self.calls))
 
     def clear(self) -> None:
         self.calls = []

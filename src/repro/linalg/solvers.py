@@ -1,4 +1,4 @@
-"""Triangular solves, linear solves and symmetric inversion.
+"""Triangular solves, symmetric positive-definite solves and inversion.
 
 Forward/backward substitution is the fifth building block of Table I.  The
 solvers here are the software counterparts of the accelerator's F/B
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.decompositions import cholesky, lu_decompose
+from repro.linalg.decompositions import cholesky
 from repro.linalg.primitives import BuildingBlock, record_primitive, tracing_active
 
 
@@ -96,16 +96,6 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for _ in range(2):
         record_primitive(BuildingBlock.SUBSTITUTION, lower.shape, b.reshape(b.shape[0], -1).shape)
     return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
-
-
-def solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a general square system via LU with partial pivoting."""
-    a = np.asarray(matrix, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    permutation, lower, upper = lu_decompose(a)
-    permuted = b[permutation] if b.ndim == 1 else b[permutation, :]
-    y = forward_substitution(lower, permuted)
-    return backward_substitution(upper, y)
 
 
 def symmetric_inverse(matrix: np.ndarray) -> np.ndarray:

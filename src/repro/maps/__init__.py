@@ -37,7 +37,7 @@ and registration sessions hand observation deltas back, so a drifting
 world is detected (``map_stale`` demotion), repaired and re-served.
 """
 
-from repro.maps.merger import MapMerger, merge_quality
+from repro.maps.merger import MapMerger
 from repro.maps.snapshot import (
     DEFAULT_MIN_MAP_QUALITY,
     MapSnapshot,
@@ -70,7 +70,6 @@ __all__ = [
     "MapUpdate",
     "default_map_root",
     "degrade_snapshot",
-    "merge_quality",
     "quality_score",
     "snapshot_from_mapper",
 ]

@@ -378,10 +378,3 @@ class MapMerger:
         transform = _weighted_horn(source, target, np.ones(len(shared)))
         return {lid: transform.transform_point(position)
                 for lid, position in own.items()}
-
-
-def merge_quality(snapshots: Sequence[MapSnapshot],
-                  merger: Optional[MapMerger] = None) -> float:
-    """Quality of the canonical merge of ``snapshots`` (0.0 for no input)."""
-    merged = (merger or MapMerger()).merge(snapshots)
-    return merged.quality if merged is not None else 0.0

@@ -79,10 +79,6 @@ class MapUpdate:
         return int(self.landmark_ids.size)
 
     @property
-    def observation_total(self) -> int:
-        return int(self.observation_counts.sum()) if self.landmark_ids.size else 0
-
-    @property
     def mean_residual_m(self) -> float:
         """Observation-weighted mean residual over the update's landmarks."""
         if not self.landmark_ids.size:

@@ -29,7 +29,6 @@ from repro.obs.metrics import (
 from repro.obs.profile import (
     disable_kernel_tracing,
     enable_kernel_tracing,
-    kernel_tracer,
     kernel_tracing_enabled,
     profile_kernel,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "classify_session",
     "disable_kernel_tracing",
     "enable_kernel_tracing",
-    "kernel_tracer",
     "kernel_tracing_enabled",
     "load_bundle",
     "parse_prometheus",

@@ -17,7 +17,7 @@ Kernel spans land in a dedicated process-global :class:`~repro.obs.trace.Tracer`
 (wall clock, track ``"kernels"``) rather than the engine's tracer: kernels
 run inside worker processes where no engine tracer exists, and keeping the
 buffers separate preserves the engine trace's determinism guarantee.
-Retrieve it with :func:`kernel_tracer` (None while disabled).
+:func:`enable_kernel_tracing` returns it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.obs.trace import TRACE_KERNELS_ENV, Tracer, trace_capacity
 __all__ = [
     "disable_kernel_tracing",
     "enable_kernel_tracing",
-    "kernel_tracer",
     "kernel_tracing_enabled",
     "profile_kernel",
 ]
@@ -85,13 +84,6 @@ def kernel_tracing_enabled() -> bool:
     if not _ENV_CHECKED:
         _check_env()
     return _KERNEL_TRACER is not None
-
-
-def kernel_tracer() -> Optional[Tracer]:
-    """The process-global kernel tracer, or None while disabled."""
-    if not _ENV_CHECKED:
-        _check_env()
-    return _KERNEL_TRACER
 
 
 def profile_kernel(name: str, **args: object):

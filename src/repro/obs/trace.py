@@ -206,9 +206,6 @@ class Tracer:
     def by_category(self, category: str) -> List[SpanEvent]:
         return [event for event in self.events if event.category == category]
 
-    def by_clock(self, clock: str) -> List[SpanEvent]:
-        return [event for event in self.events if event.clock == clock]
-
     def clear(self) -> None:
         self.events.clear()
         self.dropped = 0

@@ -52,8 +52,8 @@ decision log the serving report exposes and the benchmarks assert on.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass
-from typing import Deque, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Deque, Dict, Optional
 
 import numpy as np
 
@@ -166,16 +166,6 @@ class LatencyAutoscaler:
         self._m_decisions.inc(action=decision.action)
         self._m_workers.set(decision.workers_after)
         self._m_saturated.set(1.0 if decision.saturated else 0.0)
-
-    def decision_tail(self, limit: int = 64) -> List[Dict[str, object]]:
-        """The last ``limit`` decisions as JSON-able dicts (newest last).
-
-        The shared tail shape consumed by the service metrics endpoint and
-        the flight recorder's forensic bundles — one serializer, so the
-        two views of the decision log can never drift apart.
-        """
-        return [asdict(decision)
-                for decision in list(self.decisions)[-max(0, int(limit)):]]
 
     @property
     def saturated(self) -> bool:

@@ -37,10 +37,6 @@ class PolynomialRegression:
         self.coefficients = np.zeros(self.degree + 1)
         self._fitted = False
 
-    @property
-    def fitted(self) -> bool:
-        return self._fitted
-
     def _design(self, x: np.ndarray) -> np.ndarray:
         return np.vander(x, self.degree + 1, increasing=True)
 

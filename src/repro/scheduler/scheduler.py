@@ -132,9 +132,6 @@ class RuntimeScheduler:
         sizes = [kernel_size(mode, w) for w in workloads]
         return self.train(mode, sizes, cpu_ms)
 
-    def is_trained(self, mode: str) -> bool:
-        return mode in self.models
-
     def observation_count(self, mode: str) -> int:
         """Lifetime count of live observations folded in via :meth:`observe`."""
         return self._observation_counts.get(mode, 0)

@@ -94,23 +94,11 @@ class SyntheticSequence:
     def __iter__(self):
         return iter(self.frames)
 
-    def ground_truth_trajectory(self) -> List[Pose]:
-        return [frame.ground_truth for frame in self.frames]
-
-    def ground_truth_positions(self) -> np.ndarray:
-        return np.array([frame.ground_truth.translation for frame in self.frames])
-
     @property
     def duration(self) -> float:
         if len(self.frames) < 2:
             return 0.0
         return self.frames[-1].timestamp - self.frames[0].timestamp
-
-    @property
-    def frame_rate(self) -> float:
-        if self.duration <= 0:
-            return 0.0
-        return (len(self.frames) - 1) / self.duration
 
 
 class SequenceBuilder:

@@ -54,15 +54,6 @@ class ScenarioKind(str, Enum):
     def is_indoor(self) -> bool:
         return self in (ScenarioKind.INDOOR_UNKNOWN, ScenarioKind.INDOOR_KNOWN)
 
-    @property
-    def preferred_backend(self) -> str:
-        """Backend mode that maximizes accuracy in this scenario (Fig. 2/3)."""
-        if self.has_gps:
-            return "vio"
-        if self.has_map:
-            return "registration"
-        return "slam"
-
 
 # Indoor IMU degradation (Fig. 3a).  Indoor platforms fly close to structure:
 # motor vibration, ground-effect turbulence and temperature transients degrade

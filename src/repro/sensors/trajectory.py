@@ -10,7 +10,7 @@ and acceleration for the IMU simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -127,11 +127,6 @@ class TrajectoryGenerator:
     def sample(self, timestamp: float, dt: float = 1e-3) -> TrajectorySample:
         return self.sample_array([timestamp], dt).sample(0)
 
-    def sample_range(self, duration: float, rate_hz: float, start: float = 0.0) -> List[TrajectorySample]:
-        count = int(round(duration * rate_hz))
-        truth = self.sample_array(start + np.arange(count) / rate_hz)
-        return [truth.sample(i) for i in range(count)]
-
 
 def _heading(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """Yaw of travel from ``p0`` to ``p1`` per row; 0.0 where the xy step is below 1e-9."""
@@ -220,26 +215,6 @@ def warehouse_trajectory(aisle_length: float = 20.0, aisle_spacing: float = 4.0,
         x = np.select(legs, [phase * speed, aisle_length, aisle_length - back * speed], 0.0)
         y = np.select(legs, [base_y, base_y + across * speed, base_y + aisle_spacing],
                       base_y + aisle_spacing + over * speed)
-        return _points(t, x, y, height)
-
-    return TrajectoryGenerator(position)
-
-
-def random_smooth_trajectory(seed: int = 0, scale: float = 8.0, duration_hint: float = 120.0,
-                             harmonics: int = 4, height: float = 1.0) -> TrajectoryGenerator:
-    """A random smooth path built from a few sinusoidal harmonics.
-
-    Useful for property-based tests where we want varied but differentiable
-    ground truth.
-    """
-    rng = np.random.default_rng(seed)
-    amplitudes = rng.uniform(0.2, 1.0, size=(harmonics, 2)) * scale / harmonics
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(harmonics, 2))
-    frequencies = rng.uniform(0.5, 2.0, size=harmonics) * 2.0 * np.pi / duration_hint
-
-    def position(t: np.ndarray) -> np.ndarray:
-        x = sum(amplitudes[i, 0] * np.sin(frequencies[i] * t + phases[i, 0]) for i in range(harmonics))
-        y = sum(amplitudes[i, 1] * np.sin(frequencies[i] * t + phases[i, 1]) for i in range(harmonics))
         return _points(t, x, y, height)
 
     return TrajectoryGenerator(position)

@@ -26,13 +26,14 @@ class TestMsckfState:
         state.augment(0, 0.0)
         assert state.error_dim == IMU_ERROR_DIM + CLONE_ERROR_DIM
         assert state.covariance.shape == (state.error_dim, state.error_dim)
-        assert state.has_clone(0)
+        assert [clone.frame_index for clone in state.clones] == [0]
 
     def test_clone_shares_imu_pose(self):
         state = MsckfState()
         state.imu.position = np.array([1.0, 2.0, 3.0])
         state.augment(5, 1.0)
-        clone = state.clone_by_frame(5)
+        clone = state.clones[-1]
+        assert clone.frame_index == 5
         assert np.allclose(clone.position, [1.0, 2.0, 3.0])
 
     def test_pruning_restores_window(self):
@@ -43,12 +44,7 @@ class TestMsckfState:
         assert len(removed) == 2
         assert len(state.clones) == 3
         assert state.covariance.shape[0] == IMU_ERROR_DIM + 3 * CLONE_ERROR_DIM
-        assert not state.has_clone(0)
-
-    def test_missing_clone_raises(self):
-        state = MsckfState()
-        with pytest.raises(KeyError):
-            state.clone_by_frame(99)
+        assert [clone.frame_index for clone in state.clones] == [2, 3, 4]
 
     def test_apply_correction_moves_states(self):
         state = MsckfState()
@@ -69,7 +65,7 @@ class TestMsckfState:
 
 class TestMsckf:
     def _run(self, sequence, frames=20, use_gps=False):
-        frontend = VisualFrontend(rig=sequence.rig, sparse=True, dropout_probability=0.0)
+        frontend = VisualFrontend(rig=sequence.rig, dropout_probability=0.0)
         backend = VioBackend(BackendConfig(), use_gps=use_gps)
         errors = []
         for frame in sequence.frames[:frames]:
@@ -114,7 +110,7 @@ class TestMsckf:
         assert workload.imu_samples > 0
 
     def test_kernel_timings_present(self, outdoor_sequence):
-        frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True)
+        frontend = VisualFrontend(rig=outdoor_sequence.rig)
         backend = VioBackend(BackendConfig())
         result = backend.process(frontend.process(outdoor_sequence.frames[0]), outdoor_sequence.frames[0])
         backend.process(frontend.process(outdoor_sequence.frames[1]), outdoor_sequence.frames[1])

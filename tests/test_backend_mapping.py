@@ -89,7 +89,7 @@ class TestMarginalization:
 
 class TestKeyframeMapper:
     def _frontend_results(self, sequence, count):
-        frontend = VisualFrontend(rig=sequence.rig, sparse=True, dropout_probability=0.0)
+        frontend = VisualFrontend(rig=sequence.rig, dropout_probability=0.0)
         return [frontend.process(frame) for frame in sequence.frames[:count]]
 
     def test_keyframe_insertion_and_map_growth(self, indoor_sequence):
@@ -147,7 +147,7 @@ class TestKeyframeMapper:
 
 class TestSlamBackend:
     def test_tracks_indoor_sequence(self, indoor_sequence):
-        frontend = VisualFrontend(rig=indoor_sequence.rig, sparse=True, dropout_probability=0.0)
+        frontend = VisualFrontend(rig=indoor_sequence.rig, dropout_probability=0.0)
         slam = SlamBackend(BackendConfig(), camera=indoor_sequence.rig.camera)
         errors = []
         for frame in indoor_sequence.frames[:30]:
@@ -159,7 +159,7 @@ class TestSlamBackend:
         assert errors[-1] < 1.5
 
     def test_map_grows_and_persists(self, indoor_sequence):
-        frontend = VisualFrontend(rig=indoor_sequence.rig, sparse=True, dropout_probability=0.0)
+        frontend = VisualFrontend(rig=indoor_sequence.rig, dropout_probability=0.0)
         slam = SlamBackend(BackendConfig(), camera=indoor_sequence.rig.camera)
         for frame in indoor_sequence.frames[:15]:
             slam.process(frontend.process(frame), frame)
@@ -168,7 +168,7 @@ class TestSlamBackend:
         assert len(persisted) > 20
 
     def test_workload_and_kernels(self, indoor_sequence):
-        frontend = VisualFrontend(rig=indoor_sequence.rig, sparse=True)
+        frontend = VisualFrontend(rig=indoor_sequence.rig)
         slam = SlamBackend(BackendConfig(), camera=indoor_sequence.rig.camera)
         result = slam.process(frontend.process(indoor_sequence.frames[0]), indoor_sequence.frames[0])
         assert result.mode == "slam"
@@ -176,7 +176,7 @@ class TestSlamBackend:
         assert {"solver", "marginalization", "init"}.issubset(result.kernel_ms.keys())
 
     def test_reset(self, indoor_sequence):
-        frontend = VisualFrontend(rig=indoor_sequence.rig, sparse=True)
+        frontend = VisualFrontend(rig=indoor_sequence.rig)
         slam = SlamBackend(BackendConfig(), camera=indoor_sequence.rig.camera)
         slam.process(frontend.process(indoor_sequence.frames[0]), indoor_sequence.frames[0])
         slam.reset()
@@ -200,7 +200,7 @@ class TestKeyframeSpacing:
         steps = [np.linalg.norm(b.ground_truth.translation - a.ground_truth.translation)
                  for a, b in zip(sequence.frames, sequence.frames[1:])]
         assert 0.24 <= np.median(steps) <= 0.31
-        frontend = VisualFrontend(rig=sequence.rig, sparse=True, dropout_probability=0.0)
+        frontend = VisualFrontend(rig=sequence.rig, dropout_probability=0.0)
         slam = SlamBackend(BackendConfig(), camera=sequence.rig.camera)
         inserted = 0
         for frame in sequence.frames:

@@ -64,7 +64,7 @@ class TestMapTracker:
     def test_recovers_pose_against_survey_map(self, indoor_mapped_sequence):
         localization_map = LocalizationMap.from_world(indoor_mapped_sequence.world, position_noise=0.02)
         tracker = MapTracker(TrackingConfig(), camera=indoor_mapped_sequence.rig.camera)
-        frontend = VisualFrontend(rig=indoor_mapped_sequence.rig, sparse=True, dropout_probability=0.0)
+        frontend = VisualFrontend(rig=indoor_mapped_sequence.rig, dropout_probability=0.0)
         errors = []
         for frame in indoor_mapped_sequence.frames[:10]:
             pose, workload = tracker.track(frontend.process(frame), localization_map)
@@ -76,7 +76,7 @@ class TestMapTracker:
 
     def test_returns_none_without_enough_matches(self, indoor_sequence):
         tracker = MapTracker(TrackingConfig(min_inliers=8))
-        frontend = VisualFrontend(rig=indoor_sequence.rig, sparse=True)
+        frontend = VisualFrontend(rig=indoor_sequence.rig)
         empty_map = LocalizationMap()
         pose, workload = tracker.track(frontend.process(indoor_sequence.frames[0]), empty_map)
         assert pose is None
@@ -95,7 +95,7 @@ class TestMapTracker:
             return descriptors
 
         monkeypatch.setattr(tracking, "synthetic_descriptors_for_tracks", recording)
-        frontend = VisualFrontend(rig=indoor_mapped_sequence.rig, sparse=True, dropout_probability=0.0)
+        frontend = VisualFrontend(rig=indoor_mapped_sequence.rig, dropout_probability=0.0)
         results = [frontend.process(frame) for frame in indoor_mapped_sequence.frames[:6]]
         survey = LocalizationMap.from_world(indoor_mapped_sequence.world)
         localization_map = LocalizationMap(survey.point_ids + 10000, survey.positions, survey.point_descriptors)
@@ -125,7 +125,7 @@ class TestMapTracker:
     def test_kernel_timings(self, indoor_mapped_sequence):
         localization_map = LocalizationMap.from_world(indoor_mapped_sequence.world)
         tracker = MapTracker(camera=indoor_mapped_sequence.rig.camera)
-        frontend = VisualFrontend(rig=indoor_mapped_sequence.rig, sparse=True)
+        frontend = VisualFrontend(rig=indoor_mapped_sequence.rig)
         tracker.track(frontend.process(indoor_mapped_sequence.frames[0]), localization_map)
         assert set(tracker.last_kernel_ms) == {"projection", "match", "pose_optimization"}
 
@@ -135,7 +135,7 @@ class TestRegistrationBackend:
         backend = RegistrationBackend.from_world(
             indoor_mapped_sequence.world, map_noise=0.03, camera=indoor_mapped_sequence.rig.camera
         )
-        frontend = VisualFrontend(rig=indoor_mapped_sequence.rig, sparse=True, dropout_probability=0.0)
+        frontend = VisualFrontend(rig=indoor_mapped_sequence.rig, dropout_probability=0.0)
         errors = []
         for frame in indoor_mapped_sequence.frames[:20]:
             result = backend.process(frontend.process(frame), frame)
@@ -145,7 +145,7 @@ class TestRegistrationBackend:
 
     def test_holds_last_pose_when_tracking_fails(self, indoor_mapped_sequence):
         backend = RegistrationBackend(LocalizationMap(), camera=indoor_mapped_sequence.rig.camera)
-        frontend = VisualFrontend(rig=indoor_mapped_sequence.rig, sparse=True)
+        frontend = VisualFrontend(rig=indoor_mapped_sequence.rig)
         result = backend.process(frontend.process(indoor_mapped_sequence.frames[0]),
                                  indoor_mapped_sequence.frames[0])
         assert not result.valid

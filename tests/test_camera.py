@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.camera import PinholeCamera, StereoRig, world_to_camera, camera_to_world
+from repro.common.camera import PinholeCamera, StereoRig, world_to_camera
 from repro.common.geometry import Pose, euler_to_rotation
 
 
@@ -46,8 +46,9 @@ class TestPinholeCamera:
         assert np.allclose(recovered, points, atol=1e-9)
 
     def test_normalized_coordinates(self, camera):
+        # Back-projection at unit depth gives the normalized coordinates.
         pixels = np.array([[camera.cx, camera.cy]])
-        assert np.allclose(camera.normalized_coordinates(pixels), [[0.0, 0.0]])
+        assert np.allclose(camera.back_project(pixels, [1.0]), [[0.0, 0.0, 1.0]])
 
     def test_projection_matrix_shape(self, camera):
         assert camera.projection_matrix.shape == (3, 4)
@@ -66,15 +67,16 @@ class TestPinholeCamera:
         pixels, valid = camera.project(point)
         if valid[0]:
             # Normalized coordinates recover the ray direction regardless of depth.
-            normalized = camera.normalized_coordinates(pixels)[0]
+            normalized = camera.back_project(pixels, [1.0])[0, :2]
             assert np.allclose(normalized, [nx, ny], atol=1e-6)
 
 
 class TestStereoRig:
     def test_disparity_depth_roundtrip(self, rig):
         depths = np.array([1.0, 5.0, 20.0])
-        disparity = rig.disparity(depths)
-        assert np.allclose(rig.depth_from_disparity(disparity), depths)
+        left = np.tile([rig.camera.cx, rig.camera.cy], (3, 1))
+        right = left - np.stack([rig.disparity(depths), np.zeros(3)], axis=1)
+        assert np.allclose(rig.triangulate(left, right)[:, 2], depths)
 
     def test_disparity_decreases_with_depth(self, rig):
         assert rig.disparity(2.0) > rig.disparity(10.0)
@@ -98,7 +100,7 @@ class TestWorldCameraTransforms:
         pose = Pose(euler_to_rotation(0.4, 0.1, -0.2), rng.normal(size=3))
         points = rng.normal(size=(6, 3)) * 5.0
         camera_points = world_to_camera(pose, points)
-        recovered = camera_to_world(pose, camera_points)
+        recovered = pose.transform_points(camera_points)
         assert np.allclose(recovered, points, atol=1e-9)
 
     def test_origin_maps_to_negative_translation(self):

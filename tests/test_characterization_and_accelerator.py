@@ -8,7 +8,6 @@ from repro.characterization.stats import (
     backend_kernel_breakdown,
     frontend_backend_shares,
     kernel_series,
-    kernel_variation,
     latency_series,
     worst_to_best_ratio,
 )
@@ -62,10 +61,6 @@ class TestCharacterizationStats:
         assert series["kalman_gain"].shape == (20,)
         assert np.allclose(series["missing"], 0.0)
 
-    def test_kernel_variation(self):
-        variation = kernel_variation(make_records())
-        assert variation["kalman_gain"]["rsd_percent"] > variation["feature_extraction"]["rsd_percent"]
-
     def test_worst_to_best(self):
         ratio = worst_to_best_ratio(make_records())
         assert ratio > 1.0
@@ -115,7 +110,7 @@ class TestEudoxusAccelerator:
         # benchmark-scale runs reproduce the paper's 0.8-0.98 R^2 values.
         assert "vio" in r2
         assert np.isfinite(r2["vio"])
-        assert accelerator.scheduler.is_trained("vio")
+        assert "vio" in accelerator.scheduler.models
 
     def test_policies_ordering(self, short_run):
         accelerator = EudoxusAccelerator(EDX_CAR)

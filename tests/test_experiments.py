@@ -42,12 +42,14 @@ class TestCommonInfrastructure:
             common.platform_for("boat")
 
     def test_characterization_run_cached(self):
-        first = common.characterization_run(BackendMode.VIO, "car", duration=DURATION)
-        second = common.characterization_run(BackendMode.VIO, "car", duration=DURATION)
+        cell = common.characterization_cell(BackendMode.VIO, "car", duration=DURATION)
+        first = common.default_runner().run_cell(cell)
+        second = common.default_runner().run_cell(cell)
         assert first is second
 
     def test_baseline_records_match_length(self):
-        run = common.characterization_run(BackendMode.VIO, "car", duration=DURATION)
+        cell = common.characterization_cell(BackendMode.VIO, "car", duration=DURATION)
+        run = common.default_runner().run_cell(cell)
         records = common.baseline_records(run, "car")
         assert len(records) == len(run)
 

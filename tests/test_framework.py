@@ -137,10 +137,6 @@ class TestTrajectoryResult:
         assert set(by_mode) == {"vio", "slam"}
         assert len(by_mode["vio"]) == 5
 
-    def test_translation_error_property(self):
-        estimate = self._result().estimates[0]
-        assert estimate.translation_error == pytest.approx(0.1)
-
     def test_empty_result(self):
         empty = TrajectoryResult()
         assert empty.rmse_error() == 0.0

@@ -31,7 +31,7 @@ class TestStereoPointNoise:
 
 class TestSparseFrontend:
     def test_produces_observations(self, outdoor_sequence):
-        frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
+        frontend = VisualFrontend(rig=outdoor_sequence.rig, dropout_probability=0.0)
         result = frontend.process(outdoor_sequence.frames[0])
         assert result.feature_count > 10
         assert result.workload.stereo_matches == result.feature_count
@@ -43,7 +43,7 @@ class TestSparseFrontend:
         assert np.all(result.points_body[:, 0] > 0)
 
     def test_track_persistence(self, outdoor_sequence):
-        frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
+        frontend = VisualFrontend(rig=outdoor_sequence.rig, dropout_probability=0.0)
         first = frontend.process(outdoor_sequence.frames[0])
         second = frontend.process(outdoor_sequence.frames[1])
         common = set(first.track_ids.tolist()) & set(second.track_ids.tolist())
@@ -52,7 +52,7 @@ class TestSparseFrontend:
         assert second.workload.temporal_matches == len(common)
 
     def test_triangulation_accuracy(self, outdoor_sequence):
-        frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
+        frontend = VisualFrontend(rig=outdoor_sequence.rig, dropout_probability=0.0)
         frame = outdoor_sequence.frames[2]
         result = frontend.process(frame)
         landmarks = outdoor_sequence.world.positions[result.track_ids]
@@ -61,13 +61,13 @@ class TestSparseFrontend:
 
     def test_max_features_respected(self, outdoor_sequence):
         config = FrontendConfig(max_features=20)
-        frontend = VisualFrontend(config=config, rig=outdoor_sequence.rig, sparse=True)
+        frontend = VisualFrontend(config=config, rig=outdoor_sequence.rig)
         result = frontend.process(outdoor_sequence.frames[0])
         assert result.feature_count <= 20
 
     def test_min_disparity_filter(self, outdoor_sequence):
         config = FrontendConfig(min_disparity=5.0)
-        frontend = VisualFrontend(config=config, rig=outdoor_sequence.rig, sparse=True,
+        frontend = VisualFrontend(config=config, rig=outdoor_sequence.rig,
                                   dropout_probability=0.0)
         frame = outdoor_sequence.frames[0]
         result = frontend.process(frame)
@@ -77,7 +77,7 @@ class TestSparseFrontend:
         assert set(result.track_ids.tolist()) <= wide
 
     def test_lost_tracks_reported(self, outdoor_sequence):
-        frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
+        frontend = VisualFrontend(rig=outdoor_sequence.rig, dropout_probability=0.0)
         first = frontend.process(outdoor_sequence.frames[0])
         for frame in outdoor_sequence.frames[1:6]:
             result = frontend.process(frame)
@@ -86,26 +86,25 @@ class TestSparseFrontend:
         assert set(first.track_ids.tolist()) - set(result.track_ids.tolist())
 
     def test_reset(self, outdoor_sequence):
-        frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True)
+        frontend = VisualFrontend(rig=outdoor_sequence.rig)
         frontend.process(outdoor_sequence.frames[0])
         frontend.reset()
         assert frontend.active_track_count == 0
 
     def test_missing_rig_raises(self, outdoor_sequence):
-        frontend = VisualFrontend(sparse=True)
+        frontend = VisualFrontend()
         with pytest.raises(ValueError):
             frontend.process(outdoor_sequence.frames[0])
 
     def test_workload_counters(self, outdoor_sequence):
-        frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
+        frontend = VisualFrontend(rig=outdoor_sequence.rig, dropout_probability=0.0)
         result = frontend.process(outdoor_sequence.frames[0])
         workload = result.workload
         assert workload.image_pixels == outdoor_sequence.rig.camera.width * outdoor_sequence.rig.camera.height
-        assert workload.correspondence_bytes > 0
         assert workload.descriptors_computed == 2 * workload.keypoints_left
 
     def test_measured_timings_present(self, outdoor_sequence):
-        frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True)
+        frontend = VisualFrontend(rig=outdoor_sequence.rig)
         result = frontend.process(outdoor_sequence.frames[0])
         assert set(result.measured_ms) == {"feature_extraction", "stereo_matching", "temporal_matching"}
 
@@ -113,7 +112,7 @@ class TestSparseFrontend:
 class TestDenseFrontend:
     def test_dense_pipeline_runs(self, rendered_sequence):
         config = FrontendConfig(max_features=60, fast_threshold=18.0, min_disparity=0.5)
-        frontend = VisualFrontend(config=config, rig=rendered_sequence.rig, sparse=False)
+        frontend = VisualFrontend(config=config, rig=rendered_sequence.rig)
         results = [frontend.process(frame) for frame in rendered_sequence.frames[:3]]
         assert all(r.workload.keypoints_left > 0 for r in results)
         # At least some stereo correspondences should be found on rendered frames.
@@ -121,7 +120,7 @@ class TestDenseFrontend:
 
     def test_dense_tracks_propagate(self, rendered_sequence):
         config = FrontendConfig(max_features=60, fast_threshold=18.0, min_disparity=0.5)
-        frontend = VisualFrontend(config=config, rig=rendered_sequence.rig, sparse=False)
+        frontend = VisualFrontend(config=config, rig=rendered_sequence.rig)
         previous = frontend.process(rendered_sequence.frames[0])
         for frame in rendered_sequence.frames[1:6]:
             result = frontend.process(frame)
@@ -133,15 +132,17 @@ class TestDenseFrontend:
             previous = result
 
     def test_sparse_fallback_without_images(self, outdoor_sequence):
-        frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=False)
-        result = frontend.process(outdoor_sequence.frames[0])
-        # No rendered images: the frontend falls back to the sparse path.
+        frontend = VisualFrontend(rig=outdoor_sequence.rig)
+        frame = outdoor_sequence.frames[0]
+        assert not frame.has_images
+        result = frontend.process(frame)
+        # No rendered images: the frontend runs the sparse path.
         assert result.feature_count > 0
 
 
 class TestSyntheticDescriptors:
     def test_shapes_and_determinism(self, outdoor_sequence):
-        frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
+        frontend = VisualFrontend(rig=outdoor_sequence.rig, dropout_probability=0.0)
         result = frontend.process(outdoor_sequence.frames[0])
         descriptors = synthetic_descriptors_for_tracks(result.track_ids, noise_bits=0)
         again = synthetic_descriptors_for_tracks(result.track_ids, noise_bits=0)
@@ -149,7 +150,7 @@ class TestSyntheticDescriptors:
         assert np.array_equal(descriptors, again)
 
     def test_noise_flips_come_from_the_caller_rng(self, outdoor_sequence):
-        frontend = VisualFrontend(rig=outdoor_sequence.rig, sparse=True, dropout_probability=0.0)
+        frontend = VisualFrontend(rig=outdoor_sequence.rig, dropout_probability=0.0)
         track_ids = frontend.process(outdoor_sequence.frames[0]).track_ids
         with pytest.raises(ValueError):
             synthetic_descriptors_for_tracks(track_ids, noise_bits=4)

@@ -8,7 +8,6 @@ from repro.frontend.filtering import (
     bilinear_sample,
     gaussian_blur,
     gaussian_kernel_1d,
-    image_pyramid,
     sobel_gradients,
 )
 from repro.frontend.optical_flow import LucasKanadeTracker
@@ -61,16 +60,6 @@ class TestFiltering:
         gx, gy = sobel_gradients(image)
         assert np.allclose(gx[4:-4, 4:-4], 1.0, atol=1e-6)
         assert np.allclose(gy[4:-4, 4:-4], 0.0, atol=1e-6)
-
-    def test_pyramid_levels(self):
-        image = checkerboard()
-        pyramid = image_pyramid(image, levels=3)
-        assert len(pyramid) == 3
-        assert pyramid[1].shape[0] == image.shape[0] // 2
-
-    def test_pyramid_rejects_zero_levels(self):
-        with pytest.raises(ValueError):
-            image_pyramid(checkerboard(), levels=0)
 
     def test_bilinear_sample_exact_on_grid(self):
         image = np.arange(12, dtype=float).reshape(3, 4)
@@ -227,7 +216,7 @@ class TestLucasKanade:
         points = keypoints_to_array(FastDetector(threshold=15.0, max_features=15).detect(image))
         tracker = LucasKanadeTracker(window=11, iterations=20)
         results = tracker.track(image, shifted, points)
-        good = tracker.good_tracks(results)
+        good = [r for r in results if r.converged]
         assert len(good) >= len(results) // 2
         dx = np.median([r.current[0] - r.previous[0] for r in good])
         assert 2.0 <= dx <= 4.0

@@ -9,10 +9,7 @@ from repro.common.geometry import (
     Pose,
     euler_to_rotation,
     homogeneous,
-    interpolate_pose,
-    quaternion_to_rotation,
     rotation_to_euler,
-    rotation_to_quaternion,
     skew,
     so3_exp,
     so3_log,
@@ -61,26 +58,6 @@ class TestSo3:
     def test_near_pi_rotation(self):
         phi = np.array([np.pi - 1e-4, 0.0, 0.0])
         assert np.allclose(so3_exp(so3_log(so3_exp(phi))), so3_exp(phi), atol=1e-5)
-
-
-class TestQuaternion:
-    def test_identity_quaternion(self):
-        assert np.allclose(quaternion_to_rotation([1, 0, 0, 0]), np.eye(3))
-
-    @given(st.tuples(angles, angles, angles))
-    @settings(max_examples=40, deadline=None)
-    def test_rotation_quaternion_roundtrip(self, phi_tuple):
-        rotation = so3_exp(np.array(phi_tuple))
-        recovered = quaternion_to_rotation(rotation_to_quaternion(rotation))
-        assert np.allclose(recovered, rotation, atol=1e-8)
-
-    def test_quaternion_normalized(self):
-        q = rotation_to_quaternion(random_rotation(3))
-        assert np.isclose(np.linalg.norm(q), 1.0)
-
-    def test_positive_scalar_convention(self):
-        q = rotation_to_quaternion(random_rotation(5))
-        assert q[0] >= 0.0
 
 
 class TestEuler:
@@ -144,10 +121,6 @@ class TestPose:
         assert np.isclose(a.distance_to(b), 5.0)
         assert np.isclose(a.rotation_angle_to(b), 0.3, atol=1e-8)
 
-    def test_from_matrix_roundtrip(self, rng):
-        pose = Pose(random_rotation(21), rng.normal(size=3))
-        assert np.allclose(Pose.from_matrix(pose.matrix()).matrix(), pose.matrix())
-
     def test_perturb_small(self):
         pose = Pose.identity()
         perturbed = pose.perturb(np.array([0.0, 0.0, 1e-3]), np.array([1e-3, 0, 0]))
@@ -155,25 +128,11 @@ class TestPose:
         assert perturbed.rotation_angle_to(pose) < 2e-3
 
     def test_euler_constructor(self):
-        pose = Pose.from_euler(0.2, 0.1, -0.1, np.zeros(3))
+        pose = Pose(euler_to_rotation(0.2, 0.1, -0.1), np.zeros(3))
         yaw, pitch, roll = pose.euler()
         assert np.isclose(yaw, 0.2, atol=1e-8)
         assert np.isclose(pitch, 0.1, atol=1e-8)
         assert np.isclose(roll, -0.1, atol=1e-8)
-
-
-class TestInterpolation:
-    def test_endpoints(self, rng):
-        a = Pose(random_rotation(31), rng.normal(size=3))
-        b = Pose(random_rotation(32), rng.normal(size=3))
-        assert np.allclose(interpolate_pose(a, b, 0.0).matrix(), a.matrix(), atol=1e-9)
-        assert np.allclose(interpolate_pose(a, b, 1.0).matrix(), b.matrix(), atol=1e-9)
-
-    def test_midpoint_translation(self):
-        a = Pose.identity()
-        b = Pose(np.eye(3), np.array([2.0, 0.0, 0.0]))
-        mid = interpolate_pose(a, b, 0.5)
-        assert np.allclose(mid.translation, [1.0, 0.0, 0.0])
 
 
 class TestHomogeneous:

@@ -144,11 +144,6 @@ class TestFrontendAccelerator:
         assert 25.0 < latency.critical_path_ms < 60.0
         assert latency.stereo_matching_ms > latency.feature_extraction_ms
 
-    def test_pipelining_improves_throughput(self):
-        model = EDX_CAR.frontend_model()
-        workload = car_workload()
-        assert model.throughput_fps(workload, pipelined=True) > model.throughput_fps(workload, pipelined=False)
-
     def test_temporal_matching_off_critical_path(self):
         latency = EDX_CAR.frontend_model().frame_latency(car_workload())
         assert latency.temporal_matching_ms < latency.stereo_matching_ms

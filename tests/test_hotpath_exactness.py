@@ -573,20 +573,6 @@ def _reference_warehouse(aisle_length=20.0, aisle_spacing=4.0, speed=1.5, height
     return _ReferenceTrajectory(position)
 
 
-def _reference_random_smooth(seed=0, scale=8.0, duration_hint=120.0, harmonics=4, height=1.0):
-    rng = np.random.default_rng(seed)
-    amplitudes = rng.uniform(0.2, 1.0, size=(harmonics, 2)) * scale / harmonics
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(harmonics, 2))
-    frequencies = rng.uniform(0.5, 2.0, size=harmonics) * 2.0 * np.pi / duration_hint
-
-    def position(t: float) -> np.ndarray:
-        x = sum(amplitudes[i, 0] * np.sin(frequencies[i] * t + phases[i, 0]) for i in range(harmonics))
-        y = sum(amplitudes[i, 1] * np.sin(frequencies[i] * t + phases[i, 1]) for i in range(harmonics))
-        return np.array([x, y, height])
-
-    return _ReferenceTrajectory(position)
-
-
 def _reference_measure(self, truth: TrajectorySample, dt: float) -> _ImuSample:
     rotation_world_to_body = truth.pose.rotation.T
     # Specific force: measured acceleration minus gravity, in body frame.
@@ -2053,8 +2039,8 @@ class TestDenseFrontendColumns:
     def test_matches_reference(self, rendered_sequence):
         rig = rendered_sequence.rig
         config = FrontendConfig(max_features=60, fast_threshold=18.0, min_disparity=0.5)
-        frontend = VisualFrontend(config=config, rig=rig, sparse=False)
-        reference = _reference_frontend(config=config, rig=rig, sparse=False)
+        frontend = VisualFrontend(config=config, rig=rig)
+        reference = _reference_frontend(config=config, rig=rig)
         previous_ids: List[int] = []
         continued = 0
         for frame in rendered_sequence.frames[:6]:
@@ -2078,7 +2064,6 @@ _REFERENCE_FACTORIES = {
     "figure_eight": _reference_figure_eight,
     "straight": _reference_straight,
     "warehouse": _reference_warehouse,
-    "random_smooth": _reference_random_smooth,
 }
 
 
@@ -2118,12 +2103,6 @@ _PARAMS = {
     "warehouse": st.fixed_dictionaries({
         "aisle_length": _LENGTHS, "aisle_spacing": _LENGTHS,
         "speed": st.floats(min_value=0.2, max_value=5.0),
-        "height": _signed(st.floats(min_value=-5.0, max_value=5.0))}),
-    "random_smooth": st.fixed_dictionaries({
-        "seed": st.integers(min_value=0, max_value=2**32 - 1),
-        "scale": st.floats(min_value=0.1, max_value=30.0),
-        "duration_hint": st.floats(min_value=5.0, max_value=500.0),
-        "harmonics": st.integers(min_value=1, max_value=6),
         "height": _signed(st.floats(min_value=-5.0, max_value=5.0))}),
 }
 
@@ -2181,8 +2160,10 @@ class TestArrayTrajectory:
     def test_default_trajectory_on_a_grid(self, kind):
         generator = getattr(trajectory, f"{kind}_trajectory")()
         reference = _REFERENCE_FACTORIES[kind]()
-        for sample, expected in zip(generator.sample_range(30.0, 50.0, start=-0.02),
-                                    reference.sample_range(30.0, 50.0, start=-0.02)):
+        expected_samples = reference.sample_range(30.0, 50.0, start=-0.02)
+        truth = generator.sample_array(-0.02 + np.arange(len(expected_samples)) / 50.0)
+        for i, expected in enumerate(expected_samples):
+            sample = truth.sample(i)
             assert sample.timestamp == expected.timestamp
             assert _sample_bits(sample) == _sample_bits(expected), (kind, sample.timestamp)
 

@@ -27,7 +27,6 @@ from repro.maps import (
     MapStore,
     MapUpdate,
     degrade_snapshot,
-    merge_quality,
     quality_score,
 )
 from repro.maps import store as store_module
@@ -196,7 +195,7 @@ class TestMerger:
         assert forward.version == backward.version
 
     def test_merge_quality_empty(self):
-        assert merge_quality([]) == 0.0
+        assert MapMerger().merge([]) is None
 
     def test_all_empty_snapshots_merge_to_empty_canonical(self):
         """Distinct-version zero-landmark inputs must not crash the merge."""

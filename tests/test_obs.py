@@ -118,7 +118,7 @@ class TestTracer:
         tracer.instant("b", "engine", 0.0)
         tracer.instant("c", "engine", 0.1, clock="wall")
         assert [event.name for event in tracer.by_category("engine")] == ["b", "c"]
-        assert [event.name for event in tracer.by_clock("wall")] == ["c"]
+        assert [event.name for event in tracer.events if event.clock == "wall"] == ["c"]
 
     def test_clear_resets_buffer_and_dropped(self):
         tracer = Tracer(capacity=1)

@@ -98,7 +98,7 @@ class TestScheduler:
         samples = self._vio_samples()
         r2 = scheduler.train_from_frames("vio", [s[0] for s in samples], [s[1] for s in samples])
         assert r2 > 0.95
-        assert scheduler.is_trained("vio")
+        assert "vio" in scheduler.models
 
     def test_offload_decision_prefers_cheaper_side(self):
         accel = BackendAcceleratorModel(offload_setup_ms=5.0)
@@ -209,13 +209,6 @@ class TestCpuLatencyModel:
         record = CpuLatencyModel(platform=ADRENO_GPU).frame_record(
             0, "registration", workload, RegistrationWorkload(map_points=10))
         assert record.backend.get("platform_overhead", 0.0) == pytest.approx(40.0)
-
-    def test_energy_per_frame(self):
-        workload = FrontendWorkload(image_width=640, image_height=480)
-        model = CpuLatencyModel(platform=KABY_LAKE_MULTI)
-        record = model.frame_record(0, "registration", workload, RegistrationWorkload(map_points=100))
-        assert model.energy_per_frame_joules(record) == pytest.approx(
-            KABY_LAKE_MULTI.power_watts * record.total / 1000.0)
 
     def test_table_iii_ordering(self):
         # The single-core variants must be slower than the multi-core baseline.

@@ -565,7 +565,7 @@ class TestSchedulerTelemetryFeed:
         fits = train_offload_scheduler(results, accelerator)
         assert fits, "no mode had enough traffic to train"
         for mode, r2 in fits.items():
-            assert accelerator.scheduler.is_trained(mode)
+            assert mode in accelerator.scheduler.models
             assert r2 <= 1.0 + 1e-9
         mode = next(iter(fits))
         workload = next(
@@ -588,4 +588,4 @@ class TestSchedulerTelemetryFeed:
             fit = scheduler.observe(mode, workload, cpu_ms, refit_every=8)
             refit_r2 = fit if fit is not None else refit_r2
         assert refit_r2 is not None
-        assert scheduler.is_trained(mode)
+        assert mode in scheduler.models

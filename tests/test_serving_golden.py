@@ -2,10 +2,12 @@
 
 ``tests/data/serving_signatures.json`` pins the
 :meth:`~repro.serving.session.SessionResult.signature` of a small canonical
-fleet, served through the arrival-time streaming event loop, and of a
+fleet, served through the arrival-time streaming event loop, of a
 three-wave fleet-map lifecycle served both by the plain engine and by a
-2-shard cluster whose shards run in worker processes.  Both must
-reproduce those exact digests.  This catches *silent determinism drift*: a
+2-shard cluster whose shards run in worker processes, and of one long SLAM
+session whose keyframe window fills, so window bundle adjustment
+marginalizes its oldest keyframes.  All must reproduce those exact
+digests.  This catches *silent determinism drift*: a
 change that perturbs
 poses or mode switches without failing any behavioral test (a reordered
 reduction, an RNG stream that moved, a segment rebuilt with different
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.backend.mapping import KeyframeMapper
 from repro.cluster import ShardedServingEngine
 from repro.maps import MapStore
 from repro.serving import ServingEngine, cold_start_fleet, mixed_fleet
@@ -46,6 +49,12 @@ COLD_SEED = 100
 WARM_SEED = 9100
 UPDATED_SEED = 17100
 
+# One session whose 6 s SLAM segments outlast the 8-keyframe BA window, so
+# the oldest keyframes are marginalized (the 1 s fleets above never fill it).
+MARGINALIZATION_ENVIRONMENT = "golden-cloister"
+MARGINALIZATION_SEED = 300
+MARGINALIZATION_SEGMENT_DURATION = 6.0
+
 
 def canonical_fleet():
     return mixed_fleet(FLEET_SIZE, segment_duration=SEGMENT_DURATION,
@@ -68,6 +77,13 @@ def updated_wave():
     return cold_start_fleet(2, environment=MAP_ENVIRONMENT, base_seed=UPDATED_SEED,
                             segment_duration=SEGMENT_DURATION,
                             camera_rate_hz=RATE_HZ, prefix="upd")
+
+
+def marginalization_fleet():
+    return cold_start_fleet(1, environment=MARGINALIZATION_ENVIRONMENT,
+                            base_seed=MARGINALIZATION_SEED,
+                            segment_duration=MARGINALIZATION_SEGMENT_DURATION,
+                            camera_rate_hz=RATE_HZ)
 
 
 def _map_engine(store):
@@ -132,6 +148,8 @@ def golden(tmp_path_factory):
                 == dict(sorted(warm_report.maps_updated.items()))), (
             "the updated wave must acquire exactly the canonical the warm "
             "wave's updates produced")
+        marginalization_report = ServingEngine(store=None).serve(
+            marginalization_fleet())
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(json.dumps({
             "fleet": {"size": FLEET_SIZE, "segment_duration": SEGMENT_DURATION,
@@ -145,6 +163,11 @@ def golden(tmp_path_factory):
             "fleet_map_signatures": {"cold": _signatures(cold_report),
                                      "warm": _signatures(warm_report),
                                      "updated": _signatures(updated_report)},
+            "marginalization": {"environment": MARGINALIZATION_ENVIRONMENT,
+                                "base_seed": MARGINALIZATION_SEED,
+                                "segment_duration": MARGINALIZATION_SEGMENT_DURATION,
+                                "camera_rate_hz": RATE_HZ},
+            "marginalization_signatures": _signatures(marginalization_report),
         }, indent=2) + "\n")
     if not GOLDEN_PATH.is_file():
         pytest.fail(f"golden file missing; regenerate with {REGEN_ENV}=1")
@@ -209,3 +232,25 @@ def test_map_lifecycle_matches_golden_on_all_paths(golden, tmp_path, label, serv
         f"{label}: post-update canonical version drifted from the pinned one")
     _assert_matches(updated_report, golden["fleet_map_signatures"]["updated"],
                     f"fleet-map updated {label}")
+
+
+# ------------------------------------------------ window marginalization pin
+
+
+def test_window_marginalization_matches_golden(golden, monkeypatch):
+    """Window BA with marginalization, pinned through a served session.
+
+    The wrapper counts ``KeyframeMapper._marginalize_oldest`` calls, so the
+    pin cannot silently stop covering the marginalization path."""
+    calls = []
+    marginalize = KeyframeMapper._marginalize_oldest
+
+    def counted(self, workload):
+        calls.append(workload)
+        return marginalize(self, workload)
+
+    monkeypatch.setattr(KeyframeMapper, "_marginalize_oldest", counted)
+    report = ServingEngine(store=None).serve(marginalization_fleet())
+    assert calls, "no keyframe was marginalized — the pin would be vacuous"
+    _assert_matches(report, golden["marginalization_signatures"],
+                    "window marginalization")

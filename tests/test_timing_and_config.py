@@ -17,10 +17,8 @@ from repro.common.timing import (
     LatencyRecord,
     StopwatchCollector,
     TimingStats,
-    frontend_backend_split,
-    merge_records,
-    total_stats,
 )
+from repro.characterization.stats import frontend_backend_shares
 
 
 class TestLatencyRecord:
@@ -113,19 +111,14 @@ class TestRecordAggregation:
             records.append(record)
         return records
 
-    def test_merge_records(self):
-        merged = merge_records(self._records())
-        assert set(merged) == {"fe", "kernel"}
-        assert merged["fe"].count == 4
-
     def test_total_stats(self):
-        stats = total_stats(self._records())
+        stats = TimingStats(record.total for record in self._records())
         assert stats.count == 4
         assert stats.maximum > stats.minimum
 
     def test_frontend_backend_split(self):
-        split = frontend_backend_split(self._records())
-        assert split["frontend"].mean > split["backend"].mean
+        split = frontend_backend_shares(self._records())
+        assert split["frontend"]["mean_ms"] > split["backend"]["mean_ms"]
 
 
 class TestConfigs:
@@ -137,7 +130,6 @@ class TestConfigs:
 
     def test_sensor_config_derived(self):
         config = SensorConfig(camera_rate_hz=10.0, imu_rate_hz=100.0)
-        assert config.imu_per_frame == 10
         assert config.resolution == (config.image_width, config.image_height)
 
     def test_localizer_presets(self):
