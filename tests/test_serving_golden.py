@@ -7,7 +7,14 @@ three-wave fleet-map lifecycle served both by the plain engine and by a
 2-shard cluster whose shards run in worker processes, and of one long SLAM
 session whose keyframe window fills, so window bundle adjustment
 marginalizes its oldest keyframes.  All must reproduce those exact
-digests.  This catches *silent determinism drift*: a
+digests.
+
+The ``control_plane`` section pins what the signatures leave out by design:
+the virtual-clock schedule of a throttled plain engine and of a 2-shard
+cluster over three waves each (scale decisions, ticks, batch sizes,
+per-stream deadline misses and a digest of the serving latencies).  The
+cluster must produce the same schedule in-process and with worker
+processes.  This catches *silent determinism drift*: a
 change that perturbs
 poses or mode switches without failing any behavioral test (a reordered
 reduction, an RNG stream that moved, a segment rebuilt with different
@@ -19,8 +26,10 @@ different backend math), regenerate the pins and review the diff:
     EUDOXUS_REGEN_GOLDEN=1 python -m pytest tests/test_serving_golden.py
 """
 
+import hashlib
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -28,6 +37,7 @@ import pytest
 from repro.backend.mapping import KeyframeMapper
 from repro.cluster import ShardedServingEngine
 from repro.maps import MapStore
+from repro.scheduler import LatencyAutoscaler
 from repro.serving import ServingEngine, cold_start_fleet, mixed_fleet
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "serving_signatures.json"
@@ -54,6 +64,15 @@ UPDATED_SEED = 17100
 MARGINALIZATION_ENVIRONMENT = "golden-cloister"
 MARGINALIZATION_SEED = 300
 MARGINALIZATION_SEGMENT_DURATION = 6.0
+
+# Control plane: three deadlined mixed-fleet waves sharing one indoor world
+# (so later waves register against earlier waves' maps and the map-aware
+# prior moves), served one frame per worker per tick so backlog, misses,
+# grows, shrinks and saturation all occur on both engines.
+CONTROL_ENVIRONMENT = "golden-hall"
+CONTROL_SEEDS = (500, 9500, 17500)
+CONTROL_SESSIONS = 8
+CONTROL_DEADLINE_MS = 250.0
 
 
 def canonical_fleet():
@@ -84,6 +103,18 @@ def marginalization_fleet():
                             base_seed=MARGINALIZATION_SEED,
                             segment_duration=MARGINALIZATION_SEGMENT_DURATION,
                             camera_rate_hz=RATE_HZ)
+
+
+def control_waves():
+    return [mixed_fleet(CONTROL_SESSIONS, base_seed=seed,
+                        segment_duration=SEGMENT_DURATION, camera_rate_hz=RATE_HZ,
+                        deadline_ms=CONTROL_DEADLINE_MS,
+                        indoor_environment=CONTROL_ENVIRONMENT)
+            for seed in CONTROL_SEEDS]
+
+
+def _control_scaler(shard=0):
+    return LatencyAutoscaler(min_workers=1, max_workers=2)
 
 
 def _map_engine(store):
@@ -127,6 +158,38 @@ def _sharded_serve(store, fleet):
     return report
 
 
+def _control_plane_reports(root, engine):
+    """Serve the control waves through ``engine`` built on a fresh store."""
+    store = MapStore(root, max_bytes=-1, max_age_s=-1)
+    served = engine(store)
+    return [served.serve(wave) for wave in control_waves()]
+
+
+def _plain_control_engine(store):
+    return ServingEngine(store=None, map_store=store, min_map_quality=MAP_GATE,
+                         autoscaler=_control_scaler(), frames_per_worker_tick=1)
+
+
+def _cluster_control_engine(store):
+    return ShardedServingEngine(2, map_store=store, min_map_quality=MAP_GATE,
+                                autoscaler_factory=_control_scaler,
+                                frames_per_worker_tick=1)
+
+
+def _control_plane(reports):
+    """Each wave's schedule: one JSON line per scale decision, batch sizes
+    as one string, exact per-stream misses and a latency digest."""
+    return [{
+        "decisions": [json.dumps(list(asdict(decision).values()))
+                      for decision in report.scale_decisions],
+        "ticks": report.ticks,
+        "batch_sizes": " ".join(str(size) for size in report.batch_sizes),
+        "misses": dict(sorted(report.deadline_misses_by_stream.items())),
+        "virtual_latency_sha256": hashlib.sha256(
+            json.dumps(report.virtual_latency_ms).encode()).hexdigest(),
+    } for report in reports]
+
+
 def _signatures(report):
     return {stream_id: result.signature()
             for stream_id, result in sorted(report.results.items())}
@@ -150,6 +213,11 @@ def golden(tmp_path_factory):
             "wave's updates produced")
         marginalization_report = ServingEngine(store=None).serve(
             marginalization_fleet())
+        plain_control = _control_plane(_control_plane_reports(
+            tmp_path_factory.mktemp("golden-control-plain"), _plain_control_engine))
+        cluster_control = _control_plane(_control_plane_reports(
+            tmp_path_factory.mktemp("golden-control-cluster"),
+            _cluster_control_engine))
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(json.dumps({
             "fleet": {"size": FLEET_SIZE, "segment_duration": SEGMENT_DURATION,
@@ -168,6 +236,11 @@ def golden(tmp_path_factory):
                                 "segment_duration": MARGINALIZATION_SEGMENT_DURATION,
                                 "camera_rate_hz": RATE_HZ},
             "marginalization_signatures": _signatures(marginalization_report),
+            "control_plane": {
+                "environment": CONTROL_ENVIRONMENT, "seeds": list(CONTROL_SEEDS),
+                "sessions": CONTROL_SESSIONS,
+                "deadline_ms": CONTROL_DEADLINE_MS,
+                "plain": plain_control, "cluster": cluster_control},
         }, indent=2) + "\n")
     if not GOLDEN_PATH.is_file():
         pytest.fail(f"golden file missing; regenerate with {REGEN_ENV}=1")
@@ -254,3 +327,42 @@ def test_window_marginalization_matches_golden(golden, monkeypatch):
     assert calls, "no keyframe was marginalized — the pin would be vacuous"
     _assert_matches(report, golden["marginalization_signatures"],
                     "window marginalization")
+
+
+# ------------------------------------------------------- control-plane pins
+
+
+def _assert_control_plane(produced, pinned, label):
+    assert len(produced) == len(pinned) == len(CONTROL_SEEDS)
+    for wave, (got, expected) in enumerate(zip(produced, pinned)):
+        assert got == expected, (
+            f"{label} wave {wave}: the virtual-clock schedule drifted from the "
+            f"pinned control plane")
+
+
+def test_plain_control_plane_matches_golden(golden, tmp_path):
+    """Throttled plain engine, three waves on one autoscaler: the schedule
+    (not just the results) is pinned."""
+    reports = _control_plane_reports(tmp_path, _plain_control_engine)
+    assert all(report.deadline_misses for report in reports), \
+        "a wave missed no deadline — its miss pins would be vacuous"
+    assert any(decision.saturated for report in reports
+               for decision in report.scale_decisions)
+    _assert_control_plane(_control_plane(reports),
+                          golden["control_plane"]["plain"], "plain")
+
+
+@pytest.mark.parametrize("max_workers", ["1", "2"])
+def test_cluster_control_plane_matches_golden(golden, tmp_path, monkeypatch,
+                                              max_workers):
+    """A 2-shard cluster's schedule is the same in-process and across
+    worker processes."""
+    monkeypatch.setenv("EUDOXUS_MAX_WORKERS", max_workers)
+    reports = _control_plane_reports(tmp_path, _cluster_control_engine)
+    assert all(sorted(set(report.shard_of.values())) == [0, 1]
+               for report in reports), "a wave left one shard idle"
+    assert all(report.deadline_misses for report in reports), \
+        "a wave missed no deadline — its miss pins would be vacuous"
+    _assert_control_plane(_control_plane(reports),
+                          golden["control_plane"]["cluster"],
+                          f"cluster (EUDOXUS_MAX_WORKERS={max_workers})")
