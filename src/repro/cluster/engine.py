@@ -1,39 +1,48 @@
-"""Horizontally sharded serving: N engines, one map store, zero RPC.
+"""Horizontally sharded serving: N shard schedules, one map store, zero RPC.
 
 :class:`ShardedServingEngine` scales :class:`~repro.serving.ServingEngine`
 past one process on one box.  A fleet is consistent-hashed on
 ``stream_id`` across N shards (:class:`~repro.cluster.ring.HashRing` —
-fixed hash slots, rebalanced by slot reassignment), each shard a
-``ServingEngine`` with its own run-store handle and
-:class:`~repro.scheduler.LatencyAutoscaler`.  The coordinator runs the same
-:class:`~repro.serving.wave.WaveLifecycle` as the plain engine; only its
-dispatch step differs (partition, fan out, merge):
+fixed hash slots, rebalanced by slot reassignment), each shard a virtual
+clock with its own :class:`~repro.scheduler.LatencyAutoscaler` and
+decision-clock water-mark, both kept in the coordinator.  The coordinator
+runs the same :class:`~repro.serving.wave.WaveLifecycle` as the plain
+engine; only its dispatch step differs (partition, compute, schedule,
+merge):
 
 * the coordinator resolves the wave's canonical map assignment once,
-  pre-dispatch, ships the resolved snapshots in every shard payload and
-  pins the shard to them (``ServingEngine.serve(..., fleet_maps=...)``).
-  Shards have no map store, so they never resolve, merge, publish or
-  apply;
-* every loaded shard is served from a payload through
-  :func:`~repro.experiments.runner.fan_out` — the one dispatch path, run
-  in worker processes when ``EUDOXUS_MAX_WORKERS`` allows and a pool
-  spawns, in-process otherwise.  The shard's autoscaler (whole) and
-  decision-clock water-mark go out in the payload and come back on its
-  report, so its state after a wave does not depend on where it ran;
-* after the shards finish, the coordinator publishes the whole wave's
-  snapshots and folds its ``MapUpdate`` deltas through one store handle —
-  computed snapshots before any replayed re-seed, deltas sorted inside
+  pre-dispatch, and replays run-store hits itself;
+* **compute**: every other session of the wave is one payload to
+  :func:`~repro.experiments.runner.fan_out` — the one dispatch path, run in
+  worker processes when ``EUDOXUS_MAX_WORKERS`` allows and a pool spawns,
+  in-process otherwise.  A payload is the spec plus the session's resolved
+  snapshots, served by a store-less ``ServingEngine`` pinned to them
+  (``serve([spec], fleet_maps=...)``), so workers never resolve, merge,
+  publish or apply.  Payloads are submitted in decreasing expected cost
+  (``_expected_session_cost``) and the pool hands them out in submit
+  order: longest-first list scheduling, so no worker waits on a static
+  half of the fleet;
+* **schedule**: each shard's virtual clock is replayed in the coordinator
+  with :func:`~repro.serving.engine.replay_schedule`, the plain engine's
+  own loop — the schedule reads only the specs, the resolved maps and the
+  autoscaler, never what the sessions computed, so the shard's ticks,
+  latencies, misses and scale decisions do not depend on where or in
+  which order its sessions were computed;
+* after the wave, the coordinator publishes the whole wave's snapshots and
+  folds its ``MapUpdate`` deltas through one store handle — computed
+  snapshots before any replayed re-seed, deltas sorted inside
   :meth:`~repro.maps.MapStore.apply_updates` — so the store state is
-  independent of shard count and shard completion order;
-* a session computed by any shard lands in the shared run store under the
-  same ``serving_key``, so a stream rebalanced to another shard replays
-  from cache instead of recomputing.
+  independent of shard count and completion order;
+* a computed session lands in the shared run store under the same
+  ``serving_key`` as on the plain engine, so a stream rebalanced to
+  another shard replays from cache instead of recomputing.
 
 **Determinism contract.**  Sessions are pure functions of
 ``(spec, resolved maps)``, so shard count, slot assignment, and in-process
-vs worker-process shard execution cannot change a single served pose.
-The merged report's signature is pinned bit-identical to the plain
-engine's (tests/test_cluster.py).
+vs worker-process execution cannot change a single served pose.  The
+merged report's signature is pinned bit-identical to the plain engine's
+(tests/test_cluster.py), and its schedule to the golden control plane
+(tests/test_serving_golden.py).
 
 **Rebalancing.**  After each wave the coordinator feeds the per-shard
 deadline pressure (from the autoscalers' decision logs) and the expected
@@ -47,6 +56,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import time
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -59,7 +69,8 @@ from repro.obs.slo import SLOTracker
 from repro.obs.trace import Tracer, tracer_from_env
 from repro.scheduler.autoscaler import LatencyAutoscaler
 from repro.sensors.dataset import segment_frame_count
-from repro.serving.engine import ServingEngine, ServingReport
+from repro.serving.engine import ServingEngine, ServingReport, replay_schedule
+from repro.serving.session import SessionResult
 from repro.serving.streams import StreamSpec
 from repro.serving.wave import WaveLifecycle
 from repro.cluster.rebalance import RebalanceDecision, ShardRebalancer
@@ -93,36 +104,27 @@ def _store_bounds(store: RunStore) -> Tuple[float, float]:
             -1.0 if store.max_age_s is None else float(store.max_age_s))
 
 
-def _serve_shard_payload(payload: Dict) -> ServingReport:
-    """Serve one shard's slice of a wave; ``fan_out`` runs it in a worker
+def _serve_session_payload(payload: Dict) -> ServingReport:
+    """Compute one session of a wave; ``fan_out`` runs it in a worker
     process or in-process, and nothing here depends on which.
 
-    The shard gets its own run-store handle on the shared root (the
-    content-addressed layout makes concurrent handles safe) and no map
-    store, tracer, recorder or SLO tracker — whatever ``EUDOXUS_TRACE`` /
-    ``EUDOXUS_RECORDER`` say: the coordinator publishes, traces, and
-    captures at most one bundle from the merged report.
-
-    The wave's map assignment arrives whole: ``fleet_maps`` holds the
-    canonical snapshots the coordinator resolved, and the shard serves
-    exactly those (a map pickles to a few KB), so it never merges.
-
-    The shard's autoscaler and decision-clock water-mark come back on the
-    report (``shard_state``) for the coordinator to adopt.
+    The engine has no store, autoscaler, tracer, recorder or SLO tracker —
+    whatever ``EUDOXUS_TRACE`` / ``EUDOXUS_RECORDER`` say: the coordinator
+    looks results up, schedules, publishes, traces and captures at most one
+    bundle from the merged report.  The session's map assignment arrives
+    whole (``fleet_maps``: the canonical snapshots the coordinator resolved
+    for it, a few KB each).  With ``run_store`` set — the coordinator's
+    store root, bounds and the session's ``serving_key`` — the result is
+    saved here, off the coordinator, through a handle on the shared root
+    (the content-addressed layout makes concurrent handles safe).
     """
-    specs = [StreamSpec.from_payload(raw) for raw in payload["specs"]]
-    run_store = (RunStore(payload["run_root"], *payload["run_bounds"])
-                 if payload["run_root"] else None)
-    engine = ServingEngine(
-        store=run_store,
-        autoscaler=payload["autoscaler"],
-        frames_per_worker_tick=payload["frames_per_worker_tick"],
-        map_aware_sizing=payload["map_aware_sizing"],
-    )
+    spec = StreamSpec.from_payload(payload["spec"])
+    engine = ServingEngine()
     engine.tracer = engine.recorder = None
-    engine._decision_clock = payload["decision_clock"]
-    report = engine.serve(specs, fleet_maps=payload["fleet_maps"])
-    report.shard_state = (engine.autoscaler, engine._decision_clock)
+    report = engine.serve([spec], fleet_maps=payload["fleet_maps"])
+    if payload["run_store"] is not None:
+        root, bounds, key = payload["run_store"]
+        RunStore(root, *bounds).save_key(key, report.results[spec.stream_id])
     return report
 
 
@@ -200,19 +202,15 @@ class ShardedServingReport(ServingReport):
 
 
 class ShardedServingEngine(WaveLifecycle):
-    """N ``ServingEngine`` shards behind one serve() call.
+    """N shard schedules behind one serve() call.
 
     Construction mirrors the plain engine where the concepts coincide; the
     per-shard pieces take factories.  ``run_store`` / ``map_store`` are the
-    *coordinator's* handles.  Shard engines live for one wave, each built
-    from its payload with its own run-store handle onto the same root —
-    both the scale-out story and the cross-instance coordination the store
-    machinery is tested for.  The map store is touched by the coordinator
-    alone: each payload carries the wave's resolved snapshots
-    (``fleet_maps``), so a shard neither reads the store nor merges.  Only
-    controller state persists per shard: ``autoscalers[i]``
-    (adopted in place, so the admission probe's object never changes) and
-    ``decision_clocks[i]``.  ``max_workers_per_shard`` and
+    *coordinator's* handles, and only the coordinator touches them: a
+    session payload carries its resolved snapshots (``fleet_maps``), so a
+    worker neither reads a store nor merges.  Per shard, the coordinator
+    keeps the controller state its schedule runs on: ``autoscalers[i]``
+    and ``decision_clocks[i]``.  ``max_workers_per_shard`` and
     ``shard_parallel`` chose a per-shard pool and the shard executor, both
     gone: they are accepted only so existing callers keep working, have no
     effect, and warn.
@@ -280,12 +278,12 @@ class ShardedServingEngine(WaveLifecycle):
     # ------------------------------------------------------------ serving
 
     def serve(self, specs: Sequence[StreamSpec]) -> ShardedServingReport:
-        """Partition the fleet by the ring, serve every shard, merge.
+        """Partition the fleet by the ring, compute every session, replay
+        each shard's schedule, merge.
 
-        Shards fan out through ``fan_out`` (worker processes when the width
-        allows, else in-process; within a shard the deterministic streaming
-        loop always runs).  Results are bit-identical either way — see the
-        module docstring for why.
+        Sessions fan out through ``fan_out`` (worker processes when the
+        width allows, else in-process).  Results and schedules are
+        bit-identical either way — see the module docstring for why.
         """
         return self._serve_wave(specs)
 
@@ -293,6 +291,7 @@ class ShardedServingEngine(WaveLifecycle):
                   fleet_maps: Dict[str, MapSnapshot],
                   maps_by_stream: Dict[str, Dict[str, MapSnapshot]]
                   ) -> ShardedServingReport:
+        started = time.perf_counter()
         shard_specs: List[List[StreamSpec]] = [[] for _ in range(self.shard_count)]
         shard_of: Dict[str, int] = {}
         for spec in specs:
@@ -301,52 +300,60 @@ class ShardedServingEngine(WaveLifecycle):
             shard_specs[shard].append(spec)
         loaded = [shard for shard in range(self.shard_count) if shard_specs[shard]]
         shard_reports: List[Optional[ServingReport]] = [None] * self.shard_count
-        payloads = [self._shard_payload(shard, shard_specs[shard], fleet_maps)
-                    for shard in loaded]
+        # Seconds from dispatch to each shard's last finished session.
+        finished_at = [0.0] * self.shard_count
+        keys: Dict[str, str] = {}
+        cold: List[StreamSpec] = []
+        for shard in loaded:
+            shard_report = shard_reports[shard] = ServingReport(ingestion="streaming")
+            for spec in shard_specs[shard]:
+                stored = self._replay_stored(self.run_store, spec, maps_by_stream, keys)
+                if stored is None:
+                    cold.append(spec)
+                else:
+                    shard_report.add_replayed(stored)
+            shard_report.replayed_streams.sort()
+            finished_at[shard] = time.perf_counter() - started
+        # Longest first: the pool hands payloads out in submit order.
+        cold.sort(key=lambda spec: -self._expected_session_cost(spec, fleet_maps))
+        payloads = [{"spec": spec.payload(),
+                     "fleet_maps": maps_by_stream[spec.stream_id],
+                     "run_store": (None if self.run_store is None else
+                                   (str(self.run_store.root),
+                                    _store_bounds(self.run_store),
+                                    keys[spec.stream_id]))}
+                    for spec in cold]
+        computed: Dict[str, SessionResult] = {}
         spawned = [False]
-        width = min(len(loaded), resolve_max_workers(None))
+        width = min(len(payloads), resolve_max_workers(None))
         with self._maybe_wall_span("cluster.wave", shards=len(loaded),
                                    width=width):
-            for index, shard_report in fan_out(
-                    _serve_shard_payload, payloads, width,
+            for index, session_report in fan_out(
+                    _serve_session_payload, payloads, width,
                     on_pool=lambda: spawned.__setitem__(0, True)):
-                shard = loaded[index]
-                shard_reports[shard] = shard_report
-                self._adopt_shard_state(shard, shard_report)
+                stream_id = cold[index].stream_id
+                computed[stream_id] = session_report.results[stream_id]
+                finished_at[shard_of[stream_id]] = time.perf_counter() - started
+        for shard in loaded:
+            shard_report = shard_reports[shard]
+            finished, self.decision_clocks[shard] = replay_schedule(
+                [spec for spec in shard_specs[shard] if spec.stream_id in computed],
+                shard_report, autoscaler=self.autoscalers[shard],
+                frames_per_worker_tick=self.frames_per_worker_tick,
+                # Shards serve maps resolved by the coordinator, so they
+                # size like a map-backed engine whenever it has a store.
+                sizing_maps=fleet_maps if self.map_store is not None else None,
+                clock_base=self.decision_clocks[shard])
+            for stream_id in finished:
+                shard_report.add_computed(computed[stream_id])
+            ServingEngine._triage_sessions(shard_report, maps_by_stream)
+            shard_report.wall_s = finished_at[shard]
         report = self._merge(shard_reports, shard_of, parallel=spawned[0])
         self._record_slo(report)
         report.rebalances = self._rebalance(specs, shard_reports, fleet_maps)
         report.slot_assignment = self.ring.assignment()
         self._emit_trace(report)
         return report
-
-    def _shard_payload(self, shard: int, specs: List[StreamSpec],
-                       fleet_maps: Dict[str, MapSnapshot]) -> Dict:
-        return {
-            "specs": [spec.payload() for spec in specs],
-            "run_root": (str(self.run_store.root)
-                         if self.run_store is not None else None),
-            "run_bounds": (_store_bounds(self.run_store)
-                           if self.run_store is not None else None),
-            # Shards serve maps pinned by the coordinator without a store of
-            # their own, so they are told to size like a map-backed engine.
-            "map_aware_sizing": self.map_store is not None,
-            "frames_per_worker_tick": self.frames_per_worker_tick,
-            "autoscaler": self.autoscalers[shard],
-            "decision_clock": self.decision_clocks[shard],
-            "fleet_maps": fleet_maps,
-        }
-
-    def _adopt_shard_state(self, shard: int, shard_report: ServingReport) -> None:
-        """Take the shard's controller state off its report and adopt it.
-
-        An in-process shard served with ``autoscalers[shard]`` itself; a
-        worker-process shard's copy is adopted into it in place.
-        """
-        scaler, self.decision_clocks[shard] = shard_report.shard_state
-        shard_report.shard_state = None
-        if scaler is not None and scaler is not self.autoscalers[shard]:
-            self.autoscalers[shard].adopt(scaler)
 
     # ------------------------------------------------------------ merging
 

@@ -12,8 +12,8 @@ Two clock domains coexist in one trace:
   clock (seconds since the fleet's first arrival, plus the engine's
   cross-call continuity offset).  Events in this domain are a pure function
   of the fleet: the same specs produce the identical event sequence on
-  every run and — for the session-scoped categories — however a session
-  was served (straight through, in the streaming loop, in a shard).  This
+  every run and — for the session-scoped categories — wherever a session
+  was computed (in-process or in a shard worker) or replayed.  This
   is the domain the determinism suite pins.
 * ``"wall"`` — real elapsed seconds since the tracer was created (map
   resolution, wave dispatch, the service front door, kernel profiling).

@@ -51,15 +51,34 @@ decision log the serving report exposes and the benchmarks assert on.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import Deque, Iterable, Optional
 
 import numpy as np
 
 
-#: The registry-bound attributes of a scaler (see ``bind_metrics``).
-_METRIC_HANDLES = ("metrics", "_m_decisions", "_m_workers", "_m_saturated")
+def _percentile(values: Iterable[float], percent: float) -> float:
+    """``float(np.percentile(values, percent))`` bit for bit, for finite,
+    non-negative values (latencies and their deadline ratios).
+
+    The same linear interpolation numpy performs, on a sorted list instead of
+    an array: the controller evaluates three percentiles of its window on
+    every tick, where the array round trip costs more than the arithmetic.
+    """
+    ordered = sorted(values)
+    last = len(ordered) - 1
+    virtual = last * (percent / 100)
+    if virtual >= last:
+        return ordered[-1]
+    previous = math.floor(virtual)
+    lower, upper = ordered[previous], ordered[previous + 1]
+    gamma = virtual - previous
+    diff = upper - lower
+    if gamma >= 0.5:
+        return upper - diff * (1 - gamma)
+    return lower + diff * gamma
 
 
 @dataclass(frozen=True)
@@ -181,21 +200,6 @@ class LatencyAutoscaler:
         """
         return self._saturated
 
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle without the metric handles: a registry belongs to the
-        process that bound it, so a copy shipped to a shard worker travels
-        unbound."""
-        return dict(self.__dict__, **dict.fromkeys(_METRIC_HANDLES))
-
-    def adopt(self, other: "LatencyAutoscaler") -> None:
-        """Take over a copy's whole controller state in place — width,
-        windows, streaks, cooldown, tick, saturation, decision log — keeping
-        this instance's identity and metric handles.  Logs no decision: the
-        copy already made and logged them."""
-        handles = {name: getattr(self, name) for name in _METRIC_HANDLES}
-        self.__dict__.update(other.__getstate__())
-        self.__dict__.update(handles)
-
     # ------------------------------------------------------------ observing
 
     def observe(self, latency_ms: float, deadline_ms: Optional[float] = None) -> None:
@@ -216,7 +220,7 @@ class LatencyAutoscaler:
     def latency_percentile(self, percent: float) -> float:
         if not self._latency:
             return 0.0
-        return float(np.percentile(list(self._latency), percent))
+        return _percentile(self._latency, percent)
 
     def _expire_stale_pressure(self) -> None:
         """Expire the pressure window once deadlined traffic *stopped*.
@@ -246,7 +250,7 @@ class LatencyAutoscaler:
         self._expire_stale_pressure()
         if not self._pressure:
             return 0.0
-        return float(np.percentile([value for _, value in self._pressure], 95.0))
+        return _percentile([value for _, value in self._pressure], 95.0)
 
     # ------------------------------------------------------------- deciding
 

@@ -33,6 +33,17 @@ def segment_frame_count(duration: float, camera_rate_hz: float) -> int:
     return max(2, int(round(duration * camera_rate_hz)))
 
 
+def segment_frame_times(duration: float, camera_rate_hz: float,
+                        start_time: float = 0.0) -> np.ndarray:
+    """The frame timestamps of a segment starting at ``start_time``.
+
+    :meth:`SequenceBuilder.build` stamps its frames with exactly these
+    values, so the serving schedule can be computed without building one.
+    """
+    return (start_time
+            + np.arange(segment_frame_count(duration, camera_rate_hz)) / camera_rate_hz)
+
+
 @dataclass
 class Frame:
     """All sensor data associated with one camera epoch.
@@ -137,8 +148,8 @@ class SequenceBuilder:
         rig = StereoRig(camera=camera, baseline=config.stereo_baseline)
         seed = config.seed + seed_offset
 
-        frame_count = segment_frame_count(scenario.duration, config.camera_rate_hz)
-        frame_times = start_time + np.arange(frame_count) / config.camera_rate_hz
+        frame_times = segment_frame_times(scenario.duration, config.camera_rate_hz,
+                                          start_time)
 
         # Sample the trajectory densely first so the world hugs the path.
         truth = scenario.trajectory.sample_array(frame_times - start_time)

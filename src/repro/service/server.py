@@ -367,10 +367,10 @@ class LocalizationService:
             try:
                 # The engine is synchronous and CPU-bound; a worker thread
                 # keeps admission and health endpoints live mid-wave.  The
-                # plain engine runs its deterministic streaming loop; a
-                # sharded engine fans its shards out over the host's cores
-                # (each shard still runs the same loop), which cannot
-                # perturb results.
+                # plain engine computes its sessions and replays their
+                # deterministic schedule; a sharded engine fans the
+                # sessions out over the host's cores and replays each
+                # shard's schedule, which cannot perturb results.
                 with wave_span:
                     report: ServingReport = await asyncio.to_thread(
                         self.engine.serve, specs)

@@ -6,20 +6,23 @@ per client device — over a shared pool of backend workers:
 * :mod:`repro.serving.streams` describes time-varying deployments
   (:class:`StreamSpec` / :class:`ScenarioStream`): ordered scenario segments
   with injected GPS dropouts, IMU degradation bursts and map entry/exit.
-  :meth:`ScenarioStream.frames` is the arrival-time view: an incremental
-  iterator of :class:`StreamFrame`\\ s with lazily built segments;
+  :meth:`ScenarioStream.frames` iterates :class:`StreamFrame`\\ s with
+  lazily built segments; :func:`frame_records` is the arrival-time view the
+  schedule reads, computed from the spec alone;
   :attr:`StreamSpec.deadline_ms` carries the per-session serving deadline.
 * :mod:`repro.serving.session` holds per-client state (:class:`Session`):
-  it steps the unified framework frame by frame, switches the backend mode
-  online via the Fig. 2 policy with GPS hysteresis, and accepts frames as
-  they arrive through a bounded ingress queue with backpressure.
-* :mod:`repro.serving.engine` dispatches fleets (:class:`ServingEngine`):
-  an arrival-time event loop on a virtual clock that serves whatever is
-  ready now across sessions (capacity sized by the latency-aware
-  :class:`~repro.scheduler.LatencyAutoscaler` when one is attached), with
-  deterministic per-session seeds (every session bit-identical to
-  :func:`run_session`), persists results in the run store, and reports
-  throughput/latency/autoscaling telemetry.
+  it steps the unified framework frame by frame straight through and
+  switches the backend mode online via the Fig. 2 policy with GPS
+  hysteresis.
+* :mod:`repro.serving.engine` dispatches fleets (:class:`ServingEngine`)
+  in two steps: it computes every session straight through (each
+  bit-identical to :func:`run_session`, with deterministic per-session
+  seeds), then :func:`replay_schedule` replays the arrival-time event loop
+  on a virtual clock — bounded ingress queues with backpressure, capacity
+  sized by the latency-aware :class:`~repro.scheduler.LatencyAutoscaler`
+  when one is attached.  The schedule reads only the specs, so the split
+  changes no result and no latency.  The engine persists results in the
+  run store and reports throughput/latency/autoscaling telemetry.
 * :mod:`repro.serving.wave` is the wave lifecycle that engine and the
   sharded coordinator (:mod:`repro.cluster`) share: resolve fleet maps,
   dispatch, publish, apply updates, record telemetry and forensics.
@@ -35,14 +38,14 @@ matching fleet shapes.
 """
 
 from repro.serving.engine import (
+    DEFAULT_INGRESS_CAPACITY,
     MODE_FRAME_COST,
     ServingEngine,
     ServingReport,
+    replay_schedule,
     run_session,
-    serving_key,
 )
 from repro.serving.session import (
-    DEFAULT_INGRESS_CAPACITY,
     MapAcquisition,
     ModeSwitch,
     ModeSwitchPolicy,
@@ -60,12 +63,14 @@ from repro.serving.streams import (
     environment_world_seed,
     expected_gps_denied_mode,
     expected_segment_mode,
+    frame_records,
     mixed_deployment_stream,
     mixed_fleet,
     multi_environment_fleet,
     random_stream,
     segment_environment_id,
 )
+from repro.serving.wave import serving_key
 
 __all__ = [
     "DEFAULT_INGRESS_CAPACITY",
@@ -87,10 +92,12 @@ __all__ = [
     "environment_world_seed",
     "expected_gps_denied_mode",
     "expected_segment_mode",
+    "frame_records",
     "mixed_deployment_stream",
     "mixed_fleet",
     "multi_environment_fleet",
     "random_stream",
+    "replay_schedule",
     "run_session",
     "segment_environment_id",
     "serving_key",

@@ -1,33 +1,38 @@
-"""The serving engine: arrival-time fleet dispatch on a virtual clock.
+"""The serving engine: compute every session, then schedule it on a virtual clock.
 
 :class:`ServingEngine` resolves a fleet of :class:`~repro.serving.streams.StreamSpec`
-sessions through two layers:
+sessions in three steps:
 
-1. the persistent :class:`~repro.experiments.runner.RunStore` (session
-   results are content-addressed by spec + code + config fingerprints, so a
-   fleet served once is nearly free to serve again);
-2. a **streaming-ingestion event loop** keyed on a virtual clock: every
-   session exposes an incremental frame iterator
-   (:meth:`~repro.serving.streams.ScenarioStream.frames`), frames are
-   admitted into bounded per-session ingress queues as they *arrive* on the
-   clock, and each tick serves whatever is ready now — across sessions, in
-   deterministic ``(arrival, stream_id)`` order, up to the service
-   capacity.  Segments are built lazily; the stream is never materialized.
-   A frame served later than it arrived has *serving latency* (the virtual
-   clock delta, in whole microseconds), the signal the autoscaler regulates.
+1. replay what the persistent :class:`~repro.experiments.runner.RunStore`
+   holds (session results are content-addressed by spec + code + config
+   fingerprints, so a fleet served once is nearly free to serve again);
+2. **compute** every other session straight through, exactly as
+   :func:`run_session` does;
+3. **schedule** the computed sessions with :func:`replay_schedule`, the
+   arrival-time event loop on a virtual clock.  Frames are admitted into
+   bounded per-session ingress queues as they *arrive* on the clock, and
+   each tick serves whatever is ready — across sessions, in deterministic
+   ``(arrival, stream_id)`` order, up to the service capacity.  A frame
+   served later than it arrived has *serving latency* (the virtual clock
+   delta, in whole microseconds), the signal the autoscaler regulates.
 
-Every session is a pure function of its spec with deterministic
-per-session seeds, so the loop's interleaving never changes a result: each
-session's :meth:`~repro.serving.session.SessionResult.signature` equals
-that of :func:`run_session` on the same spec.  Process parallelism lives
-one level up: :class:`repro.cluster.ShardedServingEngine` fans shards of a
-fleet out to worker processes, each running this loop.
+The split is exact because the schedule reads nothing a session computes:
+only frame arrival times (:func:`~repro.serving.streams.frame_records`,
+derived from the spec), per-segment expected costs and the autoscaler.
+Every session is a pure function of its spec and resolved maps, so each
+:meth:`~repro.serving.session.SessionResult.signature` equals that of
+:func:`run_session` on the same spec, and the schedule — ticks, batch
+sizes, latencies, misses, scale decisions, SLO events — is the one the
+interleaved loop would have produced.  Process parallelism lives one level
+up: :class:`repro.cluster.ShardedServingEngine` computes a wave's sessions
+in worker processes and replays each shard's schedule with this same
+function.
 
 **Autoscaling.**  With a :class:`~repro.scheduler.LatencyAutoscaler`
 attached, the engine closes the resource loop of the deployment story:
 served virtual latencies are folded into the scaler's rolling window
 against each session's ``deadline_ms``, and its grow/shrink decisions
-resize the loop's virtual worker count.  The decision log lands in the
+resize the schedule's virtual worker count.  The decision log lands in the
 report.
 
 **Fleet maps.**  With a :class:`~repro.maps.MapStore` attached, the engine
@@ -43,8 +48,8 @@ segments produced — the maps the *next* wave will register against.
 The engine also closes the loop to the runtime offload scheduler
 (Sec. VI-B), two ways: :func:`train_offload_scheduler` batch-fits an
 accelerator's scheduler from a served fleet's telemetry, and an engine
-constructed with ``accelerator=`` feeds every streamed frame to
-:meth:`~repro.scheduler.RuntimeScheduler.observe` as it is served — the
+constructed with ``accelerator=`` feeds every scheduled frame to
+:meth:`~repro.scheduler.RuntimeScheduler.observe` in serve order — the
 predictor tracks live traffic instead of waiting for a characterization
 pass.
 """
@@ -73,18 +78,22 @@ from repro.obs.slo import SLOTracker
 from repro.obs.trace import Tracer, quantize_us, tracer_from_env
 from repro.obs.triage import SIG_OK, classify_session, signature_census
 from repro.scheduler.autoscaler import LatencyAutoscaler, ScaleDecision
-from repro.serving.session import (
-    DEFAULT_INGRESS_CAPACITY,
-    Session,
-    SessionResult,
-)
+from repro.serving.session import Session, SessionResult
 from repro.serving.streams import (
     StreamSpec,
     expected_gps_denied_mode,
     expected_segment_mode,
+    frame_records,
 )
-from repro.serving.wave import WaveLifecycle, serving_key
+from repro.serving.wave import WaveLifecycle
 from repro.sensors.dataset import segment_frame_count
+
+# Per-session ingress bound: how many arrived-but-unserved frames a session
+# buffers before it pushes back on ingestion.  Two seconds of frames at the
+# default 5 Hz — enough to ride out a scheduling hiccup, small enough that a
+# congested fleet's queues stay bounded (backpressure, not buffering, is the
+# overload response).
+DEFAULT_INGRESS_CAPACITY = 10
 
 # Expected per-frame service cost by backend mode, relative to SLAM — the
 # Fig. 2 economics as a sizing constant: sliding-window bundle adjustment +
@@ -168,11 +177,18 @@ class ServingReport:
     map_resolve_misses: int = 0
     map_merge_ms: List[float] = field(default_factory=list)
     map_version_churn: Dict[str, int] = field(default_factory=dict)
-    # A shard's controller state after the wave — its autoscaler and
-    # decision-clock water-mark — handed back to the sharded coordinator on
-    # the report (across the process boundary when the shard ran in a
-    # worker) and taken off again when adopted.  Unset on a plain serve.
-    shard_state: Optional[Tuple[Optional[LatencyAutoscaler], float]] = None
+
+    def add_replayed(self, result: SessionResult) -> None:
+        """Add one session replayed from the run store."""
+        self.store_hits += 1
+        self.replayed_streams.append(result.stream_id)
+        self.results[result.stream_id] = result
+
+    def add_computed(self, result: SessionResult) -> None:
+        """Add one session computed in this call."""
+        self.computed_sessions += 1
+        self.results[result.stream_id] = result
+        self.served_frame_wall_ms.extend(result.frame_wall_ms)
 
     @property
     def session_count(self) -> int:
@@ -395,13 +411,13 @@ class ServingReport:
 class ServingEngine(WaveLifecycle):
     """Multiplexes many localization sessions on one virtual clock.
 
-    The loop's width is the ``autoscaler``'s; without one, every ready
+    The schedule's width is the ``autoscaler``'s; without one, every ready
     frame is served on arrival.  ``max_workers`` sized a process pool the
     engine no longer has: it is accepted only so existing callers keep
     working, has no effect, and warns.
     """
 
-    # Service capacity of one worker in the streaming loop: frames served
+    # Service capacity of one worker in the schedule: frames served
     # per frame interval.  The virtual analogue of a worker's real
     # throughput; with a fleet wider than workers x this, frames queue and
     # serving latency grows — the congestion signal the autoscaler closes on.
@@ -417,7 +433,6 @@ class ServingEngine(WaveLifecycle):
                  map_merger: Optional[MapMerger] = None,
                  min_map_quality: float = DEFAULT_MIN_MAP_QUALITY,
                  map_updates: bool = True,
-                 map_aware_sizing: Optional[bool] = None,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  slo: Optional[SLOTracker] = None,
@@ -425,7 +440,7 @@ class ServingEngine(WaveLifecycle):
         super().__init__(map_store, map_merger, min_map_quality, map_updates)
         if max_workers is not None:
             warnings.warn("ServingEngine(max_workers=) has no effect; the "
-                          "autoscaler sizes the streaming loop",
+                          "autoscaler sizes the schedule",
                           DeprecationWarning, stacklevel=2)
         self.store = store
         self.autoscaler = autoscaler
@@ -436,13 +451,11 @@ class ServingEngine(WaveLifecycle):
                    else self.FRAMES_PER_WORKER_TICK))
         # Map-aware sizing: feed the expected per-frame cost of each
         # session's mode mix (known pre-dispatch once fleet maps resolve)
-        # into the autoscaler as a sizing prior, and account streaming
-        # capacity in cost units instead of raw frames.  Defaults to "on
-        # exactly when a map store is attached": the mode-mix expectation is
-        # the map service's knowledge.  A shard, which serves maps pinned by
-        # its coordinator without a store of its own, is told explicitly.
-        self.map_aware_sizing = (map_store is not None if map_aware_sizing is None
-                                 else bool(map_aware_sizing))
+        # into the autoscaler as a sizing prior, and account schedule
+        # capacity in cost units instead of raw frames.  On exactly when a
+        # map store is attached: the mode-mix expectation is the map
+        # service's knowledge.
+        self.map_aware_sizing = map_store is not None
         self._kernel_of: Dict[str, str] = {}
         # Decision-clock continuity: each serve call's virtual clock starts
         # from its own fleet's first arrival, so raw clocks would restart
@@ -474,219 +487,98 @@ class ServingEngine(WaveLifecycle):
 
     def serve(self, specs: Sequence[StreamSpec],
               fleet_maps: Optional[Dict[str, MapSnapshot]] = None) -> ServingReport:
-        """Serve a fleet: replay run-store hits, stream the rest.
+        """Serve a fleet: replay run-store hits, compute and schedule the rest.
 
-        Whatever the loop's interleaving or capacity, every session's
+        Whatever the schedule's capacity, every session's
         :meth:`SessionResult.signature` equals that of :func:`run_session`
         on its spec and map assignment.
 
         ``fleet_maps`` pins a pre-resolved canonical map assignment instead
         of resolving one here.  A sharded coordinator
         (:class:`repro.cluster.ShardedServingEngine`) resolves the wave
-        once and hands every shard the same view; its shards have no map
-        store, so they serve the pinned maps and leave publishing and
-        updates to the coordinator.
+        once and serves each session it computes in a worker through a
+        store-less engine pinned to that session's maps.
 
-        The engine's ``autoscaler`` sizes the loop's virtual capacity, and
-        its ``accelerator``'s offload scheduler observes every served frame.
+        The engine's ``autoscaler`` sizes the schedule's virtual capacity,
+        and its ``accelerator``'s offload scheduler observes every served
+        frame.
         """
         return self._serve_wave(specs, fleet_maps)
 
     def _dispatch(self, specs: List[StreamSpec],
                   fleet_maps: Dict[str, MapSnapshot],
                   maps_by_stream: Dict[str, Dict[str, MapSnapshot]]) -> ServingReport:
-        """Replay run-store hits, serve the rest through the streaming loop."""
+        """Replay run-store hits, compute the rest, then replay the schedule."""
         report = ServingReport(ingestion="streaming")
         # The virtual-clock offset this call's deterministic spans are
-        # shifted by — captured before the loop advances it.
+        # shifted by — captured before the schedule advances it.
         trace_offset = self._decision_clock
         cold: List[StreamSpec] = []
+        keys: Dict[str, str] = {}
         for spec in specs:
-            if self.store is not None:
-                key = serving_key(spec, self._map_versions(maps_by_stream[spec.stream_id]))
-                stored = self.store.load_key(key, expect=SessionResult)
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "run_store.hit" if stored is not None else "run_store.miss",
-                        "store", self.tracer.wall_now(), clock="wall",
-                        track="store", stream=spec.stream_id)
-                if stored is not None:
-                    report.store_hits += 1
-                    report.replayed_streams.append(spec.stream_id)
-                    # The key ignores deadline_ms, so the hit may have been
-                    # computed under a different QoS contract; refresh the
-                    # provenance payload to the spec actually requested
-                    # (everything else is identical by key construction).
-                    stored.spec_payload = spec.payload()
-                    report.results[spec.stream_id] = stored
-                    continue
-            cold.append(spec)
+            stored = self._replay_stored(self.store, spec, maps_by_stream, keys)
+            if stored is None:
+                cold.append(spec)
+            else:
+                report.add_replayed(stored)
         report.replayed_streams.sort()
-        for spec, result in self._serve_streaming(cold, report, maps_by_stream,
-                                                  fleet_maps):
-            self._absorb(report, spec, result, maps_by_stream)
+        computed = {spec.stream_id: run_session(spec, maps_by_stream.get(spec.stream_id))
+                    for spec in cold}
+        for stream_id in self._schedule(cold, report, fleet_maps, computed):
+            report.add_computed(computed[stream_id])
+            if self.store is not None:
+                self.store.save_key(keys[stream_id], computed[stream_id])
         self._triage_sessions(report, maps_by_stream)
         self._emit_trace(report, trace_offset)
         return report
 
-    # ------------------------------------------------- streaming event loop
+    def _schedule(self, specs: List[StreamSpec], report: ServingReport,
+                  fleet_maps: Dict[str, MapSnapshot],
+                  results: Dict[str, SessionResult]) -> List[str]:
+        """Replay this engine's schedule of computed sessions into ``report``.
 
-    def _serve_streaming(self, specs: Sequence[StreamSpec], report: ServingReport,
-                         maps_by_stream: Dict[str, Dict[str, MapSnapshot]],
-                         fleet_maps: Optional[Dict[str, MapSnapshot]] = None):
-        """Arrival-time event loop: ingest what arrived, serve what is ready.
-
-        The loop advances a virtual clock over the fleet's frame arrivals.
-        Each tick:
-
-        1. every active session admits frames that have arrived by ``clock_us``
-           into its bounded ingress queue (a full queue pushes back instead
-           of buffering — congestion becomes latency, not memory);
-        2. pending frames are served in ``(arrival, stream_id)`` order, up
-           to ``workers x frames_per_worker_tick`` capacity units — one
-           unit per frame, or the frame's expected mode cost when map-aware
-           sizing is on (a registration frame against a resolved fleet map
-           occupies a worker for a fraction of what a SLAM frame does);
-        3. served latencies (``clock_us - arrival_us``) feed the autoscaler,
-           which may resize ``workers`` (grow/shrink with hysteresis) —
-           seeded by the map-aware sizing prior when one was installed;
-        4. the clock advances one frame interval while a backlog remains,
-           else jumps to the next arrival.
-
-        ``clock_us`` is whole microseconds, quantized once per tick from the
-        arrival it last jumped to plus ``ticks x tick_interval`` (adding up
-        rounded ticks would walk off a 1/30 s grid).  It jumps only when
-        nothing is pending, so no latency is negative.
-
-        Sessions share no state, so any serving order is bit-identical to
-        running each session straight through; the scheduling only shapes
-        *when* each frame is served, i.e. the latency telemetry.
+        Feeds the per-frame hooks — the tracer's ``frame.wait`` spans, the
+        SLO tracker and the accelerator's offload scheduler — in serve
+        order, and advances the decision-clock water-mark.  Returns the
+        stream ids in the order their sessions finished on the clock.
         """
-        sessions = [Session(spec, ingress_capacity=self.ingress_capacity,
-                            maps=maps_by_stream.get(spec.stream_id))
-                    for spec in specs]
-        active: List[Session] = []
-        for session in sessions:
-            # A stream with no segments is complete on arrival; yield its
-            # (empty) result so every spec still gets one.
-            if session.done:
-                yield session.spec, session.result()
-            else:
-                active.append(session)
-        if not active:
-            return
-        # SLO rollups: each deadlined stream maps to the QoS tenant whose
-        # contract its deadline matches (resolved once — tenancy cannot
-        # change mid-serve).  Streams with no matching target are exempt.
-        slo_tenants: Dict[str, Optional[str]] = {}
-        if self.slo is not None:
-            slo_tenants = {
-                session.spec.stream_id:
-                    self.slo.tenant_for_deadline(session.spec.deadline_ms)
-                for session in active
-            }
-        tick_interval = min(session.spec.frame_interval for session in active)
-        clock_us = min(session.next_arrival().arrival_us for session in active)
-        # Decision clocks are offset so consecutive serve calls on one
-        # engine produce one monotone log (see __init__); the offset is
-        # fixed for the whole call and bumped past the final clock on exit.
         clock_base = self._decision_clock
-        # Map-aware sizing: per-(stream, segment) expected frame costs, and
-        # the prior installed before the first tick.
-        segment_costs: Dict[str, Tuple[float, ...]] = {}
-        if self.autoscaler is not None and self.map_aware_sizing:
-            segment_costs = {
-                session.spec.stream_id: self._segment_costs(session.spec, fleet_maps or {})
-                for session in active
-            }
-            report.scale_decisions.append(self._prime_autoscaler(
-                [session.spec for session in active], segment_costs,
-                clock=clock_base + clock_us / 1e6))
-        workers = self.autoscaler.workers if self.autoscaler is not None else 1
-        # The width serving actually starts at, so final_workers stays
-        # truthful even when no scale decision is ever logged.
-        report.workers = workers
+        on_serve = None
+        if (self.tracer is not None or self.slo is not None
+                or self.accelerator is not None):
+            # SLO rollups: each deadlined stream maps to the QoS tenant
+            # whose contract its deadline matches (resolved once — tenancy
+            # cannot change mid-serve).  Streams with no matching target
+            # are exempt.
+            slo_tenants = ({spec.stream_id: self.slo.tenant_for_deadline(spec.deadline_ms)
+                            for spec in specs} if self.slo is not None else {})
 
-        while active:
-            if not any(session.pending for session in active):
-                # Nothing is pending, so every active session has a next
-                # arrival: jump to the earliest, the origin ticks count from.
-                origin = min((session.next_arrival() for session in active),
-                             key=lambda frame: frame.arrival_us).frame.timestamp
-                ticks = 0
-            clock_us = quantize_us(origin + ticks * tick_interval)
-            report.ticks += 1
-            for session in active:
-                session.ingest_ready(clock_us)
-            # The worker pool's service capacity this tick.  The virtual
-            # pool is the autoscaler's actuator; without one, the loop
-            # serves everything that is ready (no artificial throttle).
-            if self.autoscaler is not None:
-                capacity = max(1, workers * self.frames_per_worker_tick)
-            else:
-                capacity = float("inf")
-            heads = [(session.next_pending(), session.spec.stream_id, session)
-                     for session in active if session.pending]
-            heapq.heapify(heads)
-            served = 0
-            served_cost = 0.0
-            while heads and served_cost < capacity:
-                arrival_us, stream_id, session = heapq.heappop(heads)
-                stream_frame = session.serve_pending()
-                served += 1
-                # segment_costs has an entry for every active session when
-                # map-aware sizing is on, and a session only enters `heads`
-                # with a pending frame — direct indexing lets any future
-                # violation of that invariant surface instead of silently
-                # mis-billing the frame.
-                served_cost += (segment_costs[stream_id][stream_frame.segment_index]
-                                if segment_costs else 1.0)
-                latency_us = clock_us - arrival_us
+            def on_serve(stream_id: str, index: int, arrival_us: int,
+                         clock_us: int, on_time: bool) -> None:
                 if self.tracer is not None:
                     # Arrival-to-service on the virtual clock: the queueing
                     # delay the autoscaler regulates, one span per frame.
                     self.tracer.span("frame.wait", "engine",
-                                     clock_base + arrival_us / 1e6, latency_us / 1e6,
+                                     clock_base + arrival_us / 1e6,
+                                     (clock_us - arrival_us) / 1e6,
                                      track="ingress", stream=stream_id)
-                on_time = self._account_service_latency(
-                    report, latency_us, session.spec.deadline_ms, stream_id)
                 tenant = slo_tenants.get(stream_id)
                 if tenant is not None:
                     # Continuity-offset clock, same domain as the decision
                     # log — burn-rate windows then span serve calls on one
                     # engine instead of restarting at zero.
                     self.slo.record(tenant, clock_base + clock_us / 1e6, on_time)
-                if self.autoscaler is not None:
-                    self.autoscaler.observe(latency_us / 1e3, session.spec.deadline_ms)
                 if self.accelerator is not None:
-                    self._observe_scheduler(session)
-                # Serving freed an ingress slot: admit any backpressured
-                # frame that has been waiting at the door.
-                session.ingest_ready(clock_us)
-                if session.pending:
-                    heapq.heappush(heads, (session.next_pending(), stream_id, session))
-            if served:
-                report.batch_sizes.append(served)
+                    self._observe_scheduler(
+                        results[stream_id].trajectory.backend_results[index])
 
-            still_active: List[Session] = []
-            for session in active:
-                if session.done:
-                    yield session.spec, session.result()
-                else:
-                    still_active.append(session)
-            active = still_active
-            if not active:
-                # Advance the continuity water-mark past this call's final
-                # clock, so the next serve call's decisions sort after ours.
-                self._decision_clock = clock_base + clock_us / 1e6 + tick_interval
-                return
-            # Evaluate the scaler only while sessions remain: a decision on
-            # the final tick would be logged but could never act.
-            if self.autoscaler is not None:
-                decision = self.autoscaler.decide(clock_base + clock_us / 1e6)
-                report.scale_decisions.append(decision)
-                workers = decision.workers_after
-            ticks += 1
+        finished, self._decision_clock = replay_schedule(
+            specs, report, autoscaler=self.autoscaler,
+            frames_per_worker_tick=self.frames_per_worker_tick,
+            sizing_maps=fleet_maps if self.map_aware_sizing else None,
+            ingress_capacity=self.ingress_capacity, clock_base=clock_base,
+            on_serve=on_serve)
+        return finished
 
     @staticmethod
     def _account_service_latency(report: ServingReport, latency_us: int,
@@ -708,12 +600,8 @@ class ServingEngine(WaveLifecycle):
                 report.deadline_misses_by_stream.get(stream_id, 0) + 1)
         return on_time
 
-    def _observe_scheduler(self, session: Session) -> None:
-        """Feed the just-served frame to the accelerator's offload scheduler."""
-        backend_results = session.result().trajectory.backend_results
-        if not backend_results:
-            return
-        backend_result = backend_results[-1]
+    def _observe_scheduler(self, backend_result) -> None:
+        """Feed one served frame's backend result to the offload scheduler."""
         latency = _kernel_training_latency_ms(self.accelerator, backend_result,
                                               self._kernel_of)
         self.accelerator.scheduler.observe(
@@ -745,44 +633,6 @@ class ServingEngine(WaveLifecycle):
             else:
                 costs.append(MODE_FRAME_COST[expected_segment_mode(spec, index, mapped)])
         return tuple(costs)
-
-    def _prime_autoscaler(self, specs: Sequence[StreamSpec],
-                          segment_costs: Dict[str, Tuple[float, ...]],
-                          clock: float = 0.0) -> ScaleDecision:
-        """Install the mode-mix sizing prior before the first tick.
-
-        Each session delivers one frame per *its own* frame interval, and
-        the event loop ticks at the fleet's fastest interval — so a
-        session's per-tick arrival rate is ``tick / frame_interval`` frames
-        (1 for the fastest sessions, fractional for slower ones).  The
-        fleet's expected demand per tick is the sum of per-session
-        frames-weighted mean costs scaled by that rate; dividing by the
-        per-worker tick capacity gives the expected steady-state width.
-        Warm registration-heavy fleets land low, cold SLAM-heavy fleets
-        land high — the controller then only has to correct the residual
-        error instead of discovering the whole operating point through
-        backlog.
-        """
-        tick_interval = min(spec.frame_interval for spec in specs)
-        demand = 0.0
-        for spec in specs:
-            arrival_rate = tick_interval / spec.frame_interval
-            costs = segment_costs.get(spec.stream_id, ())
-            if not costs:
-                demand += arrival_rate
-                continue
-            frames = [segment_frame_count(segment.duration, spec.camera_rate_hz)
-                      for segment in spec.segments]
-            total = sum(frames)
-            demand += (arrival_rate
-                       * sum(cost * count for cost, count in zip(costs, frames))
-                       / max(1, total))
-        workers = int(np.ceil(demand / self.frames_per_worker_tick))
-        return self.autoscaler.prime(
-            workers,
-            reason=(f"map-aware sizing prior: expected demand "
-                    f"{demand:.2f} cost-units/tick over {len(specs)} sessions"),
-            clock=clock)
 
     # -------------------------------------------------------- observability
 
@@ -879,18 +729,201 @@ class ServingEngine(WaveLifecycle):
                 deadline_misses=report.deadline_misses_by_stream.get(stream_id, 0),
                 mapped_environments=maps_by_stream.get(stream_id) or ())
 
-    # ------------------------------------------------------------ internals
 
-    def _absorb(self, report: ServingReport, spec: StreamSpec,
-                result: SessionResult,
-                maps_by_stream: Dict[str, Dict[str, MapSnapshot]]) -> None:
-        report.computed_sessions += 1
-        report.results[spec.stream_id] = result
-        report.served_frame_wall_ms.extend(result.frame_wall_ms)
-        if self.store is not None:
-            key = serving_key(spec, self._map_versions(
-                maps_by_stream.get(spec.stream_id) or {}))
-            self.store.save_key(key, result)
+# ------------------------------------------------------ the virtual clock
+
+
+class _Lane:
+    """One stream's position in the schedule: its frame records, the next
+    frame to admit and the next to serve.  The ingress queue is the record
+    range ``[served, arrived)`` — frames are admitted and served in order."""
+
+    __slots__ = ("spec", "records", "arrived", "served")
+
+    def __init__(self, spec: StreamSpec, records: List[Tuple[float, int, int]]) -> None:
+        self.spec = spec
+        self.records = records
+        self.arrived = 0
+        self.served = 0
+
+    def ingest(self, clock_us: int, capacity: int) -> None:
+        """Admit frames that have arrived by ``clock_us``, up to the queue
+        bound (backpressure: the rest wait at the door with their arrival
+        stamps, so congestion shows up as latency, not as dropped frames).
+        Both clocks are whole microseconds, so the test is exact."""
+        records = self.records
+        while (self.arrived - self.served < capacity and self.arrived < len(records)
+               and records[self.arrived][1] <= clock_us):
+            self.arrived += 1
+
+
+def replay_schedule(specs: Sequence[StreamSpec], report: ServingReport, *,
+                    autoscaler: Optional[LatencyAutoscaler],
+                    frames_per_worker_tick: int,
+                    sizing_maps: Optional[Dict[str, MapSnapshot]],
+                    ingress_capacity: int = DEFAULT_INGRESS_CAPACITY,
+                    clock_base: float = 0.0,
+                    on_serve=None) -> Tuple[List[str], float]:
+    """The arrival-time event loop, replayed from the specs alone.
+
+    The loop advances a virtual clock over the fleet's frame arrivals
+    (:func:`~repro.serving.streams.frame_records`).  Each tick:
+
+    1. every active stream admits frames that have arrived by ``clock_us``
+       into its bounded ingress queue (a full queue pushes back instead of
+       buffering — congestion becomes latency, not memory);
+    2. pending frames are served in ``(arrival, stream_id)`` order, up to
+       ``workers x frames_per_worker_tick`` capacity units — one unit per
+       frame, or the frame's expected mode cost when ``sizing_maps`` turns
+       map-aware sizing on (a registration frame against a resolved fleet
+       map occupies a worker for a fraction of what a SLAM frame does);
+    3. served latencies (``clock_us - arrival_us``) feed the autoscaler,
+       which may resize ``workers`` (grow/shrink with hysteresis) — seeded
+       by the map-aware sizing prior, installed before the first tick;
+    4. the clock advances one frame interval while a backlog remains, else
+       jumps to the next arrival.
+
+    ``clock_us`` is whole microseconds, quantized once per tick from the
+    arrival it last jumped to plus ``ticks x tick_interval`` (adding up
+    rounded ticks would walk off a 1/30 s grid).  It jumps only when
+    nothing is pending, so no latency is negative.
+
+    Ticks, batch sizes, latencies, misses and scale decisions land in
+    ``report``; ``on_serve(stream_id, frame_index, arrival_us, clock_us,
+    on_time)`` is called for every served frame, in serve order.  Decision
+    clocks are offset by ``clock_base`` so consecutive calls on one
+    autoscaler produce one monotone log.  Returns the stream ids in the
+    order their last frame was served (streams without frames first) and
+    the next call's ``clock_base``: one tick past this call's final clock.
+    """
+    lanes: List[_Lane] = []
+    finished: List[str] = []
+    for spec in specs:
+        records = frame_records(spec)
+        if records:
+            lanes.append(_Lane(spec, records))
+        else:
+            finished.append(spec.stream_id)  # complete on arrival
+    if not lanes:
+        return finished, clock_base
+    tick_interval = min(lane.spec.frame_interval for lane in lanes)
+    clock_us = min(lane.records[0][1] for lane in lanes)
+    segment_costs: Dict[str, Tuple[float, ...]] = {}
+    if autoscaler is not None and sizing_maps is not None:
+        segment_costs = {lane.spec.stream_id: ServingEngine._segment_costs(
+            lane.spec, sizing_maps) for lane in lanes}
+        report.scale_decisions.append(_prime_autoscaler(
+            autoscaler, [lane.spec for lane in lanes], segment_costs,
+            frames_per_worker_tick, clock=clock_base + clock_us / 1e6))
+    workers = autoscaler.workers if autoscaler is not None else 1
+    # The width serving actually starts at, so final_workers stays truthful
+    # even when no scale decision is ever logged.
+    report.workers = workers
+
+    active = lanes
+    while True:
+        if all(lane.arrived == lane.served for lane in active):
+            # Nothing is pending, so every active stream has a next
+            # arrival: jump to the earliest, the origin ticks count from.
+            origin = min((lane.records[lane.arrived] for lane in active),
+                         key=lambda record: record[1])[0]
+            ticks = 0
+        clock_us = quantize_us(origin + ticks * tick_interval)
+        report.ticks += 1
+        for lane in active:
+            lane.ingest(clock_us, ingress_capacity)
+        # The worker pool's service capacity this tick.  The virtual pool
+        # is the autoscaler's actuator; without one, the loop serves
+        # everything that is ready (no artificial throttle).
+        if autoscaler is not None:
+            capacity = max(1, workers * frames_per_worker_tick)
+        else:
+            capacity = float("inf")
+        heads = [(lane.records[lane.served][1], lane.spec.stream_id, lane)
+                 for lane in active if lane.arrived > lane.served]
+        heapq.heapify(heads)
+        served = 0
+        served_cost = 0.0
+        while heads and served_cost < capacity:
+            arrival_us, stream_id, lane = heapq.heappop(heads)
+            index = lane.served
+            lane.served += 1
+            served += 1
+            # segment_costs has an entry for every lane when map-aware
+            # sizing is on — direct indexing lets any violation of that
+            # invariant surface instead of silently mis-billing the frame.
+            served_cost += (segment_costs[stream_id][lane.records[index][2]]
+                            if segment_costs else 1.0)
+            latency_us = clock_us - arrival_us
+            deadline_ms = lane.spec.deadline_ms
+            on_time = ServingEngine._account_service_latency(
+                report, latency_us, deadline_ms, stream_id)
+            if autoscaler is not None:
+                autoscaler.observe(latency_us / 1e3, deadline_ms)
+            if on_serve is not None:
+                on_serve(stream_id, index, arrival_us, clock_us, on_time)
+            # Serving freed an ingress slot: admit any backpressured frame
+            # that has been waiting at the door.
+            lane.ingest(clock_us, ingress_capacity)
+            if lane.arrived > lane.served:
+                heapq.heappush(heads, (lane.records[lane.served][1], stream_id, lane))
+        if served:
+            report.batch_sizes.append(served)
+
+        still_active: List[_Lane] = []
+        for lane in active:
+            if lane.served == len(lane.records):
+                finished.append(lane.spec.stream_id)
+            else:
+                still_active.append(lane)
+        active = still_active
+        if not active:
+            return finished, clock_base + clock_us / 1e6 + tick_interval
+        # Evaluate the scaler only while streams remain: a decision on the
+        # final tick would be logged but could never act.
+        if autoscaler is not None:
+            decision = autoscaler.decide(clock_base + clock_us / 1e6)
+            report.scale_decisions.append(decision)
+            workers = decision.workers_after
+        ticks += 1
+
+
+def _prime_autoscaler(autoscaler: LatencyAutoscaler, specs: Sequence[StreamSpec],
+                      segment_costs: Dict[str, Tuple[float, ...]],
+                      frames_per_worker_tick: int, clock: float = 0.0) -> ScaleDecision:
+    """Install the mode-mix sizing prior before the first tick.
+
+    Each session delivers one frame per *its own* frame interval, and the
+    event loop ticks at the fleet's fastest interval — so a session's
+    per-tick arrival rate is ``tick / frame_interval`` frames (1 for the
+    fastest sessions, fractional for slower ones).  The fleet's expected
+    demand per tick is the sum of per-session frames-weighted mean costs
+    scaled by that rate; dividing by the per-worker tick capacity gives the
+    expected steady-state width.  Warm registration-heavy fleets land low,
+    cold SLAM-heavy fleets land high — the controller then only has to
+    correct the residual error instead of discovering the whole operating
+    point through backlog.
+    """
+    tick_interval = min(spec.frame_interval for spec in specs)
+    demand = 0.0
+    for spec in specs:
+        arrival_rate = tick_interval / spec.frame_interval
+        costs = segment_costs.get(spec.stream_id, ())
+        if not costs:
+            demand += arrival_rate
+            continue
+        frames = [segment_frame_count(segment.duration, spec.camera_rate_hz)
+                  for segment in spec.segments]
+        total = sum(frames)
+        demand += (arrival_rate
+                   * sum(cost * count for cost, count in zip(costs, frames))
+                   / max(1, total))
+    workers = int(np.ceil(demand / frames_per_worker_tick))
+    return autoscaler.prime(
+        workers,
+        reason=(f"map-aware sizing prior: expected demand "
+                f"{demand:.2f} cost-units/tick over {len(specs)} sessions"),
+        clock=clock)
 
 
 # ------------------------------------------------- scheduler telemetry feed

@@ -22,9 +22,12 @@ the backends are re-prepared exactly like
 :meth:`~repro.core.framework.EudoxusLocalizer.process_mixed` does.
 
 Everything a session computes is a pure function of its
-:class:`~repro.serving.streams.StreamSpec`; wall-clock frame latencies are
-recorded as telemetry but excluded from :meth:`SessionResult.signature`, the
-bit-identity witness the engine uses to prove serial == parallel execution.
+:class:`~repro.serving.streams.StreamSpec` (and the fleet maps resolved for
+it); wall-clock frame latencies are recorded as telemetry but excluded from
+:meth:`SessionResult.signature`, the bit-identity witness the engine uses to
+prove serial == parallel execution.  A session has no notion of *when* its
+frames are served: it serves them straight through, and the engine replays
+the virtual-clock schedule from the spec afterwards.
 """
 
 from __future__ import annotations
@@ -56,13 +59,6 @@ from repro.serving.streams import (
     StreamSpec,
     segment_environment_id,
 )
-
-# Per-session ingress bound: how many arrived-but-unserved frames a session
-# buffers before it pushes back on ingestion.  Two seconds of frames at the
-# default 5 Hz — enough to ride out a scheduling hiccup, small enough that a
-# congested fleet's memory stays bounded (backpressure, not buffering, is
-# the overload response).
-DEFAULT_INGRESS_CAPACITY = 10
 
 # Publication gates: a segment's SLAM map is only worth publishing once SLAM
 # actually served a few frames there and the mapper accumulated a non-trivial
@@ -230,11 +226,10 @@ class SessionResult:
         modes, switch events, map provenance — never recorded on the serving
         hot path.  Because a session result is a pure function of its spec
         (the bit-identity contract :meth:`signature` witnesses), the derived
-        span sequence is identical however the session was served (straight
-        through, in the streaming loop, in a shard) and on warm store hits.
-        ``clock_offset``
-        shifts the stream-relative timestamps onto the engine's continuous
-        decision clock.
+        span sequence is identical wherever the session was computed
+        (in-process or in a shard worker) and on warm store hits.
+        ``clock_offset`` shifts the stream-relative timestamps onto the
+        engine's continuous decision clock.
         """
         from repro.obs.trace import SpanEvent, quantize_us
 
@@ -296,30 +291,16 @@ class SessionResult:
 
 
 class Session:
-    """One client's serving state: stream position, ingress queue, localizer.
+    """One client's serving state: stream position, localizer, map lifecycle.
 
-    Frames reach a session through two equivalent paths:
-
-    * **straight through** — :meth:`step` pulls the next frame straight from
-      the stream's incremental iterator and serves it (:meth:`run`, the
-      reference :func:`~repro.serving.engine.run_session` path);
-    * **streaming ingestion** — the engine's event loop calls
-      :meth:`ingest_ready` to admit frames that have *arrived* on the
-      virtual clock (``arrival_us <= clock_us``, both whole microseconds)
-      into a bounded ingress queue, then :meth:`serve_pending` to serve the
-      queue head.  A full queue refuses further ingestion (backpressure):
-      the un-admitted frames keep their arrival stamps, so congestion shows
-      up as serving latency, not as dropped frames.
-
-    Both paths funnel every frame through the same :meth:`_serve` core, so
-    they produce bit-identical :class:`SessionResult`s — the engine's
-    signature contract against :func:`~repro.serving.engine.run_session`
-    rests on this.
+    :meth:`step` pulls the next frame from the stream's incremental iterator
+    and serves it; :meth:`run` serves the whole stream and flushes the last
+    segment's map exit (the reference :func:`~repro.serving.engine.run_session`
+    path, and the only way the engine computes a session).
     """
 
     def __init__(self, spec: StreamSpec, config: Optional[LocalizerConfig] = None,
                  policy: Optional[ModeSwitchPolicy] = None,
-                 ingress_capacity: int = DEFAULT_INGRESS_CAPACITY,
                  maps: Optional[Dict[str, MapSnapshot]] = None) -> None:
         self.spec = spec
         self.stream = ScenarioStream(
@@ -327,12 +308,8 @@ class Session:
         )
         self.localizer = EudoxusLocalizer(config or localizer_config_for(spec.platform_kind))
         self.policy = policy or ModeSwitchPolicy()
-        self.ingress_capacity = max(1, int(ingress_capacity))
         self._result = SessionResult(stream_id=spec.stream_id, spec_payload=spec.payload())
         self._frames: Iterator[StreamFrame] = self.stream.frames()
-        self._peek: Optional[StreamFrame] = None
-        self._generator_done = False
-        self._ingress: Deque[StreamFrame] = deque()
         self._segment_index = -1
         self._segment_fresh = True
         self._current_mode: Optional[BackendMode] = None
@@ -351,7 +328,6 @@ class Session:
         self._active_fleet_map: Optional[Tuple[str, MapSnapshot]] = None
         self._segment_environment_id: Optional[str] = None
         self._segment_slam_frames = 0
-        self._final_map_flushed = False
         # Map-update lifecycle state: while a fleet map is active, every
         # registration frame's per-landmark observations accumulate here;
         # a rolling window of frame-level residuals drives the staleness
@@ -360,91 +336,24 @@ class Session:
         self._stale_residuals: Deque[float] = deque(maxlen=MAP_STALE_WINDOW)
         self._map_stale = False
 
-    # ---------------------------------------------------------- arrival side
-
-    def _advance(self) -> None:
-        """Generate the next frame into the peek slot (if any remain)."""
-        if self._peek is None and not self._generator_done:
-            try:
-                self._peek = next(self._frames)
-            except StopIteration:
-                self._generator_done = True
-
-    def next_arrival(self) -> Optional[StreamFrame]:
-        """The next not-yet-ingested frame (None at EOS)."""
-        self._advance()
-        return self._peek
-
-    def ingest_ready(self, clock_us: int) -> int:
-        """Admit frames that have arrived by ``clock_us`` into the ingress queue.
-
-        A frame has arrived when ``arrival_us <= clock_us``: both are whole
-        microseconds, so the test is exact and needs no tolerance.  Stops at
-        the queue bound (backpressure) or at the first frame that has not
-        arrived yet; returns the number of frames admitted.
-        """
-        admitted = 0
-        while len(self._ingress) < self.ingress_capacity:
-            self._advance()
-            if self._peek is None or self._peek.arrival_us > clock_us:
-                break
-            self._ingress.append(self._peek)
-            self._peek = None
-            admitted += 1
-        return admitted
-
-    @property
-    def pending(self) -> int:
-        """Frames admitted but not yet served."""
-        return len(self._ingress)
-
-    def next_pending(self) -> Optional[int]:
-        """``arrival_us`` of the queue head (None when the queue is empty)."""
-        return self._ingress[0].arrival_us if self._ingress else None
-
-    def serve_pending(self) -> Optional[StreamFrame]:
-        """Serve the ingress-queue head; None when nothing is pending."""
-        if not self._ingress:
-            return None
-        stream_frame = self._ingress.popleft()
-        self._serve(stream_frame)
-        return stream_frame
-
-    # ------------------------------------------------------------- stepping
-
-    @property
-    def done(self) -> bool:
-        if self._ingress:
-            return False
-        return self.next_arrival() is None
-
     def step(self) -> bool:
         """Serve one frame; returns False once the stream is exhausted."""
-        if self._ingress:
-            self.serve_pending()
-            return True
-        self._advance()
-        if self._peek is None:
+        stream_frame = next(self._frames, None)
+        if stream_frame is None:
             return False
-        stream_frame = self._peek
-        self._peek = None
         self._serve(stream_frame)
         return True
 
     def run(self) -> SessionResult:
-        """Serve the whole stream to completion, frame by frame."""
+        """Serve the whole stream to completion, frame by frame.
+
+        Stream exhaustion is the final map-exit boundary: the last segment's
+        publishable SLAM map and map-update delta are flushed here.
+        """
         while self.step():
             pass
-        return self.result()
-
-    def result(self) -> SessionResult:
-        # Stream exhaustion is the final map-exit boundary: flush the last
-        # segment's publishable SLAM map exactly once.  Mid-stream callers
-        # (telemetry hooks) see ``done`` False and leave the result as-is.
-        if not self._final_map_flushed and self.done:
-            self._final_map_flushed = True
-            self._publish_segment_map()
-            self._flush_map_update()
+        self._publish_segment_map()
+        self._flush_map_update()
         return self._result
 
     # ------------------------------------------------------------ internals

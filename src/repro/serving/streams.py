@@ -36,7 +36,13 @@ import numpy as np
 
 from repro.common.config import SensorConfig
 from repro.obs.trace import quantize_us
-from repro.sensors.dataset import Frame, SequenceBuilder, SyntheticSequence, segment_frame_count
+from repro.sensors.dataset import (
+    Frame,
+    SequenceBuilder,
+    SyntheticSequence,
+    segment_frame_count,
+    segment_frame_times,
+)
 from repro.sensors.scenarios import OperatingScenario, ScenarioKind, scenario_catalog
 from repro.sensors.world import LandmarkWorld
 
@@ -311,23 +317,38 @@ def expected_gps_denied_mode(spec: StreamSpec, index: int,
 
 @dataclass(frozen=True)
 class StreamFrame:
-    """One frame of a stream as it arrives at the serving engine.
+    """One frame of a stream, as a session serves it.
 
-    ``arrival_us`` is the frame's position on the stream's virtual clock in
-    whole microseconds (its sensor timestamp, quantized once: a client
-    uploads a frame the moment its camera produces it); the serving loop
-    compares and subtracts only these integers.  ``sequence`` is the segment
-    the frame belongs to — frames keep a reference so the localizer can be
-    prepared with the segment's world/rig exactly when its first frame is
-    served, and so that the number of segments alive at once is bounded by
-    the ingress depth (at most one per queued frame, plus the one being
-    generated) regardless of stream length.
+    ``sequence`` is the segment the frame belongs to — frames keep a
+    reference so the localizer can be prepared with the segment's world/rig
+    exactly when its first frame is served.
     """
 
     frame: Frame
     sequence: SyntheticSequence
     segment_index: int
-    arrival_us: int
+
+
+def frame_records(spec: StreamSpec) -> List[Tuple[float, int, int]]:
+    """``(timestamp, arrival_us, segment_index)`` of every frame of a stream.
+
+    What the serving schedule reads of a stream, computed from the spec
+    alone: the timestamps are :func:`segment_frame_times`, stitched across
+    segments like :meth:`ScenarioStream.frames` (the next segment starts one
+    frame interval after the previous segment's last frame), so they equal
+    the built frames' own timestamps bit for bit.  ``arrival_us`` is the
+    timestamp quantized once to whole microseconds (a client uploads a frame
+    the moment its camera produces it); the schedule compares and subtracts
+    only these integers.
+    """
+    records: List[Tuple[float, int, int]] = []
+    start_time = 0.0
+    for index, segment in enumerate(spec.segments):
+        times = segment_frame_times(segment.duration, spec.camera_rate_hz,
+                                    start_time).tolist()
+        records.extend((timestamp, quantize_us(timestamp), index) for timestamp in times)
+        start_time = times[-1] + 1.0 / spec.camera_rate_hz
+    return records
 
 
 class ScenarioStream:
@@ -384,19 +405,18 @@ class ScenarioStream:
     def frames(self) -> Iterator[StreamFrame]:
         """Incremental frame iterator: the arrival-time view of the stream.
 
-        Yields every frame of the stream in arrival order, stamped with its
-        position on the virtual clock.  Segments are built lazily — one at a
+        Yields every frame of the stream in arrival order.  Segments are
+        built lazily — one at a
         time, only when the iterator reaches them — so a stream of any
         length occupies the memory of a single segment; the full stream is
         never materialized.
 
-        Segment stitching uses the same arithmetic as the materialized path
-        (:meth:`~repro.serving.session.Session.step` via its segment
-        bookkeeping): the next segment starts one frame interval after the
-        previous segment's last frame, at the next frame index.  Because
-        segment contents depend only on ``(spec, start_time, start_index)``,
-        the frames this iterator yields are bit-identical to the
-        materialized ones.
+        Segment stitching is the arithmetic :func:`frame_records` mirrors:
+        the next segment starts one frame interval after the previous
+        segment's last frame, at the next frame index.  Because segment
+        contents depend only on ``(spec, start_time, start_index)``, the
+        frames this iterator yields are bit-identical to the materialized
+        ones.
         """
         start_time = 0.0
         start_index = 0
@@ -404,8 +424,7 @@ class ScenarioStream:
             sequence = self.build_segment(index, start_time=start_time,
                                           start_index=start_index)
             for frame in sequence.frames:
-                yield StreamFrame(frame=frame, sequence=sequence, segment_index=index,
-                                  arrival_us=quantize_us(frame.timestamp))
+                yield StreamFrame(frame=frame, sequence=sequence, segment_index=index)
             if sequence.frames:
                 last = sequence.frames[-1]
                 start_time = last.timestamp + 1.0 / self.spec.camera_rate_hz

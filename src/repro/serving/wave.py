@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.experiments.runner import (
     CACHE_SCHEMA_VERSION,
+    RunStore,
     code_fingerprint,
     config_fingerprint,
 )
@@ -50,7 +51,7 @@ from repro.obs.recorder import DECISION_TAIL, TRACE_TAIL, FlightRecorder
 from repro.obs.slo import SLOTracker
 from repro.obs.trace import Tracer
 from repro.obs.triage import SIG_OK
-from repro.serving.session import MAP_STALE_RESIDUAL_M
+from repro.serving.session import MAP_STALE_RESIDUAL_M, SessionResult
 from repro.serving.streams import StreamSpec
 
 if TYPE_CHECKING:
@@ -211,6 +212,30 @@ class WaveLifecycle:
                     del self._map_drift_evidence[environment_id]
                 resolved[environment_id] = snapshot
         return resolved
+
+    def _replay_stored(self, store: Optional[RunStore], spec: StreamSpec,
+                       maps_by_stream: Dict[str, Dict[str, MapSnapshot]],
+                       keys: Dict[str, str]) -> Optional[SessionResult]:
+        """The run store's result for ``spec`` — None on a miss or without a
+        store.  The session's ``serving_key`` lands in ``keys``, so the save
+        after computing reuses it."""
+        if store is None:
+            return None
+        key = keys[spec.stream_id] = serving_key(
+            spec, self._map_versions(maps_by_stream[spec.stream_id]))
+        stored = store.load_key(key, expect=SessionResult)
+        if self.tracer is not None:
+            self.tracer.instant(
+                "run_store.hit" if stored is not None else "run_store.miss",
+                "store", self.tracer.wall_now(), clock="wall",
+                track="store", stream=spec.stream_id)
+        if stored is not None:
+            # The key ignores deadline_ms, so the hit may have been computed
+            # under a different QoS contract; refresh the provenance payload
+            # to the spec actually requested (everything else is identical
+            # by key construction).
+            stored.spec_payload = spec.payload()
+        return stored
 
     @staticmethod
     def _maps_for(spec: StreamSpec,

@@ -33,6 +33,7 @@ from repro.cluster import (
     resolve_shard_count,
     resolve_slot_count,
 )
+from repro.cluster.engine import _serve_session_payload
 from repro.experiments.runner import RunStore
 from repro.maps import MapStore
 from repro.scheduler import LatencyAutoscaler
@@ -253,15 +254,15 @@ class TestShardedBitIdentity:
         plain_churn = identity_reports["plain"].map_version_churn
         assert identity_reports[2].map_version_churn == plain_churn
 
-    def test_shard_reports_fit_the_per_frame_budget(self, identity_reports):
-        # What each shard pickles back to the coordinator: per-frame
-        # summaries, not the frames' observations.
-        loaded = [rep for rep in identity_reports[2].shard_reports
-                  if rep is not None]
-        assert loaded
-        for rep in loaded:
+    def test_session_reports_fit_the_per_frame_budget(self, identity_reports):
+        # What a worker pickles back to the coordinator for one session:
+        # per-frame summaries, not the frames' observations.
+        report = identity_reports[2]
+        for spec in small_fleet(5):
+            rep = _serve_session_payload(
+                {"spec": spec.payload(), "fleet_maps": {}, "run_store": None})
             size = len(pickle.dumps(rep, protocol=pickle.HIGHEST_PROTOCOL))
-            assert rep.frame_count > 0
+            assert rep.frame_count == report.results[spec.stream_id].frame_count > 0
             assert size <= SESSION_BYTES_PER_FRAME * rep.frame_count, \
                 (size, rep.frame_count)
 
@@ -549,31 +550,6 @@ class TestClusterAdmissionSurface:
         # shard immediately.
         engine.ring.move([engine.ring.slot_of(stream)], 1 - home)
         assert not engine.saturated_for(stream)
-
-    def test_adopt_carries_whole_state_keeps_handles(self):
-        """A bound scaler still pickles (unbound), and adopting the copy's
-        state back carries everything while keeping identity and handles."""
-        import pickle
-        from repro.obs import MetricsRegistry
-        registry = MetricsRegistry()
-        scaler = LatencyAutoscaler(min_workers=1, max_workers=1,
-                                   grow_patience=1)
-        scaler.bind_metrics(registry)
-        copy = pickle.loads(pickle.dumps(scaler))
-        assert copy.metrics is None
-        copy.observe(1000.0, deadline_ms=100.0)
-        copy.decide(clock=5.0)
-        assert copy.saturated
-        scaler.adopt(copy)
-        assert scaler.saturated
-        assert list(scaler.decisions) == list(copy.decisions)
-        assert scaler.decide(clock=6.0).tick == 2  # the tick carried over
-        assert scaler.metrics is registry
-        decisions = registry.counter(
-            "eudoxus_autoscaler_decisions_total",
-            "Scaling evaluations by action (prime, grow, shrink, hold).",
-            ("action",))
-        assert decisions.value(action="hold") == 1  # only its own decision
 
     def test_pinned_capacity_sums_shards(self):
         engine = ShardedServingEngine(3, autoscaler_factory=make_scaler)

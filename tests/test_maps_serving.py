@@ -40,6 +40,7 @@ from repro.serving import (
     segment_environment_id,
     serving_key,
 )
+from repro.serving.engine import _prime_autoscaler
 
 SEGMENT = 2.0
 RATE = 5.0
@@ -588,7 +589,8 @@ class TestMapAwareSizing:
         e = engine()
         costs = {spec.stream_id: e._segment_costs(spec, {})
                  for spec in [fast] + slow}
-        decision = e._prime_autoscaler([fast] + slow, costs)
+        decision = _prime_autoscaler(e.autoscaler, [fast] + slow, costs,
+                                     e.frames_per_worker_tick)
         # 1 full-rate SLAM session + 3 half-rate ones = 2.5 cost-units per
         # tick, not the naive 4.
         assert decision.workers_after == 3

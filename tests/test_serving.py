@@ -32,14 +32,21 @@ from repro.serving import (
     ServingEngine,
     Session,
     StreamSegment,
+    ServingReport,
     StreamSpec,
+    frame_records,
     mixed_deployment_stream,
     mixed_fleet,
     random_stream,
+    replay_schedule,
     run_session,
     serving_key,
 )
-from repro.serving.engine import scheduler_training_samples, train_offload_scheduler
+from repro.serving.engine import (
+    _Lane,
+    scheduler_training_samples,
+    train_offload_scheduler,
+)
 
 SEGMENT = 2.0
 RATE = 5.0
@@ -150,7 +157,12 @@ class TestStreamBoundaryExactness:
         assert indices == list(range(spec.frame_count))
         times = np.array([sf.frame.timestamp for sf in frames])
         np.testing.assert_allclose(np.diff(times), 1.0 / RATE, atol=1e-9)
-        arrivals = np.array([sf.arrival_us for sf in frames])
+        # The schedule's records carry the built frames' own timestamps,
+        # bit for bit, without building a segment.
+        records = frame_records(spec)
+        assert [(t, i) for t, _, i in records] == \
+            [(sf.frame.timestamp, sf.segment_index) for sf in frames]
+        arrivals = np.array([arrival for _, arrival, _ in records])
         np.testing.assert_array_equal(arrivals, [quantize_us(t) for t in times])
         np.testing.assert_array_equal(np.diff(arrivals), 200_000)
 
@@ -369,15 +381,16 @@ class TestStreamingIngestion:
     def test_ingress_queue_is_bounded(self):
         spec = _spec("bounded", [(ScenarioKind.OUTDOOR_UNKNOWN, 0.0),
                                  (ScenarioKind.INDOOR_UNKNOWN, 0.0)])
-        session = Session(spec, ingress_capacity=4)
-        admitted = session.ingest_ready(clock_us=10**15)  # everything has "arrived"
-        assert admitted == 4
-        assert session.pending == 4
+        lane = _Lane(spec, frame_records(spec))
+        lane.ingest(10**15, capacity=4)  # everything has "arrived"
+        assert lane.arrived - lane.served == 4
         # Backpressure: a full queue refuses frames...
-        assert session.ingest_ready(clock_us=10**15) == 0
+        lane.ingest(10**15, capacity=4)
+        assert lane.arrived == 4
         # ...and serving frees slots one for one.
-        session.serve_pending()
-        assert session.ingest_ready(clock_us=10**15) == 1
+        lane.served += 1
+        lane.ingest(10**15, capacity=4)
+        assert lane.arrived == 5
 
     def test_ingest_admits_exactly_at_arrival(self):
         """Admission compares whole microseconds, with no tolerance.
@@ -386,9 +399,37 @@ class TestStreamingIngestion:
         microsecond earlier, frame 8 has not.
         """
         spec = _spec("exact", [(ScenarioKind.OUTDOOR_UNKNOWN, 0.0)])
-        arrivals = [sf.arrival_us for sf in ScenarioStream(spec, _sensor_config(spec)).frames()]
-        assert Session(spec, ingress_capacity=20).ingest_ready(arrivals[8]) == 9
-        assert Session(spec, ingress_capacity=20).ingest_ready(arrivals[8] - 1) == 8
+        records = frame_records(spec)
+        on_time, early = _Lane(spec, records), _Lane(spec, records)
+        on_time.ingest(records[8][1], capacity=20)
+        early.ingest(records[8][1] - 1, capacity=20)
+        assert (on_time.arrived, early.arrived) == (9, 8)
+
+    def test_backpressure_delays_but_never_drops(self, fleet):
+        """A one-frame ingress queue under a pinned single worker serves
+        every frame once, in stream order, with the latencies of a deep
+        queue: congestion shows up as latency, not as lost frames."""
+        def schedule(ingress_capacity):
+            report = ServingReport()
+            served = []
+            finished, _ = replay_schedule(
+                fleet, report,
+                autoscaler=LatencyAutoscaler(min_workers=1, max_workers=1),
+                frames_per_worker_tick=1, sizing_maps=None,
+                ingress_capacity=ingress_capacity,
+                on_serve=lambda stream_id, index, *_: served.append((stream_id, index)))
+            return report, served, finished
+
+        shallow, served, finished = schedule(1)
+        deep, deep_served, deep_finished = schedule(10)
+        assert sorted(finished) == sorted(spec.stream_id for spec in fleet)
+        for spec in fleet:
+            indices = [index for stream_id, index in served if stream_id == spec.stream_id]
+            assert indices == list(range(spec.frame_count))
+        assert max(shallow.virtual_latency_ms) > 0.0
+        assert (served, finished) == (deep_served, deep_finished)
+        assert shallow.virtual_latency_ms == deep.virtual_latency_ms
+        assert shallow.batch_sizes == deep.batch_sizes
 
     def test_online_scheduler_feed(self, fleet):
         accelerator = accelerator_for("drone")
