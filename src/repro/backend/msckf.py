@@ -103,6 +103,8 @@ class Msckf:
         self.config = config or MSCKFConfig()
         self.state = MsckfState(window_size=self.config.window_size)
         self._tracks: Dict[int, List[_Observation]] = {}
+        # Whether a clone left the window since the tracks were last filtered.
+        self._clones_pruned = False
         self._initialized = False
         self.last_workload = VioWorkload()
         self.last_kernel_ms: Dict[str, float] = {}
@@ -122,6 +124,7 @@ class Msckf:
             np.asarray(velocity, dtype=float).reshape(3) if velocity is not None else np.zeros(3)
         )
         self._tracks = {}
+        self._clones_pruned = False
         self._initialized = True
 
     @property
@@ -150,7 +153,8 @@ class Msckf:
 
         with stopwatch.measure("covariance"):
             self.state.augment(frontend.frame_index, frontend.timestamp)
-            self.state.prune_oldest(self.config.window_size)
+            if self.state.prune_oldest(self.config.window_size):
+                self._clones_pruned = True
             workload.clone_count = len(self.state.clones)
             workload.state_dim = self.state.error_dim
 
@@ -241,17 +245,22 @@ class Msckf:
         """Tracks that are lost this frame or have spanned the full window.
 
         The longest come first; equal lengths keep the tracks' first-seen order.
+        Observations whose clone left the window are dropped first.  Every
+        recorded frame has a clone and only ``prune_oldest`` removes one, so
+        that filter runs only after a prune.
         """
+        if self._clones_pruned:
+            self._clones_pruned = False
+            clone_frames = {clone.frame_index for clone in self.state.clones}
+            for track_id in list(self._tracks.keys()):
+                observations = [row for row in self._tracks[track_id] if row[0] in clone_frames]
+                if observations:
+                    self._tracks[track_id] = observations
+                else:
+                    del self._tracks[track_id]
         current_ids = set(frontend.track_ids.tolist())
-        clone_frames = {clone.frame_index for clone in self.state.clones}
         finished: List[List[_Observation]] = []
-        for track_id in list(self._tracks.keys()):
-            # Keep only observations that still have a clone in the window.
-            observations = [row for row in self._tracks[track_id] if row[0] in clone_frames]
-            if not observations:
-                del self._tracks[track_id]
-                continue
-            self._tracks[track_id] = observations
+        for track_id, observations in list(self._tracks.items()):
             lost = track_id not in current_ids
             saturated = len(observations) >= self.config.window_size
             if (lost or saturated) and len(observations) >= self.config.min_track_for_update:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.backend.base import BackendResult
-from repro.backend.tracking import LocalizationMap, MapTracker, RegistrationWorkload
+from repro.backend.tracking import LocalizationMap, MapTracker
 from repro.common.config import TrackingConfig
 from repro.common.geometry import Pose
 from repro.frontend.frontend import FrontendResult

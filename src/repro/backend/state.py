@@ -11,7 +11,7 @@ position per clone (6 each).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 

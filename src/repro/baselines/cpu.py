@@ -18,7 +18,7 @@ problems take proportionally longer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.backend.mapping import SlamWorkload
 from repro.backend.msckf import VioWorkload

@@ -9,7 +9,7 @@ and an MSCKF window of 30 states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 @dataclass

@@ -14,14 +14,13 @@ into platform latencies (CPU baseline) and accelerator latencies.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.backend.base import BackendResult
 from repro.backend.registration import RegistrationBackend
 from repro.backend.slam import SlamBackend
 from repro.backend.vio import VioBackend
 from repro.common.config import LocalizerConfig
-from repro.common.geometry import Pose
 from repro.common.timing import LatencyRecord
 from repro.core.modes import BackendMode, ModeSelector
 from repro.core.result import PoseEstimate, TrajectoryResult

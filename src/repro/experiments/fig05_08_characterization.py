@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.characterization.stats import backend_kernel_breakdown, frontend_backend_shares
-from repro.core.modes import BackendMode
 from repro.experiments.common import all_mode_runs, baseline_records
 
 

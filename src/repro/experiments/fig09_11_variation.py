@@ -20,7 +20,6 @@ from repro.characterization.stats import (
     latency_series,
     worst_to_best_ratio,
 )
-from repro.core.modes import BackendMode
 from repro.experiments.common import all_mode_runs, baseline_records
 
 # The per-mode kernels plotted in Figs. 9b, 10b and 11b.

@@ -29,7 +29,8 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -300,6 +301,18 @@ def code_fingerprint() -> str:
     return _CODE_FINGERPRINT
 
 
+@lru_cache(maxsize=16)
+def _localizer_config_payload(factory, platform_kind: str) -> Dict:
+    """``asdict`` of a platform's localizer defaults, built once per factory.
+
+    The defaults are code, so they only change when the factory itself is
+    replaced (as a test does to simulate a config change) — hence the
+    factory is part of the key.  The dict is only ever serialized, never
+    mutated.
+    """
+    return asdict(factory(platform_kind))
+
+
 def config_fingerprint(platform_kind: str, camera_rate_hz: float, seed: int) -> str:
     """Stable hash of the full configuration a cell runs under.
 
@@ -308,7 +321,7 @@ def config_fingerprint(platform_kind: str, camera_rate_hz: float, seed: int) -> 
     invalidates exactly the cache entries that depended on it.
     """
     payload = {
-        "localizer": asdict(localizer_config_for(platform_kind)),
+        "localizer": _localizer_config_payload(localizer_config_for, platform_kind),
         "sensors": asdict(sensor_config_for(platform_kind, camera_rate_hz, seed)),
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.modes import BackendMode
 from repro.experiments.common import accelerator_for, all_mode_runs
 from repro.scheduler.scheduler import train_test_split
 

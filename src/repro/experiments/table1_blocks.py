@@ -7,7 +7,7 @@ invoked is compared against the paper's decomposition.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 

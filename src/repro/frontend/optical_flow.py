@@ -10,7 +10,7 @@ the software mirrors that structure so the cycle model can reason about both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 

@@ -11,7 +11,7 @@ matching-optimization task compares in hardware.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
 
 from repro.backend.mapping import SlamWorkload
 from repro.backend.msckf import VioWorkload

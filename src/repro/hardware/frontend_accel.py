@@ -19,7 +19,7 @@ key points, matches) and converts them to milliseconds at the platform clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.frontend.frontend import FrontendWorkload

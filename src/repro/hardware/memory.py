@@ -22,8 +22,8 @@ cycles, so the unoptimized design would need roughly 9 MB of extra buffering
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, Sequence
 
 
 @dataclass

@@ -12,8 +12,7 @@ The same design methodology is instantiated twice:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.baselines.platforms import ARM_A57_MULTI, KABY_LAKE_MULTI, PlatformSpec
 from repro.hardware.backend_accel import BackendAcceleratorModel

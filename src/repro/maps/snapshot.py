@@ -16,7 +16,7 @@ bit-identical.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np

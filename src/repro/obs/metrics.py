@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 __all__ = [
     "Counter",

@@ -12,7 +12,7 @@ same landmark looks the same from nearby viewpoints.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.common.config import SensorConfig
 from repro.sensors.trajectory import (
     TrajectoryGenerator,
     circle_trajectory,

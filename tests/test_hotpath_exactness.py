@@ -21,7 +21,10 @@ the numpy loops the array synthesis, the batched Rodrigues formula and the SLAM
 readers rely on against their per-element results.  The window bundle adjustment (residuals reused across
 iterations, an array iterate written back once per solve, one ``np.bincount``
 for all five normal-equation scatters, blocks re-solved after a rejected
-step) is compared with its untrimmed copy.  Last, the script that pins the servbench wave
+step) is compared with its untrimmed copy.  The MSCKF's track selection, which filters the
+tracks against the clone window only after a prune, is compared with its
+parent that filtered on every frame, and the autoscaler's percentile with
+``np.percentile``.  Last, the script that pins the servbench wave
 signatures in CI must reject any moved bit.
 
 Three MSCKF kernels reorder floating-point work on purpose and are compared
@@ -69,6 +72,7 @@ from repro.linalg.decompositions import qr_reduced
 from repro.linalg.ops import matmul, quadratic_form, transpose
 from repro.linalg.solvers import batched_symmetric_inverse, solve_cholesky, solve_spd
 from repro.obs.profile import profile_kernel
+from repro.scheduler.autoscaler import _percentile
 from repro.sensors import dataset, trajectory
 from repro.sensors.dataset import Frame, SequenceBuilder, SyntheticSequence, segment_frame_count
 from repro.sensors.gps import GpsSimulator
@@ -2770,6 +2774,94 @@ class TestMsckfReaders:
             assert _msckf_bits(got) == _msckf_bits(reference)
             used += got.last_workload.features_used
         assert used > 0
+
+
+class _FilterEveryFrameMsckf(Msckf):
+    """The MSCKF with its parent's track selection, verbatim: every live
+    track's rows are filtered against the clone window on every frame."""
+
+    def _select_update_tracks(self, frontend: FrontendResult) -> List[List[tuple]]:
+        """Tracks that are lost this frame or have spanned the full window.
+
+        The longest come first; equal lengths keep the tracks' first-seen order.
+        """
+        current_ids = set(frontend.track_ids.tolist())
+        clone_frames = {clone.frame_index for clone in self.state.clones}
+        finished: List[List[tuple]] = []
+        for track_id in list(self._tracks.keys()):
+            # Keep only observations that still have a clone in the window.
+            observations = [row for row in self._tracks[track_id] if row[0] in clone_frames]
+            if not observations:
+                del self._tracks[track_id]
+                continue
+            self._tracks[track_id] = observations
+            lost = track_id not in current_ids
+            saturated = len(observations) >= self.config.window_size
+            if (lost or saturated) and len(observations) >= self.config.min_track_for_update:
+                finished.append(observations)
+                del self._tracks[track_id]
+        finished.sort(key=len, reverse=True)
+        return finished[: self.config.max_features_per_update]
+
+
+class TestMsckfSelectAfterPrune:
+    """Filtering the tracks only after a clone left the window selects the
+    same tracks, gathers the same arrays and leaves the same filter state as
+    filtering on every frame."""
+
+    @staticmethod
+    def _pair(config: MSCKFConfig, pose: Pose) -> Tuple[Msckf, Msckf, list, list]:
+        got, reference = Msckf(config), _FilterEveryFrameMsckf(config)
+        logs: Tuple[list, list] = ([], [])
+        for vio, log in zip((got, reference), logs):
+            vio.initialize(pose)
+            _recording_updates(vio, log)
+        return got, reference, logs[0], logs[1]
+
+    @given(frames=_track_frames(moving=False),
+           window=st.integers(min_value=2, max_value=6),
+           min_track=st.integers(min_value=1, max_value=3),
+           max_features=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_filtering_every_frame(self, frames, window, min_track, max_features):
+        config = MSCKFConfig(window_size=window, min_track_for_update=min_track,
+                             max_features_per_update=max_features)
+        got, reference, got_log, expected_log = self._pair(config, Pose.identity())
+        for frontend, _ in frames:
+            got.process_frame(frontend, *_NO_IMU)
+            reference.process_frame(frontend, *_NO_IMU)
+            assert got_log == expected_log
+            assert _msckf_bits(got) == _msckf_bits(reference)
+
+    def test_on_a_synthetic_segment(self, indoor_sequence):
+        rig = indoor_sequence.rig
+        frontends = [VisualFrontend(rig=rig, dropout_probability=0.02, seed=1) for _ in range(2)]
+        got, reference, got_log, expected_log = self._pair(MSCKFConfig(window_size=8),
+                                                           indoor_sequence.frames[0].ground_truth)
+        pruned = 0
+        for frame in indoor_sequence.frames:
+            imu = (frame.imu_timestamps, frame.imu_gyro, frame.imu_accel)
+            pruned += len(got.state.clones) == got.config.window_size
+            got.process_frame(frontends[0].process(frame), *imu)
+            reference.process_frame(frontends[1].process(frame), *imu)
+            assert got_log == expected_log
+            assert _msckf_bits(got) == _msckf_bits(reference)
+        assert pruned > 0, "the window never filled — no prune was exercised"
+
+
+class TestAutoscalerPercentile:
+    """The autoscaler's sorted-list percentile against ``np.percentile``,
+    which it replaced on the decision path, bit for bit."""
+
+    @given(values=st.lists(st.one_of(st.sampled_from([0.0, 200.0, 400.0, 0.8, 1.6]),
+                                     st.floats(min_value=0.0, max_value=1e4,
+                                               allow_nan=False, allow_infinity=False)),
+                           min_size=1, max_size=300),
+           percent=st.one_of(st.sampled_from([50.0, 95.0]),
+                             st.floats(min_value=0.0, max_value=100.0)))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_numpy(self, values, percent):
+        assert _percentile(values, percent).hex() == float(np.percentile(values, percent)).hex()
 
 
 def _slam_bits(slam: SlamBackend, result: BackendResult) -> tuple:
