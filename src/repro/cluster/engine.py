@@ -18,7 +18,8 @@ merge):
   in-process otherwise.  A payload is the spec plus the session's resolved
   snapshots, served by a store-less ``ServingEngine`` pinned to them
   (``serve([spec], fleet_maps=...)``), so workers never resolve, merge,
-  publish or apply.  Payloads are submitted in decreasing expected cost
+  publish or apply; the worker saves the result to the shared run store
+  under the key the coordinator looked up.  Payloads are submitted in decreasing expected cost
   (``_expected_session_cost``) and the pool hands them out in submit
   order: longest-first list scheduling, so no worker waits on a static
   half of the fleet;
