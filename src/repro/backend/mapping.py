@@ -19,6 +19,7 @@ it already assembled with more damping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -161,7 +162,8 @@ class KeyframeMapper:
         if not self.keyframes:
             return True
         last = self.keyframes[-1].pose
-        translation = float(np.linalg.norm(pose.translation - last.translation))
+        offset = pose.translation - last.translation
+        translation = math.sqrt(offset.dot(offset))
         rotation = pose.rotation_angle_to(last)
         return translation > self.config.keyframe_translation or rotation > self.config.keyframe_rotation
 
@@ -312,7 +314,7 @@ class KeyframeMapper:
         predicted = np.einsum("nji,nj->ni", rot, delta)           # R^T (l - t)
         residual = meas - predicted
         base = 1.0 / sigma**2
-        norm = np.linalg.norm(residual, axis=1) / sigma
+        norm = np.sqrt(np.add.reduce(residual * residual, axis=1)) / sigma
         weight = np.where(
             norm <= self.config.huber_delta,
             base,

@@ -392,7 +392,7 @@ class Msckf:
 
         # Chi-square style gating on the residual magnitude.
         rows = 3 * length - 3
-        passed = ~(np.linalg.norm(projected_r, axis=1)
+        passed = ~(np.sqrt(np.add.reduce(projected_r * projected_r, axis=1))
                    > 10.0 * self.config.observation_noise * np.sqrt(rows))
         kept = int(passed.sum())
         rotation_t, deltas, whitening = rotation_t[passed], deltas[passed], whitening[passed]

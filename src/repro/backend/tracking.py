@@ -285,7 +285,8 @@ class MapTracker:
             iterations += 1
             pose = _weighted_horn(body, world, weights)
             predicted = pose.transform_points(body)
-            errors = np.linalg.norm(predicted - world, axis=1)
+            offsets = predicted - world
+            errors = np.sqrt(np.add.reduce(offsets * offsets, axis=1))
             threshold = self.config.pnp_inlier_threshold * np.maximum(sigma, 0.05)
             inlier_mask = errors <= threshold
             inliers = int(inlier_mask.sum())
@@ -293,7 +294,8 @@ class MapTracker:
             if inliers < self.config.min_inliers:
                 new_weights = base_weights
                 inliers = len(body)
-            if np.allclose(new_weights, weights):
+            # np.allclose's own predicate (the weights are always finite).
+            if (np.abs(new_weights - weights) <= 1e-08 + 1e-05 * np.abs(weights)).all():
                 break
             weights = new_weights
         return pose, inliers, iterations

@@ -13,14 +13,15 @@ merge):
 * the coordinator resolves the wave's canonical map assignment once,
   pre-dispatch, and replays run-store hits itself;
 * **compute**: every other session of the wave is one payload to
-  :func:`~repro.experiments.runner.fan_out` — the one dispatch path, run in
-  worker processes when ``EUDOXUS_MAX_WORKERS`` allows and a pool spawns,
-  in-process otherwise.  A payload is the spec plus the session's resolved
-  snapshots, served by a store-less ``ServingEngine`` pinned to them
-  (``serve([spec], fleet_maps=...)``), so workers never resolve, merge,
-  publish or apply; the worker saves the result to the shared run store
-  under the key the coordinator looked up.  Payloads are submitted in decreasing expected cost
-  (``_expected_session_cost``) and the pool hands them out in submit
+  :func:`~repro.experiments.runner.fan_out` — the one dispatch path, run on
+  the engine's :class:`~repro.experiments.runner.WorkerPool` when
+  ``EUDOXUS_MAX_WORKERS`` allows and a pool forks, in-process otherwise.
+  A payload is the spec plus the session's resolved snapshots, served by a
+  store-less ``ServingEngine`` pinned to them (``serve([spec],
+  fleet_maps=...)``), so workers never resolve, merge, publish or apply;
+  the worker saves the result to the shared run store under the key the
+  coordinator looked up.  Payloads are submitted in decreasing expected
+  cost (``_expected_session_cost``) and the pool hands them out in submit
   order: longest-first list scheduling, so no worker waits on a static
   half of the fleet;
 * **schedule**: each shard's virtual clock is replayed in the coordinator
@@ -45,6 +46,16 @@ merged report's signature is pinned bit-identical to the plain engine's
 (tests/test_cluster.py), and its schedule to the golden control plane
 (tests/test_serving_golden.py).
 
+**Worker lifetime.**  The workers belong to one engine.  Nothing forks at
+construction.  The engine's first wave reads ``EUDOXUS_MAX_WORKERS``, which
+fixes the pool's width until :meth:`ShardedServingEngine.close`; the first
+wave that fans out forks the pool, and every later wave reuses it, so a
+worker keeps its memos and its run-store handle from wave to wave.  A worker
+that dies mid-wave costs only its lost payloads, which rerun in-process; the
+broken pool is discarded and the next wave forks a fresh one.  ``close()``
+(or leaving a ``with`` block) joins the workers, and so does dropping the
+engine unclosed.
+
 **Rebalancing.**  After each wave the coordinator feeds the per-shard
 deadline pressure (from the autoscalers' decision logs) and the expected
 per-slot serving cost (the ``MODE_FRAME_COST`` economics over the resolved
@@ -59,10 +70,17 @@ import contextlib
 import os
 import time
 import warnings
+import weakref
+from functools import lru_cache
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.runner import RunStore, fan_out, resolve_max_workers
+from repro.experiments.runner import (
+    RunStore,
+    WorkerPool,
+    fan_out,
+    resolve_max_workers,
+)
 from repro.maps import DEFAULT_MIN_MAP_QUALITY, MapMerger, MapSnapshot, MapStore
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder, recorder_from_env
@@ -105,6 +123,14 @@ def _store_bounds(store: RunStore) -> Tuple[float, float]:
             -1.0 if store.max_age_s is None else float(store.max_age_s))
 
 
+@lru_cache(maxsize=4)
+def _run_store_handle(root: str, bounds: Tuple[float, float]) -> RunStore:
+    """One handle per store for the life of the process: constructing a
+    ``RunStore`` sweeps its directory, which a worker need not repeat for
+    every session it saves."""
+    return RunStore(root, *bounds)
+
+
 def _serve_session_payload(payload: Dict) -> ServingReport:
     """Compute one session of a wave; ``fan_out`` runs it in a worker
     process or in-process, and nothing here depends on which.
@@ -116,8 +142,9 @@ def _serve_session_payload(payload: Dict) -> ServingReport:
     whole (``fleet_maps``: the canonical snapshots the coordinator resolved
     for it, a few KB each).  With ``run_store`` set — the coordinator's
     store root, bounds and the session's ``serving_key`` — the result is
-    saved here, off the coordinator, through a handle on the shared root
-    (the content-addressed layout makes concurrent handles safe).
+    saved here, off the coordinator, through this process's handle on the
+    shared root (the content-addressed layout makes concurrent handles
+    safe).
     """
     spec = StreamSpec.from_payload(payload["spec"])
     engine = ServingEngine()
@@ -125,7 +152,7 @@ def _serve_session_payload(payload: Dict) -> ServingReport:
     report = engine.serve([spec], fleet_maps=payload["fleet_maps"])
     if payload["run_store"] is not None:
         root, bounds, key = payload["run_store"]
-        RunStore(root, *bounds).save_key(key, report.results[spec.stream_id])
+        _run_store_handle(root, bounds).save_key(key, report.results[spec.stream_id])
     return report
 
 
@@ -215,6 +242,10 @@ class ShardedServingEngine(WaveLifecycle):
     ``shard_parallel`` chose a per-shard pool and the shard executor, both
     gone: they are accepted only so existing callers keep working, have no
     effect, and warn.
+
+    The engine owns its worker processes (see the module docstring):
+    :meth:`close` joins them, and ``with ShardedServingEngine(...) as
+    engine:`` closes on exit.
     """
 
     def __init__(self, shards: Optional[int] = None, *,
@@ -275,6 +306,32 @@ class ShardedServingEngine(WaveLifecycle):
         self.metrics: Optional[MetricsRegistry] = None
         if metrics is not None:
             self.bind_metrics(metrics)
+        # The wave's worker pool: created by the first wave that fans out,
+        # joined by close() or, for an engine dropped unclosed, by the
+        # finalizer (which must not hold the engine itself).
+        self._pool: Optional[WorkerPool] = None
+        self._close_pool: Optional[weakref.finalize] = None
+
+    # ------------------------------------------------------------ lifetime
+
+    def close(self) -> None:
+        """Join the engine's worker processes (idempotent).  A later wave
+        would fork a fresh pool."""
+        if self._close_pool is not None:
+            self._close_pool()
+        self._pool = self._close_pool = None
+
+    def __enter__(self) -> "ShardedServingEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _worker_pool(self) -> WorkerPool:
+        if self._pool is None:
+            self._pool = WorkerPool(resolve_max_workers(None))
+            self._close_pool = weakref.finalize(self, self._pool.close)
+        return self._pool
 
     # ------------------------------------------------------------ serving
 
@@ -282,9 +339,10 @@ class ShardedServingEngine(WaveLifecycle):
         """Partition the fleet by the ring, compute every session, replay
         each shard's schedule, merge.
 
-        Sessions fan out through ``fan_out`` (worker processes when the
-        width allows, else in-process).  Results and schedules are
-        bit-identical either way — see the module docstring for why.
+        Sessions fan out through ``fan_out`` on the engine's worker pool
+        (worker processes when the width allows, else in-process).  Results
+        and schedules are bit-identical either way — see the module
+        docstring for why.
         """
         return self._serve_wave(specs)
 
@@ -326,12 +384,13 @@ class ShardedServingEngine(WaveLifecycle):
                     for spec in cold]
         computed: Dict[str, SessionResult] = {}
         spawned = [False]
-        width = min(len(payloads), resolve_max_workers(None))
+        pool = self._worker_pool()
+        width = min(len(payloads), pool.max_workers)
         with self._maybe_wall_span("cluster.wave", shards=len(loaded),
                                    width=width):
             for index, session_report in fan_out(
                     _serve_session_payload, payloads, width,
-                    on_pool=lambda: spawned.__setitem__(0, True)):
+                    on_pool=lambda: spawned.__setitem__(0, True), pool=pool):
                 stream_id = cold[index].stream_id
                 computed[stream_id] = session_report.results[stream_id]
                 finished_at[shard_of[stream_id]] = time.perf_counter() - started

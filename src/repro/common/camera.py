@@ -74,9 +74,10 @@ class PinholeCamera:
         z = points[:, 2]
         in_front = z > 1e-6
         safe_z = np.where(in_front, z, 1.0)
-        u = self.fx * points[:, 0] / safe_z + self.cx
-        v = self.fy * points[:, 1] / safe_z + self.cy
-        pixels = np.stack([u, v], axis=1)
+        pixels = np.empty((points.shape[0], 2))
+        u, v = pixels[:, 0], pixels[:, 1]
+        u[:] = self.fx * points[:, 0] / safe_z + self.cx
+        v[:] = self.fy * points[:, 1] / safe_z + self.cy
         inside = (
             (u >= 0.0)
             & (u < self.width)
@@ -89,9 +90,11 @@ class PinholeCamera:
         """Lift pixels with known depth back into the camera frame."""
         pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
         depths = np.asarray(depths, dtype=float).reshape(-1)
-        x = (pixels[:, 0] - self.cx) / self.fx * depths
-        y = (pixels[:, 1] - self.cy) / self.fy * depths
-        return np.stack([x, y, depths], axis=1)
+        points = np.empty((pixels.shape[0], 3))
+        points[:, 0] = (pixels[:, 0] - self.cx) / self.fx * depths
+        points[:, 1] = (pixels[:, 1] - self.cy) / self.fy * depths
+        points[:, 2] = depths
+        return points
 
     def scaled(self, factor: float) -> "PinholeCamera":
         """Return a camera with the image size (and intrinsics) scaled."""

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _EPS = 1e-12
+_FLOAT64 = np.dtype(np.float64)
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -144,8 +145,15 @@ class Pose:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self) -> None:
-        self.rotation = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        self.translation = np.asarray(self.translation, dtype=float).reshape(3)
+        # Float64 arrays of the right shape (what every kernel passes) are
+        # kept as they are; asarray and reshape would only make a view.
+        rotation, translation = self.rotation, self.translation
+        if not (type(rotation) is np.ndarray and rotation.dtype is _FLOAT64
+                and rotation.shape == (3, 3)):
+            self.rotation = np.asarray(rotation, dtype=float).reshape(3, 3)
+        if not (type(translation) is np.ndarray and translation.dtype is _FLOAT64
+                and translation.shape == (3,)):
+            self.translation = np.asarray(translation, dtype=float).reshape(3)
 
     @classmethod
     def identity(cls) -> "Pose":

@@ -10,7 +10,6 @@ analytical accelerator model.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List
 
@@ -125,20 +124,32 @@ class TimingStats:
         }
 
 
+class _Section:
+    """One timed ``with`` block of a :class:`StopwatchCollector`; a block
+    that raises is still timed."""
+
+    __slots__ = ("collector", "name", "start")
+
+    def __init__(self, collector: "StopwatchCollector", name: str) -> None:
+        self.collector = collector
+        self.name = name
+
+    def __enter__(self) -> None:
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc_info) -> None:
+        elapsed_ms = (time.perf_counter() - self.start) * 1000.0
+        self.collector.timings.append(KernelTiming(self.name, elapsed_ms))
+
+
 class StopwatchCollector:
     """Collects wall-clock timings of named code sections for one frame."""
 
     def __init__(self) -> None:
         self.timings: List[KernelTiming] = []
 
-    @contextmanager
-    def measure(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            self.timings.append(KernelTiming(name, elapsed_ms))
+    def measure(self, name: str) -> _Section:
+        return _Section(self, name)
 
     def as_dict(self) -> Dict[str, float]:
         out: Dict[str, float] = {}

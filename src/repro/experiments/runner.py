@@ -77,7 +77,87 @@ def resolve_max_workers(max_workers: Optional[int] = None) -> int:
     return max(1, int(max_workers))
 
 
-def fan_out(fn, payloads: Sequence[Dict], max_workers: int, on_pool=None):
+class WorkerPool:
+    """Worker processes that outlive one fan-out.
+
+    Nothing forks at construction: the first :meth:`run` that fans out
+    forks ``max_workers`` workers, and every later run reuses them, so a
+    worker keeps its memos from one run to the next.  A pool that breaks
+    (``BrokenProcessPool``) is discarded and the next run forks a fresh
+    one.  :meth:`close` joins the workers; the pool stays usable and forks
+    again if asked to.
+    """
+
+    def __init__(self, max_workers: int) -> None:
+        self.max_workers = max_workers
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+    def run(self, fn, payloads: Sequence[Dict], on_pool=None):
+        """Yield ``(index, result)`` for each payload as it completes.
+
+        The failure semantics of :func:`fan_out`, which is this pool used
+        once: only a pool failure falls back in-process, and an exception
+        raised by ``fn`` propagates after exactly one run.
+        """
+        pending = list(range(len(payloads)))
+        if self.max_workers > 1 and len(payloads) > 1:
+            if self._executor is None:
+                try:
+                    self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
+                except (OSError, RuntimeError):
+                    pass  # no pool here: every payload runs in-process
+            index_of = {}
+            broken = False
+            try:
+                if self._executor is not None:
+                    try:
+                        for index in pending:
+                            index_of[self._executor.submit(fn, payloads[index])] = index
+                    except (OSError, RuntimeError):
+                        # The unsubmitted payloads run in-process below,
+                        # and the pool that refused them is replaced.
+                        broken = True
+                for future in as_completed(index_of):
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        broken = True
+                        continue  # lost with its worker: rerun in-process
+                    if on_pool is not None:
+                        # Only after the first result actually came back
+                        # from a worker: under the spawn start method the
+                        # pool's failure surfaces here, not at submit, and
+                        # a run that falls back serially must not be
+                        # counted as parallel execution.
+                        on_pool()
+                        on_pool = None
+                    index = index_of[future]
+                    pending.remove(index)
+                    yield index, result
+            finally:
+                # A payload error or an abandoned run leaves the pool idle
+                # for the next run instead of working on discarded payloads.
+                for future in index_of:
+                    future.cancel()
+                if broken:
+                    self.close()
+        for index in pending:
+            yield index, fn(payloads[index])
+
+
+def fan_out(fn, payloads: Sequence[Dict], max_workers: int, on_pool=None, *,
+            pool: Optional[WorkerPool] = None):
     """Yield ``(index, result)`` for each payload as it completes.
 
     ``fn`` must be a module-level function of one picklable payload so it can
@@ -92,40 +172,17 @@ def fan_out(fn, payloads: Sequence[Dict], max_workers: int, on_pool=None):
     honest parallelism statistics.  Both the experiment runner and the
     sharded serving coordinator fan their work out through this single
     helper.
+
+    By default the payloads run on a one-shot :class:`WorkerPool` of
+    ``min(max_workers, len(payloads))`` workers, joined before the
+    generator finishes.  ``pool`` runs them on an open pool instead, whose
+    width was fixed when it was created; it stays open afterwards.
     """
-    pending = list(range(len(payloads)))
-    if max_workers > 1 and len(payloads) > 1:
-        try:
-            executor = ProcessPoolExecutor(
-                max_workers=min(max_workers, len(payloads)))
-        except (OSError, RuntimeError):
-            executor = None
-        if executor is not None:
-            with executor:
-                index_of = {}
-                try:
-                    for index in pending:
-                        index_of[executor.submit(fn, payloads[index])] = index
-                except (OSError, RuntimeError):
-                    pass  # the unsubmitted payloads run in-process below
-                for future in as_completed(index_of):
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        continue  # lost with its worker: rerun in-process
-                    if on_pool is not None:
-                        # Only after the first result actually came back
-                        # from a worker: under the spawn start method the
-                        # pool's failure surfaces here, not at submit, and
-                        # a run that falls back serially must not be
-                        # counted as parallel execution.
-                        on_pool()
-                        on_pool = None
-                    index = index_of[future]
-                    pending.remove(index)
-                    yield index, result
-    for index in pending:
-        yield index, fn(payloads[index])
+    if pool is not None:
+        yield from pool.run(fn, payloads, on_pool)
+        return
+    with WorkerPool(min(max_workers, len(payloads))) as one_shot:
+        yield from one_shot.run(fn, payloads, on_pool)
 
 
 # --------------------------------------------------------------- primitives

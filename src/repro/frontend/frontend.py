@@ -59,7 +59,11 @@ def stereo_point_noise(depth, fx: float, baseline: float,
     sigma_disparity = pixel_noise * np.sqrt(2.0)
     sigma_depth = depth * depth * sigma_disparity / max(fx * baseline, 1e-9)
     sigma_lateral = depth * pixel_noise / max(fx, 1e-9)
-    return np.maximum(np.stack([sigma_depth, sigma_lateral, sigma_lateral], axis=-1), floor)
+    noise = np.empty(depth.shape + (3,))
+    noise[..., 0] = sigma_depth
+    noise[..., 1] = sigma_lateral
+    noise[..., 2] = sigma_lateral
+    return np.maximum(noise, floor, out=noise)
 
 
 @dataclass

@@ -101,24 +101,18 @@ def camera_frame_from_body(points_body: np.ndarray) -> np.ndarray:
     x right, y down.
     """
     points_body = np.asarray(points_body, dtype=float).reshape(-1, 3)
-    return np.stack(
-        [
-            -points_body[:, 1],
-            -points_body[:, 2],
-            points_body[:, 0],
-        ],
-        axis=1,
-    )
+    points_camera = np.empty((points_body.shape[0], 3))
+    np.negative(points_body[:, 1], out=points_camera[:, 0])
+    np.negative(points_body[:, 2], out=points_camera[:, 1])
+    points_camera[:, 2] = points_body[:, 0]
+    return points_camera
 
 
 def body_frame_from_camera(points_camera: np.ndarray) -> np.ndarray:
     """Inverse of :func:`camera_frame_from_body`."""
     points_camera = np.asarray(points_camera, dtype=float).reshape(-1, 3)
-    return np.stack(
-        [
-            points_camera[:, 2],
-            -points_camera[:, 0],
-            -points_camera[:, 1],
-        ],
-        axis=1,
-    )
+    points_body = np.empty((points_camera.shape[0], 3))
+    points_body[:, 0] = points_camera[:, 2]
+    np.negative(points_camera[:, 0], out=points_body[:, 1])
+    np.negative(points_camera[:, 1], out=points_body[:, 2])
+    return points_body

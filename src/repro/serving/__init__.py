@@ -18,8 +18,8 @@ per client device — over a shared pool of backend workers:
   in two steps: it computes every session straight through (each
   bit-identical to :func:`run_session`, with deterministic per-session
   seeds), then :func:`replay_schedule` replays the arrival-time event loop
-  on a virtual clock — bounded ingress queues with backpressure, capacity
-  sized by the latency-aware :class:`~repro.scheduler.LatencyAutoscaler`
+  on a virtual clock — per-session ingress queues, capacity sized by
+  the latency-aware :class:`~repro.scheduler.LatencyAutoscaler`
   when one is attached.  The schedule reads only the specs, so the split
   changes no result and no latency.  The engine persists results in the
   run store and reports throughput/latency/autoscaling telemetry.
@@ -38,7 +38,6 @@ matching fleet shapes.
 """
 
 from repro.serving.engine import (
-    DEFAULT_INGRESS_CAPACITY,
     MODE_FRAME_COST,
     ServingEngine,
     ServingReport,
@@ -73,7 +72,6 @@ from repro.serving.streams import (
 from repro.serving.wave import serving_key
 
 __all__ = [
-    "DEFAULT_INGRESS_CAPACITY",
     "MODE_FRAME_COST",
     "MapAcquisition",
     "ModeSwitch",

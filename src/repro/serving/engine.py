@@ -10,7 +10,7 @@ sessions in three steps:
    :func:`run_session` does;
 3. **schedule** the computed sessions with :func:`replay_schedule`, the
    arrival-time event loop on a virtual clock.  Frames are admitted into
-   bounded per-session ingress queues as they *arrive* on the clock, and
+   per-session ingress queues as they *arrive* on the clock, and
    each tick serves whatever is ready — across sessions, in deterministic
    ``(arrival, stream_id)`` order, up to the service capacity.  A frame
    served later than it arrived has *serving latency* (the virtual clock
@@ -87,13 +87,6 @@ from repro.serving.streams import (
 )
 from repro.serving.wave import WaveLifecycle
 from repro.sensors.dataset import segment_frame_count
-
-# Per-session ingress bound: how many arrived-but-unserved frames a session
-# buffers before it pushes back on ingestion.  Two seconds of frames at the
-# default 5 Hz — enough to ride out a scheduling hiccup, small enough that a
-# congested fleet's queues stay bounded (backpressure, not buffering, is the
-# overload response).
-DEFAULT_INGRESS_CAPACITY = 10
 
 # Expected per-frame service cost by backend mode, relative to SLAM — the
 # Fig. 2 economics as a sizing constant: sliding-window bundle adjustment +
@@ -427,7 +420,6 @@ class ServingEngine(WaveLifecycle):
                  max_workers: Optional[int] = None,
                  autoscaler: Optional[LatencyAutoscaler] = None,
                  accelerator=None,
-                 ingress_capacity: int = DEFAULT_INGRESS_CAPACITY,
                  frames_per_worker_tick: Optional[int] = None,
                  map_store: Optional[MapStore] = None,
                  map_merger: Optional[MapMerger] = None,
@@ -445,7 +437,6 @@ class ServingEngine(WaveLifecycle):
         self.store = store
         self.autoscaler = autoscaler
         self.accelerator = accelerator
-        self.ingress_capacity = max(1, int(ingress_capacity))
         self.frames_per_worker_tick = max(
             1, int(frames_per_worker_tick if frames_per_worker_tick is not None
                    else self.FRAMES_PER_WORKER_TICK))
@@ -576,8 +567,7 @@ class ServingEngine(WaveLifecycle):
             specs, report, autoscaler=self.autoscaler,
             frames_per_worker_tick=self.frames_per_worker_tick,
             sizing_maps=fleet_maps if self.map_aware_sizing else None,
-            ingress_capacity=self.ingress_capacity, clock_base=clock_base,
-            on_serve=on_serve)
+            clock_base=clock_base, on_serve=on_serve)
         return finished
 
     @staticmethod
@@ -746,14 +736,11 @@ class _Lane:
         self.arrived = 0
         self.served = 0
 
-    def ingest(self, clock_us: int, capacity: int) -> None:
-        """Admit frames that have arrived by ``clock_us``, up to the queue
-        bound (backpressure: the rest wait at the door with their arrival
-        stamps, so congestion shows up as latency, not as dropped frames).
-        Both clocks are whole microseconds, so the test is exact."""
+    def ingest(self, clock_us: int) -> None:
+        """Admit every frame that has arrived by ``clock_us``.  Both clocks
+        are whole microseconds, so the test is exact."""
         records = self.records
-        while (self.arrived - self.served < capacity and self.arrived < len(records)
-               and records[self.arrived][1] <= clock_us):
+        while self.arrived < len(records) and records[self.arrived][1] <= clock_us:
             self.arrived += 1
 
 
@@ -761,7 +748,6 @@ def replay_schedule(specs: Sequence[StreamSpec], report: ServingReport, *,
                     autoscaler: Optional[LatencyAutoscaler],
                     frames_per_worker_tick: int,
                     sizing_maps: Optional[Dict[str, MapSnapshot]],
-                    ingress_capacity: int = DEFAULT_INGRESS_CAPACITY,
                     clock_base: float = 0.0,
                     on_serve=None) -> Tuple[List[str], float]:
     """The arrival-time event loop, replayed from the specs alone.
@@ -770,8 +756,7 @@ def replay_schedule(specs: Sequence[StreamSpec], report: ServingReport, *,
     (:func:`~repro.serving.streams.frame_records`).  Each tick:
 
     1. every active stream admits frames that have arrived by ``clock_us``
-       into its bounded ingress queue (a full queue pushes back instead of
-       buffering — congestion becomes latency, not memory);
+       into its ingress queue;
     2. pending frames are served in ``(arrival, stream_id)`` order, up to
        ``workers x frames_per_worker_tick`` capacity units — one unit per
        frame, or the frame's expected mode cost when ``sizing_maps`` turns
@@ -831,7 +816,7 @@ def replay_schedule(specs: Sequence[StreamSpec], report: ServingReport, *,
         clock_us = quantize_us(origin + ticks * tick_interval)
         report.ticks += 1
         for lane in active:
-            lane.ingest(clock_us, ingress_capacity)
+            lane.ingest(clock_us)
         # The worker pool's service capacity this tick.  The virtual pool
         # is the autoscaler's actuator; without one, the loop serves
         # everything that is ready (no artificial throttle).
@@ -862,9 +847,6 @@ def replay_schedule(specs: Sequence[StreamSpec], report: ServingReport, *,
                 autoscaler.observe(latency_us / 1e3, deadline_ms)
             if on_serve is not None:
                 on_serve(stream_id, index, arrival_us, clock_us, on_time)
-            # Serving freed an ingress slot: admit any backpressured frame
-            # that has been waiting at the door.
-            lane.ingest(clock_us, ingress_capacity)
             if lane.arrived > lane.served:
                 heapq.heappush(heads, (lane.records[lane.served][1], stream_id, lane))
         if served:

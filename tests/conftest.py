@@ -1,5 +1,8 @@
 """Shared fixtures: small synthetic sequences and rigs used across tests."""
 
+import gc
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,19 @@ from repro.common.camera import PinholeCamera, StereoRig
 from repro.common.config import LocalizerConfig, SensorConfig
 from repro.sensors.dataset import SequenceBuilder
 from repro.sensors.scenarios import ScenarioKind, scenario_catalog
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_worker_outlives_the_session():
+    """Every worker process a test forked is joined by the end of the run.
+
+    A sharded engine keeps its workers until it is closed or dropped, and
+    an idle worker holds tens of MB, so a leak here adds up over the suite.
+    """
+    yield
+    gc.collect()
+    leftover = multiprocessing.active_children()
+    assert not leftover, f"worker processes outlived the test session: {leftover}"
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,10 @@ The load-bearing contracts, in order of importance:
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -33,6 +36,7 @@ from repro.cluster import (
     resolve_shard_count,
     resolve_slot_count,
 )
+import repro.cluster.engine as cluster_engine
 from repro.cluster.engine import _serve_session_payload
 from repro.experiments.runner import RunStore
 from repro.maps import MapStore
@@ -617,3 +621,93 @@ class TestClusterMetrics:
         engine.bind_metrics(registry)  # idempotent re-bind
         assert "eudoxus_cluster_rebalances_total" in registry
         assert "eudoxus_engine_sessions_total" in registry
+
+
+# ------------------------------------------------------------ worker lifetime
+
+
+# Workers are forked from the test process, so they inherit this value.
+COORDINATOR_PID = os.getpid()
+VICTIM = "w0-001"
+
+
+def _die_in_worker(payload):
+    """The wave's session payload, except that the worker serving
+    ``VICTIM`` dies without answering."""
+    if payload["spec"]["stream_id"] == VICTIM and os.getpid() != COORDINATOR_PID:
+        os._exit(1)
+    return _serve_session_payload(payload)
+
+
+def live_children():
+    gc.collect()  # an engine dropped by an earlier test joins its workers
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+class TestWorkerLifetime:
+    """One worker pool per engine: forked by the first wave that fans
+    out, reused by every later wave, joined by close() or when the engine
+    is dropped."""
+
+    @pytest.fixture()
+    def two_workers(self, monkeypatch):
+        monkeypatch.setenv("EUDOXUS_MAX_WORKERS", "2")
+        return live_children()
+
+    def test_waves_are_answered_by_the_same_workers(self, two_workers):
+        engine = ShardedServingEngine(2, autoscaler_factory=make_scaler)
+        assert live_children() == two_workers  # nothing forks at construction
+        workers = []
+        for wave in range(2):
+            report = engine.serve(small_fleet(4, prefix=f"w{wave}",
+                                              base_seed=100 * wave))
+            assert report.parallel
+            workers.append(live_children() - two_workers)
+        assert len(workers[0]) == 2
+        assert workers[1] == workers[0]
+        engine.close()
+        assert live_children() == two_workers
+
+    def test_killed_worker_reruns_in_process_and_the_next_wave_forks_afresh(
+            self, two_workers, monkeypatch):
+        fleets = [small_fleet(4, prefix=f"w{wave}", base_seed=100 * wave)
+                  for wave in range(2)]
+        assert VICTIM in {spec.stream_id for spec in fleets[0]}
+        monkeypatch.setenv("EUDOXUS_MAX_WORKERS", "1")
+        with ShardedServingEngine(2, autoscaler_factory=make_scaler) as engine:
+            expected = [engine.serve(fleet) for fleet in fleets]
+        monkeypatch.setenv("EUDOXUS_MAX_WORKERS", "2")
+        monkeypatch.setattr(cluster_engine, "_serve_session_payload", _die_in_worker)
+        with ShardedServingEngine(2, autoscaler_factory=make_scaler) as engine:
+            first = engine.serve(fleets[0])
+            first_workers = live_children() - two_workers
+            second = engine.serve(fleets[1])
+            second_workers = live_children() - two_workers
+        assert [first.signature(), second.signature()] == \
+            [report.signature() for report in expected]
+        assert first.virtual_latency_ms == expected[0].virtual_latency_ms
+        # The broken pool was discarded, not reused.
+        assert not first_workers
+        assert len(second_workers) == 2 and second.parallel
+        assert live_children() == two_workers
+
+    def test_a_dropped_engine_joins_its_workers(self, two_workers):
+        engine = ShardedServingEngine(2, autoscaler_factory=make_scaler)
+        assert engine.serve(small_fleet(4)).parallel
+        assert len(live_children() - two_workers) == 2
+        del engine
+        assert live_children() == two_workers
+
+    def test_close_is_idempotent_and_a_closed_engine_serves_again(
+            self, two_workers):
+        engine = ShardedServingEngine(2, autoscaler_factory=make_scaler)
+        engine.close()  # before any wave: nothing to join
+        first = engine.serve(small_fleet(4))
+        engine.close()
+        engine.close()
+        assert live_children() == two_workers
+        again = engine.serve(small_fleet(4, prefix="again"))
+        assert first.parallel and again.parallel
+        engine.close()
+        assert live_children() == two_workers
+

@@ -40,6 +40,8 @@ test, so their comparisons stay byte for byte.
 import json
 import subprocess
 import sys
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -57,12 +59,12 @@ from repro.backend.msckf import Msckf, VioWorkload
 from repro.backend.slam import SlamBackend
 from repro.backend.tracking import LocalizationMap, MapTracker, RegistrationWorkload, _weighted_horn
 from repro.backend.state import CLONE_ERROR_DIM, IMU_ERROR_DIM
-from repro.common.camera import StereoRig, world_to_camera
+from repro.common.camera import PinholeCamera, StereoRig, world_to_camera
 from repro.common.config import (BackendConfig, FrontendConfig, MappingConfig, MSCKFConfig,
                                  SensorConfig, TrackingConfig)
 from repro.common.geometry import (Pose, euler_to_rotation, skew, skew_batch, so3_exp,
                                    so3_exp_batch)
-from repro.common.timing import StopwatchCollector
+from repro.common.timing import KernelTiming, StopwatchCollector
 from repro.frontend import orb
 from repro.frontend.fast import Keypoint, keypoints_to_array
 from repro.frontend.frontend import (FrontendResult, FrontendWorkload, VisualFrontend,
@@ -3050,6 +3052,304 @@ class TestRegistrationReaders:
                 _reference_process_sparse(records, _dict_frame(frame), rig), reference_map, prior),
                 rng=False)
         assert len(reference_map.keyframes) > len(indoor_mapped_sequence.frames) // 2
+
+
+# ------------------------------------------------------------ per-frame trims
+
+
+def _reference_project(camera, points_camera: np.ndarray) -> tuple:
+    points = np.asarray(points_camera, dtype=float).reshape(-1, 3)
+    z = points[:, 2]
+    in_front = z > 1e-6
+    safe_z = np.where(in_front, z, 1.0)
+    u = camera.fx * points[:, 0] / safe_z + camera.cx
+    v = camera.fy * points[:, 1] / safe_z + camera.cy
+    pixels = np.stack([u, v], axis=1)
+    inside = (
+        (u >= 0.0)
+        & (u < camera.width)
+        & (v >= 0.0)
+        & (v < camera.height)
+    )
+    return pixels, in_front & inside
+
+
+def _reference_back_project(camera, pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
+    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    depths = np.asarray(depths, dtype=float).reshape(-1)
+    x = (pixels[:, 0] - camera.cx) / camera.fx * depths
+    y = (pixels[:, 1] - camera.cy) / camera.fy * depths
+    return np.stack([x, y, depths], axis=1)
+
+
+def _reference_camera_frame_from_body(points_body: np.ndarray) -> np.ndarray:
+    points_body = np.asarray(points_body, dtype=float).reshape(-1, 3)
+    return np.stack(
+        [
+            -points_body[:, 1],
+            -points_body[:, 2],
+            points_body[:, 0],
+        ],
+        axis=1,
+    )
+
+
+def _reference_body_frame_from_camera(points_camera: np.ndarray) -> np.ndarray:
+    points_camera = np.asarray(points_camera, dtype=float).reshape(-1, 3)
+    return np.stack(
+        [
+            points_camera[:, 2],
+            -points_camera[:, 0],
+            -points_camera[:, 1],
+        ],
+        axis=1,
+    )
+
+
+def _reference_stereo_point_noise(depth, fx: float, baseline: float,
+                                  pixel_noise: float, floor: float = 0.02) -> np.ndarray:
+    depth = np.maximum(np.asarray(depth, dtype=float), 1e-3)
+    sigma_disparity = pixel_noise * np.sqrt(2.0)
+    sigma_depth = depth * depth * sigma_disparity / max(fx * baseline, 1e-9)
+    sigma_lateral = depth * pixel_noise / max(fx, 1e-9)
+    return np.maximum(np.stack([sigma_depth, sigma_lateral, sigma_lateral], axis=-1), floor)
+
+
+def _reference_batched_residuals(self, gathered, rotations, translations, landmarks):
+    kf_idx, lm_idx, meas, sigma = gathered
+    rot = rotations[kf_idx]                                   # (n, 3, 3)
+    delta = landmarks[lm_idx] - translations[kf_idx]          # (n, 3)
+    predicted = np.einsum("nji,nj->ni", rot, delta)           # R^T (l - t)
+    residual = meas - predicted
+    base = 1.0 / sigma**2
+    norm = np.linalg.norm(residual, axis=1) / sigma
+    weight = np.where(
+        norm <= self.config.huber_delta,
+        base,
+        base * self.config.huber_delta / np.maximum(norm, 1e-12),
+    )
+    return rot, delta, residual, weight
+
+
+def _reference_should_insert_keyframe(self, pose: Pose) -> bool:
+    if not self.keyframes:
+        return True
+    last = self.keyframes[-1].pose
+    translation = float(np.linalg.norm(pose.translation - last.translation))
+    rotation = pose.rotation_angle_to(last)
+    return translation > self.config.keyframe_translation or rotation > self.config.keyframe_rotation
+
+
+def _reference_estimate_pose(self, body, world, sigma):
+    sigma = np.maximum(sigma, 1e-3)
+    base_weights = 1.0 / sigma**2
+    weights = base_weights.copy()
+    pose = Pose.identity()
+    iterations = 0
+    inliers = len(body)
+    for iteration in range(self.config.pnp_iterations):
+        iterations += 1
+        pose = _weighted_horn(body, world, weights)
+        predicted = pose.transform_points(body)
+        errors = np.linalg.norm(predicted - world, axis=1)
+        threshold = self.config.pnp_inlier_threshold * np.maximum(sigma, 0.05)
+        inlier_mask = errors <= threshold
+        inliers = int(inlier_mask.sum())
+        new_weights = base_weights * inlier_mask.astype(float)
+        if inliers < self.config.min_inliers:
+            new_weights = base_weights
+            inliers = len(body)
+        if np.allclose(new_weights, weights):
+            break
+        weights = new_weights
+    return pose, inliers, iterations
+
+
+class _ReferenceStopwatch(StopwatchCollector):
+    @contextmanager
+    def measure(self, name: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            self.timings.append(KernelTiming(name, elapsed_ms))
+
+
+_TRIM_FLOATS = _signed(st.floats(min_value=-1e3, max_value=1e3))
+_INF_NAN = st.sampled_from([np.inf, -np.inf, np.nan])
+
+
+def _matrices(columns: int, min_rows: int = 0, elements=_TRIM_FLOATS):
+    return st.integers(min_value=min_rows, max_value=12).flatmap(
+        lambda rows: st.lists(st.lists(elements, min_size=columns, max_size=columns),
+                              min_size=rows, max_size=rows).map(
+            lambda values: np.array(values, dtype=float).reshape(rows, columns)))
+
+
+def _poses():
+    return st.builds(lambda angles, translation: Pose(euler_to_rotation(*angles),
+                                                      np.array(translation)),
+                     st.lists(st.floats(min_value=-3.2, max_value=3.2), min_size=3, max_size=3),
+                     st.lists(_TRIM_FLOATS, min_size=3, max_size=3))
+
+
+class _NdarraySubclass(np.ndarray):
+    pass
+
+
+class TestPerFrameTrims:
+    """Each trim of per-call NumPy overhead against its parent, verbatim."""
+
+    CAMERA = PinholeCamera.from_fov(320, 240, 90.0)
+
+    @given(points=_matrices(3, elements=st.one_of(_TRIM_FLOATS, _INF_NAN)))
+    @settings(max_examples=150, deadline=None)
+    def test_project(self, points):
+        with np.errstate(all="ignore"):
+            got = self.CAMERA.project(points)
+            expected = _reference_project(self.CAMERA, points)
+        assert all(_same_bits(a, b) for a, b in zip(got, expected))
+
+    @given(pixels=_matrices(2), depths=st.lists(_TRIM_FLOATS, min_size=12, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_back_project(self, pixels, depths):
+        depths = np.array(depths[:pixels.shape[0]])
+        assert _same_bits(self.CAMERA.back_project(pixels, depths),
+                          _reference_back_project(self.CAMERA, pixels, depths))
+
+    @given(points=_matrices(3, elements=st.one_of(_TRIM_FLOATS, _INF_NAN)))
+    @settings(max_examples=150, deadline=None)
+    def test_frame_conversions(self, points):
+        # Flat and Fortran-ordered input too: the output is C-ordered (n, 3).
+        for given in (points, points.ravel(), np.asfortranarray(points)):
+            for convert, reference in ((camera_frame_from_body, _reference_camera_frame_from_body),
+                                       (body_frame_from_camera, _reference_body_frame_from_camera)):
+                got, expected = convert(given), reference(given)
+                assert _same_bits(got, expected)
+                assert got.flags.c_contiguous and expected.flags.c_contiguous
+
+    @given(depths=st.one_of(_TRIM_FLOATS, st.lists(_TRIM_FLOATS, max_size=12)),
+           fx=st.floats(min_value=1e-12, max_value=1e3), baseline=st.floats(min_value=0.0, max_value=2.0),
+           pixel_noise=_signed(st.floats(min_value=0.0, max_value=5.0)),
+           floor=_signed(st.floats(min_value=0.0, max_value=0.1)))
+    @settings(max_examples=150, deadline=None)
+    def test_stereo_point_noise(self, depths, fx, baseline, pixel_noise, floor):
+        assert _same_bits(stereo_point_noise(depths, fx, baseline, pixel_noise, floor),
+                          _reference_stereo_point_noise(depths, fx, baseline, pixel_noise, floor))
+
+    @given(values=_matrices(3, elements=st.one_of(_TRIM_FLOATS, _INF_NAN)),
+           wide=_matrices(9, min_rows=1))
+    @settings(max_examples=150, deadline=None)
+    def test_row_norms_are_linalg_norm(self, values, wide):
+        """The formula the MSCKF gate, window BA and PnP now spell out."""
+        for x in (values, wide):
+            with np.errstate(all="ignore"):
+                assert _same_bits(np.sqrt(np.add.reduce(x * x, axis=1)),
+                                  np.linalg.norm(x, axis=1))
+
+    @given(data=st.data(), rows=st.integers(min_value=0, max_value=12))
+    @settings(max_examples=100, deadline=None)
+    def test_batched_residuals(self, data, rows):
+        def floats(*shape, elements=_TRIM_FLOATS):
+            size = int(np.prod(shape))
+            return np.array(data.draw(st.lists(elements, min_size=size, max_size=size)),
+                            dtype=float).reshape(shape)
+
+        def indices(bound):
+            return np.array(data.draw(st.lists(st.integers(0, bound - 1), min_size=rows,
+                                               max_size=rows)), dtype=np.int64)
+
+        gathered = (indices(3), indices(5), floats(rows, 3),
+                    floats(rows, elements=st.floats(min_value=1e-3, max_value=2.0)))
+        state = (so3_exp_batch(floats(3, 3, elements=st.floats(-3.0, 3.0))), floats(3, 3), floats(5, 3))
+        mapper = KeyframeMapper(MappingConfig(huber_delta=data.draw(st.floats(0.1, 5.0))))
+        got = mapper._batched_residuals(gathered, *state)
+        expected = _reference_batched_residuals(mapper, gathered, *state)
+        assert all(_same_bits(a, b) for a, b in zip(got, expected))
+
+    @given(first=_poses(), second=_poses(), translation=st.floats(0.0, 2.0))
+    @settings(max_examples=150, deadline=None)
+    def test_should_insert_keyframe(self, first, second, translation):
+        mapper = KeyframeMapper(MappingConfig(keyframe_translation=translation))
+        assert mapper.should_insert_keyframe(second) is _reference_should_insert_keyframe(mapper, second)
+        mapper.keyframes.append(SimpleNamespace(pose=first))
+        assert mapper.should_insert_keyframe(second) is _reference_should_insert_keyframe(mapper, second)
+        # Exactly at the threshold: the strict comparison must agree too.
+        offset = second.translation - first.translation
+        mapper.config.keyframe_translation = float(np.linalg.norm(offset))
+        assert mapper.should_insert_keyframe(second) is _reference_should_insert_keyframe(mapper, second)
+
+    @given(seed=st.integers(0, 2**31 - 1), count=st.integers(3, 30),
+           outliers=st.floats(0.0, 0.6), min_inliers=st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_estimate_pose(self, seed, count, outliers, min_inliers):
+        rng = np.random.default_rng(seed)
+        truth = Pose(so3_exp(rng.normal(0.0, 0.5, 3)), rng.normal(0.0, 2.0, 3))
+        body = rng.uniform(-5.0, 5.0, (count, 3))
+        world = truth.transform_points(body) + rng.normal(0.0, 0.02, (count, 3))
+        bad = rng.random(count) < outliers
+        world[bad] += rng.normal(0.0, 3.0, (int(bad.sum()), 3))
+        sigma = rng.uniform(0.0, 0.3, count)
+        sigma[rng.random(count) < 0.2] = 0.0
+        tracker = MapTracker(TrackingConfig(min_inliers=min_inliers))
+        pose, inliers, iterations = tracker._estimate_pose(body, world, sigma)
+        ref_pose, ref_inliers, ref_iterations = _reference_estimate_pose(tracker, body, world, sigma)
+        assert (inliers, iterations) == (ref_inliers, ref_iterations)
+        assert _same_bits(pose.rotation, ref_pose.rotation)
+        assert _same_bits(pose.translation, ref_pose.translation)
+
+    @given(new=_matrices(1, min_rows=1, elements=_signed(st.floats(0.0, 1e6))),
+           scale=st.sampled_from([0.0, 1e-9, 1e-8, 1e-6, 1e-5, 1e-3, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_allclose_predicate(self, new, scale):
+        """``_estimate_pose``'s convergence test is ``np.allclose``'s own
+        predicate on finite weights, at and around its tolerances."""
+        new = new.ravel()
+        for weights in (new, new * (1.0 + scale), new + scale, np.zeros_like(new), -new):
+            assert bool((np.abs(new - weights) <= 1e-08 + 1e-05 * np.abs(weights)).all()) \
+                is bool(np.allclose(new, weights))
+
+    def test_stopwatch_sections(self):
+        """Same names in the same order, each a float, and a block that
+        raises is still timed and still raises."""
+        runs = []
+        for stopwatch in (StopwatchCollector(), _ReferenceStopwatch()):
+            with stopwatch.measure("a") as entered:
+                assert entered is None
+            with pytest.raises(KeyError):
+                with stopwatch.measure("b"):
+                    raise KeyError("b")
+            with stopwatch.measure("a"):
+                stopwatch.reset()
+            runs.append([(t.name, type(t.milliseconds)) for t in stopwatch.timings])
+            assert all(t.milliseconds >= 0.0 for t in stopwatch.timings)
+        assert runs[0] == runs[1] == [("a", float)]
+
+    @given(rotation=_matrices(3, min_rows=3), translation=st.lists(_TRIM_FLOATS, min_size=3, max_size=3),
+           form=st.sampled_from(["array", "list", "float32", "flat", "column", "subclass"]))
+    @settings(max_examples=150, deadline=None)
+    def test_pose_construction(self, rotation, translation, form):
+        rotation = rotation[:3]
+        translation = np.array(translation)
+        given_rotation, given_translation = {
+            "array": (rotation, translation),
+            "list": (rotation.tolist(), translation.tolist()),
+            "float32": (rotation.astype(np.float32), translation.astype(np.float32)),
+            "flat": (rotation.ravel(), translation.reshape(1, 3)),
+            "column": (rotation, translation.reshape(3, 1)),
+            "subclass": (rotation.view(_NdarraySubclass), translation),
+        }[form]
+        pose = Pose(given_rotation, given_translation)
+        expected_rotation = np.asarray(given_rotation, dtype=float).reshape(3, 3)
+        expected_translation = np.asarray(given_translation, dtype=float).reshape(3)
+        for got, expected in ((pose.rotation, expected_rotation),
+                              (pose.translation, expected_translation)):
+            assert type(got) is np.ndarray
+            assert _same_bits(got, expected)
+        if form == "array":
+            # Kept, not copied: the parent's reshape made a view of the same memory.
+            assert pose.rotation is rotation and pose.translation is translation
 
 
 # ------------------------------------------------------- host numpy canary

@@ -8,7 +8,7 @@ The load-bearing guarantees pinned here:
   through (:func:`run_session`, the reference);
 * the incremental frame iterator reproduces the materialized frame grid
   exactly — no dropped or duplicated frames at segment transitions;
-* bounded ingress queues push back instead of buffering without limit;
+* a congested schedule delays frames but never drops or reorders them;
 * mode switches fire at the injected transition frames (exactly at map
   entry/exit, within the hysteresis window of GPS loss/reacquisition);
 * session results round-trip through the persistent run store;
@@ -326,7 +326,7 @@ class TestServingDeterminism:
 
 
 class TestStreamingIngestion:
-    """The arrival-time event loop: ingress bounds, latency, determinism."""
+    """The arrival-time event loop: admission, latency, determinism."""
 
     @pytest.fixture(scope="class")
     def fleet(self):
@@ -378,20 +378,6 @@ class TestStreamingIngestion:
         assert report.virtual_latency_ms == plain.virtual_latency_ms
         assert report.workers == 1
 
-    def test_ingress_queue_is_bounded(self):
-        spec = _spec("bounded", [(ScenarioKind.OUTDOOR_UNKNOWN, 0.0),
-                                 (ScenarioKind.INDOOR_UNKNOWN, 0.0)])
-        lane = _Lane(spec, frame_records(spec))
-        lane.ingest(10**15, capacity=4)  # everything has "arrived"
-        assert lane.arrived - lane.served == 4
-        # Backpressure: a full queue refuses frames...
-        lane.ingest(10**15, capacity=4)
-        assert lane.arrived == 4
-        # ...and serving frees slots one for one.
-        lane.served += 1
-        lane.ingest(10**15, capacity=4)
-        assert lane.arrived == 5
-
     def test_ingest_admits_exactly_at_arrival(self):
         """Admission compares whole microseconds, with no tolerance.
 
@@ -401,35 +387,25 @@ class TestStreamingIngestion:
         spec = _spec("exact", [(ScenarioKind.OUTDOOR_UNKNOWN, 0.0)])
         records = frame_records(spec)
         on_time, early = _Lane(spec, records), _Lane(spec, records)
-        on_time.ingest(records[8][1], capacity=20)
-        early.ingest(records[8][1] - 1, capacity=20)
+        on_time.ingest(records[8][1])
+        early.ingest(records[8][1] - 1)
         assert (on_time.arrived, early.arrived) == (9, 8)
 
     def test_backpressure_delays_but_never_drops(self, fleet):
-        """A one-frame ingress queue under a pinned single worker serves
-        every frame once, in stream order, with the latencies of a deep
-        queue: congestion shows up as latency, not as lost frames."""
-        def schedule(ingress_capacity):
-            report = ServingReport()
-            served = []
-            finished, _ = replay_schedule(
-                fleet, report,
-                autoscaler=LatencyAutoscaler(min_workers=1, max_workers=1),
-                frames_per_worker_tick=1, sizing_maps=None,
-                ingress_capacity=ingress_capacity,
-                on_serve=lambda stream_id, index, *_: served.append((stream_id, index)))
-            return report, served, finished
-
-        shallow, served, finished = schedule(1)
-        deep, deep_served, deep_finished = schedule(10)
+        """A pinned single worker serves every frame once, in stream
+        order: congestion shows up as latency, not as lost frames."""
+        report = ServingReport()
+        served = []
+        finished, _ = replay_schedule(
+            fleet, report,
+            autoscaler=LatencyAutoscaler(min_workers=1, max_workers=1),
+            frames_per_worker_tick=1, sizing_maps=None,
+            on_serve=lambda stream_id, index, *_: served.append((stream_id, index)))
         assert sorted(finished) == sorted(spec.stream_id for spec in fleet)
         for spec in fleet:
             indices = [index for stream_id, index in served if stream_id == spec.stream_id]
             assert indices == list(range(spec.frame_count))
-        assert max(shallow.virtual_latency_ms) > 0.0
-        assert (served, finished) == (deep_served, deep_finished)
-        assert shallow.virtual_latency_ms == deep.virtual_latency_ms
-        assert shallow.batch_sizes == deep.batch_sizes
+        assert max(report.virtual_latency_ms) > 0.0
 
     def test_online_scheduler_feed(self, fleet):
         accelerator = accelerator_for("drone")
