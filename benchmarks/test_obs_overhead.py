@@ -12,13 +12,17 @@ streaming event loop; the run also re-verifies the bit-identity contract
 under full instrumentation — overhead is only worth measuring if the
 answers did not move.
 
-Wall-clock ratios on shared CI runners are noisy, so the hard assertion is
-deliberately generous (instrumented <= 1.35x best-of-N disabled) while the
-measured percentage is printed for the humans reading the benchmark log.
-The paired unit suite (tests/test_obs_serving.py) pins the functional
-half of the contract.
+Wall-clock ratios on shared CI runners are noisy, and a load change between
+two unpaired sets of rounds moves them further.  So the serves run in
+pairs, one disabled and one instrumented back to back, with the side that
+goes first swapped from pair to pair; each pair gives one ratio, and the
+hard assertion is on the median ratio (instrumented <= 1.35x disabled).
+The measured percentage is printed for the humans reading the benchmark
+log.  The unit suite (tests/test_obs_serving.py) pins the functional half
+of the contract.
 """
 
+import statistics
 import time
 
 from conftest import append_bench_row, print_banner
@@ -28,19 +32,26 @@ from repro.obs.profile import disable_kernel_tracing, enable_kernel_tracing
 from repro.serving import ServingEngine, mixed_fleet
 
 FLEET_SIZE = 16
-ROUNDS = 2  # best-of-N: the minimum is the least-noisy wall-clock estimator
+PAIRS = 3  # disabled/instrumented pairs; the first side alternates per pair
 MAX_OVERHEAD_RATIO = 1.35
 
 
-def _best_of(rounds, serve):
-    best_s, report = float("inf"), None
-    for _ in range(rounds):
-        started = time.perf_counter()
-        candidate = serve()
-        elapsed = time.perf_counter() - started
-        if elapsed < best_s:
-            best_s, report = elapsed, candidate
-    return best_s, report
+def _timed(serve):
+    started = time.perf_counter()
+    result = serve()
+    return time.perf_counter() - started, result
+
+
+def _paired_rounds(serve_disabled, serve_instrumented):
+    """Per-pair walls and the last result of each side, first side alternating."""
+    walls = {"disabled": [], "instrumented": []}
+    last = {}
+    for pair in range(PAIRS):
+        sides = [("disabled", serve_disabled), ("instrumented", serve_instrumented)]
+        for name, serve in (sides if pair % 2 == 0 else sides[::-1]):
+            elapsed, last[name] = _timed(serve)
+            walls[name].append(elapsed)
+    return walls, last
 
 
 def test_obs_overhead(benchmark, serving_settings, tmp_path):
@@ -67,18 +78,16 @@ def test_obs_overhead(benchmark, serving_settings, tmp_path):
             disable_kernel_tracing()
         return report, tracer
 
-    disabled_s, baseline = _best_of(ROUNDS, serve_disabled)
-    # One instrumented round runs under pytest-benchmark (so the suite's
-    # timing report includes it); the rest are plain timed rounds.
-    report, tracer = benchmark.pedantic(serve_instrumented,
-                                        rounds=1, iterations=1)
-    instrumented_s = float(benchmark.stats.stats.min)
-    if ROUNDS > 1:
-        extra_s, extra = _best_of(ROUNDS - 1, serve_instrumented)
-        if extra_s < instrumented_s:
-            instrumented_s, (report, tracer) = extra_s, extra
-
-    ratio = instrumented_s / disabled_s
+    # The paired rounds run under pytest-benchmark, so the suite's timing
+    # report includes them.
+    walls, last = benchmark.pedantic(_paired_rounds,
+                                     args=(serve_disabled, serve_instrumented),
+                                     rounds=1, iterations=1)
+    baseline, (report, tracer) = last["disabled"], last["instrumented"]
+    ratio = statistics.median(instrumented / disabled for disabled, instrumented
+                              in zip(walls["disabled"], walls["instrumented"]))
+    disabled_s = statistics.median(walls["disabled"])
+    instrumented_s = statistics.median(walls["instrumented"])
     identical = all(
         report.results[stream_id].signature() == result.signature()
         for stream_id, result in baseline.results.items()
@@ -87,9 +96,9 @@ def test_obs_overhead(benchmark, serving_settings, tmp_path):
                          for event in tracer.by_category("kernel")})
 
     print_banner("Observability — tracing/metrics overhead, 16-session fleet")
-    print(f"disabled (best of {ROUNDS}):     {disabled_s:8.3f} s")
-    print(f"instrumented (best of {ROUNDS}): {instrumented_s:8.3f} s")
-    print(f"overhead: {100.0 * (ratio - 1.0):+.1f}% "
+    print(f"disabled (median of {PAIRS}):     {disabled_s:8.3f} s")
+    print(f"instrumented (median of {PAIRS}): {instrumented_s:8.3f} s")
+    print(f"overhead: {100.0 * (ratio - 1.0):+.1f}% median per pair "
           f"(assert ceiling {100.0 * (MAX_OVERHEAD_RATIO - 1.0):.0f}%)")
     print(f"spans recorded: {len(tracer)} (+{tracer.dropped} dropped), "
           f"kernel hook families: {categories}")

@@ -4,46 +4,53 @@
 The paper's motivating deployment is a logistics robot that spends half of
 its time outdoors between warehouses (GPS available), a quarter in a
 pre-mapped warehouse (registration) and a quarter mapping a new warehouse
-(SLAM).  This example builds that mixed deployment, lets the framework switch
-backend modes automatically, and reports the accuracy of each segment.
+(SLAM).  This example serves that mixed deployment as one stream, lets the
+session switch backend modes online, and reports the accuracy of each
+segment.  It exits non-zero unless all three backend modes served frames.
 
 Run with:  python examples/warehouse_robot.py
 """
 
-from repro.common.config import LocalizerConfig, SensorConfig
-from repro.core.framework import EudoxusLocalizer
-from repro.sensors.dataset import SequenceBuilder
-from repro.sensors.scenarios import mixed_deployment_sequence
+import sys
+from collections import Counter
+
+from repro.core.result import TrajectoryResult
+from repro.serving import mixed_deployment_stream, run_session
+
+MODES = {"vio", "slam", "registration"}
 
 
-def main() -> None:
-    sensors = SensorConfig(camera_rate_hz=10.0, landmark_count=250, seed=2)
-    builder = SequenceBuilder(sensors)
-
+def main() -> int:
     # 50 % outdoor frames, 25 % indoor without a map, 25 % indoor with a map.
-    segments = builder.build_mixed(mixed_deployment_sequence(segment_duration=10.0, landmark_count=250))
-    print(f"Mixed deployment: {len(segments)} segments, "
-          f"{sum(len(s) for s in segments)} frames total")
+    spec = mixed_deployment_stream("warehouse-robot", seed=2, platform_kind="car",
+                                   camera_rate_hz=10.0, landmark_count=250,
+                                   segment_duration=10.0, dropout=False)
+    result = run_session(spec)
+    estimates = result.trajectory.estimates
+    print(f"Mixed deployment: {len(spec.segments)} segments, "
+          f"{result.frame_count} frames total")
 
-    localizer = EudoxusLocalizer(LocalizerConfig())
-    combined = localizer.process_mixed(segments)
+    print("\nPer-segment results (the session switches backend modes online):")
+    print(f"{'segment':<16} {'scenario':<18} {'backend':<14} {'frames':>6} {'RMSE [m]':>9}")
+    # A stream numbers its frames from 0, so a segment's first frame index
+    # is also its first position in the trajectory.
+    bounds = result.segment_starts + [len(estimates)]
+    for segment, lo, hi in zip(spec.segments, bounds, bounds[1:]):
+        segment_result = TrajectoryResult(estimates=estimates[lo:hi])
+        mode = Counter(e.mode for e in segment_result.estimates).most_common(1)[0][0]
+        print(f"{segment.label:<16} {segment.kind.value:<18} {mode:<14} "
+              f"{hi - lo:>6} {segment_result.rmse_error():>9.3f}")
 
-    print("\nPer-segment results (the framework switches backend modes automatically):")
-    print(f"{'scenario':<18} {'backend':<14} {'frames':>6} {'RMSE [m]':>9}")
-    offset = 0
-    for segment in segments:
-        count = len(segment)
-        segment_result = type(combined)()
-        segment_result.estimates = combined.estimates[offset : offset + count]
-        mode = segment_result.estimates[0].mode
-        print(f"{segment.scenario.value:<18} {mode:<14} {count:>6} {segment_result.rmse_error():>9.3f}")
-        offset += count
-
-    overall = combined.rmse_error()
-    print(f"\nOverall RMSE across the whole deployment: {overall:.3f} m")
-    modes_used = sorted({e.mode for e in combined.estimates})
-    print(f"Backend modes exercised: {', '.join(modes_used)}")
+    print(f"\nOverall RMSE across the whole deployment: "
+          f"{result.trajectory.rmse_error():.3f} m")
+    modes_used = {e.mode for e in estimates}
+    print(f"Backend modes exercised: {', '.join(sorted(modes_used))}")
+    missing = MODES - modes_used
+    if missing:
+        print(f"error: no frame served in {', '.join(sorted(missing))}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

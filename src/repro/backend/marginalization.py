@@ -13,8 +13,10 @@ prior.  This is done with the Schur complement of the Hessian:
 which composes all five matrix building blocks of Table I: multiplication,
 decomposition, inverse, transpose and substitution.  The ``A_mm`` block has
 the structure the paper exploits in hardware — a diagonal landmark block plus
-a dense 6x6 pose block — and :func:`marginalize_structured` uses exactly that
-specialization.
+a dense 6x6 pose block.  The software inverts it generically; the
+accelerator model prices the specialization on its own
+(:meth:`~repro.hardware.backend_accel.BackendAcceleratorModel.inverse_cycles` with
+``structured=True``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.linalg.ops import matmul, transpose
-from repro.linalg.solvers import block_diag_plus_dense_inverse, symmetric_inverse
+from repro.linalg.solvers import symmetric_inverse
 
 
 @dataclass
@@ -74,38 +76,3 @@ def marginalize_schur(hessian: np.ndarray, gradient: np.ndarray,
     prior_gradient = b_r - a_rm_a_mm_inv @ b_m
     prior_hessian = 0.5 * (prior_hessian + prior_hessian.T)
     return MarginalizationResult(prior_hessian, prior_gradient, int(marg.size), int(keep.size))
-
-
-def marginalize_structured(landmark_diagonal: np.ndarray, pose_block: np.ndarray,
-                           landmark_pose_coupling: np.ndarray, a_mr: np.ndarray,
-                           a_rr: np.ndarray, b_m: np.ndarray,
-                           b_r: np.ndarray) -> MarginalizationResult:
-    """Marginalization exploiting the paper's ``A_mm`` structure.
-
-    ``A_mm = [[diag(landmark_diagonal), landmark_pose_coupling],
-              [landmark_pose_coupling^T, pose_block]]`` where ``pose_block``
-    is the departing keyframe's 6x6 block.  The inverse uses the specialized
-    diagonal-plus-6x6 routine the accelerator implements in hardware.
-    """
-    landmark_diagonal = np.asarray(landmark_diagonal, dtype=float).reshape(-1)
-    pose_block = np.asarray(pose_block, dtype=float)
-    landmark_pose_coupling = np.asarray(landmark_pose_coupling, dtype=float)
-    a_mr = np.asarray(a_mr, dtype=float)
-    a_rr = np.asarray(a_rr, dtype=float)
-    b_m = np.asarray(b_m, dtype=float).reshape(-1)
-    b_r = np.asarray(b_r, dtype=float).reshape(-1)
-
-    a_mm_inv = block_diag_plus_dense_inverse(
-        landmark_diagonal + 1e-9, pose_block + np.eye(pose_block.shape[0]) * 1e-9,
-        landmark_pose_coupling,
-    )
-    a_rm = transpose(a_mr)
-    a_rm_a_mm_inv = matmul(a_rm, a_mm_inv)
-    prior_hessian = a_rr - matmul(a_rm_a_mm_inv, a_mr)
-    prior_gradient = b_r - a_rm_a_mm_inv @ b_m
-    prior_hessian = 0.5 * (prior_hessian + prior_hessian.T)
-    return MarginalizationResult(
-        prior_hessian, prior_gradient,
-        marginalized_dim=landmark_diagonal.size + pose_block.shape[0],
-        remaining_dim=a_rr.shape[0],
-    )

@@ -364,7 +364,7 @@ class ShardedServingEngine(WaveLifecycle):
         keys: Dict[str, str] = {}
         cold: List[StreamSpec] = []
         for shard in loaded:
-            shard_report = shard_reports[shard] = ServingReport(ingestion="streaming")
+            shard_report = shard_reports[shard] = ServingReport()
             for spec in shard_specs[shard]:
                 stored = self._replay_stored(self.run_store, spec, maps_by_stream, keys)
                 if stored is None:
@@ -422,7 +422,6 @@ class ShardedServingEngine(WaveLifecycle):
         report = ShardedServingReport(shard_count=self.shard_count)
         report.shard_of = shard_of
         report.shard_reports = shard_reports
-        report.ingestion = "streaming" if shard_of else ""
         report.parallel = parallel
         workers = 0
         for shard_report in shard_reports:

@@ -9,7 +9,6 @@ and an MSCKF window of 30 states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
 
 
 @dataclass
@@ -132,10 +131,6 @@ class SensorConfig:
     pixel_noise_std: float = 0.25
     landmark_count: int = 400
     seed: int = 0
-
-    @property
-    def resolution(self) -> Tuple[int, int]:
-        return (self.image_width, self.image_height)
 
 
 @dataclass

@@ -14,7 +14,7 @@ into platform latencies (CPU baseline) and accelerator latencies.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.backend.base import BackendResult
 from repro.backend.registration import RegistrationBackend
@@ -62,23 +62,34 @@ class EudoxusLocalizer:
 
     # ---------------------------------------------------------- processing
 
-    def process_frame(self, frame: Frame, sequence: SyntheticSequence) -> PoseEstimate:
-        """Process a single frame through the frontend and the selected backend."""
+    def process_frame(self, frame: Frame, sequence: SyntheticSequence,
+                      into: TrajectoryResult) -> None:
+        """Process one frame through the frontend and the selected backend.
+
+        Appends the frame's estimate, frontend summary, backend result and
+        measured-latency record to ``into``.  The frame's observations stay
+        behind: the backend has already consumed them.
+        """
         if self.frontend is None:
             raise RuntimeError("prepare() must be called before processing frames")
         frontend_result = self.frontend.process(frame, rig=sequence.rig)
         mode = self.mode_selector.select(frame, has_map=sequence.has_prebuilt_map)
         backend_result = self._run_backend(mode, frontend_result, frame)
-        estimate = PoseEstimate(
+        record = LatencyRecord(frame_index=frame.index, mode=backend_result.mode)
+        for name, value in frontend_result.measured_ms.items():
+            record.add_frontend(name, value)
+        for name, value in backend_result.kernel_ms.items():
+            record.add_backend(name, value)
+        into.estimates.append(PoseEstimate(
             frame_index=frame.index,
             timestamp=frame.timestamp,
             pose=backend_result.pose,
             mode=backend_result.mode,
             ground_truth=frame.ground_truth,
-        )
-        self._last_frontend_result = frontend_result
-        self._last_backend_result = backend_result
-        return estimate
+        ))
+        into.frontend_results.append(frontend_result.summary())
+        into.backend_results.append(backend_result)
+        into.latency_records.append(record)
 
     def process_sequence(self, sequence: SyntheticSequence,
                          reset: bool = True) -> TrajectoryResult:
@@ -87,37 +98,8 @@ class EudoxusLocalizer:
             self.prepare(sequence)
         result = TrajectoryResult(scenario=sequence.scenario.value)
         for frame in sequence.frames:
-            estimate = self.process_frame(frame, sequence)
-            self.collect_last_frame(estimate, result)
+            self.process_frame(frame, sequence, result)
         return result
-
-    def collect_last_frame(self, estimate: PoseEstimate, into: TrajectoryResult) -> None:
-        """Append the just-processed frame's outputs and latency record.
-
-        The single place where a frame's estimate, frontend summary, backend
-        result and measured-latency record are assembled into a
-        :class:`TrajectoryResult` — shared by :meth:`process_sequence` and
-        the serving layer's per-frame stepping.  The frame's observations
-        stay behind: the backend has already consumed them.
-        """
-        frontend_result = self._last_frontend_result
-        backend_result = self._last_backend_result
-        record = LatencyRecord(frame_index=estimate.frame_index, mode=backend_result.mode)
-        for name, value in frontend_result.measured_ms.items():
-            record.add_frontend(name, value)
-        for name, value in backend_result.kernel_ms.items():
-            record.add_backend(name, value)
-        into.estimates.append(estimate)
-        into.frontend_results.append(frontend_result.summary())
-        into.backend_results.append(backend_result)
-        into.latency_records.append(record)
-
-    def process_mixed(self, segments: List[SyntheticSequence]) -> TrajectoryResult:
-        """Run over a mixed deployment (multiple back-to-back segments)."""
-        combined = TrajectoryResult(scenario="mixed")
-        for segment in segments:
-            combined.extend(self.process_sequence(segment, reset=True))
-        return combined
 
     # ------------------------------------------------------------ internals
 

@@ -76,13 +76,6 @@ class TrajectoryResult:
                 result.latency_records.append(self.latency_records[i])
         return by_mode
 
-    def extend(self, other: "TrajectoryResult") -> None:
-        """Concatenate another run (used for mixed-deployment segments)."""
-        self.estimates.extend(other.estimates)
-        self.frontend_results.extend(other.frontend_results)
-        self.backend_results.extend(other.backend_results)
-        self.latency_records.extend(other.latency_records)
-
     def mean_feature_count(self) -> float:
         if not self.frontend_results:
             return 0.0

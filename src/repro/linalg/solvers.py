@@ -2,8 +2,10 @@
 
 Forward/backward substitution is the fifth building block of Table I.  The
 solvers here are the software counterparts of the accelerator's F/B
-substitution unit and of the specialized 6x6-plus-diagonal inverse unit used
-for the marginalization ``A_mm`` block (Sec. VI-A, "Optimization").
+substitution and inverse units (Sec. VI-A, "Optimization").  The specialized
+6x6-plus-diagonal inverse the accelerator uses for the marginalization
+``A_mm`` block is modeled in
+:meth:`~repro.hardware.backend_accel.BackendAcceleratorModel.inverse_cycles`.
 
 Two symmetric positive-definite solves record the same building blocks:
 :func:`solve_cholesky` runs the from-scratch column loops and is the
@@ -126,45 +128,3 @@ def batched_symmetric_inverse(blocks: np.ndarray) -> np.ndarray:
         for _ in range(a.shape[0]):
             record_primitive(BuildingBlock.INVERSE, a.shape[1:])
     return np.linalg.inv(a)
-
-
-def block_diag_plus_dense_inverse(diagonal: np.ndarray, dense: np.ndarray,
-                                  off_diagonal: np.ndarray) -> np.ndarray:
-    """Invert a symmetric matrix with the paper's ``A_mm`` structure.
-
-    ``A_mm = [[A, B], [B^T, D]]`` where ``A`` is diagonal and ``D`` is a small
-    6x6 pose block.  The inversion uses the block-matrix inverse formula so the
-    heavy lifting reduces to reciprocals of the diagonal plus a 6x6 inverse —
-    the same specialization the backend accelerator hardware makes.
-
-    Parameters
-    ----------
-    diagonal:
-        The diagonal entries of ``A`` (length ``m``).
-    dense:
-        The dense ``D`` block (``d x d``; 6x6 in the paper).
-    off_diagonal:
-        The ``B`` block (``m x d``).
-    """
-    diag = np.asarray(diagonal, dtype=float).reshape(-1)
-    d_block = np.asarray(dense, dtype=float)
-    b_block = np.asarray(off_diagonal, dtype=float)
-    m = diag.size
-    d = d_block.shape[0]
-    if d_block.shape != (d, d) or b_block.shape != (m, d):
-        raise ValueError("inconsistent block shapes for structured inverse")
-    record_primitive(BuildingBlock.INVERSE, (m + d, m + d))
-
-    inv_diag = 1.0 / np.where(np.abs(diag) < 1e-14, 1e-14, diag)
-    # Schur complement of A: D - B^T A^-1 B  (d x d, cheap to invert).
-    schur = d_block - b_block.T @ (inv_diag[:, None] * b_block)
-    schur_inv = symmetric_inverse(schur)
-
-    top_left = np.diag(inv_diag) + (inv_diag[:, None] * b_block) @ schur_inv @ (b_block.T * inv_diag[None, :])
-    top_right = -(inv_diag[:, None] * b_block) @ schur_inv
-    out = np.zeros((m + d, m + d))
-    out[:m, :m] = top_left
-    out[:m, m:] = top_right
-    out[m:, :m] = top_right.T
-    out[m:, m:] = schur_inv
-    return out

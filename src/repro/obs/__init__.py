@@ -29,7 +29,6 @@ from repro.obs.metrics import (
 from repro.obs.profile import (
     disable_kernel_tracing,
     enable_kernel_tracing,
-    kernel_tracing_enabled,
     profile_kernel,
 )
 from repro.obs.recorder import (
@@ -101,7 +100,6 @@ __all__ = [
     "classify_session",
     "disable_kernel_tracing",
     "enable_kernel_tracing",
-    "kernel_tracing_enabled",
     "load_bundle",
     "parse_prometheus",
     "profile_kernel",

@@ -30,7 +30,6 @@ from repro.obs.trace import TRACE_KERNELS_ENV, Tracer, trace_capacity
 __all__ = [
     "disable_kernel_tracing",
     "enable_kernel_tracing",
-    "kernel_tracing_enabled",
     "profile_kernel",
 ]
 
@@ -78,12 +77,6 @@ def _check_env() -> None:
     if os.environ.get(TRACE_KERNELS_ENV, "").strip().lower() not in (
             "", "0", "false", "no"):
         enable_kernel_tracing()
-
-
-def kernel_tracing_enabled() -> bool:
-    if not _ENV_CHECKED:
-        _check_env()
-    return _KERNEL_TRACER is not None
 
 
 def profile_kernel(name: str, **args: object):

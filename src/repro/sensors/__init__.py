@@ -24,7 +24,6 @@ from repro.sensors.scenarios import (
     OperatingScenario,
     ScenarioKind,
     scenario_catalog,
-    mixed_deployment_sequence,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "OperatingScenario",
     "ScenarioKind",
     "scenario_catalog",
-    "mixed_deployment_sequence",
 ]

@@ -241,19 +241,6 @@ class SequenceBuilder:
         return tuple([column[lo:hi] for lo, hi in zip(ends, ends[1:])]
                      for column in (times, gyro, accel))
 
-    def build_mixed(self, scenarios: List[OperatingScenario]) -> List[SyntheticSequence]:
-        """Build back-to-back segments for a mixed deployment."""
-        segments: List[SyntheticSequence] = []
-        start_time = 0.0
-        start_index = 0
-        for i, scenario in enumerate(scenarios):
-            segment = self.build(scenario, start_time=start_time, start_index=start_index, seed_offset=10 * i)
-            segments.append(segment)
-            if segment.frames:
-                start_time = segment.frames[-1].timestamp + 1.0 / self.config.camera_rate_hz
-                start_index = segment.frames[-1].index + 1
-        return segments
-
     def _observe(self, pose: Pose, world: LandmarkWorld, rig: StereoRig,
                  rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Project visible landmarks into both cameras, adding pixel noise.

@@ -79,9 +79,3 @@ class GpsSimulator:
             valid=True,
             covariance=covariance,
         )
-
-    def availability(self) -> float:
-        """Long-run fraction of epochs with a usable fix."""
-        if self.indoor:
-            return 0.0
-        return 1.0 - self.outage_probability

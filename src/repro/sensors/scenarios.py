@@ -15,14 +15,14 @@ Outdoor known             (with GPS, with map)        VIO (+GPS)
 
 A commercial deployment mixes these: the paper's evaluation uses 50 % outdoor
 frames, 25 % indoor frames without a map and 25 % indoor frames with a map.
-:func:`mixed_deployment_sequence` reproduces that mix.
+:func:`~repro.serving.streams.mixed_deployment_stream` serves that mix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List
+from typing import Dict
 
 from repro.sensors.trajectory import (
     TrajectoryGenerator,
@@ -141,19 +141,3 @@ def scenario_catalog(duration: float = 30.0, landmark_count: int = 400) -> Dict[
         ),
     }
 
-
-def mixed_deployment_sequence(segment_duration: float = 12.0,
-                              landmark_count: int = 300) -> List[OperatingScenario]:
-    """Segments matching the paper's dataset mix.
-
-    50 % outdoor frames, 25 % indoor without map, 25 % indoor with map
-    (Sec. VII-A).  Returned as an ordered list of scenario segments the
-    unified framework traverses back-to-back.
-    """
-    catalog = scenario_catalog(duration=segment_duration, landmark_count=landmark_count)
-    return [
-        catalog[ScenarioKind.OUTDOOR_UNKNOWN],
-        catalog[ScenarioKind.INDOOR_UNKNOWN],
-        catalog[ScenarioKind.OUTDOOR_KNOWN],
-        catalog[ScenarioKind.INDOOR_KNOWN],
-    ]

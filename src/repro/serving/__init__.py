@@ -6,12 +6,12 @@ per client device — over a shared pool of backend workers:
 * :mod:`repro.serving.streams` describes time-varying deployments
   (:class:`StreamSpec` / :class:`ScenarioStream`): ordered scenario segments
   with injected GPS dropouts, IMU degradation bursts and map entry/exit.
-  :meth:`ScenarioStream.frames` iterates :class:`StreamFrame`\\ s with
-  lazily built segments; :func:`frame_records` is the arrival-time view the
-  schedule reads, computed from the spec alone;
+  :meth:`ScenarioStream.segments` builds the segments lazily, one at a
+  time; :func:`frame_records` is the arrival-time view the schedule reads,
+  computed from the spec alone on the same segment grid;
   :attr:`StreamSpec.deadline_ms` carries the per-session serving deadline.
 * :mod:`repro.serving.session` holds per-client state (:class:`Session`):
-  it steps the unified framework frame by frame straight through and
+  it serves the unified framework segment by segment straight through and
   switches the backend mode online via the Fig. 2 policy with GPS
   hysteresis.
 * :mod:`repro.serving.engine` dispatches fleets (:class:`ServingEngine`)
@@ -53,7 +53,6 @@ from repro.serving.session import (
 )
 from repro.serving.streams import (
     ScenarioStream,
-    StreamFrame,
     StreamSegment,
     StreamSpec,
     cold_start_fleet,
@@ -81,7 +80,6 @@ __all__ = [
     "ServingReport",
     "Session",
     "SessionResult",
-    "StreamFrame",
     "StreamSegment",
     "StreamSpec",
     "cold_start_fleet",

@@ -137,7 +137,6 @@ class ServingReport:
     replayed_streams: List[str] = field(default_factory=list)
     parallel: bool = False
     workers: int = 1
-    ingestion: str = ""
     batch_sizes: List[int] = field(default_factory=list)
     served_frame_wall_ms: List[float] = field(default_factory=list)
     virtual_latency_ms: List[float] = field(default_factory=list)
@@ -349,7 +348,6 @@ class ServingReport:
         ``tests/test_obs_serving.py``; extend the pin when adding fields.
         """
         return {
-            "ingestion": self.ingestion,
             "parallel": self.parallel,
             "workers": self.workers,
             "final_workers": self.final_workers,
@@ -500,7 +498,7 @@ class ServingEngine(WaveLifecycle):
                   fleet_maps: Dict[str, MapSnapshot],
                   maps_by_stream: Dict[str, Dict[str, MapSnapshot]]) -> ServingReport:
         """Replay run-store hits, compute the rest, then replay the schedule."""
-        report = ServingReport(ingestion="streaming")
+        report = ServingReport()
         # The virtual-clock offset this call's deterministic spans are
         # shifted by — captured before the schedule advances it.
         trace_offset = self._decision_clock

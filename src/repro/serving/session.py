@@ -17,9 +17,9 @@ survey-map availability — following the paper's Fig. 2 taxonomy:
 
 On a mid-segment switch the incoming backend is re-anchored at the last
 served estimate (state handover), so the client's trajectory stays
-continuous through GPS dropouts and reacquisitions.  At segment boundaries
-the backends are re-prepared exactly like
-:meth:`~repro.core.framework.EudoxusLocalizer.process_mixed` does.
+continuous through GPS dropouts and reacquisitions.  A session serves its
+stream segment by segment: at each segment boundary the backends are
+re-prepared from the new segment's world and rig.
 
 Everything a session computes is a pure function of its
 :class:`~repro.serving.streams.StreamSpec` (and the fleet maps resolved for
@@ -36,7 +36,7 @@ import hashlib
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,13 +52,8 @@ from repro.maps import (
     MapUpdate,
     snapshot_from_mapper,
 )
-from repro.sensors.dataset import Frame
-from repro.serving.streams import (
-    ScenarioStream,
-    StreamFrame,
-    StreamSpec,
-    segment_environment_id,
-)
+from repro.sensors.dataset import Frame, SyntheticSequence
+from repro.serving.streams import ScenarioStream, StreamSpec, segment_environment_id
 
 # Publication gates: a segment's SLAM map is only worth publishing once SLAM
 # actually served a few frames there and the mapper accumulated a non-trivial
@@ -293,10 +288,9 @@ class SessionResult:
 class Session:
     """One client's serving state: stream position, localizer, map lifecycle.
 
-    :meth:`step` pulls the next frame from the stream's incremental iterator
-    and serves it; :meth:`run` serves the whole stream and flushes the last
-    segment's map exit (the reference :func:`~repro.serving.engine.run_session`
-    path, and the only way the engine computes a session).
+    :meth:`run` serves the whole stream, segment by segment (the reference
+    :func:`~repro.serving.engine.run_session` path, and the only way the
+    engine computes a session).
     """
 
     def __init__(self, spec: StreamSpec, config: Optional[LocalizerConfig] = None,
@@ -309,7 +303,6 @@ class Session:
         self.localizer = EudoxusLocalizer(config or localizer_config_for(spec.platform_kind))
         self.policy = policy or ModeSwitchPolicy()
         self._result = SessionResult(stream_id=spec.stream_id, spec_payload=spec.payload())
-        self._frames: Iterator[StreamFrame] = self.stream.frames()
         self._segment_index = -1
         self._segment_fresh = True
         self._current_mode: Optional[BackendMode] = None
@@ -336,71 +329,31 @@ class Session:
         self._stale_residuals: Deque[float] = deque(maxlen=MAP_STALE_WINDOW)
         self._map_stale = False
 
-    def step(self) -> bool:
-        """Serve one frame; returns False once the stream is exhausted."""
-        stream_frame = next(self._frames, None)
-        if stream_frame is None:
-            return False
-        self._serve(stream_frame)
-        return True
-
     def run(self) -> SessionResult:
-        """Serve the whole stream to completion, frame by frame.
+        """Serve the whole stream to completion, segment by segment.
 
-        Stream exhaustion is the final map-exit boundary: the last segment's
-        publishable SLAM map and map-update delta are flushed here.
+        Leaving a segment is a map-exit boundary: its publishable SLAM map
+        and its map-update delta are flushed before the next segment's
+        backends (and the mapper's state) are rebuilt.  Stream exhaustion is
+        the last such boundary.
         """
-        while self.step():
-            pass
-        self._publish_segment_map()
-        self._flush_map_update()
+        for index, sequence in self.stream.segments():
+            self._enter_segment(index, sequence)
+            for frame in sequence.frames:
+                self._serve(frame, sequence)
+            self._publish_segment_map()
+            self._flush_map_update()
         return self._result
 
     # ------------------------------------------------------------ internals
 
-    def _serve(self, stream_frame: StreamFrame) -> None:
-        """Serve one frame: segment turnover, mode policy, backend, telemetry."""
-        frame = stream_frame.frame
-        sequence = stream_frame.sequence
-        if stream_frame.segment_index != self._segment_index:
-            # Leaving a segment is a map-exit boundary: publish its SLAM map
-            # and flush the accumulated map-update delta before the backends
-            # (and the mapper's state) are rebuilt.
-            self._publish_segment_map()
-            self._flush_map_update()
-            # First frame of a new segment: re-prepare the backends exactly
-            # like process_mixed does at segment boundaries.
-            self.localizer.prepare(sequence)
-            self._result.segment_starts.append(frame.index)
-            self._segment_index = stream_frame.segment_index
-            self._segment_fresh = True
-            self._enter_segment(stream_frame, sequence)
-
-        has_map = sequence.has_prebuilt_map or self._active_fleet_map is not None
-        started = time.perf_counter()
-        mode = self.policy.decide(frame, has_map=has_map)
-        if mode is not self._current_mode:
-            self._on_switch(frame, mode, has_map=has_map,
-                            fleet_map=self._active_fleet_map is not None
-                            and not sequence.has_prebuilt_map)
-        self.localizer.mode_selector.override = mode
-        estimate = self.localizer.process_frame(frame, sequence)
-        self.localizer.collect_last_frame(estimate, self._result.trajectory)
-        self._result.frame_wall_ms.append(1000.0 * (time.perf_counter() - started))
-
-        if mode is BackendMode.SLAM:
-            self._segment_slam_frames += 1
-        elif (mode is BackendMode.REGISTRATION
-              and self._active_fleet_map is not None
-              and self._map_accumulator is not None):
-            self._observe_fleet_map()
-        self._current_mode = mode
-        self._had_map = has_map
-        self._segment_fresh = False
-
-    def _enter_segment(self, stream_frame: StreamFrame, sequence) -> None:
-        """Segment-entry map acquisition: install the fleet map, log the event."""
-        index = stream_frame.segment_index
+    def _enter_segment(self, index: int, sequence: SyntheticSequence) -> None:
+        """Segment turnover: re-prepare the backends, acquire a fleet map."""
+        self.localizer.prepare(sequence)
+        first = sequence.frames[0]
+        self._result.segment_starts.append(first.index)
+        self._segment_index = index
+        self._segment_fresh = True
         self._segment_environment_id = segment_environment_id(self.spec, index)
         self._segment_slam_frames = 0
         self._active_fleet_map = None
@@ -429,9 +382,32 @@ class Session:
             version=snapshot.version,
             quality=snapshot.quality,
             segment_index=index,
-            frame_index=stream_frame.frame.index,
-            timestamp=stream_frame.frame.timestamp,
+            frame_index=first.index,
+            timestamp=first.timestamp,
         ))
+
+    def _serve(self, frame: Frame, sequence: SyntheticSequence) -> None:
+        """Serve one frame of the current segment: mode policy, backend, telemetry."""
+        has_map = sequence.has_prebuilt_map or self._active_fleet_map is not None
+        started = time.perf_counter()
+        mode = self.policy.decide(frame, has_map=has_map)
+        if mode is not self._current_mode:
+            self._on_switch(frame, mode, has_map=has_map,
+                            fleet_map=self._active_fleet_map is not None
+                            and not sequence.has_prebuilt_map)
+        self.localizer.mode_selector.override = mode
+        self.localizer.process_frame(frame, sequence, self._result.trajectory)
+        self._result.frame_wall_ms.append(1000.0 * (time.perf_counter() - started))
+
+        if mode is BackendMode.SLAM:
+            self._segment_slam_frames += 1
+        elif (mode is BackendMode.REGISTRATION
+              and self._active_fleet_map is not None
+              and self._map_accumulator is not None):
+            self._observe_fleet_map()
+        self._current_mode = mode
+        self._had_map = has_map
+        self._segment_fresh = False
 
     def _observe_fleet_map(self) -> None:
         """Fold one registration frame's landmark evidence into the update.

@@ -8,10 +8,11 @@ deterministically from the spec, a spec is also the serving layer's unit of
 work and cache key: running the same spec serially, in a worker process, or
 in a later session produces bit-identical results.
 
-:class:`ScenarioStream` turns a spec into concrete
-:class:`~repro.sensors.dataset.SyntheticSequence` segments on demand,
-stitching timestamps and frame indices across segment boundaries the same
-way :meth:`~repro.sensors.dataset.SequenceBuilder.build_mixed` does.
+:func:`segment_grid` stitches a spec's segments into one clock and one
+frame numbering, from the spec alone; :func:`frame_records` (the arrival
+view the engine schedules by) and :class:`ScenarioStream` (which turns a spec
+into concrete :class:`~repro.sensors.dataset.SyntheticSequence` segments,
+one at a time) both read it.
 
 Injected events mirror the Fig. 2 taxonomy transitions a fleet sees in the
 field:
@@ -37,7 +38,6 @@ import numpy as np
 from repro.common.config import SensorConfig
 from repro.obs.trace import quantize_us
 from repro.sensors.dataset import (
-    Frame,
     SequenceBuilder,
     SyntheticSequence,
     segment_frame_count,
@@ -46,8 +46,8 @@ from repro.sensors.dataset import (
 from repro.sensors.scenarios import OperatingScenario, ScenarioKind, scenario_catalog
 from repro.sensors.world import LandmarkWorld
 
-# Seed stride between segments of one stream (matches SequenceBuilder.build_mixed)
-# and between the streams of a generated fleet.
+# Seed stride between the segments of one stream and between the streams of a
+# generated fleet.
 SEGMENT_SEED_STRIDE = 10
 STREAM_SEED_STRIDE = 1000
 
@@ -315,40 +315,37 @@ def expected_gps_denied_mode(spec: StreamSpec, index: int,
     return "slam"
 
 
-@dataclass(frozen=True)
-class StreamFrame:
-    """One frame of a stream, as a session serves it.
+def segment_grid(spec: StreamSpec) -> Iterator[Tuple[List[float], int]]:
+    """Each segment's frame timestamps and first frame index, in order.
 
-    ``sequence`` is the segment the frame belongs to — frames keep a
-    reference so the localizer can be prepared with the segment's world/rig
-    exactly when its first frame is served.
+    The one place segments are stitched: the next segment starts one frame
+    interval after the previous segment's last frame, at the next frame
+    index.  The timestamps are :func:`segment_frame_times`, which is what
+    :meth:`~repro.sensors.dataset.SequenceBuilder.build` stamps a segment's
+    frames with, so they equal the built frames' own timestamps bit for bit.
     """
-
-    frame: Frame
-    sequence: SyntheticSequence
-    segment_index: int
+    start_time = 0.0
+    start_index = 0
+    for segment in spec.segments:
+        times = segment_frame_times(segment.duration, spec.camera_rate_hz,
+                                    start_time).tolist()
+        yield times, start_index
+        start_time = times[-1] + 1.0 / spec.camera_rate_hz
+        start_index += len(times)
 
 
 def frame_records(spec: StreamSpec) -> List[Tuple[float, int, int]]:
     """``(timestamp, arrival_us, segment_index)`` of every frame of a stream.
 
     What the serving schedule reads of a stream, computed from the spec
-    alone: the timestamps are :func:`segment_frame_times`, stitched across
-    segments like :meth:`ScenarioStream.frames` (the next segment starts one
-    frame interval after the previous segment's last frame), so they equal
-    the built frames' own timestamps bit for bit.  ``arrival_us`` is the
-    timestamp quantized once to whole microseconds (a client uploads a frame
-    the moment its camera produces it); the schedule compares and subtracts
-    only these integers.
+    alone through :func:`segment_grid`.  ``arrival_us`` is the timestamp
+    quantized once to whole microseconds (a client uploads a frame the moment
+    its camera produces it); the schedule compares and subtracts only these
+    integers.
     """
-    records: List[Tuple[float, int, int]] = []
-    start_time = 0.0
-    for index, segment in enumerate(spec.segments):
-        times = segment_frame_times(segment.duration, spec.camera_rate_hz,
-                                    start_time).tolist()
-        records.extend((timestamp, quantize_us(timestamp), index) for timestamp in times)
-        start_time = times[-1] + 1.0 / spec.camera_rate_hz
-    return records
+    return [(timestamp, quantize_us(timestamp), index)
+            for index, (times, _) in enumerate(segment_grid(spec))
+            for timestamp in times]
 
 
 class ScenarioStream:
@@ -402,33 +399,17 @@ class ScenarioStream:
             world_mutator=world_mutator,
         )
 
-    def frames(self) -> Iterator[StreamFrame]:
-        """Incremental frame iterator: the arrival-time view of the stream.
+    def segments(self) -> Iterator[Tuple[int, SyntheticSequence]]:
+        """``(index, sequence)`` of every segment, on the :func:`segment_grid`.
 
-        Yields every frame of the stream in arrival order.  Segments are
-        built lazily — one at a
-        time, only when the iterator reaches them — so a stream of any
-        length occupies the memory of a single segment; the full stream is
-        never materialized.
-
-        Segment stitching is the arithmetic :func:`frame_records` mirrors:
-        the next segment starts one frame interval after the previous
-        segment's last frame, at the next frame index.  Because segment
-        contents depend only on ``(spec, start_time, start_index)``, the
-        frames this iterator yields are bit-identical to the materialized
-        ones.
+        Lazy: a segment is built only when the iterator reaches it, so a
+        stream of any length occupies the memory of a single segment.
+        Because segment contents depend only on ``(spec, start_time,
+        start_index)``, the frames are bit-identical wherever they are built.
         """
-        start_time = 0.0
-        start_index = 0
-        for index in range(len(self.spec.segments)):
-            sequence = self.build_segment(index, start_time=start_time,
-                                          start_index=start_index)
-            for frame in sequence.frames:
-                yield StreamFrame(frame=frame, sequence=sequence, segment_index=index)
-            if sequence.frames:
-                last = sequence.frames[-1]
-                start_time = last.timestamp + 1.0 / self.spec.camera_rate_hz
-                start_index = last.index + 1
+        for index, (times, start_index) in enumerate(segment_grid(self.spec)):
+            yield index, self.build_segment(index, start_time=times[0],
+                                            start_index=start_index)
 
 
 # ------------------------------------------------------------------ factories

@@ -448,7 +448,6 @@ class WaveLifecycle:
             })
         payload: Dict[str, object] = {
             "triggers": triggers,
-            "ingestion": report.ingestion,
             "deadline_misses": report.deadline_misses,
             "failure_census": report.failure_census(),
             "fleet_maps": dict(sorted(report.fleet_maps.items())),

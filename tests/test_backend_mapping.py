@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.backend.mapping import KeyframeMapper, SlamWorkload
-from repro.backend.marginalization import marginalize_schur, marginalize_structured
+from repro.backend.marginalization import marginalize_schur
 from repro.backend.slam import SlamBackend
 from repro.common.config import BackendConfig, MappingConfig
 from repro.common.geometry import Pose, so3_exp
@@ -59,32 +59,6 @@ class TestMarginalization:
         hessian = random_spd(10, seed=5)
         result = marginalize_schur(hessian, np.zeros(10), [0, 1, 2])
         assert np.all(np.linalg.eigvalsh(result.hessian) > -1e-8)
-
-    def test_structured_matches_generic(self):
-        rng = np.random.default_rng(7)
-        m, d, r = 6, 6, 8
-        diag = rng.uniform(1.0, 2.0, size=m)
-        pose_block = random_spd(d, seed=8)
-        coupling = rng.normal(size=(m, d)) * 0.1
-        a_mm = np.zeros((m + d, m + d))
-        a_mm[:m, :m] = np.diag(diag)
-        a_mm[:m, m:] = coupling
-        a_mm[m:, :m] = coupling.T
-        a_mm[m:, m:] = pose_block
-        a_mr = rng.normal(size=(m + d, r)) * 0.2
-        a_rr = random_spd(r, seed=9)
-        b_m = rng.normal(size=m + d)
-        b_r = rng.normal(size=r)
-
-        full = np.zeros((m + d + r, m + d + r))
-        full[: m + d, : m + d] = a_mm
-        full[: m + d, m + d :] = a_mr
-        full[m + d :, : m + d] = a_mr.T
-        full[m + d :, m + d :] = a_rr
-        generic = marginalize_schur(full, np.concatenate([b_m, b_r]), list(range(m + d)))
-        structured = marginalize_structured(diag, pose_block, coupling, a_mr, a_rr, b_m, b_r)
-        assert np.allclose(structured.hessian, generic.hessian, atol=1e-4)
-        assert np.allclose(structured.gradient, generic.gradient, atol=1e-4)
 
 
 class TestKeyframeMapper:

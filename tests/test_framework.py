@@ -99,14 +99,8 @@ class TestFrameworkIntegration:
     def test_process_frame_requires_prepare(self, outdoor_sequence, config):
         localizer = EudoxusLocalizer(config)
         with pytest.raises(RuntimeError):
-            localizer.process_frame(outdoor_sequence.frames[0], outdoor_sequence)
-
-    def test_process_mixed_concatenates(self, outdoor_sequence, indoor_sequence, config):
-        localizer = EudoxusLocalizer(config)
-        combined = localizer.process_mixed([outdoor_sequence, indoor_sequence])
-        assert len(combined) == len(outdoor_sequence) + len(indoor_sequence)
-        modes = {e.mode for e in combined.estimates}
-        assert modes == {"vio", "slam"}
+            localizer.process_frame(outdoor_sequence.frames[0], outdoor_sequence,
+                                    TrajectoryResult())
 
 
 class TestTrajectoryResult:

@@ -19,7 +19,7 @@ from repro.linalg import (
     traced,
     transpose,
 )
-from repro.linalg.solvers import block_diag_plus_dense_inverse, solve_spd
+from repro.linalg.solvers import solve_spd
 from repro.linalg.primitives import TABLE_I_DECOMPOSITION
 
 
@@ -123,24 +123,6 @@ class TestSolvers:
     def test_symmetric_inverse_rejects_non_square(self):
         with pytest.raises(ValueError):
             symmetric_inverse(np.ones((3, 4)))
-
-    def test_structured_inverse_matches_dense(self):
-        rng = np.random.default_rng(21)
-        m, d = 9, 6
-        diagonal = rng.uniform(1.0, 3.0, size=m)
-        dense = random_spd(d, seed=22)
-        coupling = rng.normal(size=(m, d)) * 0.1
-        full = np.zeros((m + d, m + d))
-        full[:m, :m] = np.diag(diagonal)
-        full[:m, m:] = coupling
-        full[m:, :m] = coupling.T
-        full[m:, m:] = dense
-        structured = block_diag_plus_dense_inverse(diagonal, dense, coupling)
-        assert np.allclose(structured, np.linalg.inv(full), atol=1e-6)
-
-    def test_structured_inverse_shape_check(self):
-        with pytest.raises(ValueError):
-            block_diag_plus_dense_inverse(np.ones(3), np.eye(6), np.ones((4, 6)))
 
 
 def _calls(trace: OperationTrace) -> list:

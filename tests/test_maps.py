@@ -248,6 +248,19 @@ class TestMergerUpdates:
         assert target not in updated.landmark_ids
         assert updated.landmark_count == snapshot.landmark_count - 1
 
+    @pytest.mark.parametrize("count, relocated", [(3, True), (2, False)])
+    def test_relocation_starts_exactly_at_min_observations(self, count, relocated):
+        """``relocate_min_observations`` agreeing sightings relocate; one fewer prunes."""
+        snapshot = _snapshot(count=10, seed=8)
+        target = int(snapshot.landmark_ids[4])
+        moved_to = snapshot.positions[4] + np.array([1.5, 0.5, 0.0])
+        update = _update(snapshot, [target], [moved_to], [1.6], counts=[count])
+        merger = MapMerger(drift_residual_m=0.5, relocate_min_observations=3)
+        updated = merger.apply_updates(snapshot, [update])
+        assert merger.last_apply_stats["relocated"] == int(relocated)
+        assert merger.last_apply_stats["pruned"] == int(not relocated)
+        assert (target in updated.landmark_ids) is relocated
+
     def test_unobserved_landmarks_carried_through(self):
         snapshot = _snapshot(count=10, seed=4)
         target = int(snapshot.landmark_ids[0])

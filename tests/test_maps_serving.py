@@ -169,11 +169,12 @@ class TestMapLifecycle:
 
         spec = _env_spec("reset", "shared-env", seed=3)
         session = Session(spec)
-        for _ in range(6):  # serve SLAM frames in the shared segment
-            session.step()
+        index, sequence = next(session.stream.segments())
+        session._enter_segment(index, sequence)
+        for frame in sequence.frames[:6]:  # serve SLAM frames in the shared segment
+            session._serve(frame, sequence)
         assert session._segment_slam_frames >= 3
-        frame = session.stream.build_segment(0).frames[5]
-        session._handover(BackendMode.SLAM, frame)
+        session._handover(BackendMode.SLAM, sequence.frames[5])
         assert session._segment_slam_frames == 0
 
     def test_registration_sessions_do_not_republish(self, tmp_path):

@@ -148,20 +148,25 @@ class TestStreamBoundaryExactness:
         return StreamSpec(stream_id="awkward", segments=segments,
                           camera_rate_hz=RATE, landmark_count=100, seed=3)
 
+    def _frames(self, stream):
+        """``(frame, segment_index)`` of every frame, in stream order."""
+        return [(frame, index) for index, sequence in stream.segments()
+                for frame in sequence.frames]
+
     def test_iterator_grid_is_contiguous_and_uniform(self):
         spec = self._awkward_spec()
         stream = ScenarioStream(spec, _sensor_config(spec))
-        frames = list(stream.frames())
+        frames = self._frames(stream)
         assert len(frames) == spec.frame_count
-        indices = [sf.frame.index for sf in frames]
+        indices = [frame.index for frame, _ in frames]
         assert indices == list(range(spec.frame_count))
-        times = np.array([sf.frame.timestamp for sf in frames])
+        times = np.array([frame.timestamp for frame, _ in frames])
         np.testing.assert_allclose(np.diff(times), 1.0 / RATE, atol=1e-9)
         # The schedule's records carry the built frames' own timestamps,
         # bit for bit, without building a segment.
         records = frame_records(spec)
         assert [(t, i) for t, _, i in records] == \
-            [(sf.frame.timestamp, sf.segment_index) for sf in frames]
+            [(frame.timestamp, index) for frame, index in frames]
         arrivals = np.array([arrival for _, arrival, _ in records])
         np.testing.assert_array_equal(arrivals, [quantize_us(t) for t in times])
         np.testing.assert_array_equal(np.diff(arrivals), 200_000)
@@ -170,8 +175,8 @@ class TestStreamBoundaryExactness:
         spec = self._awkward_spec()
         stream = ScenarioStream(spec, _sensor_config(spec))
         per_segment = {}
-        for sf in stream.frames():
-            per_segment[sf.segment_index] = per_segment.get(sf.segment_index, 0) + 1
+        for _, index in self._frames(stream):
+            per_segment[index] = per_segment.get(index, 0) + 1
         assert per_segment == {
             i: segment_frame_count(duration, RATE)
             for i, duration in enumerate(self.AWKWARD)
@@ -181,8 +186,8 @@ class TestStreamBoundaryExactness:
         """No off-by-one between the arrival view and the served trajectory."""
         spec = self._awkward_spec()
         stream = ScenarioStream(spec, _sensor_config(spec))
-        iterated = [(sf.frame.index, sf.frame.timestamp, sf.segment_index)
-                    for sf in stream.frames()]
+        iterated = [(frame.index, frame.timestamp, index)
+                    for frame, index in self._frames(stream)]
         result = run_session(spec)
         served = [(e.frame_index, e.timestamp) for e in result.trajectory.estimates]
         assert [(i, t) for i, t, _ in iterated] == served
@@ -192,9 +197,8 @@ class TestStreamBoundaryExactness:
         assert result.segment_starts == boundaries
 
     def test_segments_are_built_lazily(self, monkeypatch):
-        """Pulling early frames must not materialize later segments."""
+        """A segment is built only when the stream reaches it, and once."""
         spec = self._awkward_spec()
-        session = Session(spec)
         built = []
         original = ScenarioStream.build_segment
 
@@ -204,10 +208,13 @@ class TestStreamBoundaryExactness:
                            start_index=start_index)
 
         monkeypatch.setattr(ScenarioStream, "build_segment", counting_build)
-        for _ in range(3):  # first segment has 2 frames; peek opens the 2nd
-            session.step()
-        assert max(built) <= 1
-        assert len(built) <= 2
+        session = Session(spec)
+        index, _ = next(session.stream.segments())
+        assert index == 0
+        assert built == [0]
+        built.clear()
+        session.run()
+        assert built == list(range(len(spec.segments)))
 
 
 class TestModeSwitchPolicy:
@@ -339,7 +346,6 @@ class TestStreamingIngestion:
 
     def test_streaming_identical_to_run_session(self, fleet, isolated):
         streaming = ServingEngine(store=None).serve(fleet)
-        assert streaming.ingestion == "streaming"
         for stream_id, expected in isolated.items():
             assert streaming.results[stream_id].signature() == expected.signature()
 
@@ -554,7 +560,6 @@ class TestServingStore:
         warm = ServingEngine(store=store).serve(
             fleet)
         assert warm.store_hits == 2
-        assert warm.ingestion == "streaming"
 
     def test_duplicate_stream_ids_rejected(self):
         spec = mixed_deployment_stream("dup", segment_duration=1.0)

@@ -333,6 +333,17 @@ class TestAutoscalerProperties:
         with pytest.raises(ValueError):
             LatencyAutoscaler(grow_pressure=0.3, shrink_pressure=0.5)
 
+    @pytest.mark.parametrize("evaluations, shrinks", [(3, True), (2, False)])
+    def test_shrinks_exactly_at_patience(self, evaluations, shrinks):
+        """``shrink_patience`` under-target evaluations shrink; one fewer holds."""
+        scaler = _scaler(initial_workers=4, shrink_patience=3, cooldown=0)
+        for _ in range(evaluations):
+            scaler.observe(10.0, deadline_ms=200.0)  # pressure 0.05 < shrink_pressure
+            scaler.decide()
+        assert [d.action for d in scaler.decisions] == (
+            ["hold"] * (evaluations - 1) + ["shrink" if shrinks else "hold"])
+        assert scaler.workers == (3 if shrinks else 4)
+
 
 class TestAutoscalerSaturation:
     """Regression: pinned-at-cap overload must surface, not loop silently.

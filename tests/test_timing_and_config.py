@@ -10,7 +10,6 @@ from repro.common.config import (
     FrontendConfig,
     LocalizerConfig,
     MSCKFConfig,
-    SensorConfig,
 )
 from repro.common.timing import (
     KernelTiming,
@@ -127,10 +126,6 @@ class TestConfigs:
             FrontendConfig(max_features=0)
         with pytest.raises(ValueError):
             FrontendConfig(orb_bits=100)
-
-    def test_sensor_config_derived(self):
-        config = SensorConfig(camera_rate_hz=10.0, imu_rate_hz=100.0)
-        assert config.resolution == (config.image_width, config.image_height)
 
     def test_localizer_presets(self):
         car = LocalizerConfig.car_default()
